@@ -7,23 +7,23 @@ from .analysis import (BoundInputs, CostModel, break_even_satisfied, f_star,
                        gamma, nc_bound, q_objective, rho_star, rho_switch,
                        sc_bound, simulate_estimator, sweep)
 from .estimator import (AlignmentStats, BatchSplit, alignment_stats,
-                        combine_debiased, split_minibatch, v2_exact,
-                        variance_inflation)
+                        split_minibatch, v2_exact, variance_inflation)
 from .network import (Network, NetworkConfig, backward, cheap_forward, forward,
                       init_network, load_network, loss_and_residual, save_network)
-from .predictor import (FitSample, RefitPolicy, ScalarPredictor,
-                        StructuredPredictor, fit_scalar, fit_structured,
-                        predict_scalar, predict_structured, should_refit)
-from .trainer import (BudgetLedger, PerfectPredictor, RunResult, StepRecord,
-                      TrainConfig, optimizer_step, run_budgeted_comparison,
-                      train_predicted, train_vanilla)
+from .predictor import (FitSample, PerfectPredictor, RefitPolicy,
+                        ScalarPredictor, StructuredPredictor, fit_scalar,
+                        fit_structured, predict_scalar, predict_structured,
+                        should_refit)
+from .trainer import (BudgetLedger, RunResult, StepRecord, TrainConfig,
+                      optimizer_step, run_budgeted_comparison, train_predicted,
+                      train_vanilla)
 
 __all__ = [
     "AlignmentStats", "BatchSplit", "BoundInputs", "BudgetLedger", "CostModel",
     "FitSample", "Network", "NetworkConfig", "PerfectPredictor", "RefitPolicy",
     "RunResult", "ScalarPredictor", "StepRecord", "StructuredPredictor",
     "TrainConfig", "alignment_stats", "backward", "break_even_satisfied",
-    "cheap_forward", "combine_debiased", "f_star", "fit_scalar",
+    "cheap_forward", "f_star", "fit_scalar",
     "fit_structured", "forward", "gamma", "init_network", "load_network",
     "loss_and_residual", "nc_bound", "optimizer_step", "predict_scalar",
     "predict_structured", "q_objective", "rho_star", "rho_switch",

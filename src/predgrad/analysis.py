@@ -17,7 +17,7 @@ B = 1 - A, the closed forms below reduce to the default-cost constants
   and the average-gradient non-convex bound for a given variance level.
 
 simulate_estimator is the Monte Carlo verifier for unbiasedness and the
-exact variance formula; its inner loop lives in _kernels.
+exact variance formula.
 """
 
 import csv
@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
 from .errors import DimensionError, DomainError, MomentError, StepsizeError
 from .estimator import control_batch_size, moments_from_values, v2_exact, variance_inflation
 from .rng import substream
@@ -172,14 +171,18 @@ class SimulationResult(NamedTuple):
 
 def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
                        f: float, m: int, trials: int, seed: int,
-                       mu=None, mu_h=None, use_numba=None) -> SimulationResult:
+                       mu=None, mu_h=None) -> SimulationResult:
     """Monte Carlo check of the debiased estimator against the exact variance.
 
     Per-example gradient pairs are Gaussian with the requested second
     moments, constructed as v = (tau / sigma_g^2) u + w with w independent of
-    variance sigma_h^2 - tau^2 / sigma_g^2. Each trial draws one mini-batch,
-    splits off the control micro-batch, and forms the debiased estimate;
-    returned are ||mean(G) - mu||, the empirical E||G - mu||^2, and the
+    variance sigma_h^2 - tau^2 / sigma_g^2, where u = su z and w = sw z' for
+    standard normal z, z'. The estimator only needs the means of z and z'
+    over the control block (m_c examples) and the prediction block (m_p), so
+    each trial draws those four block means directly: the mean of k draws of
+    N(0, I) is N(0, I / k). A trial then forms
+        G = g_c + (1 - f) (h_p - h_c),  g = mu + u,  h = mu_h + v.
+    Returned are ||mean(G) - mu||, the empirical E||G - mu||^2, and the
     closed-form prediction. mu and mu_h (scalar or length-dim vectors)
     default to zero; the estimator is unbiased for mu regardless of mu_h.
     """
@@ -210,22 +213,24 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
     sw = np.sqrt(max(0.0, sigma_h ** 2 - tau ** 2 / sigma_g ** 2)) / np.sqrt(dim)
 
     rng = substream(seed, "simulation")
-    chunk = max(1, int(2_000_000 // (m * dim)))
-    sum_est = np.zeros(dim)
+    sd_c = 1.0 / np.sqrt(m_c)
+    sd_p = 1.0 / np.sqrt(m - m_c)
+    chunk = max(1, 500_000 // dim)  # trials per draw; bounds memory for any count
+    sum_err = np.zeros(dim)
     sum_sq = 0.0
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        zg = rng.standard_normal((n, m, dim))
-        zw = rng.standard_normal((n, m, dim))
-        part_est, part_sq = _kernels.mc_chunk(
-            zg, zw, mu_vec, mu_h_vec, su, coef, sw, m_c, 1.0 - f_eff,
-            use_numba=use_numba)
-        sum_est += part_est
-        sum_sq += part_sq
+        zg_c, zw_c, zg_p, zw_p = rng.standard_normal((4, n, dim))
+        g_c = mu_vec + su * sd_c * zg_c
+        h_c = mu_h_vec + coef * su * sd_c * zg_c + sw * sd_c * zw_c
+        h_p = mu_h_vec + coef * su * sd_p * zg_p + sw * sd_p * zw_p
+        err = g_c + (1.0 - f_eff) * (h_p - h_c) - mu_vec
+        sum_err += err.sum(axis=0)
+        sum_sq += float(np.einsum("ij,ij->", err, err))
         done += n
 
-    mean_err = float(np.linalg.norm(sum_est / trials - mu_vec))
+    mean_err = float(np.linalg.norm(sum_err / trials))
     emp_var = sum_sq / trials
     predicted = v2_exact(moments_from_values(sigma_g, sigma_h, tau), f_eff, m)
     return SimulationResult(mean_err, emp_var, predicted)

@@ -1,13 +1,14 @@
-"""Debiased gradient combination and alignment statistics.
+"""Mini-batch splitting, alignment statistics and the estimator's variance.
 
 The combined mini-batch gradient is
 
     G = f * g_c_true + (1-f) * (g_pred - (g_c_pred - g_c_true)),
 
-algebraically equal to g_c_true + (1-f) * (g_pred - g_c_pred). Its variance
-relative to the vanilla mini-batch gradient is governed entirely by the
-alignment rho and scale ratio kappa between per-example true and predicted
-gradients, through the inflation factor phi.
+algebraically equal to g_c_true + (1-f) * (g_pred - g_c_pred); the trainer
+evaluates it in sum space (see ``_batch_predicted`` in trainer.py). Its
+variance relative to the vanilla mini-batch gradient is governed entirely by
+the alignment rho and scale ratio kappa between per-example true and
+predicted gradients, through the inflation factor phi.
 """
 
 import logging
@@ -78,21 +79,6 @@ def split_minibatch(m: int, f: float, rng: np.random.Generator) -> BatchSplit:
     perm = rng.permutation(m)
     return BatchSplit(control=np.sort(perm[:m_c]), prediction=np.sort(perm[m_c:]),
                       f=float(f), m=int(m))
-
-
-def combine_debiased(g_c_true: np.ndarray, g_c_pred: np.ndarray,
-                     g_pred: np.ndarray, f: float) -> np.ndarray:
-    """Control-variate combination of micro-batch mean gradients."""
-    g_c_true = np.asarray(g_c_true, dtype=np.float64)
-    g_c_pred = np.asarray(g_c_pred, dtype=np.float64)
-    g_pred = np.asarray(g_pred, dtype=np.float64)
-    if not (g_c_true.shape == g_c_pred.shape == g_pred.shape):
-        raise DimensionError("gradient vectors must have equal shapes")
-    if not 0.0 < f <= 1.0:
-        raise DomainError(f"control fraction must be in (0,1], got {f}")
-    if f == 1.0:
-        return g_c_true.copy()
-    return f * g_c_true + (1.0 - f) * (g_pred - (g_c_pred - g_c_true))
 
 
 def alignment_stats(pairs) -> AlignmentStats:

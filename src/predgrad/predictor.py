@@ -13,7 +13,13 @@ gradient features:
   regression and classification through the residual definition alone.
 
 Both are fit by ridge least squares on buffered (activation, residual, true
-trunk gradient) samples collected from control micro-batches.
+trunk gradient) samples collected from control micro-batches. A third,
+diagnostic predictor returns the exact backward gradient.
+
+Every predictor has a ``kind`` name, ``predict_batch(net, xs, llh,
+residuals)`` returning one flat predicted gradient per row in batch order,
+and ``to_arrays()`` / ``from_arrays()`` for run checkpoints. ``PREDICTORS``
+maps each kind to its class.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, InsufficientData
 from .linalg import solve_ridge, truncated_svd
-from .network import GradientEstimate
+from .network import GradientEstimate, backward, forward
 
 RESIDUAL_FLOOR = 1e-8   # samples with smaller residuals carry no fit signal
 ENERGY_TARGET = 0.99    # default rank rule: 99% of squared singular mass
@@ -65,6 +71,24 @@ class ScalarPredictor:
     n_fit: int = 0
     ridge_lambda: float = 0.0
 
+    kind = "scalar"
+
+    def predict_batch(self, net, xs, llh, residuals) -> np.ndarray:
+        if residuals.shape[1] != 1:
+            raise DimensionError("scalar predictor requires scalar residuals")
+        # residual = f(x) - y, so passing (residual, 0) keeps r bit-exact
+        return _rows(net, [predict_scalar(self, a, r[0], 0.0)
+                           for a, r in zip(llh, residuals)])
+
+    def to_arrays(self) -> dict:
+        return {"pred_coef": self.coef,
+                "pred_meta": np.asarray([self.n_fit, self.ridge_lambda])}
+
+    @classmethod
+    def from_arrays(cls, z) -> "ScalarPredictor":
+        n_fit, lam = z["pred_meta"]
+        return cls(coef=z["pred_coef"], n_fit=int(n_fit), ridge_lambda=float(lam))
+
 
 @dataclass
 class StructuredPredictor:
@@ -73,6 +97,55 @@ class StructuredPredictor:
     rank: int
     n_fit: int = 0
     ridge_lambda: float = 0.0
+
+    kind = "structured"
+
+    def predict_batch(self, net, xs, llh, residuals) -> np.ndarray:
+        return _rows(net, [predict_structured(self, a, r, net.head_weight)
+                           for a, r in zip(llh, residuals)])
+
+    def to_arrays(self) -> dict:
+        return {"pred_basis": self.basis, "pred_maps": self.maps,
+                "pred_meta": np.asarray([self.rank, self.n_fit, self.ridge_lambda])}
+
+    @classmethod
+    def from_arrays(cls, z) -> "StructuredPredictor":
+        rank, n_fit, lam = z["pred_meta"]
+        return cls(basis=z["pred_basis"], maps=z["pred_maps"], rank=int(rank),
+                   n_fit=int(n_fit), ridge_lambda=float(lam))
+
+
+class PerfectPredictor:
+    """Diagnostic predictor that returns the exact backward gradient.
+
+    Used to exercise the algebraic identity G = mean gradient when
+    predictions are perfect; cost accounting still charges the predicted
+    algorithm's pass structure.
+    """
+
+    kind = "perfect"
+
+    def predict_batch(self, net, xs, llh, residuals) -> np.ndarray:
+        return _rows(net, [backward(net, forward(net, x)[2], r)
+                           for x, r in zip(xs, residuals)])
+
+    def to_arrays(self) -> dict:
+        return {}
+
+    @classmethod
+    def from_arrays(cls, z) -> "PerfectPredictor":
+        return cls()
+
+
+PREDICTORS = {p.kind: p for p in (ScalarPredictor, StructuredPredictor, PerfectPredictor)}
+
+
+def _rows(net, estimates) -> np.ndarray:
+    """Flat gradients of per-example estimates as rows of a (k, params) array."""
+    out = np.empty((len(estimates), net.n_params))
+    for k, est in enumerate(estimates):
+        out[k] = est.flat()
+    return out
 
 
 def should_refit(policy: RefitPolicy, step: int) -> bool:

@@ -19,10 +19,13 @@ gradients. Per-example gradients are scattered into an (m, params) array in
 batch order and reduced identically in both loops, so a perfect predictor
 reproduces the vanilla trajectory bit for bit.
 
+The predictor is one of the objects of ``predgrad.predictor``; the loop
+only calls its ``predict_batch`` once per step, on all rows of the batch.
+
 Cost accounting charges what the algorithm structure prescribes (forward +
 backward per control example, cheap forward per prediction example),
 independent of how a predictor is implemented internally. The optional
-warmup batch that seeds the predictor fit buffer is charged to a separate
+warmup sample that seeds the predictor fit buffer is charged to a separate
 warmup ledger; the budget governs stepping cost only, mirroring a cost
 model that counts per-iteration passes.
 """
@@ -40,9 +43,9 @@ from .data import Dataset
 from .errors import (BudgetError, ConfigError, DataError, DimensionError,
                      InsufficientData)
 from .estimator import alignment_stats, control_batch_size, split_minibatch, variance_inflation
-from .network import (Network, NetworkConfig, GradientEstimate, backward,
-                      cheap_forward, forward, init_network, loss_and_residual)
-from .predictor import (FitSample, RefitPolicy, ScalarPredictor, StructuredPredictor,
+from .network import (Network, NetworkConfig, backward, cheap_forward, forward,
+                      init_network, loss_and_residual)
+from .predictor import (PREDICTORS, FitSample, PerfectPredictor, RefitPolicy,
                         fit_scalar, fit_structured, make_fit_sample, should_refit)
 from .rng import substream
 
@@ -137,28 +140,12 @@ class StepRecord:
     kappa_hat: float
     phi_hat: float
     refit: int
-    rho_hat_full: float = float("nan")  # full-vector variant, not in the CSV
 
     def csv_row(self):
         return [self.step, self.epoch, repr(float(self.cost_units)),
                 repr(float(self.loss)), repr(float(self.val_metric)),
                 repr(float(self.rho_hat)), repr(float(self.kappa_hat)),
                 repr(float(self.phi_hat)), self.refit]
-
-
-class PerfectPredictor:
-    """Diagnostic predictor that returns the exact backward gradient.
-
-    Used to exercise the algebraic identity G = mean gradient when
-    predictions are perfect; cost accounting still charges the predicted
-    algorithm's pass structure.
-    """
-
-    def predict(self, net: Network, x, y, loss_kind: str, smoothing: float) -> GradientEstimate:
-        llh, output, cache = forward(net, x)
-        _, residual = loss_and_residual(output, y, loss_kind, smoothing)
-        est = backward(net, cache, residual)
-        return GradientEstimate(est.trunk_grad, est.head_grad, source="predicted")
 
 
 def optimizer_step(theta: np.ndarray, g: np.ndarray, state, lr: float, momentum: float):
@@ -179,13 +166,12 @@ def optimizer_step(theta: np.ndarray, g: np.ndarray, state, lr: float, momentum:
 class TrainState:
     algo: str                       # "vanilla" | "predicted"
     net: Network
-    predictor: object | None        # instance, kind string, or None
+    predictor: object | None        # a fitted predictor; None for vanilla
     opt_state: np.ndarray | None
     buffer: list
     step: int = 0
     epoch: int = 0
     batch_in_epoch: int = 0
-    warmup_done: bool = False
     stepping: BudgetLedger | None = None
     warmup_ledger: BudgetLedger | None = None
 
@@ -229,33 +215,16 @@ def _resolve_loss_kind(cfg: TrainConfig, ds: Dataset) -> str:
     return kind
 
 
-def _predict_example(predictor, net, x, y, llh, output, loss_kind, smoothing):
-    if isinstance(predictor, PerfectPredictor):
-        return predictor.predict(net, x, y, loss_kind, smoothing)
-    if isinstance(predictor, ScalarPredictor):
-        from .predictor import predict_scalar
-        return predict_scalar(predictor, llh, float(output[0]),
-                              float(np.asarray(y, dtype=np.float64).ravel()[0]))
-    if isinstance(predictor, StructuredPredictor):
-        from .predictor import predict_structured
-        _, residual = loss_and_residual(output, y, loss_kind, smoothing)
-        return predict_structured(predictor, llh, residual, net.head_weight)
-    raise ConfigError(f"not a usable predictor: {predictor!r}")
-
-
-def _fit_like(predictor, samples, policy: RefitPolicy):
-    """Fit a fresh predictor of the same kind from buffered samples."""
-    if isinstance(predictor, PerfectPredictor):
-        return predictor
-    kind = predictor if isinstance(predictor, str) else (
-        "scalar" if isinstance(predictor, ScalarPredictor) else "structured")
-    if kind == "perfect":
-        return PerfectPredictor()
+def _fit(kind: str, samples, policy: RefitPolicy):
+    """A fresh predictor of a learned kind fitted on buffered samples, or
+    None for the perfect predictor, which has nothing to fit. The fit
+    functions are looked up in this module, so wrapping
+    ``predgrad.trainer.fit_*`` sees every fit."""
     if kind == "scalar":
         return fit_scalar(samples, policy.ridge_lambda)
     if kind == "structured":
         return fit_structured(samples, None, policy.ridge_lambda)
-    raise ConfigError(f"unknown predictor kind {kind!r}")
+    return None
 
 
 def _batch_true(net, ds, batch_idx, loss_kind, smoothing, ledger):
@@ -276,43 +245,39 @@ def _batch_true(net, ds, batch_idx, loss_kind, smoothing, ledger):
 def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing, ledger):
     """Debiased combined gradient over one split mini-batch.
 
-    Returns (G, batch loss, trunk stats, full stats, fit samples). Stats are
-    None when the control micro-batch has fewer than 2 examples.
+    Control rows get a forward and a backward pass, prediction rows a cheap
+    forward; one ``predict_batch`` call then predicts every row. Returns
+    (G, batch loss, trunk alignment stats, fit samples); the stats are None
+    when the control micro-batch has fewer than 2 examples.
     """
     m = split.m
     grads = np.empty((m, net.n_params))
     losses = np.empty(m)
-    ctrl_true = np.empty((split.m_c, net.n_params))
-    ctrl_pred = np.empty((split.m_c, net.n_params))
+    llh = np.empty((m, net.config.last_hidden))
+    residuals = np.empty((m, net.config.output_dim))
     fit_samples = []
 
-    for k, pos in enumerate(split.control):
+    for pos in split.control:
         i = batch_idx[pos]
-        x, y = ds.features[i], ds.target_for(i)
-        llh, output, cache = forward(net, x)
-        loss, residual = loss_and_residual(output, y, loss_kind, smoothing)
-        est_true = backward(net, cache, residual)
-        est_pred = _predict_example(predictor, net, x, y, llh, output,
-                                    loss_kind, smoothing)
-        g = est_true.flat()
-        grads[pos] = g
-        losses[pos] = loss
-        ctrl_true[k] = g
-        ctrl_pred[k] = est_pred.flat()
-        fit_samples.append(make_fit_sample(llh, residual, est_true.trunk_grad,
-                                           net.head_weight))
+        a, output, cache = forward(net, ds.features[i])
+        losses[pos], r = loss_and_residual(output, ds.target_for(i), loss_kind, smoothing)
+        est = backward(net, cache, r)
+        grads[pos] = est.flat()
+        llh[pos], residuals[pos] = a, r
+        fit_samples.append(make_fit_sample(a, r, est.trunk_grad, net.head_weight))
     ledger.charge(forward=split.m_c, backward=split.m_c)
 
     for pos in split.prediction:
         i = batch_idx[pos]
-        x, y = ds.features[i], ds.target_for(i)
-        llh, output = cheap_forward(net, x)
-        loss, residual = loss_and_residual(output, y, loss_kind, smoothing)
-        est = _predict_example(predictor, net, x, y, llh, output,
-                               loss_kind, smoothing)
-        grads[pos] = est.flat()
-        losses[pos] = loss
+        llh[pos], output = cheap_forward(net, ds.features[i])
+        losses[pos], residuals[pos] = loss_and_residual(
+            output, ds.target_for(i), loss_kind, smoothing)
     ledger.charge(cheap_forward=split.m_p)
+
+    preds = predictor.predict_batch(net, ds.features[batch_idx], llh, residuals)
+    grads[split.prediction] = preds[split.prediction]
+    ctrl_true = grads[split.control]
+    ctrl_pred = preds[split.control]
 
     s_all = grads.sum(axis=0)
     s_ct = ctrl_true.sum(axis=0)
@@ -320,13 +285,11 @@ def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing,
     f_eff = split.m_c / m
     combined = s_all / m - ((1.0 - f_eff) / split.m_c) * (s_cp - s_ct)
 
-    stats_trunk = stats_full = None
+    stats = None
     if split.m_c >= 2:
         pt = net.trunk_size
-        stats_full = alignment_stats(list(zip(ctrl_true, ctrl_pred)))
-        stats_trunk = alignment_stats(
-            [(g[:pt], h[:pt]) for g, h in zip(ctrl_true, ctrl_pred)])
-    return combined, float(losses.sum() / m), stats_trunk, stats_full, fit_samples
+        stats = alignment_stats([(g[:pt], h[:pt]) for g, h in zip(ctrl_true, ctrl_pred)])
+    return combined, float(losses.sum() / m), stats, fit_samples
 
 
 def _eval_val(net, ds, loss_kind, smoothing) -> float:
@@ -367,10 +330,13 @@ class _MetricsWriter:
             self._fh.close()
 
 
-def _run_warmup(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str):
-    """Process one dedicated full-backward batch to seed the fit buffer and
-    fit the predictor; charged to the warmup ledger."""
-    m = min(cfg.batch_size, len(ds.train_idx))
+def _run_warmup(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str,
+                kind: str):
+    """Seed the fit buffer from a dedicated full-backward sample and return a
+    ``kind`` predictor fitted on it; charged to the warmup ledger. The sample
+    is a batch, or D+1 examples (D the last hidden width) when that is more,
+    since a fit needs D+1 samples."""
+    m = min(max(cfg.batch_size, state.net.config.last_hidden + 1), len(ds.train_idx))
     rng = substream(cfg.seed, "warmup")
     chosen = rng.choice(ds.train_idx, size=m, replace=False)
     for i in chosen:
@@ -382,53 +348,38 @@ def _run_warmup(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str
                                             state.net.head_weight))
     state.warmup_ledger.charge(forward=m, backward=m)
     del state.buffer[:-cfg.refit.buffer_capacity]
-    state.predictor = _fit_like(state.predictor, state.buffer, cfg.refit)
-    state.warmup_done = True
+    return _fit(kind, state.buffer, cfg.refit)
+
+
+def _check_run(cfg: TrainConfig, ds: Dataset, algo: str):
+    """Validate a run's config against its data; returns (loss kind,
+    smallest usable batch)."""
+    if len(ds.train_idx) == 0:
+        raise DataError("dataset has no training examples")
+    loss_kind = _resolve_loss_kind(cfg, ds)
+    if algo != "predicted":
+        return loss_kind, 2
+    f = cfg.control_fraction
+    if not 0.0 < f < 1.0:
+        raise ConfigError(
+            f"predicted training needs 0 < control_fraction < 1, got {f}")
+    min_batch = max(2, math.ceil(1.0 / f))
+    if cfg.batch_size < min_batch:
+        raise ConfigError(
+            f"batch_size {cfg.batch_size} too small for control fraction "
+            f"{f} (need >= {min_batch})")
+    return loss_kind, min_batch
 
 
 def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
                 metrics_path=None) -> RunResult:
-    if len(ds.train_idx) == 0:
-        raise DataError("dataset has no training examples")
-    loss_kind = _resolve_loss_kind(cfg, ds)
     algo = state.algo
+    loss_kind, min_batch = _check_run(cfg, ds, algo)
     f = cfg.control_fraction
-    if algo == "predicted":
-        if not 0.0 < f < 1.0:
-            raise ConfigError(
-                f"predicted training needs 0 < control_fraction < 1, got {f}")
-        min_batch = max(2, math.ceil(1.0 / f))
-        if cfg.batch_size < min_batch:
-            raise ConfigError(
-                f"batch_size {cfg.batch_size} too small for control fraction "
-                f"{f} (need >= {min_batch})")
-        if isinstance(state.predictor, ScalarPredictor) and loss_kind != "squared_scalar":
-            raise ConfigError("the scalar predictor requires a scalar squared loss")
-    else:
-        min_batch = 2
-
-    if (algo == "predicted" and not state.warmup_done
-            and not isinstance(state.predictor, PerfectPredictor)):
-        if isinstance(state.predictor, str) and state.predictor != "perfect":
-            if not cfg.warmup:
-                raise ConfigError(
-                    "predictor is unfitted and warmup is disabled; pass a "
-                    "fitted predictor or enable warmup")
-            _run_warmup(cfg, ds, state, loss_kind)
-        elif state.predictor == "perfect":
-            state.predictor = PerfectPredictor()
-            state.warmup_done = True
-        else:
-            state.warmup_done = True  # caller supplied a fitted predictor
-    elif algo == "predicted" and isinstance(state.predictor, str):
-        if state.predictor == "perfect":
-            state.predictor = PerfectPredictor()
-
     theta = state.net.flat_params()
     momentum = cfg.momentum if cfg.optimizer == "sgd_momentum" else 0.0
     records = []
     writer = _MetricsWriter(metrics_path)
-    fittable = not isinstance(state.predictor, PerfectPredictor)
     n_train = len(ds.train_idx)
 
     try:
@@ -466,11 +417,11 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
                     grad, batch_loss = _batch_true(
                         state.net, ds, batch_idx, loss_kind, cfg.smoothing,
                         state.stepping)
-                    stats_trunk = stats_full = None
+                    stats = None
                 else:
                     split = split_minibatch(
                         len(batch_idx), f, substream(cfg.seed, f"split:{state.step}"))
-                    grad, batch_loss, stats_trunk, stats_full, samples = \
+                    grad, batch_loss, stats, samples = \
                         _batch_predicted(state.net, state.predictor, ds, batch_idx,
                                          split, loss_kind, cfg.smoothing,
                                          state.stepping)
@@ -485,14 +436,13 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
                 state.batch_in_epoch = bi + 1
 
                 refit_flag = 0
-                if algo == "predicted" and fittable and \
-                        should_refit(cfg.refit, state.step):
+                if algo == "predicted" and should_refit(cfg.refit, state.step):
                     try:
-                        state.predictor = _fit_like(state.predictor, state.buffer,
-                                                    cfg.refit)
-                        refit_flag = 1
+                        fitted = _fit(state.predictor.kind, state.buffer, cfg.refit)
                     except InsufficientData:
-                        pass  # not enough usable samples yet; keep the old fit
+                        fitted = None  # not enough usable samples yet; keep the old fit
+                    if fitted is not None:
+                        state.predictor, refit_flag = fitted, 1
 
                 if cfg.eval_every and state.step % cfg.eval_every == 0:
                     val = _eval_val(state.net, ds, loss_kind, cfg.smoothing)
@@ -500,13 +450,12 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
                     val = float("nan")
 
                 nan = float("nan")
-                if stats_trunk is not None and not stats_trunk.degenerate:
-                    f_eff = split.f_effective
+                if stats is not None and not stats.degenerate:
                     rec = StepRecord(
                         state.step, epoch, state.stepping.cost_units, batch_loss,
-                        val, stats_trunk.rho, stats_trunk.kappa,
-                        variance_inflation(f_eff, stats_trunk.rho, stats_trunk.kappa),
-                        refit_flag, rho_hat_full=stats_full.rho)
+                        val, stats.rho, stats.kappa,
+                        variance_inflation(split.f_effective, stats.rho, stats.kappa),
+                        refit_flag)
                 else:
                     rec = StepRecord(state.step, epoch, state.stepping.cost_units,
                                      batch_loss, val, nan, nan, nan, refit_flag)
@@ -543,12 +492,27 @@ def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, predictor,
                     metrics_path=None) -> RunResult:
     """Predicted-gradient training.
 
-    ``predictor`` is a fitted ScalarPredictor / StructuredPredictor, a
-    PerfectPredictor, or one of the kind strings "scalar" / "structured" /
-    "perfect"; unfitted kinds are warm-fit from a dedicated warmup batch.
+    ``predictor`` is a predictor object from ``predgrad.predictor`` or one of
+    the kind strings "scalar" / "structured" / "perfect". "perfect" becomes
+    a PerfectPredictor; a learned kind is fitted on a dedicated warmup
+    sample before the first step.
     """
-    return _train_loop(cfg, ds, _fresh_state("predicted", cfg, net, predictor),
-                       metrics_path)
+    state = _fresh_state("predicted", cfg, net, None)
+    loss_kind, _ = _check_run(cfg, ds, "predicted")
+    kind = getattr(predictor, "kind", predictor)
+    if kind not in PREDICTORS:
+        raise ConfigError(f"not a usable predictor: {predictor!r}")
+    if kind == "scalar" and loss_kind != "squared_scalar":
+        raise ConfigError("the scalar predictor requires a scalar squared loss")
+    if predictor == "perfect":
+        predictor = PerfectPredictor()
+    elif predictor == kind:  # a learned kind named by its string
+        if not cfg.warmup:
+            raise ConfigError("predictor is unfitted and warmup is disabled; pass a "
+                              "fitted predictor or enable warmup")
+        predictor = _run_warmup(cfg, ds, state, loss_kind, kind)
+    state.predictor = predictor
+    return _train_loop(cfg, ds, state, metrics_path)
 
 
 @dataclass
@@ -566,7 +530,6 @@ class ComparisonReport:
     predicted_cost_units: float
     predicted_warmup_cost_units: float
     rho_hat_trunk_mean: float
-    rho_hat_full_mean: float
     kappa_hat_mean: float
     phi_hat_mean: float
     rho_star_measured: float
@@ -604,7 +567,6 @@ def run_budgeted_comparison(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfi
                             predicted_metrics_path)
 
     rho_trunk = _nanmean([r.rho_hat for r in res_p.records])
-    rho_full = _nanmean([r.rho_hat_full for r in res_p.records])
     kappa = _nanmean([r.kappa_hat for r in res_p.records])
     phi = _nanmean([r.phi_hat for r in res_p.records])
     f = cfg.control_fraction
@@ -633,7 +595,6 @@ def run_budgeted_comparison(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfi
         predicted_cost_units=res_p.stepping_ledger.cost_units,
         predicted_warmup_cost_units=res_p.warmup_ledger.cost_units,
         rho_hat_trunk_mean=rho_trunk,
-        rho_hat_full_mean=rho_full,
         kappa_hat_mean=kappa,
         phi_hat_mean=phi,
         rho_star_measured=star,
@@ -644,6 +605,9 @@ def run_budgeted_comparison(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfi
 
 
 # --- run checkpointing -----------------------------------------------------
+
+RUN_LENGTH_KEYS = ("epochs", "max_steps", "budget")  # a resumed run may change them
+
 
 def _cfg_json(cfg: TrainConfig) -> str:
     d = {
@@ -676,8 +640,9 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
         "head_weight": net.head_weight,
         "head_bias": net.head_bias,
         "net_version": np.int64(net.version),
+        # the last counter is the former warmup-done flag, kept for the format
         "counters": np.asarray([state.step, state.epoch, state.batch_in_epoch,
-                                int(state.warmup_done)], dtype=np.int64),
+                                int(state.predictor is not None)], dtype=np.int64),
         "stepping_counts": np.asarray([state.stepping.forward_count,
                                        state.stepping.cheap_forward_count,
                                        state.stepping.backward_count], dtype=np.int64),
@@ -689,23 +654,8 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
         arrays["opt_state"] = state.opt_state
 
     pred = state.predictor
-    if pred is None:
-        pred_kind = "none"
-    elif isinstance(pred, PerfectPredictor):
-        pred_kind = "perfect"
-    elif isinstance(pred, str):
-        pred_kind = f"unfitted:{pred}"
-    elif isinstance(pred, ScalarPredictor):
-        pred_kind = "scalar"
-        arrays["pred_coef"] = pred.coef
-        arrays["pred_meta"] = np.asarray([pred.n_fit, pred.ridge_lambda])
-    elif isinstance(pred, StructuredPredictor):
-        pred_kind = "structured"
-        arrays["pred_basis"] = pred.basis
-        arrays["pred_maps"] = pred.maps
-        arrays["pred_meta"] = np.asarray([pred.rank, pred.n_fit, pred.ridge_lambda])
-    else:
-        raise ConfigError(f"cannot checkpoint predictor {pred!r}")
+    if pred is not None:
+        arrays.update(pred.to_arrays())
 
     if state.buffer:
         arrays["buf_llh"] = np.stack([s.llh for s in state.buffer])
@@ -716,7 +666,7 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
     header = json.dumps({
         "format": RUN_CHECKPOINT_FORMAT,
         "algo": state.algo,
-        "predictor_kind": pred_kind,
+        "predictor_kind": "none" if pred is None else pred.kind,
         "cfg": _cfg_json(cfg),
         "net": {
             "input_dim": net.config.input_dim,
@@ -731,12 +681,22 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
                  **arrays)
 
 
+def _run_identity(cfg_json: str) -> dict:
+    d = json.loads(cfg_json)
+    for key in RUN_LENGTH_KEYS:
+        d.pop(key)
+    return d
+
+
 def load_run_checkpoint(path, cfg: TrainConfig) -> TrainState:
+    """State of a checkpointed run. The config must match the one it was
+    written under, except for the run-length fields, so a run can be
+    extended."""
     with np.load(path) as z:
         header = json.loads(bytes(z["header"]).decode("utf-8"))
         if header.get("format") != RUN_CHECKPOINT_FORMAT:
             raise ConfigError(f"unsupported checkpoint format {header.get('format')}")
-        if header["cfg"] != _cfg_json(cfg):
+        if _run_identity(header["cfg"]) != _run_identity(_cfg_json(cfg)):
             raise ConfigError("checkpoint was written under a different training config")
         ncfg = NetworkConfig(input_dim=header["net"]["input_dim"],
                              hidden_widths=tuple(header["net"]["hidden_widths"]),
@@ -745,24 +705,12 @@ def load_run_checkpoint(path, cfg: TrainConfig) -> TrainState:
                              seed=header["net"]["seed"])
         net = Network(ncfg, z["trunk_params"], z["head_weight"], z["head_bias"],
                       version=int(z["net_version"]))
-        step, epoch, batch_in_epoch, warmup_done = (int(v) for v in z["counters"])
+        step, epoch, batch_in_epoch = (int(v) for v in z["counters"][:3])
 
         kind = header["predictor_kind"]
-        if kind == "none":
-            pred = None
-        elif kind == "perfect":
-            pred = PerfectPredictor()
-        elif kind.startswith("unfitted:"):
-            pred = kind.split(":", 1)[1]
-        elif kind == "scalar":
-            n_fit, lam = z["pred_meta"]
-            pred = ScalarPredictor(coef=z["pred_coef"], n_fit=int(n_fit),
-                                   ridge_lambda=float(lam))
-        else:
-            rank, n_fit, lam = z["pred_meta"]
-            pred = StructuredPredictor(basis=z["pred_basis"], maps=z["pred_maps"],
-                                       rank=int(rank), n_fit=int(n_fit),
-                                       ridge_lambda=float(lam))
+        if kind != "none" and kind not in PREDICTORS:
+            raise ConfigError(f"checkpoint holds an unknown predictor kind {kind!r}")
+        pred = None if kind == "none" else PREDICTORS[kind].from_arrays(z)
 
         buffer = []
         if "buf_llh" in z:
@@ -776,8 +724,7 @@ def load_run_checkpoint(path, cfg: TrainConfig) -> TrainState:
         opt_state = z["opt_state"].copy() if "opt_state" in z else None
         return TrainState(algo=header["algo"], net=net, predictor=pred,
                           opt_state=opt_state, buffer=buffer, step=step,
-                          epoch=epoch, batch_in_epoch=batch_in_epoch,
-                          warmup_done=bool(warmup_done), stepping=stepping,
+                          epoch=epoch, batch_in_epoch=batch_in_epoch, stepping=stepping,
                           warmup_ledger=warmup_ledger)
 
 
