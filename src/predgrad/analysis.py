@@ -113,9 +113,10 @@ def f_star(cm: CostModel, rho: float, kappa: float, f_min: float = 0.01) -> floa
     """Minimizer of Q(f) = phi * gamma over f in (0, 1].
 
     Below the regime-switch threshold the boundary f = 1 wins. Above it the
-    interior stationary point sqrt(A a / (B b)) applies, except in the
-    degenerate perfect-alignment case a = 0, where Q decreases all the way
-    down and the smallest admissible fraction f_min is returned.
+    interior stationary point sqrt(A a / (B b)) applies, raised to the
+    smallest admissible fraction f_min when it lies below it (Q is convex in
+    f). In the degenerate perfect-alignment case a = 0, Q decreases all the
+    way down and f_min is returned.
     """
     if kappa <= 0:
         raise DomainError(f"kappa must be positive, got {kappa}")
@@ -129,7 +130,7 @@ def f_star(cm: CostModel, rho: float, kappa: float, f_min: float = 0.01) -> floa
         return f_min
     big_a = cm.cheap_share
     big_b = 1.0 - big_a
-    return min(1.0, float(np.sqrt(big_a * a / (big_b * b))))
+    return min(1.0, max(f_min, float(np.sqrt(big_a * a / (big_b * b)))))
 
 
 def q_objective(cm: CostModel, f: float, rho: float, kappa: float) -> float:

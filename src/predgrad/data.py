@@ -74,7 +74,7 @@ def gen_regression(n: int, input_dim: int, noise_sd: float, seed: int,
     teacher = regression_teacher(input_dim, seed)
     rng = substream(seed, "data")
     feats = rng.standard_normal((n, input_dim))
-    clean = np.array([forward(teacher, x)[1] for x in feats])
+    clean = forward(teacher, feats)[1]
     noise = noise_sd * rng.standard_normal((n, 1))
     train_idx, val_idx = _split_tail(n, val_fraction)
     return Dataset(features=feats, targets=clean + noise, kind="regression",

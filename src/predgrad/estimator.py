@@ -81,21 +81,24 @@ def split_minibatch(m: int, f: float, rng: np.random.Generator) -> BatchSplit:
                       f=float(f), m=int(m))
 
 
-def alignment_stats(pairs) -> AlignmentStats:
-    """Sample moments of per-example (true, predicted) gradient pairs.
+def alignment_stats(gs, hs) -> AlignmentStats:
+    """Sample moments of per-example true gradients ``gs`` and predicted
+    gradients ``hs``, both (n, P) with row i of each from example i.
 
     Population-style moments (divide by n): sigma_g^2 = mean ||g - mu||^2,
     sigma_h^2 likewise, tau = mean <g - mu, h - mu_h>. rho and kappa are the
     derived alignment and scale quantities; a vanishing sigma makes the pair
-    degenerate and both are reported as 0 with the flag set.
+    degenerate: rho is reported as 0 with the flag set, and kappa as
+    sigma_h / sigma_g, or 0 when sigma_g vanishes.
     """
-    gs = np.asarray([np.ravel(g) for g, _ in pairs], dtype=np.float64)
-    hs = np.asarray([np.ravel(h) for _, h in pairs], dtype=np.float64)
+    gs = np.asarray(gs, dtype=np.float64)
+    hs = np.asarray(hs, dtype=np.float64)
+    if gs.ndim != 2 or gs.shape != hs.shape:
+        raise DimensionError(
+            f"need two (n, P) arrays of one shape, got {gs.shape} and {hs.shape}")
     n = gs.shape[0]
     if n < 2:
         raise InsufficientData(f"need at least 2 pairs, got {n}")
-    if gs.shape != hs.shape:
-        raise DimensionError("true and predicted gradients must share a dimension")
     mu = gs.mean(axis=0)
     mu_h = hs.mean(axis=0)
     du = gs - mu

@@ -5,19 +5,29 @@ a length-C bias); everything before it is the trunk, stored as one flat
 float64 vector. Three pass procedures are provided:
 
 * ``forward`` - full pass that also returns a cache for backprop,
-* ``cheap_forward`` - activations only, optionally emulating reduced
-  precision (float32 arithmetic, widened back to float64),
-* ``backward`` - exact gradients from a cache and an output-space residual.
+* ``cheap_forward`` - the same pass without the cache,
+* ``backward`` - exact flat gradients from a cache and an output-space
+  residual.
 
-Flat parameter layout (used by checkpoints and by the trainer's flattened
-updates): for each trunk layer in order, the weight matrix row-major then
-its bias; then the head weight row-major; then the head bias. The augmented
-activation convention is ``[a(x); 1]`` with the bias coordinate last.
+The passes and ``loss_and_residual`` are rank-polymorphic: they take one
+example, or a batch of them along a leading axis, and a single example
+comes back without that axis. Every matrix-vector product is evaluated as
+one BLAS gemv per row, ``(a[..., None, :] @ W.T)[..., 0, :]``, never as one
+matrix-matrix product over the batch: a gemm's result for a row can change
+in the last bits with the other rows in the batch, while a gemv per row
+gives each row exactly the single-example result. The trainer's
+perfect-predictor invariant rests on this, since it runs ``backward`` on a
+subset of a batch in one loop and on the whole batch in the other.
+
+Flat parameter layout (used by checkpoints, by gradients and by the
+trainer's flattened updates): for each trunk layer in order, the weight
+matrix row-major then its bias; then the head weight row-major; then the
+head bias. The augmented activation convention is ``[a(x); 1]`` with the
+bias coordinate last.
 """
 
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,23 +149,6 @@ class ForwardCache:
     act: list[np.ndarray]   # per trunk layer activations; act[-1] is llh
 
 
-@dataclass
-class GradientEstimate:
-    trunk_grad: np.ndarray          # (P_T,)
-    head_grad: np.ndarray           # (C, D+1), bias column last
-    source: str = "true_backward"   # "true_backward" | "predicted"
-
-    def flat(self) -> np.ndarray:
-        """Full-parameter gradient in the network's flat layout."""
-        c = self.head_grad.shape[0]
-        d = self.head_grad.shape[1] - 1
-        return np.concatenate([
-            self.trunk_grad,
-            self.head_grad[:, :d].reshape(c * d),
-            self.head_grad[:, d],
-        ])
-
-
 def init_network(cfg: NetworkConfig) -> Network:
     """Glorot-style init: W ~ U(-s, s) with s = sqrt(6/(fan_in+fan_out)),
     biases zero. Deterministic in cfg.seed."""
@@ -189,122 +182,127 @@ def _act_deriv(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     return np.ones_like(z)
 
 
+def matvec(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``w @ a`` for each row of ``a``, as one gemv per row."""
+    return (a[..., None, :] @ w.T)[..., 0, :]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot product, as one BLAS dot per row."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def gradient_rows(trunk_grad: np.ndarray, llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Flat-layout gradient rows from trunk gradient rows and the exact head
+    gradient residual x [llh; 1]."""
+    lead = residual.shape[:-1]
+    c, d = residual.shape[-1], llh.shape[-1]
+    head_w = (residual[..., :, None] * llh[..., None, :]).reshape(lead + (c * d,))
+    return np.concatenate([trunk_grad, head_w, residual], axis=-1)
+
+
 def forward(net: Network, x: np.ndarray):
-    """Full pass for one example: returns (llh, output, cache)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape != (net.config.input_dim,):
+    """Full pass: returns (llh, output, cache)."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.shape[-1:] != (net.config.input_dim,):
         raise DimensionError(
-            f"input has dim {x.shape[0]}, expected {net.config.input_dim}")
+            f"input has shape {x.shape}, expected dim {net.config.input_dim}")
     kind = net.config.activation
     pre, act = [], []
     a = x
     for w, b in net.trunk_layers():
-        z = w @ a + b
+        z = matvec(w, a) + b
         a = _act(z, kind)
         pre.append(z)
         act.append(a)
-    output = net.head_weight @ a + net.head_bias
+    output = matvec(net.head_weight, a) + net.head_bias
     return a, output, ForwardCache(net.version, x, pre, act)
 
 
-def cheap_forward(net: Network, x: np.ndarray, reduce_precision: bool = False):
-    """Activations-only pass: returns (llh, output), no backprop cache.
-
-    With reduce_precision the whole pass runs in float32 and the results are
-    widened, emulating an inference-mode pass; otherwise the arithmetic is
-    identical to ``forward``.
-    """
-    if not reduce_precision:
-        llh, output, _ = forward(net, x)
-        return llh, output
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape != (net.config.input_dim,):
-        raise DimensionError(
-            f"input has dim {x.shape[0]}, expected {net.config.input_dim}")
-    kind = net.config.activation
-    a = x.astype(np.float32)
-    for w, b in net.trunk_layers():
-        z = w.astype(np.float32) @ a + b.astype(np.float32)
-        a = _act(z, kind).astype(np.float32)
-    output = net.head_weight.astype(np.float32) @ a + net.head_bias.astype(np.float32)
-    return a.astype(np.float64), output.astype(np.float64)
+def cheap_forward(net: Network, x: np.ndarray):
+    """Activations-only pass: returns (llh, output) of ``forward``, without
+    its backprop cache."""
+    llh, output, _ = forward(net, x)
+    return llh, output
 
 
 def loss_and_residual(output: np.ndarray, y, kind: str, smoothing: float = 0.0):
     """Per-example loss and output-space residual.
 
     squared_scalar / squared_vector: loss = 0.5 ||f(x) - y||^2, residual
-    f(x) - y. cross_entropy: softmax probabilities against a smoothed one-hot
-    target; the residual p - target is also the exact logit gradient.
+    f(x) - y; a scalar target may leave out its length-1 axis.
+    cross_entropy: y holds class indices; softmax probabilities against a
+    smoothed one-hot target, and the residual p - target is also the exact
+    logit gradient.
     """
-    output = np.asarray(output, dtype=np.float64).ravel()
-    if kind == "squared_scalar":
-        yv = np.asarray(y, dtype=np.float64).ravel()
-        if output.shape != (1,) or yv.shape != (1,):
-            raise DimensionError("squared_scalar needs scalar output and target")
-        r = output - yv
-        return 0.5 * float(r @ r), r
-    if kind == "squared_vector":
-        yv = np.asarray(y, dtype=np.float64).ravel()
+    output = np.asarray(output, dtype=np.float64)
+    if kind in ("squared_scalar", "squared_vector"):
+        yv = np.asarray(y, dtype=np.float64)
+        if kind == "squared_scalar":
+            if output.shape[-1:] != (1,):
+                raise DimensionError("squared_scalar needs scalar output and target")
+            if yv.ndim < output.ndim:
+                yv = yv[..., None]
         if yv.shape != output.shape:
             raise DimensionError(
-                f"target dim {yv.shape} does not match output dim {output.shape}")
+                f"target shape {yv.shape} does not match output shape {output.shape}")
         r = output - yv
-        return 0.5 * float(r @ r), r
+        return 0.5 * _dot(r, r), r
     if kind == "cross_entropy":
         if not 0.0 <= smoothing < 1.0:
             raise ConfigError(f"label smoothing must be in [0,1), got {smoothing}")
-        c = output.shape[0]
-        label = int(y)
-        if not 0 <= label < c:
-            raise LabelError(f"class index {label} out of range for {c} classes")
-        shifted = output - output.max()
-        logp = shifted - np.log(np.exp(shifted).sum())
+        c = output.shape[-1]
+        labels = np.asarray(y)
+        if labels.shape != output.shape[:-1]:
+            raise DimensionError(
+                f"labels of shape {labels.shape} for outputs of shape {output.shape}")
+        bad = labels[(labels < 0) | (labels >= c)]
+        if bad.size:
+            raise LabelError(f"class index {bad.flat[0]} out of range for {c} classes")
+        shifted = output - output.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         p = np.exp(logp)
-        target = np.full(c, smoothing / c)
-        target[label] += 1.0 - smoothing
-        loss = -float(target @ logp)
-        return loss, p - target
+        target = np.where(labels[..., None] == np.arange(c),
+                          smoothing / c + (1.0 - smoothing), smoothing / c)
+        return -_dot(target, logp), p - target
     raise ConfigError(f"unknown loss kind {kind!r}")
 
 
-def backward(net: Network, cache: ForwardCache, residual: np.ndarray) -> GradientEstimate:
-    """Exact gradients from a forward cache and the output-space residual.
+def backward(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:
+    """Exact gradient rows (..., n_params) in the flat layout, from a forward
+    cache and the output-space residual.
 
-    head_grad is the outer product residual x [llh; 1]; the trunk gradient is
-    obtained by backpropagating W_a^T residual through the cached trunk.
+    The head part is residual x [llh; 1]; the trunk part backpropagates
+    W_a^T residual through the cached trunk, each layer's weight gradient
+    being the outer product of its pre-activation gradient and its input.
     """
     if cache.version != net.version:
         raise StaleCache(
             f"cache from parameter version {cache.version}, network is at {net.version}")
-    residual = np.asarray(residual, dtype=np.float64).ravel()
-    if residual.shape != (net.config.output_dim,):
-        raise DimensionError("residual dim does not match network output dim")
-
+    residual = np.asarray(residual, dtype=np.float64)
     llh = cache.act[-1]
-    aug = np.concatenate([llh, [1.0]])
-    head_grad = np.outer(residual, aug)
+    if residual.shape != llh.shape[:-1] + (net.config.output_dim,):
+        raise DimensionError(
+            f"residual shape {residual.shape} does not match the cached pass")
 
     kind = net.config.activation
-    shapes = net.config.trunk_layer_shapes()
+    lead = residual.shape[:-1]
+    trunk = np.empty(lead + (net.trunk_size,))
+    end = net.trunk_size
+    delta = matvec(net.head_weight.T, residual)
     layers = net.trunk_layers()
-    grads = [None] * len(layers)
-    delta = net.head_weight.T @ residual
     for k in range(len(layers) - 1, -1, -1):
         w, _ = layers[k]
+        out_w, in_w = w.shape
         dz = delta * _act_deriv(cache.pre[k], cache.act[k], kind)
         a_prev = cache.act[k - 1] if k > 0 else cache.x
-        grads[k] = (np.outer(dz, a_prev), dz)
-        delta = w.T @ dz
-
-    flat = np.empty(net.trunk_size)
-    off = 0
-    for (out_w, in_w), (gw, gb) in zip(shapes, grads):
-        flat[off:off + out_w * in_w] = gw.reshape(-1)
-        off += out_w * in_w
-        flat[off:off + out_w] = gb
-        off += out_w
-    return GradientEstimate(flat, head_grad, source="true_backward")
+        start = end - out_w * in_w - out_w
+        trunk[..., start:end - out_w] = \
+            (dz[..., :, None] * a_prev[..., None, :]).reshape(lead + (out_w * in_w,))
+        trunk[..., end - out_w:end] = dz
+        end = start
+        delta = matvec(w.T, dz)
+    return gradient_rows(trunk, llh, residual)
 
 
 def save_network(net: Network, path) -> None:

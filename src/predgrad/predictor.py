@@ -17,18 +17,22 @@ trunk gradient) samples collected from control micro-batches. A third,
 diagnostic predictor returns the exact backward gradient.
 
 Every predictor has a ``kind`` name, ``predict_batch(net, xs, llh,
-residuals)`` returning one flat predicted gradient per row in batch order,
-and ``to_arrays()`` / ``from_arrays()`` for run checkpoints. ``PREDICTORS``
-maps each kind to its class.
+residuals)`` returning one flat-layout predicted gradient per row in batch
+order, and ``to_arrays()`` / ``from_arrays()`` for run checkpoints.
+``PREDICTORS`` maps each kind to its class. ``predict_scalar`` and
+``predict_structured`` take rows of activations and residuals, or a single
+example, and are each called once per batch. Their products run one gemv
+per row, like the network's passes, so a row's prediction does not depend
+on the other rows of its batch.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InsufficientData
 from .linalg import solve_ridge, truncated_svd
-from .network import GradientEstimate, backward, forward
+from .network import backward, forward, gradient_rows, matvec
 
 RESIDUAL_FLOOR = 1e-8   # samples with smaller residuals carry no fit signal
 ENERGY_TARGET = 0.99    # default rank rule: 99% of squared singular mass
@@ -42,12 +46,14 @@ class FitSample:
     trunk_grad: np.ndarray  # (P_T,) true gradient from backward
 
 
-def make_fit_sample(llh, residual, trunk_grad, head_weight) -> FitSample:
-    residual = np.asarray(residual, dtype=np.float64).ravel()
-    return FitSample(llh=np.asarray(llh, dtype=np.float64).ravel(),
-                     residual=residual,
-                     h=head_weight.T @ residual,
-                     trunk_grad=np.asarray(trunk_grad, dtype=np.float64).ravel())
+def make_fit_samples(llh, residuals, trunk_grads, head_weight) -> list[FitSample]:
+    """One fit sample per row of activations, residuals and true trunk
+    gradients; the rows are copied."""
+    residuals = np.array(residuals, dtype=np.float64)
+    h = matvec(head_weight.T, residuals)
+    return [FitSample(llh=a, residual=r, h=hr, trunk_grad=g)
+            for a, r, hr, g in zip(np.array(llh, dtype=np.float64), residuals, h,
+                                   np.array(trunk_grads, dtype=np.float64))]
 
 
 @dataclass(frozen=True)
@@ -74,11 +80,7 @@ class ScalarPredictor:
     kind = "scalar"
 
     def predict_batch(self, net, xs, llh, residuals) -> np.ndarray:
-        if residuals.shape[1] != 1:
-            raise DimensionError("scalar predictor requires scalar residuals")
-        # residual = f(x) - y, so passing (residual, 0) keeps r bit-exact
-        return _rows(net, [predict_scalar(self, a, r[0], 0.0)
-                           for a, r in zip(llh, residuals)])
+        return predict_scalar(self, llh, residuals)
 
     def to_arrays(self) -> dict:
         return {"pred_coef": self.coef,
@@ -101,8 +103,7 @@ class StructuredPredictor:
     kind = "structured"
 
     def predict_batch(self, net, xs, llh, residuals) -> np.ndarray:
-        return _rows(net, [predict_structured(self, a, r, net.head_weight)
-                           for a, r in zip(llh, residuals)])
+        return predict_structured(self, llh, residuals, net.head_weight)
 
     def to_arrays(self) -> dict:
         return {"pred_basis": self.basis, "pred_maps": self.maps,
@@ -126,8 +127,7 @@ class PerfectPredictor:
     kind = "perfect"
 
     def predict_batch(self, net, xs, llh, residuals) -> np.ndarray:
-        return _rows(net, [backward(net, forward(net, x)[2], r)
-                           for x, r in zip(xs, residuals)])
+        return backward(net, forward(net, xs)[2], residuals)
 
     def to_arrays(self) -> dict:
         return {}
@@ -138,14 +138,6 @@ class PerfectPredictor:
 
 
 PREDICTORS = {p.kind: p for p in (ScalarPredictor, StructuredPredictor, PerfectPredictor)}
-
-
-def _rows(net, estimates) -> np.ndarray:
-    """Flat gradients of per-example estimates as rows of a (k, params) array."""
-    out = np.empty((len(estimates), net.n_params))
-    for k, est in enumerate(estimates):
-        out[k] = est.flat()
-    return out
 
 
 def should_refit(policy: RefitPolicy, step: int) -> bool:
@@ -168,7 +160,8 @@ def choose_rank(singulars: np.ndarray, cap: int, energy: float = ENERGY_TARGET) 
 
 
 def _augment(llh: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.asarray(llh, dtype=np.float64).ravel(), [1.0]])
+    """[llh; 1] for each row of llh."""
+    return np.concatenate([llh, np.ones(llh.shape[:-1] + (1,))], axis=-1)
 
 
 def _default_lambda(features: np.ndarray) -> float:
@@ -200,18 +193,20 @@ def fit_scalar(samples, lam: float | None = None) -> ScalarPredictor:
     return ScalarPredictor(coef=coef_t.T, n_fit=len(kept), ridge_lambda=float(lam))
 
 
-def predict_scalar(p: ScalarPredictor, llh, fx: float, y: float) -> GradientEstimate:
-    """Predicted gradient for a scalar-output example: the head part is the
-    exact closed form, the trunk part applies the learned matrix."""
-    aug = _augment(llh)
-    if aug.shape[0] != p.coef.shape[1]:
+def predict_scalar(p: ScalarPredictor, llh, residual) -> np.ndarray:
+    """Predicted flat gradient rows for scalar-output examples: the head part
+    is the exact closed form, the trunk part applies the learned matrix to
+    the head gradient [llh; 1] r."""
+    llh = np.asarray(llh, dtype=np.float64)
+    residual = np.asarray(residual, dtype=np.float64)
+    if residual.shape != llh.shape[:-1] + (1,):
+        raise DimensionError("scalar predictor requires one scalar residual per row")
+    if llh.shape[-1] + 1 != p.coef.shape[1]:
         raise DimensionError(
-            f"activation dim {aug.shape[0] - 1} does not match predictor "
+            f"activation dim {llh.shape[-1]} does not match predictor "
             f"({p.coef.shape[1] - 1})")
-    r = float(fx) - float(y)
-    head = np.outer(np.array([r]), aug)
-    trunk = p.coef @ (aug * r)
-    return GradientEstimate(trunk_grad=trunk, head_grad=head, source="predicted")
+    trunk = matvec(p.coef, _augment(llh) * residual)
+    return gradient_rows(trunk, llh, residual)
 
 
 def fit_structured(samples, r: int | None = None, lam: float | None = None) -> StructuredPredictor:
@@ -256,24 +251,23 @@ def fit_structured(samples, r: int | None = None, lam: float | None = None) -> S
 
 
 def predict_structured(p: StructuredPredictor, llh, residual,
-                       head_weight: np.ndarray) -> GradientEstimate:
-    """Predicted gradient from the structured predictor.
+                       head_weight: np.ndarray) -> np.ndarray:
+    """Predicted flat gradient rows from the structured predictor.
 
     Exact head part; trunk part U c with c_i = [llh; 1]^T S_i^T (W_a^T r).
     Works identically for regression and classification residuals.
     """
-    residual = np.asarray(residual, dtype=np.float64).ravel()
-    aug = _augment(llh)
-    d = aug.shape[0] - 1
-    if head_weight.shape != (residual.shape[0], d):
+    llh = np.asarray(llh, dtype=np.float64)
+    residual = np.asarray(residual, dtype=np.float64)
+    d = llh.shape[-1]
+    if head_weight.shape != (residual.shape[-1], d) \
+            or residual.shape[:-1] != llh.shape[:-1]:
         raise DimensionError(
-            f"head weight {head_weight.shape} incompatible with residual "
-            f"{residual.shape} and activations ({d},)")
+            f"head weight {head_weight.shape} incompatible with residuals "
+            f"{residual.shape} and activations {llh.shape}")
     if p.maps.shape[1:] != (d, d + 1):
         raise DimensionError(
             f"predictor was fit for activation dim {p.maps.shape[1]}, got {d}")
-    h = head_weight.T @ residual
-    coeffs = np.einsum("i,rij,j->r", h, p.maps, aug)
-    trunk = p.basis @ coeffs
-    head = np.outer(residual, aug)
-    return GradientEstimate(trunk_grad=trunk, head_grad=head, source="predicted")
+    h = matvec(head_weight.T, residual)
+    coeffs = np.einsum("...i,rij,...j->...r", h, p.maps, _augment(llh))
+    return gradient_rows(matvec(p.basis, coeffs), llh, residual)

@@ -5,7 +5,10 @@ with equal seeds see identical batch schedules regardless of algorithm. The
 predicted loop splits each mini-batch with a per-step substream, computes
 true and predicted gradients on the control micro-batch and predicted
 gradients (from a cheap activations-only pass) on the rest, and combines
-them with the control-variate correction.
+them with the control-variate correction. Each pass is one call on all the
+rows it covers: forward and backward on the control rows, the cheap forward
+on the prediction rows, and one ``predict_batch`` on the whole batch. The
+results are scattered into batch order before they are reduced.
 
 The combination is evaluated in sum space,
 
@@ -16,11 +19,14 @@ with f_eff = m_c / m, which is algebraically the textbook form
 f g_c_true + (1-f)(g_pred - (g_c_pred - g_c_true)) but cancels the control
 correction exactly (to the bit) when predictions coincide with true
 gradients. Per-example gradients are scattered into an (m, params) array in
-batch order and reduced identically in both loops, so a perfect predictor
-reproduces the vanilla trajectory bit for bit.
+batch order and reduced identically in both loops. The passes give each row
+the same bits whichever other rows share its call (see ``predgrad.network``),
+so a perfect predictor reproduces the vanilla trajectory bit for bit.
 
-The predictor is one of the objects of ``predgrad.predictor``; the loop
-only calls its ``predict_batch`` once per step, on all rows of the batch.
+The predictor is one of the objects of ``predgrad.predictor``.
+
+A step whose batch loss or combined gradient is not finite stops the run
+with a ``NumericError`` that names the step.
 
 Cost accounting charges what the algorithm structure prescribes (forward +
 backward per control example, cheap forward per prediction example),
@@ -41,12 +47,12 @@ import numpy as np
 from .analysis import CostModel, gamma, rho_star
 from .data import Dataset
 from .errors import (BudgetError, ConfigError, DataError, DimensionError,
-                     InsufficientData)
+                     InsufficientData, NumericError)
 from .estimator import alignment_stats, control_batch_size, split_minibatch, variance_inflation
 from .network import (Network, NetworkConfig, backward, cheap_forward, forward,
                       init_network, loss_and_residual)
 from .predictor import (PREDICTORS, FitSample, PerfectPredictor, RefitPolicy,
-                        fit_scalar, fit_structured, make_fit_sample, should_refit)
+                        fit_scalar, fit_structured, make_fit_samples, should_refit)
 from .rng import substream
 
 METRICS_HEADER = ["step", "epoch", "cost_units", "loss", "val_metric",
@@ -227,18 +233,19 @@ def _fit(kind: str, samples, policy: RefitPolicy):
     return None
 
 
+def _true_passes(net, ds, idx, loss_kind, smoothing, ledger):
+    """Forward and backward on the examples idx: returns (llh, losses,
+    residuals, gradient rows), all in the order of idx."""
+    llh, output, cache = forward(net, ds.features[idx])
+    losses, residuals = loss_and_residual(output, ds.targets[idx], loss_kind, smoothing)
+    ledger.charge(forward=len(idx), backward=len(idx))
+    return llh, losses, residuals, backward(net, cache, residuals)
+
+
 def _batch_true(net, ds, batch_idx, loss_kind, smoothing, ledger):
-    """Mean true gradient over a batch; scatters per-example flat gradients
-    in batch order before reducing."""
+    """Mean true gradient and mean loss over a batch."""
     m = len(batch_idx)
-    grads = np.empty((m, net.n_params))
-    losses = np.empty(m)
-    for pos, i in enumerate(batch_idx):
-        llh, output, cache = forward(net, ds.features[i])
-        loss, residual = loss_and_residual(output, ds.target_for(i), loss_kind, smoothing)
-        grads[pos] = backward(net, cache, residual).flat()
-        losses[pos] = loss
-    ledger.charge(forward=m, backward=m)
+    _, losses, _, grads = _true_passes(net, ds, batch_idx, loss_kind, smoothing, ledger)
     return grads.sum(axis=0) / m, float(losses.sum() / m)
 
 
@@ -250,34 +257,24 @@ def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing,
     (G, batch loss, trunk alignment stats, fit samples); the stats are None
     when the control micro-batch has fewer than 2 examples.
     """
-    m = split.m
-    grads = np.empty((m, net.n_params))
-    losses = np.empty(m)
-    llh = np.empty((m, net.config.last_hidden))
-    residuals = np.empty((m, net.config.output_dim))
-    fit_samples = []
-
-    for pos in split.control:
-        i = batch_idx[pos]
-        a, output, cache = forward(net, ds.features[i])
-        losses[pos], r = loss_and_residual(output, ds.target_for(i), loss_kind, smoothing)
-        est = backward(net, cache, r)
-        grads[pos] = est.flat()
-        llh[pos], residuals[pos] = a, r
-        fit_samples.append(make_fit_sample(a, r, est.trunk_grad, net.head_weight))
-    ledger.charge(forward=split.m_c, backward=split.m_c)
-
-    for pos in split.prediction:
-        i = batch_idx[pos]
-        llh[pos], output = cheap_forward(net, ds.features[i])
-        losses[pos], residuals[pos] = loss_and_residual(
-            output, ds.target_for(i), loss_kind, smoothing)
+    m, pt = split.m, net.trunk_size
+    ctrl, pred = split.control, split.prediction
+    llh_c, loss_c, r_c, ctrl_true = _true_passes(net, ds, batch_idx[ctrl], loss_kind,
+                                                 smoothing, ledger)
+    llh_p, output = cheap_forward(net, ds.features[batch_idx[pred]])
+    loss_p, r_p = loss_and_residual(output, ds.targets[batch_idx[pred]], loss_kind,
+                                    smoothing)
     ledger.charge(cheap_forward=split.m_p)
 
-    preds = predictor.predict_batch(net, ds.features[batch_idx], llh, residuals)
-    grads[split.prediction] = preds[split.prediction]
-    ctrl_true = grads[split.control]
-    ctrl_pred = preds[split.control]
+    llh = np.empty((m, net.config.last_hidden))
+    llh[ctrl], llh[pred] = llh_c, llh_p
+    residuals = np.empty((m, net.config.output_dim))
+    residuals[ctrl], residuals[pred] = r_c, r_p
+    losses = np.empty(m)
+    losses[ctrl], losses[pred] = loss_c, loss_p
+    grads = predictor.predict_batch(net, ds.features[batch_idx], llh, residuals)
+    ctrl_pred = grads[ctrl]
+    grads[ctrl] = ctrl_true
 
     s_all = grads.sum(axis=0)
     s_ct = ctrl_true.sum(axis=0)
@@ -287,19 +284,17 @@ def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing,
 
     stats = None
     if split.m_c >= 2:
-        pt = net.trunk_size
-        stats = alignment_stats([(g[:pt], h[:pt]) for g, h in zip(ctrl_true, ctrl_pred)])
+        stats = alignment_stats(ctrl_true[:, :pt], ctrl_pred[:, :pt])
+    fit_samples = make_fit_samples(llh_c, r_c, ctrl_true[:, :pt], net.head_weight)
     return combined, float(losses.sum() / m), stats, fit_samples
 
 
 def _eval_val(net, ds, loss_kind, smoothing) -> float:
     if len(ds.val_idx) == 0:
         return float("nan")
-    total = 0.0
-    for i in ds.val_idx:
-        _, output = cheap_forward(net, ds.features[i])
-        total += loss_and_residual(output, ds.target_for(i), loss_kind, smoothing)[0]
-    return total / len(ds.val_idx)
+    _, output = cheap_forward(net, ds.features[ds.val_idx])
+    losses, _ = loss_and_residual(output, ds.targets[ds.val_idx], loss_kind, smoothing)
+    return float(losses.mean())
 
 
 def _batch_cost(cm: CostModel, m: int, algo: str, f: float) -> float:
@@ -339,14 +334,11 @@ def _run_warmup(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str
     m = min(max(cfg.batch_size, state.net.config.last_hidden + 1), len(ds.train_idx))
     rng = substream(cfg.seed, "warmup")
     chosen = rng.choice(ds.train_idx, size=m, replace=False)
-    for i in chosen:
-        llh, output, cache = forward(state.net, ds.features[i])
-        _, residual = loss_and_residual(output, ds.target_for(i), loss_kind,
-                                        cfg.smoothing)
-        est = backward(state.net, cache, residual)
-        state.buffer.append(make_fit_sample(llh, residual, est.trunk_grad,
-                                            state.net.head_weight))
-    state.warmup_ledger.charge(forward=m, backward=m)
+    net = state.net
+    llh, _, residuals, grads = _true_passes(net, ds, chosen, loss_kind, cfg.smoothing,
+                                            state.warmup_ledger)
+    state.buffer.extend(make_fit_samples(llh, residuals, grads[:, :net.trunk_size],
+                                         net.head_weight))
     del state.buffer[:-cfg.refit.buffer_capacity]
     return _fit(kind, state.buffer, cfg.refit)
 
@@ -427,6 +419,9 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
                                          state.stepping)
                     state.buffer.extend(samples)
                     del state.buffer[:-cfg.refit.buffer_capacity]
+                if not (math.isfinite(batch_loss) and np.isfinite(grad).all()):
+                    raise NumericError(
+                        f"non-finite loss or gradient at step {state.step + 1}")
 
                 lr_t = cfg.learning_rate / (1.0 + cfg.lr_decay * state.step)
                 theta, state.opt_state = optimizer_step(

@@ -1,0 +1,75 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from predgrad.analysis import CostModel, f_star, q_objective
+from predgrad.errors import DimensionError, InsufficientData
+from predgrad.estimator import alignment_stats
+from predgrad.rng import substream
+
+
+def brute_force_moments(gs, hs):
+    """sigma_g, sigma_h and tau by explicit sums over examples."""
+    n = len(gs)
+    mu = sum(gs) / n
+    mu_h = sum(hs) / n
+    var_g = sum(float((g - mu) @ (g - mu)) for g in gs) / n
+    var_h = sum(float((h - mu_h) @ (h - mu_h)) for h in hs) / n
+    tau = sum(float((g - mu) @ (h - mu_h)) for g, h in zip(gs, hs)) / n
+    return np.sqrt(var_g), np.sqrt(var_h), tau
+
+
+@pytest.mark.parametrize("n, dim", [(2, 1), (5, 3), (32, 40)])
+def test_alignment_stats_match_brute_force_moments(n, dim):
+    rng = substream(50, f"align:{n}:{dim}")
+    gs = rng.standard_normal((n, dim)) + 2.0
+    hs = 0.7 * gs + 0.3 * rng.standard_normal((n, dim)) - 1.0
+    stats = alignment_stats(gs, hs)
+    sigma_g, sigma_h, tau = brute_force_moments(gs, hs)
+    assert stats.n == n and not stats.degenerate
+    assert np.isclose(stats.sigma_g, sigma_g, rtol=1e-12)
+    assert np.isclose(stats.sigma_h, sigma_h, rtol=1e-12)
+    assert np.isclose(stats.tau, tau, rtol=1e-12, atol=1e-14)
+    assert np.isclose(stats.rho, tau / (sigma_g * sigma_h), rtol=1e-12)
+    assert np.isclose(stats.kappa, sigma_h / sigma_g, rtol=1e-12)
+    assert np.allclose(stats.mu, gs.mean(axis=0)) and np.allclose(stats.mu_h, hs.mean(axis=0))
+
+
+def test_alignment_stats_of_identical_and_scaled_pairs():
+    gs = substream(51, "scaled").standard_normal((8, 5))
+    same = alignment_stats(gs, gs)
+    assert np.isclose(same.rho, 1.0) and np.isclose(same.kappa, 1.0)
+    flipped = alignment_stats(gs, -3.0 * gs)
+    assert np.isclose(flipped.rho, -1.0) and np.isclose(flipped.kappa, 3.0)
+
+
+def test_alignment_stats_degenerate_cases():
+    varied = substream(52, "degenerate").standard_normal((6, 4))
+    constant = np.tile(np.arange(4.0), (6, 1))
+    no_h = alignment_stats(varied, constant)      # sigma_h = 0
+    assert no_h.degenerate and no_h.sigma_h == 0.0
+    assert no_h.rho == 0.0 and no_h.kappa == 0.0
+    no_g = alignment_stats(constant, varied)      # sigma_g = 0
+    assert no_g.degenerate and no_g.sigma_g == 0.0
+    assert no_g.rho == 0.0 and no_g.kappa == 0.0
+
+
+def test_alignment_stats_argument_errors():
+    with pytest.raises(InsufficientData):
+        alignment_stats(np.ones((1, 3)), np.ones((1, 3)))
+    with pytest.raises(DimensionError):
+        alignment_stats(np.ones((4, 3)), np.ones((4, 2)))
+    with pytest.raises(DimensionError):
+        alignment_stats(np.ones(4), np.ones(4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rho=st.floats(-1.0, 1.0), kappa=st.floats(0.05, 3.0),
+       f_min=st.floats(0.001, 0.5), cheap=st.floats(0.05, 2.95))
+def test_f_star_is_the_grid_minimum_of_q(rho, kappa, f_min, cheap):
+    cm = CostModel(cheap_forward=cheap)
+    best = f_star(cm, rho, kappa, f_min)
+    assert f_min <= best <= 1.0
+    grid = np.linspace(f_min, 1.0, 2001)
+    q_grid = min(q_objective(cm, f, rho, kappa) for f in grid)
+    assert q_objective(cm, best, rho, kappa) <= q_grid * (1.0 + 1e-9) + 1e-12

@@ -4,8 +4,9 @@ import pytest
 from predgrad.errors import DimensionError, InsufficientData
 from predgrad.linalg import cosine
 from predgrad.network import NetworkConfig, backward, forward, init_network, loss_and_residual
-from predgrad.predictor import (FitSample, RefitPolicy, choose_rank, fit_scalar,
-                                fit_structured, make_fit_sample, predict_scalar,
+from predgrad.predictor import (FitSample, RefitPolicy, ScalarPredictor,
+                                StructuredPredictor, choose_rank, fit_scalar,
+                                fit_structured, make_fit_samples, predict_scalar,
                                 predict_structured, should_refit)
 from predgrad.rng import substream
 
@@ -19,13 +20,10 @@ def deep_linear_net(seed=0, dim=4):
 
 
 def scalar_samples(net, xs, ys):
-    samples = []
-    for x, y in zip(xs, ys):
-        llh, output, cache = forward(net, x)
-        _, residual = loss_and_residual(output, np.array([y]), "squared_scalar")
-        est = backward(net, cache, residual)
-        samples.append(make_fit_sample(llh, residual, est.trunk_grad, net.head_weight))
-    return samples
+    llh, output, cache = forward(net, xs)
+    _, residuals = loss_and_residual(output, ys, "squared_scalar")
+    grads = backward(net, cache, residuals)
+    return make_fit_samples(llh, residuals, grads[:, :net.trunk_size], net.head_weight)
 
 
 def test_scalar_predictor_exact_on_deep_linear_net():
@@ -37,17 +35,17 @@ def test_scalar_predictor_exact_on_deep_linear_net():
 
     held_x = rng.standard_normal((20, 4))
     held_y = rng.standard_normal(20)
+    pt = net.trunk_size
     for x, y in zip(held_x, held_y):
         llh, output, cache = forward(net, x)
         _, residual = loss_and_residual(output, np.array([y]), "squared_scalar")
-        true_trunk = backward(net, cache, residual).trunk_grad
-        est = predict_scalar(pred, llh, float(output[0]), y)
-        assert cosine(est.trunk_grad, true_trunk) >= 0.999
-        rel = np.linalg.norm(est.trunk_grad - true_trunk) / np.linalg.norm(true_trunk)
+        true_grad = backward(net, cache, residual)
+        est = predict_scalar(pred, llh, residual)
+        assert cosine(est[:pt], true_grad[:pt]) >= 0.999
+        rel = np.linalg.norm(est[:pt] - true_grad[:pt]) / np.linalg.norm(true_grad[:pt])
         assert rel <= 1e-6
         # head part is the exact closed form
-        head_true = backward(net, cache, residual).head_grad
-        assert np.max(np.abs(est.head_grad - head_true)) <= 1e-12
+        assert np.max(np.abs(est[pt:] - true_grad[pt:])) <= 1e-12
 
 
 def test_fit_scalar_rejects_zero_residuals():
@@ -75,8 +73,8 @@ def test_fit_scalar_large_lambda_shrinks_to_zero():
     xs = rng.standard_normal((30, 4))
     pred = fit_scalar(scalar_samples(net, xs, rng.standard_normal(30)), lam=1e12)
     assert np.max(np.abs(pred.coef)) <= 1e-8
-    est = predict_scalar(pred, xs[0][: net.config.last_hidden], 1.0, 0.0)
-    assert np.max(np.abs(est.trunk_grad)) <= 1e-6
+    est = predict_scalar(pred, xs[0][: net.config.last_hidden], np.array([1.0]))
+    assert np.max(np.abs(est[:net.trunk_size])) <= 1e-6
 
 
 def test_predict_scalar_zero_residual_and_zero_map():
@@ -85,16 +83,15 @@ def test_predict_scalar_zero_residual_and_zero_map():
     xs = rng.standard_normal((30, 4))
     pred = fit_scalar(scalar_samples(net, xs, rng.standard_normal(30)))
     llh = rng.standard_normal(4)
-    est = predict_scalar(pred, llh, 0.7, 0.7)
-    assert np.array_equal(est.trunk_grad, np.zeros_like(est.trunk_grad))
-    assert np.array_equal(est.head_grad, np.zeros_like(est.head_grad))
+    est = predict_scalar(pred, llh, np.zeros(1))
+    assert np.array_equal(est, np.zeros(net.n_params))
 
     zero = fit_scalar(scalar_samples(net, xs, rng.standard_normal(30)), lam=0.0)
     zero.coef = np.zeros_like(zero.coef)
-    est = predict_scalar(zero, llh, 2.0, 1.0)
-    assert np.array_equal(est.trunk_grad, np.zeros_like(est.trunk_grad))
+    est = predict_scalar(zero, llh, np.array([1.0]))
+    assert np.array_equal(est[:net.trunk_size], np.zeros(net.trunk_size))
     aug = np.concatenate([llh, [1.0]])
-    assert np.allclose(est.head_grad, aug[None, :] * 1.0, atol=1e-14)
+    assert np.allclose(est[net.trunk_size:], aug * 1.0, atol=1e-14)
 
 
 def planted_structured(rng, n, p_t=30, d=5, c=3, r=2):
@@ -119,7 +116,7 @@ def test_structured_predictor_recovers_planted_model():
     pred = fit_structured(samples[:120], r=2, lam=1e-10)
     for s in samples[120:]:  # held out, same planted model
         est = predict_structured(pred, s.llh, s.residual, head_w)
-        assert cosine(est.trunk_grad, s.trunk_grad) >= 0.99
+        assert cosine(est[:len(s.trunk_grad)], s.trunk_grad) >= 0.99
 
 
 def test_structured_rank_one_parallel_gradients():
@@ -127,12 +124,10 @@ def test_structured_rank_one_parallel_gradients():
     direction = rng.standard_normal(20)
     direction /= np.linalg.norm(direction)
     head_w = rng.standard_normal((2, 4))
-    samples = []
-    for _ in range(12):
-        llh = rng.standard_normal(4)
-        residual = rng.standard_normal(2)
-        scale = rng.uniform(0.5, 2.0)
-        samples.append(make_fit_sample(llh, residual, scale * direction, head_w))
+    llh = rng.standard_normal((12, 4))
+    residuals = rng.standard_normal((12, 2))
+    scales = rng.uniform(0.5, 2.0, size=(12, 1))
+    samples = make_fit_samples(llh, residuals, scales * direction, head_w)
     pred = fit_structured(samples, r=1)
     assert abs(cosine(pred.basis[:, 0], direction)) >= 1.0 - 1e-10
     g = samples[0].trunk_grad
@@ -151,7 +146,7 @@ def test_predict_structured_zero_residual():
     samples, head_w = planted_structured(rng, 60)
     pred = fit_structured(samples, r=2)
     est = predict_structured(pred, rng.standard_normal(5), np.zeros(3), head_w)
-    assert np.array_equal(est.trunk_grad, np.zeros_like(est.trunk_grad))
+    assert np.array_equal(est, np.zeros_like(est))
 
 
 def test_predict_structured_linear_and_scale_equivariant():
@@ -164,11 +159,10 @@ def test_predict_structured_linear_and_scale_equivariant():
     e1 = predict_structured(pred, llh, r1, head_w)
     e2 = predict_structured(pred, llh, r2, head_w)
     e12 = predict_structured(pred, llh, r1 + r2, head_w)
-    assert np.max(np.abs(e12.trunk_grad - (e1.trunk_grad + e2.trunk_grad))) <= 1e-10
+    assert np.max(np.abs(e12 - (e1 + e2))) <= 1e-10
     alpha = -2.5
     ea = predict_structured(pred, llh, alpha * r1, head_w)
-    assert np.allclose(ea.trunk_grad, alpha * e1.trunk_grad, atol=1e-10)
-    assert np.allclose(ea.head_grad, alpha * e1.head_grad, atol=1e-10)
+    assert np.allclose(ea, alpha * e1, atol=1e-10)
 
 
 def test_classification_residual_uses_same_path():
@@ -180,30 +174,25 @@ def test_classification_residual_uses_same_path():
     as_regression = residual.copy()
     e_cls = predict_structured(pred, llh, residual, head_w)
     e_reg = predict_structured(pred, llh, as_regression, head_w)
-    assert np.array_equal(e_cls.trunk_grad, e_reg.trunk_grad)
-    assert np.array_equal(e_cls.head_grad, e_reg.head_grad)
+    assert np.array_equal(e_cls, e_reg)
 
 
 def test_predicted_head_gradient_always_exact():
     rng = substream(32, "hexact")
     net = init_network(NetworkConfig(4, (6,), 3, activation="tanh", seed=8))
-    samples = []
-    for _ in range(40):
-        x = rng.standard_normal(4)
-        llh, output, cache = forward(net, x)
-        _, residual = loss_and_residual(output, int(rng.integers(3)),
-                                        "cross_entropy", 0.05)
-        est = backward(net, cache, residual)
-        samples.append(make_fit_sample(llh, residual, est.trunk_grad, net.head_weight))
-    pred = fit_structured(samples)
+    pt = net.trunk_size
+    llh, output, cache = forward(net, rng.standard_normal((40, 4)))
+    _, residuals = loss_and_residual(output, rng.integers(3, size=40), "cross_entropy", 0.05)
+    grads = backward(net, cache, residuals)
+    pred = fit_structured(make_fit_samples(llh, residuals, grads[:, :pt], net.head_weight))
     for _ in range(10):
         x = rng.standard_normal(4)
         llh, output, cache = forward(net, x)
         _, residual = loss_and_residual(output, int(rng.integers(3)),
                                         "cross_entropy", 0.05)
-        true_head = backward(net, cache, residual).head_grad
+        true_head = backward(net, cache, residual)[pt:]
         est = predict_structured(pred, llh, residual, net.head_weight)
-        assert np.max(np.abs(est.head_grad - true_head)) <= 1e-12
+        assert np.max(np.abs(est[pt:] - true_head)) <= 1e-12
 
 
 def test_fit_structured_sample_and_rank_requirements():
@@ -228,3 +217,48 @@ def test_choose_rank_energy_rule():
     assert choose_rank(np.array([3.0, 2.0, 1e-9]), cap=10) == 2
     assert choose_rank(np.array([5.0, 4.0, 3.0, 2.0]), cap=2) == 2
     assert choose_rank(np.array([1.0]), cap=10) == 1
+
+
+# Like the network's passes, predict_batch must give a row the same bits
+# whichever other rows share its call: BLAS dgemm is not row-subset
+# invariant, and the trainer predicts whole batches while a row's true
+# gradient comes from a pass over the control rows only.
+
+def batch_predictors(n=40):
+    """A scalar-output and a vector-output case: (net, predictor, llh, residuals)."""
+    rng = substream(43, "batch-predict")
+    cases = []
+    for out, kind in ((1, "squared_scalar"), (4, "squared_vector")):
+        net = init_network(NetworkConfig(8, (24, 16), out, activation="tanh", seed=out))
+        llh, output, _ = forward(net, rng.standard_normal((n, 8)))
+        _, residuals = loss_and_residual(output, rng.standard_normal((n, out)), kind)
+        pt, d = net.trunk_size, net.config.last_hidden
+        if out == 1:
+            # the fit stores the transpose of its solution
+            pred = ScalarPredictor(coef=rng.standard_normal((d + 1, pt)).T)
+        else:
+            basis, _ = np.linalg.qr(rng.standard_normal((pt, 6)))
+            pred = StructuredPredictor(basis=basis, maps=rng.standard_normal((6, d, d + 1)),
+                                       rank=6)
+        cases.append((net, pred, llh, residuals))
+    return cases
+
+
+def test_predict_batch_rows_equal_single_example_calls():
+    for net, pred, llh, residuals in batch_predictors():
+        rows = pred.predict_batch(net, None, llh, residuals)
+        assert rows.shape == (len(llh), net.n_params)
+        for i in range(len(llh)):
+            one = (predict_scalar(pred, llh[i], residuals[i]) if pred.kind == "scalar"
+                   else predict_structured(pred, llh[i], residuals[i], net.head_weight))
+            assert np.array_equal(one, rows[i])
+
+
+def test_predict_batch_on_a_row_subset_equals_the_full_batch_rows():
+    rng = substream(44, "predict-subsets")
+    for net, pred, llh, residuals in batch_predictors():
+        rows = pred.predict_batch(net, None, llh, residuals)
+        for size in (1, 2, 10, 30):
+            idx = np.sort(rng.choice(len(llh), size=size, replace=False))
+            assert np.array_equal(pred.predict_batch(net, None, llh[idx], residuals[idx]),
+                                  rows[idx])

@@ -1,10 +1,12 @@
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from predgrad.data import gen_blobs, gen_regression
-from predgrad.errors import ConfigError
+from predgrad.errors import ConfigError, NumericError
 from predgrad.network import NetworkConfig, init_network
 from predgrad.predictor import PREDICTORS, RefitPolicy
 from predgrad.trainer import (TrainConfig, load_run_checkpoint, resume_run,
@@ -134,3 +136,23 @@ def test_predictor_argument_errors():
     cds, cncfg = blobs()
     with pytest.raises(ConfigError):
         train_predicted(cfg, cds, init_network(cncfg), "scalar")
+
+
+@pytest.mark.parametrize("algo", ["vanilla", "structured", "scalar"])
+def test_divergence_stops_the_run_at_the_first_non_finite_step(algo):
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=32, epochs=10, max_steps=50, learning_rate=1e4, seed=0,
+                      eval_every=0)
+
+    def run(cfg):
+        if algo == "vanilla":
+            return train_vanilla(cfg, ds, init_network(ncfg))
+        return train_predicted(cfg, ds, init_network(ncfg), algo)
+
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match=r"at step \d+") as err:
+            run(cfg)
+        step = int(re.search(r"at step (\d+)", str(err.value)).group(1))
+        before = run(replace(cfg, max_steps=step - 1))
+    assert before.steps == step - 1 > 0
+    assert all(math.isfinite(r.loss) for r in before.records)
