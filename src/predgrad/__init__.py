@@ -9,7 +9,7 @@ from .analysis import (BoundInputs, CostModel, break_even_satisfied, f_star,
 from .estimator import (AlignmentStats, BatchSplit, alignment_stats,
                         split_minibatch, v2_exact, variance_inflation)
 from .network import (Network, NetworkConfig, backward, cheap_forward, forward,
-                      init_network, load_network, loss_and_residual, save_network)
+                      init_network, loss_and_residual)
 from .predictor import (FitSample, PerfectPredictor, RefitPolicy,
                         ScalarPredictor, StructuredPredictor, fit_scalar,
                         fit_structured, predict_scalar, predict_structured,
@@ -23,11 +23,10 @@ __all__ = [
     "FitSample", "Network", "NetworkConfig", "PerfectPredictor", "RefitPolicy",
     "RunResult", "ScalarPredictor", "StepRecord", "StructuredPredictor",
     "TrainConfig", "alignment_stats", "backward", "break_even_satisfied",
-    "cheap_forward", "f_star", "fit_scalar",
-    "fit_structured", "forward", "gamma", "init_network", "load_network",
-    "loss_and_residual", "nc_bound", "optimizer_step", "predict_scalar",
-    "predict_structured", "q_objective", "rho_star", "rho_switch",
-    "run_budgeted_comparison", "save_network", "sc_bound", "should_refit",
+    "cheap_forward", "f_star", "fit_scalar", "fit_structured", "forward",
+    "gamma", "init_network", "loss_and_residual", "nc_bound", "optimizer_step",
+    "predict_scalar", "predict_structured", "q_objective", "rho_star",
+    "rho_switch", "run_budgeted_comparison", "sc_bound", "should_refit",
     "simulate_estimator", "split_minibatch", "sweep", "train_predicted",
     "train_vanilla", "v2_exact", "variance_inflation",
 ]

@@ -44,16 +44,6 @@ def _ints(s: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {s!r}") from None
 
 
-def _bool(s) -> bool:
-    if isinstance(s, bool):
-        return s
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
-
-
 def _add_data_options(p):
     p.add_argument("--data", default=None, help="dataset CSV path")
     p.add_argument("--data-kind", default="regression",
@@ -93,8 +83,11 @@ def _add_train_options(p):
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--predictor", default="structured",
                    choices=["scalar", "structured", "perfect"])
-    p.add_argument("--warmup", type=_bool, default=True)
     p.add_argument("--eval-every", type=int, default=1)
+    _add_cost_options(p)
+
+
+def _add_cost_options(p):
     p.add_argument("--cost-backward", type=float, default=2.0)
     p.add_argument("--cost-forward", type=float, default=1.0)
     p.add_argument("--cost-cheap-forward", type=float, default=0.7)
@@ -108,43 +101,38 @@ def build_parser() -> argparse.ArgumentParser:
                         help="key=value config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = dict(seed=("--seed", int, 0), outdir=("--outdir", str, "out"))
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--outdir", default="out")
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
+    p = sub.add_parser("gen-data", parents=[common],
+                       help="generate a synthetic dataset CSV")
     _add_data_options(p)
-    for name, (flag, typ, default) in common.items():
-        p.add_argument(flag, type=typ, default=default)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train one algorithm")
+    p = sub.add_parser("train", parents=[common], help="train one algorithm")
     p.add_argument("--algo", default="vanilla", choices=["vanilla", "predicted"])
     p.add_argument("--resume", default=None, help="run checkpoint to resume from")
     _add_data_options(p)
     _add_train_options(p)
-    for name, (flag, typ, default) in common.items():
-        p.add_argument(flag, type=typ, default=default)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("compare", help="budget-matched vanilla vs predicted run")
+    p = sub.add_parser("compare", parents=[common],
+                       help="budget-matched vanilla vs predicted run")
     _add_data_options(p)
     _add_train_options(p)
-    for name, (flag, typ, default) in common.items():
-        p.add_argument(flag, type=typ, default=default)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("analyze", help="evaluate the break-even theory")
+    p = sub.add_parser("analyze", parents=[common], help="evaluate the break-even theory")
     p.add_argument("--f", default=None, help="control fraction(s), comma list")
     p.add_argument("--rho", default=None, help="alignment value(s)")
     p.add_argument("--kappa", default="1.0", help="scale ratio value(s)")
     p.add_argument("--f-min", type=float, default=0.01)
-    p.add_argument("--cost-backward", type=float, default=2.0)
-    p.add_argument("--cost-forward", type=float, default=1.0)
-    p.add_argument("--cost-cheap-forward", type=float, default=0.7)
-    for name, (flag, typ, default) in common.items():
-        p.add_argument(flag, type=typ, default=default)
+    _add_cost_options(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("simulate", help="Monte Carlo estimator verification")
+    p = sub.add_parser("simulate", parents=[common],
+                       help="Monte Carlo estimator verification")
     p.add_argument("--sigma-g", type=float, default=1.0)
     p.add_argument("--sigma-h", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
@@ -156,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--mu-h", type=float, default=0.0)
-    for name, (flag, typ, default) in common.items():
-        p.add_argument(flag, type=typ, default=default)
     p.set_defaults(func=cmd_simulate)
 
     return parser
@@ -224,8 +210,6 @@ def _write_effective_config(args, outdir):
             value = getattr(args, key)
             if value is None:
                 value = "none"
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
             fh.write(f"{key} = {value}\n")
 
 
@@ -265,7 +249,6 @@ def _train_config(args) -> TrainConfig:
         budget=args.budget,
         max_steps=args.max_steps,
         seed=args.seed,
-        warmup=args.warmup,
         eval_every=args.eval_every,
     )
 

@@ -1,8 +1,6 @@
 """Small dense linear-algebra kernel used by the rest of the package.
 
-Everything is double precision. Matrices are plain C-contiguous float64
-ndarrays; callers that need reduced precision handle the conversion
-themselves.
+Everything is double precision: inputs are converted to float64 ndarrays.
 """
 
 import numpy as np

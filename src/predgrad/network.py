@@ -26,7 +26,6 @@ head bias. The augmented activation convention is ``[a(x); 1]`` with the
 bias coordinate last.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ from .errors import ConfigError, DimensionError, LabelError, StaleCache
 from .rng import substream
 
 ACTIVATIONS = ("tanh", "relu", "identity")
-CHECKPOINT_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -79,9 +77,8 @@ class NetworkConfig:
 
 
 class Network:
-    """Parameter container. Mutation goes through ``set_flat_params`` (or
-    ``add_update``), which bumps the version counter used for cache staleness
-    checks."""
+    """Parameter container. Mutation goes through ``set_flat_params``, which
+    bumps the version counter used for cache staleness checks."""
 
     def __init__(self, config: NetworkConfig, trunk_params: np.ndarray,
                  head_weight: np.ndarray, head_bias: np.ndarray, version: int = 0):
@@ -304,38 +301,3 @@ def backward(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndar
         delta = matvec(w.T, dz)
     return gradient_rows(trunk, llh, residual)
 
-
-def save_network(net: Network, path) -> None:
-    """Versioned binary checkpoint: config header plus parameters in flat
-    layout order. Round-trips bit-exactly."""
-    header = json.dumps({
-        "format": CHECKPOINT_FORMAT,
-        "input_dim": net.config.input_dim,
-        "hidden_widths": list(net.config.hidden_widths),
-        "output_dim": net.config.output_dim,
-        "activation": net.config.activation,
-        "seed": net.config.seed,
-    })
-    with open(path, "wb") as fh:
-        np.savez(fh,
-                 header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
-                 trunk_params=net.trunk_params,
-                 head_weight=net.head_weight,
-                 head_bias=net.head_bias,
-                 version=np.int64(net.version))
-
-
-def load_network(path) -> Network:
-    with np.load(path) as z:
-        header = json.loads(bytes(z["header"]).decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ConfigError(f"unsupported checkpoint format {header.get('format')}")
-        cfg = NetworkConfig(
-            input_dim=header["input_dim"],
-            hidden_widths=tuple(header["hidden_widths"]),
-            output_dim=header["output_dim"],
-            activation=header["activation"],
-            seed=header["seed"],
-        )
-        return Network(cfg, z["trunk_params"], z["head_weight"], z["head_bias"],
-                       version=int(z["version"]))

@@ -226,17 +226,17 @@ def fit_structured(samples, r: int | None = None, lam: float | None = None) -> S
     n = len(kept)
 
     grad_mat = np.stack([s.trunk_grad for s in kept], axis=1)  # (P_T, n)
-    if r is None:
-        sing = np.linalg.svd(grad_mat, compute_uv=False)
-        r = choose_rank(sing, cap=d)
-    if r > min(n, p_t):
+    if r is not None and r > min(n, p_t):
         raise DimensionError(
             f"rank {r} exceeds min(samples, trunk size) = {min(n, p_t)}")
-    if n < max(r, d + 1):
+    if n < d + 1:  # the rank never exceeds n, so this is the whole condition
         raise InsufficientData(
-            f"structured fit needs at least max(r, D+1) = {max(r, d + 1)} samples, got {n}")
+            f"structured fit needs at least D+1 = {d + 1} samples, got {n}")
 
-    basis, _, _ = truncated_svd(grad_mat, r)
+    u, sing, _ = truncated_svd(grad_mat, min(n, p_t))
+    if r is None:
+        r = choose_rank(sing, cap=d)
+    basis = u[:, :r]
     coef_targets = grad_mat.T @ basis  # (n, r), row i = U^T g_i
 
     feats = np.stack([np.outer(s.h, _augment(s.llh)).ravel() for s in kept])

@@ -28,19 +28,23 @@ The predictor is one of the objects of ``predgrad.predictor``.
 A step whose batch loss or combined gradient is not finite stops the run
 with a ``NumericError`` that names the step.
 
+A learned predictor is fitted before the first step on a warmup sample,
+which also seeds the fit buffer. A refit that fails for lack of usable
+samples keeps the old predictor and logs a warning naming the step.
+
 Cost accounting charges what the algorithm structure prescribes (forward +
 backward per control example, cheap forward per prediction example),
-independent of how a predictor is implemented internally. The optional
-warmup sample that seeds the predictor fit buffer is charged to a separate
-warmup ledger; the budget governs stepping cost only, mirroring a cost
-model that counts per-iteration passes.
+independent of how a predictor is implemented internally. The warmup
+sample is charged to a separate warmup ledger; the budget governs stepping
+cost only, mirroring a cost model that counts per-iteration passes.
 """
 
 import csv
 import json
+import logging
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -61,6 +65,8 @@ RUN_CHECKPOINT_FORMAT = 1
 
 LOSS_KINDS = ("squared_scalar", "squared_vector", "cross_entropy")
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -78,7 +84,6 @@ class TrainConfig:
     budget: float | None = None         # cap on stepping cost units
     max_steps: int | None = None
     seed: int = 0
-    warmup: bool = True
     eval_every: int = 1                 # 0 disables validation evaluation
 
     def __post_init__(self):
@@ -170,7 +175,6 @@ def optimizer_step(theta: np.ndarray, g: np.ndarray, state, lr: float, momentum:
 
 @dataclass
 class TrainState:
-    algo: str                       # "vanilla" | "predicted"
     net: Network
     predictor: object | None        # a fitted predictor; None for vanilla
     opt_state: np.ndarray | None
@@ -297,8 +301,8 @@ def _eval_val(net, ds, loss_kind, smoothing) -> float:
     return float(losses.mean())
 
 
-def _batch_cost(cm: CostModel, m: int, algo: str, f: float) -> float:
-    if algo == "vanilla":
+def _batch_cost(cm: CostModel, m: int, predicted: bool, f: float) -> float:
+    if not predicted:
         return m * cm.vanilla_per_example
     m_c = control_batch_size(m, f, warn=False)
     return m_c * cm.vanilla_per_example + (m - m_c) * cm.cheap_forward
@@ -343,13 +347,13 @@ def _run_warmup(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str
     return _fit(kind, state.buffer, cfg.refit)
 
 
-def _check_run(cfg: TrainConfig, ds: Dataset, algo: str):
+def _check_run(cfg: TrainConfig, ds: Dataset, predicted: bool):
     """Validate a run's config against its data; returns (loss kind,
     smallest usable batch)."""
     if len(ds.train_idx) == 0:
         raise DataError("dataset has no training examples")
     loss_kind = _resolve_loss_kind(cfg, ds)
-    if algo != "predicted":
+    if not predicted:
         return loss_kind, 2
     f = cfg.control_fraction
     if not 0.0 < f < 1.0:
@@ -365,8 +369,8 @@ def _check_run(cfg: TrainConfig, ds: Dataset, algo: str):
 
 def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
                 metrics_path=None) -> RunResult:
-    algo = state.algo
-    loss_kind, min_batch = _check_run(cfg, ds, algo)
+    predicted = state.predictor is not None
+    loss_kind, min_batch = _check_run(cfg, ds, predicted)
     f = cfg.control_fraction
     theta = state.net.flat_params()
     momentum = cfg.momentum if cfg.optimizer == "sgd_momentum" else 0.0
@@ -385,7 +389,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
             if len(batches) > 1 and len(batches[-1]) < max(min_batch, 1) \
                     and len(batches[-1]) < cfg.batch_size:
                 batches = batches[:-1]
-            elif len(batches) == 1 and len(batches[0]) < min_batch and algo == "predicted":
+            elif len(batches) == 1 and len(batches[0]) < min_batch and predicted:
                 raise DataError("training set smaller than the minimum batch")
 
             start = state.batch_in_epoch
@@ -394,7 +398,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
                 if cfg.max_steps is not None and state.step >= cfg.max_steps:
                     done = True
                     break
-                cost = _batch_cost(cfg.cost_model, len(batch_idx), algo, f)
+                cost = _batch_cost(cfg.cost_model, len(batch_idx), predicted, f)
                 if cfg.budget is not None and \
                         state.stepping.cost_units + cost > cfg.budget:
                     if state.step == 0:
@@ -405,7 +409,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
                     break
                 state.batch_in_epoch = bi
 
-                if algo == "vanilla":
+                if not predicted:
                     grad, batch_loss = _batch_true(
                         state.net, ds, batch_idx, loss_kind, cfg.smoothing,
                         state.stepping)
@@ -431,11 +435,13 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
                 state.batch_in_epoch = bi + 1
 
                 refit_flag = 0
-                if algo == "predicted" and should_refit(cfg.refit, state.step):
+                if predicted and should_refit(cfg.refit, state.step):
                     try:
                         fitted = _fit(state.predictor.kind, state.buffer, cfg.refit)
-                    except InsufficientData:
-                        fitted = None  # not enough usable samples yet; keep the old fit
+                    except InsufficientData as e:
+                        log.warning("refit skipped at step %d, keeping the old "
+                                    "predictor: %s", state.step, e)
+                        fitted = None
                     if fitted is not None:
                         state.predictor, refit_flag = fitted, 1
 
@@ -470,43 +476,35 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
                      predictor=state.predictor, state=state)
 
 
-def _fresh_state(algo: str, cfg: TrainConfig, net: Network, predictor) -> TrainState:
-    return TrainState(algo=algo, net=net, predictor=predictor, opt_state=None,
-                      buffer=[], stepping=BudgetLedger(cfg.cost_model),
+def _fresh_state(cfg: TrainConfig, net: Network) -> TrainState:
+    return TrainState(net=net, predictor=None, opt_state=None, buffer=[],
+                      stepping=BudgetLedger(cfg.cost_model),
                       warmup_ledger=BudgetLedger(cfg.cost_model))
 
 
 def train_vanilla(cfg: TrainConfig, ds: Dataset, net: Network,
                   metrics_path=None) -> RunResult:
     """Full-gradient mini-batch training (the baseline loop)."""
-    return _train_loop(cfg, ds, _fresh_state("vanilla", cfg, net, None),
-                       metrics_path)
+    return _train_loop(cfg, ds, _fresh_state(cfg, net), metrics_path)
 
 
-def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, predictor,
+def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, kind: str,
                     metrics_path=None) -> RunResult:
-    """Predicted-gradient training.
-
-    ``predictor`` is a predictor object from ``predgrad.predictor`` or one of
-    the kind strings "scalar" / "structured" / "perfect". "perfect" becomes
-    a PerfectPredictor; a learned kind is fitted on a dedicated warmup
-    sample before the first step.
+    """Predicted-gradient training with a predictor of the named kind,
+    "scalar", "structured" or "perfect". "perfect" becomes a
+    PerfectPredictor; a learned kind is fitted on a warmup sample before
+    the first step.
     """
-    state = _fresh_state("predicted", cfg, net, None)
-    loss_kind, _ = _check_run(cfg, ds, "predicted")
-    kind = getattr(predictor, "kind", predictor)
-    if kind not in PREDICTORS:
-        raise ConfigError(f"not a usable predictor: {predictor!r}")
+    state = _fresh_state(cfg, net)
+    loss_kind, _ = _check_run(cfg, ds, predicted=True)
+    if not isinstance(kind, str) or kind not in PREDICTORS:
+        raise ConfigError(f"not a predictor kind: {kind!r}")
     if kind == "scalar" and loss_kind != "squared_scalar":
         raise ConfigError("the scalar predictor requires a scalar squared loss")
-    if predictor == "perfect":
-        predictor = PerfectPredictor()
-    elif predictor == kind:  # a learned kind named by its string
-        if not cfg.warmup:
-            raise ConfigError("predictor is unfitted and warmup is disabled; pass a "
-                              "fitted predictor or enable warmup")
-        predictor = _run_warmup(cfg, ds, state, loss_kind, kind)
-    state.predictor = predictor
+    if kind == "perfect":
+        state.predictor = PerfectPredictor()
+    else:
+        state.predictor = _run_warmup(cfg, ds, state, loss_kind, kind)
     return _train_loop(cfg, ds, state, metrics_path)
 
 
@@ -602,6 +600,7 @@ def run_budgeted_comparison(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfi
 # --- run checkpointing -----------------------------------------------------
 
 RUN_LENGTH_KEYS = ("epochs", "max_steps", "budget")  # a resumed run may change them
+RETIRED_KEYS = ("warmup",)  # written by older versions, no longer an option
 
 
 def _cfg_json(cfg: TrainConfig) -> str:
@@ -618,7 +617,7 @@ def _cfg_json(cfg: TrainConfig) -> str:
         "cost_forward": cfg.cost_model.forward,
         "cost_cheap_forward": cfg.cost_model.cheap_forward,
         "budget": cfg.budget, "max_steps": cfg.max_steps, "seed": cfg.seed,
-        "warmup": cfg.warmup, "eval_every": cfg.eval_every,
+        "eval_every": cfg.eval_every,
     }
     return json.dumps(d, sort_keys=True)
 
@@ -627,7 +626,9 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
     """Bundle network, predictor, optimizer state, fit buffer and loop
     counters; resuming from it reproduces an uninterrupted run bit-exactly
     (all random streams are derived statelessly from the seed and the
-    counters stored here)."""
+    counters stored here). The file is written to ``<path>.tmp`` and then
+    moved into place, so a failed write leaves any previous checkpoint at
+    ``path`` as it was."""
     state = result.state
     net = state.net
     arrays = {
@@ -660,26 +661,28 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
 
     header = json.dumps({
         "format": RUN_CHECKPOINT_FORMAT,
-        "algo": state.algo,
+        "algo": "vanilla" if pred is None else "predicted",
         "predictor_kind": "none" if pred is None else pred.kind,
         "cfg": _cfg_json(cfg),
-        "net": {
-            "input_dim": net.config.input_dim,
-            "hidden_widths": list(net.config.hidden_widths),
-            "output_dim": net.config.output_dim,
-            "activation": net.config.activation,
-            "seed": net.config.seed,
-        },
+        "net": asdict(net.config),
     })
-    with open(path, "wb") as fh:
-        np.savez(fh, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
-                 **arrays)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
+                     **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _run_identity(cfg_json: str) -> dict:
     d = json.loads(cfg_json)
-    for key in RUN_LENGTH_KEYS:
-        d.pop(key)
+    for key in RUN_LENGTH_KEYS + RETIRED_KEYS:
+        d.pop(key, None)
     return d
 
 
@@ -693,13 +696,8 @@ def load_run_checkpoint(path, cfg: TrainConfig) -> TrainState:
             raise ConfigError(f"unsupported checkpoint format {header.get('format')}")
         if _run_identity(header["cfg"]) != _run_identity(_cfg_json(cfg)):
             raise ConfigError("checkpoint was written under a different training config")
-        ncfg = NetworkConfig(input_dim=header["net"]["input_dim"],
-                             hidden_widths=tuple(header["net"]["hidden_widths"]),
-                             output_dim=header["net"]["output_dim"],
-                             activation=header["net"]["activation"],
-                             seed=header["net"]["seed"])
-        net = Network(ncfg, z["trunk_params"], z["head_weight"], z["head_bias"],
-                      version=int(z["net_version"]))
+        net = Network(NetworkConfig(**header["net"]), z["trunk_params"],
+                      z["head_weight"], z["head_bias"], version=int(z["net_version"]))
         step, epoch, batch_in_epoch = (int(v) for v in z["counters"][:3])
 
         kind = header["predictor_kind"]
@@ -717,10 +715,9 @@ def load_run_checkpoint(path, cfg: TrainConfig) -> TrainState:
         stepping = BudgetLedger(cfg.cost_model, *(int(v) for v in z["stepping_counts"]))
         warmup_ledger = BudgetLedger(cfg.cost_model, *(int(v) for v in z["warmup_counts"]))
         opt_state = z["opt_state"].copy() if "opt_state" in z else None
-        return TrainState(algo=header["algo"], net=net, predictor=pred,
-                          opt_state=opt_state, buffer=buffer, step=step,
-                          epoch=epoch, batch_in_epoch=batch_in_epoch, stepping=stepping,
-                          warmup_ledger=warmup_ledger)
+        return TrainState(net=net, predictor=pred, opt_state=opt_state, buffer=buffer,
+                          step=step, epoch=epoch, batch_in_epoch=batch_in_epoch,
+                          stepping=stepping, warmup_ledger=warmup_ledger)
 
 
 def resume_run(cfg: TrainConfig, ds: Dataset, checkpoint_path,

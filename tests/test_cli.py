@@ -54,3 +54,22 @@ def test_divergence_exits_4(tmp_path, capsys):
                                          "--max-steps", "50", "--outdir", str(tmp_path)])
     assert code == 4 and error_type(err) == "NumericError"
     assert "at step" in err
+
+
+def test_written_config_is_a_valid_config_file(tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    code, err = run(capsys, TRAIN + ["--max-steps", "2", "--seed", "3",
+                                     "--outdir", str(first)])
+    assert code == 0, err
+    code, err = run(capsys, ["--config", str(first / "config.txt"), "train",
+                             "--outdir", str(second)])
+    assert code == 0, err
+    assert (second / "config.txt").read_text() == \
+        (first / "config.txt").read_text().replace(str(first), str(second))
+
+
+def test_retired_warmup_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("warmup = true\n")
+    code, err = run(capsys, ["--config", str(cfg)] + TRAIN + ["--outdir", str(tmp_path)])
+    assert code == 2 and "warmup" in err

@@ -1,16 +1,21 @@
+import logging
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from predgrad import trainer
 from predgrad.data import gen_blobs, gen_regression
-from predgrad.errors import ConfigError, NumericError
+from predgrad.errors import ConfigError, InsufficientData, NumericError
 from predgrad.network import NetworkConfig, init_network
-from predgrad.predictor import PREDICTORS, RefitPolicy
+from predgrad.predictor import PREDICTORS, PerfectPredictor, RefitPolicy
 from predgrad.trainer import (TrainConfig, load_run_checkpoint, resume_run,
                               save_run_checkpoint, train_predicted, train_vanilla)
+
+DATA = Path(__file__).parent / "data"
 
 
 def regression(hidden=(8,), n=400):
@@ -58,6 +63,8 @@ def test_checkpoint_round_trip(tmp_path, kind):
         assert np.array_equal(saved[key], loaded[key])
     assert (state.step, state.epoch, state.batch_in_epoch) == \
         (res.state.step, res.state.epoch, res.state.batch_in_epoch)
+    assert state.net.config == res.network.config
+    assert state.net.version == res.network.version
     assert np.array_equal(state.net.flat_params(), res.network.flat_params())
     assert np.array_equal(state.opt_state, res.state.opt_state)
     assert state.stepping == res.stepping_ledger
@@ -131,8 +138,7 @@ def test_predictor_argument_errors():
     with pytest.raises(ConfigError):
         train_predicted(cfg, ds, init_network(ncfg), "linear")
     with pytest.raises(ConfigError):
-        train_predicted(TrainConfig(batch_size=32, max_steps=2, warmup=False), ds,
-                        init_network(ncfg), "structured")
+        train_predicted(cfg, ds, init_network(ncfg), PerfectPredictor())
     cds, cncfg = blobs()
     with pytest.raises(ConfigError):
         train_predicted(cfg, cds, init_network(cncfg), "scalar")
@@ -156,3 +162,69 @@ def test_divergence_stops_the_run_at_the_first_non_finite_step(algo):
         before = run(replace(cfg, max_steps=step - 1))
     assert before.steps == step - 1 > 0
     assert all(math.isfinite(r.loss) for r in before.records)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=32, max_steps=3, seed=2, eval_every=0)
+    path = tmp_path / "run.npz"
+    save_run_checkpoint(path, train_vanilla(cfg, ds, init_network(ncfg)), cfg)
+    before = path.read_bytes()
+
+    def broken_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", broken_savez)
+    longer = replace(cfg, max_steps=5)
+    with pytest.raises(OSError, match="disk full"):
+        save_run_checkpoint(path, train_vanilla(longer, ds, init_network(ncfg)), longer)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["run.npz"]
+
+
+def test_skipped_refit_logs_a_warning_and_keeps_the_predictor(monkeypatch, caplog):
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=32, max_steps=7, refit=RefitPolicy(period=3), seed=1,
+                      eval_every=0)
+    fit = trainer.fit_structured
+    fits = []
+
+    def fit_once(*args, **kwargs):
+        if fits:
+            raise InsufficientData("too few usable samples")
+        fits.append(fit(*args, **kwargs))
+        return fits[0]
+
+    monkeypatch.setattr(trainer, "fit_structured", fit_once)
+    with caplog.at_level(logging.WARNING, logger="predgrad.trainer"):
+        res = train_predicted(cfg, ds, init_network(ncfg), "structured")
+    assert res.steps == 7
+    assert res.predictor is fits[0]
+    assert [r.refit for r in res.records] == [0] * 7
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 2
+    for step, msg in zip((3, 6), warnings):
+        assert f"step {step}" in msg and "too few usable samples" in msg
+
+
+def test_format_1_checkpoint_resumes():
+    # written by an earlier version, whose config carried a warmup option:
+    # structured predictor, hidden (8,), refits every 3 steps, 5 steps done
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=32, max_steps=9,
+                      refit=RefitPolicy(period=3, buffer_capacity=16),
+                      optimizer="sgd_momentum", momentum=0.9, seed=1, eval_every=0)
+    state = load_run_checkpoint(DATA / "format1_structured.npz", cfg)
+    assert state.net.config == ncfg
+    assert state.predictor.kind == "structured" and len(state.buffer) == 16
+    assert state.step == 5
+
+    rest = resume_run(cfg, ds, DATA / "format1_structured.npz")
+    assert rest.steps == 9
+    assert all(math.isfinite(r.loss) for r in rest.records)
+    assert [r.refit for r in rest.records] == [1, 0, 0, 1]   # steps 6 and 9
+    # the uninterrupted run agrees; exact bits may differ between BLAS builds
+    whole = train_predicted(cfg, ds, init_network(ncfg), "structured")
+    assert np.allclose(rest.network.flat_params(), whole.network.flat_params(),
+                       rtol=1e-9, atol=1e-12)
