@@ -10,18 +10,17 @@ from .estimator import (AlignmentStats, BatchSplit, alignment_stats,
                         split_minibatch, v2_exact, variance_inflation)
 from .network import (Network, NetworkConfig, backward, cheap_forward, forward,
                       init_network, loss_and_residual)
-from .predictor import (FitSample, PerfectPredictor, RefitPolicy,
-                        ScalarPredictor, StructuredPredictor, fit_scalar,
-                        fit_structured, predict_scalar, predict_structured,
-                        should_refit)
+from .predictor import (PerfectPredictor, RefitPolicy, ScalarPredictor,
+                        StructuredPredictor, fit_scalar, fit_structured,
+                        predict_scalar, predict_structured, should_refit)
 from .trainer import (BudgetLedger, RunResult, StepRecord, TrainConfig,
                       optimizer_step, run_budgeted_comparison, train_predicted,
                       train_vanilla)
 
 __all__ = [
     "AlignmentStats", "BatchSplit", "BoundInputs", "BudgetLedger", "CostModel",
-    "FitSample", "Network", "NetworkConfig", "PerfectPredictor", "RefitPolicy",
-    "RunResult", "ScalarPredictor", "StepRecord", "StructuredPredictor",
+    "Network", "NetworkConfig", "PerfectPredictor", "RefitPolicy", "RunResult",
+    "ScalarPredictor", "StepRecord", "StructuredPredictor",
     "TrainConfig", "alignment_stats", "backward", "break_even_satisfied",
     "cheap_forward", "f_star", "fit_scalar", "fit_structured", "forward",
     "gamma", "init_network", "loss_and_residual", "nc_bound", "optimizer_step",

@@ -70,10 +70,9 @@ def _add_train_options(p):
                    choices=["auto", "squared_scalar", "squared_vector",
                             "cross_entropy"])
     p.add_argument("--smoothing", type=float, default=0.0)
-    p.add_argument("--optimizer", default="sgd", choices=["sgd", "sgd_momentum"])
     p.add_argument("--learning-rate", "--lr", dest="learning_rate",
                    type=float, default=0.05)
-    p.add_argument("--momentum", type=float, default=0.0)
+    p.add_argument("--momentum", type=float, default=0.0, help="heavy ball; 0 is SGD")
     p.add_argument("--lr-decay", type=float, default=0.0)
     p.add_argument("--refit-period", type=int, default=50)
     p.add_argument("--buffer-capacity", type=int, default=256)
@@ -236,7 +235,6 @@ def _train_config(args) -> TrainConfig:
         control_fraction=args.control_fraction,
         loss_kind=None if args.loss == "auto" else args.loss,
         smoothing=args.smoothing,
-        optimizer=args.optimizer,
         learning_rate=args.learning_rate,
         momentum=args.momentum,
         lr_decay=args.lr_decay,

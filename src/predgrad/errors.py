@@ -50,10 +50,6 @@ class SingularSystem(NumericError):
     pass
 
 
-class ZeroNorm(NumericError):
-    pass
-
-
 class DegenerateStats(NumericError):
     pass
 

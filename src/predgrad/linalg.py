@@ -5,7 +5,7 @@ Everything is double precision: inputs are converted to float64 ndarrays.
 
 import numpy as np
 
-from .errors import DimensionError, SingularSystem, ZeroNorm
+from .errors import DimensionError, SingularSystem
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -68,16 +68,3 @@ def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     return u[:, :r], s[:r], vt[:r, :]
 
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity <u,v> / (||u|| ||v||); raises ZeroNorm on zero input."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise DimensionError(f"shape mismatch {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        raise ZeroNorm("cosine undefined for zero-norm input")
-    c = float(np.dot(u, v) / (nu * nv))
-    return min(1.0, max(-1.0, c))

@@ -12,9 +12,9 @@ gradient features:
   direction i is [a(x); 1]^T S_i^T h with h = W_a^T residual. Covers vector
   regression and classification through the residual definition alone.
 
-Both are fit by ridge least squares on buffered (activation, residual, true
-trunk gradient) samples collected from control micro-batches. A third,
-diagnostic predictor returns the exact backward gradient.
+Both are fit by ridge least squares on ``FitRows`` (activation, residual and
+true trunk gradient arrays, one row per control example) that a ``FitBuffer``
+collects. A third, diagnostic predictor returns the exact backward gradient.
 
 Every predictor has a ``kind`` name, ``predict_batch(net, xs, llh,
 residuals)`` returning one flat-layout predicted gradient per row in batch
@@ -27,6 +27,7 @@ on the other rows of its batch.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,26 +35,50 @@ from .errors import ConfigError, DimensionError, InsufficientData
 from .linalg import solve_ridge, truncated_svd
 from .network import backward, forward, gradient_rows, matvec
 
-RESIDUAL_FLOOR = 1e-8   # samples with smaller residuals carry no fit signal
+RESIDUAL_FLOOR = 1e-8   # rows with smaller residuals carry no fit signal
 ENERGY_TARGET = 0.99    # default rank rule: 99% of squared singular mass
 
 
-@dataclass
-class FitSample:
-    llh: np.ndarray         # (D,)
-    residual: np.ndarray    # (C,)
-    h: np.ndarray           # (D,) = W_a^T residual
-    trunk_grad: np.ndarray  # (P_T,) true gradient from backward
+class FitRows(NamedTuple):
+    """Fit data, one row per control example."""
+    llh: np.ndarray         # (n, D)
+    residual: np.ndarray    # (n, C)
+    h: np.ndarray           # (n, D) = W_a^T residual, W_a the head weight of the pass
+    trunk_grad: np.ndarray  # (n, P_T) true gradient from backward
+
+    @classmethod
+    def from_pass(cls, llh, residual, trunk_grad, head_weight) -> "FitRows":
+        return cls(llh, residual, matvec(head_weight.T, residual), trunk_grad)
 
 
-def make_fit_samples(llh, residuals, trunk_grads, head_weight) -> list[FitSample]:
-    """One fit sample per row of activations, residuals and true trunk
-    gradients; the rows are copied."""
-    residuals = np.array(residuals, dtype=np.float64)
-    h = matvec(head_weight.T, residuals)
-    return [FitSample(llh=a, residual=r, h=hr, trunk_grad=g)
-            for a, r, hr, g in zip(np.array(llh, dtype=np.float64), residuals, h,
-                                   np.array(trunk_grads, dtype=np.float64))]
+class FitBuffer:
+    """The last ``capacity`` fit rows, oldest first. Added rows are copied and
+    kept as the batches they came in, a batch dropped once newer rows fill the
+    capacity, so an add copies only its own rows; ``rows()`` concatenates."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._batches = []
+        self._size = 0          # rows held, including the oldest batch's surplus
+
+    def __len__(self) -> int:
+        return min(self._size, self.capacity)
+
+    def add(self, rows: FitRows) -> None:
+        self._batches.append(FitRows(*(np.array(a, dtype=np.float64) for a in rows)))
+        self._size += len(rows.llh)
+        while self._size - len(self._batches[0].llh) >= self.capacity:
+            self._size -= len(self._batches.pop(0).llh)
+
+    def rows(self) -> FitRows:
+        """The held rows in one copy; the buffer must not be empty. ``trunk_grad``
+        is the transpose of a C-ordered (P_T, n) array, the memory order of the
+        structured fit's BLAS calls, whose results depend on it."""
+        skip = self._size - len(self)
+        llh, residual, h, grads = zip(*self._batches)
+        trunk_t = np.empty((grads[0].shape[1], len(self)))
+        np.concatenate([grads[0][skip:].T, *(g.T for g in grads[1:])], axis=1, out=trunk_t)
+        return FitRows(*(np.concatenate(a)[skip:] for a in (llh, residual, h)), trunk_t.T)
 
 
 @dataclass(frozen=True)
@@ -168,29 +193,37 @@ def _default_lambda(features: np.ndarray) -> float:
     return 1e-6 * float(np.mean(np.einsum("ij,ij->i", features, features)))
 
 
-def fit_scalar(samples, lam: float | None = None) -> ScalarPredictor:
-    """Ridge fit of the trunk-from-head gradient map on scalar-output samples.
-
-    The regression feature for a sample is its head gradient [llh; 1] * r and
-    the target its true trunk gradient; near-zero residuals are excluded
-    because both sides share the residual factor.
-    """
-    kept = [s for s in samples
-            if s.residual.shape == (1,) and abs(float(s.residual[0])) > RESIDUAL_FLOOR]
-    if samples and any(s.residual.shape != (1,) for s in samples):
-        raise DimensionError("scalar predictor requires scalar residuals")
-    if not kept:
+def _usable(rows: FitRows) -> FitRows:
+    """The rows whose residual exceeds RESIDUAL_FLOOR, of which a fit needs at
+    least D+1; both sides of the fit share the residual factor, so the other
+    rows carry no signal. All usable: ``rows`` itself; a gather keeps the
+    memory order of ``trunk_grad``."""
+    keep = np.max(np.abs(rows.residual), axis=1) > RESIDUAL_FLOOR
+    n, d = int(keep.sum()), rows.llh.shape[1]
+    if n == 0:
         raise InsufficientData("no samples with non-negligible residual")
-    d = kept[0].llh.shape[0]
-    if len(kept) < d + 1:
-        raise InsufficientData(
-            f"scalar fit needs at least D+1 = {d + 1} usable samples, got {len(kept)}")
-    feats = np.stack([_augment(s.llh) * float(s.residual[0]) for s in kept])
-    targets = np.stack([s.trunk_grad for s in kept])
+    if n < d + 1:
+        raise InsufficientData(f"fit needs at least D+1 = {d + 1} usable samples, got {n}")
+    if keep.all():
+        return rows
+    return FitRows(rows.llh[keep], rows.residual[keep], rows.h[keep],
+                   np.compress(keep, rows.trunk_grad.T, axis=1).T)
+
+
+def fit_scalar(rows: FitRows, lam: float | None = None) -> ScalarPredictor:
+    """Ridge fit of the trunk-from-head gradient map on scalar-output rows.
+
+    The regression feature for a row is its head gradient [llh; 1] * r and
+    the target its true trunk gradient.
+    """
+    if rows.residual.shape[1] != 1:
+        raise DimensionError("scalar predictor requires scalar residuals")
+    rows = _usable(rows)
+    feats = _augment(rows.llh) * rows.residual
     if lam is None:
         lam = _default_lambda(feats)
-    coef_t = solve_ridge(feats, targets, lam)
-    return ScalarPredictor(coef=coef_t.T, n_fit=len(kept), ridge_lambda=float(lam))
+    coef_t = solve_ridge(feats, rows.trunk_grad, lam)
+    return ScalarPredictor(coef=coef_t.T, n_fit=len(feats), ridge_lambda=float(lam))
 
 
 def predict_scalar(p: ScalarPredictor, llh, residual) -> np.ndarray:
@@ -209,37 +242,29 @@ def predict_scalar(p: ScalarPredictor, llh, residual) -> np.ndarray:
     return gradient_rows(trunk, llh, residual)
 
 
-def fit_structured(samples, r: int | None = None, lam: float | None = None) -> StructuredPredictor:
+def fit_structured(rows: FitRows, r: int | None = None,
+                   lam: float | None = None) -> StructuredPredictor:
     """Fit the basis + bilinear-coefficient predictor.
 
-    The basis is the top-r left singular subspace of the stacked trunk
-    gradients; per-sample coefficient targets are the basis projections
-    U^T g, regressed on the bilinear features h x [llh; 1] with one shared
-    ridge solve for all r outputs. With r = None the rank is chosen by the
-    99% squared-singular-mass rule, capped at D.
+    The basis is the top-r left singular subspace of the trunk gradients;
+    per-row coefficient targets are the basis projections U^T g, regressed
+    on the bilinear features h x [llh; 1] with one shared ridge solve for
+    all r outputs. With r = None the rank is chosen by the 99%
+    squared-singular-mass rule, capped at D.
     """
-    kept = [s for s in samples if np.max(np.abs(s.residual)) > RESIDUAL_FLOOR]
-    if not kept:
-        raise InsufficientData("no samples with non-negligible residual")
-    d = kept[0].llh.shape[0]
-    p_t = kept[0].trunk_grad.shape[0]
-    n = len(kept)
-
-    grad_mat = np.stack([s.trunk_grad for s in kept], axis=1)  # (P_T, n)
+    rows = _usable(rows)
+    (n, d), p_t = rows.llh.shape, rows.trunk_grad.shape[1]
     if r is not None and r > min(n, p_t):
         raise DimensionError(
             f"rank {r} exceeds min(samples, trunk size) = {min(n, p_t)}")
-    if n < d + 1:  # the rank never exceeds n, so this is the whole condition
-        raise InsufficientData(
-            f"structured fit needs at least D+1 = {d + 1} samples, got {n}")
 
-    u, sing, _ = truncated_svd(grad_mat, min(n, p_t))
+    u, sing, _ = truncated_svd(rows.trunk_grad.T, min(n, p_t))
     if r is None:
         r = choose_rank(sing, cap=d)
     basis = u[:, :r]
-    coef_targets = grad_mat.T @ basis  # (n, r), row i = U^T g_i
+    coef_targets = rows.trunk_grad @ basis  # (n, r), row i = U^T g_i
 
-    feats = np.stack([np.outer(s.h, _augment(s.llh)).ravel() for s in kept])
+    feats = (rows.h[:, :, None] * _augment(rows.llh)[:, None, :]).reshape(n, -1)
     if lam is None:
         lam = _default_lambda(feats)
         if lam <= 0:

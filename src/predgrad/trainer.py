@@ -28,9 +28,9 @@ The predictor is one of the objects of ``predgrad.predictor``.
 A step whose batch loss or combined gradient is not finite stops the run
 with a ``NumericError`` that names the step.
 
-A learned predictor is fitted before the first step on a warmup sample,
-which also seeds the fit buffer. A refit that fails for lack of usable
-samples keeps the old predictor and logs a warning naming the step.
+A learned predictor is fitted before the first step on a warmup sample that
+seeds the ``FitBuffer`` of control rows that refits read. A refit that fails
+for lack of usable rows keeps the old predictor and warns, naming the step.
 
 Cost accounting charges what the algorithm structure prescribes (forward +
 backward per control example, cheap forward per prediction example),
@@ -39,6 +39,7 @@ sample is charged to a separate warmup ledger; the budget governs stepping
 cost only, mirroring a cost model that counts per-iteration passes.
 """
 
+import contextlib
 import csv
 import json
 import logging
@@ -55,8 +56,8 @@ from .errors import (BudgetError, ConfigError, DataError, DimensionError,
 from .estimator import alignment_stats, control_batch_size, split_minibatch, variance_inflation
 from .network import (Network, NetworkConfig, backward, cheap_forward, forward,
                       init_network, loss_and_residual)
-from .predictor import (PREDICTORS, FitSample, PerfectPredictor, RefitPolicy,
-                        fit_scalar, fit_structured, make_fit_samples, should_refit)
+from .predictor import (PREDICTORS, FitBuffer, FitRows, PerfectPredictor, RefitPolicy,
+                        fit_scalar, fit_structured, should_refit)
 from .rng import substream
 
 METRICS_HEADER = ["step", "epoch", "cost_units", "loss", "val_metric",
@@ -75,9 +76,8 @@ class TrainConfig:
     control_fraction: float = 0.25
     loss_kind: str | None = None        # None: derived from the dataset kind
     smoothing: float = 0.0
-    optimizer: str = "sgd"              # "sgd" | "sgd_momentum"
     learning_rate: float = 0.05
-    momentum: float = 0.0
+    momentum: float = 0.0               # > 0: heavy-ball momentum
     lr_decay: float = 0.0               # lr_t = lr / (1 + lr_decay * t)
     refit: RefitPolicy = field(default_factory=RefitPolicy)
     cost_model: CostModel = field(default_factory=CostModel)
@@ -98,8 +98,6 @@ class TrainConfig:
             raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
         if not 0.0 <= self.smoothing < 1.0:
             raise ConfigError("smoothing must be in [0,1)")
-        if self.optimizer not in ("sgd", "sgd_momentum"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -178,7 +176,7 @@ class TrainState:
     net: Network
     predictor: object | None        # a fitted predictor; None for vanilla
     opt_state: np.ndarray | None
-    buffer: list
+    buffer: FitBuffer
     step: int = 0
     epoch: int = 0
     batch_in_epoch: int = 0
@@ -225,15 +223,15 @@ def _resolve_loss_kind(cfg: TrainConfig, ds: Dataset) -> str:
     return kind
 
 
-def _fit(kind: str, samples, policy: RefitPolicy):
-    """A fresh predictor of a learned kind fitted on buffered samples, or
+def _fit(kind: str, buffer: FitBuffer, policy: RefitPolicy):
+    """A fresh predictor of a learned kind fitted on the buffered rows, or
     None for the perfect predictor, which has nothing to fit. The fit
     functions are looked up in this module, so wrapping
     ``predgrad.trainer.fit_*`` sees every fit."""
     if kind == "scalar":
-        return fit_scalar(samples, policy.ridge_lambda)
+        return fit_scalar(buffer.rows(), policy.ridge_lambda)
     if kind == "structured":
-        return fit_structured(samples, None, policy.ridge_lambda)
+        return fit_structured(buffer.rows(), None, policy.ridge_lambda)
     return None
 
 
@@ -258,8 +256,8 @@ def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing,
 
     Control rows get a forward and a backward pass, prediction rows a cheap
     forward; one ``predict_batch`` call then predicts every row. Returns
-    (G, batch loss, trunk alignment stats, fit samples); the stats are None
-    when the control micro-batch has fewer than 2 examples.
+    (G, batch loss, trunk alignment stats, the control rows' fit rows); the
+    stats are None when the control micro-batch has fewer than 2 examples.
     """
     m, pt = split.m, net.trunk_size
     ctrl, pred = split.control, split.prediction
@@ -289,8 +287,8 @@ def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing,
     stats = None
     if split.m_c >= 2:
         stats = alignment_stats(ctrl_true[:, :pt], ctrl_pred[:, :pt])
-    fit_samples = make_fit_samples(llh_c, r_c, ctrl_true[:, :pt], net.head_weight)
-    return combined, float(losses.sum() / m), stats, fit_samples
+    fit_rows = FitRows.from_pass(llh_c, r_c, ctrl_true[:, :pt], net.head_weight)
+    return combined, float(losses.sum() / m), stats, fit_rows
 
 
 def _eval_val(net, ds, loss_kind, smoothing) -> float:
@@ -334,16 +332,15 @@ def _run_warmup(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str
     """Seed the fit buffer from a dedicated full-backward sample and return a
     ``kind`` predictor fitted on it; charged to the warmup ledger. The sample
     is a batch, or D+1 examples (D the last hidden width) when that is more,
-    since a fit needs D+1 samples."""
+    since a fit needs D+1 rows."""
     m = min(max(cfg.batch_size, state.net.config.last_hidden + 1), len(ds.train_idx))
     rng = substream(cfg.seed, "warmup")
     chosen = rng.choice(ds.train_idx, size=m, replace=False)
     net = state.net
     llh, _, residuals, grads = _true_passes(net, ds, chosen, loss_kind, cfg.smoothing,
                                             state.warmup_ledger)
-    state.buffer.extend(make_fit_samples(llh, residuals, grads[:, :net.trunk_size],
-                                         net.head_weight))
-    del state.buffer[:-cfg.refit.buffer_capacity]
+    state.buffer.add(FitRows.from_pass(llh, residuals, grads[:, :net.trunk_size],
+                                       net.head_weight))
     return _fit(kind, state.buffer, cfg.refit)
 
 
@@ -373,7 +370,6 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
     loss_kind, min_batch = _check_run(cfg, ds, predicted)
     f = cfg.control_fraction
     theta = state.net.flat_params()
-    momentum = cfg.momentum if cfg.optimizer == "sgd_momentum" else 0.0
     records = []
     writer = _MetricsWriter(metrics_path)
     n_train = len(ds.train_idx)
@@ -417,19 +413,18 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
                 else:
                     split = split_minibatch(
                         len(batch_idx), f, substream(cfg.seed, f"split:{state.step}"))
-                    grad, batch_loss, stats, samples = \
+                    grad, batch_loss, stats, fit_rows = \
                         _batch_predicted(state.net, state.predictor, ds, batch_idx,
                                          split, loss_kind, cfg.smoothing,
                                          state.stepping)
-                    state.buffer.extend(samples)
-                    del state.buffer[:-cfg.refit.buffer_capacity]
+                    state.buffer.add(fit_rows)
                 if not (math.isfinite(batch_loss) and np.isfinite(grad).all()):
                     raise NumericError(
                         f"non-finite loss or gradient at step {state.step + 1}")
 
                 lr_t = cfg.learning_rate / (1.0 + cfg.lr_decay * state.step)
                 theta, state.opt_state = optimizer_step(
-                    theta, grad, state.opt_state, lr_t, momentum)
+                    theta, grad, state.opt_state, lr_t, cfg.momentum)
                 state.net.set_flat_params(theta)
                 state.step += 1
                 state.batch_in_epoch = bi + 1
@@ -477,7 +472,8 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
 
 
 def _fresh_state(cfg: TrainConfig, net: Network) -> TrainState:
-    return TrainState(net=net, predictor=None, opt_state=None, buffer=[],
+    return TrainState(net=net, predictor=None, opt_state=None,
+                      buffer=FitBuffer(cfg.refit.buffer_capacity),
                       stepping=BudgetLedger(cfg.cost_model),
                       warmup_ledger=BudgetLedger(cfg.cost_model))
 
@@ -601,13 +597,14 @@ def run_budgeted_comparison(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfi
 
 RUN_LENGTH_KEYS = ("epochs", "max_steps", "budget")  # a resumed run may change them
 RETIRED_KEYS = ("warmup",)  # written by older versions, no longer an option
+BUFFER_KEYS = ("buf_llh", "buf_residual", "buf_h", "buf_trunk_grad")  # FitRows order
 
 
 def _cfg_json(cfg: TrainConfig) -> str:
     d = {
         "epochs": cfg.epochs, "batch_size": cfg.batch_size,
         "control_fraction": cfg.control_fraction, "loss_kind": cfg.loss_kind,
-        "smoothing": cfg.smoothing, "optimizer": cfg.optimizer,
+        "smoothing": cfg.smoothing,
         "learning_rate": cfg.learning_rate, "momentum": cfg.momentum,
         "lr_decay": cfg.lr_decay,
         "refit_period": cfg.refit.period,
@@ -653,11 +650,8 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
     if pred is not None:
         arrays.update(pred.to_arrays())
 
-    if state.buffer:
-        arrays["buf_llh"] = np.stack([s.llh for s in state.buffer])
-        arrays["buf_residual"] = np.stack([s.residual for s in state.buffer])
-        arrays["buf_h"] = np.stack([s.h for s in state.buffer])
-        arrays["buf_trunk_grad"] = np.stack([s.trunk_grad for s in state.buffer])
+    if len(state.buffer):
+        arrays.update(zip(BUFFER_KEYS, state.buffer.rows()))
 
     header = json.dumps({
         "format": RUN_CHECKPOINT_FORMAT,
@@ -675,12 +669,15 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        with contextlib.suppress(FileNotFoundError):  # open(tmp) itself failed
+            os.unlink(tmp)
         raise
 
 
 def _run_identity(cfg_json: str) -> dict:
     d = json.loads(cfg_json)
+    if d.pop("optimizer", None) == "sgd":  # older versions ignored momentum then
+        d["momentum"] = 0.0
     for key in RUN_LENGTH_KEYS + RETIRED_KEYS:
         d.pop(key, None)
     return d
@@ -705,12 +702,9 @@ def load_run_checkpoint(path, cfg: TrainConfig) -> TrainState:
             raise ConfigError(f"checkpoint holds an unknown predictor kind {kind!r}")
         pred = None if kind == "none" else PREDICTORS[kind].from_arrays(z)
 
-        buffer = []
-        if "buf_llh" in z:
-            for llh, residual, h, tg in zip(z["buf_llh"], z["buf_residual"],
-                                            z["buf_h"], z["buf_trunk_grad"]):
-                buffer.append(FitSample(llh=llh.copy(), residual=residual.copy(),
-                                        h=h.copy(), trunk_grad=tg.copy()))
+        buffer = FitBuffer(cfg.refit.buffer_capacity)
+        if BUFFER_KEYS[0] in z:
+            buffer.add(FitRows(*(z[key] for key in BUFFER_KEYS)))
 
         stepping = BudgetLedger(cfg.cost_model, *(int(v) for v in z["stepping_counts"]))
         warmup_ledger = BudgetLedger(cfg.cost_model, *(int(v) for v in z["warmup_counts"]))

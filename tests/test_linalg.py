@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from predgrad.errors import DimensionError, SingularSystem, ZeroNorm
-from predgrad.linalg import cosine, solve_ridge, truncated_svd
+from predgrad.errors import DimensionError, SingularSystem
+from predgrad.linalg import solve_ridge, truncated_svd
 from predgrad.rng import substream
 
 
@@ -83,24 +83,3 @@ def test_truncated_svd_rank_out_of_range():
         truncated_svd(np.eye(3), 0)
     with pytest.raises(DimensionError):
         truncated_svd(np.eye(3), 4)
-
-
-def test_cosine_basics():
-    assert cosine([1.0, 0.0], [1.0, 0.0]) == 1.0
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert cosine([1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]) == -1.0
-
-
-def test_cosine_scale_invariance():
-    rng = substream(4, "cos")
-    for _ in range(50):
-        u = rng.standard_normal(6)
-        v = rng.standard_normal(6)
-        a, b = rng.uniform(0.1, 10.0, 2) * rng.choice([-1.0, 1.0], 2)
-        expected = np.sign(a * b) * cosine(u, v)
-        assert abs(cosine(a * u, b * v) - expected) <= 1e-12
-
-
-def test_cosine_zero_norm():
-    with pytest.raises(ZeroNorm):
-        cosine([0.0, 0.0], [1.0, 0.0])

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predgrad.errors import DimensionError, InsufficientData
-from predgrad.linalg import cosine
 from predgrad.network import NetworkConfig, backward, forward, init_network, loss_and_residual
-from predgrad.predictor import (FitSample, RefitPolicy, ScalarPredictor,
+from predgrad.predictor import (FitBuffer, FitRows, RefitPolicy, ScalarPredictor,
                                 StructuredPredictor, choose_rank, fit_scalar,
-                                fit_structured, make_fit_samples, predict_scalar,
-                                predict_structured, should_refit)
+                                fit_structured, predict_scalar, predict_structured,
+                                should_refit)
 from predgrad.rng import substream
+
+
+def cosine(u, v):
+    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
 def deep_linear_net(seed=0, dim=4):
@@ -19,11 +24,11 @@ def deep_linear_net(seed=0, dim=4):
     return init_network(cfg)
 
 
-def scalar_samples(net, xs, ys):
+def scalar_rows(net, xs, ys):
     llh, output, cache = forward(net, xs)
     _, residuals = loss_and_residual(output, ys, "squared_scalar")
     grads = backward(net, cache, residuals)
-    return make_fit_samples(llh, residuals, grads[:, :net.trunk_size], net.head_weight)
+    return FitRows.from_pass(llh, residuals, grads[:, :net.trunk_size], net.head_weight)
 
 
 def test_scalar_predictor_exact_on_deep_linear_net():
@@ -31,7 +36,7 @@ def test_scalar_predictor_exact_on_deep_linear_net():
     rng = substream(20, "lin")
     xs = rng.standard_normal((60, 4))
     ys = rng.standard_normal(60)
-    pred = fit_scalar(scalar_samples(net, xs, ys), lam=0.0)
+    pred = fit_scalar(scalar_rows(net, xs, ys), lam=0.0)
 
     held_x = rng.standard_normal((20, 4))
     held_y = rng.standard_normal(20)
@@ -52,11 +57,9 @@ def test_fit_scalar_rejects_zero_residuals():
     net = deep_linear_net()
     rng = substream(21, "zr")
     xs = rng.standard_normal((10, 4))
-    samples = scalar_samples(net, xs, rng.standard_normal(10))
-    for s in samples:
-        s.residual = np.zeros(1)
+    rows = scalar_rows(net, xs, rng.standard_normal(10))
     with pytest.raises(InsufficientData):
-        fit_scalar(samples)
+        fit_scalar(rows._replace(residual=np.zeros_like(rows.residual)))
 
 
 def test_fit_scalar_needs_enough_samples():
@@ -64,14 +67,14 @@ def test_fit_scalar_needs_enough_samples():
     rng = substream(22, "few")
     xs = rng.standard_normal((3, 4))
     with pytest.raises(InsufficientData):
-        fit_scalar(scalar_samples(net, xs, rng.standard_normal(3)))
+        fit_scalar(scalar_rows(net, xs, rng.standard_normal(3)))
 
 
 def test_fit_scalar_large_lambda_shrinks_to_zero():
     net = deep_linear_net(seed=4)
     rng = substream(23, "shrink")
     xs = rng.standard_normal((30, 4))
-    pred = fit_scalar(scalar_samples(net, xs, rng.standard_normal(30)), lam=1e12)
+    pred = fit_scalar(scalar_rows(net, xs, rng.standard_normal(30)), lam=1e12)
     assert np.max(np.abs(pred.coef)) <= 1e-8
     est = predict_scalar(pred, xs[0][: net.config.last_hidden], np.array([1.0]))
     assert np.max(np.abs(est[:net.trunk_size])) <= 1e-6
@@ -81,12 +84,12 @@ def test_predict_scalar_zero_residual_and_zero_map():
     net = deep_linear_net(seed=5)
     rng = substream(24, "pz")
     xs = rng.standard_normal((30, 4))
-    pred = fit_scalar(scalar_samples(net, xs, rng.standard_normal(30)))
+    pred = fit_scalar(scalar_rows(net, xs, rng.standard_normal(30)))
     llh = rng.standard_normal(4)
     est = predict_scalar(pred, llh, np.zeros(1))
     assert np.array_equal(est, np.zeros(net.n_params))
 
-    zero = fit_scalar(scalar_samples(net, xs, rng.standard_normal(30)), lam=0.0)
+    zero = fit_scalar(scalar_rows(net, xs, rng.standard_normal(30)), lam=0.0)
     zero.coef = np.zeros_like(zero.coef)
     est = predict_scalar(zero, llh, np.array([1.0]))
     assert np.array_equal(est[:net.trunk_size], np.zeros(net.trunk_size))
@@ -98,25 +101,20 @@ def planted_structured(rng, n, p_t=30, d=5, c=3, r=2):
     basis, _ = np.linalg.qr(rng.standard_normal((p_t, r)))
     maps_true = rng.standard_normal((r, d, d + 1))
     head_w = rng.standard_normal((c, d))
-    samples = []
-    for _ in range(n):
-        llh = rng.standard_normal(d)
-        residual = rng.standard_normal(c)
-        aug = np.concatenate([llh, [1.0]])
-        h = head_w.T @ residual
-        coeff = np.array([h @ maps_true[i] @ aug for i in range(r)])
-        samples.append(FitSample(llh=llh, residual=residual, h=h,
-                                 trunk_grad=basis @ coeff))
-    return samples, head_w
+    llh = rng.standard_normal((n, d))
+    residual = rng.standard_normal((n, c))
+    h = residual @ head_w
+    coeff = np.einsum("ni,rij,nj->nr", h, maps_true, np.c_[llh, np.ones(n)])
+    return FitRows(llh, residual, h, coeff @ basis.T), head_w
 
 
 def test_structured_predictor_recovers_planted_model():
     rng = substream(25, "plant")
-    samples, head_w = planted_structured(rng, 150)
-    pred = fit_structured(samples[:120], r=2, lam=1e-10)
-    for s in samples[120:]:  # held out, same planted model
-        est = predict_structured(pred, s.llh, s.residual, head_w)
-        assert cosine(est[:len(s.trunk_grad)], s.trunk_grad) >= 0.99
+    rows, head_w = planted_structured(rng, 150)
+    pred = fit_structured(FitRows(*(a[:120] for a in rows)), r=2, lam=1e-10)
+    for llh, residual, _, trunk_grad in zip(*(a[120:] for a in rows)):  # held out
+        est = predict_structured(pred, llh, residual, head_w)
+        assert cosine(est[:len(trunk_grad)], trunk_grad) >= 0.99
 
 
 def test_structured_rank_one_parallel_gradients():
@@ -127,32 +125,32 @@ def test_structured_rank_one_parallel_gradients():
     llh = rng.standard_normal((12, 4))
     residuals = rng.standard_normal((12, 2))
     scales = rng.uniform(0.5, 2.0, size=(12, 1))
-    samples = make_fit_samples(llh, residuals, scales * direction, head_w)
-    pred = fit_structured(samples, r=1)
+    rows = FitRows.from_pass(llh, residuals, scales * direction, head_w)
+    pred = fit_structured(rows, r=1)
     assert abs(cosine(pred.basis[:, 0], direction)) >= 1.0 - 1e-10
-    g = samples[0].trunk_grad
+    g = rows.trunk_grad[0]
     assert abs(cosine(pred.basis @ (pred.basis.T @ g), g)) >= 1.0 - 1e-10
 
 
 def test_structured_large_lambda_kills_maps():
     rng = substream(28, "slam")
-    samples, _ = planted_structured(rng, 60)
-    pred = fit_structured(samples, r=2, lam=1e14)
+    rows, _ = planted_structured(rng, 60)
+    pred = fit_structured(rows, r=2, lam=1e14)
     assert np.max(np.abs(pred.maps)) <= 1e-8
 
 
 def test_predict_structured_zero_residual():
     rng = substream(29, "pz2")
-    samples, head_w = planted_structured(rng, 60)
-    pred = fit_structured(samples, r=2)
+    rows, head_w = planted_structured(rng, 60)
+    pred = fit_structured(rows, r=2)
     est = predict_structured(pred, rng.standard_normal(5), np.zeros(3), head_w)
     assert np.array_equal(est, np.zeros_like(est))
 
 
 def test_predict_structured_linear_and_scale_equivariant():
     rng = substream(30, "lin2")
-    samples, head_w = planted_structured(rng, 60)
-    pred = fit_structured(samples, r=2)
+    rows, head_w = planted_structured(rng, 60)
+    pred = fit_structured(rows, r=2)
     llh = rng.standard_normal(5)
     r1 = rng.standard_normal(3)
     r2 = rng.standard_normal(3)
@@ -167,8 +165,8 @@ def test_predict_structured_linear_and_scale_equivariant():
 
 def test_classification_residual_uses_same_path():
     rng = substream(31, "cls")
-    samples, head_w = planted_structured(rng, 60)
-    pred = fit_structured(samples, r=2)
+    rows, head_w = planted_structured(rng, 60)
+    pred = fit_structured(rows, r=2)
     llh = rng.standard_normal(5)
     _, residual = loss_and_residual(rng.standard_normal(3), 1, "cross_entropy", 0.05)
     as_regression = residual.copy()
@@ -184,7 +182,7 @@ def test_predicted_head_gradient_always_exact():
     llh, output, cache = forward(net, rng.standard_normal((40, 4)))
     _, residuals = loss_and_residual(output, rng.integers(3, size=40), "cross_entropy", 0.05)
     grads = backward(net, cache, residuals)
-    pred = fit_structured(make_fit_samples(llh, residuals, grads[:, :pt], net.head_weight))
+    pred = fit_structured(FitRows.from_pass(llh, residuals, grads[:, :pt], net.head_weight))
     for _ in range(10):
         x = rng.standard_normal(4)
         llh, output, cache = forward(net, x)
@@ -197,12 +195,34 @@ def test_predicted_head_gradient_always_exact():
 
 def test_fit_structured_sample_and_rank_requirements():
     rng = substream(33, "req")
-    samples, _ = planted_structured(rng, 4)
+    rows, _ = planted_structured(rng, 4)
     with pytest.raises(InsufficientData):
-        fit_structured(samples, r=2)  # needs at least D+1 = 6
-    samples, _ = planted_structured(rng, 10)
+        fit_structured(rows, r=2)  # needs at least D+1 = 6
+    rows, _ = planted_structured(rng, 10)
     with pytest.raises(DimensionError):
-        fit_structured(samples, r=50)
+        fit_structured(rows, r=50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(capacity=st.integers(2, 20), sizes=st.lists(st.integers(1, 30), min_size=1, max_size=12))
+def test_fit_buffer_keeps_the_last_capacity_rows_in_order(capacity, sizes):
+    buffer, added = FitBuffer(capacity), []
+    for size in sizes:
+        # row i of everything added holds i in every field
+        ids = np.arange(len(added), len(added) + size, dtype=np.float64)
+        added.extend(ids)
+        buffer.add(FitRows(ids[:, None], ids[:, None] * 2, ids[:, None] * 3,
+                           np.repeat(ids[:, None], 5, axis=1)))
+        assert len(buffer) == min(capacity, len(added))
+        rows = buffer.rows()
+        last = np.array(added[-capacity:])
+        assert all(len(a) == len(buffer) for a in rows)
+        assert np.array_equal(rows.llh[:, 0], last)
+        assert np.array_equal(rows.residual[:, 0], 2 * last)
+        assert np.array_equal(rows.h[:, 0], 3 * last)
+        assert np.array_equal(rows.trunk_grad, np.repeat(last[:, None], 5, axis=1))
+        # the structured fit's BLAS calls read the trunk gradients in (P_T, n) order
+        assert rows.trunk_grad.T.flags.c_contiguous
 
 
 def test_should_refit_schedule():

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import re
@@ -35,8 +36,7 @@ def rows(records):
 @pytest.mark.parametrize("make_data", [regression, blobs])
 def test_perfect_predictor_reproduces_vanilla(make_data):
     ds, ncfg = make_data()
-    cfg = TrainConfig(batch_size=16, epochs=2, optimizer="sgd_momentum", momentum=0.5,
-                      seed=3, eval_every=2)
+    cfg = TrainConfig(batch_size=16, epochs=2, momentum=0.5, seed=3, eval_every=2)
     van = train_vanilla(cfg, ds, init_network(ncfg))
     per = train_predicted(cfg, ds, init_network(ncfg), "perfect")
     assert per.steps == van.steps > 0
@@ -49,7 +49,7 @@ def test_perfect_predictor_reproduces_vanilla(make_data):
 def test_checkpoint_round_trip(tmp_path, kind):
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, max_steps=7, refit=RefitPolicy(period=3),
-                      optimizer="sgd_momentum", momentum=0.9, seed=1, eval_every=0)
+                      momentum=0.9, seed=1, eval_every=0)
     res = train_predicted(cfg, ds, init_network(ncfg), kind)
     path = tmp_path / "run.npz"
     save_run_checkpoint(path, res, cfg)
@@ -70,8 +70,8 @@ def test_checkpoint_round_trip(tmp_path, kind):
     assert state.stepping == res.stepping_ledger
     assert state.warmup_ledger == res.warmup_ledger
     assert len(state.buffer) == len(res.state.buffer)
-    for a, b in zip(state.buffer, res.state.buffer):
-        assert np.array_equal(a.trunk_grad, b.trunk_grad) and np.array_equal(a.h, b.h)
+    for a, b in zip(state.buffer.rows(), res.state.buffer.rows()):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("algo", ["vanilla", "structured"])
@@ -81,8 +81,7 @@ def test_resume_extends_a_run_bit_exactly(tmp_path, algo):
     ds, ncfg = regression()
     n = 6
     long = TrainConfig(batch_size=32, epochs=5, max_steps=2 * n,
-                       refit=RefitPolicy(period=4), optimizer="sgd_momentum",
-                       momentum=0.9, seed=2)
+                       refit=RefitPolicy(period=4), momentum=0.9, seed=2)
     short = replace(long, max_steps=n)
 
     def run(cfg):
@@ -183,6 +182,45 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["run.npz"]
 
 
+def test_checkpoint_into_a_missing_directory_raises_the_open_error(tmp_path):
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=32, max_steps=2, seed=2, eval_every=0)
+    res = train_vanilla(cfg, ds, init_network(ncfg))
+    with pytest.raises(FileNotFoundError) as err:
+        save_run_checkpoint(tmp_path / "missing" / "run.npz", res, cfg)
+    assert err.value.__context__ is None
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_momentum_alone_selects_heavy_ball():
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=32, max_steps=20, seed=2, eval_every=0)
+    sgd = train_vanilla(cfg, ds, init_network(ncfg))
+    heavy = train_vanilla(replace(cfg, momentum=0.9), ds, init_network(ncfg))
+    assert sgd.state.opt_state is None and heavy.state.opt_state is not None
+    assert not np.array_equal(heavy.network.flat_params(), sgd.network.flat_params())
+
+
+def test_checkpoint_from_plain_sgd_resumes_without_momentum(tmp_path):
+    # older versions wrote "optimizer" and ran plain SGD under "sgd" whatever
+    # the momentum said, so such a checkpoint resumes with momentum 0
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=32, max_steps=3, seed=2, eval_every=0)
+    path = tmp_path / "run.npz"
+    save_run_checkpoint(path, train_vanilla(cfg, ds, init_network(ncfg)), cfg)
+    with np.load(path) as z:
+        arrays = dict(z)
+    header = json.loads(bytes(arrays["header"]).decode("utf-8"))
+    header["cfg"] = json.dumps({**json.loads(header["cfg"]), "optimizer": "sgd",
+                                "momentum": 0.9})
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+    assert load_run_checkpoint(path, cfg).step == 3
+    with pytest.raises(ConfigError):
+        load_run_checkpoint(path, replace(cfg, momentum=0.9))
+
+
 def test_skipped_refit_logs_a_warning_and_keeps_the_predictor(monkeypatch, caplog):
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, max_steps=7, refit=RefitPolicy(period=3), seed=1,
@@ -214,7 +252,7 @@ def test_format_1_checkpoint_resumes():
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, max_steps=9,
                       refit=RefitPolicy(period=3, buffer_capacity=16),
-                      optimizer="sgd_momentum", momentum=0.9, seed=1, eval_every=0)
+                      momentum=0.9, seed=1, eval_every=0)
     state = load_run_checkpoint(DATA / "format1_structured.npz", cfg)
     assert state.net.config == ncfg
     assert state.predictor.kind == "structured" and len(state.buffer) == 16
