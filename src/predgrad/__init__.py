@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .analysis import (BoundInputs, CostModel, break_even_satisfied, f_star,
                        gamma, nc_bound, q_objective, rho_star, rho_switch,
                        sc_bound, simulate_estimator, sweep)
-from .estimator import (AlignmentStats, BatchSplit, alignment_stats,
+from .estimator import (AlignmentStats, BatchSplit, alignment_stats, combine,
                         split_minibatch, v2_exact, variance_inflation)
 from .network import (Network, NetworkConfig, backward, cheap_forward, forward,
                       init_network, loss_and_residual)
@@ -22,7 +22,7 @@ __all__ = [
     "Network", "NetworkConfig", "PerfectPredictor", "RefitPolicy", "RunResult",
     "ScalarPredictor", "StepRecord", "StructuredPredictor",
     "TrainConfig", "alignment_stats", "backward", "break_even_satisfied",
-    "cheap_forward", "f_star", "fit_scalar", "fit_structured", "forward",
+    "cheap_forward", "combine", "f_star", "fit_scalar", "fit_structured", "forward",
     "gamma", "init_network", "loss_and_residual", "nc_bound", "optimizer_step",
     "predict_scalar", "predict_structured", "q_objective", "rho_star",
     "rho_switch", "run_budgeted_comparison", "sc_bound", "should_refit",

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, DomainError, MomentError, StepsizeError
-from .estimator import control_batch_size, moments_from_values, v2_exact, variance_inflation
+from .estimator import combine, control_batch_size, v2_exact, variance_inflation
 from .rng import substream
 
 SWEEP_HEADER = ["f", "rho", "kappa", "phi", "gamma", "Q", "break_even"]
@@ -173,16 +173,17 @@ class SimulationResult(NamedTuple):
 def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
                        f: float, m: int, trials: int, seed: int,
                        mu=None, mu_h=None) -> SimulationResult:
-    """Monte Carlo check of the debiased estimator against the exact variance.
+    """Monte Carlo check of ``combine`` against the exact variance ``v2_exact``.
 
     Per-example gradient pairs are Gaussian with the requested second
     moments, constructed as v = (tau / sigma_g^2) u + w with w independent of
     variance sigma_h^2 - tau^2 / sigma_g^2, where u = su z and w = sw z' for
-    standard normal z, z'. The estimator only needs the means of z and z'
-    over the control block (m_c examples) and the prediction block (m_p), so
-    each trial draws those four block means directly: the mean of k draws of
-    N(0, I) is N(0, I / k). A trial then forms
-        G = g_c + (1 - f) (h_p - h_c),  g = mu + u,  h = mu_h + v.
+    standard normal z, z'. ``combine`` needs only the sums of g and h over
+    the control block (m_c examples) and of h over the prediction block
+    (m_p), so each trial draws the four sums of z and z' directly: the sum
+    of k draws of N(0, I) is N(0, k I). With g = mu + u and h = mu_h + v,
+    the means enter G - mu, ``combine`` being linear, as one bias vector
+    combine(block sums of the means) - mu, which is zero up to rounding.
     Returned are ||mean(G) - mu||, the empirical E||G - mu||^2, and the
     closed-form prediction. mu and mu_h (scalar or length-dim vectors)
     default to zero; the estimator is unbiased for mu regardless of mu_h.
@@ -202,20 +203,23 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
     m_c = control_batch_size(m, f)
     if m_c >= m:
         raise DomainError(f"f = {f} leaves no prediction micro-batch for m = {m}")
-    f_eff = m_c / m
+    m_p = m - m_c
 
     mu_vec = np.zeros(dim) if mu is None else np.broadcast_to(
         np.asarray(mu, dtype=np.float64), (dim,)).copy()
     mu_h_vec = np.zeros(dim) if mu_h is None else np.broadcast_to(
         np.asarray(mu_h, dtype=np.float64), (dim,)).copy()
+    bias = combine(m_c * mu_vec + m_p * mu_h_vec, m_c * mu_vec, m_c * mu_h_vec,
+                   m_c, m) - mu_vec
 
     su = sigma_g / np.sqrt(dim)
     coef = tau / sigma_g ** 2
     sw = np.sqrt(max(0.0, sigma_h ** 2 - tau ** 2 / sigma_g ** 2)) / np.sqrt(dim)
+    # standard deviations of the block sums of u and w
+    su_c, sw_c = su * np.sqrt(m_c), sw * np.sqrt(m_c)
+    su_p, sw_p = su * np.sqrt(m_p), sw * np.sqrt(m_p)
 
     rng = substream(seed, "simulation")
-    sd_c = 1.0 / np.sqrt(m_c)
-    sd_p = 1.0 / np.sqrt(m - m_c)
     chunk = max(1, 500_000 // dim)  # trials per draw; bounds memory for any count
     sum_err = np.zeros(dim)
     sum_sq = 0.0
@@ -223,18 +227,17 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
     while done < trials:
         n = min(chunk, trials - done)
         zg_c, zw_c, zg_p, zw_p = rng.standard_normal((4, n, dim))
-        g_c = mu_vec + su * sd_c * zg_c
-        h_c = mu_h_vec + coef * su * sd_c * zg_c + sw * sd_c * zw_c
-        h_p = mu_h_vec + coef * su * sd_p * zg_p + sw * sd_p * zw_p
-        err = g_c + (1.0 - f_eff) * (h_p - h_c) - mu_vec
+        g_c = su_c * zg_c
+        h_c = coef * g_c + sw_c * zw_c
+        h_p = coef * su_p * zg_p + sw_p * zw_p
+        err = combine(g_c + h_p, g_c, h_c, m_c, m) + bias
         sum_err += err.sum(axis=0)
         sum_sq += float(np.einsum("ij,ij->", err, err))
         done += n
 
     mean_err = float(np.linalg.norm(sum_err / trials))
     emp_var = sum_sq / trials
-    predicted = v2_exact(moments_from_values(sigma_g, sigma_h, tau), f_eff, m)
-    return SimulationResult(mean_err, emp_var, predicted)
+    return SimulationResult(mean_err, emp_var, v2_exact(sigma_g, sigma_h, tau, m_c / m, m))
 
 
 @dataclass
@@ -267,10 +270,8 @@ def sweep(cm: CostModel, f_values, rho_values, kappa_values) -> SweepResult:
     for f in fs:
         for rho in rhos:
             for kappa in kappas:
-                phi = variance_inflation(f, rho, kappa)
-                g = gamma(cm, f)
-                q = phi * g
-                ok = (q <= 1.0) if f < 1.0 else True
+                ok = f == 1.0 or break_even_satisfied(cm, f, rho, kappa)  # f = 1: vanilla, parity
                 rows.append((float(f), float(rho), float(kappa),
-                             float(phi), float(g), float(q), bool(ok)))
+                             float(variance_inflation(f, rho, kappa)), float(gamma(cm, f)),
+                             float(q_objective(cm, f, rho, kappa)), bool(ok)))
     return SweepResult(fs, rhos, kappas, rows)

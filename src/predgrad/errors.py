@@ -50,10 +50,6 @@ class SingularSystem(NumericError):
     pass
 
 
-class DegenerateStats(NumericError):
-    pass
-
-
 class DomainError(NumericError):
     pass
 

@@ -1,25 +1,18 @@
-"""Mini-batch splitting, alignment statistics and the estimator's variance.
+"""The debiased estimator: mini-batch splitting, the combination, alignment
+statistics and the estimator's variance.
 
-The combined mini-batch gradient is
-
-    G = f * g_c_true + (1-f) * (g_pred - (g_c_pred - g_c_true)),
-
-algebraically equal to g_c_true + (1-f) * (g_pred - g_c_pred); the trainer
-evaluates it in sum space (see ``_batch_predicted`` in trainer.py). Its
-variance relative to the vanilla mini-batch gradient is governed entirely by
-the alignment rho and scale ratio kappa between per-example true and
-predicted gradients, through the inflation factor phi.
+``combine`` is the one statement of the combined mini-batch gradient; the
+trainer and the Monte Carlo verifier both call it. Its variance relative to
+the vanilla mini-batch gradient is governed entirely by the alignment rho
+and scale ratio kappa between per-example true and predicted gradients,
+through the inflation factor phi (``variance_inflation``).
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ControlBatchEmpty, DegenerateStats, DimensionError,
-                     DomainError, InsufficientData)
-
-log = logging.getLogger(__name__)
+from .errors import ControlBatchEmpty, DimensionError, DomainError, InsufficientData
 
 
 @dataclass(frozen=True)
@@ -56,15 +49,11 @@ class AlignmentStats:
     degenerate: bool = False
 
 
-def control_batch_size(m: int, f: float, warn: bool = True) -> int:
-    """Control micro-batch size round(f*m); warns when f*m is fractional."""
+def control_batch_size(m: int, f: float) -> int:
+    """Control micro-batch size round(f*m)."""
     if not 0.0 < f <= 1.0:
         raise DomainError(f"control fraction must be in (0,1], got {f}")
-    exact = f * m
-    m_c = int(np.rint(exact))
-    if warn and abs(exact - m_c) > 1e-9:
-        log.warning("control fraction f=%g gives fractional batch size %g; "
-                    "rounding to %d", f, exact, m_c)
+    m_c = int(np.rint(f * m))
     if m_c < 1:
         raise ControlBatchEmpty(
             f"round(f*m) = 0 for f={f}, m={m}; control micro-batch would be empty")
@@ -79,6 +68,24 @@ def split_minibatch(m: int, f: float, rng: np.random.Generator) -> BatchSplit:
     perm = rng.permutation(m)
     return BatchSplit(control=np.sort(perm[:m_c]), prediction=np.sort(perm[m_c:]),
                       f=float(f), m=int(m))
+
+
+def combine(s_mixed, s_ctrl_true, s_ctrl_pred, m_c: int, m: int):
+    """The debiased mini-batch gradient from three row sums over a split
+    batch of m rows, m_c of them control rows: ``s_mixed`` sums the true
+    gradients of the control rows and the predicted ones of the rest,
+    ``s_ctrl_true`` and ``s_ctrl_pred`` the true and predicted gradients of
+    the control rows. With f = m_c / m and g_c, h_c, h_p the block means of
+    the true control, predicted control and predicted prediction rows,
+
+        G = g_c + (1 - f) (h_p - h_c),
+
+    which is unbiased for the mean gradient whatever the predictions. This
+    sum-space form cancels the control correction to the bit when the
+    predictions equal the true gradients, so G is then the plain batch mean.
+    It is linear in the three sums.
+    """
+    return s_mixed / m - ((1.0 - m_c / m) / m_c) * (s_ctrl_pred - s_ctrl_true)
 
 
 def alignment_stats(gs, hs) -> AlignmentStats:
@@ -119,17 +126,6 @@ def alignment_stats(gs, hs) -> AlignmentStats:
                           kappa=kappa, n=n, mu=mu, mu_h=mu_h, degenerate=degenerate)
 
 
-def moments_from_values(sigma_g: float, sigma_h: float, tau: float) -> AlignmentStats:
-    """AlignmentStats directly from specified second moments (no samples)."""
-    if sigma_g < 0 or sigma_h < 0:
-        raise DomainError("sigma values must be nonnegative")
-    degenerate = sigma_g == 0.0 or sigma_h == 0.0
-    rho = 0.0 if degenerate else min(1.0, max(-1.0, tau / (sigma_g * sigma_h)))
-    kappa = sigma_h / sigma_g if sigma_g > 0 else 0.0
-    return AlignmentStats(sigma_g=sigma_g, sigma_h=sigma_h, tau=tau, rho=rho,
-                          kappa=kappa, n=0, degenerate=degenerate)
-
-
 def variance_inflation(f: float, rho: float, kappa: float) -> float:
     """phi(f, rho, kappa) = (1 + (1-f) kappa^2 - 2 (1-f) rho kappa) / f."""
     if f <= 0:
@@ -139,15 +135,17 @@ def variance_inflation(f: float, rho: float, kappa: float) -> float:
     return (1.0 + (1.0 - f) * kappa * kappa - 2.0 * (1.0 - f) * rho * kappa) / f
 
 
-def v2_exact(stats: AlignmentStats, f: float, m: int) -> float:
-    """Exact per-iteration variance of the debiased estimator:
-    (1/(f m)) (sigma_g^2 + (1-f) sigma_h^2 - 2 (1-f) tau)."""
+def v2_exact(sigma_g: float, sigma_h: float, tau: float, f: float, m: int) -> float:
+    """Exact per-iteration variance E||G - mu||^2 of the debiased estimator
+    for per-example moments sigma_g, sigma_h and tau (see ``alignment_stats``):
+    sigma_g^2 phi(f, rho, kappa) / m, which is
+    (sigma_g^2 + (1-f) sigma_h^2 - 2 (1-f) tau) / (f m). A prediction that
+    does not vary (sigma_h = 0) has rho = 0."""
     if not 0.0 < f < 1.0:
         raise DomainError(f"v2_exact needs 0 < f < 1, got {f}")
     if m < 2:
         raise DomainError(f"mini-batch size must be >= 2, got {m}")
-    if stats.degenerate or stats.sigma_g <= 0:
-        raise DegenerateStats("sigma_g must be positive for the variance formula")
-    var_g = stats.sigma_g ** 2
-    var_h = stats.sigma_h ** 2
-    return (var_g + (1.0 - f) * var_h - 2.0 * (1.0 - f) * stats.tau) / (f * m)
+    if sigma_g <= 0 or sigma_h < 0:
+        raise DomainError(f"need sigma_g > 0 and sigma_h >= 0, got {sigma_g}, {sigma_h}")
+    rho = tau / (sigma_g * sigma_h) if sigma_h > 0 else 0.0
+    return sigma_g ** 2 * variance_inflation(f, rho, sigma_h / sigma_g) / m

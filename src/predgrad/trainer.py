@@ -5,23 +5,16 @@ with equal seeds see identical batch schedules regardless of algorithm. The
 predicted loop splits each mini-batch with a per-step substream, computes
 true and predicted gradients on the control micro-batch and predicted
 gradients (from a cheap activations-only pass) on the rest, and combines
-them with the control-variate correction. Each pass is one call on all the
-rows it covers: forward and backward on the control rows, the cheap forward
-on the prediction rows, and one ``predict_batch`` on the whole batch. The
-results are scattered into batch order before they are reduced.
-
-The combination is evaluated in sum space,
-
-    G = (sum_c g_true + sum_p h) / m
-        - (1 - f_eff) / m_c * (sum_c h - sum_c g_true),
-
-with f_eff = m_c / m, which is algebraically the textbook form
-f g_c_true + (1-f)(g_pred - (g_c_pred - g_c_true)) but cancels the control
-correction exactly (to the bit) when predictions coincide with true
-gradients. Per-example gradients are scattered into an (m, params) array in
-batch order and reduced identically in both loops. The passes give each row
-the same bits whichever other rows share its call (see ``predgrad.network``),
-so a perfect predictor reproduces the vanilla trajectory bit for bit.
+them with the control-variate correction, ``predgrad.estimator.combine``.
+Each pass is one call on all the rows it covers: forward and backward on the
+control rows, the cheap forward on the prediction rows, and one
+``predict_batch`` on the whole batch. The results are scattered into batch
+order before they are reduced. Per-example gradients are scattered into an
+(m, params) array in batch order and reduced identically in both loops. The
+passes give each row the same bits whichever other rows share its call (see
+``predgrad.network``), and ``combine`` cancels the control correction to the
+bit when predictions equal true gradients, so a perfect predictor
+reproduces the vanilla trajectory bit for bit.
 
 The predictor is one of the objects of ``predgrad.predictor``.
 
@@ -29,14 +22,17 @@ A step whose batch loss or combined gradient is not finite stops the run
 with a ``NumericError`` that names the step.
 
 A learned predictor is fitted before the first step on a warmup sample that
-seeds the ``FitBuffer`` of control rows that refits read. A refit that fails
-for lack of usable rows keeps the old predictor and warns, naming the step.
+seeds the ``FitBuffer`` of control rows that refits read; the perfect
+predictor fits nothing and keeps no rows. A refit that fails for lack of
+usable rows keeps the old predictor and warns, naming the step.
 
 Cost accounting charges what the algorithm structure prescribes (forward +
 backward per control example, cheap forward per prediction example),
-independent of how a predictor is implemented internally. The warmup
-sample is charged to a separate warmup ledger; the budget governs stepping
-cost only, mirroring a cost model that counts per-iteration passes.
+independent of how a predictor is implemented internally: each step's
+split is drawn before the budget check, and that check and the step's one
+charge read the same m_c and m_p. The warmup sample is charged to a
+separate warmup ledger; the budget governs stepping cost only, mirroring a
+cost model that counts per-iteration passes.
 """
 
 import contextlib
@@ -53,7 +49,8 @@ from .analysis import CostModel, gamma, rho_star
 from .data import Dataset
 from .errors import (BudgetError, ConfigError, DataError, DimensionError,
                      InsufficientData, NumericError)
-from .estimator import alignment_stats, control_batch_size, split_minibatch, variance_inflation
+from .estimator import (alignment_stats, combine, control_batch_size, split_minibatch,
+                        variance_inflation)
 from .network import (Network, NetworkConfig, backward, cheap_forward, forward,
                       init_network, loss_and_residual)
 from .predictor import (PREDICTORS, FitBuffer, FitRows, PerfectPredictor, RefitPolicy,
@@ -235,23 +232,22 @@ def _fit(kind: str, buffer: FitBuffer, policy: RefitPolicy):
     return None
 
 
-def _true_passes(net, ds, idx, loss_kind, smoothing, ledger):
+def _true_passes(net, ds, idx, loss_kind, smoothing):
     """Forward and backward on the examples idx: returns (llh, losses,
     residuals, gradient rows), all in the order of idx."""
     llh, output, cache = forward(net, ds.features[idx])
     losses, residuals = loss_and_residual(output, ds.targets[idx], loss_kind, smoothing)
-    ledger.charge(forward=len(idx), backward=len(idx))
     return llh, losses, residuals, backward(net, cache, residuals)
 
 
-def _batch_true(net, ds, batch_idx, loss_kind, smoothing, ledger):
+def _batch_true(net, ds, batch_idx, loss_kind, smoothing):
     """Mean true gradient and mean loss over a batch."""
     m = len(batch_idx)
-    _, losses, _, grads = _true_passes(net, ds, batch_idx, loss_kind, smoothing, ledger)
+    _, losses, _, grads = _true_passes(net, ds, batch_idx, loss_kind, smoothing)
     return grads.sum(axis=0) / m, float(losses.sum() / m)
 
 
-def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing, ledger):
+def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing):
     """Debiased combined gradient over one split mini-batch.
 
     Control rows get a forward and a backward pass, prediction rows a cheap
@@ -262,11 +258,10 @@ def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing,
     m, pt = split.m, net.trunk_size
     ctrl, pred = split.control, split.prediction
     llh_c, loss_c, r_c, ctrl_true = _true_passes(net, ds, batch_idx[ctrl], loss_kind,
-                                                 smoothing, ledger)
+                                                 smoothing)
     llh_p, output = cheap_forward(net, ds.features[batch_idx[pred]])
     loss_p, r_p = loss_and_residual(output, ds.targets[batch_idx[pred]], loss_kind,
                                     smoothing)
-    ledger.charge(cheap_forward=split.m_p)
 
     llh = np.empty((m, net.config.last_hidden))
     llh[ctrl], llh[pred] = llh_c, llh_p
@@ -278,11 +273,8 @@ def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing,
     ctrl_pred = grads[ctrl]
     grads[ctrl] = ctrl_true
 
-    s_all = grads.sum(axis=0)
-    s_ct = ctrl_true.sum(axis=0)
-    s_cp = ctrl_pred.sum(axis=0)
-    f_eff = split.m_c / m
-    combined = s_all / m - ((1.0 - f_eff) / split.m_c) * (s_cp - s_ct)
+    combined = combine(grads.sum(axis=0), ctrl_true.sum(axis=0), ctrl_pred.sum(axis=0),
+                       split.m_c, m)
 
     stats = None
     if split.m_c >= 2:
@@ -297,13 +289,6 @@ def _eval_val(net, ds, loss_kind, smoothing) -> float:
     _, output = cheap_forward(net, ds.features[ds.val_idx])
     losses, _ = loss_and_residual(output, ds.targets[ds.val_idx], loss_kind, smoothing)
     return float(losses.mean())
-
-
-def _batch_cost(cm: CostModel, m: int, predicted: bool, f: float) -> float:
-    if not predicted:
-        return m * cm.vanilla_per_example
-    m_c = control_batch_size(m, f, warn=False)
-    return m_c * cm.vanilla_per_example + (m - m_c) * cm.cheap_forward
 
 
 class _MetricsWriter:
@@ -337,15 +322,16 @@ def _run_warmup(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str
     rng = substream(cfg.seed, "warmup")
     chosen = rng.choice(ds.train_idx, size=m, replace=False)
     net = state.net
-    llh, _, residuals, grads = _true_passes(net, ds, chosen, loss_kind, cfg.smoothing,
-                                            state.warmup_ledger)
+    llh, _, residuals, grads = _true_passes(net, ds, chosen, loss_kind, cfg.smoothing)
+    state.warmup_ledger.charge(forward=m, backward=m)
     state.buffer.add(FitRows.from_pass(llh, residuals, grads[:, :net.trunk_size],
                                        net.head_weight))
     return _fit(kind, state.buffer, cfg.refit)
 
 
 def _check_run(cfg: TrainConfig, ds: Dataset, predicted: bool):
-    """Validate a run's config against its data; returns (loss kind,
+    """Validate a run's config against its data, warning once when the
+    control fraction does not split a batch evenly; returns (loss kind,
     smallest usable batch)."""
     if len(ds.train_idx) == 0:
         raise DataError("dataset has no training examples")
@@ -361,14 +347,19 @@ def _check_run(cfg: TrainConfig, ds: Dataset, predicted: bool):
         raise ConfigError(
             f"batch_size {cfg.batch_size} too small for control fraction "
             f"{f} (need >= {min_batch})")
+    m_c = control_batch_size(cfg.batch_size, f)
+    if abs(f * cfg.batch_size - m_c) > 1e-9:
+        log.warning("control fraction f=%g gives fractional batch size %g; "
+                    "rounding to %d", f, f * cfg.batch_size, m_c)
     return loss_kind, min_batch
 
 
-def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
-                metrics_path=None) -> RunResult:
+def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str,
+                min_batch: int, metrics_path=None) -> RunResult:
+    """Run from ``state`` to the end of the run, with what ``_check_run``
+    returned for it."""
     predicted = state.predictor is not None
-    loss_kind, min_batch = _check_run(cfg, ds, predicted)
-    f = cfg.control_fraction
+    f, cm = cfg.control_fraction, cfg.cost_model
     theta = state.net.flat_params()
     records = []
     writer = _MetricsWriter(metrics_path)
@@ -394,7 +385,12 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
                 if cfg.max_steps is not None and state.step >= cfg.max_steps:
                     done = True
                     break
-                cost = _batch_cost(cfg.cost_model, len(batch_idx), predicted, f)
+                m_c = m = len(batch_idx)
+                if predicted:
+                    split = split_minibatch(
+                        m, f, substream(cfg.seed, f"split:{state.step}"))
+                    m_c = split.m_c
+                cost = m_c * cm.vanilla_per_example + (m - m_c) * cm.cheap_forward
                 if cfg.budget is not None and \
                         state.stepping.cost_units + cost > cfg.budget:
                     if state.step == 0:
@@ -404,20 +400,18 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState,
                     done = True
                     break
                 state.batch_in_epoch = bi
+                state.stepping.charge(forward=m_c, backward=m_c, cheap_forward=m - m_c)
 
                 if not predicted:
                     grad, batch_loss = _batch_true(
-                        state.net, ds, batch_idx, loss_kind, cfg.smoothing,
-                        state.stepping)
+                        state.net, ds, batch_idx, loss_kind, cfg.smoothing)
                     stats = None
                 else:
-                    split = split_minibatch(
-                        len(batch_idx), f, substream(cfg.seed, f"split:{state.step}"))
                     grad, batch_loss, stats, fit_rows = \
                         _batch_predicted(state.net, state.predictor, ds, batch_idx,
-                                         split, loss_kind, cfg.smoothing,
-                                         state.stepping)
-                    state.buffer.add(fit_rows)
+                                         split, loss_kind, cfg.smoothing)
+                    if not isinstance(state.predictor, PerfectPredictor):
+                        state.buffer.add(fit_rows)
                 if not (math.isfinite(batch_loss) and np.isfinite(grad).all()):
                     raise NumericError(
                         f"non-finite loss or gradient at step {state.step + 1}")
@@ -481,7 +475,8 @@ def _fresh_state(cfg: TrainConfig, net: Network) -> TrainState:
 def train_vanilla(cfg: TrainConfig, ds: Dataset, net: Network,
                   metrics_path=None) -> RunResult:
     """Full-gradient mini-batch training (the baseline loop)."""
-    return _train_loop(cfg, ds, _fresh_state(cfg, net), metrics_path)
+    return _train_loop(cfg, ds, _fresh_state(cfg, net), *_check_run(cfg, ds, False),
+                       metrics_path)
 
 
 def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, kind: str,
@@ -492,7 +487,7 @@ def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, kind: str,
     the first step.
     """
     state = _fresh_state(cfg, net)
-    loss_kind, _ = _check_run(cfg, ds, predicted=True)
+    loss_kind, min_batch = _check_run(cfg, ds, predicted=True)
     if not isinstance(kind, str) or kind not in PREDICTORS:
         raise ConfigError(f"not a predictor kind: {kind!r}")
     if kind == "scalar" and loss_kind != "squared_scalar":
@@ -501,7 +496,7 @@ def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, kind: str,
         state.predictor = PerfectPredictor()
     else:
         state.predictor = _run_warmup(cfg, ds, state, loss_kind, kind)
-    return _train_loop(cfg, ds, state, metrics_path)
+    return _train_loop(cfg, ds, state, loss_kind, min_batch, metrics_path)
 
 
 @dataclass
@@ -719,4 +714,5 @@ def resume_run(cfg: TrainConfig, ds: Dataset, checkpoint_path,
     """Continue a checkpointed run; produces the same records the original
     run would have produced from that point."""
     state = load_run_checkpoint(checkpoint_path, cfg)
-    return _train_loop(cfg, ds, state, metrics_path)
+    return _train_loop(cfg, ds, state, *_check_run(cfg, ds, state.predictor is not None),
+                       metrics_path)

@@ -1,6 +1,11 @@
+import csv
+import json
+import math
+
 import numpy as np
 import pytest
 
+from predgrad.analysis import CostModel, q_objective
 from predgrad.cli import main
 
 TRAIN = ["train", "--task", "regression", "--n", "400", "--input-dim", "6", "--hidden", "8",
@@ -73,3 +78,40 @@ def test_retired_warmup_key_exits_2(tmp_path, capsys):
     cfg.write_text("warmup = true\n")
     code, err = run(capsys, ["--config", str(cfg)] + TRAIN + ["--outdir", str(tmp_path)])
     assert code == 2 and "warmup" in err
+
+
+def test_compare_writes_the_report(tmp_path, capsys):
+    code, err = run(capsys, ["compare"] + TRAIN[1:] + ["--budget", "1000",
+                                                       "--outdir", str(tmp_path)])
+    assert code == 0, err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert set(report) == {
+        "control_fraction", "budget", "gamma_f", "vanilla_steps", "predicted_steps",
+        "vanilla_final_loss", "predicted_final_loss", "vanilla_final_val",
+        "predicted_final_val", "vanilla_cost_units", "predicted_cost_units",
+        "predicted_warmup_cost_units", "rho_hat_trunk_mean", "kappa_hat_mean",
+        "phi_hat_mean", "rho_star_measured", "break_even_verdict"}
+
+
+def test_analyze_writes_the_default_grid(tmp_path, capsys):
+    code, err = run(capsys, ["analyze", "--outdir", str(tmp_path)])
+    assert code == 0, err
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 20 * 21   # f in 0.05..1, rho in 0..1, kappa 1
+    for row in rows:
+        f, rho, kappa = (float(row[key]) for key in ("f", "rho", "kappa"))
+        assert float(row["Q"]) == q_objective(CostModel(), f, rho, kappa)
+
+
+@pytest.mark.parametrize("extra", [[], ["--kappa", "0"]])  # kappa 0: h does not vary
+def test_simulate_writes_a_finite_ratio(tmp_path, capsys, extra):
+    trials, dim = 2000, 8
+    code, err = run(capsys, ["simulate", "--trials", str(trials), "--dim", str(dim),
+                             "--outdir", str(tmp_path)] + extra)
+    assert code == 0, err
+    with open(tmp_path / "simulation.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    ratio = float(row["ratio"])
+    assert math.isfinite(ratio)
+    assert abs(ratio - 1.0) <= 6.0 * math.sqrt(2.0 / (dim * trials))

@@ -63,7 +63,7 @@ def test_alignment_stats_argument_errors():
         alignment_stats(np.ones(4), np.ones(4))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(rho=st.floats(-1.0, 1.0), kappa=st.floats(0.05, 3.0),
        f_min=st.floats(0.001, 0.5), cheap=st.floats(0.05, 2.95))
 def test_f_star_is_the_grid_minimum_of_q(rho, kappa, f_min, cheap):

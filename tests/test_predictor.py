@@ -203,7 +203,7 @@ def test_fit_structured_sample_and_rank_requirements():
         fit_structured(rows, r=50)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(capacity=st.integers(2, 20), sizes=st.lists(st.integers(1, 30), min_size=1, max_size=12))
 def test_fit_buffer_keeps_the_last_capacity_rows_in_order(capacity, sizes):
     buffer, added = FitBuffer(capacity), []

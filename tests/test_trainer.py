@@ -70,8 +70,46 @@ def test_checkpoint_round_trip(tmp_path, kind):
     assert state.stepping == res.stepping_ledger
     assert state.warmup_ledger == res.warmup_ledger
     assert len(state.buffer) == len(res.state.buffer)
+    if kind == "perfect":   # fits nothing, so it keeps no rows
+        assert len(state.buffer) == 0
+        return
     for a, b in zip(state.buffer.rows(), res.state.buffer.rows()):
         assert np.array_equal(a, b)
+
+
+def test_perfect_checkpoint_with_buffer_rows_resumes_bit_exactly(tmp_path):
+    # older versions kept a perfect run's control rows and saved them
+    ds, ncfg = regression()
+    long = TrainConfig(batch_size=32, max_steps=8, momentum=0.9, seed=1, eval_every=0)
+    short = replace(long, max_steps=4)
+    part = train_predicted(short, ds, init_network(ncfg), "perfect")
+    path = tmp_path / "run.npz"
+    save_run_checkpoint(path, part, short)
+    with np.load(path) as z:
+        arrays = dict(z)
+    assert not any(key in arrays for key in trainer.BUFFER_KEYS)
+    d, pt = part.network.config.last_hidden, part.network.trunk_size
+    rng = np.random.default_rng(0)
+    arrays.update(zip(trainer.BUFFER_KEYS,   # llh, residual, h, trunk gradient rows
+                      (rng.standard_normal((32, k)) for k in (d, 1, d, pt))))
+    np.savez(path, **arrays)
+    assert len(load_run_checkpoint(path, long).buffer) == 32
+
+    rest = resume_run(long, ds, path)
+    whole = train_predicted(long, ds, init_network(ncfg), "perfect")
+    assert rows(part.records) + rows(rest.records) == rows(whole.records)
+    assert np.array_equal(rest.network.flat_params(), whole.network.flat_params())
+
+
+def test_fractional_control_batch_warns_once_per_run(caplog):
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=30, control_fraction=0.25, max_steps=5, seed=1,
+                      eval_every=0)
+    with caplog.at_level(logging.WARNING):
+        res = train_predicted(cfg, ds, init_network(ncfg), "perfect")
+    assert res.steps == 5
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "fractional batch size 7.5" in warnings[0]
 
 
 @pytest.mark.parametrize("algo", ["vanilla", "structured"])
