@@ -16,13 +16,15 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 
 def solve_ridge(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """Solve min_X ||A X - B||_F^2 + lam ||X||_F^2 via the normal equations.
+    """Solve min_X ||A X - B||_F^2 + lam ||X||_F^2 through the smaller Gram matrix.
 
-    A is n x p, B is n x q; the result is p x q. Solved with a Cholesky
-    factorization of (A^T A + lam I). If the factorization fails with
-    lam > 0, a jitter of 1e-12 * trace(A^T A)/p is added once and the solve
-    retried; with lam == 0 a factorization failure means the system is
-    singular and SingularSystem is raised.
+    A is n x p, B is n x q; the result is p x q. With p <= n this solves
+    (A^T A + lam I) X = A^T B, else the kernel form X = A^T (A A^T + lam I)^-1 B.
+    A Cholesky factorization only checks that the k x k system is positive
+    definite; np.linalg.solve solves it. If the check fails with lam > 0, a
+    jitter of 1e-12 * trace(Gram)/k is added once and the check retried. With
+    lam == 0, a failed check or p > n means the minimiser is not unique, and
+    SingularSystem is raised.
     """
     a = _as_matrix(a, "A")
     b = _as_matrix(b, "B")
@@ -33,25 +35,28 @@ def solve_ridge(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     if lam < 0:
         raise DimensionError(f"ridge penalty must be nonnegative, got {lam}")
 
-    p = a.shape[1]
-    ata = a.T @ a
-    atb = a.T @ b
-    gram = ata + float(lam) * np.eye(p)
+    n, p = a.shape
+    wide = p > n
+    if wide and lam == 0:
+        raise SingularSystem(f"A has {p} columns, {n} rows and no ridge penalty")
+    gram = a @ a.T if wide else a.T @ a
+    rhs = b if wide else a.T @ b
+    k = len(gram)
+    system = gram + float(lam) * np.eye(k)
     try:
-        np.linalg.cholesky(gram)
+        np.linalg.cholesky(system)
     except np.linalg.LinAlgError:
         if lam == 0:
-            raise SingularSystem(
-                "A^T A is singular and no ridge penalty was given"
-            ) from None
+            raise SingularSystem("A^T A is singular and no ridge penalty was given") from None
         # conditioning rescue for tiny but nonzero penalties
-        jitter = 1e-12 * np.trace(ata) / p
-        gram = gram + jitter * np.eye(p)
+        jitter = 1e-12 * np.trace(gram) / k
+        system = system + jitter * np.eye(k)
         try:
-            np.linalg.cholesky(gram)
+            np.linalg.cholesky(system)
         except np.linalg.LinAlgError:
             raise SingularSystem("normal equations not positive definite") from None
-    return np.linalg.solve(gram, atb)
+    x = np.linalg.solve(system, rhs)
+    return a.T @ x if wide else x
 
 
 def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

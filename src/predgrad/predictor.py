@@ -14,7 +14,11 @@ gradient features:
 
 Both are fit by ridge least squares on ``FitRows`` (activation, residual and
 true trunk gradient arrays, one row per control example) that a ``FitBuffer``
-collects. A third, diagnostic predictor returns the exact backward gradient.
+collects. Over n rows the structured features h x [a; 1] have the Gram
+matrix (H H^T) o (A A^T), A the rows [a; 1]: the last-layer tangent kernel.
+With more features than rows, ``solve_ridge`` fits through this n x n matrix
+(kernel ridge). A third, diagnostic predictor returns the exact backward
+gradient.
 
 Every predictor has a ``kind`` name, ``predict_batch(net, xs, llh,
 residuals)`` returning one flat-layout predicted gradient per row in batch
@@ -71,14 +75,9 @@ class FitBuffer:
             self._size -= len(self._batches.pop(0).llh)
 
     def rows(self) -> FitRows:
-        """The held rows in one copy; the buffer must not be empty. ``trunk_grad``
-        is the transpose of a C-ordered (P_T, n) array, the memory order of the
-        structured fit's BLAS calls, whose results depend on it."""
+        """The held rows in one copy; the buffer must not be empty."""
         skip = self._size - len(self)
-        llh, residual, h, grads = zip(*self._batches)
-        trunk_t = np.empty((grads[0].shape[1], len(self)))
-        np.concatenate([grads[0][skip:].T, *(g.T for g in grads[1:])], axis=1, out=trunk_t)
-        return FitRows(*(np.concatenate(a)[skip:] for a in (llh, residual, h)), trunk_t.T)
+        return FitRows(*(np.concatenate(a)[skip:] for a in zip(*self._batches)))
 
 
 @dataclass(frozen=True)
@@ -196,18 +195,14 @@ def _default_lambda(features: np.ndarray) -> float:
 def _usable(rows: FitRows) -> FitRows:
     """The rows whose residual exceeds RESIDUAL_FLOOR, of which a fit needs at
     least D+1; both sides of the fit share the residual factor, so the other
-    rows carry no signal. All usable: ``rows`` itself; a gather keeps the
-    memory order of ``trunk_grad``."""
+    rows carry no signal."""
     keep = np.max(np.abs(rows.residual), axis=1) > RESIDUAL_FLOOR
     n, d = int(keep.sum()), rows.llh.shape[1]
     if n == 0:
         raise InsufficientData("no samples with non-negligible residual")
     if n < d + 1:
         raise InsufficientData(f"fit needs at least D+1 = {d + 1} usable samples, got {n}")
-    if keep.all():
-        return rows
-    return FitRows(rows.llh[keep], rows.residual[keep], rows.h[keep],
-                   np.compress(keep, rows.trunk_grad.T, axis=1).T)
+    return FitRows(*(a[keep] for a in rows))
 
 
 def fit_scalar(rows: FitRows, lam: float | None = None) -> ScalarPredictor:

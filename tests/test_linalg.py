@@ -27,12 +27,16 @@ def test_solve_ridge_recovers_planted_solution():
 
 def test_solve_ridge_satisfies_normal_equations():
     rng = substream(1, "ridge")
-    for lam in (0.0, 1e-3, 1.0):
-        a = rng.standard_normal((15, 4))
-        b = rng.standard_normal((15, 2))
+    # tall shapes solve through A^T A, wide ones (p > n) through A A^T
+    cases = [((15, 4), lam) for lam in (0.0, 1e-3, 1.0)]
+    cases += [((6, 40), 1e-3), ((6, 40), 1.0), ((1, 3), 0.5), ((20, 21), 1e-2)]
+    for (n, p), lam in cases:
+        a = rng.standard_normal((n, p))
+        b = rng.standard_normal((n, 2))
         x = solve_ridge(a, b, lam)
+        assert x.shape == (p, 2)
         atb = a.T @ b
-        resid = (a.T @ a + lam * np.eye(4)) @ x - atb
+        resid = (a.T @ a + lam * np.eye(p)) @ x - atb
         assert np.linalg.norm(resid) <= 1e-8 * (1.0 + np.linalg.norm(atb))
 
 
@@ -40,6 +44,9 @@ def test_solve_ridge_singular_without_penalty():
     a = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # duplicated column
     with pytest.raises(SingularSystem):
         solve_ridge(a, np.ones((3, 1)), 0.0)
+    # more columns than rows: A A^T = I is regular, but the minimiser is not unique
+    with pytest.raises(SingularSystem):
+        solve_ridge(np.eye(2, 3), np.ones((2, 1)), 0.0)
 
 
 def test_solve_ridge_dimension_mismatch():

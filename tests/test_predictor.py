@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from predgrad import predictor
 from predgrad.errors import DimensionError, InsufficientData
 from predgrad.network import NetworkConfig, backward, forward, init_network, loss_and_residual
 from predgrad.predictor import (FitBuffer, FitRows, RefitPolicy, ScalarPredictor,
@@ -117,6 +120,44 @@ def test_structured_predictor_recovers_planted_model():
         assert cosine(est[:len(trunk_grad)], trunk_grad) >= 0.99
 
 
+def primal_ridge(a, b, lam):
+    """The normal-equation ridge solve (A^T A + lam I) X = A^T B, whatever A's shape."""
+    return np.linalg.solve(a.T @ a + lam * np.eye(a.shape[1]), a.T @ b)
+
+
+def test_structured_kernel_form_fit_predicts_like_the_primal_fit(monkeypatch):
+    # D(D+1) = 72 bilinear features on 40 rows: the fit solves through the
+    # 40 x 40 kernel; the 72 x 72 primal solve is the reference
+    rng = substream(26, "kernel")
+    rows, head_w = planted_structured(rng, 60, d=8)
+    fit_rows = FitRows(*(a[:40] for a in rows))
+    dual = fit_structured(fit_rows)
+    monkeypatch.setattr(predictor, "solve_ridge", primal_ridge)
+    primal = fit_structured(fit_rows)
+    assert dual.ridge_lambda == primal.ridge_lambda > 0
+    assert dual.rank == primal.rank == 2
+    llh, residual, _, trunk_grad = (a[40:] for a in rows)
+    est = predict_structured(dual, llh, residual, head_w)[:, :trunk_grad.shape[1]]
+    ref = predict_structured(primal, llh, residual, head_w)[:, :trunk_grad.shape[1]]
+    assert np.linalg.norm(est - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def test_structured_fit_memory_stays_within_the_kernel_size():
+    # 80 rows of D = 64: the primal system would be 4160 x 4160 (138 MB)
+    rng = substream(34, "fit-memory")
+    head_w = rng.standard_normal((3, 64))
+    rows = FitRows.from_pass(rng.standard_normal((80, 64)), rng.standard_normal((80, 3)),
+                             rng.standard_normal((80, 200)), head_w)
+    tracemalloc.start()
+    try:
+        pred = fit_structured(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pred.maps.shape[1:] == (64, 65)
+    assert peak < 32e6
+
+
 def test_structured_rank_one_parallel_gradients():
     rng = substream(27, "rank1")
     direction = rng.standard_normal(20)
@@ -221,8 +262,6 @@ def test_fit_buffer_keeps_the_last_capacity_rows_in_order(capacity, sizes):
         assert np.array_equal(rows.residual[:, 0], 2 * last)
         assert np.array_equal(rows.h[:, 0], 3 * last)
         assert np.array_equal(rows.trunk_grad, np.repeat(last[:, None], 5, axis=1))
-        # the structured fit's BLAS calls read the trunk gradients in (P_T, n) order
-        assert rows.trunk_grad.T.flags.c_contiguous
 
 
 def test_should_refit_schedule():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from predgrad import trainer
+from predgrad import predictor, trainer
 from predgrad.data import gen_blobs, gen_regression
 from predgrad.errors import ConfigError, InsufficientData, NumericError
 from predgrad.network import NetworkConfig, init_network
@@ -284,7 +284,7 @@ def test_skipped_refit_logs_a_warning_and_keeps_the_predictor(monkeypatch, caplo
         assert f"step {step}" in msg and "too few usable samples" in msg
 
 
-def test_format_1_checkpoint_resumes():
+def test_format_1_checkpoint_resumes(monkeypatch):
     # written by an earlier version, whose config carried a warmup option:
     # structured predictor, hidden (8,), refits every 3 steps, 5 steps done
     ds, ncfg = regression()
@@ -300,7 +300,20 @@ def test_format_1_checkpoint_resumes():
     assert rest.steps == 9
     assert all(math.isfinite(r.loss) for r in rest.records)
     assert [r.refit for r in rest.records] == [1, 0, 0, 1]   # steps 6 and 9
-    # the uninterrupted run agrees; exact bits may differ between BLAS builds
+    # the uninterrupted run agrees; exact bits may differ between BLAS builds.
+    # The fixture's predictor and buffer come from fits through the 72 x 72
+    # primal system, so the uninterrupted run solves its first two fits
+    # (warmup and step 3) that way too, and the kernel form after them
+    solve, lams = predictor.solve_ridge, []
+
+    def first_two_primal(a, b, lam):
+        lams.append(lam)
+        if len(lams) > 2:
+            return solve(a, b, lam)
+        return np.linalg.solve(a.T @ a + lam * np.eye(a.shape[1]), a.T @ b)
+
+    monkeypatch.setattr(predictor, "solve_ridge", first_two_primal)
     whole = train_predicted(cfg, ds, init_network(ncfg), "structured")
+    assert len(lams) == 4
     assert np.allclose(rest.network.flat_params(), whole.network.flat_params(),
                        rtol=1e-9, atol=1e-12)
