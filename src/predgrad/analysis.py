@@ -180,10 +180,11 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
     variance sigma_h^2 - tau^2 / sigma_g^2, where u = su z and w = sw z' for
     standard normal z, z'. ``combine`` needs only the sums of g and h over
     the control block (m_c examples) and of h over the prediction block
-    (m_p), so each trial draws the four sums of z and z' directly: the sum
+    (m_p): it takes the sum of h over both blocks and the two control sums.
+    So each trial draws the four block sums of z and z' directly: the sum
     of k draws of N(0, I) is N(0, k I). With g = mu + u and h = mu_h + v,
     the means enter G - mu, ``combine`` being linear, as one bias vector
-    combine(block sums of the means) - mu, which is zero up to rounding.
+    combine(m mu_h, m_c mu, m_c mu_h) - mu, which is zero up to rounding.
     Returned are ||mean(G) - mu||, the empirical E||G - mu||^2, and the
     closed-form prediction. mu and mu_h (scalar or length-dim vectors)
     default to zero; the estimator is unbiased for mu regardless of mu_h.
@@ -209,8 +210,7 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
         np.asarray(mu, dtype=np.float64), (dim,)).copy()
     mu_h_vec = np.zeros(dim) if mu_h is None else np.broadcast_to(
         np.asarray(mu_h, dtype=np.float64), (dim,)).copy()
-    bias = combine(m_c * mu_vec + m_p * mu_h_vec, m_c * mu_vec, m_c * mu_h_vec,
-                   m_c, m) - mu_vec
+    bias = combine(m * mu_h_vec, m_c * mu_vec, m_c * mu_h_vec, m_c, m) - mu_vec
 
     su = sigma_g / np.sqrt(dim)
     coef = tau / sigma_g ** 2
@@ -230,7 +230,7 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
         g_c = su_c * zg_c
         h_c = coef * g_c + sw_c * zw_c
         h_p = coef * su_p * zg_p + sw_p * zw_p
-        err = combine(g_c + h_p, g_c, h_c, m_c, m) + bias
+        err = combine(h_c + h_p, g_c, h_c, m_c, m) + bias
         sum_err += err.sum(axis=0)
         sum_sq += float(np.einsum("ij,ij->", err, err))
         done += n

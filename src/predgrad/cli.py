@@ -276,7 +276,8 @@ def cmd_train(args) -> int:
     ckpt_path = os.path.join(args.outdir, "checkpoint.npz")
 
     if args.resume is not None:
-        result = resume_run(cfg, ds, args.resume, metrics_path)
+        kind = "none" if args.algo == "vanilla" else args.predictor
+        result = resume_run(cfg, ds, args.resume, metrics_path, kind)
     else:
         from .network import init_network
         net = init_network(_net_config(args, ds))

@@ -18,17 +18,12 @@ from .errors import ControlBatchEmpty, DimensionError, DomainError, Insufficient
 @dataclass(frozen=True)
 class BatchSplit:
     control: np.ndarray      # positions within the mini-batch, size m_c
-    prediction: np.ndarray   # remaining positions, size m_p
     f: float                 # requested control fraction
-    m: int
+    m: int                   # the other m - m_c positions are prediction rows
 
     @property
     def m_c(self) -> int:
         return len(self.control)
-
-    @property
-    def m_p(self) -> int:
-        return len(self.prediction)
 
     @property
     def f_effective(self) -> float:
@@ -61,31 +56,29 @@ def control_batch_size(m: int, f: float) -> int:
 
 
 def split_minibatch(m: int, f: float, rng: np.random.Generator) -> BatchSplit:
-    """Uniformly random disjoint split of 0..m-1 into control and prediction
-    micro-batches with m_c = round(f*m). With f = 1 the prediction side is
-    empty."""
+    """Uniformly random split of 0..m-1 into control and prediction
+    micro-batches with m_c = round(f*m), given by the sorted control
+    positions. With f = 1 the prediction side is empty."""
     m_c = control_batch_size(m, f)
     perm = rng.permutation(m)
-    return BatchSplit(control=np.sort(perm[:m_c]), prediction=np.sort(perm[m_c:]),
-                      f=float(f), m=int(m))
+    return BatchSplit(control=np.sort(perm[:m_c]), f=float(f), m=int(m))
 
 
-def combine(s_mixed, s_ctrl_true, s_ctrl_pred, m_c: int, m: int):
+def combine(s_pred, s_ctrl_true, s_ctrl_pred, m_c: int, m: int):
     """The debiased mini-batch gradient from three row sums over a split
-    batch of m rows, m_c of them control rows: ``s_mixed`` sums the true
-    gradients of the control rows and the predicted ones of the rest,
-    ``s_ctrl_true`` and ``s_ctrl_pred`` the true and predicted gradients of
-    the control rows. With f = m_c / m and g_c, h_c, h_p the block means of
-    the true control, predicted control and predicted prediction rows,
+    batch of m rows, m_c of them control rows: ``s_pred`` sums the predicted
+    gradients of all m rows, ``s_ctrl_true`` and ``s_ctrl_pred`` the true and
+    predicted gradients of the control rows. With h the batch mean of the
+    predictions and g_c, h_c, h_p the block means of the true control,
+    predicted control and predicted prediction rows, f = m_c / m,
 
-        G = g_c + (1 - f) (h_p - h_c),
+        G = h + (g_c - h_c) = g_c + (1 - f) (h_p - h_c):
 
-    which is unbiased for the mean gradient whatever the predictions. This
-    sum-space form cancels the control correction to the bit when the
-    predictions equal the true gradients, so G is then the plain batch mean.
-    It is linear in the three sums.
+    the mean prediction plus its mean error on the control rows, unbiased
+    for the mean gradient whatever the predictions. Equal control sums make
+    the correction exactly zero and G = s_pred / m to the bit.
     """
-    return s_mixed / m - ((1.0 - m_c / m) / m_c) * (s_ctrl_pred - s_ctrl_true)
+    return s_pred / m + (s_ctrl_true - s_ctrl_pred) / m_c
 
 
 def alignment_stats(gs, hs) -> AlignmentStats:

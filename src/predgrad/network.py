@@ -11,13 +11,10 @@ float64 vector. Three pass procedures are provided:
 
 The passes and ``loss_and_residual`` are rank-polymorphic: they take one
 example, or a batch of them along a leading axis, and a single example
-comes back without that axis. Every matrix-vector product is evaluated as
-one BLAS gemv per row, ``(a[..., None, :] @ W.T)[..., 0, :]``, never as one
-matrix-matrix product over the batch: a gemm's result for a row can change
-in the last bits with the other rows in the batch, while a gemv per row
-gives each row exactly the single-example result. The trainer's
-perfect-predictor invariant rests on this, since it runs ``backward`` on a
-subset of a batch in one loop and on the whole batch in the other.
+comes back without that axis. A batch goes through each layer as one
+matrix product, so a row's last bits may depend on the other rows of its
+call. The same call on the same rows gives the same bits (at a fixed BLAS
+thread count), and ``cheap_forward`` gives exactly those of ``forward``.
 
 Flat parameter layout (used by checkpoints, by gradients and by the
 trainer's flattened updates): for each trunk layer in order, the weight
@@ -179,16 +176,6 @@ def _act_deriv(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     return np.ones_like(z)
 
 
-def matvec(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``w @ a`` for each row of ``a``, as one gemv per row."""
-    return (a[..., None, :] @ w.T)[..., 0, :]
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise dot product, as one BLAS dot per row."""
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
 def gradient_rows(trunk_grad: np.ndarray, llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """Flat-layout gradient rows from trunk gradient rows and the exact head
     gradient residual x [llh; 1]."""
@@ -208,11 +195,11 @@ def forward(net: Network, x: np.ndarray):
     pre, act = [], []
     a = x
     for w, b in net.trunk_layers():
-        z = matvec(w, a) + b
+        z = a @ w.T + b
         a = _act(z, kind)
         pre.append(z)
         act.append(a)
-    output = matvec(net.head_weight, a) + net.head_bias
+    output = a @ net.head_weight.T + net.head_bias
     return a, output, ForwardCache(net.version, x, pre, act)
 
 
@@ -244,7 +231,7 @@ def loss_and_residual(output: np.ndarray, y, kind: str, smoothing: float = 0.0):
             raise DimensionError(
                 f"target shape {yv.shape} does not match output shape {output.shape}")
         r = output - yv
-        return 0.5 * _dot(r, r), r
+        return 0.5 * np.einsum("...i,...i->...", r, r), r
     if kind == "cross_entropy":
         if not 0.0 <= smoothing < 1.0:
             raise ConfigError(f"label smoothing must be in [0,1), got {smoothing}")
@@ -261,7 +248,7 @@ def loss_and_residual(output: np.ndarray, y, kind: str, smoothing: float = 0.0):
         p = np.exp(logp)
         target = np.where(labels[..., None] == np.arange(c),
                           smoothing / c + (1.0 - smoothing), smoothing / c)
-        return -_dot(target, logp), p - target
+        return -np.einsum("...i,...i->...", target, logp), p - target
     raise ConfigError(f"unknown loss kind {kind!r}")
 
 
@@ -286,7 +273,7 @@ def backward(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndar
     lead = residual.shape[:-1]
     trunk = np.empty(lead + (net.trunk_size,))
     end = net.trunk_size
-    delta = matvec(net.head_weight.T, residual)
+    delta = residual @ net.head_weight
     layers = net.trunk_layers()
     for k in range(len(layers) - 1, -1, -1):
         w, _ = layers[k]
@@ -298,6 +285,6 @@ def backward(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndar
             (dz[..., :, None] * a_prev[..., None, :]).reshape(lead + (out_w * in_w,))
         trunk[..., end - out_w:end] = dz
         end = start
-        delta = matvec(w.T, dz)
+        delta = dz @ w
     return gradient_rows(trunk, llh, residual)
 

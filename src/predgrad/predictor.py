@@ -25,9 +25,9 @@ residuals)`` returning one flat-layout predicted gradient per row in batch
 order, and ``to_arrays()`` / ``from_arrays()`` for run checkpoints.
 ``PREDICTORS`` maps each kind to its class. ``predict_scalar`` and
 ``predict_structured`` take rows of activations and residuals, or a single
-example, and are each called once per batch. Their products run one gemv
-per row, like the network's passes, so a row's prediction does not depend
-on the other rows of its batch.
+example, and are each called once per batch as plain matrix products.
+``predict_structured`` applies its maps to the same bilinear features
+``fit_structured`` regressed on.
 """
 
 from dataclasses import dataclass
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, InsufficientData
 from .linalg import solve_ridge, truncated_svd
-from .network import backward, forward, gradient_rows, matvec
+from .network import backward, forward, gradient_rows
 
 RESIDUAL_FLOOR = 1e-8   # rows with smaller residuals carry no fit signal
 ENERGY_TARGET = 0.99    # default rank rule: 99% of squared singular mass
@@ -52,7 +52,7 @@ class FitRows(NamedTuple):
 
     @classmethod
     def from_pass(cls, llh, residual, trunk_grad, head_weight) -> "FitRows":
-        return cls(llh, residual, matvec(head_weight.T, residual), trunk_grad)
+        return cls(llh, residual, residual @ head_weight, trunk_grad)
 
 
 class FitBuffer:
@@ -188,6 +188,11 @@ def _augment(llh: np.ndarray) -> np.ndarray:
     return np.concatenate([llh, np.ones(llh.shape[:-1] + (1,))], axis=-1)
 
 
+def _bilinear(h: np.ndarray, llh: np.ndarray) -> np.ndarray:
+    """The structured predictor's features h x [llh; 1], flattened per row."""
+    return (h[..., :, None] * _augment(llh)[..., None, :]).reshape(h.shape[:-1] + (-1,))
+
+
 def _default_lambda(features: np.ndarray) -> float:
     return 1e-6 * float(np.mean(np.einsum("ij,ij->i", features, features)))
 
@@ -233,7 +238,7 @@ def predict_scalar(p: ScalarPredictor, llh, residual) -> np.ndarray:
         raise DimensionError(
             f"activation dim {llh.shape[-1]} does not match predictor "
             f"({p.coef.shape[1] - 1})")
-    trunk = matvec(p.coef, _augment(llh) * residual)
+    trunk = (_augment(llh) * residual) @ p.coef.T
     return gradient_rows(trunk, llh, residual)
 
 
@@ -259,7 +264,7 @@ def fit_structured(rows: FitRows, r: int | None = None,
     basis = u[:, :r]
     coef_targets = rows.trunk_grad @ basis  # (n, r), row i = U^T g_i
 
-    feats = (rows.h[:, :, None] * _augment(rows.llh)[:, None, :]).reshape(n, -1)
+    feats = _bilinear(rows.h, rows.llh)
     if lam is None:
         lam = _default_lambda(feats)
         if lam <= 0:
@@ -288,6 +293,5 @@ def predict_structured(p: StructuredPredictor, llh, residual,
     if p.maps.shape[1:] != (d, d + 1):
         raise DimensionError(
             f"predictor was fit for activation dim {p.maps.shape[1]}, got {d}")
-    h = matvec(head_weight.T, residual)
-    coeffs = np.einsum("...i,rij,...j->...r", h, p.maps, _augment(llh))
-    return gradient_rows(matvec(p.basis, coeffs), llh, residual)
+    coeffs = _bilinear(residual @ head_weight, llh) @ p.maps.reshape(len(p.maps), -1).T
+    return gradient_rows(coeffs @ p.basis.T, llh, residual)

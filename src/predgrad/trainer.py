@@ -1,20 +1,19 @@
 """Training loops: vanilla gradient descent and predicted gradient descent.
 
-Both loops draw their epoch shuffles from the same named substream, so runs
-with equal seeds see identical batch schedules regardless of algorithm. The
-predicted loop splits each mini-batch with a per-step substream, computes
-true and predicted gradients on the control micro-batch and predicted
-gradients (from a cheap activations-only pass) on the rest, and combines
-them with the control-variate correction, ``predgrad.estimator.combine``.
-Each pass is one call on all the rows it covers: forward and backward on the
-control rows, the cheap forward on the prediction rows, and one
-``predict_batch`` on the whole batch. The results are scattered into batch
-order before they are reduced. Per-example gradients are scattered into an
-(m, params) array in batch order and reduced identically in both loops. The
-passes give each row the same bits whichever other rows share its call (see
-``predgrad.network``), and ``combine`` cancels the control correction to the
-bit when predictions equal true gradients, so a perfect predictor
-reproduces the vanilla trajectory bit for bit.
+Both loops draw their epoch shuffles from the same named substream and drop
+the same short final batch, so runs with equal seeds see identical batch
+schedules regardless of algorithm. The predicted loop splits each
+mini-batch with a per-step substream and combines, with the control-variate
+correction ``predgrad.estimator.combine``, the predictions for every row
+with the true and predicted gradients of the control rows. Each of its
+four calls covers its rows at once: a cheap forward on the whole batch for
+the activations, residuals and losses; forward and backward on the control
+rows; ``predict_batch`` on the control rows; and ``predict_batch`` on the
+whole batch, of which only the row sum is kept. For a perfect predictor
+the whole-batch prediction is vanilla's own forward and backward on the
+same rows, and the control prediction the same call on the same rows as
+the true control gradients, so the correction is exactly zero and the
+trajectory is vanilla's bit for bit.
 
 The predictor is one of the objects of ``predgrad.predictor``.
 
@@ -28,11 +27,13 @@ usable rows keeps the old predictor and warns, naming the step.
 
 Cost accounting charges what the algorithm structure prescribes (forward +
 backward per control example, cheap forward per prediction example),
-independent of how a predictor is implemented internally: each step's
-split is drawn before the budget check, and that check and the step's one
-charge read the same m_c and m_p. The warmup sample is charged to a
-separate warmup ledger; the budget governs stepping cost only, mirroring a
-cost model that counts per-iteration passes.
+independent of how a predictor is implemented internally. It does not
+count the control rows' cheap forward or their second prediction, both
+real work of the four calls above. Each step's split is drawn before the
+budget check, and that check and the step's one charge read the same m_c
+and m_p. The warmup sample is charged to a separate warmup ledger; the
+budget governs stepping cost only, mirroring a cost model that counts
+per-iteration passes.
 """
 
 import contextlib
@@ -250,37 +251,25 @@ def _batch_true(net, ds, batch_idx, loss_kind, smoothing):
 def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing):
     """Debiased combined gradient over one split mini-batch.
 
-    Control rows get a forward and a backward pass, prediction rows a cheap
-    forward; one ``predict_batch`` call then predicts every row. Returns
-    (G, batch loss, trunk alignment stats, the control rows' fit rows); the
-    stats are None when the control micro-batch has fewer than 2 examples.
+    Returns (G, batch loss, trunk alignment stats, the control rows' fit
+    rows); the stats are None when the control micro-batch has fewer than 2
+    examples.
     """
-    m, pt = split.m, net.trunk_size
-    ctrl, pred = split.control, split.prediction
-    llh_c, loss_c, r_c, ctrl_true = _true_passes(net, ds, batch_idx[ctrl], loss_kind,
-                                                 smoothing)
-    llh_p, output = cheap_forward(net, ds.features[batch_idx[pred]])
-    loss_p, r_p = loss_and_residual(output, ds.targets[batch_idx[pred]], loss_kind,
-                                    smoothing)
-
-    llh = np.empty((m, net.config.last_hidden))
-    llh[ctrl], llh[pred] = llh_c, llh_p
-    residuals = np.empty((m, net.config.output_dim))
-    residuals[ctrl], residuals[pred] = r_c, r_p
-    losses = np.empty(m)
-    losses[ctrl], losses[pred] = loss_c, loss_p
-    grads = predictor.predict_batch(net, ds.features[batch_idx], llh, residuals)
-    ctrl_pred = grads[ctrl]
-    grads[ctrl] = ctrl_true
-
-    combined = combine(grads.sum(axis=0), ctrl_true.sum(axis=0), ctrl_pred.sum(axis=0),
-                       split.m_c, m)
+    pt, ctrl = net.trunk_size, split.control
+    xs = ds.features[batch_idx]
+    llh, output = cheap_forward(net, xs)
+    losses, residuals = loss_and_residual(output, ds.targets[batch_idx], loss_kind, smoothing)
+    llh_c, _, r_c, ctrl_true = _true_passes(net, ds, batch_idx[ctrl], loss_kind, smoothing)
+    ctrl_pred = predictor.predict_batch(net, xs[ctrl], llh_c, r_c)
+    s_pred = predictor.predict_batch(net, xs, llh, residuals).sum(axis=0)
+    combined = combine(s_pred, ctrl_true.sum(axis=0), ctrl_pred.sum(axis=0),
+                       split.m_c, split.m)
 
     stats = None
     if split.m_c >= 2:
         stats = alignment_stats(ctrl_true[:, :pt], ctrl_pred[:, :pt])
     fit_rows = FitRows.from_pass(llh_c, r_c, ctrl_true[:, :pt], net.head_weight)
-    return combined, float(losses.sum() / m), stats, fit_rows
+    return combined, float(losses.sum() / split.m), stats, fit_rows
 
 
 def _eval_val(net, ds, loss_kind, smoothing) -> float:
@@ -332,17 +321,17 @@ def _run_warmup(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str
 def _check_run(cfg: TrainConfig, ds: Dataset, predicted: bool):
     """Validate a run's config against its data, warning once when the
     control fraction does not split a batch evenly; returns (loss kind,
-    smallest usable batch)."""
+    smallest usable batch, the same for both loops)."""
     if len(ds.train_idx) == 0:
         raise DataError("dataset has no training examples")
     loss_kind = _resolve_loss_kind(cfg, ds)
-    if not predicted:
-        return loss_kind, 2
     f = cfg.control_fraction
+    min_batch = max(2, math.ceil(1.0 / f))
+    if not predicted:
+        return loss_kind, min_batch
     if not 0.0 < f < 1.0:
         raise ConfigError(
             f"predicted training needs 0 < control_fraction < 1, got {f}")
-    min_batch = max(2, math.ceil(1.0 / f))
     if cfg.batch_size < min_batch:
         raise ConfigError(
             f"batch_size {cfg.batch_size} too small for control fraction "
@@ -373,7 +362,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str
             order = ds.train_idx[perm]
             batches = [order[s:s + cfg.batch_size]
                        for s in range(0, n_train, cfg.batch_size)]
-            if len(batches) > 1 and len(batches[-1]) < max(min_batch, 1) \
+            if len(batches) > 1 and len(batches[-1]) < min_batch \
                     and len(batches[-1]) < cfg.batch_size:
                 batches = batches[:-1]
             elif len(batches) == 1 and len(batches[0]) < min_batch and predicted:
@@ -710,9 +699,13 @@ def load_run_checkpoint(path, cfg: TrainConfig) -> TrainState:
 
 
 def resume_run(cfg: TrainConfig, ds: Dataset, checkpoint_path,
-               metrics_path=None) -> RunResult:
+               metrics_path=None, kind: str | None = None) -> RunResult:
     """Continue a checkpointed run; produces the same records the original
-    run would have produced from that point."""
+    run would have produced from that point. A given predictor ``kind``,
+    "none" for vanilla, must be the checkpoint's."""
     state = load_run_checkpoint(checkpoint_path, cfg)
+    held = "none" if state.predictor is None else state.predictor.kind
+    if kind not in (None, held):
+        raise ConfigError(f"checkpoint holds predictor kind {held!r}, not {kind!r}")
     return _train_loop(cfg, ds, state, *_check_run(cfg, ds, state.predictor is not None),
                        metrics_path)

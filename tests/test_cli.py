@@ -115,3 +115,24 @@ def test_simulate_writes_a_finite_ratio(tmp_path, capsys, extra):
     ratio = float(row["ratio"])
     assert math.isfinite(ratio)
     assert abs(ratio - 1.0) <= 6.0 * math.sqrt(2.0 / (dim * trials))
+
+
+@pytest.mark.parametrize("first, then, code", [
+    (["--algo", "vanilla"], ["--algo", "predicted", "--predictor", "scalar"], 2),
+    (["--algo", "predicted", "--predictor", "structured"],
+     ["--algo", "predicted", "--predictor", "scalar"], 2),
+    (["--algo", "predicted", "--predictor", "scalar"],
+     ["--algo", "predicted", "--predictor", "scalar"], 0),
+], ids=["vanilla-to-scalar", "structured-to-scalar", "scalar-to-scalar"])
+def test_resume_checks_the_requested_algorithm(tmp_path, capsys, first, then, code):
+    first_dir, second_dir = tmp_path / "first", tmp_path / "second"
+    got, err = run(capsys, TRAIN + first + ["--max-steps", "2", "--outdir", str(first_dir)])
+    assert got == 0, err
+    got, err = run(capsys, TRAIN + then + [
+        "--max-steps", "4", "--resume", str(first_dir / "checkpoint.npz"),
+        "--outdir", str(second_dir)])
+    assert got == code, err
+    if code:
+        assert error_type(err) == "ConfigError"
+        held = "none" if "vanilla" in first else first[-1]
+        assert repr(held) in err and repr(then[-1]) in err

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from predgrad.analysis import CostModel, f_star, q_objective
 from predgrad.errors import DimensionError, InsufficientData
-from predgrad.estimator import alignment_stats
+from predgrad.estimator import alignment_stats, combine
 from predgrad.rng import substream
 
 
@@ -61,6 +61,28 @@ def test_alignment_stats_argument_errors():
         alignment_stats(np.ones((4, 3)), np.ones((4, 2)))
     with pytest.raises(DimensionError):
         alignment_stats(np.ones(4), np.ones(4))
+
+
+def test_combine_of_equal_control_sums_is_the_mean_prediction_to_the_bit():
+    rng = substream(53, "combine-equal")
+    for m, m_c in ((2, 1), (16, 4), (30, 8), (128, 32)):
+        s_pred, t = rng.standard_normal((2, 50)) * 10.0 ** rng.integers(-3, 4, size=(2, 50))
+        assert np.array_equal(combine(s_pred, t, t, m_c, m), s_pred / m)
+
+
+def test_combine_is_the_split_form_of_the_estimator():
+    # G = g_c + (1 - f)(h_p - h_c), with f = m_c / m and block means
+    rng = substream(54, "combine-split")
+    for _ in range(200):
+        m = int(rng.integers(2, 300))
+        m_c = int(rng.integers(1, m))
+        m_p, f = m - m_c, m_c / m
+        g_c, h_c, h_p = rng.standard_normal((3, 20)) * 10.0 ** rng.integers(-3, 4)
+        g_c += rng.standard_normal()
+        expected = g_c / m_c + (1 - f) * (h_p / m_p - h_c / m_c)
+        scale = np.max(np.abs([g_c / m_c, h_c / m_c, h_p / m_p]))
+        got = combine(h_c + h_p, g_c, h_c, m_c, m)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
 @settings(max_examples=300)

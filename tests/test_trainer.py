@@ -33,10 +33,19 @@ def rows(records):
     return [r.csv_row() for r in records]
 
 
-@pytest.mark.parametrize("make_data", [regression, blobs])
-def test_perfect_predictor_reproduces_vanilla(make_data):
+@pytest.mark.parametrize("make_data, batch_size, f", [
+    pytest.param(regression, 16, 0.25, id="regression"),
+    pytest.param(blobs, 16, 0.25, id="blobs"),
+    # 240 training rows end each epoch on a batch of 2, which f 0.3 cannot split
+    pytest.param(lambda: regression(n=300), 17, 0.3, id="regression-short-final-batch"),
+    # widths and a batch at which a row's bits depend on the rows sharing its product
+    pytest.param(lambda: regression(hidden=(12, 31)), 30, 0.25, id="regression-12-31"),
+    pytest.param(lambda: blobs(hidden=(64, 64)), 30, 0.25, id="blobs-64-64"),
+])
+def test_perfect_predictor_reproduces_vanilla(make_data, batch_size, f):
     ds, ncfg = make_data()
-    cfg = TrainConfig(batch_size=16, epochs=2, momentum=0.5, seed=3, eval_every=2)
+    cfg = TrainConfig(batch_size=batch_size, control_fraction=f, epochs=2, momentum=0.5,
+                      seed=3, eval_every=2)
     van = train_vanilla(cfg, ds, init_network(ncfg))
     per = train_predicted(cfg, ds, init_network(ncfg), "perfect")
     assert per.steps == van.steps > 0
