@@ -8,8 +8,8 @@ from .analysis import (BoundInputs, CostModel, break_even_satisfied, f_star,
                        sc_bound, simulate_estimator, sweep)
 from .estimator import (AlignmentStats, BatchSplit, alignment_stats, combine,
                         split_minibatch, v2_exact, variance_inflation)
-from .network import (Network, NetworkConfig, backward, cheap_forward, forward,
-                      init_network, loss_and_residual)
+from .network import (Network, NetworkConfig, backward, backward_sum, cheap_forward,
+                      forward, init_network, loss_and_residual)
 from .predictor import (PerfectPredictor, RefitPolicy, ScalarPredictor,
                         StructuredPredictor, fit_scalar, fit_structured,
                         predict_scalar, predict_structured, should_refit)
@@ -21,7 +21,7 @@ __all__ = [
     "AlignmentStats", "BatchSplit", "BoundInputs", "BudgetLedger", "CostModel",
     "Network", "NetworkConfig", "PerfectPredictor", "RefitPolicy", "RunResult",
     "ScalarPredictor", "StepRecord", "StructuredPredictor",
-    "TrainConfig", "alignment_stats", "backward", "break_even_satisfied",
+    "TrainConfig", "alignment_stats", "backward", "backward_sum", "break_even_satisfied",
     "cheap_forward", "combine", "f_star", "fit_scalar", "fit_structured", "forward",
     "gamma", "init_network", "loss_and_residual", "nc_bound", "optimizer_step",
     "predict_scalar", "predict_structured", "q_objective", "rho_star",

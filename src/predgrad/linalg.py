@@ -62,14 +62,30 @@ def solve_ridge(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
 def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best rank-r factorization of A: returns (U, s, Vt) with U n x r.
 
-    U has orthonormal columns and U @ diag(s) @ Vt is the closest rank-r
-    matrix to A in Frobenius norm. Singular values come back in descending
-    order.
+    U @ diag(s) @ Vt is the closest rank-r matrix to A in Frobenius norm,
+    and singular values come back in descending order. The factorization
+    goes through the eigendecomposition of the smaller Gram matrix, as
+    ``solve_ridge`` picks its side: A^T A (p x p) when p <= n, giving V, or
+    A A^T when p > n, giving U; eigenvalues below 0 are rounding and are
+    clamped to 0. The other factor is A V / s (or A^T U / s), zero where
+    s = 0.
+
+    Precision is lost where the Gram matrix squares the spectrum: a singular
+    value s_i is accurate to about eps s_1^2 / s_i rather than eps s_1, so
+    values below about sqrt(eps) s_1 are rounding, and the derived factor's
+    columns are orthonormal only to about eps (s_1 / s_i)^2. Columns with
+    s_i >= 1e-3 s_1 stay orthonormal to about 1e-10.
     """
     a = _as_matrix(a, "A")
     n, p = a.shape
     if not 1 <= r <= min(n, p):
         raise DimensionError(f"rank {r} out of range for a {n}x{p} matrix")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return u[:, :r], s[:r], vt[:r, :]
-
+    tall = p <= n
+    eigvals, vecs = np.linalg.eigh(a.T @ a if tall else a @ a.T)
+    top = slice(-1, -r - 1, -1)
+    s = np.sqrt(np.maximum(eigvals[top], 0.0))
+    vecs = vecs[:, top]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
+    if tall:
+        return (a @ vecs) * inv, s, vecs.T
+    return vecs, s, (vecs.T @ a) * inv[:, None]

@@ -2,19 +2,22 @@
 
 The head is exactly the last linear layer (weight ``W_a`` of shape C x D and
 a length-C bias); everything before it is the trunk, stored as one flat
-float64 vector. Three pass procedures are provided:
+float64 vector. Four pass procedures are provided:
 
 * ``forward`` - full pass that also returns a cache for backprop,
 * ``cheap_forward`` - the same pass without the cache,
-* ``backward`` - exact flat gradients from a cache and an output-space
-  residual.
+* ``backward`` - exact flat gradient rows from a cache and an output-space
+  residual,
+* ``backward_sum`` - the sum of those rows over the batch, formed as one
+  matrix product per layer; it and ``backward`` walk the layers alike.
 
 The passes and ``loss_and_residual`` are rank-polymorphic: they take one
 example, or a batch of them along a leading axis, and a single example
-comes back without that axis. A batch goes through each layer as one
-matrix product, so a row's last bits may depend on the other rows of its
-call. The same call on the same rows gives the same bits (at a fixed BLAS
-thread count), and ``cheap_forward`` gives exactly those of ``forward``.
+comes back without that axis (``backward_sum`` returns one flat vector
+either way). A batch goes through each layer as one matrix product, so a
+row's last bits may depend on the other rows of its call. The same call on
+the same rows gives the same bits (at a fixed BLAS thread count), and
+``cheap_forward`` gives exactly those of ``forward``.
 
 Flat parameter layout (used by checkpoints, by gradients and by the
 trainer's flattened updates): for each trunk layer in order, the weight
@@ -185,6 +188,14 @@ def gradient_rows(trunk_grad: np.ndarray, llh: np.ndarray, residual: np.ndarray)
     return np.concatenate([trunk_grad, head_w, residual], axis=-1)
 
 
+def gradient_sum(trunk_sum: np.ndarray, llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """The sum of ``gradient_rows`` over the rows, from the trunk rows' sum:
+    the head part is residual^T llh, then the residual's column sums."""
+    llh = llh.reshape(-1, llh.shape[-1])
+    residual = residual.reshape(-1, residual.shape[-1])
+    return np.concatenate([trunk_sum, (residual.T @ llh).ravel(), residual.sum(axis=0)])
+
+
 def forward(net: Network, x: np.ndarray):
     """Full pass: returns (llh, output, cache)."""
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -252,6 +263,32 @@ def loss_and_residual(output: np.ndarray, y, kind: str, smoothing: float = 0.0):
     raise ConfigError(f"unknown loss kind {kind!r}")
 
 
+def _checked_residual(net: Network, cache: ForwardCache, residual) -> np.ndarray:
+    if cache.version != net.version:
+        raise StaleCache(
+            f"cache from parameter version {cache.version}, network is at {net.version}")
+    residual = np.asarray(residual, dtype=np.float64)
+    if residual.shape != cache.act[-1].shape[:-1] + (net.config.output_dim,):
+        raise DimensionError(
+            f"residual shape {residual.shape} does not match the cached pass")
+    return residual
+
+
+def _trunk_walk(net: Network, cache: ForwardCache, residual: np.ndarray):
+    """(dz, a_prev) for each trunk layer, last layer first: the layer's
+    pre-activation gradient, from W_a^T residual backpropagated through the
+    cached trunk, and the layer's input. The layer's weight gradient is
+    their outer product and its bias gradient dz."""
+    kind = net.config.activation
+    delta = residual @ net.head_weight
+    layers = net.trunk_layers()
+    for k in range(len(layers) - 1, -1, -1):
+        dz = delta * _act_deriv(cache.pre[k], cache.act[k], kind)
+        yield dz, (cache.act[k - 1] if k > 0 else cache.x)
+        if k > 0:
+            delta = dz @ layers[k][0]
+
+
 def backward(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:
     """Exact gradient rows (..., n_params) in the flat layout, from a forward
     cache and the output-space residual.
@@ -260,31 +297,27 @@ def backward(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndar
     W_a^T residual through the cached trunk, each layer's weight gradient
     being the outer product of its pre-activation gradient and its input.
     """
-    if cache.version != net.version:
-        raise StaleCache(
-            f"cache from parameter version {cache.version}, network is at {net.version}")
-    residual = np.asarray(residual, dtype=np.float64)
-    llh = cache.act[-1]
-    if residual.shape != llh.shape[:-1] + (net.config.output_dim,):
-        raise DimensionError(
-            f"residual shape {residual.shape} does not match the cached pass")
-
-    kind = net.config.activation
+    residual = _checked_residual(net, cache, residual)
     lead = residual.shape[:-1]
     trunk = np.empty(lead + (net.trunk_size,))
     end = net.trunk_size
-    delta = residual @ net.head_weight
-    layers = net.trunk_layers()
-    for k in range(len(layers) - 1, -1, -1):
-        w, _ = layers[k]
-        out_w, in_w = w.shape
-        dz = delta * _act_deriv(cache.pre[k], cache.act[k], kind)
-        a_prev = cache.act[k - 1] if k > 0 else cache.x
+    for dz, a_prev in _trunk_walk(net, cache, residual):
+        out_w, in_w = dz.shape[-1], a_prev.shape[-1]
         start = end - out_w * in_w - out_w
         trunk[..., start:end - out_w] = \
             (dz[..., :, None] * a_prev[..., None, :]).reshape(lead + (out_w * in_w,))
         trunk[..., end - out_w:end] = dz
         end = start
-        delta = dz @ w
-    return gradient_rows(trunk, llh, residual)
+    return gradient_rows(trunk, cache.act[-1], residual)
 
+
+def backward_sum(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:
+    """The sum of ``backward``'s rows, in the flat layout, formed as a sum:
+    one product dz^T a_prev per trunk layer, and residual^T llh with the
+    residual's column sums for the head."""
+    residual = _checked_residual(net, cache, residual)
+    parts = []
+    for dz, a_prev in _trunk_walk(net, cache, residual):
+        dz = dz.reshape(-1, dz.shape[-1])
+        parts += [dz.sum(axis=0), (dz.T @ a_prev.reshape(-1, a_prev.shape[-1])).ravel()]
+    return gradient_sum(np.concatenate(parts[::-1]), cache.act[-1], residual)

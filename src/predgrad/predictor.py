@@ -22,12 +22,16 @@ gradient.
 
 Every predictor has a ``kind`` name, ``predict_batch(net, xs, llh,
 residuals)`` returning one flat-layout predicted gradient per row in batch
-order, and ``to_arrays()`` / ``from_arrays()`` for run checkpoints.
-``PREDICTORS`` maps each kind to its class. ``predict_scalar`` and
-``predict_structured`` take rows of activations and residuals, or a single
-example, and are each called once per batch as plain matrix products.
-``predict_structured`` applies its maps to the same bilinear features
-``fit_structured`` regressed on.
+order, ``predict_sum`` with the same arguments returning the sum of those
+rows without forming them, and ``to_arrays()`` / ``from_arrays()`` for run
+checkpoints. ``PREDICTORS`` maps each kind to its class. ``predict_scalar``
+and ``predict_structured`` take rows of activations and residuals, or a
+single example, and are each called once per batch as plain matrix
+products; ``predict_structured`` applies its maps to the same bilinear
+features ``fit_structured`` regressed on. Their ``_sum`` forms sum the
+features over the rows first, so a whole-batch sum applies the learned map
+and the basis once, not once per row; the perfect predictor's sum is
+``backward_sum``.
 """
 
 from dataclasses import dataclass
@@ -37,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, InsufficientData
 from .linalg import solve_ridge, truncated_svd
-from .network import backward, forward, gradient_rows
+from .network import backward, backward_sum, forward, gradient_rows, gradient_sum
 
 RESIDUAL_FLOOR = 1e-8   # rows with smaller residuals carry no fit signal
 ENERGY_TARGET = 0.99    # default rank rule: 99% of squared singular mass
@@ -106,6 +110,9 @@ class ScalarPredictor:
     def predict_batch(self, net, xs, llh, residuals) -> np.ndarray:
         return predict_scalar(self, llh, residuals)
 
+    def predict_sum(self, net, xs, llh, residuals) -> np.ndarray:
+        return predict_scalar_sum(self, llh, residuals)
+
     def to_arrays(self) -> dict:
         return {"pred_coef": self.coef,
                 "pred_meta": np.asarray([self.n_fit, self.ridge_lambda])}
@@ -128,6 +135,9 @@ class StructuredPredictor:
 
     def predict_batch(self, net, xs, llh, residuals) -> np.ndarray:
         return predict_structured(self, llh, residuals, net.head_weight)
+
+    def predict_sum(self, net, xs, llh, residuals) -> np.ndarray:
+        return predict_structured_sum(self, llh, residuals, net.head_weight)
 
     def to_arrays(self) -> dict:
         return {"pred_basis": self.basis, "pred_maps": self.maps,
@@ -152,6 +162,9 @@ class PerfectPredictor:
 
     def predict_batch(self, net, xs, llh, residuals) -> np.ndarray:
         return backward(net, forward(net, xs)[2], residuals)
+
+    def predict_sum(self, net, xs, llh, residuals) -> np.ndarray:
+        return backward_sum(net, forward(net, xs)[2], residuals)
 
     def to_arrays(self) -> dict:
         return {}
@@ -226,10 +239,7 @@ def fit_scalar(rows: FitRows, lam: float | None = None) -> ScalarPredictor:
     return ScalarPredictor(coef=coef_t.T, n_fit=len(feats), ridge_lambda=float(lam))
 
 
-def predict_scalar(p: ScalarPredictor, llh, residual) -> np.ndarray:
-    """Predicted flat gradient rows for scalar-output examples: the head part
-    is the exact closed form, the trunk part applies the learned matrix to
-    the head gradient [llh; 1] r."""
+def _scalar_inputs(p: ScalarPredictor, llh, residual):
     llh = np.asarray(llh, dtype=np.float64)
     residual = np.asarray(residual, dtype=np.float64)
     if residual.shape != llh.shape[:-1] + (1,):
@@ -238,8 +248,24 @@ def predict_scalar(p: ScalarPredictor, llh, residual) -> np.ndarray:
         raise DimensionError(
             f"activation dim {llh.shape[-1]} does not match predictor "
             f"({p.coef.shape[1] - 1})")
+    return llh, residual
+
+
+def predict_scalar(p: ScalarPredictor, llh, residual) -> np.ndarray:
+    """Predicted flat gradient rows for scalar-output examples: the head part
+    is the exact closed form, the trunk part applies the learned matrix to
+    the head gradient [llh; 1] r."""
+    llh, residual = _scalar_inputs(p, llh, residual)
     trunk = (_augment(llh) * residual) @ p.coef.T
     return gradient_rows(trunk, llh, residual)
+
+
+def predict_scalar_sum(p: ScalarPredictor, llh, residual) -> np.ndarray:
+    """The sum of ``predict_scalar``'s rows, formed as a sum: the trunk part
+    is coef (A^T r), A the rows [llh; 1]."""
+    llh, residual = _scalar_inputs(p, llh, residual)
+    aug = _augment(llh).reshape(-1, p.coef.shape[1])
+    return gradient_sum(p.coef @ (aug.T @ residual.reshape(-1)), llh, residual)
 
 
 def fit_structured(rows: FitRows, r: int | None = None,
@@ -261,7 +287,9 @@ def fit_structured(rows: FitRows, r: int | None = None,
     u, sing, _ = truncated_svd(rows.trunk_grad.T, min(n, p_t))
     if r is None:
         r = choose_rank(sing, cap=d)
-    basis = u[:, :r]
+    # contiguous, as a checkpoint restores it, so a resumed run's products
+    # give the same bits
+    basis = np.ascontiguousarray(u[:, :r])
     coef_targets = rows.trunk_grad @ basis  # (n, r), row i = U^T g_i
 
     feats = _bilinear(rows.h, rows.llh)
@@ -275,13 +303,7 @@ def fit_structured(rows: FitRows, r: int | None = None,
                                n_fit=n, ridge_lambda=float(lam))
 
 
-def predict_structured(p: StructuredPredictor, llh, residual,
-                       head_weight: np.ndarray) -> np.ndarray:
-    """Predicted flat gradient rows from the structured predictor.
-
-    Exact head part; trunk part U c with c_i = [llh; 1]^T S_i^T (W_a^T r).
-    Works identically for regression and classification residuals.
-    """
+def _structured_inputs(p: StructuredPredictor, llh, residual, head_weight):
     llh = np.asarray(llh, dtype=np.float64)
     residual = np.asarray(residual, dtype=np.float64)
     d = llh.shape[-1]
@@ -293,5 +315,30 @@ def predict_structured(p: StructuredPredictor, llh, residual,
     if p.maps.shape[1:] != (d, d + 1):
         raise DimensionError(
             f"predictor was fit for activation dim {p.maps.shape[1]}, got {d}")
+    return llh, residual
+
+
+def predict_structured(p: StructuredPredictor, llh, residual,
+                       head_weight: np.ndarray) -> np.ndarray:
+    """Predicted flat gradient rows from the structured predictor.
+
+    Exact head part; trunk part U c with c_i = [llh; 1]^T S_i^T (W_a^T r).
+    Works identically for regression and classification residuals.
+    """
+    llh, residual = _structured_inputs(p, llh, residual, head_weight)
     coeffs = _bilinear(residual @ head_weight, llh) @ p.maps.reshape(len(p.maps), -1).T
     return gradient_rows(coeffs @ p.basis.T, llh, residual)
+
+
+def predict_structured_sum(p: StructuredPredictor, llh, residual,
+                           head_weight: np.ndarray) -> np.ndarray:
+    """The sum of ``predict_structured``'s rows, formed as a sum: the summed
+    bilinear features are vec(H^T A), H = R W_a and A the rows [llh; 1], so
+    the trunk part is U (S vec(H^T A)) with S the maps flattened per basis
+    direction."""
+    llh, residual = _structured_inputs(p, llh, residual, head_weight)
+    d = llh.shape[-1]
+    h = (residual @ head_weight).reshape(-1, d)
+    features = (h.T @ _augment(llh).reshape(-1, d + 1)).ravel()
+    trunk = p.basis @ (p.maps.reshape(len(p.maps), -1) @ features)
+    return gradient_sum(trunk, llh, residual)

@@ -8,12 +8,14 @@ correction ``predgrad.estimator.combine``, the predictions for every row
 with the true and predicted gradients of the control rows. Each of its
 four calls covers its rows at once: a cheap forward on the whole batch for
 the activations, residuals and losses; forward and backward on the control
-rows; ``predict_batch`` on the control rows; and ``predict_batch`` on the
-whole batch, of which only the row sum is kept. For a perfect predictor
-the whole-batch prediction is vanilla's own forward and backward on the
-same rows, and the control prediction the same call on the same rows as
-the true control gradients, so the correction is exactly zero and the
-trajectory is vanilla's bit for bit.
+rows; ``predict_batch`` on the control rows; and ``predict_sum`` on the
+whole batch. Only the control rows are formed row by row, because the fit
+buffer and the alignment statistics read them; the whole-batch prediction
+is formed as a sum, and so is vanilla's gradient, by ``backward_sum``. For
+a perfect predictor the whole-batch prediction is vanilla's own forward
+and ``backward_sum`` on the same rows, and the control prediction the same
+call on the same rows as the true control gradients, so the correction is
+exactly zero and the trajectory is vanilla's bit for bit.
 
 The predictor is one of the objects of ``predgrad.predictor``.
 
@@ -29,10 +31,12 @@ Cost accounting charges what the algorithm structure prescribes (forward +
 backward per control example, cheap forward per prediction example),
 independent of how a predictor is implemented internally. It does not
 count the control rows' cheap forward or their second prediction, both
-real work of the four calls above. Each step's split is drawn before the
-budget check, and that check and the step's one charge read the same m_c
-and m_p. The warmup sample is charged to a separate warmup ledger; the
-budget governs stepping cost only, mirroring a cost model that counts
+real work of the four calls above. It counts passes per example, so a sum
+formed by ``backward_sum`` or ``predict_sum`` is charged as the rows it
+sums, whatever it costs. Each step's split is drawn before the budget
+check, and that check and the step's one charge read the same m_c and
+m_p. The warmup sample is charged to a separate warmup ledger; the budget
+governs stepping cost only, mirroring a cost model that counts
 per-iteration passes.
 """
 
@@ -52,8 +56,8 @@ from .errors import (BudgetError, ConfigError, DataError, DimensionError,
                      InsufficientData, NumericError)
 from .estimator import (alignment_stats, combine, control_batch_size, split_minibatch,
                         variance_inflation)
-from .network import (Network, NetworkConfig, backward, cheap_forward, forward,
-                      init_network, loss_and_residual)
+from .network import (Network, NetworkConfig, backward, backward_sum, cheap_forward,
+                      forward, init_network, loss_and_residual)
 from .predictor import (PREDICTORS, FitBuffer, FitRows, PerfectPredictor, RefitPolicy,
                         fit_scalar, fit_structured, should_refit)
 from .rng import substream
@@ -233,19 +237,21 @@ def _fit(kind: str, buffer: FitBuffer, policy: RefitPolicy):
     return None
 
 
-def _true_passes(net, ds, idx, loss_kind, smoothing):
+def _true_passes(net, ds, idx, loss_kind, smoothing, summed=False):
     """Forward and backward on the examples idx: returns (llh, losses,
-    residuals, gradient rows), all in the order of idx."""
+    residuals, gradient rows), all in the order of idx; with ``summed``, the
+    rows' sum from ``backward_sum`` in place of the rows."""
     llh, output, cache = forward(net, ds.features[idx])
     losses, residuals = loss_and_residual(output, ds.targets[idx], loss_kind, smoothing)
-    return llh, losses, residuals, backward(net, cache, residuals)
+    grads = (backward_sum if summed else backward)(net, cache, residuals)
+    return llh, losses, residuals, grads
 
 
 def _batch_true(net, ds, batch_idx, loss_kind, smoothing):
     """Mean true gradient and mean loss over a batch."""
     m = len(batch_idx)
-    _, losses, _, grads = _true_passes(net, ds, batch_idx, loss_kind, smoothing)
-    return grads.sum(axis=0) / m, float(losses.sum() / m)
+    _, losses, _, grad_sum = _true_passes(net, ds, batch_idx, loss_kind, smoothing, True)
+    return grad_sum / m, float(losses.sum() / m)
 
 
 def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing):
@@ -261,7 +267,7 @@ def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing)
     losses, residuals = loss_and_residual(output, ds.targets[batch_idx], loss_kind, smoothing)
     llh_c, _, r_c, ctrl_true = _true_passes(net, ds, batch_idx[ctrl], loss_kind, smoothing)
     ctrl_pred = predictor.predict_batch(net, xs[ctrl], llh_c, r_c)
-    s_pred = predictor.predict_batch(net, xs, llh, residuals).sum(axis=0)
+    s_pred = predictor.predict_sum(net, xs, llh, residuals)
     combined = combine(s_pred, ctrl_true.sum(axis=0), ctrl_pred.sum(axis=0),
                        split.m_c, split.m)
 
@@ -473,7 +479,8 @@ def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, kind: str,
     """Predicted-gradient training with a predictor of the named kind,
     "scalar", "structured" or "perfect". "perfect" becomes a
     PerfectPredictor; a learned kind is fitted on a warmup sample before
-    the first step.
+    the first step, and needs a fit buffer of at least D+1 rows (D the last
+    hidden width).
     """
     state = _fresh_state(cfg, net)
     loss_kind, min_batch = _check_run(cfg, ds, predicted=True)
@@ -481,6 +488,11 @@ def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, kind: str,
         raise ConfigError(f"not a predictor kind: {kind!r}")
     if kind == "scalar" and loss_kind != "squared_scalar":
         raise ConfigError("the scalar predictor requires a scalar squared loss")
+    need = net.config.last_hidden + 1
+    if kind != "perfect" and cfg.refit.buffer_capacity < need:
+        raise ConfigError(
+            f"fit buffer capacity {cfg.refit.buffer_capacity} is below the D+1 = {need} "
+            f"rows a {kind} fit needs")
     if kind == "perfect":
         state.predictor = PerfectPredictor()
     else:

@@ -136,3 +136,11 @@ def test_resume_checks_the_requested_algorithm(tmp_path, capsys, first, then, co
         assert error_type(err) == "ConfigError"
         held = "none" if "vanilla" in first else first[-1]
         assert repr(held) in err and repr(then[-1]) in err
+
+
+def test_a_fit_buffer_below_d_plus_1_rows_exits_2(tmp_path, capsys):
+    code, err = run(capsys, ["train", "--task", "blobs", "--n", "400", "--hidden", "16",
+                             "--algo", "predicted", "--buffer-capacity", "8",
+                             "--max-steps", "2", "--outdir", str(tmp_path)])
+    assert code == 2 and error_type(err) == "ConfigError"
+    assert "capacity 8 is below the D+1 = 17" in err

@@ -83,6 +83,16 @@ def test_truncated_svd_orthonormal_columns():
         a = rng.standard_normal((n, p))
         u, _, _ = truncated_svd(a, r)
         assert np.max(np.abs(u.T @ u - np.eye(r))) <= 1e-10
+    # a graded spectrum, 1 down to 1e-8, tall and wide, so that U and V each
+    # come from the Gram matrix once: the top 16 values span 1 to 8e-4
+    spectrum = np.logspace(0, -8, 40)
+    q1, _ = np.linalg.qr(rng.standard_normal((300, 40)))
+    q2, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    for a in (q1 * spectrum @ q2.T, (q1 * spectrum @ q2.T).T):
+        u, s, vt = truncated_svd(a, 16)
+        assert np.max(np.abs(u.T @ u - np.eye(16))) <= 1e-10
+        assert np.max(np.abs(vt @ vt.T - np.eye(16))) <= 1e-10
+        assert np.max(np.abs(s / spectrum[:16] - 1.0)) <= 1e-10
 
 
 def test_truncated_svd_rank_out_of_range():

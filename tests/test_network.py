@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from predgrad.errors import (ConfigError, DimensionError, LabelError, StaleCache)
-from predgrad.network import (ACTIVATIONS, NetworkConfig, backward, cheap_forward,
-                              forward, init_network, loss_and_residual)
+from predgrad.network import (ACTIVATIONS, NetworkConfig, backward, backward_sum,
+                              cheap_forward, forward, init_network, loss_and_residual)
 from predgrad.rng import substream
 
 LOSS_KINDS = ("squared_scalar", "squared_vector", "cross_entropy")
@@ -227,6 +227,19 @@ def test_backward_rejects_stale_cache():
         backward(net, cache, np.zeros(3))
 
 
+@pytest.mark.parametrize("back", [backward, backward_sum])
+def test_backward_and_its_sum_reject_stale_caches_and_wrong_residuals(back):
+    net = init_network(small_cfg())
+    _, _, cache = forward(net, np.ones((5, 4)))
+    with pytest.raises(DimensionError):
+        back(net, cache, np.zeros((5, 2)))
+    with pytest.raises(DimensionError):
+        back(net, cache, np.zeros((4, 3)))
+    net.set_flat_params(net.flat_params() * 1.01)
+    with pytest.raises(StaleCache):
+        back(net, cache, np.zeros((5, 3)))
+
+
 def test_flat_params_round_trip():
     net = init_network(small_cfg(seed=9))
     theta = net.flat_params()
@@ -271,3 +284,27 @@ def test_batched_passes_equal_single_example_calls(activation, kind):
         for batch_row, single in ((llh[i], a), (output[i], out), (losses[i], loss),
                                   (residuals[i], r), (grads[i], g)):
             assert_rows_close(batch_row, single)
+
+
+@pytest.mark.parametrize("hidden", [(16,), (24, 9), (12, 7, 10)],
+                         ids=["depth1", "depth2", "depth3"])
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_backward_sum_equals_the_summed_rows(activation, kind, hidden):
+    out = 1 if kind == "squared_scalar" else 4
+    net = init_network(NetworkConfig(8, hidden, out, activation=activation, seed=19))
+    rng = substream(42, f"{activation}:{kind}:{len(hidden)}")
+    xs = rng.standard_normal((37, 8))
+    ys = (rng.integers(out, size=37) if kind == "cross_entropy"
+          else rng.standard_normal((37, out)))
+    _, output, cache = forward(net, xs)
+    _, residuals = loss_and_residual(output, ys, kind, smoothing=0.05)
+    rows = backward(net, cache, residuals).sum(axis=0)
+    summed = backward_sum(net, cache, residuals)
+    assert summed.shape == (net.n_params,)
+    assert np.linalg.norm(summed - rows) <= 1e-12 * np.linalg.norm(rows)
+    # a single example is a batch of one
+    _, output, cache = forward(net, xs[0])
+    _, residual = loss_and_residual(output, ys[0], kind, smoothing=0.05)
+    one = backward(net, cache, residual)
+    assert np.linalg.norm(backward_sum(net, cache, residual) - one) <= 1e-12 * np.linalg.norm(one)

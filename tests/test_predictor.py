@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from predgrad import predictor
 from predgrad.errors import DimensionError, InsufficientData
 from predgrad.network import NetworkConfig, backward, forward, init_network, loss_and_residual
-from predgrad.predictor import (FitBuffer, FitRows, RefitPolicy, ScalarPredictor,
-                                StructuredPredictor, choose_rank, fit_scalar,
-                                fit_structured, predict_scalar, predict_structured,
-                                should_refit)
+from predgrad.predictor import (FitBuffer, FitRows, PerfectPredictor, RefitPolicy,
+                                ScalarPredictor, StructuredPredictor, choose_rank,
+                                fit_scalar, fit_structured, predict_scalar,
+                                predict_structured, should_refit)
 from predgrad.rng import substream
 
 
@@ -279,30 +279,46 @@ def test_choose_rank_energy_rule():
 
 
 def batch_predictors(n=40):
-    """A scalar-output and a vector-output case: (net, predictor, llh, residuals)."""
+    """Scalar-output, vector-output and exact cases:
+    (net, predictor, inputs, llh, residuals)."""
     rng = substream(43, "batch-predict")
     cases = []
-    for out, kind in ((1, "squared_scalar"), (4, "squared_vector")):
+    for out, kind in ((1, "squared_scalar"), (4, "squared_vector"), (3, "squared_vector")):
         net = init_network(NetworkConfig(8, (24, 16), out, activation="tanh", seed=out))
-        llh, output, _ = forward(net, rng.standard_normal((n, 8)))
+        xs = rng.standard_normal((n, 8))
+        llh, output, _ = forward(net, xs)
         _, residuals = loss_and_residual(output, rng.standard_normal((n, out)), kind)
         pt, d = net.trunk_size, net.config.last_hidden
         if out == 1:
             # the fit stores the transpose of its solution
             pred = ScalarPredictor(coef=rng.standard_normal((d + 1, pt)).T)
-        else:
+        elif out == 4:
             basis, _ = np.linalg.qr(rng.standard_normal((pt, 6)))
             pred = StructuredPredictor(basis=basis, maps=rng.standard_normal((6, d, d + 1)),
                                        rank=6)
-        cases.append((net, pred, llh, residuals))
+        else:
+            pred = PerfectPredictor()
+        cases.append((net, pred, xs, llh, residuals))
     return cases
 
 
+def single_prediction(net, pred, x, llh, residual):
+    if pred.kind == "scalar":
+        return predict_scalar(pred, llh, residual)
+    if pred.kind == "structured":
+        return predict_structured(pred, llh, residual, net.head_weight)
+    return backward(net, forward(net, x)[2], residual)
+
+
 def test_predict_batch_rows_equal_single_example_calls():
-    for net, pred, llh, residuals in batch_predictors():
-        rows = pred.predict_batch(net, None, llh, residuals)
+    for net, pred, xs, llh, residuals in batch_predictors():
+        rows = pred.predict_batch(net, xs, llh, residuals)
         assert rows.shape == (len(llh), net.n_params)
         for i in range(len(llh)):
-            one = (predict_scalar(pred, llh[i], residuals[i]) if pred.kind == "scalar"
-                   else predict_structured(pred, llh[i], residuals[i], net.head_weight))
+            one = single_prediction(net, pred, xs[i], llh[i], residuals[i])
             assert np.max(np.abs(rows[i] - one)) <= 1e-12 * np.max(np.abs(one))
+        # the sum path forms the rows' sum without the rows
+        total = rows.sum(axis=0)
+        summed = pred.predict_sum(net, xs, llh, residuals)
+        assert summed.shape == (net.n_params,)
+        assert np.linalg.norm(summed - total) <= 1e-12 * np.linalg.norm(total)

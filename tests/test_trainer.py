@@ -11,8 +11,10 @@ import pytest
 from predgrad import predictor, trainer
 from predgrad.data import gen_blobs, gen_regression
 from predgrad.errors import ConfigError, InsufficientData, NumericError
+from predgrad.estimator import split_minibatch
 from predgrad.network import NetworkConfig, init_network
 from predgrad.predictor import PREDICTORS, PerfectPredictor, RefitPolicy
+from predgrad.rng import substream
 from predgrad.trainer import (TrainConfig, load_run_checkpoint, resume_run,
                               save_run_checkpoint, train_predicted, train_vanilla)
 
@@ -326,3 +328,42 @@ def test_format_1_checkpoint_resumes(monkeypatch):
     assert len(lams) == 4
     assert np.allclose(rest.network.flat_params(), whole.network.flat_params(),
                        rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, make_data, loss_kind", [
+    ("scalar", regression, "squared_scalar"),
+    ("structured", blobs, "cross_entropy"),
+])
+def test_learned_step_from_sums_matches_the_summed_rows(monkeypatch, kind, make_data,
+                                                        loss_kind):
+    ds, ncfg = make_data(hidden=(24, 16))
+    cfg = TrainConfig(batch_size=64, max_steps=4, refit=RefitPolicy(period=2), seed=7,
+                      eval_every=0)
+    res = train_predicted(cfg, ds, init_network(ncfg), kind)
+    batch_idx = ds.train_idx[64:128]
+    split = split_minibatch(64, 0.25, substream(7, "split"))
+
+    def step():
+        return trainer._batch_predicted(res.network, res.predictor, ds, batch_idx, split,
+                                        loss_kind, 0.0)[0]
+
+    from_sums = step()
+    monkeypatch.setattr(type(res.predictor), "predict_sum",
+                        lambda self, net, xs, llh, r:
+                        self.predict_batch(net, xs, llh, r).sum(axis=0))
+    from_rows = step()
+    assert np.linalg.norm(from_sums - from_rows) <= 1e-12 * np.linalg.norm(from_rows)
+
+
+def test_a_fit_buffer_below_d_plus_1_rows_is_a_config_error():
+    # D = 16: a fit needs 17 rows, which a capacity of 16 never holds
+    cfg = TrainConfig(batch_size=32, max_steps=2, refit=RefitPolicy(buffer_capacity=16),
+                      seed=1, eval_every=0)
+    for kind, (ds, ncfg) in (("structured", blobs(hidden=(16,))),
+                             ("scalar", regression(hidden=(16,)))):
+        with pytest.raises(ConfigError, match=r"capacity 16 is below the D\+1 = 17"):
+            train_predicted(cfg, ds, init_network(ncfg), kind)
+        enough = replace(cfg, refit=RefitPolicy(buffer_capacity=17))
+        assert train_predicted(enough, ds, init_network(ncfg), kind).steps == 2
+    # the perfect predictor fits nothing
+    assert train_predicted(cfg, ds, init_network(ncfg), "perfect").steps == 2
