@@ -1,0 +1,59 @@
+"""Time one vanilla step (``_batch_true``) and one predicted step
+(``_batch_predicted``, structured predictor) at three net and batch sizes.
+
+Run from the repository root, with one BLAS thread:
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 python -m pytest bench/test_step_bench.py \\
+        --benchmark-json=BENCH_step.json
+
+The directory is not among the tier-1 test paths, so the plain test run
+does not collect it. Each case times the gradient of one batch at fixed
+parameters: the forward and backward work of a step, without the optimizer
+update, validation or refits. The predictor is fitted on the warmup sample
+of a one-step run whose fit sample is one batch, so both sides of a
+comparison fit it on the same rows.
+"""
+
+from dataclasses import dataclass
+
+import pytest
+
+from predgrad import trainer
+from predgrad.data import gen_blobs
+from predgrad.estimator import split_minibatch
+from predgrad.network import NetworkConfig, init_network
+from predgrad.predictor import RefitPolicy
+from predgrad.rng import substream
+
+SIZES = [((64, 64), 128), ((64, 64, 64, 64), 512), ((128, 128), 256)]
+
+
+@dataclass
+class Step:
+    net: object
+    predictor: object
+    ds: object
+    batch_idx: object
+    split: object
+
+
+def _step(hidden, m) -> Step:
+    ds = gen_blobs(4 * m, 3, 8, 6.0, 2, val_fraction=0.0)
+    ncfg = NetworkConfig(input_dim=8, hidden_widths=hidden, output_dim=3, seed=2)
+    cfg = trainer.TrainConfig(batch_size=m, max_steps=1, refit=RefitPolicy(buffer_capacity=m),
+                              seed=5, eval_every=0)
+    res = trainer.train_predicted(cfg, ds, init_network(ncfg), "structured")
+    return Step(res.network, res.predictor, ds, ds.train_idx[m:2 * m],
+                split_minibatch(m, 0.25, substream(5, "bench-split")))
+
+
+@pytest.mark.parametrize("hidden, m", SIZES, ids=[f"{'x'.join(map(str, h))}-m{m}"
+                                                  for h, m in SIZES])
+@pytest.mark.parametrize("algo", ["vanilla", "predicted"])
+def test_step(benchmark, algo, hidden, m):
+    s = _step(hidden, m)
+    if algo == "vanilla":
+        benchmark(trainer._batch_true, s.net, s.ds, s.batch_idx, "cross_entropy", 0.0)
+    else:
+        benchmark(trainer._batch_predicted, s.net, s.predictor, s.ds, s.batch_idx,
+                  s.split, "cross_entropy", 0.0)

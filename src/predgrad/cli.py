@@ -75,7 +75,9 @@ def _add_train_options(p):
     p.add_argument("--momentum", type=float, default=0.0, help="heavy ball; 0 is SGD")
     p.add_argument("--lr-decay", type=float, default=0.0)
     p.add_argument("--refit-period", type=int, default=50)
-    p.add_argument("--buffer-capacity", type=int, default=256)
+    p.add_argument("--buffer-capacity", type=int, default=256,
+                   help="training rows drawn afresh for each predictor fit "
+                        "(warmup and every refit); at least D+1")
     p.add_argument("--ridge-lambda", type=float, default=None)
     p.add_argument("--budget", type=float, default=None,
                    help="stepping-cost budget in cost units")

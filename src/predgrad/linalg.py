@@ -59,8 +59,12 @@ def solve_ridge(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     return a.T @ x if wide else x
 
 
-def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def truncated_svd(a: np.ndarray, rank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best rank-r factorization of A: returns (U, s, Vt) with U n x r.
+
+    ``rank`` is r, or a function that picks r from all min(n, p) singular
+    values in descending order; either way only the r kept singular
+    vectors are formed.
 
     U @ diag(s) @ Vt is the closest rank-r matrix to A in Frobenius norm,
     and singular values come back in descending order. The factorization
@@ -78,13 +82,14 @@ def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     a = _as_matrix(a, "A")
     n, p = a.shape
-    if not 1 <= r <= min(n, p):
-        raise DimensionError(f"rank {r} out of range for a {n}x{p} matrix")
     tall = p <= n
     eigvals, vecs = np.linalg.eigh(a.T @ a if tall else a @ a.T)
-    top = slice(-1, -r - 1, -1)
-    s = np.sqrt(np.maximum(eigvals[top], 0.0))
-    vecs = vecs[:, top]
+    singulars = np.sqrt(np.maximum(eigvals[::-1], 0.0))
+    r = rank(singulars) if callable(rank) else rank
+    if not 1 <= r <= min(n, p):
+        raise DimensionError(f"rank {r} out of range for a {n}x{p} matrix")
+    s = singulars[:r]
+    vecs = vecs[:, -1:-r - 1:-1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
     if tall:
         return (a @ vecs) * inv, s, vecs.T

@@ -11,6 +11,9 @@ float64 vector. Four pass procedures are provided:
 * ``backward_sum`` - the sum of those rows over the batch, formed as one
   matrix product per layer; it and ``backward`` walk the layers alike.
 
+``ForwardCache.rows`` takes some rows of a batch's cache, so a backward
+pass on those rows reuses the batch's forward instead of repeating it.
+
 The passes and ``loss_and_residual`` are rank-polymorphic: they take one
 example, or a batch of them along a leading axis, and a single example
 comes back without that axis (``backward_sum`` returns one flat vector
@@ -144,6 +147,11 @@ class ForwardCache:
     x: np.ndarray
     pre: list[np.ndarray]   # per trunk layer pre-activations
     act: list[np.ndarray]   # per trunk layer activations; act[-1] is llh
+
+    def rows(self, idx) -> "ForwardCache":
+        """The cache of the rows ``idx`` (an index array) of this batch."""
+        return ForwardCache(self.version, self.x[idx], [z[idx] for z in self.pre],
+                            [a[idx] for a in self.act])
 
 
 def init_network(cfg: NetworkConfig) -> Network:

@@ -13,42 +13,45 @@ gradient features:
   regression and classification through the residual definition alone.
 
 Both are fit by ridge least squares on ``FitRows`` (activation, residual and
-true trunk gradient arrays, one row per control example) that a ``FitBuffer``
-collects. Over n rows the structured features h x [a; 1] have the Gram
-matrix (H H^T) o (A A^T), A the rows [a; 1]: the last-layer tangent kernel.
+true trunk gradient arrays, one row per example of a fit sample). Over n
+rows the structured features h x [a; 1] have the Gram matrix
+(H H^T) o (A A^T), A the rows [a; 1]: the last-layer tangent kernel.
 With more features than rows, ``solve_ridge`` fits through this n x n matrix
 (kernel ridge). A third, diagnostic predictor returns the exact backward
 gradient.
 
-Every predictor has a ``kind`` name, ``predict_batch(net, xs, llh,
-residuals)`` returning one flat-layout predicted gradient per row in batch
-order, ``predict_sum`` with the same arguments returning the sum of those
-rows without forming them, and ``to_arrays()`` / ``from_arrays()`` for run
-checkpoints. ``PREDICTORS`` maps each kind to its class. ``predict_scalar``
+Every predictor has a ``kind`` name, ``predict_batch(net, cache,
+residuals)`` returning one flat-layout predicted gradient per row of a
+forward cache, in its row order, ``predict_sum`` with the same arguments
+returning the sum of those rows without forming them, and ``to_arrays()`` /
+``from_arrays()`` for run checkpoints. The learned predictors read only the
+last hidden activations ``cache.act[-1]``; the perfect predictor runs
+``backward`` or ``backward_sum`` on the cache it is given, with no forward
+of its own. ``PREDICTORS`` maps each kind to its class. ``predict_scalar``
 and ``predict_structured`` take rows of activations and residuals, or a
 single example, and are each called once per batch as plain matrix
 products; ``predict_structured`` applies its maps to the same bilinear
 features ``fit_structured`` regressed on. Their ``_sum`` forms sum the
 features over the rows first, so a whole-batch sum applies the learned map
-and the basis once, not once per row; the perfect predictor's sum is
-``backward_sum``.
+and the basis once, not once per row.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InsufficientData
 from .linalg import solve_ridge, truncated_svd
-from .network import backward, backward_sum, forward, gradient_rows, gradient_sum
+from .network import backward, backward_sum, gradient_rows, gradient_sum
 
 RESIDUAL_FLOOR = 1e-8   # rows with smaller residuals carry no fit signal
 ENERGY_TARGET = 0.99    # default rank rule: 99% of squared singular mass
 
 
 class FitRows(NamedTuple):
-    """Fit data, one row per control example."""
+    """Fit data, one row per example of a fit sample."""
     llh: np.ndarray         # (n, D)
     residual: np.ndarray    # (n, C)
     h: np.ndarray           # (n, D) = W_a^T residual, W_a the head weight of the pass
@@ -59,42 +62,17 @@ class FitRows(NamedTuple):
         return cls(llh, residual, residual @ head_weight, trunk_grad)
 
 
-class FitBuffer:
-    """The last ``capacity`` fit rows, oldest first. Added rows are copied and
-    kept as the batches they came in, a batch dropped once newer rows fill the
-    capacity, so an add copies only its own rows; ``rows()`` concatenates."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._batches = []
-        self._size = 0          # rows held, including the oldest batch's surplus
-
-    def __len__(self) -> int:
-        return min(self._size, self.capacity)
-
-    def add(self, rows: FitRows) -> None:
-        self._batches.append(FitRows(*(np.array(a, dtype=np.float64) for a in rows)))
-        self._size += len(rows.llh)
-        while self._size - len(self._batches[0].llh) >= self.capacity:
-            self._size -= len(self._batches.pop(0).llh)
-
-    def rows(self) -> FitRows:
-        """The held rows in one copy; the buffer must not be empty."""
-        skip = self._size - len(self)
-        return FitRows(*(np.concatenate(a)[skip:] for a in zip(*self._batches)))
-
-
 @dataclass(frozen=True)
 class RefitPolicy:
     period: int = 50
-    buffer_capacity: int = 256
+    buffer_capacity: int = 256          # rows drawn for each fit
     ridge_lambda: float | None = None  # None: 1e-6 * mean squared feature norm
 
     def __post_init__(self):
         if self.period < 1:
             raise ConfigError(f"refit period must be >= 1, got {self.period}")
         if self.buffer_capacity < 2:
-            raise ConfigError("fit buffer capacity must be >= 2")
+            raise ConfigError("buffer capacity (rows per fit) must be >= 2")
         if self.ridge_lambda is not None and self.ridge_lambda < 0:
             raise ConfigError("ridge lambda must be nonnegative")
 
@@ -107,11 +85,11 @@ class ScalarPredictor:
 
     kind = "scalar"
 
-    def predict_batch(self, net, xs, llh, residuals) -> np.ndarray:
-        return predict_scalar(self, llh, residuals)
+    def predict_batch(self, net, cache, residuals) -> np.ndarray:
+        return predict_scalar(self, cache.act[-1], residuals)
 
-    def predict_sum(self, net, xs, llh, residuals) -> np.ndarray:
-        return predict_scalar_sum(self, llh, residuals)
+    def predict_sum(self, net, cache, residuals) -> np.ndarray:
+        return predict_scalar_sum(self, cache.act[-1], residuals)
 
     def to_arrays(self) -> dict:
         return {"pred_coef": self.coef,
@@ -133,11 +111,11 @@ class StructuredPredictor:
 
     kind = "structured"
 
-    def predict_batch(self, net, xs, llh, residuals) -> np.ndarray:
-        return predict_structured(self, llh, residuals, net.head_weight)
+    def predict_batch(self, net, cache, residuals) -> np.ndarray:
+        return predict_structured(self, cache.act[-1], residuals, net.head_weight)
 
-    def predict_sum(self, net, xs, llh, residuals) -> np.ndarray:
-        return predict_structured_sum(self, llh, residuals, net.head_weight)
+    def predict_sum(self, net, cache, residuals) -> np.ndarray:
+        return predict_structured_sum(self, cache.act[-1], residuals, net.head_weight)
 
     def to_arrays(self) -> dict:
         return {"pred_basis": self.basis, "pred_maps": self.maps,
@@ -155,16 +133,17 @@ class PerfectPredictor:
 
     Used to exercise the algebraic identity G = mean gradient when
     predictions are perfect; cost accounting still charges the predicted
-    algorithm's pass structure.
+    algorithm's pass structure. Its sum is ``backward_sum`` on the given
+    cache, the very call that forms a true gradient sum on those rows.
     """
 
     kind = "perfect"
 
-    def predict_batch(self, net, xs, llh, residuals) -> np.ndarray:
-        return backward(net, forward(net, xs)[2], residuals)
+    def predict_batch(self, net, cache, residuals) -> np.ndarray:
+        return backward(net, cache, residuals)
 
-    def predict_sum(self, net, xs, llh, residuals) -> np.ndarray:
-        return backward_sum(net, forward(net, xs)[2], residuals)
+    def predict_sum(self, net, cache, residuals) -> np.ndarray:
+        return backward_sum(net, cache, residuals)
 
     def to_arrays(self) -> dict:
         return {}
@@ -276,7 +255,9 @@ def fit_structured(rows: FitRows, r: int | None = None,
     per-row coefficient targets are the basis projections U^T g, regressed
     on the bilinear features h x [llh; 1] with one shared ridge solve for
     all r outputs. With r = None the rank is chosen by the 99%
-    squared-singular-mass rule, capped at D.
+    squared-singular-mass rule, capped at D, from the singular values of
+    the same factorization that gives the basis. The projections are read
+    off that factorization too: with G = V S U^T, G U_r = V_r S_r.
     """
     rows = _usable(rows)
     (n, d), p_t = rows.llh.shape, rows.trunk_grad.shape[1]
@@ -284,13 +265,13 @@ def fit_structured(rows: FitRows, r: int | None = None,
         raise DimensionError(
             f"rank {r} exceeds min(samples, trunk size) = {min(n, p_t)}")
 
-    u, sing, _ = truncated_svd(rows.trunk_grad.T, min(n, p_t))
-    if r is None:
-        r = choose_rank(sing, cap=d)
+    u, sing, vt = truncated_svd(rows.trunk_grad.T,
+                                partial(choose_rank, cap=d) if r is None else r)
+    r = len(sing)
     # contiguous, as a checkpoint restores it, so a resumed run's products
     # give the same bits
-    basis = np.ascontiguousarray(u[:, :r])
-    coef_targets = rows.trunk_grad @ basis  # (n, r), row i = U^T g_i
+    basis = np.ascontiguousarray(u)
+    coef_targets = vt.T * sing  # (n, r), row i = U^T g_i
 
     feats = _bilinear(rows.h, rows.llh)
     if lam is None:

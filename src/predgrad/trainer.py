@@ -5,38 +5,46 @@ the same short final batch, so runs with equal seeds see identical batch
 schedules regardless of algorithm. The predicted loop splits each
 mini-batch with a per-step substream and combines, with the control-variate
 correction ``predgrad.estimator.combine``, the predictions for every row
-with the true and predicted gradients of the control rows. Each of its
-four calls covers its rows at once: a cheap forward on the whole batch for
-the activations, residuals and losses; forward and backward on the control
-rows; ``predict_batch`` on the control rows; and ``predict_sum`` on the
-whole batch. Only the control rows are formed row by row, because the fit
-buffer and the alignment statistics read them; the whole-batch prediction
-is formed as a sum, and so is vanilla's gradient, by ``backward_sum``. For
-a perfect predictor the whole-batch prediction is vanilla's own forward
-and ``backward_sum`` on the same rows, and the control prediction the same
-call on the same rows as the true control gradients, so the correction is
-exactly zero and the trajectory is vanilla's bit for bit.
+with the true and predicted gradients of the control rows. A step makes one
+``forward`` on the whole batch and then forms three sums from its cache:
+``predict_sum`` on the batch, and ``backward_sum`` and ``predict_sum`` on
+the control rows' view of the cache (``ForwardCache.rows``). No gradient
+is formed row by row on an ordinary step. Vanilla's gradient is the same
+``forward`` and ``backward_sum`` on the batch. For a perfect predictor
+``predict_sum`` is ``backward_sum``, so the whole-batch prediction is
+vanilla's own call on the same rows, and the control prediction the same
+call on the same rows as the true control sum: the correction is exactly
+zero and the trajectory is vanilla's bit for bit.
 
 The predictor is one of the objects of ``predgrad.predictor``.
 
 A step whose batch loss or combined gradient is not finite stops the run
 with a ``NumericError`` that names the step.
 
-A learned predictor is fitted before the first step on a warmup sample that
-seeds the ``FitBuffer`` of control rows that refits read; the perfect
-predictor fits nothing and keeps no rows. A refit that fails for lack of
-usable rows keeps the old predictor and warns, naming the step.
+A learned predictor is fitted before the first step, and refitted every
+refit period, on a fit sample of its own: ``RefitPolicy.buffer_capacity``
+training rows (all of them if there are fewer) drawn afresh from a
+stateless substream, "warmup" before the first step and "refit:<step>"
+after it, with a forward and per-row backward at the current parameters.
+So a fit sees rows from one parameter state, and a resumed run draws the
+samples an uninterrupted one draws. Before a refit replaces the predictor,
+the outgoing one is measured on that sample: its trunk-only alignment
+statistics are the refit step's rho_hat, kappa_hat and phi_hat (phi at the
+step's realised control fraction m_c/m), the end-of-period values of the
+predictor's refit period. Every other step records NaN for them. The
+perfect predictor fits nothing and draws no sample. A refit that fails for
+lack of usable rows keeps the old predictor and warns, naming the step.
 
 Cost accounting charges what the algorithm structure prescribes (forward +
 backward per control example, cheap forward per prediction example),
-independent of how a predictor is implemented internally. It does not
-count the control rows' cheap forward or their second prediction, both
-real work of the four calls above. It counts passes per example, so a sum
-formed by ``backward_sum`` or ``predict_sum`` is charged as the rows it
-sums, whatever it costs. Each step's split is drawn before the budget
+independent of how a predictor is implemented internally. It counts passes
+per example, so a sum formed by ``backward_sum`` or ``predict_sum`` is
+charged as the rows it sums, whatever it costs, and the control rows'
+prediction is not charged. Each step's split is drawn before the budget
 check, and that check and the step's one charge read the same m_c and
-m_p. The warmup sample is charged to a separate warmup ledger; the budget
-governs stepping cost only, mirroring a cost model that counts
+m_p. Every fit sample, the warmup's and each refit's, is charged to a
+separate warmup (fit) ledger as a forward and a backward per row; the
+budget governs stepping cost only, mirroring a cost model that counts
 per-iteration passes.
 """
 
@@ -58,8 +66,8 @@ from .estimator import (alignment_stats, combine, control_batch_size, split_mini
                         variance_inflation)
 from .network import (Network, NetworkConfig, backward, backward_sum, cheap_forward,
                       forward, init_network, loss_and_residual)
-from .predictor import (PREDICTORS, FitBuffer, FitRows, PerfectPredictor, RefitPolicy,
-                        fit_scalar, fit_structured, should_refit)
+from .predictor import (PREDICTORS, FitRows, PerfectPredictor, RefitPolicy, fit_scalar,
+                        fit_structured, should_refit)
 from .rng import substream
 
 METRICS_HEADER = ["step", "epoch", "cost_units", "loss", "val_metric",
@@ -147,7 +155,8 @@ class StepRecord:
     cost_units: float
     loss: float
     val_metric: float
-    rho_hat: float          # trunk-only alignment estimate from the control batch
+    rho_hat: float          # trunk-only alignment of the outgoing predictor on a
+                            # refit sample; NaN on steps that drew none
     kappa_hat: float
     phi_hat: float
     refit: int
@@ -178,7 +187,6 @@ class TrainState:
     net: Network
     predictor: object | None        # a fitted predictor; None for vanilla
     opt_state: np.ndarray | None
-    buffer: FitBuffer
     step: int = 0
     epoch: int = 0
     batch_in_epoch: int = 0
@@ -225,57 +233,39 @@ def _resolve_loss_kind(cfg: TrainConfig, ds: Dataset) -> str:
     return kind
 
 
-def _fit(kind: str, buffer: FitBuffer, policy: RefitPolicy):
-    """A fresh predictor of a learned kind fitted on the buffered rows, or
-    None for the perfect predictor, which has nothing to fit. The fit
+def _fit(kind: str, rows: FitRows, policy: RefitPolicy):
+    """A fresh predictor of a learned kind fitted on ``rows``. The fit
     functions are looked up in this module, so wrapping
     ``predgrad.trainer.fit_*`` sees every fit."""
     if kind == "scalar":
-        return fit_scalar(buffer.rows(), policy.ridge_lambda)
-    if kind == "structured":
-        return fit_structured(buffer.rows(), None, policy.ridge_lambda)
-    return None
+        return fit_scalar(rows, policy.ridge_lambda)
+    return fit_structured(rows, None, policy.ridge_lambda)
 
 
-def _true_passes(net, ds, idx, loss_kind, smoothing, summed=False):
-    """Forward and backward on the examples idx: returns (llh, losses,
-    residuals, gradient rows), all in the order of idx; with ``summed``, the
-    rows' sum from ``backward_sum`` in place of the rows."""
-    llh, output, cache = forward(net, ds.features[idx])
+def _pass(net, ds, idx, loss_kind, smoothing):
+    """Forward on the examples idx: returns (cache, losses, residuals), all
+    in the order of idx."""
+    _, output, cache = forward(net, ds.features[idx])
     losses, residuals = loss_and_residual(output, ds.targets[idx], loss_kind, smoothing)
-    grads = (backward_sum if summed else backward)(net, cache, residuals)
-    return llh, losses, residuals, grads
+    return cache, losses, residuals
 
 
 def _batch_true(net, ds, batch_idx, loss_kind, smoothing):
     """Mean true gradient and mean loss over a batch."""
     m = len(batch_idx)
-    _, losses, _, grad_sum = _true_passes(net, ds, batch_idx, loss_kind, smoothing, True)
-    return grad_sum / m, float(losses.sum() / m)
+    cache, losses, residuals = _pass(net, ds, batch_idx, loss_kind, smoothing)
+    return backward_sum(net, cache, residuals) / m, float(losses.sum() / m)
 
 
 def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing):
-    """Debiased combined gradient over one split mini-batch.
-
-    Returns (G, batch loss, trunk alignment stats, the control rows' fit
-    rows); the stats are None when the control micro-batch has fewer than 2
-    examples.
-    """
-    pt, ctrl = net.trunk_size, split.control
-    xs = ds.features[batch_idx]
-    llh, output = cheap_forward(net, xs)
-    losses, residuals = loss_and_residual(output, ds.targets[batch_idx], loss_kind, smoothing)
-    llh_c, _, r_c, ctrl_true = _true_passes(net, ds, batch_idx[ctrl], loss_kind, smoothing)
-    ctrl_pred = predictor.predict_batch(net, xs[ctrl], llh_c, r_c)
-    s_pred = predictor.predict_sum(net, xs, llh, residuals)
-    combined = combine(s_pred, ctrl_true.sum(axis=0), ctrl_pred.sum(axis=0),
-                       split.m_c, split.m)
-
-    stats = None
-    if split.m_c >= 2:
-        stats = alignment_stats(ctrl_true[:, :pt], ctrl_pred[:, :pt])
-    fit_rows = FitRows.from_pass(llh_c, r_c, ctrl_true[:, :pt], net.head_weight)
-    return combined, float(losses.sum() / split.m), stats, fit_rows
+    """Debiased combined gradient and mean loss over one split mini-batch,
+    from one forward on the batch and three sums over its cache."""
+    cache, losses, residuals = _pass(net, ds, batch_idx, loss_kind, smoothing)
+    cache_c, r_c = cache.rows(split.control), residuals[split.control]
+    combined = combine(predictor.predict_sum(net, cache, residuals),
+                       backward_sum(net, cache_c, r_c),
+                       predictor.predict_sum(net, cache_c, r_c), split.m_c, split.m)
+    return combined, float(losses.sum() / split.m)
 
 
 def _eval_val(net, ds, loss_kind, smoothing) -> float:
@@ -307,21 +297,35 @@ class _MetricsWriter:
             self._fh.close()
 
 
-def _run_warmup(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str,
-                kind: str):
-    """Seed the fit buffer from a dedicated full-backward sample and return a
-    ``kind`` predictor fitted on it; charged to the warmup ledger. The sample
-    is a batch, or D+1 examples (D the last hidden width) when that is more,
-    since a fit needs D+1 rows."""
-    m = min(max(cfg.batch_size, state.net.config.last_hidden + 1), len(ds.train_idx))
-    rng = substream(cfg.seed, "warmup")
-    chosen = rng.choice(ds.train_idx, size=m, replace=False)
-    net = state.net
-    llh, _, residuals, grads = _true_passes(net, ds, chosen, loss_kind, cfg.smoothing)
-    state.warmup_ledger.charge(forward=m, backward=m)
-    state.buffer.add(FitRows.from_pass(llh, residuals, grads[:, :net.trunk_size],
-                                       net.head_weight))
-    return _fit(kind, state.buffer, cfg.refit)
+def _refit(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str,
+           kind: str):
+    """Fit a fresh ``kind`` predictor on a fit sample drawn for this step and
+    make it ``state.predictor``; returns (1 if it was replaced else 0, the
+    outgoing predictor's alignment stats on the sample or None). The
+    sample, charged to the warmup ledger, is ``buffer_capacity`` training
+    rows, or all of them if fewer. At step 0 there is no outgoing predictor
+    and a failed fit raises; later, it keeps the old predictor and warns."""
+    n = min(cfg.refit.buffer_capacity, len(ds.train_idx))
+    name = "warmup" if state.step == 0 else f"refit:{state.step}"
+    chosen = substream(cfg.seed, name).choice(ds.train_idx, size=n, replace=False)
+    net, outgoing = state.net, state.predictor
+    cache, _, residuals = _pass(net, ds, chosen, loss_kind, cfg.smoothing)
+    trunk = backward(net, cache, residuals)[:, :net.trunk_size]
+    state.warmup_ledger.charge(forward=n, backward=n)
+    stats = None
+    if outgoing is not None:
+        predicted = outgoing.predict_batch(net, cache, residuals)[:, :net.trunk_size]
+        stats = alignment_stats(trunk, predicted)
+    try:
+        state.predictor = _fit(kind, FitRows.from_pass(cache.act[-1], residuals, trunk,
+                                                       net.head_weight), cfg.refit)
+    except InsufficientData as e:
+        if outgoing is None:
+            raise
+        log.warning("refit skipped at step %d, keeping the old predictor: %s",
+                    state.step, e)
+        return 0, stats
+    return 1, stats
 
 
 def _check_run(cfg: TrainConfig, ds: Dataset, predicted: bool):
@@ -354,6 +358,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str
     """Run from ``state`` to the end of the run, with what ``_check_run``
     returned for it."""
     predicted = state.predictor is not None
+    learned = predicted and state.predictor.kind != "perfect"
     f, cm = cfg.control_fraction, cfg.cost_model
     theta = state.net.flat_params()
     records = []
@@ -400,13 +405,10 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str
                 if not predicted:
                     grad, batch_loss = _batch_true(
                         state.net, ds, batch_idx, loss_kind, cfg.smoothing)
-                    stats = None
                 else:
-                    grad, batch_loss, stats, fit_rows = \
-                        _batch_predicted(state.net, state.predictor, ds, batch_idx,
-                                         split, loss_kind, cfg.smoothing)
-                    if not isinstance(state.predictor, PerfectPredictor):
-                        state.buffer.add(fit_rows)
+                    grad, batch_loss = _batch_predicted(
+                        state.net, state.predictor, ds, batch_idx, split, loss_kind,
+                        cfg.smoothing)
                 if not (math.isfinite(batch_loss) and np.isfinite(grad).all()):
                     raise NumericError(
                         f"non-finite loss or gradient at step {state.step + 1}")
@@ -418,16 +420,10 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str
                 state.step += 1
                 state.batch_in_epoch = bi + 1
 
-                refit_flag = 0
-                if predicted and should_refit(cfg.refit, state.step):
-                    try:
-                        fitted = _fit(state.predictor.kind, state.buffer, cfg.refit)
-                    except InsufficientData as e:
-                        log.warning("refit skipped at step %d, keeping the old "
-                                    "predictor: %s", state.step, e)
-                        fitted = None
-                    if fitted is not None:
-                        state.predictor, refit_flag = fitted, 1
+                refit_flag, stats = 0, None
+                if learned and should_refit(cfg.refit, state.step):
+                    refit_flag, stats = _refit(cfg, ds, state, loss_kind,
+                                               state.predictor.kind)
 
                 if cfg.eval_every and state.step % cfg.eval_every == 0:
                     val = _eval_val(state.net, ds, loss_kind, cfg.smoothing)
@@ -462,7 +458,6 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str
 
 def _fresh_state(cfg: TrainConfig, net: Network) -> TrainState:
     return TrainState(net=net, predictor=None, opt_state=None,
-                      buffer=FitBuffer(cfg.refit.buffer_capacity),
                       stepping=BudgetLedger(cfg.cost_model),
                       warmup_ledger=BudgetLedger(cfg.cost_model))
 
@@ -479,8 +474,8 @@ def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, kind: str,
     """Predicted-gradient training with a predictor of the named kind,
     "scalar", "structured" or "perfect". "perfect" becomes a
     PerfectPredictor; a learned kind is fitted on a warmup sample before
-    the first step, and needs a fit buffer of at least D+1 rows (D the last
-    hidden width).
+    the first step, and needs a fit sample (``buffer_capacity``) of at
+    least D+1 rows (D the last hidden width).
     """
     state = _fresh_state(cfg, net)
     loss_kind, min_batch = _check_run(cfg, ds, predicted=True)
@@ -491,12 +486,12 @@ def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, kind: str,
     need = net.config.last_hidden + 1
     if kind != "perfect" and cfg.refit.buffer_capacity < need:
         raise ConfigError(
-            f"fit buffer capacity {cfg.refit.buffer_capacity} is below the D+1 = {need} "
-            f"rows a {kind} fit needs")
+            f"buffer capacity {cfg.refit.buffer_capacity} is below the D+1 = {need} "
+            f"rows a {kind} fit needs; it is the size of each fit sample")
     if kind == "perfect":
         state.predictor = PerfectPredictor()
     else:
-        state.predictor = _run_warmup(cfg, ds, state, loss_kind, kind)
+        _refit(cfg, ds, state, loss_kind, kind)
     return _train_loop(cfg, ds, state, loss_kind, min_batch, metrics_path)
 
 
@@ -514,6 +509,8 @@ class ComparisonReport:
     vanilla_cost_units: float
     predicted_cost_units: float
     predicted_warmup_cost_units: float
+    # means over the refit steps of the end-of-period statistics that each
+    # refit measures; NaN when the predicted run made no refit
     rho_hat_trunk_mean: float
     kappa_hat_mean: float
     phi_hat_mean: float
@@ -593,7 +590,6 @@ def run_budgeted_comparison(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfi
 
 RUN_LENGTH_KEYS = ("epochs", "max_steps", "budget")  # a resumed run may change them
 RETIRED_KEYS = ("warmup",)  # written by older versions, no longer an option
-BUFFER_KEYS = ("buf_llh", "buf_residual", "buf_h", "buf_trunk_grad")  # FitRows order
 
 
 def _cfg_json(cfg: TrainConfig) -> str:
@@ -616,8 +612,7 @@ def _cfg_json(cfg: TrainConfig) -> str:
 
 
 def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
-    """Bundle network, predictor, optimizer state, fit buffer and loop
-    counters; resuming from it reproduces an uninterrupted run bit-exactly
+    """Bundle network, predictor, optimizer state and loop counters; resuming from it reproduces an uninterrupted run bit-exactly
     (all random streams are derived statelessly from the seed and the
     counters stored here). The file is written to ``<path>.tmp`` and then
     moved into place, so a failed write leaves any previous checkpoint at
@@ -645,9 +640,6 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
     pred = state.predictor
     if pred is not None:
         arrays.update(pred.to_arrays())
-
-    if len(state.buffer):
-        arrays.update(zip(BUFFER_KEYS, state.buffer.rows()))
 
     header = json.dumps({
         "format": RUN_CHECKPOINT_FORMAT,
@@ -682,7 +674,8 @@ def _run_identity(cfg_json: str) -> dict:
 def load_run_checkpoint(path, cfg: TrainConfig) -> TrainState:
     """State of a checkpointed run. The config must match the one it was
     written under, except for the run-length fields, so a run can be
-    extended."""
+    extended. The fit buffer that older versions saved as ``buf_*`` arrays
+    is ignored: each refit draws a sample of its own."""
     with np.load(path) as z:
         header = json.loads(bytes(z["header"]).decode("utf-8"))
         if header.get("format") != RUN_CHECKPOINT_FORMAT:
@@ -698,14 +691,10 @@ def load_run_checkpoint(path, cfg: TrainConfig) -> TrainState:
             raise ConfigError(f"checkpoint holds an unknown predictor kind {kind!r}")
         pred = None if kind == "none" else PREDICTORS[kind].from_arrays(z)
 
-        buffer = FitBuffer(cfg.refit.buffer_capacity)
-        if BUFFER_KEYS[0] in z:
-            buffer.add(FitRows(*(z[key] for key in BUFFER_KEYS)))
-
         stepping = BudgetLedger(cfg.cost_model, *(int(v) for v in z["stepping_counts"]))
         warmup_ledger = BudgetLedger(cfg.cost_model, *(int(v) for v in z["warmup_counts"]))
         opt_state = z["opt_state"].copy() if "opt_state" in z else None
-        return TrainState(net=net, predictor=pred, opt_state=opt_state, buffer=buffer,
+        return TrainState(net=net, predictor=pred, opt_state=opt_state,
                           step=step, epoch=epoch, batch_in_epoch=batch_in_epoch,
                           stepping=stepping, warmup_ledger=warmup_ledger)
 

@@ -303,6 +303,11 @@ def test_backward_sum_equals_the_summed_rows(activation, kind, hidden):
     summed = backward_sum(net, cache, residuals)
     assert summed.shape == (net.n_params,)
     assert np.linalg.norm(summed - rows) <= 1e-12 * np.linalg.norm(rows)
+    # the cache's view of some rows sums those rows alone
+    idx = np.array([30, 0, 17, 3])
+    part = backward(net, cache, residuals)[idx].sum(axis=0)
+    part_sum = backward_sum(net, cache.rows(idx), residuals[idx])
+    assert np.linalg.norm(part_sum - part) <= 1e-12 * np.linalg.norm(part)
     # a single example is a batch of one
     _, output, cache = forward(net, xs[0])
     _, residual = loss_and_residual(output, ys[0], kind, smoothing=0.05)

@@ -2,16 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from predgrad import predictor
 from predgrad.errors import DimensionError, InsufficientData
 from predgrad.network import NetworkConfig, backward, forward, init_network, loss_and_residual
-from predgrad.predictor import (FitBuffer, FitRows, PerfectPredictor, RefitPolicy,
-                                ScalarPredictor, StructuredPredictor, choose_rank,
-                                fit_scalar, fit_structured, predict_scalar,
-                                predict_structured, should_refit)
+from predgrad.predictor import (FitRows, PerfectPredictor, RefitPolicy, ScalarPredictor,
+                                StructuredPredictor, choose_rank, fit_scalar,
+                                fit_structured, predict_scalar, predict_structured,
+                                should_refit)
 from predgrad.rng import substream
 
 
@@ -244,26 +242,6 @@ def test_fit_structured_sample_and_rank_requirements():
         fit_structured(rows, r=50)
 
 
-@settings(max_examples=60)
-@given(capacity=st.integers(2, 20), sizes=st.lists(st.integers(1, 30), min_size=1, max_size=12))
-def test_fit_buffer_keeps_the_last_capacity_rows_in_order(capacity, sizes):
-    buffer, added = FitBuffer(capacity), []
-    for size in sizes:
-        # row i of everything added holds i in every field
-        ids = np.arange(len(added), len(added) + size, dtype=np.float64)
-        added.extend(ids)
-        buffer.add(FitRows(ids[:, None], ids[:, None] * 2, ids[:, None] * 3,
-                           np.repeat(ids[:, None], 5, axis=1)))
-        assert len(buffer) == min(capacity, len(added))
-        rows = buffer.rows()
-        last = np.array(added[-capacity:])
-        assert all(len(a) == len(buffer) for a in rows)
-        assert np.array_equal(rows.llh[:, 0], last)
-        assert np.array_equal(rows.residual[:, 0], 2 * last)
-        assert np.array_equal(rows.h[:, 0], 3 * last)
-        assert np.array_equal(rows.trunk_grad, np.repeat(last[:, None], 5, axis=1))
-
-
 def test_should_refit_schedule():
     policy = RefitPolicy(period=50, buffer_capacity=64)
     assert should_refit(policy, 50)
@@ -280,13 +258,13 @@ def test_choose_rank_energy_rule():
 
 def batch_predictors(n=40):
     """Scalar-output, vector-output and exact cases:
-    (net, predictor, inputs, llh, residuals)."""
+    (net, predictor, inputs, forward cache, residuals)."""
     rng = substream(43, "batch-predict")
     cases = []
     for out, kind in ((1, "squared_scalar"), (4, "squared_vector"), (3, "squared_vector")):
         net = init_network(NetworkConfig(8, (24, 16), out, activation="tanh", seed=out))
         xs = rng.standard_normal((n, 8))
-        llh, output, _ = forward(net, xs)
+        _, output, cache = forward(net, xs)
         _, residuals = loss_and_residual(output, rng.standard_normal((n, out)), kind)
         pt, d = net.trunk_size, net.config.last_hidden
         if out == 1:
@@ -298,7 +276,7 @@ def batch_predictors(n=40):
                                        rank=6)
         else:
             pred = PerfectPredictor()
-        cases.append((net, pred, xs, llh, residuals))
+        cases.append((net, pred, xs, cache, residuals))
     return cases
 
 
@@ -311,14 +289,15 @@ def single_prediction(net, pred, x, llh, residual):
 
 
 def test_predict_batch_rows_equal_single_example_calls():
-    for net, pred, xs, llh, residuals in batch_predictors():
-        rows = pred.predict_batch(net, xs, llh, residuals)
+    for net, pred, xs, cache, residuals in batch_predictors():
+        llh = cache.act[-1]
+        rows = pred.predict_batch(net, cache, residuals)
         assert rows.shape == (len(llh), net.n_params)
         for i in range(len(llh)):
             one = single_prediction(net, pred, xs[i], llh[i], residuals[i])
             assert np.max(np.abs(rows[i] - one)) <= 1e-12 * np.max(np.abs(one))
         # the sum path forms the rows' sum without the rows
         total = rows.sum(axis=0)
-        summed = pred.predict_sum(net, xs, llh, residuals)
+        summed = pred.predict_sum(net, cache, residuals)
         assert summed.shape == (net.n_params,)
         assert np.linalg.norm(summed - total) <= 1e-12 * np.linalg.norm(total)

@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from predgrad import predictor, trainer
+from predgrad import trainer
 from predgrad.data import gen_blobs, gen_regression
 from predgrad.errors import ConfigError, InsufficientData, NumericError
-from predgrad.estimator import split_minibatch
-from predgrad.network import NetworkConfig, init_network
+from predgrad.estimator import combine, split_minibatch, variance_inflation
+from predgrad.network import (NetworkConfig, backward, forward, init_network,
+                              loss_and_residual)
 from predgrad.predictor import PREDICTORS, PerfectPredictor, RefitPolicy
 from predgrad.rng import substream
 from predgrad.trainer import (TrainConfig, load_run_checkpoint, resume_run,
@@ -80,16 +81,13 @@ def test_checkpoint_round_trip(tmp_path, kind):
     assert np.array_equal(state.opt_state, res.state.opt_state)
     assert state.stepping == res.stepping_ledger
     assert state.warmup_ledger == res.warmup_ledger
-    assert len(state.buffer) == len(res.state.buffer)
-    if kind == "perfect":   # fits nothing, so it keeps no rows
-        assert len(state.buffer) == 0
-        return
-    for a, b in zip(state.buffer.rows(), res.state.buffer.rows()):
-        assert np.array_equal(a, b)
+    with np.load(path) as z:   # each fit draws its own sample, so no rows are kept
+        assert not [key for key in z.files if key.startswith("buf_")]
 
 
 def test_perfect_checkpoint_with_buffer_rows_resumes_bit_exactly(tmp_path):
-    # older versions kept a perfect run's control rows and saved them
+    # older versions kept a fit buffer of control rows, a perfect run's too,
+    # and saved it; a resume ignores those arrays
     ds, ncfg = regression()
     long = TrainConfig(batch_size=32, max_steps=8, momentum=0.9, seed=1, eval_every=0)
     short = replace(long, max_steps=4)
@@ -98,13 +96,13 @@ def test_perfect_checkpoint_with_buffer_rows_resumes_bit_exactly(tmp_path):
     save_run_checkpoint(path, part, short)
     with np.load(path) as z:
         arrays = dict(z)
-    assert not any(key in arrays for key in trainer.BUFFER_KEYS)
     d, pt = part.network.config.last_hidden, part.network.trunk_size
     rng = np.random.default_rng(0)
-    arrays.update(zip(trainer.BUFFER_KEYS,   # llh, residual, h, trunk gradient rows
-                      (rng.standard_normal((32, k)) for k in (d, 1, d, pt))))
+    arrays.update((key, rng.standard_normal((32, k))) for key, k in
+                  (("buf_llh", d), ("buf_residual", 1), ("buf_h", d),
+                   ("buf_trunk_grad", pt)))
     np.savez(path, **arrays)
-    assert len(load_run_checkpoint(path, long).buffer) == 32
+    assert load_run_checkpoint(path, long).step == 4
 
     rest = resume_run(long, ds, path)
     whole = train_predicted(long, ds, init_network(ncfg), "perfect")
@@ -163,21 +161,25 @@ def test_resume_rejects_a_changed_config(tmp_path):
 
 
 def test_warmup_with_batch_smaller_than_width():
-    # batch 32 < D+1 = 65: the warmup draws 65 examples so the fit succeeds
+    # batch 32 < D+1 = 65: the fit samples do not depend on the batch; the
+    # warmup and the refit at step 3 each draw the 256 rows of the capacity
     ds, ncfg = blobs(hidden=(64, 64), n=600)
     cfg = TrainConfig(batch_size=32, max_steps=3, refit=RefitPolicy(period=3),
                       seed=4, eval_every=0)
     res = train_predicted(cfg, ds, init_network(ncfg), "structured")
     assert res.steps == 3
-    assert res.warmup_ledger.backward_count == 65
+    assert res.warmup_ledger.backward_count == 2 * 256
     assert sum(r.refit for r in res.records) >= 1
 
 
-def test_warmup_keeps_the_batch_when_it_is_large_enough():
-    ds, ncfg = regression()
-    cfg = TrainConfig(batch_size=32, max_steps=2, seed=4, eval_every=0)
-    res = train_predicted(cfg, ds, init_network(ncfg), "structured")
-    assert res.warmup_ledger.backward_count == 32
+def test_fit_sample_is_the_capacity_or_the_whole_training_set():
+    ds, ncfg = regression()   # 320 training rows
+    for capacity, drawn in ((40, 40), (1000, 320)):
+        cfg = TrainConfig(batch_size=32, max_steps=2, refit=RefitPolicy(
+            buffer_capacity=capacity), seed=4, eval_every=0)
+        res = train_predicted(cfg, ds, init_network(ncfg), "structured")
+        assert res.warmup_ledger.backward_count == drawn
+        assert res.predictor.n_fit <= drawn
 
 
 def test_predictor_argument_errors():
@@ -289,53 +291,45 @@ def test_skipped_refit_logs_a_warning_and_keeps_the_predictor(monkeypatch, caplo
     assert res.steps == 7
     assert res.predictor is fits[0]
     assert [r.refit for r in res.records] == [0] * 7
+    # the samples were drawn, so the outgoing predictor was still measured
+    assert [math.isfinite(r.rho_hat) for r in res.records] == [r.step % 3 == 0
+                                                                for r in res.records]
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 2
     for step, msg in zip((3, 6), warnings):
         assert f"step {step}" in msg and "too few usable samples" in msg
 
 
-def test_format_1_checkpoint_resumes(monkeypatch):
+def test_format_1_checkpoint_resumes():
     # written by an earlier version, whose config carried a warmup option:
     # structured predictor, hidden (8,), refits every 3 steps, 5 steps done
+    # It also holds a 16-row fit buffer, which is ignored. Its fits read that
+    # buffer, where refits now draw fresh samples, so an uninterrupted run
+    # takes another trajectory and is not compared.
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, max_steps=9,
                       refit=RefitPolicy(period=3, buffer_capacity=16),
                       momentum=0.9, seed=1, eval_every=0)
     state = load_run_checkpoint(DATA / "format1_structured.npz", cfg)
     assert state.net.config == ncfg
-    assert state.predictor.kind == "structured" and len(state.buffer) == 16
+    assert state.predictor.kind == "structured"
     assert state.step == 5
 
     rest = resume_run(cfg, ds, DATA / "format1_structured.npz")
     assert rest.steps == 9
     assert all(math.isfinite(r.loss) for r in rest.records)
     assert [r.refit for r in rest.records] == [1, 0, 0, 1]   # steps 6 and 9
-    # the uninterrupted run agrees; exact bits may differ between BLAS builds.
-    # The fixture's predictor and buffer come from fits through the 72 x 72
-    # primal system, so the uninterrupted run solves its first two fits
-    # (warmup and step 3) that way too, and the kernel form after them
-    solve, lams = predictor.solve_ridge, []
-
-    def first_two_primal(a, b, lam):
-        lams.append(lam)
-        if len(lams) > 2:
-            return solve(a, b, lam)
-        return np.linalg.solve(a.T @ a + lam * np.eye(a.shape[1]), a.T @ b)
-
-    monkeypatch.setattr(predictor, "solve_ridge", first_two_primal)
-    whole = train_predicted(cfg, ds, init_network(ncfg), "structured")
-    assert len(lams) == 4
-    assert np.allclose(rest.network.flat_params(), whole.network.flat_params(),
-                       rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind, make_data, loss_kind", [
+LEARNED_STEPS = pytest.mark.parametrize("kind, make_data, loss_kind", [
     ("scalar", regression, "squared_scalar"),
     ("structured", blobs, "cross_entropy"),
 ])
-def test_learned_step_from_sums_matches_the_summed_rows(monkeypatch, kind, make_data,
-                                                        loss_kind):
+
+
+def fitted_step(kind, make_data, loss_kind):
+    """A learned predictor after a refit, a batch and its split, and a
+    function giving the lean step's G on them."""
     ds, ncfg = make_data(hidden=(24, 16))
     cfg = TrainConfig(batch_size=64, max_steps=4, refit=RefitPolicy(period=2), seed=7,
                       eval_every=0)
@@ -347,12 +341,66 @@ def test_learned_step_from_sums_matches_the_summed_rows(monkeypatch, kind, make_
         return trainer._batch_predicted(res.network, res.predictor, ds, batch_idx, split,
                                         loss_kind, 0.0)[0]
 
+    return res.network, res.predictor, ds, batch_idx, split, step
+
+
+@LEARNED_STEPS
+def test_learned_step_from_sums_matches_the_summed_rows(monkeypatch, kind, make_data,
+                                                        loss_kind):
+    *_, step = fitted_step(kind, make_data, loss_kind)
     from_sums = step()
-    monkeypatch.setattr(type(res.predictor), "predict_sum",
-                        lambda self, net, xs, llh, r:
-                        self.predict_batch(net, xs, llh, r).sum(axis=0))
+    monkeypatch.setattr(PREDICTORS[kind], "predict_sum",
+                        lambda self, net, cache, r:
+                        self.predict_batch(net, cache, r).sum(axis=0))
     from_rows = step()
     assert np.linalg.norm(from_sums - from_rows) <= 1e-12 * np.linalg.norm(from_rows)
+
+
+@LEARNED_STEPS
+def test_lean_step_matches_the_row_path(kind, make_data, loss_kind):
+    # the row path: a second forward on the control rows, and per-row
+    # backward and prediction rows, summed
+    net, pred, ds, batch_idx, split, step = fitted_step(kind, make_data, loss_kind)
+    ctrl = batch_idx[split.control]
+    _, output, cache = forward(net, ds.features[batch_idx])
+    _, r = loss_and_residual(output, ds.targets[batch_idx], loss_kind)
+    _, output_c, cache_c = forward(net, ds.features[ctrl])
+    _, r_c = loss_and_residual(output_c, ds.targets[ctrl], loss_kind)
+    from_rows = combine(pred.predict_batch(net, cache, r).sum(axis=0),
+                        backward(net, cache_c, r_c).sum(axis=0),
+                        pred.predict_batch(net, cache_c, r_c).sum(axis=0),
+                        split.m_c, split.m)
+    lean = step()
+    assert np.linalg.norm(lean - from_rows) <= 1e-12 * np.linalg.norm(from_rows)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "structured"])
+def test_alignment_statistics_come_from_the_refit_samples(kind):
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=32, max_steps=10, refit=RefitPolicy(
+        period=3, buffer_capacity=100), seed=5, eval_every=0)
+    res = train_predicted(cfg, ds, init_network(ncfg), kind)
+    drew = [r.step % 3 == 0 for r in res.records]
+    assert sum(drew) == 3   # steps 3, 6 and 9
+    for rec, refit_step in zip(res.records, drew):
+        stats = (rec.rho_hat, rec.kappa_hat, rec.phi_hat)
+        assert all(map(math.isfinite, stats)) if refit_step \
+            else all(map(math.isnan, stats)), rec
+        if refit_step:
+            assert rec.phi_hat == variance_inflation(8 / 32, rec.rho_hat, rec.kappa_hat)
+    # each fit sample is charged once, as a forward and a backward per row
+    ledger = res.warmup_ledger
+    assert ledger.backward_count == ledger.forward_count == 100 * (1 + 3)
+    assert ledger.cheap_forward_count == 0
+
+
+def test_a_perfect_run_draws_no_fit_sample():
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=32, max_steps=7, refit=RefitPolicy(period=3), seed=5,
+                      eval_every=0)
+    res = train_predicted(cfg, ds, init_network(ncfg), "perfect")
+    assert res.warmup_ledger.cost_units == 0
+    assert all(math.isnan(r.rho_hat) for r in res.records)
 
 
 def test_a_fit_buffer_below_d_plus_1_rows_is_a_config_error():
