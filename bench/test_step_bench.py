@@ -1,5 +1,8 @@
 """Time one vanilla step (``_batch_true``) and one predicted step
-(``_batch_predicted``, structured predictor) at three net and batch sizes.
+(``_batch_predicted``, structured predictor) at three net and batch sizes,
+and the three layers of a predicted step at the same sizes: the forward
+and loss on the batch, ``backward_sum`` on the control rows' view of its
+cache, and ``predict_sums`` on the batch and that view.
 
 Run from the repository root, with one BLAS thread:
 
@@ -9,7 +12,8 @@ Run from the repository root, with one BLAS thread:
 The directory is not among the tier-1 test paths, so the plain test run
 does not collect it. Each case times the gradient of one batch at fixed
 parameters: the forward and backward work of a step, without the optimizer
-update, validation or refits. The predictor is fitted on the warmup sample
+update, validation or refits; a layer case times one of its calls on the
+same batch. The predictor is fitted on the warmup sample
 of a one-step run whose fit sample is one batch, so both sides of a
 comparison fit it on the same rows.
 """
@@ -21,11 +25,12 @@ import pytest
 from predgrad import trainer
 from predgrad.data import gen_blobs
 from predgrad.estimator import split_minibatch
-from predgrad.network import NetworkConfig, init_network
+from predgrad.network import NetworkConfig, backward_sum, init_network
 from predgrad.predictor import RefitPolicy
 from predgrad.rng import substream
 
 SIZES = [((64, 64), 128), ((64, 64, 64, 64), 512), ((128, 128), 256)]
+SIZE_IDS = [f"{'x'.join(map(str, h))}-m{m}" for h, m in SIZES]
 
 
 @dataclass
@@ -47,8 +52,7 @@ def _step(hidden, m) -> Step:
                 split_minibatch(m, 0.25, substream(5, "bench-split")))
 
 
-@pytest.mark.parametrize("hidden, m", SIZES, ids=[f"{'x'.join(map(str, h))}-m{m}"
-                                                  for h, m in SIZES])
+@pytest.mark.parametrize("hidden, m", SIZES, ids=SIZE_IDS)
 @pytest.mark.parametrize("algo", ["vanilla", "predicted"])
 def test_step(benchmark, algo, hidden, m):
     s = _step(hidden, m)
@@ -57,3 +61,17 @@ def test_step(benchmark, algo, hidden, m):
     else:
         benchmark(trainer._batch_predicted, s.net, s.predictor, s.ds, s.batch_idx,
                   s.split, "cross_entropy", 0.0)
+
+
+@pytest.mark.parametrize("hidden, m", SIZES, ids=SIZE_IDS)
+@pytest.mark.parametrize("layer", ["forward", "backward_sum", "predict_sums"])
+def test_layer(benchmark, layer, hidden, m):
+    s = _step(hidden, m)
+    cache, _, residuals = trainer._pass(s.net, s.ds, s.batch_idx, "cross_entropy", 0.0)
+    cache_c, r_c = cache.rows(s.split.control), residuals[s.split.control]
+    if layer == "forward":
+        benchmark(trainer._pass, s.net, s.ds, s.batch_idx, "cross_entropy", 0.0)
+    elif layer == "backward_sum":
+        benchmark(backward_sum, s.net, cache_c, r_c)
+    else:
+        benchmark(s.predictor.predict_sums, s.net, [(cache, residuals), (cache_c, r_c)])

@@ -311,6 +311,7 @@ def cmd_compare(args) -> int:
         fh.write("\n")
     print(f"vanilla_steps {report.vanilla_steps}")
     print(f"predicted_steps {report.predicted_steps}")
+    print(f"predicted_warmup_cost_units {report.predicted_warmup_cost_units!r}")
     print(f"vanilla_final_loss {report.vanilla_final_loss!r}")
     print(f"predicted_final_loss {report.predicted_final_loss!r}")
     print(f"rho_hat_trunk_mean {report.rho_hat_trunk_mean!r}")

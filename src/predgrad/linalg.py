@@ -7,12 +7,43 @@ import numpy as np
 
 from .errors import DimensionError, SingularSystem
 
+BLOCK_BYTES = 512 * 1024  # a block of the long matrix stays in a core's L2 cache
+
 
 def _as_matrix(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
     return a
+
+
+def few_column_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A @ B for a B of few columns, reading A from memory once.
+
+    Each column of B alone is a matrix-vector product that costs the bytes
+    of A it reads. A plain A @ B with several columns makes BLAS pack A,
+    which above a few MB costs more than one matrix-vector product per
+    column. So A is cut along its long axis into blocks of about
+    BLOCK_BYTES, and each block meets every column of B while it is in
+    cache: row blocks for a tall A, and for a wide A column blocks whose
+    partial products are summed. An A that fits in one block is a plain
+    A @ B.
+    """
+    a, b = _as_matrix(a, "A"), _as_matrix(b, "B")
+    n, k = a.shape
+    if a.nbytes <= BLOCK_BYTES:
+        return a @ b
+    if n >= k:
+        step = max(1, BLOCK_BYTES // (a.itemsize * k))
+        out = np.empty((n, b.shape[1]))
+        for i in range(0, n, step):
+            np.matmul(a[i:i + step], b, out=out[i:i + step])
+        return out
+    step = max(1, BLOCK_BYTES // (a.itemsize * n))
+    out = a[:, :step] @ b[:step]
+    for j in range(step, k, step):
+        out += a[:, j:j + step] @ b[j:j + step]
+    return out
 
 
 def solve_ridge(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:

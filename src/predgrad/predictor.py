@@ -22,18 +22,20 @@ gradient.
 
 Every predictor has a ``kind`` name, ``predict_batch(net, cache,
 residuals)`` returning one flat-layout predicted gradient per row of a
-forward cache, in its row order, ``predict_sum`` with the same arguments
-returning the sum of those rows without forming them, and ``to_arrays()`` /
+forward cache, in its row order, ``predict_sums(net, parts)`` taking a list
+of ``(cache, residuals)`` pairs and returning, for each pair, the sum of
+its ``predict_batch`` rows without forming them, and ``to_arrays()`` /
 ``from_arrays()`` for run checkpoints. The learned predictors read only the
 last hidden activations ``cache.act[-1]``; the perfect predictor runs
-``backward`` or ``backward_sum`` on the cache it is given, with no forward
+``backward`` or ``backward_sum`` on each cache it is given, with no forward
 of its own. ``PREDICTORS`` maps each kind to its class. ``predict_scalar``
 and ``predict_structured`` take rows of activations and residuals, or a
 single example, and are each called once per batch as plain matrix
 products; ``predict_structured`` applies its maps to the same bilinear
-features ``fit_structured`` regressed on. Their ``_sum`` forms sum the
-features over the rows first, so a whole-batch sum applies the learned map
-and the basis once, not once per row.
+features ``fit_structured`` regressed on. ``predict_sums`` sums those
+features over each part's rows first and stacks the parts' sums as
+columns, so a learned predictor reads each of its matrices once per call,
+through ``few_column_product``, however many parts it sums.
 """
 
 from dataclasses import dataclass
@@ -43,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InsufficientData
-from .linalg import solve_ridge, truncated_svd
+from .linalg import few_column_product, solve_ridge, truncated_svd
 from .network import backward, backward_sum, gradient_rows, gradient_sum
 
 RESIDUAL_FLOOR = 1e-8   # rows with smaller residuals carry no fit signal
@@ -88,8 +90,10 @@ class ScalarPredictor:
     def predict_batch(self, net, cache, residuals) -> np.ndarray:
         return predict_scalar(self, cache.act[-1], residuals)
 
-    def predict_sum(self, net, cache, residuals) -> np.ndarray:
-        return predict_scalar_sum(self, cache.act[-1], residuals)
+    def predict_sums(self, net, parts) -> list:
+        inputs = [_scalar_inputs(self, cache.act[-1], r) for cache, r in parts]
+        features = np.stack([_head_sum(llh, r).ravel() for llh, r in inputs], axis=1)
+        return _part_sums(few_column_product(self.coef, features), inputs)
 
     def to_arrays(self) -> dict:
         return {"pred_coef": self.coef,
@@ -114,8 +118,14 @@ class StructuredPredictor:
     def predict_batch(self, net, cache, residuals) -> np.ndarray:
         return predict_structured(self, cache.act[-1], residuals, net.head_weight)
 
-    def predict_sum(self, net, cache, residuals) -> np.ndarray:
-        return predict_structured_sum(self, cache.act[-1], residuals, net.head_weight)
+    def predict_sums(self, net, parts) -> list:
+        inputs = [_structured_inputs(self, cache.act[-1], r, net.head_weight)
+                  for cache, r in parts]
+        head_t = net.head_weight.T
+        features = np.stack([(head_t @ _head_sum(llh, r)).ravel() for llh, r in inputs],
+                            axis=1)
+        coeffs = few_column_product(self.maps.reshape(len(self.maps), -1), features)
+        return _part_sums(few_column_product(self.basis, coeffs), inputs)
 
     def to_arrays(self) -> dict:
         return {"pred_basis": self.basis, "pred_maps": self.maps,
@@ -133,8 +143,9 @@ class PerfectPredictor:
 
     Used to exercise the algebraic identity G = mean gradient when
     predictions are perfect; cost accounting still charges the predicted
-    algorithm's pass structure. Its sum is ``backward_sum`` on the given
-    cache, the very call that forms a true gradient sum on those rows.
+    algorithm's pass structure. Its sum for each part is ``backward_sum`` on
+    the given cache, the very call that forms a true gradient sum on those
+    rows.
     """
 
     kind = "perfect"
@@ -142,8 +153,8 @@ class PerfectPredictor:
     def predict_batch(self, net, cache, residuals) -> np.ndarray:
         return backward(net, cache, residuals)
 
-    def predict_sum(self, net, cache, residuals) -> np.ndarray:
-        return backward_sum(net, cache, residuals)
+    def predict_sums(self, net, parts) -> list:
+        return [backward_sum(net, cache, r) for cache, r in parts]
 
     def to_arrays(self) -> dict:
         return {}
@@ -183,6 +194,22 @@ def _augment(llh: np.ndarray) -> np.ndarray:
 def _bilinear(h: np.ndarray, llh: np.ndarray) -> np.ndarray:
     """The structured predictor's features h x [llh; 1], flattened per row."""
     return (h[..., :, None] * _augment(llh)[..., None, :]).reshape(h.shape[:-1] + (-1,))
+
+
+def _head_sum(llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """[R^T A | R^T 1], R and A the rows of residual and llh: the summed head
+    gradient, one row per output, without a ones column on every row. It is
+    the scalar predictor's summed feature, and W_a^T times it the structured
+    one's, vec(H^T [A 1]) with H = R W_a: formed in that order, the product
+    over the rows costs C/D of H^T [A 1]'s."""
+    residual, llh = residual.reshape(-1, residual.shape[-1]), llh.reshape(-1, llh.shape[-1])
+    return np.concatenate([residual.T @ llh, residual.sum(axis=0)[:, None]], axis=1)
+
+
+def _part_sums(trunk: np.ndarray, inputs) -> list:
+    """One flat gradient sum per part, from the parts' trunk sums (the
+    columns of trunk) and their (llh, residual) arrays."""
+    return [gradient_sum(t, llh, r) for t, (llh, r) in zip(trunk.T, inputs)]
 
 
 def _default_lambda(features: np.ndarray) -> float:
@@ -237,14 +264,6 @@ def predict_scalar(p: ScalarPredictor, llh, residual) -> np.ndarray:
     llh, residual = _scalar_inputs(p, llh, residual)
     trunk = (_augment(llh) * residual) @ p.coef.T
     return gradient_rows(trunk, llh, residual)
-
-
-def predict_scalar_sum(p: ScalarPredictor, llh, residual) -> np.ndarray:
-    """The sum of ``predict_scalar``'s rows, formed as a sum: the trunk part
-    is coef (A^T r), A the rows [llh; 1]."""
-    llh, residual = _scalar_inputs(p, llh, residual)
-    aug = _augment(llh).reshape(-1, p.coef.shape[1])
-    return gradient_sum(p.coef @ (aug.T @ residual.reshape(-1)), llh, residual)
 
 
 def fit_structured(rows: FitRows, r: int | None = None,
@@ -309,17 +328,3 @@ def predict_structured(p: StructuredPredictor, llh, residual,
     llh, residual = _structured_inputs(p, llh, residual, head_weight)
     coeffs = _bilinear(residual @ head_weight, llh) @ p.maps.reshape(len(p.maps), -1).T
     return gradient_rows(coeffs @ p.basis.T, llh, residual)
-
-
-def predict_structured_sum(p: StructuredPredictor, llh, residual,
-                           head_weight: np.ndarray) -> np.ndarray:
-    """The sum of ``predict_structured``'s rows, formed as a sum: the summed
-    bilinear features are vec(H^T A), H = R W_a and A the rows [llh; 1], so
-    the trunk part is U (S vec(H^T A)) with S the maps flattened per basis
-    direction."""
-    llh, residual = _structured_inputs(p, llh, residual, head_weight)
-    d = llh.shape[-1]
-    h = (residual @ head_weight).reshape(-1, d)
-    features = (h.T @ _augment(llh).reshape(-1, d + 1)).ravel()
-    trunk = p.basis @ (p.maps.reshape(len(p.maps), -1) @ features)
-    return gradient_sum(trunk, llh, residual)

@@ -7,14 +7,15 @@ mini-batch with a per-step substream and combines, with the control-variate
 correction ``predgrad.estimator.combine``, the predictions for every row
 with the true and predicted gradients of the control rows. A step makes one
 ``forward`` on the whole batch and then forms three sums from its cache:
-``predict_sum`` on the batch, and ``backward_sum`` and ``predict_sum`` on
-the control rows' view of the cache (``ForwardCache.rows``). No gradient
-is formed row by row on an ordinary step. Vanilla's gradient is the same
-``forward`` and ``backward_sum`` on the batch. For a perfect predictor
-``predict_sum`` is ``backward_sum``, so the whole-batch prediction is
-vanilla's own call on the same rows, and the control prediction the same
-call on the same rows as the true control sum: the correction is exactly
-zero and the trajectory is vanilla's bit for bit.
+``backward_sum`` on the control rows' view of the cache
+(``ForwardCache.rows``), and one ``predict_sums`` call on the batch and
+that same view, which reads the predictor's matrices once for both sums.
+No gradient is formed row by row on an ordinary step. Vanilla's gradient
+is the same ``forward`` and ``backward_sum`` on the batch. For a perfect
+predictor each predicted sum is ``backward_sum``, so the whole-batch
+prediction is vanilla's own call on the same rows, and the control
+prediction the same call on the same arrays as the true control sum: the
+correction is exactly zero and the trajectory is vanilla's bit for bit.
 
 The predictor is one of the objects of ``predgrad.predictor``.
 
@@ -38,7 +39,7 @@ lack of usable rows keeps the old predictor and warns, naming the step.
 Cost accounting charges what the algorithm structure prescribes (forward +
 backward per control example, cheap forward per prediction example),
 independent of how a predictor is implemented internally. It counts passes
-per example, so a sum formed by ``backward_sum`` or ``predict_sum`` is
+per example, so a sum formed by ``backward_sum`` or ``predict_sums`` is
 charged as the rows it sums, whatever it costs, and the control rows'
 prediction is not charged. Each step's split is drawn before the budget
 check, and that check and the step's one charge read the same m_c and
@@ -262,9 +263,9 @@ def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing)
     from one forward on the batch and three sums over its cache."""
     cache, losses, residuals = _pass(net, ds, batch_idx, loss_kind, smoothing)
     cache_c, r_c = cache.rows(split.control), residuals[split.control]
-    combined = combine(predictor.predict_sum(net, cache, residuals),
-                       backward_sum(net, cache_c, r_c),
-                       predictor.predict_sum(net, cache_c, r_c), split.m_c, split.m)
+    predicted, predicted_c = predictor.predict_sums(net, [(cache, residuals), (cache_c, r_c)])
+    combined = combine(predicted, backward_sum(net, cache_c, r_c), predicted_c,
+                       split.m_c, split.m)
     return combined, float(losses.sum() / split.m)
 
 

@@ -81,8 +81,8 @@ def test_retired_warmup_key_exits_2(tmp_path, capsys):
 
 
 def test_compare_writes_the_report(tmp_path, capsys):
-    code, err = run(capsys, ["compare"] + TRAIN[1:] + ["--budget", "1000",
-                                                       "--outdir", str(tmp_path)])
+    code = main(["compare"] + TRAIN[1:] + ["--budget", "1000", "--outdir", str(tmp_path)])
+    out, err = capsys.readouterr()
     assert code == 0, err
     report = json.loads((tmp_path / "report.json").read_text())
     assert set(report) == {
@@ -91,6 +91,10 @@ def test_compare_writes_the_report(tmp_path, capsys):
         "predicted_final_val", "vanilla_cost_units", "predicted_cost_units",
         "predicted_warmup_cost_units", "rho_hat_trunk_mean", "kappa_hat_mean",
         "phi_hat_mean", "rho_star_measured", "break_even_verdict"}
+    # the fit samples are charged outside the budget; the printout shows them
+    printed = dict(line.split(" ", 1) for line in out.splitlines())
+    assert float(printed["predicted_warmup_cost_units"]) \
+        == report["predicted_warmup_cost_units"] > 0
 
 
 def test_analyze_writes_the_default_grid(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from predgrad.errors import DimensionError, SingularSystem
-from predgrad.linalg import solve_ridge, truncated_svd
+from predgrad.linalg import BLOCK_BYTES, few_column_product, solve_ridge, truncated_svd
 from predgrad.rng import substream
 
 
@@ -100,3 +100,30 @@ def test_truncated_svd_rank_out_of_range():
         truncated_svd(np.eye(3), 0)
     with pytest.raises(DimensionError):
         truncated_svd(np.eye(3), 4)
+
+
+@pytest.mark.parametrize("shape, cols", [
+    ((10, 4), 2),                                   # fits in one block
+    ((BLOCK_BYTES // 80 * 3 + 7, 10), 2),           # tall; the last row block is short
+    ((10, BLOCK_BYTES // 80 * 3 + 7), 2),           # wide; the last column block is short
+    ((BLOCK_BYTES // 80 * 2, 10), 1),               # a single column
+    ((10, BLOCK_BYTES // 80 * 2), 1),
+    ((BLOCK_BYTES // 8 + 1, 1), 3),                 # A of one column; a 1-row last block
+])
+def test_few_column_product_equals_the_plain_product(shape, cols):
+    rng = substream(4, "few-column")
+    a = rng.standard_normal(shape)
+    b = rng.standard_normal((shape[1], cols))
+    ref = a @ b
+    out = few_column_product(a, b)
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_few_column_product_reads_a_transposed_matrix():
+    # the scalar predictor keeps its map as the transpose of a C-ordered array
+    rng = substream(5, "few-column")
+    a = rng.standard_normal((10, BLOCK_BYTES // 80 * 3 + 7)).T
+    b = rng.standard_normal((10, 2))
+    ref = a @ b
+    assert np.max(np.abs(few_column_product(a, b) - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from predgrad import predictor
+from predgrad import linalg, predictor
 from predgrad.errors import DimensionError, InsufficientData
-from predgrad.network import NetworkConfig, backward, forward, init_network, loss_and_residual
+from predgrad.network import (NetworkConfig, backward, backward_sum, forward, init_network,
+                              loss_and_residual)
 from predgrad.predictor import (FitRows, PerfectPredictor, RefitPolicy, ScalarPredictor,
                                 StructuredPredictor, choose_rank, fit_scalar,
                                 fit_structured, predict_scalar, predict_structured,
@@ -298,6 +299,26 @@ def test_predict_batch_rows_equal_single_example_calls():
             assert np.max(np.abs(rows[i] - one)) <= 1e-12 * np.max(np.abs(one))
         # the sum path forms the rows' sum without the rows
         total = rows.sum(axis=0)
-        summed = pred.predict_sum(net, cache, residuals)
+        (summed,) = pred.predict_sums(net, [(cache, residuals)])
         assert summed.shape == (net.n_params,)
         assert np.linalg.norm(summed - total) <= 1e-12 * np.linalg.norm(total)
+
+
+@pytest.mark.parametrize("block_bytes", [linalg.BLOCK_BYTES, 1024],
+                         ids=["one-block", "many-blocks"])
+def test_predict_sums_equal_each_parts_summed_rows(monkeypatch, block_bytes):
+    # 1024-byte blocks send the small matrices through the blocked product
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+    for net, pred, _, cache, residuals in batch_predictors():
+        ctrl = np.arange(3, 40, 4)
+        parts = [(cache, residuals), (cache.rows(ctrl), residuals[ctrl]),
+                 (cache.rows([5]), residuals[[5]])]
+        for k in (1, 2, 3):
+            sums = pred.predict_sums(net, parts[:k])
+            assert len(sums) == k
+            for summed, (c, r) in zip(sums, parts):
+                total = pred.predict_batch(net, c, r).sum(axis=0)
+                assert summed.shape == (net.n_params,)
+                assert np.linalg.norm(summed - total) <= 1e-12 * np.linalg.norm(total)
+                if pred.kind == "perfect":
+                    assert np.array_equal(summed, backward_sum(net, c, r))

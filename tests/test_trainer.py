@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from predgrad import predictor as predictor_module
 from predgrad import trainer
 from predgrad.data import gen_blobs, gen_regression
 from predgrad.errors import ConfigError, InsufficientData, NumericError
@@ -349,11 +350,28 @@ def test_learned_step_from_sums_matches_the_summed_rows(monkeypatch, kind, make_
                                                         loss_kind):
     *_, step = fitted_step(kind, make_data, loss_kind)
     from_sums = step()
-    monkeypatch.setattr(PREDICTORS[kind], "predict_sum",
-                        lambda self, net, cache, r:
-                        self.predict_batch(net, cache, r).sum(axis=0))
+    monkeypatch.setattr(PREDICTORS[kind], "predict_sums",
+                        lambda self, net, parts:
+                        [self.predict_batch(net, cache, r).sum(axis=0) for cache, r in parts])
     from_rows = step()
     assert np.linalg.norm(from_sums - from_rows) <= 1e-12 * np.linalg.norm(from_rows)
+
+
+@LEARNED_STEPS
+def test_a_step_reads_each_predictor_matrix_once(monkeypatch, kind, make_data, loss_kind):
+    _, pred, *_, step = fitted_step(kind, make_data, loss_kind)
+    matrices = {"coef": getattr(pred, "coef", None), "basis": getattr(pred, "basis", None),
+                "maps": getattr(pred, "maps", None)}
+    products = []
+
+    def counted(a, b):
+        products.extend(name for name, m in matrices.items()
+                        if m is not None and np.shares_memory(a, m))
+        return a @ b
+
+    monkeypatch.setattr(predictor_module, "few_column_product", counted)
+    step()
+    assert sorted(products) == (["coef"] if kind == "scalar" else ["basis", "maps"])
 
 
 @LEARNED_STEPS
