@@ -6,6 +6,9 @@ trainer and the Monte Carlo verifier both call it. Its variance relative to
 the vanilla mini-batch gradient is governed entirely by the alignment rho
 and scale ratio kappa between per-example true and predicted gradients,
 through the inflation factor phi (``variance_inflation``).
+``alignment_stats`` measures rho and kappa on rows of true and predicted
+gradients; ``moment_stats`` gives the same statistics from the rows' raw
+moments, for rows held as factors.
 """
 
 from dataclasses import dataclass
@@ -96,16 +99,41 @@ def alignment_stats(gs, hs) -> AlignmentStats:
     if gs.ndim != 2 or gs.shape != hs.shape:
         raise DimensionError(
             f"need two (n, P) arrays of one shape, got {gs.shape} and {hs.shape}")
-    n = gs.shape[0]
-    if n < 2:
-        raise InsufficientData(f"need at least 2 pairs, got {n}")
+    n = _pair_count(gs.shape[0])
     mu = gs.mean(axis=0)
     mu_h = hs.mean(axis=0)
     du = gs - mu
     dv = hs - mu_h
-    var_g = float(np.einsum("ij,ij->", du, du)) / n
-    var_h = float(np.einsum("ij,ij->", dv, dv)) / n
-    tau = float(np.einsum("ij,ij->", du, dv)) / n
+    return _stats(n, float(np.einsum("ij,ij->", du, du)) / n,
+                  float(np.einsum("ij,ij->", dv, dv)) / n,
+                  float(np.einsum("ij,ij->", du, dv)) / n, mu, mu_h)
+
+
+def moment_stats(n: int, gg: float, hh: float, gh: float, g_sum, h_sum) -> AlignmentStats:
+    """``alignment_stats`` of n pairs from their raw moments, for rows that
+    are never formed: gg = sum ||g_i||^2, hh = sum ||h_i||^2,
+    gh = sum <g_i, h_i>, and the row sums ``g_sum`` and ``h_sum``. Then
+    n sigma_g^2 = gg - ||g_sum||^2 / n, n sigma_h^2 and n tau likewise. The
+    subtraction costs about eps (||mu|| / sigma)^2 of relative precision, so
+    it matches the centred form closely unless the mean dwarfs the spread;
+    a variance that rounding takes below 0 is 0.
+    """
+    n = _pair_count(n)
+    g_sum = np.asarray(g_sum, dtype=np.float64)
+    h_sum = np.asarray(h_sum, dtype=np.float64)
+    var_g = max(0.0, float(gg) - float(g_sum @ g_sum) / n) / n
+    var_h = max(0.0, float(hh) - float(h_sum @ h_sum) / n) / n
+    tau = (float(gh) - float(g_sum @ h_sum) / n) / n
+    return _stats(n, var_g, var_h, tau, g_sum / n, h_sum / n)
+
+
+def _pair_count(n) -> int:
+    if n < 2:
+        raise InsufficientData(f"need at least 2 pairs, got {n}")
+    return int(n)
+
+
+def _stats(n, var_g, var_h, tau, mu, mu_h) -> AlignmentStats:
     sigma_g = float(np.sqrt(var_g))
     sigma_h = float(np.sqrt(var_h))
     degenerate = sigma_g == 0.0 or sigma_h == 0.0

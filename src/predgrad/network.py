@@ -11,6 +11,10 @@ float64 vector. Four pass procedures are provided:
 * ``backward_sum`` - the sum of those rows over the batch, formed as one
   matrix product per layer; it and ``backward`` walk the layers alike.
 
+``trunk_rows`` gives the trunk part of ``backward``'s rows on a batch
+unformed, as the per-layer factors they are outer products of
+(``predgrad.linalg.FactoredRows``); ``backward`` forms exactly those rows.
+
 ``ForwardCache.rows`` takes some rows of a batch's cache, so a backward
 pass on those rows reuses the batch's forward instead of repeating it.
 
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, LabelError, StaleCache
+from .linalg import FactoredRows
 from .rng import substream
 
 ACTIVATIONS = ("tanh", "relu", "identity")
@@ -297,26 +302,31 @@ def _trunk_walk(net: Network, cache: ForwardCache, residual: np.ndarray):
             delta = dz @ layers[k][0]
 
 
+def trunk_rows(net: Network, cache: ForwardCache, residual: np.ndarray) -> FactoredRows:
+    """The trunk part of ``backward``'s rows on a batch, held as its factors:
+    each layer's pre-activation gradients and inputs, as ``FactoredRows``
+    with a bias, so that sums and products over the rows need not form them."""
+    residual = _checked_residual(net, cache, residual)
+    if residual.ndim != 2:
+        raise DimensionError(f"trunk rows need a batch of residuals, got {residual.shape}")
+    return FactoredRows(list(_trunk_walk(net, cache, residual))[::-1], bias=True)
+
+
 def backward(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:
     """Exact gradient rows (..., n_params) in the flat layout, from a forward
     cache and the output-space residual.
 
     The head part is residual x [llh; 1]; the trunk part backpropagates
     W_a^T residual through the cached trunk, each layer's weight gradient
-    being the outer product of its pre-activation gradient and its input.
+    being the outer product of its pre-activation gradient and its input:
+    the rows of ``trunk_rows``, formed.
     """
     residual = _checked_residual(net, cache, residual)
     lead = residual.shape[:-1]
-    trunk = np.empty(lead + (net.trunk_size,))
-    end = net.trunk_size
-    for dz, a_prev in _trunk_walk(net, cache, residual):
-        out_w, in_w = dz.shape[-1], a_prev.shape[-1]
-        start = end - out_w * in_w - out_w
-        trunk[..., start:end - out_w] = \
-            (dz[..., :, None] * a_prev[..., None, :]).reshape(lead + (out_w * in_w,))
-        trunk[..., end - out_w:end] = dz
-        end = start
-    return gradient_rows(trunk, cache.act[-1], residual)
+    layers = [(dz.reshape(-1, dz.shape[-1]), a_prev.reshape(-1, a_prev.shape[-1]))
+              for dz, a_prev in _trunk_walk(net, cache, residual)]
+    trunk = FactoredRows(layers[::-1], bias=True).dense()
+    return gradient_rows(trunk.reshape(lead + (net.trunk_size,)), cache.act[-1], residual)
 
 
 def backward_sum(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:

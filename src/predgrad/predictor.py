@@ -13,12 +13,21 @@ gradient features:
   regression and classification through the residual definition alone.
 
 Both are fit by ridge least squares on ``FitRows`` (activation, residual and
-true trunk gradient arrays, one row per example of a fit sample). Over n
-rows the structured features h x [a; 1] have the Gram matrix
-(H H^T) o (A A^T), A the rows [a; 1]: the last-layer tangent kernel.
-With more features than rows, ``solve_ridge`` fits through this n x n matrix
-(kernel ridge). A third, diagnostic predictor returns the exact backward
-gradient.
+true trunk gradients, one row per example of a fit sample; the trainer
+gives the trunk gradients as their per-layer factors, ``network.trunk_rows``).
+The fit hands the rows to ``predgrad.linalg`` as factors, never formed where
+they have more columns than there are rows. Over n rows the structured
+features h x [a; 1] have the Gram matrix (H H^T) o (A A^T), A the rows
+[a; 1]: the last-layer tangent kernel, formed as this Hadamard product of
+two small Gram matrices. The trunk gradients' Gram matrix is likewise the
+sum over trunk layers of (Dz Dz^T) o (A_prev A_prev^T), with Dz a layer's
+pre-activation gradients and A_prev its inputs with a ones column: the
+trunk's empirical tangent kernel. With more columns than rows,
+``truncated_svd`` takes the basis from the second and ``solve_ridge`` fits
+the maps through the first (kernel ridge). ``trunk_alignment`` measures a
+learned predictor on a fit sample from the moments of the true and the
+predicted trunk rows, formed from the same factors. A third, diagnostic
+predictor returns the exact backward gradient.
 
 Every predictor has a ``kind`` name, ``predict_batch(net, cache,
 residuals)`` returning one flat-layout predicted gradient per row of a
@@ -45,8 +54,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InsufficientData
-from .linalg import few_column_product, solve_ridge, truncated_svd
-from .network import backward, backward_sum, gradient_rows, gradient_sum
+from .estimator import AlignmentStats, moment_stats
+from .linalg import FactoredRows, few_column_product, solve_ridge, truncated_svd
+from .network import backward, backward_sum, gradient_rows
 
 RESIDUAL_FLOOR = 1e-8   # rows with smaller residuals carry no fit signal
 ENERGY_TARGET = 0.99    # default rank rule: 99% of squared singular mass
@@ -57,7 +67,8 @@ class FitRows(NamedTuple):
     llh: np.ndarray         # (n, D)
     residual: np.ndarray    # (n, C)
     h: np.ndarray           # (n, D) = W_a^T residual, W_a the head weight of the pass
-    trunk_grad: np.ndarray  # (n, P_T) true gradient from backward
+    trunk_grad: object      # (n, P_T) true gradient: an array, or its FactoredRows
+                            # (``network.trunk_rows``)
 
     @classmethod
     def from_pass(cls, llh, residual, trunk_grad, head_weight) -> "FitRows":
@@ -91,9 +102,15 @@ class ScalarPredictor:
         return predict_scalar(self, cache.act[-1], residuals)
 
     def predict_sums(self, net, parts) -> list:
-        inputs = [_scalar_inputs(self, cache.act[-1], r) for cache, r in parts]
-        features = np.stack([_head_sum(llh, r).ravel() for llh, r in inputs], axis=1)
-        return _part_sums(few_column_product(self.coef, features), inputs)
+        heads = [_head_sum(*_scalar_inputs(self, cache.act[-1], r)) for cache, r in parts]
+        features = np.stack([hs.ravel() for hs in heads], axis=1)
+        return _part_sums(few_column_product(self.coef, features), heads)
+
+    def trunk_factors(self, net, cache, residuals):
+        """(B, C) with the predicted trunk rows C B^T: the map, and the head
+        gradients [llh; 1] r."""
+        llh, residual = _scalar_inputs(self, cache.act[-1], residuals)
+        return self.coef, _augment(llh) * residual
 
     def to_arrays(self) -> dict:
         return {"pred_coef": self.coef,
@@ -119,13 +136,19 @@ class StructuredPredictor:
         return predict_structured(self, cache.act[-1], residuals, net.head_weight)
 
     def predict_sums(self, net, parts) -> list:
-        inputs = [_structured_inputs(self, cache.act[-1], r, net.head_weight)
-                  for cache, r in parts]
+        heads = [_head_sum(*_structured_inputs(self, cache.act[-1], r, net.head_weight))
+                 for cache, r in parts]
         head_t = net.head_weight.T
-        features = np.stack([(head_t @ _head_sum(llh, r)).ravel() for llh, r in inputs],
-                            axis=1)
+        features = np.stack([(head_t @ hs).ravel() for hs in heads], axis=1)
         coeffs = few_column_product(self.maps.reshape(len(self.maps), -1), features)
-        return _part_sums(few_column_product(self.basis, coeffs), inputs)
+        return _part_sums(few_column_product(self.basis, coeffs), heads)
+
+    def trunk_factors(self, net, cache, residuals):
+        """(B, C) with the predicted trunk rows C B^T: the basis, and the
+        coefficients, from the bilinear features' factors."""
+        llh, residual = _structured_inputs(self, cache.act[-1], residuals, net.head_weight)
+        features = _features(residual @ net.head_weight, llh)
+        return self.basis, features.dot(self.maps.reshape(len(self.maps), -1).T)
 
     def to_arrays(self) -> dict:
         return {"pred_basis": self.basis, "pred_maps": self.maps,
@@ -196,24 +219,48 @@ def _bilinear(h: np.ndarray, llh: np.ndarray) -> np.ndarray:
     return (h[..., :, None] * _augment(llh)[..., None, :]).reshape(h.shape[:-1] + (-1,))
 
 
+def _features(h: np.ndarray, llh: np.ndarray) -> FactoredRows:
+    """The rows of ``_bilinear`` on a batch, held as their factors h and
+    [llh; 1]: their Gram matrix is (H H^T) o (A A^T), A the rows [llh; 1]."""
+    return FactoredRows([(h, _augment(llh))])
+
+
 def _head_sum(llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """[R^T A | R^T 1], R and A the rows of residual and llh: the summed head
     gradient, one row per output, without a ones column on every row. It is
     the scalar predictor's summed feature, and W_a^T times it the structured
     one's, vec(H^T [A 1]) with H = R W_a: formed in that order, the product
-    over the rows costs C/D of H^T [A 1]'s."""
+    over the rows costs C/D of H^T [A 1]'s. It is also the head part of the
+    gradient sum, as ``network.gradient_sum`` forms it."""
     residual, llh = residual.reshape(-1, residual.shape[-1]), llh.reshape(-1, llh.shape[-1])
     return np.concatenate([residual.T @ llh, residual.sum(axis=0)[:, None]], axis=1)
 
 
-def _part_sums(trunk: np.ndarray, inputs) -> list:
+def _part_sums(trunk: np.ndarray, heads) -> list:
     """One flat gradient sum per part, from the parts' trunk sums (the
-    columns of trunk) and their (llh, residual) arrays."""
-    return [gradient_sum(t, llh, r) for t, (llh, r) in zip(trunk.T, inputs)]
+    columns of trunk) and their ``_head_sum`` results."""
+    return [np.concatenate([t, hs[:, :-1].ravel(), hs[:, -1]])
+            for t, hs in zip(trunk.T, heads)]
 
 
-def _default_lambda(features: np.ndarray) -> float:
-    return 1e-6 * float(np.mean(np.einsum("ij,ij->i", features, features)))
+def _default_lambda(sq_norms: np.ndarray) -> float:
+    """1e-6 times the mean squared feature norm, from the rows' squared norms."""
+    return 1e-6 * float(np.mean(sq_norms))
+
+
+def trunk_alignment(p, net, cache, residuals, trunk: FactoredRows) -> AlignmentStats:
+    """The trunk-only alignment statistics of a learned predictor ``p`` on a
+    pass, against the true trunk rows ``trunk`` (``network.trunk_rows`` of
+    that pass), from the moments: with the predicted rows C B^T
+    (``trunk_factors``), sum ||h||^2 = sum c^T (B^T B) c,
+    sum <g, h> = sum (G B) o C, and the row sums are G^T 1 and B (C^T 1).
+    No row of either side is formed."""
+    basis, coeffs = p.trunk_factors(net, cache, residuals)
+    n = len(coeffs)
+    return moment_stats(n, trunk.sq_norms().sum(),
+                        np.einsum("ik,ik->", coeffs @ (basis.T @ basis), coeffs),
+                        np.einsum("ik,ik->", trunk.dot(basis), coeffs),
+                        trunk.t_dot(np.ones((n, 1)))[:, 0], basis @ coeffs.sum(axis=0))
 
 
 def _usable(rows: FitRows) -> FitRows:
@@ -226,7 +273,7 @@ def _usable(rows: FitRows) -> FitRows:
         raise InsufficientData("no samples with non-negligible residual")
     if n < d + 1:
         raise InsufficientData(f"fit needs at least D+1 = {d + 1} usable samples, got {n}")
-    return FitRows(*(a[keep] for a in rows))
+    return rows if n == len(keep) else FitRows(*(a[keep] for a in rows))
 
 
 def fit_scalar(rows: FitRows, lam: float | None = None) -> ScalarPredictor:
@@ -240,7 +287,7 @@ def fit_scalar(rows: FitRows, lam: float | None = None) -> ScalarPredictor:
     rows = _usable(rows)
     feats = _augment(rows.llh) * rows.residual
     if lam is None:
-        lam = _default_lambda(feats)
+        lam = _default_lambda(np.einsum("ij,ij->i", feats, feats))
     coef_t = solve_ridge(feats, rows.trunk_grad, lam)
     return ScalarPredictor(coef=coef_t.T, n_fit=len(feats), ridge_lambda=float(lam))
 
@@ -276,7 +323,10 @@ def fit_structured(rows: FitRows, r: int | None = None,
     all r outputs. With r = None the rank is chosen by the 99%
     squared-singular-mass rule, capped at D, from the singular values of
     the same factorization that gives the basis. The projections are read
-    off that factorization too: with G = V S U^T, G U_r = V_r S_r.
+    off that factorization too: with G = V S U^T, G U_r = V_r S_r. The
+    features go to ``solve_ridge`` as their factors, and so do trunk
+    gradients given as ``FactoredRows`` to ``truncated_svd``: with fewer
+    rows than columns neither is formed.
     """
     rows = _usable(rows)
     (n, d), p_t = rows.llh.shape, rows.trunk_grad.shape[1]
@@ -284,17 +334,17 @@ def fit_structured(rows: FitRows, r: int | None = None,
         raise DimensionError(
             f"rank {r} exceeds min(samples, trunk size) = {min(n, p_t)}")
 
-    u, sing, vt = truncated_svd(rows.trunk_grad.T,
+    v, sing, ut = truncated_svd(rows.trunk_grad,
                                 partial(choose_rank, cap=d) if r is None else r)
     r = len(sing)
     # contiguous, as a checkpoint restores it, so a resumed run's products
     # give the same bits
-    basis = np.ascontiguousarray(u)
-    coef_targets = vt.T * sing  # (n, r), row i = U^T g_i
+    basis = np.ascontiguousarray(ut.T)
+    coef_targets = v * sing  # (n, r), row i = U^T g_i
 
-    feats = _bilinear(rows.h, rows.llh)
+    feats = _features(rows.h, rows.llh)
     if lam is None:
-        lam = _default_lambda(feats)
+        lam = _default_lambda(feats.sq_norms())
         if lam <= 0:
             raise InsufficientData("all bilinear features vanish; nothing to fit")
     weights = solve_ridge(feats, coef_targets, lam)  # (D(D+1), r)

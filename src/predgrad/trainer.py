@@ -26,13 +26,16 @@ A learned predictor is fitted before the first step, and refitted every
 refit period, on a fit sample of its own: ``RefitPolicy.buffer_capacity``
 training rows (all of them if there are fewer) drawn afresh from a
 stateless substream, "warmup" before the first step and "refit:<step>"
-after it, with a forward and per-row backward at the current parameters.
-So a fit sees rows from one parameter state, and a resumed run draws the
-samples an uninterrupted one draws. Before a refit replaces the predictor,
-the outgoing one is measured on that sample: its trunk-only alignment
-statistics are the refit step's rho_hat, kappa_hat and phi_hat (phi at the
-step's realised control fraction m_c/m), the end-of-period values of the
-predictor's refit period. Every other step records NaN for them. The
+after it, with a forward at the current parameters and the sample's trunk
+gradients held as their per-layer factors (``network.trunk_rows``), which
+the fit and the measurement use without forming a row. So a fit sees rows
+from one parameter state, and a resumed run draws the samples an
+uninterrupted one draws. Before a refit replaces the predictor, the
+outgoing one is measured on that sample: its trunk-only alignment
+statistics (``predictor.trunk_alignment``, from the moments of both
+sides' rows) are the refit step's rho_hat, kappa_hat and phi_hat (phi at
+the step's realised control fraction m_c/m), the end-of-period values of
+the predictor's refit period. Every other step records NaN for them. The
 perfect predictor fits nothing and draws no sample. A refit that fails for
 lack of usable rows keeps the old predictor and warns, naming the step.
 
@@ -63,12 +66,14 @@ from .analysis import CostModel, gamma, rho_star
 from .data import Dataset
 from .errors import (BudgetError, ConfigError, DataError, DimensionError,
                      InsufficientData, NumericError)
-from .estimator import (alignment_stats, combine, control_batch_size, split_minibatch,
-                        variance_inflation)
-from .network import (Network, NetworkConfig, backward, backward_sum, cheap_forward,
-                      forward, init_network, loss_and_residual)
+from .estimator import combine, control_batch_size, split_minibatch, variance_inflation
+from .network import (Network, NetworkConfig, backward_sum, cheap_forward, forward,
+                      init_network, loss_and_residual, trunk_rows)
+# no longer called here, but perfbench's trace targets name these attributes
+from .estimator import alignment_stats  # noqa: F401
+from .network import backward  # noqa: F401
 from .predictor import (PREDICTORS, FitRows, PerfectPredictor, RefitPolicy, fit_scalar,
-                        fit_structured, should_refit)
+                        fit_structured, should_refit, trunk_alignment)
 from .rng import substream
 
 METRICS_HEADER = ["step", "epoch", "cost_units", "loss", "val_metric",
@@ -311,12 +316,11 @@ def _refit(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str,
     chosen = substream(cfg.seed, name).choice(ds.train_idx, size=n, replace=False)
     net, outgoing = state.net, state.predictor
     cache, _, residuals = _pass(net, ds, chosen, loss_kind, cfg.smoothing)
-    trunk = backward(net, cache, residuals)[:, :net.trunk_size]
+    trunk = trunk_rows(net, cache, residuals)
     state.warmup_ledger.charge(forward=n, backward=n)
     stats = None
     if outgoing is not None:
-        predicted = outgoing.predict_batch(net, cache, residuals)[:, :net.trunk_size]
-        stats = alignment_stats(trunk, predicted)
+        stats = trunk_alignment(outgoing, net, cache, residuals, trunk)
     try:
         state.predictor = _fit(kind, FitRows.from_pass(cache.act[-1], residuals, trunk,
                                                        net.head_weight), cfg.refit)

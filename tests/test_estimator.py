@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from predgrad.analysis import CostModel, f_star, q_objective
 from predgrad.errors import DimensionError, InsufficientData
-from predgrad.estimator import alignment_stats, combine
+from predgrad.estimator import alignment_stats, combine, moment_stats
 from predgrad.rng import substream
 
 
@@ -61,6 +61,56 @@ def test_alignment_stats_argument_errors():
         alignment_stats(np.ones((4, 3)), np.ones((4, 2)))
     with pytest.raises(DimensionError):
         alignment_stats(np.ones(4), np.ones(4))
+
+
+def stats_from_moments(gs, hs):
+    return moment_stats(len(gs), np.einsum("ij,ij->", gs, gs), np.einsum("ij,ij->", hs, hs),
+                        np.einsum("ij,ij->", gs, hs), gs.sum(axis=0), hs.sum(axis=0))
+
+
+def assert_same_stats(got, ref, rtol):
+    assert got.n == ref.n and got.degenerate == ref.degenerate
+    for name in ("sigma_g", "sigma_h", "kappa"):
+        assert abs(getattr(got, name) - getattr(ref, name)) <= rtol * abs(getattr(ref, name))
+    # rho and tau relative to their scales, 1 and sigma_g sigma_h
+    assert abs(got.rho - ref.rho) <= rtol
+    assert abs(got.tau - ref.tau) <= rtol * ref.sigma_g * ref.sigma_h
+    assert np.allclose(got.mu, ref.mu, rtol=1e-12) and np.allclose(got.mu_h, ref.mu_h)
+
+
+@pytest.mark.parametrize("n, dim", [(2, 1), (5, 3), (32, 40), (256, 300)])
+def test_moment_stats_match_the_centred_form(n, dim):
+    rng = substream(55, f"moments:{n}:{dim}")
+    gs = rng.standard_normal((n, dim)) + 2.0
+    hs = 0.7 * gs + 0.3 * rng.standard_normal((n, dim)) - 1.0
+    assert_same_stats(stats_from_moments(gs, hs), alignment_stats(gs, hs), 1e-9)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 60), dim=st.integers(1, 30),
+       mean=st.floats(0.0, 10.0), rho=st.floats(-0.99, 0.99),
+       scale=st.floats(1e-3, 1e3))
+def test_moment_stats_match_the_centred_form_under_a_common_mean(seed, n, dim, mean, rho,
+                                                                  scale):
+    # a mean of up to 10 sigma in every coordinate, shared by both sides, costs
+    # the moment form about 100 eps of precision
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((2, n, dim))
+    gs = scale * (mean + noise[0])
+    hs = scale * (mean + rho * noise[0] + np.sqrt(1 - rho ** 2) * noise[1])
+    ref = alignment_stats(gs, hs)
+    if ref.degenerate or ref.sigma_g < 1e-3 * scale or ref.sigma_h < 1e-3 * scale:
+        return   # a spread that rounds away is no test of the moment form
+    assert_same_stats(stats_from_moments(gs, hs), ref, 1e-9)
+
+
+def test_moment_stats_degenerate_and_argument_cases():
+    varied = substream(56, "moments-degenerate").standard_normal((6, 4))
+    constant = np.tile(np.arange(4.0), (6, 1))
+    no_h = stats_from_moments(varied, constant)
+    assert no_h.degenerate and no_h.sigma_h == 0.0 and no_h.rho == 0.0
+    with pytest.raises(InsufficientData):
+        moment_stats(1, 1.0, 1.0, 1.0, np.ones(3), np.ones(3))
 
 
 def test_combine_of_equal_control_sums_is_the_mean_prediction_to_the_bit():

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from predgrad import linalg
 from predgrad.errors import DimensionError, SingularSystem
-from predgrad.linalg import BLOCK_BYTES, few_column_product, solve_ridge, truncated_svd
+from predgrad.linalg import (BLOCK_BYTES, FactoredRows, few_column_product, solve_ridge,
+                             truncated_svd)
+from predgrad.network import (NetworkConfig, backward, forward, init_network,
+                              loss_and_residual, trunk_rows)
+from predgrad.predictor import _bilinear, _features
 from predgrad.rng import substream
 
 
@@ -127,3 +132,82 @@ def test_few_column_product_reads_a_transposed_matrix():
     b = rng.standard_normal((10, 2))
     ref = a @ b
     assert np.max(np.abs(few_column_product(a, b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def dense_and_factored_trunk(hidden, activation, n=30):
+    """backward's trunk rows on a batch of a net, and its trunk_rows."""
+    rng = substream(6, f"factored:{hidden}:{activation}")
+    net = init_network(NetworkConfig(5, hidden, 3, activation=activation, seed=len(hidden)))
+    _, output, cache = forward(net, rng.standard_normal((n, 5)))
+    _, residuals = loss_and_residual(output, rng.integers(3, size=n), "cross_entropy")
+    dense = backward(net, cache, residuals)[:, :net.trunk_size]
+    return dense, trunk_rows(net, cache, residuals)
+
+
+@pytest.mark.parametrize("block_bytes", [BLOCK_BYTES, 1024], ids=["one-chunk", "chunked"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(7,), (6, 9), (9, 4, 6), (4, 7, 5, 6)])
+def test_factored_trunk_rows_match_the_backward_rows(monkeypatch, hidden, activation,
+                                                      block_bytes):
+    # 1024-byte chunks split every product into pieces of a few columns
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+    dense, rows = dense_and_factored_trunk(hidden, activation)
+    rng = substream(7, "factored-operands")
+    assert rows.shape == dense.shape
+    assert np.array_equal(rows.dense(), dense)
+    assert rel_err(rows.gram(), dense @ dense.T) <= 1e-12
+    assert rel_err(rows.sq_norms(), np.einsum("ij,ij->i", dense, dense)) <= 1e-12
+    w = rng.standard_normal((len(dense), 5))
+    for order in ("C", "F"):
+        assert rel_err(rows.t_dot(w, order), dense.T @ w) <= 1e-12
+    assert rows.t_dot(w, "F").T.flags.c_contiguous
+    m = rng.standard_normal((dense.shape[1], 4))
+    for operand in (m, np.asfortranarray(m), m[:, :1]):
+        assert rel_err(rows.dot(operand), dense @ operand) <= 1e-12
+    keep = np.arange(len(dense)) % 3 != 1
+    assert np.array_equal(rows[keep].dense(), dense[keep])
+
+
+def test_factored_feature_gram_equals_the_bilinear_features_gram():
+    rng = substream(8, "feature-gram")
+    h, llh = rng.standard_normal((25, 6)), rng.standard_normal((25, 6))
+    feats, rows = _bilinear(h, llh), _features(h, llh)
+    assert np.array_equal(rows.dense(), feats)
+    assert rel_err(rows.gram(), feats @ feats.T) <= 1e-12
+    assert rel_err(rows.sq_norms(), np.einsum("ij,ij->i", feats, feats)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [12, 60], ids=["wide", "tall"])
+def test_solve_ridge_and_svd_take_factored_rows(n):
+    # 12 rows of 42 columns take the kernel side, 60 rows the primal side
+    rng = substream(9, f"factored-solve:{n}")
+    rows = FactoredRows([(rng.standard_normal((n, 3)), rng.standard_normal((n, 4))),
+                         (rng.standard_normal((n, 5)), rng.standard_normal((n, 2)))],
+                        bias=True)
+    dense = rows.dense()
+    b = rng.standard_normal((n, 3))
+    assert rel_err(solve_ridge(rows, b, 0.1), solve_ridge(dense, b, 0.1)) <= 1e-10
+    targets = FactoredRows([(rng.standard_normal((n, 2)), rng.standard_normal((n, 3)))])
+    features = rng.standard_normal((n, 4))
+    assert rel_err(solve_ridge(features, targets, 0.1),
+                   solve_ridge(features, targets.dense(), 0.1)) <= 1e-10
+    u, s, vt = truncated_svd(rows, 3)
+    ud, sd, vtd = truncated_svd(dense, 3)
+    assert rel_err(s, sd) <= 1e-10
+    assert rel_err((u * s) @ vt, (ud * sd) @ vtd) <= 1e-8
+
+
+def test_factored_rows_argument_errors():
+    with pytest.raises(DimensionError):
+        FactoredRows([(np.ones((3, 2)), np.ones((4, 2)))])
+    with pytest.raises(DimensionError):
+        FactoredRows([])
+    rows = FactoredRows([(np.ones((3, 2)), np.ones((3, 2)))])
+    with pytest.raises(DimensionError):
+        rows.t_dot(np.ones((4, 1)))
+    with pytest.raises(DimensionError):
+        rows.dot(np.ones((5, 1)))

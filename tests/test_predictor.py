@@ -120,7 +120,10 @@ def test_structured_predictor_recovers_planted_model():
 
 
 def primal_ridge(a, b, lam):
-    """The normal-equation ridge solve (A^T A + lam I) X = A^T B, whatever A's shape."""
+    """The normal-equation ridge solve (A^T A + lam I) X = A^T B, whatever A's
+    shape, on the formed rows of an A given as factors."""
+    if isinstance(a, linalg.FactoredRows):
+        a = a.dense()
     return np.linalg.solve(a.T @ a + lam * np.eye(a.shape[1]), a.T @ b)
 
 

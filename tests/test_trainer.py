@@ -1,7 +1,9 @@
+import copy
 import json
 import logging
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +14,8 @@ from predgrad import predictor as predictor_module
 from predgrad import trainer
 from predgrad.data import gen_blobs, gen_regression
 from predgrad.errors import ConfigError, InsufficientData, NumericError
-from predgrad.estimator import combine, split_minibatch, variance_inflation
+from predgrad.estimator import alignment_stats, combine, split_minibatch, variance_inflation
+from predgrad.linalg import FactoredRows, solve_ridge, truncated_svd
 from predgrad.network import (NetworkConfig, backward, forward, init_network,
                               loss_and_residual)
 from predgrad.predictor import PREDICTORS, PerfectPredictor, RefitPolicy
@@ -433,3 +436,76 @@ def test_a_fit_buffer_below_d_plus_1_rows_is_a_config_error():
         assert train_predicted(enough, ds, init_network(ncfg), kind).steps == 2
     # the perfect predictor fits nothing
     assert train_predicted(cfg, ds, init_network(ncfg), "perfect").steps == 2
+
+
+def wide_blobs_shape():
+    ds = gen_blobs(600, 3, 8, 6.0, 12, val_fraction=0.2)
+    return ds, NetworkConfig(input_dim=8, hidden_widths=(64, 64), output_dim=3, seed=6)
+
+
+def narrow_regression_shape():
+    ds = gen_regression(600, 8, 0.05, 11, val_fraction=0.2)
+    return ds, NetworkConfig(input_dim=8, hidden_widths=(16,), output_dim=1, seed=5)
+
+
+def state_before_a_refit(make_data, kind):
+    """A run two steps in, its predictor fitted at step 2 on 256 rows."""
+    ds, ncfg = make_data()
+    cfg = TrainConfig(batch_size=64, max_steps=2, refit=RefitPolicy(period=2), seed=3,
+                      eval_every=0)
+    return cfg, ds, train_predicted(cfg, ds, init_network(ncfg), kind).state
+
+
+@pytest.mark.parametrize("make_data, kind, loss_kind", [
+    (wide_blobs_shape, "structured", "cross_entropy"),
+    (narrow_regression_shape, "structured", "squared_scalar"),
+    (narrow_regression_shape, "scalar", "squared_scalar"),
+])
+def test_factored_refit_matches_the_dense_row_refit(monkeypatch, make_data, kind, loss_kind):
+    # the same refit on formed rows: the fit's factorization and ridge solve
+    # take the trunk rows and the bilinear features as dense arrays, and the
+    # measurement is the centred statistics of backward's and predict_batch's
+    # trunk rows
+    cfg, ds, state = state_before_a_refit(make_data, kind)
+    dense_state = copy.deepcopy(state)
+    refit, stats = trainer._refit(cfg, ds, state, loss_kind, kind)
+    net, pt = state.net, state.net.trunk_size
+
+    def formed(a):
+        return a.dense() if isinstance(a, FactoredRows) else a
+
+    monkeypatch.setattr(predictor_module, "truncated_svd",
+                        lambda a, rank: truncated_svd(formed(a), rank))
+    monkeypatch.setattr(predictor_module, "solve_ridge",
+                        lambda a, b, lam: solve_ridge(formed(a), formed(b), lam))
+    monkeypatch.setattr(trainer, "trunk_alignment",
+                        lambda p, net, cache, r, trunk:
+                        alignment_stats(backward(net, cache, r)[:, :pt],
+                                        p.predict_batch(net, cache, r)[:, :pt]))
+    dense_refit, dense_stats = trainer._refit(cfg, ds, dense_state, loss_kind, kind)
+    assert refit == dense_refit == 1
+    for name in ("sigma_g", "sigma_h", "kappa"):
+        assert getattr(stats, name) == pytest.approx(getattr(dense_stats, name), rel=1e-9)
+    assert abs(stats.rho - dense_stats.rho) <= 1e-9
+    _, output, cache = forward(net, ds.features[ds.val_idx])
+    _, r = loss_and_residual(output, ds.targets[ds.val_idx], loss_kind)
+    got = state.predictor.predict_batch(net, cache, r)
+    ref = dense_state.predictor.predict_batch(net, cache, r)
+    assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def test_a_refit_forms_no_trunk_or_feature_rows():
+    # 8-64-64-3 with 256 fit rows: the trunk rows would be a (256, 4736)
+    # array, 9.7 MB, and the bilinear features a (256, 4160) one. What the
+    # refit holds beyond the predictor it returns stays below half the first.
+    cfg, ds, state = state_before_a_refit(wide_blobs_shape, "structured")
+    rows_bytes = 256 * state.net.trunk_size * 8
+    assert state.net.trunk_size == 4736
+    tracemalloc.start()
+    try:
+        trainer._refit(cfg, ds, state, "cross_entropy", "structured")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fitted = state.predictor.basis.nbytes + state.predictor.maps.nbytes
+    assert peak - fitted < rows_bytes / 2
