@@ -1,12 +1,17 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, compare, analyze, simulate. Options can come
-from a plain key=value config file (--config); explicit flags win over file
-values. Every command writes its resolved configuration to
+Subcommands: gen-data, train, compare, analyze, simulate. Options can also
+come from a plain `key = value` config file: `predgrad --config FILE
+<subcommand> [flags]`, where the subcommand is the first argument besides
+`--config FILE`. Each line becomes the flag `--key=value` (`_` in a key
+reads as `-`), placed before the command line's flags so that these win;
+so file values are checked exactly like flags, and a value of `none` keeps
+the option's default. Every command writes its resolved configuration to
 <outdir>/config.txt, which is itself a valid config file.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric error.
-Failures print one machine-readable line `error:<Type>:<message>` to stderr.
+Failures, bad arguments among them, print one machine-readable line
+`error:<Type>:<message>` to stderr.
 """
 
 import argparse
@@ -44,11 +49,19 @@ def _ints(s: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {s!r}") from None
 
 
-def _add_data_options(p):
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose every error is a ``ConfigError``."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _add_data_options(p, task_required=False):
     p.add_argument("--data", default=None, help="dataset CSV path")
     p.add_argument("--data-kind", default="regression",
                    choices=["regression", "classification"])
     p.add_argument("--task", default=None, choices=["regression", "blobs"],
+                   required=task_required,
                    help="generate data in-process instead of loading a CSV")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--input-dim", type=int, default=8)
@@ -95,11 +108,13 @@ def _add_cost_options(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="predgrad",
-        description="Predicted gradient descent toolkit")
+    # no abbreviations: the parser would take --conf FILE and ignore the file
+    parser = _Parser(prog="predgrad", description="Predicted gradient descent toolkit",
+                     allow_abbrev=False)
     parser.add_argument("--config", default=None,
-                        help="key=value config file; flags override it")
+                        help="key = value file, read as the flags --key=value ahead "
+                             "of the subcommand's own, which win; none keeps the "
+                             "default; the subcommand must be the first other argument")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -108,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", parents=[common],
                        help="generate a synthetic dataset CSV")
-    _add_data_options(p)
+    _add_data_options(p, task_required=True)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", parents=[common], help="train one algorithm")
@@ -150,8 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Fold config-file values in as defaults so explicit flags win."""
+def _config_flags(argv):
+    """``argv`` with a ``--config FILE`` (or ``--config=FILE``) in it replaced
+    by the file's lines as flags, put right after the subcommand so that its
+    own flags win."""
+    argv = [part for arg in argv
+            for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -160,14 +179,14 @@ def _apply_config_file(parser, argv):
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2:]
     if not rest or rest[0].startswith("-"):
-        raise ConfigError("--config must follow the subcommand")
+        raise ConfigError("with --config, the subcommand must be the first other "
+                          f"argument: predgrad --config {path} <subcommand> [flags]")
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from None
-
-    values = {}
+    flags = []
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -175,36 +194,15 @@ def _apply_config_file(parser, argv):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = value
-
-    sub_parser = None
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            sub_parser = action.choices.get(rest[0])
-    if sub_parser is None:
-        raise ConfigError(f"unknown command {rest[0]!r}")
-
-    known = {}
-    for action in sub_parser._actions:
-        if action.dest not in ("help", "func"):
-            known[action.dest] = action.type or str
-    unknown = set(values) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    converted = {}
-    for key, raw in values.items():
-        if raw == "none":
-            converted[key] = None
-        else:
-            converted[key] = known[key](raw)
-    sub_parser.set_defaults(**converted)
-    return rest
+        if value != "none":
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return rest[:1] + flags + rest[1:]
 
 
-def _write_effective_config(args, outdir):
-    os.makedirs(outdir, exist_ok=True)
+def _write_effective_config(args):
+    os.makedirs(args.outdir, exist_ok=True)
     skip = {"func", "command", "config", "resume"}
-    with open(os.path.join(outdir, "config.txt"), "w") as fh:
+    with open(os.path.join(args.outdir, "config.txt"), "w") as fh:
         for key in sorted(vars(args)):
             if key in skip:
                 continue
@@ -260,9 +258,6 @@ def _net_config(args, ds) -> NetworkConfig:
 
 
 def cmd_gen_data(args) -> int:
-    if args.task is None:
-        raise ConfigError("gen-data needs --task")
-    _write_effective_config(args, args.outdir)
     ds = _dataset_from_args(args)
     path = os.path.join(args.outdir, "dataset.csv")
     save_csv(ds, path)
@@ -271,7 +266,6 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _write_effective_config(args, args.outdir)
     ds = _dataset_from_args(args)
     cfg = _train_config(args)
     metrics_path = os.path.join(args.outdir, "metrics.csv")
@@ -298,7 +292,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _write_effective_config(args, args.outdir)
     ds = _dataset_from_args(args)
     cfg = _train_config(args)
     report = run_budgeted_comparison(
@@ -323,7 +316,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _write_effective_config(args, args.outdir)
     cm = CostModel(backward=args.cost_backward, forward=args.cost_forward,
                    cheap_forward=args.cost_cheap_forward)
     fs = _floats(args.f) if args.f else [round(0.05 * i, 2) for i in range(1, 21)]
@@ -352,7 +344,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _write_effective_config(args, args.outdir)
     sigma_h = args.sigma_h if args.sigma_h is not None else args.kappa * args.sigma_g
     tau = args.tau if args.tau is not None else args.rho * args.sigma_g * sigma_h
     res = simulate_estimator(args.sigma_g, sigma_h, tau, args.dim, args.f,
@@ -380,10 +371,9 @@ def cmd_simulate(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_config_flags(argv))
+        _write_effective_config(args)
         return args.func(args)
     except PredgradError as e:
         print(f"error:{type(e).__name__}:{e}", file=sys.stderr)

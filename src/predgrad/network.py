@@ -150,13 +150,11 @@ class Network:
 class ForwardCache:
     version: int
     x: np.ndarray
-    pre: list[np.ndarray]   # per trunk layer pre-activations
     act: list[np.ndarray]   # per trunk layer activations; act[-1] is llh
 
     def rows(self, idx) -> "ForwardCache":
         """The cache of the rows ``idx`` (an index array) of this batch."""
-        return ForwardCache(self.version, self.x[idx], [z[idx] for z in self.pre],
-                            [a[idx] for a in self.act])
+        return ForwardCache(self.version, self.x[idx], [a[idx] for a in self.act])
 
 
 def init_network(cfg: NetworkConfig) -> Network:
@@ -184,12 +182,14 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return z
 
 
-def _act_deriv(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative at the pre-activation z, from a = act(z):
+    relu's max(z, 0) is positive exactly where z is, NaN included."""
     if kind == "tanh":
         return 1.0 - a * a
     if kind == "relu":
-        return (z > 0).astype(np.float64)
-    return np.ones_like(z)
+        return (a > 0).astype(np.float64)
+    return np.ones_like(a)
 
 
 def gradient_rows(trunk_grad: np.ndarray, llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
@@ -216,15 +216,13 @@ def forward(net: Network, x: np.ndarray):
         raise DimensionError(
             f"input has shape {x.shape}, expected dim {net.config.input_dim}")
     kind = net.config.activation
-    pre, act = [], []
+    act = []
     a = x
     for w, b in net.trunk_layers():
-        z = a @ w.T + b
-        a = _act(z, kind)
-        pre.append(z)
+        a = _act(a @ w.T + b, kind)
         act.append(a)
     output = a @ net.head_weight.T + net.head_bias
-    return a, output, ForwardCache(net.version, x, pre, act)
+    return a, output, ForwardCache(net.version, x, act)
 
 
 def cheap_forward(net: Network, x: np.ndarray):
@@ -296,7 +294,7 @@ def _trunk_walk(net: Network, cache: ForwardCache, residual: np.ndarray):
     delta = residual @ net.head_weight
     layers = net.trunk_layers()
     for k in range(len(layers) - 1, -1, -1):
-        dz = delta * _act_deriv(cache.pre[k], cache.act[k], kind)
+        dz = delta * _act_deriv(cache.act[k], kind)
         yield dz, (cache.act[k - 1] if k > 0 else cache.x)
         if k > 0:
             delta = dz @ layers[k][0]

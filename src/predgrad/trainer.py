@@ -283,11 +283,14 @@ def _eval_val(net, ds, loss_kind, smoothing) -> float:
 
 
 class _MetricsWriter:
-    def __init__(self, path):
+    """Writes a run's step records to ``path``: a fresh file, or with
+    ``append``, after the rows already there (a resumed run's)."""
+
+    def __init__(self, path, append: bool):
         self.path = path
         if path is not None:
-            fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-            self._fh = open(path, "a", newline="")
+            fresh = not append or not os.path.exists(path) or os.path.getsize(path) == 0
+            self._fh = open(path, "w" if fresh else "a", newline="")
             self._csv = csv.writer(self._fh)
             if fresh:
                 self._csv.writerow(METRICS_HEADER)
@@ -367,7 +370,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str
     f, cm = cfg.control_fraction, cfg.cost_model
     theta = state.net.flat_params()
     records = []
-    writer = _MetricsWriter(metrics_path)
+    writer = _MetricsWriter(metrics_path, append=state.step > 0)
     n_train = len(ds.train_idx)
 
     try:

@@ -148,3 +148,42 @@ def test_a_fit_buffer_below_d_plus_1_rows_exits_2(tmp_path, capsys):
                              "--max-steps", "2", "--outdir", str(tmp_path)])
     assert code == 2 and error_type(err) == "ConfigError"
     assert "capacity 8 is below the D+1 = 17" in err
+
+
+BAD_ARGUMENTS = {"bad-choice": ("algo", "vanila"), "bad-number": ("batch_size", "abc"),
+                 "unknown-option": ("no_such_option", "1")}
+
+
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+@pytest.mark.parametrize("key, value", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+def test_a_bad_argument_exits_2_with_one_error_line(tmp_path, capsys, source, key, value):
+    if source == "flag":
+        argv = TRAIN + [f"--{key.replace('_', '-')}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = ["--config", str(cfg)] + TRAIN
+    code, err = run(capsys, argv + ["--outdir", str(tmp_path)])
+    assert code == 2 and error_type(err) == "ConfigError"
+    assert len(err.splitlines()) == 1, err   # no usage text, no traceback
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_flags_override_the_config_file_and_none_keeps_the_default(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("batch_size = 8\nlearning_rate = none\nmax_steps = 2\n")
+    code, err = run(capsys, ["--config", str(cfg)] + TRAIN + ["--batch-size", "16",
+                                                               "--outdir", str(tmp_path)])
+    assert code == 0, err
+    written = dict(line.split(" = ") for line in
+                   (tmp_path / "config.txt").read_text().splitlines())
+    assert (written["batch_size"], written["learning_rate"], written["max_steps"]) \
+        == ("16", "0.05", "2")
+
+
+def test_config_equals_form_is_read_and_an_abbreviation_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algo = vanila\n")
+    for flag in ([f"--config={cfg}"], ["--conf", str(cfg)]):
+        code, err = run(capsys, flag + TRAIN + ["--outdir", str(tmp_path)])
+        assert code == 2 and error_type(err) == "ConfigError", flag

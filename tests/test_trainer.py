@@ -153,6 +153,21 @@ def test_resume_extends_a_run_bit_exactly(tmp_path, algo):
         assert sum(r.refit for r in rest.records) >= 1
 
 
+def test_a_fresh_run_rewrites_its_metrics_file_and_a_resume_appends(tmp_path):
+    ds, ncfg = regression()
+    long = TrainConfig(batch_size=32, max_steps=5, seed=2)
+    short = replace(long, max_steps=3)
+    path, ckpt = tmp_path / "metrics.csv", tmp_path / "run.npz"
+    for _ in range(2):
+        part = train_vanilla(short, ds, init_network(ncfg), path)
+    train_vanilla(short, ds, init_network(ncfg), tmp_path / "once.csv")
+    assert path.read_text() == (tmp_path / "once.csv").read_text()
+    save_run_checkpoint(ckpt, part, short)
+    resume_run(long, ds, ckpt, path)
+    train_vanilla(long, ds, init_network(ncfg), tmp_path / "whole.csv")
+    assert path.read_text() == (tmp_path / "whole.csv").read_text()
+
+
 def test_resume_rejects_a_changed_config(tmp_path):
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, max_steps=3, seed=2)
