@@ -242,9 +242,6 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
 
 @dataclass
 class SweepResult:
-    f_values: np.ndarray
-    rho_values: np.ndarray
-    kappa_values: np.ndarray
     rows: list  # (f, rho, kappa, phi, gamma, Q, break_even)
 
     def write_csv(self, path) -> None:
@@ -274,4 +271,4 @@ def sweep(cm: CostModel, f_values, rho_values, kappa_values) -> SweepResult:
                 rows.append((float(f), float(rho), float(kappa),
                              float(variance_inflation(f, rho, kappa)), float(gamma(cm, f)),
                              float(q_objective(cm, f, rho, kappa)), bool(ok)))
-    return SweepResult(fs, rhos, kappas, rows)
+    return SweepResult(rows)

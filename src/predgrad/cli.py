@@ -30,7 +30,7 @@ from .data import gen_blobs, gen_regression, load_csv, save_csv
 from .errors import ConfigError, DataError, PredgradError
 from .estimator import variance_inflation
 from .network import NetworkConfig
-from .predictor import RefitPolicy
+from .predictor import PREDICTORS, RefitPolicy
 from .trainer import (TrainConfig, resume_run, run_budgeted_comparison,
                       save_run_checkpoint, train_predicted, train_vanilla)
 
@@ -95,8 +95,7 @@ def _add_train_options(p):
     p.add_argument("--budget", type=float, default=None,
                    help="stepping-cost budget in cost units")
     p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--predictor", default="structured",
-                   choices=["scalar", "structured", "perfect"])
+    p.add_argument("--predictor", default="structured", choices=list(PREDICTORS))
     p.add_argument("--eval-every", type=int, default=1)
     _add_cost_options(p)
 
@@ -165,14 +164,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv):
+    """``argv`` parsed, a ``--config FILE`` (or ``--config=FILE``) in it
+    replaced by the file's lines as flags right after the subcommand, so that
+    its own flags win. A parse error names the first file line that, with the
+    lines before it and the command line's flags, gives that same error."""
+    rest, path, lines = _config_flags(argv)
+    parser = build_parser()
+
+    def parse(k):
+        try:
+            return parser.parse_args(rest[:1] + [f for _, f in lines[:k]] + rest[1:]), None
+        except ConfigError as e:
+            return None, str(e)
+
+    args, error = parse(len(lines))
+    if error is None:
+        return args
+    k = next(k for k in range(len(lines) + 1) if parse(k)[1] == error)
+    raise ConfigError(f"{path}:{lines[k - 1][0]}: {error}" if k else error)
+
+
 def _config_flags(argv):
-    """``argv`` with a ``--config FILE`` (or ``--config=FILE``) in it replaced
-    by the file's lines as flags, put right after the subcommand so that its
-    own flags win."""
+    """``argv`` without its ``--config FILE``, the path, and the file's
+    ``(line number, flag)`` pairs."""
     argv = [part for arg in argv
             for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
     if "--config" not in argv:
-        return argv
+        return argv, None, []
     i = argv.index("--config")
     if i + 1 >= len(argv):
         raise ConfigError("--config needs a file path")
@@ -195,8 +214,8 @@ def _config_flags(argv):
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         if value != "none":
-            flags.append(f"--{key.replace('_', '-')}={value}")
-    return rest[:1] + flags + rest[1:]
+            flags.append((lineno, f"--{key.replace('_', '-')}={value}"))
+    return rest, path, flags
 
 
 def _write_effective_config(args):
@@ -372,7 +391,7 @@ def cmd_simulate(args) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_config_flags(argv))
+        args = _parse_args(argv)
         _write_effective_config(args)
         return args.func(args)
     except PredgradError as e:

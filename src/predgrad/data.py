@@ -53,12 +53,10 @@ def _split_tail(n: int, val_fraction: float):
     return np.arange(n - n_val), np.arange(n - n_val, n)
 
 
-def regression_teacher(input_dim: int, seed: int,
-                       hidden_widths=(16,)) -> Network:
+def regression_teacher(input_dim: int, seed: int) -> Network:
     """The deterministic teacher network behind gen_regression(seed)."""
     rng = substream(seed, "teacher")
-    return init_network(NetworkConfig(input_dim=input_dim,
-                                      hidden_widths=tuple(hidden_widths),
+    return init_network(NetworkConfig(input_dim=input_dim, hidden_widths=(16,),
                                       output_dim=1, activation="tanh",
                                       seed=int(rng.integers(2 ** 31))))
 
@@ -126,13 +124,10 @@ def save_csv(ds: Dataset, path) -> None:
                             + [target, split[i]])
 
 
-def load_csv(path, kind: str, feature_cols=None, target_col: str = "target",
-             val_fraction: float = 0.2, split_col: str = "split") -> Dataset:
-    """Load a dataset from CSV.
-
-    feature_cols defaults to every x* column in header order. A split column
-    (values train/val), when present, overrides the tail-fraction split.
-    Parse failures name the offending row.
+def load_csv(path, kind: str, val_fraction: float = 0.2) -> Dataset:
+    """Load a dataset from CSV in the module's column schema: the features
+    are every x* column in header order. A split column, when present,
+    overrides the tail-fraction split. Parse failures name the offending row.
     """
     if kind not in ("regression", "classification"):
         raise DataError(f"unknown dataset kind {kind!r}")
@@ -143,16 +138,14 @@ def load_csv(path, kind: str, feature_cols=None, target_col: str = "target",
         except StopIteration:
             raise FormatError(f"{path}: empty file") from None
         rows = list(reader)
-    if feature_cols is None:
-        feature_cols = [c for c in header if c.startswith("x")]
-        if not feature_cols:
-            raise FormatError(f"{path}: no feature columns found in header")
+    f_idx = [j for j, c in enumerate(header) if c.startswith("x")]
+    if not f_idx:
+        raise FormatError(f"{path}: no feature columns found in header")
     try:
-        f_idx = [header.index(c) for c in feature_cols]
-        t_idx = header.index(target_col)
+        t_idx = header.index("target")
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from None
-    s_idx = header.index(split_col) if split_col in header else None
+    s_idx = header.index("split") if "split" in header else None
 
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")

@@ -21,7 +21,6 @@ from .errors import ControlBatchEmpty, DimensionError, DomainError, Insufficient
 @dataclass(frozen=True)
 class BatchSplit:
     control: np.ndarray      # positions within the mini-batch, size m_c
-    f: float                 # requested control fraction
     m: int                   # the other m - m_c positions are prediction rows
 
     @property
@@ -30,7 +29,7 @@ class BatchSplit:
 
     @property
     def f_effective(self) -> float:
-        """Realized control fraction m_c / m (differs from f after rounding)."""
+        """Realized control fraction m_c / m (differs from the requested f after rounding)."""
         return self.m_c / self.m
 
 
@@ -64,7 +63,7 @@ def split_minibatch(m: int, f: float, rng: np.random.Generator) -> BatchSplit:
     positions. With f = 1 the prediction side is empty."""
     m_c = control_batch_size(m, f)
     perm = rng.permutation(m)
-    return BatchSplit(control=np.sort(perm[:m_c]), f=float(f), m=int(m))
+    return BatchSplit(control=np.sort(perm[:m_c]), m=int(m))
 
 
 def combine(s_pred, s_ctrl_true, s_ctrl_pred, m_c: int, m: int):

@@ -2,14 +2,18 @@
 
 The head is exactly the last linear layer (weight ``W_a`` of shape C x D and
 a length-C bias); everything before it is the trunk, stored as one flat
-float64 vector. Four pass procedures are provided:
+float64 vector. The pass procedures are:
 
 * ``forward`` - full pass that also returns a cache for backprop,
 * ``cheap_forward`` - the same pass without the cache,
 * ``backward`` - exact flat gradient rows from a cache and an output-space
   residual,
-* ``backward_sum`` - the sum of those rows over the batch, formed as one
-  matrix product per layer; it and ``backward`` walk the layers alike.
+* ``trunk_sum`` - the sum of their trunk part over the batch, one matrix
+  product per trunk layer; it and ``backward`` walk the layers alike,
+* ``backward_sum`` - ``gradient_sum`` of ``trunk_sum`` and ``head_sum``, the
+  closed-form sum of the head part residual x [llh; 1].
+
+Only ``gradient_rows`` and ``gradient_sum`` lay out a flat gradient.
 
 ``trunk_rows`` gives the trunk part of ``backward``'s rows on a batch
 unformed, as the per-layer factors they are outer products of
@@ -20,11 +24,11 @@ pass on those rows reuses the batch's forward instead of repeating it.
 
 The passes and ``loss_and_residual`` are rank-polymorphic: they take one
 example, or a batch of them along a leading axis, and a single example
-comes back without that axis (``backward_sum`` returns one flat vector
-either way). A batch goes through each layer as one matrix product, so a
-row's last bits may depend on the other rows of its call. The same call on
-the same rows gives the same bits (at a fixed BLAS thread count), and
-``cheap_forward`` gives exactly those of ``forward``.
+comes back without that axis (the sums return one sum either way). A
+batch goes through each layer as one matrix product, so a row's last bits
+may depend on the other rows of its call. The same call on the same rows
+gives the same bits (at a fixed BLAS thread count), and ``cheap_forward``
+gives exactly those of ``forward``.
 
 Flat parameter layout (used by checkpoints, by gradients and by the
 trainer's flattened updates): for each trunk layer in order, the weight
@@ -201,12 +205,17 @@ def gradient_rows(trunk_grad: np.ndarray, llh: np.ndarray, residual: np.ndarray)
     return np.concatenate([trunk_grad, head_w, residual], axis=-1)
 
 
-def gradient_sum(trunk_sum: np.ndarray, llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """The sum of ``gradient_rows`` over the rows, from the trunk rows' sum:
-    the head part is residual^T llh, then the residual's column sums."""
-    llh = llh.reshape(-1, llh.shape[-1])
-    residual = residual.reshape(-1, residual.shape[-1])
-    return np.concatenate([trunk_sum, (residual.T @ llh).ravel(), residual.sum(axis=0)])
+def head_sum(llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """[R^T A | R^T 1], R and A the rows of residual and llh: the summed head
+    gradient, one row per output, without a ones column on every row."""
+    residual, llh = residual.reshape(-1, residual.shape[-1]), llh.reshape(-1, llh.shape[-1])
+    return np.concatenate([residual.T @ llh, residual.sum(axis=0)[:, None]], axis=1)
+
+
+def gradient_sum(trunk: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """The flat-layout gradient sum from its trunk part and its head part,
+    the latter laid out as ``head_sum`` gives it."""
+    return np.concatenate([trunk, head[:, :-1].ravel(), head[:, -1]])
 
 
 def forward(net: Network, x: np.ndarray):
@@ -327,13 +336,18 @@ def backward(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndar
     return gradient_rows(trunk.reshape(lead + (net.trunk_size,)), cache.act[-1], residual)
 
 
-def backward_sum(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:
-    """The sum of ``backward``'s rows, in the flat layout, formed as a sum:
-    one product dz^T a_prev per trunk layer, and residual^T llh with the
-    residual's column sums for the head."""
+def trunk_sum(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:
+    """The sum of the trunk part of ``backward``'s rows, formed as a sum: one
+    product dz^T a_prev per trunk layer."""
     residual = _checked_residual(net, cache, residual)
     parts = []
     for dz, a_prev in _trunk_walk(net, cache, residual):
         dz = dz.reshape(-1, dz.shape[-1])
         parts += [dz.sum(axis=0), (dz.T @ a_prev.reshape(-1, a_prev.shape[-1])).ravel()]
-    return gradient_sum(np.concatenate(parts[::-1]), cache.act[-1], residual)
+    return np.concatenate(parts[::-1])
+
+
+def backward_sum(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:
+    """The sum of ``backward``'s rows, in the flat layout."""
+    residual = _checked_residual(net, cache, residual)
+    return gradient_sum(trunk_sum(net, cache, residual), head_sum(cache.act[-1], residual))

@@ -1,9 +1,9 @@
 """Linear gradient predictors for the trunk parameters.
 
-The head gradient has the closed form residual x [a(x); 1] and is always
-predicted exactly. The trunk gradient is approximated by one of two learned
-linear structures, both motivated by the low effective rank of per-example
-gradient features:
+The head gradient has the closed form residual x [a(x); 1] and is not
+predicted: the trainer adds its exact sum (``network.head_sum``). The trunk
+gradient is approximated by one of two learned linear structures, both
+motivated by the low effective rank of per-example gradient features:
 
 * scalar variant: a single matrix mapping the head gradient to the trunk
   gradient, trunk = M [a(x); 1] (f(x) - y); valid for scalar-output nets.
@@ -27,24 +27,25 @@ trunk's empirical tangent kernel. With more columns than rows,
 the maps through the first (kernel ridge). ``trunk_alignment`` measures a
 learned predictor on a fit sample from the moments of the true and the
 predicted trunk rows, formed from the same factors. A third, diagnostic
-predictor returns the exact backward gradient.
+predictor returns the exact trunk gradient.
 
-Every predictor has a ``kind`` name, ``predict_batch(net, cache,
-residuals)`` returning one flat-layout predicted gradient per row of a
-forward cache, in its row order, ``predict_sums(net, parts)`` taking a list
-of ``(cache, residuals)`` pairs and returning, for each pair, the sum of
-its ``predict_batch`` rows without forming them, and ``to_arrays()`` /
-``from_arrays()`` for run checkpoints. The learned predictors read only the
-last hidden activations ``cache.act[-1]``; the perfect predictor runs
-``backward`` or ``backward_sum`` on each cache it is given, with no forward
-of its own. ``PREDICTORS`` maps each kind to its class. ``predict_scalar``
-and ``predict_structured`` take rows of activations and residuals, or a
-single example, and are each called once per batch as plain matrix
+Every predictor has a ``kind`` name, ``predict_sums(net, parts)`` taking a
+list of ``(cache, residuals)`` pairs and returning, for each pair, the sum
+of its rows' predicted trunk gradients (length P_T) without forming them,
+and ``to_arrays()`` / ``from_arrays()`` for run checkpoints; the learned
+ones also have ``trunk_factors`` for ``trunk_alignment``. The learned
+predictors read only the last hidden activations ``cache.act[-1]``; the
+perfect predictor runs ``network.trunk_sum`` on each cache it is given,
+with no forward of its own. ``PREDICTORS`` maps each kind to its class.
+``predict_scalar`` and ``predict_structured`` are the row references: they
+take rows of activations and residuals, or a single example, and return
+flat-layout predicted gradient rows with the exact head, as plain matrix
 products; ``predict_structured`` applies its maps to the same bilinear
 features ``fit_structured`` regressed on. ``predict_sums`` sums those
-features over each part's rows first and stacks the parts' sums as
-columns, so a learned predictor reads each of its matrices once per call,
-through ``few_column_product``, however many parts it sums.
+features over each part's rows first, from the summed head gradient
+``network.head_sum``, and stacks the parts' sums as columns, so a learned
+predictor reads each of its matrices once per call, through
+``few_column_product``, however many parts it sums.
 """
 
 from dataclasses import dataclass
@@ -56,7 +57,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, InsufficientData
 from .estimator import AlignmentStats, moment_stats
 from .linalg import FactoredRows, few_column_product, solve_ridge, truncated_svd
-from .network import backward, backward_sum, gradient_rows
+from .network import gradient_rows, head_sum, trunk_sum
 
 RESIDUAL_FLOOR = 1e-8   # rows with smaller residuals carry no fit signal
 ENERGY_TARGET = 0.99    # default rank rule: 99% of squared singular mass
@@ -98,13 +99,10 @@ class ScalarPredictor:
 
     kind = "scalar"
 
-    def predict_batch(self, net, cache, residuals) -> np.ndarray:
-        return predict_scalar(self, cache.act[-1], residuals)
-
     def predict_sums(self, net, parts) -> list:
-        heads = [_head_sum(*_scalar_inputs(self, cache.act[-1], r)) for cache, r in parts]
-        features = np.stack([hs.ravel() for hs in heads], axis=1)
-        return _part_sums(few_column_product(self.coef, features), heads)
+        features = np.stack([head_sum(*_scalar_inputs(self, cache.act[-1], r)).ravel()
+                             for cache, r in parts], axis=1)
+        return list(few_column_product(self.coef, features).T)
 
     def trunk_factors(self, net, cache, residuals):
         """(B, C) with the predicted trunk rows C B^T: the map, and the head
@@ -132,16 +130,13 @@ class StructuredPredictor:
 
     kind = "structured"
 
-    def predict_batch(self, net, cache, residuals) -> np.ndarray:
-        return predict_structured(self, cache.act[-1], residuals, net.head_weight)
-
     def predict_sums(self, net, parts) -> list:
-        heads = [_head_sum(*_structured_inputs(self, cache.act[-1], r, net.head_weight))
-                 for cache, r in parts]
-        head_t = net.head_weight.T
-        features = np.stack([(head_t @ hs).ravel() for hs in heads], axis=1)
+        # W_a^T [R^T A | R^T 1] is vec(H^T [A 1]), H = R W_a, at C/D of its cost
+        w = net.head_weight
+        features = np.stack([(w.T @ head_sum(*_structured_inputs(self, c.act[-1], r, w))).ravel()
+                             for c, r in parts], axis=1)
         coeffs = few_column_product(self.maps.reshape(len(self.maps), -1), features)
-        return _part_sums(few_column_product(self.basis, coeffs), heads)
+        return list(few_column_product(self.basis, coeffs).T)
 
     def trunk_factors(self, net, cache, residuals):
         """(B, C) with the predicted trunk rows C B^T: the basis, and the
@@ -162,22 +157,19 @@ class StructuredPredictor:
 
 
 class PerfectPredictor:
-    """Diagnostic predictor that returns the exact backward gradient.
+    """Diagnostic predictor that returns the exact trunk gradient.
 
     Used to exercise the algebraic identity G = mean gradient when
     predictions are perfect; cost accounting still charges the predicted
-    algorithm's pass structure. Its sum for each part is ``backward_sum`` on
-    the given cache, the very call that forms a true gradient sum on those
+    algorithm's pass structure. Its sum for each part is ``trunk_sum`` on
+    the given cache, the very call that forms a true trunk sum on those
     rows.
     """
 
     kind = "perfect"
 
-    def predict_batch(self, net, cache, residuals) -> np.ndarray:
-        return backward(net, cache, residuals)
-
     def predict_sums(self, net, parts) -> list:
-        return [backward_sum(net, cache, r) for cache, r in parts]
+        return [trunk_sum(net, cache, r) for cache, r in parts]
 
     def to_arrays(self) -> dict:
         return {}
@@ -223,24 +215,6 @@ def _features(h: np.ndarray, llh: np.ndarray) -> FactoredRows:
     """The rows of ``_bilinear`` on a batch, held as their factors h and
     [llh; 1]: their Gram matrix is (H H^T) o (A A^T), A the rows [llh; 1]."""
     return FactoredRows([(h, _augment(llh))])
-
-
-def _head_sum(llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """[R^T A | R^T 1], R and A the rows of residual and llh: the summed head
-    gradient, one row per output, without a ones column on every row. It is
-    the scalar predictor's summed feature, and W_a^T times it the structured
-    one's, vec(H^T [A 1]) with H = R W_a: formed in that order, the product
-    over the rows costs C/D of H^T [A 1]'s. It is also the head part of the
-    gradient sum, as ``network.gradient_sum`` forms it."""
-    residual, llh = residual.reshape(-1, residual.shape[-1]), llh.reshape(-1, llh.shape[-1])
-    return np.concatenate([residual.T @ llh, residual.sum(axis=0)[:, None]], axis=1)
-
-
-def _part_sums(trunk: np.ndarray, heads) -> list:
-    """One flat gradient sum per part, from the parts' trunk sums (the
-    columns of trunk) and their ``_head_sum`` results."""
-    return [np.concatenate([t, hs[:, :-1].ravel(), hs[:, -1]])
-            for t, hs in zip(trunk.T, heads)]
 
 
 def _default_lambda(sq_norms: np.ndarray) -> float:

@@ -3,19 +3,17 @@
 Both loops draw their epoch shuffles from the same named substream and drop
 the same short final batch, so runs with equal seeds see identical batch
 schedules regardless of algorithm. The predicted loop splits each
-mini-batch with a per-step substream and combines, with the control-variate
-correction ``predgrad.estimator.combine``, the predictions for every row
-with the true and predicted gradients of the control rows. A step makes one
-``forward`` on the whole batch and then forms three sums from its cache:
-``backward_sum`` on the control rows' view of the cache
-(``ForwardCache.rows``), and one ``predict_sums`` call on the batch and
-that same view, which reads the predictor's matrices once for both sums.
-No gradient is formed row by row on an ordinary step. Vanilla's gradient
-is the same ``forward`` and ``backward_sum`` on the batch. For a perfect
-predictor each predicted sum is ``backward_sum``, so the whole-batch
-prediction is vanilla's own call on the same rows, and the control
-prediction the same call on the same arrays as the true control sum: the
-correction is exactly zero and the trajectory is vanilla's bit for bit.
+mini-batch with a per-step substream. A step makes one ``forward`` on the
+batch; one ``predict_sums`` call on the batch and the control rows' view of
+its cache (``ForwardCache.rows``), which reads the predictor's matrices
+once for both trunk sums; and ``trunk_sum`` on that view. The trunk part is
+their control-variate combination ``predgrad.estimator.combine``, and the
+head part ``head_sum`` on the batch, the exact head of vanilla's
+``forward`` and ``backward_sum``. No gradient is formed row by row on an
+ordinary step. For a perfect predictor each predicted sum is ``trunk_sum``,
+so the whole-batch prediction is vanilla's own call on the same rows, and
+the control prediction the same call on the same arrays as the true control
+sum: the correction is exactly zero and the step is vanilla's bit for bit.
 
 The predictor is one of the objects of ``predgrad.predictor``.
 
@@ -42,7 +40,7 @@ lack of usable rows keeps the old predictor and warns, naming the step.
 Cost accounting charges what the algorithm structure prescribes (forward +
 backward per control example, cheap forward per prediction example),
 independent of how a predictor is implemented internally. It counts passes
-per example, so a sum formed by ``backward_sum`` or ``predict_sums`` is
+per example, so a sum formed by ``trunk_sum`` or ``predict_sums`` is
 charged as the rows it sums, whatever it costs, and the control rows'
 prediction is not charged. Each step's split is drawn before the budget
 check, and that check and the step's one charge read the same m_c and
@@ -68,7 +66,8 @@ from .errors import (BudgetError, ConfigError, DataError, DimensionError,
                      InsufficientData, NumericError)
 from .estimator import combine, control_batch_size, split_minibatch, variance_inflation
 from .network import (Network, NetworkConfig, backward_sum, cheap_forward, forward,
-                      init_network, loss_and_residual, trunk_rows)
+                      gradient_sum, head_sum, init_network, loss_and_residual,
+                      trunk_rows, trunk_sum)
 # no longer called here, but perfbench's trace targets name these attributes
 from .estimator import alignment_stats  # noqa: F401
 from .network import backward  # noqa: F401
@@ -264,14 +263,14 @@ def _batch_true(net, ds, batch_idx, loss_kind, smoothing):
 
 
 def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing):
-    """Debiased combined gradient and mean loss over one split mini-batch,
-    from one forward on the batch and three sums over its cache."""
+    """Debiased combined gradient, with vanilla's exact head part, and mean
+    loss over one split mini-batch, from one forward and sums over its cache."""
     cache, losses, residuals = _pass(net, ds, batch_idx, loss_kind, smoothing)
     cache_c, r_c = cache.rows(split.control), residuals[split.control]
     predicted, predicted_c = predictor.predict_sums(net, [(cache, residuals), (cache_c, r_c)])
-    combined = combine(predicted, backward_sum(net, cache_c, r_c), predicted_c,
-                       split.m_c, split.m)
-    return combined, float(losses.sum() / split.m)
+    trunk = combine(predicted, trunk_sum(net, cache_c, r_c), predicted_c, split.m_c, split.m)
+    head = head_sum(cache.act[-1], residuals) / split.m
+    return gradient_sum(trunk, head), float(losses.sum() / split.m)
 
 
 def _eval_val(net, ds, loss_kind, smoothing) -> float:

@@ -1,8 +1,9 @@
 """Each case of ``bench/`` run once at a tiny size, through a stub
-``benchmark`` that calls its function once. The bench directory is outside
-the test paths and calls private trainer names, so without these a rename
-would break it unseen. The bench modules are loaded as modules, not their
-test functions imported, so that the real benchmarks are not collected."""
+``benchmark`` that calls its function once, and the trajectory digest
+script run once on short runs. The bench directory is outside the test
+paths and calls private trainer names, so without these a rename would
+break it unseen. The bench modules are loaded as modules, not their test
+functions imported, so that the real benchmarks are not collected."""
 
 import importlib.util
 from pathlib import Path
@@ -40,3 +41,15 @@ def test_step_layer_bench_runs(layer):
 @pytest.mark.parametrize("phase", ["pass", "measure", "fit"])
 def test_refit_bench_runs(phase):
     refit_bench.test_refit(benchmark, phase, HIDDEN, M)
+
+
+def test_trajectory_digests_runs(capsys):
+    digests = _load("trajectory_digests")
+    lines = digests.main([str(BENCH.parent / "src"), "--n", "100", "--max-steps", "2"])
+    assert capsys.readouterr().out.splitlines() == lines
+    fields = dict((name, rest) for name, *rest in map(str.split, lines))
+    assert len(fields) == len(digests.CONFIGS) == 28
+    for name, (params, metrics, report) in fields.items():
+        assert (params == "-") == name.startswith("compare") == (report != "-")
+        if name.startswith("train") and name.endswith("-perfect"):
+            assert params == fields[name.replace("-perfect", "-vanilla")][0]

@@ -157,16 +157,22 @@ BAD_ARGUMENTS = {"bad-choice": ("algo", "vanila"), "bad-number": ("batch_size", 
 @pytest.mark.parametrize("source", ["flag", "config-file"])
 @pytest.mark.parametrize("key, value", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
 def test_a_bad_argument_exits_2_with_one_error_line(tmp_path, capsys, source, key, value):
+    # a config file in both cases; the error names it, and the bad line
+    # (its third), exactly when the bad value came from it
+    cfg = tmp_path / "run.cfg"
+    good = "max_steps = 2\n# a comment\n"
     if source == "flag":
-        argv = TRAIN + [f"--{key.replace('_', '-')}", value]
+        cfg.write_text(good)
+        argv = ["--config", str(cfg)] + TRAIN + [f"--{key.replace('_', '-')}", value]
     else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n")
+        cfg.write_text(good + f"{key} = {value}\nseed = 1\n")
         argv = ["--config", str(cfg)] + TRAIN
     code, err = run(capsys, argv + ["--outdir", str(tmp_path)])
     assert code == 2 and error_type(err) == "ConfigError"
     assert len(err.splitlines()) == 1, err   # no usage text, no traceback
     assert not (tmp_path / "metrics.csv").exists()
+    assert err.startswith(f"error:ConfigError:{cfg}:3: ") == (source == "config-file"), err
+    assert ("run.cfg" in err) == (source == "config-file"), err
 
 
 def test_flags_override_the_config_file_and_none_keeps_the_default(tmp_path, capsys):

@@ -346,10 +346,10 @@ LEARNED_STEPS = pytest.mark.parametrize("kind, make_data, loss_kind", [
 ])
 
 
-def fitted_step(kind, make_data, loss_kind):
+def fitted_step(kind, make_data, loss_kind, hidden=(24, 16)):
     """A learned predictor after a refit, a batch and its split, and a
     function giving the lean step's G on them."""
-    ds, ncfg = make_data(hidden=(24, 16))
+    ds, ncfg = make_data(hidden=hidden)
     cfg = TrainConfig(batch_size=64, max_steps=4, refit=RefitPolicy(period=2), seed=7,
                       eval_every=0)
     res = train_predicted(cfg, ds, init_network(ncfg), kind)
@@ -365,12 +365,13 @@ def fitted_step(kind, make_data, loss_kind):
 
 @LEARNED_STEPS
 def test_learned_step_from_sums_matches_the_summed_rows(monkeypatch, kind, make_data,
-                                                        loss_kind):
+                                                        loss_kind, predicted_rows):
     *_, step = fitted_step(kind, make_data, loss_kind)
     from_sums = step()
     monkeypatch.setattr(PREDICTORS[kind], "predict_sums",
                         lambda self, net, parts:
-                        [self.predict_batch(net, cache, r).sum(axis=0) for cache, r in parts])
+                        [predicted_rows(net, self, cache, r).sum(axis=0)[:net.trunk_size]
+                         for cache, r in parts])
     from_rows = step()
     assert np.linalg.norm(from_sums - from_rows) <= 1e-12 * np.linalg.norm(from_rows)
 
@@ -393,7 +394,7 @@ def test_a_step_reads_each_predictor_matrix_once(monkeypatch, kind, make_data, l
 
 
 @LEARNED_STEPS
-def test_lean_step_matches_the_row_path(kind, make_data, loss_kind):
+def test_lean_step_matches_the_row_path(kind, make_data, loss_kind, predicted_rows):
     # the row path: a second forward on the control rows, and per-row
     # backward and prediction rows, summed
     net, pred, ds, batch_idx, split, step = fitted_step(kind, make_data, loss_kind)
@@ -402,9 +403,9 @@ def test_lean_step_matches_the_row_path(kind, make_data, loss_kind):
     _, r = loss_and_residual(output, ds.targets[batch_idx], loss_kind)
     _, output_c, cache_c = forward(net, ds.features[ctrl])
     _, r_c = loss_and_residual(output_c, ds.targets[ctrl], loss_kind)
-    from_rows = combine(pred.predict_batch(net, cache, r).sum(axis=0),
+    from_rows = combine(predicted_rows(net, pred, cache, r).sum(axis=0),
                         backward(net, cache_c, r_c).sum(axis=0),
-                        pred.predict_batch(net, cache_c, r_c).sum(axis=0),
+                        predicted_rows(net, pred, cache_c, r_c).sum(axis=0),
                         split.m_c, split.m)
     lean = step()
     assert np.linalg.norm(lean - from_rows) <= 1e-12 * np.linalg.norm(from_rows)
@@ -453,14 +454,31 @@ def test_a_fit_buffer_below_d_plus_1_rows_is_a_config_error():
     assert train_predicted(cfg, ds, init_network(ncfg), "perfect").steps == 2
 
 
-def wide_blobs_shape():
+def wide_blobs_shape(hidden=(64, 64)):
     ds = gen_blobs(600, 3, 8, 6.0, 12, val_fraction=0.2)
-    return ds, NetworkConfig(input_dim=8, hidden_widths=(64, 64), output_dim=3, seed=6)
+    return ds, NetworkConfig(input_dim=8, hidden_widths=hidden, output_dim=3, seed=6)
 
 
-def narrow_regression_shape():
+def narrow_regression_shape(hidden=(16,)):
     ds = gen_regression(600, 8, 0.05, 11, val_fraction=0.2)
-    return ds, NetworkConfig(input_dim=8, hidden_widths=(16,), output_dim=1, seed=5)
+    return ds, NetworkConfig(input_dim=8, hidden_widths=hidden, output_dim=1, seed=5)
+
+
+@pytest.mark.parametrize("kind, make_data, loss_kind, hidden", [
+    ("scalar", narrow_regression_shape, "squared_scalar", (16,)),
+    ("structured", wide_blobs_shape, "cross_entropy", (64, 64)),
+])
+def test_a_learned_step_has_vanillas_head_and_predicts_only_the_trunk(kind, make_data,
+                                                                      loss_kind, hidden):
+    net, pred, ds, batch_idx, split, step = fitted_step(kind, make_data, loss_kind, hidden)
+    pt = net.trunk_size
+    vanilla, _ = trainer._batch_true(net, ds, batch_idx, loss_kind, 0.0)
+    assert step()[pt:].tobytes() == vanilla[pt:].tobytes()
+    _, output, cache = forward(net, ds.features[batch_idx])
+    _, r = loss_and_residual(output, ds.targets[batch_idx], loss_kind)
+    ctrl = split.control
+    sums = pred.predict_sums(net, [(cache, r), (cache.rows(ctrl), r[ctrl])])
+    assert [s.shape for s in sums] == [(pt,), (pt,)]
 
 
 def state_before_a_refit(make_data, kind):
@@ -476,11 +494,12 @@ def state_before_a_refit(make_data, kind):
     (narrow_regression_shape, "structured", "squared_scalar"),
     (narrow_regression_shape, "scalar", "squared_scalar"),
 ])
-def test_factored_refit_matches_the_dense_row_refit(monkeypatch, make_data, kind, loss_kind):
+def test_factored_refit_matches_the_dense_row_refit(monkeypatch, make_data, kind, loss_kind,
+                                                    predicted_rows):
     # the same refit on formed rows: the fit's factorization and ridge solve
     # take the trunk rows and the bilinear features as dense arrays, and the
-    # measurement is the centred statistics of backward's and predict_batch's
-    # trunk rows
+    # measurement is the centred statistics of backward's and the row
+    # references' trunk rows
     cfg, ds, state = state_before_a_refit(make_data, kind)
     dense_state = copy.deepcopy(state)
     refit, stats = trainer._refit(cfg, ds, state, loss_kind, kind)
@@ -496,7 +515,7 @@ def test_factored_refit_matches_the_dense_row_refit(monkeypatch, make_data, kind
     monkeypatch.setattr(trainer, "trunk_alignment",
                         lambda p, net, cache, r, trunk:
                         alignment_stats(backward(net, cache, r)[:, :pt],
-                                        p.predict_batch(net, cache, r)[:, :pt]))
+                                        predicted_rows(net, p, cache, r)[:, :pt]))
     dense_refit, dense_stats = trainer._refit(cfg, ds, dense_state, loss_kind, kind)
     assert refit == dense_refit == 1
     for name in ("sigma_g", "sigma_h", "kappa"):
@@ -504,8 +523,8 @@ def test_factored_refit_matches_the_dense_row_refit(monkeypatch, make_data, kind
     assert abs(stats.rho - dense_stats.rho) <= 1e-9
     _, output, cache = forward(net, ds.features[ds.val_idx])
     _, r = loss_and_residual(output, ds.targets[ds.val_idx], loss_kind)
-    got = state.predictor.predict_batch(net, cache, r)
-    ref = dense_state.predictor.predict_batch(net, cache, r)
+    got = predicted_rows(net, state.predictor, cache, r)
+    ref = predicted_rows(net, dense_state.predictor, cache, r)
     assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
