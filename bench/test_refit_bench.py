@@ -29,7 +29,7 @@ CASE_IDS = [f"{'x'.join(map(str, h))}-n{n}" for h, n in CASES]
 
 
 def _sample_pass(net, ds, idx):
-    cache, _, residuals = trainer._pass(net, ds, idx, "cross_entropy", 0.0)
+    cache, _, residuals = trainer._pass(net, ds, idx)
     return cache, residuals, trunk_rows(net, cache, residuals)
 
 

@@ -57,20 +57,19 @@ def _step(hidden, m) -> Step:
 def test_step(benchmark, algo, hidden, m):
     s = _step(hidden, m)
     if algo == "vanilla":
-        benchmark(trainer._batch_true, s.net, s.ds, s.batch_idx, "cross_entropy", 0.0)
+        benchmark(trainer._batch_true, s.net, s.ds, s.batch_idx)
     else:
-        benchmark(trainer._batch_predicted, s.net, s.predictor, s.ds, s.batch_idx,
-                  s.split, "cross_entropy", 0.0)
+        benchmark(trainer._batch_predicted, s.net, s.predictor, s.ds, s.batch_idx, s.split)
 
 
 @pytest.mark.parametrize("hidden, m", SIZES, ids=SIZE_IDS)
 @pytest.mark.parametrize("layer", ["forward", "backward_sum", "predict_sums"])
 def test_layer(benchmark, layer, hidden, m):
     s = _step(hidden, m)
-    cache, _, residuals = trainer._pass(s.net, s.ds, s.batch_idx, "cross_entropy", 0.0)
+    cache, _, residuals = trainer._pass(s.net, s.ds, s.batch_idx)
     cache_c, r_c = cache.rows(s.split.control), residuals[s.split.control]
     if layer == "forward":
-        benchmark(trainer._pass, s.net, s.ds, s.batch_idx, "cross_entropy", 0.0)
+        benchmark(trainer._pass, s.net, s.ds, s.batch_idx)
     elif layer == "backward_sum":
         benchmark(backward_sum, s.net, cache_c, r_c)
     else:

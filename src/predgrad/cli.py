@@ -1,13 +1,21 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, compare, analyze, simulate. Options can also
-come from a plain `key = value` config file: `predgrad --config FILE
-<subcommand> [flags]`, where the subcommand is the first argument besides
-`--config FILE`. Each line becomes the flag `--key=value` (`_` in a key
-reads as `-`), placed before the command line's flags so that these win;
-so file values are checked exactly like flags, and a value of `none` keeps
-the option's default. Every command writes its resolved configuration to
-<outdir>/config.txt, which is itself a valid config file.
+Subcommands: gen-data, train, compare, analyze, simulate. `--predictor`
+picks the algorithm: `none`, the default of `train`, trains vanilla SGD, and
+`scalar`, `structured` (the default of `compare`, which trains vanilla
+beside it) or `perfect` trains with that predictor. The loss follows from
+the data: cross-entropy on class labels, squared error on targets.
+
+Options can also come from a plain `key = value` config file: `predgrad
+--config FILE <subcommand> [flags]`, where the subcommand is the first
+argument besides `--config FILE`. Each line becomes the flag `--key=value`
+(`_` in a key reads as `-`), placed before the command line's flags so that
+these win; so file values are checked exactly like flags, and a value of
+`none` keeps the option's default (so `predictor = none` is vanilla for
+`train` but `structured` for `compare`). Options older versions had
+(`loss`, `smoothing`, `lr_decay`, `algo`) are unknown, exit 2. Every command
+writes its resolved configuration to <outdir>/config.txt, which is itself
+a valid config file.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric error.
 Failures, bad arguments among them, print one machine-readable line
@@ -71,7 +79,7 @@ def _add_data_options(p, task_required=False):
     p.add_argument("--val-fraction", type=float, default=0.2)
 
 
-def _add_train_options(p):
+def _add_train_options(p, predictor):
     p.add_argument("--hidden", default="16", help="comma-separated hidden widths")
     p.add_argument("--activation", default="tanh",
                    choices=["tanh", "relu", "identity"])
@@ -79,14 +87,9 @@ def _add_train_options(p):
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--control-fraction", "-f", dest="control_fraction",
                    type=float, default=0.25)
-    p.add_argument("--loss", default="auto",
-                   choices=["auto", "squared_scalar", "squared_vector",
-                            "cross_entropy"])
-    p.add_argument("--smoothing", type=float, default=0.0)
     p.add_argument("--learning-rate", "--lr", dest="learning_rate",
                    type=float, default=0.05)
     p.add_argument("--momentum", type=float, default=0.0, help="heavy ball; 0 is SGD")
-    p.add_argument("--lr-decay", type=float, default=0.0)
     p.add_argument("--refit-period", type=int, default=50)
     p.add_argument("--buffer-capacity", type=int, default=256,
                    help="training rows drawn afresh for each predictor fit "
@@ -95,7 +98,8 @@ def _add_train_options(p):
     p.add_argument("--budget", type=float, default=None,
                    help="stepping-cost budget in cost units")
     p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--predictor", default="structured", choices=list(PREDICTORS))
+    p.add_argument("--predictor", default=predictor, choices=["none", *PREDICTORS],
+                   help="none trains vanilla")
     p.add_argument("--eval-every", type=int, default=1)
     _add_cost_options(p)
 
@@ -126,16 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", parents=[common], help="train one algorithm")
-    p.add_argument("--algo", default="vanilla", choices=["vanilla", "predicted"])
     p.add_argument("--resume", default=None, help="run checkpoint to resume from")
     _add_data_options(p)
-    _add_train_options(p)
+    _add_train_options(p, predictor="none")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compare", parents=[common],
                        help="budget-matched vanilla vs predicted run")
     _add_data_options(p)
-    _add_train_options(p)
+    _add_train_options(p, predictor="structured")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("analyze", parents=[common], help="evaluate the break-even theory")
@@ -252,11 +255,8 @@ def _train_config(args) -> TrainConfig:
         epochs=args.epochs,
         batch_size=args.batch_size,
         control_fraction=args.control_fraction,
-        loss_kind=None if args.loss == "auto" else args.loss,
-        smoothing=args.smoothing,
         learning_rate=args.learning_rate,
         momentum=args.momentum,
-        lr_decay=args.lr_decay,
         refit=RefitPolicy(period=args.refit_period,
                           buffer_capacity=args.buffer_capacity,
                           ridge_lambda=args.ridge_lambda),
@@ -291,12 +291,11 @@ def cmd_train(args) -> int:
     ckpt_path = os.path.join(args.outdir, "checkpoint.npz")
 
     if args.resume is not None:
-        kind = "none" if args.algo == "vanilla" else args.predictor
-        result = resume_run(cfg, ds, args.resume, metrics_path, kind)
+        result = resume_run(cfg, ds, args.resume, metrics_path, args.predictor)
     else:
         from .network import init_network
         net = init_network(_net_config(args, ds))
-        if args.algo == "vanilla":
+        if args.predictor == "none":
             result = train_vanilla(cfg, ds, net, metrics_path)
         else:
             result = train_predicted(cfg, ds, net, args.predictor, metrics_path)

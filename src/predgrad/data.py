@@ -42,6 +42,13 @@ class Dataset:
     def output_dim(self) -> int:
         return self.n_classes if self.kind == "classification" else self.targets.shape[1]
 
+    @property
+    def loss_kind(self) -> str:
+        """The loss the data decides: labels or one or more target columns."""
+        if self.kind == "classification":
+            return "cross_entropy"
+        return "squared_scalar" if self.targets.shape[1] == 1 else "squared_vector"
+
     def target_for(self, i: int):
         """Target in the form the loss expects: label int or target vector."""
         return int(self.targets[i]) if self.kind == "classification" else self.targets[i]

@@ -15,6 +15,9 @@ float64 vector. The pass procedures are:
 
 Only ``gradient_rows`` and ``gradient_sum`` lay out a flat gradient.
 
+They take ``loss_and_residual``'s residual, the loss's exact gradient in
+the output: f(x) - y for squared error, p - onehot(y) for cross-entropy.
+
 ``trunk_rows`` gives the trunk part of ``backward``'s rows on a batch
 unformed, as the per-layer factors they are outer products of
 (``predgrad.linalg.FactoredRows``); ``backward`` forms exactly those rows.
@@ -241,14 +244,14 @@ def cheap_forward(net: Network, x: np.ndarray):
     return llh, output
 
 
-def loss_and_residual(output: np.ndarray, y, kind: str, smoothing: float = 0.0):
+def loss_and_residual(output: np.ndarray, y, kind: str):
     """Per-example loss and output-space residual.
 
     squared_scalar / squared_vector: loss = 0.5 ||f(x) - y||^2, residual
     f(x) - y; a scalar target may leave out its length-1 axis.
-    cross_entropy: y holds class indices; softmax probabilities against a
-    smoothed one-hot target, and the residual p - target is also the exact
-    logit gradient.
+    cross_entropy: y holds class indices; loss -log p_y of the softmax
+    probabilities p, and the residual p - onehot(y), the exact logit
+    gradient.
     """
     output = np.asarray(output, dtype=np.float64)
     if kind in ("squared_scalar", "squared_vector"):
@@ -264,8 +267,6 @@ def loss_and_residual(output: np.ndarray, y, kind: str, smoothing: float = 0.0):
         r = output - yv
         return 0.5 * np.einsum("...i,...i->...", r, r), r
     if kind == "cross_entropy":
-        if not 0.0 <= smoothing < 1.0:
-            raise ConfigError(f"label smoothing must be in [0,1), got {smoothing}")
         c = output.shape[-1]
         labels = np.asarray(y)
         if labels.shape != output.shape[:-1]:
@@ -277,8 +278,7 @@ def loss_and_residual(output: np.ndarray, y, kind: str, smoothing: float = 0.0):
         shifted = output - output.max(axis=-1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         p = np.exp(logp)
-        target = np.where(labels[..., None] == np.arange(c),
-                          smoothing / c + (1.0 - smoothing), smoothing / c)
+        target = np.where(labels[..., None] == np.arange(c), 1.0, 0.0)
         return -np.einsum("...i,...i->...", target, logp), p - target
     raise ConfigError(f"unknown loss kind {kind!r}")
 

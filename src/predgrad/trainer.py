@@ -15,7 +15,8 @@ so the whole-batch prediction is vanilla's own call on the same rows, and
 the control prediction the same call on the same arrays as the true control
 sum: the correction is exactly zero and the step is vanilla's bit for bit.
 
-The predictor is one of the objects of ``predgrad.predictor``.
+The predictor is one of the objects of ``predgrad.predictor``. The loss
+comes from the data (``Dataset.loss_kind``), and the learning rate is fixed.
 
 A step whose batch loss or combined gradient is not finite stops the run
 with a ``NumericError`` that names the step.
@@ -79,8 +80,6 @@ METRICS_HEADER = ["step", "epoch", "cost_units", "loss", "val_metric",
                   "rho_hat", "kappa_hat", "phi_hat", "refit"]
 RUN_CHECKPOINT_FORMAT = 1
 
-LOSS_KINDS = ("squared_scalar", "squared_vector", "cross_entropy")
-
 log = logging.getLogger(__name__)
 
 
@@ -89,11 +88,8 @@ class TrainConfig:
     epochs: int = 1
     batch_size: int = 32
     control_fraction: float = 0.25
-    loss_kind: str | None = None        # None: derived from the dataset kind
-    smoothing: float = 0.0
     learning_rate: float = 0.05
     momentum: float = 0.0               # > 0: heavy-ball momentum
-    lr_decay: float = 0.0               # lr_t = lr / (1 + lr_decay * t)
     refit: RefitPolicy = field(default_factory=RefitPolicy)
     cost_model: CostModel = field(default_factory=CostModel)
     budget: float | None = None         # cap on stepping cost units
@@ -109,16 +105,10 @@ class TrainConfig:
         if not 0.0 < self.control_fraction <= 1.0:
             raise ConfigError(
                 f"control_fraction must be in (0,1], got {self.control_fraction}")
-        if self.loss_kind is not None and self.loss_kind not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
-        if not 0.0 <= self.smoothing < 1.0:
-            raise ConfigError("smoothing must be in [0,1)")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must be in [0,1)")
-        if self.lr_decay < 0:
-            raise ConfigError("lr_decay must be nonnegative")
         if self.budget is not None and self.budget < 0:
             raise ConfigError("budget must be nonnegative")
         if self.max_steps is not None and self.max_steps < 1:
@@ -193,8 +183,6 @@ class TrainState:
     predictor: object | None        # a fitted predictor; None for vanilla
     opt_state: np.ndarray | None
     step: int = 0
-    epoch: int = 0
-    batch_in_epoch: int = 0
     stepping: BudgetLedger | None = None
     warmup_ledger: BudgetLedger | None = None
 
@@ -222,22 +210,6 @@ class RunResult:
         return self.records[-1].loss if self.records else float("nan")
 
 
-def _resolve_loss_kind(cfg: TrainConfig, ds: Dataset) -> str:
-    if cfg.loss_kind is not None:
-        kind = cfg.loss_kind
-    elif ds.kind == "classification":
-        kind = "cross_entropy"
-    else:
-        kind = "squared_scalar" if ds.targets.shape[1] == 1 else "squared_vector"
-    if ds.kind == "classification" and kind != "cross_entropy":
-        raise ConfigError("classification data requires the cross_entropy loss")
-    if ds.kind == "regression" and kind == "cross_entropy":
-        raise ConfigError("cross_entropy needs classification data")
-    if kind == "squared_scalar" and ds.kind == "regression" and ds.targets.shape[1] != 1:
-        raise ConfigError("squared_scalar needs one-dimensional targets")
-    return kind
-
-
 def _fit(kind: str, rows: FitRows, policy: RefitPolicy):
     """A fresh predictor of a learned kind fitted on ``rows``. The fit
     functions are looked up in this module, so wrapping
@@ -247,25 +219,25 @@ def _fit(kind: str, rows: FitRows, policy: RefitPolicy):
     return fit_structured(rows, None, policy.ridge_lambda)
 
 
-def _pass(net, ds, idx, loss_kind, smoothing):
+def _pass(net, ds, idx):
     """Forward on the examples idx: returns (cache, losses, residuals), all
     in the order of idx."""
     _, output, cache = forward(net, ds.features[idx])
-    losses, residuals = loss_and_residual(output, ds.targets[idx], loss_kind, smoothing)
+    losses, residuals = loss_and_residual(output, ds.targets[idx], ds.loss_kind)
     return cache, losses, residuals
 
 
-def _batch_true(net, ds, batch_idx, loss_kind, smoothing):
+def _batch_true(net, ds, batch_idx):
     """Mean true gradient and mean loss over a batch."""
     m = len(batch_idx)
-    cache, losses, residuals = _pass(net, ds, batch_idx, loss_kind, smoothing)
+    cache, losses, residuals = _pass(net, ds, batch_idx)
     return backward_sum(net, cache, residuals) / m, float(losses.sum() / m)
 
 
-def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing):
+def _batch_predicted(net, predictor, ds, batch_idx, split):
     """Debiased combined gradient, with vanilla's exact head part, and mean
     loss over one split mini-batch, from one forward and sums over its cache."""
-    cache, losses, residuals = _pass(net, ds, batch_idx, loss_kind, smoothing)
+    cache, losses, residuals = _pass(net, ds, batch_idx)
     cache_c, r_c = cache.rows(split.control), residuals[split.control]
     predicted, predicted_c = predictor.predict_sums(net, [(cache, residuals), (cache_c, r_c)])
     trunk = combine(predicted, trunk_sum(net, cache_c, r_c), predicted_c, split.m_c, split.m)
@@ -273,11 +245,11 @@ def _batch_predicted(net, predictor, ds, batch_idx, split, loss_kind, smoothing)
     return gradient_sum(trunk, head), float(losses.sum() / split.m)
 
 
-def _eval_val(net, ds, loss_kind, smoothing) -> float:
+def _eval_val(net, ds) -> float:
     if len(ds.val_idx) == 0:
         return float("nan")
     _, output = cheap_forward(net, ds.features[ds.val_idx])
-    losses, _ = loss_and_residual(output, ds.targets[ds.val_idx], loss_kind, smoothing)
+    losses, _ = loss_and_residual(output, ds.targets[ds.val_idx], ds.loss_kind)
     return float(losses.mean())
 
 
@@ -305,8 +277,7 @@ class _MetricsWriter:
             self._fh.close()
 
 
-def _refit(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str,
-           kind: str):
+def _refit(cfg: TrainConfig, ds: Dataset, state: TrainState, kind: str):
     """Fit a fresh ``kind`` predictor on a fit sample drawn for this step and
     make it ``state.predictor``; returns (1 if it was replaced else 0, the
     outgoing predictor's alignment stats on the sample or None). The
@@ -317,7 +288,7 @@ def _refit(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str,
     name = "warmup" if state.step == 0 else f"refit:{state.step}"
     chosen = substream(cfg.seed, name).choice(ds.train_idx, size=n, replace=False)
     net, outgoing = state.net, state.predictor
-    cache, _, residuals = _pass(net, ds, chosen, loss_kind, cfg.smoothing)
+    cache, _, residuals = _pass(net, ds, chosen)
     trunk = trunk_rows(net, cache, residuals)
     state.warmup_ledger.charge(forward=n, backward=n)
     stats = None
@@ -335,17 +306,16 @@ def _refit(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str,
     return 1, stats
 
 
-def _check_run(cfg: TrainConfig, ds: Dataset, predicted: bool):
+def _check_run(cfg: TrainConfig, ds: Dataset, predicted: bool) -> int:
     """Validate a run's config against its data, warning once when the
-    control fraction does not split a batch evenly; returns (loss kind,
-    smallest usable batch, the same for both loops)."""
+    control fraction does not split a batch evenly; returns the smallest
+    usable batch, the same for both loops."""
     if len(ds.train_idx) == 0:
         raise DataError("dataset has no training examples")
-    loss_kind = _resolve_loss_kind(cfg, ds)
     f = cfg.control_fraction
     min_batch = max(2, math.ceil(1.0 / f))
     if not predicted:
-        return loss_kind, min_batch
+        return min_batch
     if not 0.0 < f < 1.0:
         raise ConfigError(
             f"predicted training needs 0 < control_fraction < 1, got {f}")
@@ -353,107 +323,88 @@ def _check_run(cfg: TrainConfig, ds: Dataset, predicted: bool):
         raise ConfigError(
             f"batch_size {cfg.batch_size} too small for control fraction "
             f"{f} (need >= {min_batch})")
+    if len(ds.train_idx) < min_batch:
+        raise DataError("training set smaller than the minimum batch")
     m_c = control_batch_size(cfg.batch_size, f)
     if abs(f * cfg.batch_size - m_c) > 1e-9:
         log.warning("control fraction f=%g gives fractional batch size %g; "
                     "rounding to %d", f, f * cfg.batch_size, m_c)
-    return loss_kind, min_batch
+    return min_batch
 
 
-def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, loss_kind: str,
-                min_batch: int, metrics_path=None) -> RunResult:
-    """Run from ``state`` to the end of the run, with what ``_check_run``
-    returned for it."""
+def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int,
+                metrics_path=None) -> RunResult:
+    """Run from ``state`` to the end of the run, with the smallest batch
+    ``_check_run`` returned for it. An epoch is its shuffle's whole batches,
+    then a short last batch if it has at least ``min_batch`` rows, and at
+    least one batch; so step t is batch t % k of epoch t // k, k batches an
+    epoch."""
     predicted = state.predictor is not None
     learned = predicted and state.predictor.kind != "perfect"
-    f, cm = cfg.control_fraction, cfg.cost_model
+    f, cm, bs = cfg.control_fraction, cfg.cost_model, cfg.batch_size
     theta = state.net.flat_params()
     records = []
     writer = _MetricsWriter(metrics_path, append=state.step > 0)
     n_train = len(ds.train_idx)
+    per_epoch = max(1, n_train // bs + (n_train % bs >= min_batch))
+    end = min(cfg.epochs * per_epoch, cfg.max_steps or math.inf)
+    order = None
 
     try:
-        done = False
-        for epoch in range(state.epoch, cfg.epochs):
-            state.epoch = epoch
-            perm = substream(cfg.seed, f"shuffle:{epoch}").permutation(n_train)
-            order = ds.train_idx[perm]
-            batches = [order[s:s + cfg.batch_size]
-                       for s in range(0, n_train, cfg.batch_size)]
-            if len(batches) > 1 and len(batches[-1]) < min_batch \
-                    and len(batches[-1]) < cfg.batch_size:
-                batches = batches[:-1]
-            elif len(batches) == 1 and len(batches[0]) < min_batch and predicted:
-                raise DataError("training set smaller than the minimum batch")
-
-            start = state.batch_in_epoch
-            for bi in range(start, len(batches)):
-                batch_idx = batches[bi]
-                if cfg.max_steps is not None and state.step >= cfg.max_steps:
-                    done = True
-                    break
-                m_c = m = len(batch_idx)
-                if predicted:
-                    split = split_minibatch(
-                        m, f, substream(cfg.seed, f"split:{state.step}"))
-                    m_c = split.m_c
-                cost = m_c * cm.vanilla_per_example + (m - m_c) * cm.cheap_forward
-                if cfg.budget is not None and \
-                        state.stepping.cost_units + cost > cfg.budget:
-                    if state.step == 0:
-                        raise BudgetError(
-                            f"budget {cfg.budget} is smaller than one batch "
-                            f"({cost} cost units)")
-                    done = True
-                    break
-                state.batch_in_epoch = bi
-                state.stepping.charge(forward=m_c, backward=m_c, cheap_forward=m - m_c)
-
-                if not predicted:
-                    grad, batch_loss = _batch_true(
-                        state.net, ds, batch_idx, loss_kind, cfg.smoothing)
-                else:
-                    grad, batch_loss = _batch_predicted(
-                        state.net, state.predictor, ds, batch_idx, split, loss_kind,
-                        cfg.smoothing)
-                if not (math.isfinite(batch_loss) and np.isfinite(grad).all()):
-                    raise NumericError(
-                        f"non-finite loss or gradient at step {state.step + 1}")
-
-                lr_t = cfg.learning_rate / (1.0 + cfg.lr_decay * state.step)
-                theta, state.opt_state = optimizer_step(
-                    theta, grad, state.opt_state, lr_t, cfg.momentum)
-                state.net.set_flat_params(theta)
-                state.step += 1
-                state.batch_in_epoch = bi + 1
-
-                refit_flag, stats = 0, None
-                if learned and should_refit(cfg.refit, state.step):
-                    refit_flag, stats = _refit(cfg, ds, state, loss_kind,
-                                               state.predictor.kind)
-
-                if cfg.eval_every and state.step % cfg.eval_every == 0:
-                    val = _eval_val(state.net, ds, loss_kind, cfg.smoothing)
-                else:
-                    val = float("nan")
-
-                nan = float("nan")
-                if stats is not None and not stats.degenerate:
-                    rec = StepRecord(
-                        state.step, epoch, state.stepping.cost_units, batch_loss,
-                        val, stats.rho, stats.kappa,
-                        variance_inflation(split.f_effective, stats.rho, stats.kappa),
-                        refit_flag)
-                else:
-                    rec = StepRecord(state.step, epoch, state.stepping.cost_units,
-                                     batch_loss, val, nan, nan, nan, refit_flag)
-                records.append(rec)
-                writer.write(rec)
-            if done:
+        while state.step < end:
+            epoch, b = divmod(state.step, per_epoch)
+            if order is None or b == 0:
+                perm = substream(cfg.seed, f"shuffle:{epoch}").permutation(n_train)
+                order = ds.train_idx[perm]
+            batch_idx = order[b * bs:(b + 1) * bs]
+            m_c = m = len(batch_idx)
+            if predicted:
+                split = split_minibatch(m, f, substream(cfg.seed, f"split:{state.step}"))
+                m_c = split.m_c
+            cost = m_c * cm.vanilla_per_example + (m - m_c) * cm.cheap_forward
+            if cfg.budget is not None and state.stepping.cost_units + cost > cfg.budget:
+                if state.step == 0:
+                    raise BudgetError(
+                        f"budget {cfg.budget} is smaller than one batch "
+                        f"({cost} cost units)")
                 break
-            state.batch_in_epoch = 0
-        else:
-            state.epoch = cfg.epochs
+            state.stepping.charge(forward=m_c, backward=m_c, cheap_forward=m - m_c)
+
+            if not predicted:
+                grad, batch_loss = _batch_true(state.net, ds, batch_idx)
+            else:
+                grad, batch_loss = _batch_predicted(
+                    state.net, state.predictor, ds, batch_idx, split)
+            if not (math.isfinite(batch_loss) and np.isfinite(grad).all()):
+                raise NumericError(
+                    f"non-finite loss or gradient at step {state.step + 1}")
+
+            theta, state.opt_state = optimizer_step(
+                theta, grad, state.opt_state, cfg.learning_rate, cfg.momentum)
+            state.net.set_flat_params(theta)
+            state.step += 1
+
+            refit_flag, stats = 0, None
+            if learned and should_refit(cfg.refit, state.step):
+                refit_flag, stats = _refit(cfg, ds, state, state.predictor.kind)
+
+            if cfg.eval_every and state.step % cfg.eval_every == 0:
+                val = _eval_val(state.net, ds)
+            else:
+                val = float("nan")
+
+            nan = float("nan")
+            if stats is not None and not stats.degenerate:
+                rec = StepRecord(
+                    state.step, epoch, state.stepping.cost_units, batch_loss,
+                    val, stats.rho, stats.kappa,
+                    variance_inflation(split.f_effective, stats.rho, stats.kappa),
+                    refit_flag)
+            else:
+                rec = StepRecord(state.step, epoch, state.stepping.cost_units,
+                                 batch_loss, val, nan, nan, nan, refit_flag)
+            records.append(rec)
+            writer.write(rec)
     finally:
         writer.close()
 
@@ -472,8 +423,13 @@ def _fresh_state(cfg: TrainConfig, net: Network) -> TrainState:
 def train_vanilla(cfg: TrainConfig, ds: Dataset, net: Network,
                   metrics_path=None) -> RunResult:
     """Full-gradient mini-batch training (the baseline loop)."""
-    return _train_loop(cfg, ds, _fresh_state(cfg, net), *_check_run(cfg, ds, False),
+    return _train_loop(cfg, ds, _fresh_state(cfg, net), _check_run(cfg, ds, False),
                        metrics_path)
+
+
+def _check_kind(kind) -> None:
+    if not isinstance(kind, str) or kind not in PREDICTORS:
+        raise ConfigError(f"not a predictor kind: {kind!r}")
 
 
 def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, kind: str,
@@ -485,10 +441,9 @@ def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, kind: str,
     least D+1 rows (D the last hidden width).
     """
     state = _fresh_state(cfg, net)
-    loss_kind, min_batch = _check_run(cfg, ds, predicted=True)
-    if not isinstance(kind, str) or kind not in PREDICTORS:
-        raise ConfigError(f"not a predictor kind: {kind!r}")
-    if kind == "scalar" and loss_kind != "squared_scalar":
+    min_batch = _check_run(cfg, ds, predicted=True)
+    _check_kind(kind)
+    if kind == "scalar" and ds.loss_kind != "squared_scalar":
         raise ConfigError("the scalar predictor requires a scalar squared loss")
     need = net.config.last_hidden + 1
     if kind != "perfect" and cfg.refit.buffer_capacity < need:
@@ -498,8 +453,8 @@ def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, kind: str,
     if kind == "perfect":
         state.predictor = PerfectPredictor()
     else:
-        _refit(cfg, ds, state, loss_kind, kind)
-    return _train_loop(cfg, ds, state, loss_kind, min_batch, metrics_path)
+        _refit(cfg, ds, state, kind)
+    return _train_loop(cfg, ds, state, min_batch, metrics_path)
 
 
 @dataclass
@@ -545,6 +500,7 @@ def run_budgeted_comparison(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfi
     measured-alignment break-even verdict."""
     if cfg.budget is None or cfg.budget <= 0:
         raise BudgetError("run_budgeted_comparison requires a positive budget")
+    _check_kind(predictor)
     base = init_network(net_cfg)
     batches_per_epoch = max(1, len(ds.train_idx) // cfg.batch_size)
     cheapest = cfg.batch_size * cfg.cost_model.cheap_forward
@@ -597,15 +553,15 @@ def run_budgeted_comparison(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfi
 
 RUN_LENGTH_KEYS = ("epochs", "max_steps", "budget")  # a resumed run may change them
 RETIRED_KEYS = ("warmup",)  # written by older versions, no longer an option
+# options older versions wrote, at the one value this version runs
+RETIRED_DEFAULTS = {"loss_kind": None, "smoothing": 0.0, "lr_decay": 0.0}
 
 
 def _cfg_json(cfg: TrainConfig) -> str:
     d = {
         "epochs": cfg.epochs, "batch_size": cfg.batch_size,
-        "control_fraction": cfg.control_fraction, "loss_kind": cfg.loss_kind,
-        "smoothing": cfg.smoothing,
+        "control_fraction": cfg.control_fraction,
         "learning_rate": cfg.learning_rate, "momentum": cfg.momentum,
-        "lr_decay": cfg.lr_decay,
         "refit_period": cfg.refit.period,
         "buffer_capacity": cfg.refit.buffer_capacity,
         "ridge_lambda": cfg.refit.ridge_lambda,
@@ -619,9 +575,10 @@ def _cfg_json(cfg: TrainConfig) -> str:
 
 
 def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
-    """Bundle network, predictor, optimizer state and loop counters; resuming from it reproduces an uninterrupted run bit-exactly
-    (all random streams are derived statelessly from the seed and the
-    counters stored here). The file is written to ``<path>.tmp`` and then
+    """Bundle network, predictor, optimizer state and step; resuming from it
+    reproduces an uninterrupted run bit-exactly (all random streams are
+    derived statelessly from the seed and the step, and so are the epoch and
+    the batch in it). The file is written to ``<path>.tmp`` and then
     moved into place, so a failed write leaves any previous checkpoint at
     ``path`` as it was."""
     state = result.state
@@ -631,9 +588,8 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
         "head_weight": net.head_weight,
         "head_bias": net.head_bias,
         "net_version": np.int64(net.version),
-        # the last counter is the former warmup-done flag, kept for the format
-        "counters": np.asarray([state.step, state.epoch, state.batch_in_epoch,
-                                int(state.predictor is not None)], dtype=np.int64),
+        # older versions appended the epoch, the batch in it and a warmup flag
+        "counters": np.asarray([state.step], dtype=np.int64),
         "stepping_counts": np.asarray([state.stepping.forward_count,
                                        state.stepping.cheap_forward_count,
                                        state.stepping.backward_count], dtype=np.int64),
@@ -650,7 +606,6 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
 
     header = json.dumps({
         "format": RUN_CHECKPOINT_FORMAT,
-        "algo": "vanilla" if pred is None else "predicted",
         "predictor_kind": "none" if pred is None else pred.kind,
         "cfg": _cfg_json(cfg),
         "net": asdict(net.config),
@@ -675,6 +630,11 @@ def _run_identity(cfg_json: str) -> dict:
         d["momentum"] = 0.0
     for key in RUN_LENGTH_KEYS + RETIRED_KEYS:
         d.pop(key, None)
+    for key, runs in RETIRED_DEFAULTS.items():
+        held = d.pop(key, runs)
+        if held != runs:
+            raise ConfigError(f"checkpoint was written with {key} = {held!r}, an option "
+                              f"this version no longer has")
     return d
 
 
@@ -691,7 +651,7 @@ def load_run_checkpoint(path, cfg: TrainConfig) -> TrainState:
             raise ConfigError("checkpoint was written under a different training config")
         net = Network(NetworkConfig(**header["net"]), z["trunk_params"],
                       z["head_weight"], z["head_bias"], version=int(z["net_version"]))
-        step, epoch, batch_in_epoch = (int(v) for v in z["counters"][:3])
+        step = int(z["counters"][0])
 
         kind = header["predictor_kind"]
         if kind != "none" and kind not in PREDICTORS:
@@ -702,7 +662,7 @@ def load_run_checkpoint(path, cfg: TrainConfig) -> TrainState:
         warmup_ledger = BudgetLedger(cfg.cost_model, *(int(v) for v in z["warmup_counts"]))
         opt_state = z["opt_state"].copy() if "opt_state" in z else None
         return TrainState(net=net, predictor=pred, opt_state=opt_state,
-                          step=step, epoch=epoch, batch_in_epoch=batch_in_epoch,
+                          step=step,
                           stepping=stepping, warmup_ledger=warmup_ledger)
 
 
@@ -715,5 +675,5 @@ def resume_run(cfg: TrainConfig, ds: Dataset, checkpoint_path,
     held = "none" if state.predictor is None else state.predictor.kind
     if kind not in (None, held):
         raise ConfigError(f"checkpoint holds predictor kind {held!r}, not {kind!r}")
-    return _train_loop(cfg, ds, state, *_check_run(cfg, ds, state.predictor is not None),
+    return _train_loop(cfg, ds, state, _check_run(cfg, ds, state.predictor is not None),
                        metrics_path)

@@ -73,11 +73,17 @@ def test_written_config_is_a_valid_config_file(tmp_path, capsys):
         (first / "config.txt").read_text().replace(str(first), str(second))
 
 
-def test_retired_warmup_key_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("warmup", "true"), ("loss", "auto"),
+                                        ("smoothing", "0.0"), ("lr_decay", "0.0"),
+                                        ("algo", "vanilla")],
+                         ids=["warmup", "loss", "smoothing", "lr_decay", "algo"])
+def test_a_retired_option_exits_2(tmp_path, capsys, key, value):
+    # config files written by older versions set these options, now removed
     cfg = tmp_path / "old.cfg"
-    cfg.write_text("warmup = true\n")
+    cfg.write_text(f"{key} = {value}\n")
     code, err = run(capsys, ["--config", str(cfg)] + TRAIN + ["--outdir", str(tmp_path)])
-    assert code == 2 and "warmup" in err
+    assert code == 2 and error_type(err) == "ConfigError"
+    assert f"old.cfg:1: unrecognized arguments: --{key.replace('_', '-')}={value}" in err
 
 
 def test_compare_writes_the_report(tmp_path, capsys):
@@ -122,11 +128,9 @@ def test_simulate_writes_a_finite_ratio(tmp_path, capsys, extra):
 
 
 @pytest.mark.parametrize("first, then, code", [
-    (["--algo", "vanilla"], ["--algo", "predicted", "--predictor", "scalar"], 2),
-    (["--algo", "predicted", "--predictor", "structured"],
-     ["--algo", "predicted", "--predictor", "scalar"], 2),
-    (["--algo", "predicted", "--predictor", "scalar"],
-     ["--algo", "predicted", "--predictor", "scalar"], 0),
+    ([], ["--predictor", "scalar"], 2),
+    (["--predictor", "structured"], ["--predictor", "scalar"], 2),
+    (["--predictor", "scalar"], ["--predictor", "scalar"], 0),
 ], ids=["vanilla-to-scalar", "structured-to-scalar", "scalar-to-scalar"])
 def test_resume_checks_the_requested_algorithm(tmp_path, capsys, first, then, code):
     first_dir, second_dir = tmp_path / "first", tmp_path / "second"
@@ -138,19 +142,19 @@ def test_resume_checks_the_requested_algorithm(tmp_path, capsys, first, then, co
     assert got == code, err
     if code:
         assert error_type(err) == "ConfigError"
-        held = "none" if "vanilla" in first else first[-1]
+        held = first[-1] if first else "none"
         assert repr(held) in err and repr(then[-1]) in err
 
 
 def test_a_fit_buffer_below_d_plus_1_rows_exits_2(tmp_path, capsys):
     code, err = run(capsys, ["train", "--task", "blobs", "--n", "400", "--hidden", "16",
-                             "--algo", "predicted", "--buffer-capacity", "8",
+                             "--predictor", "structured", "--buffer-capacity", "8",
                              "--max-steps", "2", "--outdir", str(tmp_path)])
     assert code == 2 and error_type(err) == "ConfigError"
     assert "capacity 8 is below the D+1 = 17" in err
 
 
-BAD_ARGUMENTS = {"bad-choice": ("algo", "vanila"), "bad-number": ("batch_size", "abc"),
+BAD_ARGUMENTS = {"bad-choice": ("predictor", "structred"), "bad-number": ("batch_size", "abc"),
                  "unknown-option": ("no_such_option", "1")}
 
 
@@ -189,7 +193,36 @@ def test_flags_override_the_config_file_and_none_keeps_the_default(tmp_path, cap
 
 def test_config_equals_form_is_read_and_an_abbreviation_is_refused(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("algo = vanila\n")
+    cfg.write_text("predictor = structred\n")
     for flag in ([f"--config={cfg}"], ["--conf", str(cfg)]):
         code, err = run(capsys, flag + TRAIN + ["--outdir", str(tmp_path)])
         assert code == 2 and error_type(err) == "ConfigError", flag
+
+
+def test_train_runs_the_predictor_it_is_given(tmp_path, capsys):
+    code = main(TRAIN + ["--predictor", "scalar", "--max-steps", "3",
+                         "--outdir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    with np.load(tmp_path / "checkpoint.npz") as z:
+        header = json.loads(bytes(z["header"]).decode("utf-8"))
+    assert header["predictor_kind"] == "scalar"
+    # batches of 32 at f = 0.25: 8 control rows a forward and a backward,
+    # 24 predicted rows a cheap forward, not the 32 forwards and backwards
+    # of a vanilla step
+    printed = dict(line.split(" ", 1) for line in out.splitlines())
+    cm = CostModel()
+    assert float(printed["cost_units"]) == pytest.approx(
+        3 * (8 * cm.vanilla_per_example + 24 * cm.cheap_forward))
+    written = dict(line.split(" = ") for line in
+                   (tmp_path / "config.txt").read_text().splitlines())
+    assert written["predictor"] == "scalar" and "algo" not in written
+
+
+def test_compare_refuses_the_none_predictor(tmp_path, capsys):
+    code, err = run(capsys, ["compare"] + TRAIN[1:] + ["--predictor", "none",
+                                                       "--budget", "1000",
+                                                       "--outdir", str(tmp_path)])
+    assert code == 2 and error_type(err) == "ConfigError"
+    assert len(err.splitlines()) == 1, err
+    assert not (tmp_path / "metrics_vanilla.csv").exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from predgrad.data import gen_blobs, gen_regression, load_csv, save_csv
+from predgrad.data import Dataset, gen_blobs, gen_regression, load_csv, save_csv
 from predgrad.errors import DataError, FormatError
 
 
@@ -28,6 +28,15 @@ def test_csv_without_split_column_uses_the_tail(tmp_path):
     ds = load_csv(path, kind="regression", val_fraction=0.2)
     assert ds.features.shape == (10, 2) and ds.targets.shape == (10, 1)
     assert list(ds.val_idx) == [8, 9]
+
+
+def test_the_data_decides_the_loss():
+    assert gen_blobs(50, 4, 3, 5.0, 4).loss_kind == "cross_entropy"
+    assert gen_regression(50, 3, 0.1, 4).loss_kind == "squared_scalar"
+    rng = np.random.default_rng(0)
+    two = Dataset(features=rng.standard_normal((10, 3)), targets=rng.standard_normal((10, 2)),
+                  kind="regression", train_idx=np.arange(8), val_idx=np.arange(8, 10))
+    assert two.loss_kind == "squared_vector"
 
 
 def test_csv_errors_name_the_problem(tmp_path):

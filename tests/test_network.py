@@ -132,22 +132,11 @@ def test_cross_entropy_one_hot_probability():
     assert np.array_equal(residual, np.zeros(10))
 
 
-def test_cross_entropy_smoothed_target():
-    # smoothing 0.05 with 10 classes: 0.955 on the true class, 0.005 elsewhere
-    output = np.zeros(10)  # uniform probabilities 0.1
-    _, residual = loss_and_residual(output, 4, "cross_entropy", smoothing=0.05)
-    target = 0.1 - residual
-    assert np.allclose(target[4], 0.955, atol=1e-12)
-    off = np.delete(target, 4)
-    assert np.allclose(off, 0.005, atol=1e-12)
-
-
 def test_cross_entropy_residual_sums_to_zero():
     rng = substream(11, "ce")
     for _ in range(20):
         output = rng.standard_normal(6) * 3
-        _, residual = loss_and_residual(output, int(rng.integers(6)),
-                                        "cross_entropy", smoothing=0.05)
+        _, residual = loss_and_residual(output, int(rng.integers(6)), "cross_entropy")
         assert abs(residual.sum()) <= 1e-12
 
 
@@ -178,7 +167,7 @@ def test_backward_head_outer_product():
     assert np.max(np.abs(head - expected)) <= 1e-14
 
 
-def finite_difference_gradient(net, x, y, kind, smoothing=0.0, step=1e-5):
+def finite_difference_gradient(net, x, y, kind, step=1e-5):
     theta0 = net.flat_params()
     grad = np.empty_like(theta0)
     probe = net.copy()
@@ -188,7 +177,7 @@ def finite_difference_gradient(net, x, y, kind, smoothing=0.0, step=1e-5):
             theta[i] += sign * step
             probe.set_flat_params(theta)
             _, output, _ = forward(probe, x)
-            loss = loss_and_residual(output, y, kind, smoothing)[0]
+            loss = loss_and_residual(output, y, kind)[0]
             if slot == 0:
                 up = loss
             else:
@@ -197,9 +186,9 @@ def finite_difference_gradient(net, x, y, kind, smoothing=0.0, step=1e-5):
     return grad
 
 
-def analytic_gradient(net, x, y, kind, smoothing=0.0):
+def analytic_gradient(net, x, y, kind):
     _, output, cache = forward(net, x)
-    _, residual = loss_and_residual(output, y, kind, smoothing)
+    _, residual = loss_and_residual(output, y, kind)
     return backward(net, cache, residual)
 
 
@@ -212,8 +201,8 @@ def test_backward_matches_finite_differences():
         net = init_network(cfg)
         x = rng.standard_normal(3)
         y = int(rng.integers(2)) if kind == "cross_entropy" else rng.standard_normal(2)
-        g = analytic_gradient(net, x, y, kind, smoothing=0.02)
-        fd = finite_difference_gradient(net, x, y, kind, smoothing=0.02)
+        g = analytic_gradient(net, x, y, kind)
+        fd = finite_difference_gradient(net, x, y, kind)
         rel = np.max(np.abs(fd - g)) / max(np.max(np.abs(g)), 1e-12)
         worst = max(worst, rel)
     assert worst <= 1e-5
@@ -272,13 +261,13 @@ def test_batched_passes_equal_single_example_calls(activation, kind):
     net, xs, ys = batch_case(activation, kind)
     llh, output, cache = forward(net, xs)
     llh_c, output_c = cheap_forward(net, xs)
-    losses, residuals = loss_and_residual(output, ys, kind, smoothing=0.05)
+    losses, residuals = loss_and_residual(output, ys, kind)
     grads = backward(net, cache, residuals)
     assert grads.shape == (len(xs), net.n_params)
     assert np.array_equal(llh_c, llh) and np.array_equal(output_c, output)
     for i, (x, y) in enumerate(zip(xs, ys)):
         a, out, c = forward(net, x)
-        loss, r = loss_and_residual(out, y, kind, smoothing=0.05)
+        loss, r = loss_and_residual(out, y, kind)
         g = backward(net, c, r)
         assert a.shape == llh.shape[1:] and g.shape == (net.n_params,)
         for batch_row, single in ((llh[i], a), (output[i], out), (losses[i], loss),
@@ -298,7 +287,7 @@ def test_backward_sum_equals_the_summed_rows(activation, kind, hidden):
     ys = (rng.integers(out, size=37) if kind == "cross_entropy"
           else rng.standard_normal((37, out)))
     _, output, cache = forward(net, xs)
-    _, residuals = loss_and_residual(output, ys, kind, smoothing=0.05)
+    _, residuals = loss_and_residual(output, ys, kind)
     rows = backward(net, cache, residuals).sum(axis=0)
     summed = backward_sum(net, cache, residuals)
     assert summed.shape == (net.n_params,)
@@ -310,6 +299,6 @@ def test_backward_sum_equals_the_summed_rows(activation, kind, hidden):
     assert np.linalg.norm(part_sum - part) <= 1e-12 * np.linalg.norm(part)
     # a single example is a batch of one
     _, output, cache = forward(net, xs[0])
-    _, residual = loss_and_residual(output, ys[0], kind, smoothing=0.05)
+    _, residual = loss_and_residual(output, ys[0], kind)
     one = backward(net, cache, residual)
     assert np.linalg.norm(backward_sum(net, cache, residual) - one) <= 1e-12 * np.linalg.norm(one)

@@ -211,7 +211,7 @@ def test_classification_residual_uses_same_path():
     rows, head_w = planted_structured(rng, 60)
     pred = fit_structured(rows, r=2)
     llh = rng.standard_normal(5)
-    _, residual = loss_and_residual(rng.standard_normal(3), 1, "cross_entropy", 0.05)
+    _, residual = loss_and_residual(rng.standard_normal(3), 1, "cross_entropy")
     as_regression = residual.copy()
     e_cls = predict_structured(pred, llh, residual, head_w)
     e_reg = predict_structured(pred, llh, as_regression, head_w)
@@ -223,14 +223,13 @@ def test_predicted_head_gradient_always_exact():
     net = init_network(NetworkConfig(4, (6,), 3, activation="tanh", seed=8))
     pt = net.trunk_size
     llh, output, cache = forward(net, rng.standard_normal((40, 4)))
-    _, residuals = loss_and_residual(output, rng.integers(3, size=40), "cross_entropy", 0.05)
+    _, residuals = loss_and_residual(output, rng.integers(3, size=40), "cross_entropy")
     grads = backward(net, cache, residuals)
     pred = fit_structured(FitRows.from_pass(llh, residuals, grads[:, :pt], net.head_weight))
     for _ in range(10):
         x = rng.standard_normal(4)
         llh, output, cache = forward(net, x)
-        _, residual = loss_and_residual(output, int(rng.integers(3)),
-                                        "cross_entropy", 0.05)
+        _, residual = loss_and_residual(output, int(rng.integers(3)), "cross_entropy")
         true_head = backward(net, cache, residual)[pt:]
         est = predict_structured(pred, llh, residual, net.head_weight)
         assert np.max(np.abs(est[pt:] - true_head)) <= 1e-12

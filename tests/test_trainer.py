@@ -77,8 +77,7 @@ def test_checkpoint_round_trip(tmp_path, kind):
     assert saved.keys() == loaded.keys()
     for key in saved:
         assert np.array_equal(saved[key], loaded[key])
-    assert (state.step, state.epoch, state.batch_in_epoch) == \
-        (res.state.step, res.state.epoch, res.state.batch_in_epoch)
+    assert state.step == res.state.step
     assert state.net.config == res.network.config
     assert state.net.version == res.network.version
     assert np.array_equal(state.net.flat_params(), res.network.flat_params())
@@ -125,13 +124,23 @@ def test_fractional_control_batch_warns_once_per_run(caplog):
     assert len(warnings) == 1 and "fractional batch size 7.5" in warnings[0]
 
 
-@pytest.mark.parametrize("algo", ["vanilla", "structured"])
-def test_resume_extends_a_run_bit_exactly(tmp_path, algo):
-    # 10 batches an epoch, refits at steps 4, 8 and 12: the extension
-    # crosses an epoch and a refit
+@pytest.mark.parametrize("algo, batch_size, n, per_epoch", [
+    # 320 training rows in 10 batches an epoch, refits at steps 4, 8 and 12:
+    # the extension crosses an epoch and a refit
+    pytest.param("vanilla", 32, 6, 10, id="vanilla"),
+    pytest.param("structured", 32, 6, 10, id="structured"),
+    # the checkpoint falls on the epoch boundary
+    pytest.param("structured", 32, 10, 10, id="structured-at-an-epoch-boundary"),
+    # batches of 30 leave 20 rows, a short last batch that is kept; the
+    # extension starts with it
+    pytest.param("structured", 30, 10, 11, id="structured-short-last-batch-kept"),
+    # batches of 53 leave 2 rows, fewer than the 4 a split needs, so the
+    # epoch drops them; the extension takes the last whole batch, then epoch 1
+    pytest.param("structured", 53, 5, 6, id="structured-short-last-batch-dropped"),
+])
+def test_resume_extends_a_run_bit_exactly(tmp_path, algo, batch_size, n, per_epoch):
     ds, ncfg = regression()
-    n = 6
-    long = TrainConfig(batch_size=32, epochs=5, max_steps=2 * n,
+    long = TrainConfig(batch_size=batch_size, epochs=5, max_steps=2 * n,
                        refit=RefitPolicy(period=4), momentum=0.9, seed=2)
     short = replace(long, max_steps=n)
 
@@ -147,6 +156,7 @@ def test_resume_extends_a_run_bit_exactly(tmp_path, algo):
     rest = resume_run(long, ds, path)
 
     assert rest.steps == whole.steps == 2 * n
+    assert [r.epoch for r in whole.records] == [t // per_epoch for t in range(2 * n)]
     assert rows(part.records) + rows(rest.records) == rows(whole.records)
     assert np.array_equal(rest.network.flat_params(), whole.network.flat_params())
     if algo != "vanilla":
@@ -291,6 +301,26 @@ def test_checkpoint_from_plain_sgd_resumes_without_momentum(tmp_path):
         load_run_checkpoint(path, replace(cfg, momentum=0.9))
 
 
+@pytest.mark.parametrize("key, value", [("smoothing", 0.05), ("lr_decay", 0.01),
+                                        ("loss_kind", "squared_vector")])
+def test_checkpoint_with_a_retired_option_set_is_refused(tmp_path, key, value):
+    # older versions wrote these options; a checkpoint at any value but the
+    # one this version runs (0.0, 0.0 and null) took another trajectory
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=32, max_steps=3, seed=2, eval_every=0)
+    path = tmp_path / "run.npz"
+    save_run_checkpoint(path, train_vanilla(cfg, ds, init_network(ncfg)), cfg)
+    with np.load(path) as z:
+        arrays = dict(z)
+    header = json.loads(bytes(arrays["header"]).decode("utf-8"))
+    header["cfg"] = json.dumps({**json.loads(header["cfg"]), key: value})
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+    with pytest.raises(ConfigError, match=key):
+        load_run_checkpoint(path, cfg)
+
+
 def test_skipped_refit_logs_a_warning_and_keeps_the_predictor(monkeypatch, caplog):
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, max_steps=7, refit=RefitPolicy(period=3), seed=1,
@@ -350,6 +380,7 @@ def fitted_step(kind, make_data, loss_kind, hidden=(24, 16)):
     """A learned predictor after a refit, a batch and its split, and a
     function giving the lean step's G on them."""
     ds, ncfg = make_data(hidden=hidden)
+    assert ds.loss_kind == loss_kind
     cfg = TrainConfig(batch_size=64, max_steps=4, refit=RefitPolicy(period=2), seed=7,
                       eval_every=0)
     res = train_predicted(cfg, ds, init_network(ncfg), kind)
@@ -357,8 +388,7 @@ def fitted_step(kind, make_data, loss_kind, hidden=(24, 16)):
     split = split_minibatch(64, 0.25, substream(7, "split"))
 
     def step():
-        return trainer._batch_predicted(res.network, res.predictor, ds, batch_idx, split,
-                                        loss_kind, 0.0)[0]
+        return trainer._batch_predicted(res.network, res.predictor, ds, batch_idx, split)[0]
 
     return res.network, res.predictor, ds, batch_idx, split, step
 
@@ -472,7 +502,7 @@ def test_a_learned_step_has_vanillas_head_and_predicts_only_the_trunk(kind, make
                                                                       loss_kind, hidden):
     net, pred, ds, batch_idx, split, step = fitted_step(kind, make_data, loss_kind, hidden)
     pt = net.trunk_size
-    vanilla, _ = trainer._batch_true(net, ds, batch_idx, loss_kind, 0.0)
+    vanilla, _ = trainer._batch_true(net, ds, batch_idx)
     assert step()[pt:].tobytes() == vanilla[pt:].tobytes()
     _, output, cache = forward(net, ds.features[batch_idx])
     _, r = loss_and_residual(output, ds.targets[batch_idx], loss_kind)
@@ -502,7 +532,7 @@ def test_factored_refit_matches_the_dense_row_refit(monkeypatch, make_data, kind
     # references' trunk rows
     cfg, ds, state = state_before_a_refit(make_data, kind)
     dense_state = copy.deepcopy(state)
-    refit, stats = trainer._refit(cfg, ds, state, loss_kind, kind)
+    refit, stats = trainer._refit(cfg, ds, state, kind)
     net, pt = state.net, state.net.trunk_size
 
     def formed(a):
@@ -516,7 +546,7 @@ def test_factored_refit_matches_the_dense_row_refit(monkeypatch, make_data, kind
                         lambda p, net, cache, r, trunk:
                         alignment_stats(backward(net, cache, r)[:, :pt],
                                         predicted_rows(net, p, cache, r)[:, :pt]))
-    dense_refit, dense_stats = trainer._refit(cfg, ds, dense_state, loss_kind, kind)
+    dense_refit, dense_stats = trainer._refit(cfg, ds, dense_state, kind)
     assert refit == dense_refit == 1
     for name in ("sigma_g", "sigma_h", "kappa"):
         assert getattr(stats, name) == pytest.approx(getattr(dense_stats, name), rel=1e-9)
@@ -537,7 +567,7 @@ def test_a_refit_forms_no_trunk_or_feature_rows():
     assert state.net.trunk_size == 4736
     tracemalloc.start()
     try:
-        trainer._refit(cfg, ds, state, "cross_entropy", "structured")
+        trainer._refit(cfg, ds, state, "structured")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
