@@ -1,8 +1,10 @@
 """Time one vanilla step (``_batch_true``) and one predicted step
-(``_batch_predicted``, structured predictor) at three net and batch sizes,
-and the three layers of a predicted step at the same sizes: the forward
-and loss on the batch, ``backward_sum`` on the control rows' view of its
-cache, and ``predict_sums`` on the batch and that view.
+(``_batch_predicted``) at three net and batch sizes, and the three layers of
+a predicted step at the same sizes: the forward and loss on the batch,
+``backward_sum`` on the control rows' view of its cache, and
+``predict_sums`` on the batch and that view. Each case runs once per
+learned predictor kind, on the net of that kind's one-step run, so a kind's
+predicted step and layers compare with vanilla at the same parameters.
 
 Run from the repository root, with one BLAS thread:
 
@@ -30,6 +32,7 @@ from predgrad.predictor import RefitPolicy
 from predgrad.rng import substream
 
 SIZES = [((64, 64), 128), ((64, 64, 64, 64), 512), ((128, 128), 256)]
+KINDS = ["structured", "feedback"]
 SIZE_IDS = [f"{'x'.join(map(str, h))}-m{m}" for h, m in SIZES]
 
 
@@ -42,20 +45,21 @@ class Step:
     split: object
 
 
-def _step(hidden, m) -> Step:
+def _step(kind, hidden, m) -> Step:
     ds = gen_blobs(4 * m, 3, 8, 6.0, 2, val_fraction=0.0)
     ncfg = NetworkConfig(input_dim=8, hidden_widths=hidden, output_dim=3, seed=2)
     cfg = trainer.TrainConfig(batch_size=m, max_steps=1, refit=RefitPolicy(buffer_capacity=m),
                               seed=5, eval_every=0)
-    res = trainer.train_predicted(cfg, ds, init_network(ncfg), "structured")
+    res = trainer.train_predicted(cfg, ds, init_network(ncfg), kind)
     return Step(res.network, res.predictor, ds, ds.train_idx[m:2 * m],
                 split_minibatch(m, 0.25, substream(5, "bench-split")))
 
 
 @pytest.mark.parametrize("hidden, m", SIZES, ids=SIZE_IDS)
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("algo", ["vanilla", "predicted"])
-def test_step(benchmark, algo, hidden, m):
-    s = _step(hidden, m)
+def test_step(benchmark, algo, kind, hidden, m):
+    s = _step(kind, hidden, m)
     if algo == "vanilla":
         benchmark(trainer._batch_true, s.net, s.ds, s.batch_idx)
     else:
@@ -63,9 +67,10 @@ def test_step(benchmark, algo, hidden, m):
 
 
 @pytest.mark.parametrize("hidden, m", SIZES, ids=SIZE_IDS)
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("layer", ["forward", "backward_sum", "predict_sums"])
-def test_layer(benchmark, layer, hidden, m):
-    s = _step(hidden, m)
+def test_layer(benchmark, layer, kind, hidden, m):
+    s = _step(kind, hidden, m)
     cache, _, residuals = trainer._pass(s.net, s.ds, s.batch_idx)
     cache_c, r_c = cache.rows(s.split.control), residuals[s.split.control]
     if layer == "forward":

@@ -10,7 +10,7 @@ last bits may depend on the thread count):
         python bench/trajectory_digests.py src > new.txt
     diff old.txt new.txt
 
-The runs cover vanilla and the scalar, structured and perfect predictors;
+The runs cover vanilla and the feedback, structured and perfect predictors;
 tanh and ReLU; 8-16-1 and 8-12-31-1 regression and 8-64-64-3 blobs; and
 ``train_*`` and ``run_budgeted_comparison``. Each line names a run and gives
 three digests: of the final parameters' bytes (``-`` for a comparison, which
@@ -28,18 +28,18 @@ from pathlib import Path
 REGRESSION = ("regression", (16,))
 WIDE_REGRESSION = ("regression", (12, 31))
 BLOBS = ("blobs", (64, 64))
+ALGOS = ("vanilla", "feedback", "structured", "perfect")
 CONFIGS = (
     [("train", data, act, algo) for data in (REGRESSION, BLOBS) for act in ("tanh", "relu")
-     for algo in ("vanilla", "scalar", "structured", "perfect")
-     if not (data is BLOBS and algo == "scalar")]
-    + [("train", WIDE_REGRESSION, "tanh", algo)
-       for algo in ("vanilla", "scalar", "structured", "perfect")]
+     for algo in ALGOS]
+    + [("train", WIDE_REGRESSION, "tanh", algo) for algo in ALGOS]
     + [("compare", data, act, algo) for data, act, algo in (
-        (REGRESSION, "tanh", "scalar"), (REGRESSION, "tanh", "structured"),
+        (REGRESSION, "tanh", "feedback"), (REGRESSION, "tanh", "structured"),
         (REGRESSION, "tanh", "perfect"), (REGRESSION, "relu", "structured"),
-        (BLOBS, "tanh", "structured"), (BLOBS, "tanh", "perfect"),
-        (BLOBS, "relu", "structured"), (WIDE_REGRESSION, "tanh", "scalar"),
-        (WIDE_REGRESSION, "tanh", "structured"), (WIDE_REGRESSION, "relu", "perfect"))]
+        (BLOBS, "tanh", "feedback"), (BLOBS, "tanh", "structured"),
+        (BLOBS, "tanh", "perfect"), (BLOBS, "relu", "structured"),
+        (WIDE_REGRESSION, "tanh", "feedback"), (WIDE_REGRESSION, "tanh", "structured"),
+        (WIDE_REGRESSION, "relu", "perfect"))]
 )
 
 

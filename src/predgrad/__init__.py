@@ -10,21 +10,21 @@ from .estimator import (AlignmentStats, BatchSplit, alignment_stats, combine,
                         split_minibatch, v2_exact, variance_inflation)
 from .network import (Network, NetworkConfig, backward, backward_sum, cheap_forward,
                       forward, init_network, loss_and_residual)
-from .predictor import (PerfectPredictor, RefitPolicy, ScalarPredictor,
-                        StructuredPredictor, fit_scalar, fit_structured,
-                        predict_scalar, predict_structured, should_refit)
+from .predictor import (FeedbackPredictor, PerfectPredictor, RefitPolicy,
+                        StructuredPredictor, fit_feedback, fit_structured,
+                        predict_structured, should_refit)
 from .trainer import (BudgetLedger, RunResult, StepRecord, TrainConfig,
                       optimizer_step, run_budgeted_comparison, train_predicted,
                       train_vanilla)
 
 __all__ = [
     "AlignmentStats", "BatchSplit", "BoundInputs", "BudgetLedger", "CostModel",
-    "Network", "NetworkConfig", "PerfectPredictor", "RefitPolicy", "RunResult",
-    "ScalarPredictor", "StepRecord", "StructuredPredictor",
+    "FeedbackPredictor", "Network", "NetworkConfig", "PerfectPredictor", "RefitPolicy",
+    "RunResult", "StepRecord", "StructuredPredictor",
     "TrainConfig", "alignment_stats", "backward", "backward_sum", "break_even_satisfied",
-    "cheap_forward", "combine", "f_star", "fit_scalar", "fit_structured", "forward",
+    "cheap_forward", "combine", "f_star", "fit_feedback", "fit_structured", "forward",
     "gamma", "init_network", "loss_and_residual", "nc_bound", "optimizer_step",
-    "predict_scalar", "predict_structured", "q_objective", "rho_star",
+    "predict_structured", "q_objective", "rho_star",
     "rho_switch", "run_budgeted_comparison", "sc_bound", "should_refit",
     "simulate_estimator", "split_minibatch", "sweep", "train_predicted",
     "train_vanilla", "v2_exact", "variance_inflation",

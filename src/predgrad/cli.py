@@ -2,7 +2,7 @@
 
 Subcommands: gen-data, train, compare, analyze, simulate. `--predictor`
 picks the algorithm: `none`, the default of `train`, trains vanilla SGD, and
-`scalar`, `structured` (the default of `compare`, which trains vanilla
+`feedback`, `structured` (the default of `compare`, which trains vanilla
 beside it) or `perfect` trains with that predictor. The loss follows from
 the data: cross-entropy on class labels, squared error on targets.
 
@@ -10,12 +10,12 @@ Options can also come from a plain `key = value` config file: `predgrad
 --config FILE <subcommand> [flags]`, where the subcommand is the first
 argument besides `--config FILE`. Each line becomes the flag `--key=value`
 (`_` in a key reads as `-`), placed before the command line's flags so that
-these win; so file values are checked exactly like flags, and a value of
-`none` keeps the option's default (so `predictor = none` is vanilla for
-`train` but `structured` for `compare`). Options older versions had
-(`loss`, `smoothing`, `lr_decay`, `algo`) are unknown, exit 2. Every command
-writes its resolved configuration to <outdir>/config.txt, which is itself
-a valid config file.
+these win; so file values are checked exactly like flags. `none` keeps an
+option that defaults to none at it, and is any other option's value
+(`predictor = none` is vanilla for `train`, an error for `compare`). Options
+older versions had (`loss`, `smoothing`, `lr_decay`, `algo`) are unknown,
+exit 2. Every command writes its resolved configuration to
+<outdir>/config.txt, which is itself a valid config file.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric error.
 Failures, bad arguments among them, print one machine-readable line
@@ -28,8 +28,6 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from .analysis import (CostModel, break_even_satisfied, f_star, gamma,
                        q_objective, rho_star, rho_switch, simulate_estimator,
@@ -98,8 +96,8 @@ def _add_train_options(p, predictor):
     p.add_argument("--budget", type=float, default=None,
                    help="stepping-cost budget in cost units")
     p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--predictor", default=predictor, choices=["none", *PREDICTORS],
-                   help="none trains vanilla")
+    p.add_argument("--predictor", default=predictor, help="none trains vanilla",
+                   choices=["none", *PREDICTORS] if predictor == "none" else list(PREDICTORS))
     p.add_argument("--eval-every", type=int, default=1)
     _add_cost_options(p)
 
@@ -172,8 +170,8 @@ def _parse_args(argv):
     replaced by the file's lines as flags right after the subcommand, so that
     its own flags win. A parse error names the first file line that, with the
     lines before it and the command line's flags, gives that same error."""
-    rest, path, lines = _config_flags(argv)
     parser = build_parser()
+    rest, path, lines = _config_flags(argv, parser)
 
     def parse(k):
         try:
@@ -188,9 +186,10 @@ def _parse_args(argv):
     raise ConfigError(f"{path}:{lines[k - 1][0]}: {error}" if k else error)
 
 
-def _config_flags(argv):
+def _config_flags(argv, parser):
     """``argv`` without its ``--config FILE``, the path, and the file's
-    ``(line number, flag)`` pairs."""
+    ``(line number, flag)`` pairs, but for the ``none`` lines of options
+    whose default is None in ``parser``'s subcommand."""
     argv = [part for arg in argv
             for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
     if "--config" not in argv:
@@ -208,6 +207,9 @@ def _config_flags(argv):
             lines = fh.readlines()
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from None
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    none_flags = {flag for a in getattr(sub.choices.get(rest[0]), "_actions", [])
+                  if a.default is None for flag in a.option_strings}
     flags = []
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
@@ -216,8 +218,9 @@ def _config_flags(argv):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if value != "none":
-            flags.append((lineno, f"--{key.replace('_', '-')}={value}"))
+        flag = f"--{key.replace('_', '-')}"
+        if value != "none" or flag not in none_flags:
+            flags.append((lineno, f"{flag}={value}"))
     return rest, path, flags
 
 

@@ -33,8 +33,9 @@ class FactoredRows:
     With V~ = [V 1] when ``bias`` is set and V otherwise, inner products of
     rows are products of the factors' inner products: the n x n Gram matrix
     is G G^T = sum over blocks of (U U^T) o (V~ V~^T), at O(n^2 (d + e)) a
-    block rather than O(n^2 d e), and the squared row norms are
-    ||U_i||^2 ||V~_i||^2 summed over blocks. ``t_dot`` (G^T W) and ``dot``
+    block rather than O(n^2 d e), and the inner products of the rows with
+    the matching rows of H, factors (X, Y) in the same layout (``row_dots``),
+    are (U_i . X_i)(V~_i . Y~_i) summed over blocks. ``t_dot`` (G^T W) and ``dot``
     (G M) take one matrix product per block and per chunk of a factor's
     columns, the chunk sized so that the operand it expands stays near
     BLOCK_BYTES; they cost what the products with the formed rows cost,
@@ -80,10 +81,15 @@ class FactoredRows:
             out += vv
         return out
 
-    def sq_norms(self) -> np.ndarray:
+    def row_dots(self, other: "FactoredRows") -> np.ndarray:
+        """<G_i, H_i> for each row i, H ``other`` in the same layout; with
+        ``other`` itself, the squared row norms."""
+        layout = [(u.shape, v.shape) for u, v in self.blocks]
+        if other.bias != self.bias or [(x.shape, y.shape) for x, y in other.blocks] != layout:
+            raise DimensionError("row dots need two factored matrices of one layout")
         out = np.zeros(self.shape[0])
-        for u, v, _ in self._spans():
-            out += np.einsum("ij,ij->i", u, u) * (np.einsum("ij,ij->i", v, v) + self.bias)
+        for (u, v), (x, y) in zip(self.blocks, other.blocks):
+            out += np.einsum("ij,ij->i", u, x) * (np.einsum("ij,ij->i", v, y) + self.bias)
         return out
 
     def t_dot(self, w, order: str = "C") -> np.ndarray:
@@ -114,7 +120,8 @@ class FactoredRows:
 
     def dot(self, m) -> np.ndarray:
         """G M, n x k, for M of p rows and k columns."""
-        m = _as_matrix(m, "M")
+        # read in row blocks below, which an F-ordered M would copy one by one
+        m = np.ascontiguousarray(_as_matrix(m, "M"))
         p, k = m.shape
         if p != self.shape[1]:
             raise DimensionError(f"M has {p} rows, the factored rows {self.shape[1]} columns")

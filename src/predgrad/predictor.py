@@ -2,50 +2,49 @@
 
 The head gradient has the closed form residual x [a(x); 1] and is not
 predicted: the trainer adds its exact sum (``network.head_sum``). The trunk
-gradient is approximated by one of two learned linear structures, both
-motivated by the low effective rank of per-example gradient features:
+gradient is approximated by one of two learned linear structures, both for
+any output width, through the residual alone:
 
-* scalar variant: a single matrix mapping the head gradient to the trunk
-  gradient, trunk = M [a(x); 1] (f(x) - y); valid for scalar-output nets.
-* structured variant: an orthonormal basis U for the span of observed trunk
-  gradients plus per-basis-direction bilinear maps S_i; the coefficient of
-  direction i is [a(x); 1]^T S_i^T h with h = W_a^T residual. Covers vector
-  regression and classification through the residual definition alone.
+* feedback variant: trunk layer l's pre-activation gradient is predicted
+  as B_l r from the residual r, B_l a fitted d_l x C matrix, so its weight
+  and bias gradients are B_l r x [a_{l-1}; 1], a_{l-1} its exact input:
+  direct feedback alignment (Nokland 2016, arXiv:1609.01596) with fitted
+  feedback matrices in place of random ones, or a linear synthetic gradient
+  (Jaderberg et al. 2017, arXiv:1608.05343) whose bias the control variate
+  removes.
+* structured variant, the paper's: an orthonormal basis U for the span of
+  observed trunk gradients plus per-basis-direction bilinear maps S_i; the
+  coefficient of direction i is [a(x); 1]^T S_i^T h with h = W_a^T residual.
 
 Both are fit by ridge least squares on ``FitRows`` (activation, residual and
 true trunk gradients, one row per example of a fit sample; the trainer
-gives the trunk gradients as their per-layer factors, ``network.trunk_rows``).
-The fit hands the rows to ``predgrad.linalg`` as factors, never formed where
-they have more columns than there are rows. Over n rows the structured
+gives the trunk gradients as their per-layer factors, ``network.trunk_rows``:
+each layer's pre-activation gradients Dz and inputs A_prev). The feedback
+fit regresses all layers' Dz on the residuals in one C x C solve. The
+structured fit hands the rows to ``predgrad.linalg`` as factors, never
+formed where they have more columns than there are rows: over n rows its
 features h x [a; 1] have the Gram matrix (H H^T) o (A A^T), A the rows
-[a; 1]: the last-layer tangent kernel, formed as this Hadamard product of
-two small Gram matrices. The trunk gradients' Gram matrix is likewise the
-sum over trunk layers of (Dz Dz^T) o (A_prev A_prev^T), with Dz a layer's
-pre-activation gradients and A_prev its inputs with a ones column: the
-trunk's empirical tangent kernel. With more columns than rows,
+[a; 1], the last-layer tangent kernel, and the trunk gradients the sum over
+trunk layers of (Dz Dz^T) o (A_prev A_prev^T), with a ones column on
+A_prev, the trunk's empirical tangent kernel. With more columns than rows,
 ``truncated_svd`` takes the basis from the second and ``solve_ridge`` fits
 the maps through the first (kernel ridge). ``trunk_alignment`` measures a
 learned predictor on a fit sample from the moments of the true and the
-predicted trunk rows, formed from the same factors. A third, diagnostic
+predicted trunk rows, formed from their factors. A third, diagnostic
 predictor returns the exact trunk gradient.
 
 Every predictor has a ``kind`` name, ``predict_sums(net, parts)`` taking a
 list of ``(cache, residuals)`` pairs and returning, for each pair, the sum
 of its rows' predicted trunk gradients (length P_T) without forming them,
 and ``to_arrays()`` / ``from_arrays()`` for run checkpoints; the learned
-ones also have ``trunk_factors`` for ``trunk_alignment``. The learned
-predictors read only the last hidden activations ``cache.act[-1]``; the
-perfect predictor runs ``network.trunk_sum`` on each cache it is given,
-with no forward of its own. ``PREDICTORS`` maps each kind to its class.
-``predict_scalar`` and ``predict_structured`` are the row references: they
-take rows of activations and residuals, or a single example, and return
-flat-layout predicted gradient rows with the exact head, as plain matrix
-products; ``predict_structured`` applies its maps to the same bilinear
-features ``fit_structured`` regressed on. ``predict_sums`` sums those
-features over each part's rows first, from the summed head gradient
-``network.head_sum``, and stacks the parts' sums as columns, so a learned
-predictor reads each of its matrices once per call, through
-``few_column_product``, however many parts it sums.
+ones also have ``trunk_moments`` for ``trunk_alignment``. ``PREDICTORS``
+maps each kind to its class. The row references are
+``FeedbackPredictor.trunk_rows`` and ``predict_structured``, which applies
+the maps to the bilinear features ``fit_structured`` regressed on. A
+learned ``predict_sums`` sums each part's rows first, through the summed
+head gradients ``network.head_sum`` of its layer inputs (feedback) or last
+hidden activations (structured, which stacks the parts' sums as columns and
+reads each of its matrices once per call, through ``few_column_product``).
 """
 
 from dataclasses import dataclass
@@ -57,7 +56,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, InsufficientData
 from .estimator import AlignmentStats, moment_stats
 from .linalg import FactoredRows, few_column_product, solve_ridge, truncated_svd
-from .network import gradient_rows, head_sum, trunk_sum
+from .network import gradient_rows, gradient_sum, head_sum, trunk_sum
 
 RESIDUAL_FLOOR = 1e-8   # rows with smaller residuals carry no fit signal
 ENERGY_TARGET = 0.99    # default rank rule: 99% of squared singular mass
@@ -80,7 +79,7 @@ class FitRows(NamedTuple):
 class RefitPolicy:
     period: int = 50
     buffer_capacity: int = 256          # rows drawn for each fit
-    ridge_lambda: float | None = None  # None: 1e-6 * mean squared feature norm
+    ridge_lambda: float | None = None  # None: 1e-6 * mean squared regressor norm
 
     def __post_init__(self):
         if self.period < 1:
@@ -92,32 +91,44 @@ class RefitPolicy:
 
 
 @dataclass
-class ScalarPredictor:
-    coef: np.ndarray        # (P_T, D+1)
+class FeedbackPredictor:
+    b: np.ndarray           # (sum of trunk widths, C): the B_l stacked, first layer first
     n_fit: int = 0
     ridge_lambda: float = 0.0
 
-    kind = "scalar"
+    kind = "feedback"
+
+    def _layers(self, net, cache):
+        """(B_l, a_{l-1}) for each trunk layer, first layer first."""
+        widths = net.config.hidden_widths
+        if self.b.shape != (sum(widths), net.config.output_dim):
+            raise DimensionError(f"feedback of shape {self.b.shape} for a net of widths {widths}")
+        return list(zip(np.split(self.b, np.cumsum(widths)[:-1]), [cache.x, *cache.act[:-1]]))
 
     def predict_sums(self, net, parts) -> list:
-        features = np.stack([head_sum(*_scalar_inputs(self, cache.act[-1], r)).ravel()
-                             for cache, r in parts], axis=1)
-        return list(few_column_product(self.coef, features).T)
+        # layer l's sum B_l [R^T A | R^T 1], A its inputs, is laid out as a head sum
+        return [np.concatenate([gradient_sum(np.empty(0), b @ head_sum(a_prev, r))
+                                for b, a_prev in self._layers(net, cache)])
+                for cache, r in parts]
 
-    def trunk_factors(self, net, cache, residuals):
-        """(B, C) with the predicted trunk rows C B^T: the map, and the head
-        gradients [llh; 1] r."""
-        llh, residual = _scalar_inputs(self, cache.act[-1], residuals)
-        return self.coef, _augment(llh) * residual
+    def trunk_rows(self, net, cache, residuals) -> FactoredRows:
+        """The predicted trunk rows of a batch, as the factors (R B_l^T, A_prev)
+        of ``network.trunk_rows``' layout; formed, they are the row reference."""
+        return FactoredRows([(residuals @ b.T, a_prev) for b, a_prev in self._layers(net, cache)],
+                            bias=True)
+
+    def trunk_moments(self, net, cache, residuals, trunk: FactoredRows):
+        h = self.trunk_rows(net, cache, residuals)
+        return (h.row_dots(h).sum(), trunk.row_dots(h).sum(),
+                self.predict_sums(net, [(cache, residuals)])[0])
 
     def to_arrays(self) -> dict:
-        return {"pred_coef": self.coef,
-                "pred_meta": np.asarray([self.n_fit, self.ridge_lambda])}
+        return {"pred_b": self.b, "pred_meta": np.asarray([self.n_fit, self.ridge_lambda])}
 
     @classmethod
-    def from_arrays(cls, z) -> "ScalarPredictor":
+    def from_arrays(cls, z) -> "FeedbackPredictor":
         n_fit, lam = z["pred_meta"]
-        return cls(coef=z["pred_coef"], n_fit=int(n_fit), ridge_lambda=float(lam))
+        return cls(b=z["pred_b"], n_fit=int(n_fit), ridge_lambda=float(lam))
 
 
 @dataclass
@@ -138,12 +149,14 @@ class StructuredPredictor:
         coeffs = few_column_product(self.maps.reshape(len(self.maps), -1), features)
         return list(few_column_product(self.basis, coeffs).T)
 
-    def trunk_factors(self, net, cache, residuals):
-        """(B, C) with the predicted trunk rows C B^T: the basis, and the
-        coefficients, from the bilinear features' factors."""
+    def trunk_moments(self, net, cache, residuals, trunk: FactoredRows):
+        # the predicted rows are C U^T, C the coefficients: sum ||h||^2 is
+        # sum c^T (U^T U) c and sum <g, h> is sum (G U) o C
         llh, residual = _structured_inputs(self, cache.act[-1], residuals, net.head_weight)
         features = _features(residual @ net.head_weight, llh)
-        return self.basis, features.dot(self.maps.reshape(len(self.maps), -1).T)
+        coeffs, basis = features.dot(self.maps.reshape(len(self.maps), -1).T), self.basis
+        return (np.einsum("ik,ik->", coeffs @ (basis.T @ basis), coeffs),
+                np.einsum("ik,ik->", trunk.dot(basis), coeffs), basis @ coeffs.sum(axis=0))
 
     def to_arrays(self) -> dict:
         return {"pred_basis": self.basis, "pred_maps": self.maps,
@@ -179,7 +192,7 @@ class PerfectPredictor:
         return cls()
 
 
-PREDICTORS = {p.kind: p for p in (ScalarPredictor, StructuredPredictor, PerfectPredictor)}
+PREDICTORS = {p.kind: p for p in (FeedbackPredictor, StructuredPredictor, PerfectPredictor)}
 
 
 def should_refit(policy: RefitPolicy, step: int) -> bool:
@@ -218,23 +231,20 @@ def _features(h: np.ndarray, llh: np.ndarray) -> FactoredRows:
 
 
 def _default_lambda(sq_norms: np.ndarray) -> float:
-    """1e-6 times the mean squared feature norm, from the rows' squared norms."""
+    """1e-6 times the mean squared regressor norm, from the rows' squared norms."""
     return 1e-6 * float(np.mean(sq_norms))
 
 
 def trunk_alignment(p, net, cache, residuals, trunk: FactoredRows) -> AlignmentStats:
     """The trunk-only alignment statistics of a learned predictor ``p`` on a
     pass, against the true trunk rows ``trunk`` (``network.trunk_rows`` of
-    that pass), from the moments: with the predicted rows C B^T
-    (``trunk_factors``), sum ||h||^2 = sum c^T (B^T B) c,
-    sum <g, h> = sum (G B) o C, and the row sums are G^T 1 and B (C^T 1).
-    No row of either side is formed."""
-    basis, coeffs = p.trunk_factors(net, cache, residuals)
-    n = len(coeffs)
-    return moment_stats(n, trunk.sq_norms().sum(),
-                        np.einsum("ik,ik->", coeffs @ (basis.T @ basis), coeffs),
-                        np.einsum("ik,ik->", trunk.dot(basis), coeffs),
-                        trunk.t_dot(np.ones((n, 1)))[:, 0], basis @ coeffs.sum(axis=0))
+    that pass), from the moments: sum ||g||^2 and the row sum G^T 1 from
+    ``trunk``, and sum ||h||^2, sum <g, h> and the predicted rows' sum from
+    ``p.trunk_moments``. No row of either side is formed."""
+    n = trunk.shape[0]
+    hh, gh, h_sum = p.trunk_moments(net, cache, residuals, trunk)
+    return moment_stats(n, trunk.row_dots(trunk).sum(), hh, gh,
+                        trunk.t_dot(np.ones((n, 1)))[:, 0], h_sum)
 
 
 def _usable(rows: FitRows) -> FitRows:
@@ -243,48 +253,21 @@ def _usable(rows: FitRows) -> FitRows:
     rows carry no signal."""
     keep = np.max(np.abs(rows.residual), axis=1) > RESIDUAL_FLOOR
     n, d = int(keep.sum()), rows.llh.shape[1]
-    if n == 0:
-        raise InsufficientData("no samples with non-negligible residual")
     if n < d + 1:
         raise InsufficientData(f"fit needs at least D+1 = {d + 1} usable samples, got {n}")
     return rows if n == len(keep) else FitRows(*(a[keep] for a in rows))
 
 
-def fit_scalar(rows: FitRows, lam: float | None = None) -> ScalarPredictor:
-    """Ridge fit of the trunk-from-head gradient map on scalar-output rows.
-
-    The regression feature for a row is its head gradient [llh; 1] * r and
-    the target its true trunk gradient.
-    """
-    if rows.residual.shape[1] != 1:
-        raise DimensionError("scalar predictor requires scalar residuals")
+def fit_feedback(rows: FitRows, lam: float | None = None) -> FeedbackPredictor:
+    """Ridge fit of the feedback matrices: all trunk layers' pre-activation
+    gradients, the first factors of ``rows.trunk_grad``'s blocks, regressed
+    on the residuals in one solve, a C x C system whatever the widths."""
     rows = _usable(rows)
-    feats = _augment(rows.llh) * rows.residual
     if lam is None:
-        lam = _default_lambda(np.einsum("ij,ij->i", feats, feats))
-    coef_t = solve_ridge(feats, rows.trunk_grad, lam)
-    return ScalarPredictor(coef=coef_t.T, n_fit=len(feats), ridge_lambda=float(lam))
-
-
-def _scalar_inputs(p: ScalarPredictor, llh, residual):
-    llh = np.asarray(llh, dtype=np.float64)
-    residual = np.asarray(residual, dtype=np.float64)
-    if residual.shape != llh.shape[:-1] + (1,):
-        raise DimensionError("scalar predictor requires one scalar residual per row")
-    if llh.shape[-1] + 1 != p.coef.shape[1]:
-        raise DimensionError(
-            f"activation dim {llh.shape[-1]} does not match predictor "
-            f"({p.coef.shape[1] - 1})")
-    return llh, residual
-
-
-def predict_scalar(p: ScalarPredictor, llh, residual) -> np.ndarray:
-    """Predicted flat gradient rows for scalar-output examples: the head part
-    is the exact closed form, the trunk part applies the learned matrix to
-    the head gradient [llh; 1] r."""
-    llh, residual = _scalar_inputs(p, llh, residual)
-    trunk = (_augment(llh) * residual) @ p.coef.T
-    return gradient_rows(trunk, llh, residual)
+        lam = _default_lambda(np.einsum("ij,ij->i", rows.residual, rows.residual))
+    dz = np.concatenate([u for u, _ in rows.trunk_grad.blocks], axis=1)
+    b = solve_ridge(rows.residual, dz, lam)  # (C, sum d_l)
+    return FeedbackPredictor(b=np.ascontiguousarray(b.T), n_fit=len(dz), ridge_lambda=float(lam))
 
 
 def fit_structured(rows: FitRows, r: int | None = None,
@@ -318,7 +301,7 @@ def fit_structured(rows: FitRows, r: int | None = None,
 
     feats = _features(rows.h, rows.llh)
     if lam is None:
-        lam = _default_lambda(feats.sq_norms())
+        lam = _default_lambda(feats.row_dots(feats))
         if lam <= 0:
             raise InsufficientData("all bilinear features vanish; nothing to fit")
     weights = solve_ridge(feats, coef_targets, lam)  # (D(D+1), r)

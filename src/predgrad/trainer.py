@@ -19,7 +19,8 @@ The predictor is one of the objects of ``predgrad.predictor``. The loss
 comes from the data (``Dataset.loss_kind``), and the learning rate is fixed.
 
 A step whose batch loss or combined gradient is not finite stops the run
-with a ``NumericError`` that names the step.
+with a ``NumericError`` that names the step. A network whose input or
+output width does not fit the data is refused before step 1 (``DataError``).
 
 A learned predictor is fitted before the first step, and refitted every
 refit period, on a fit sample of its own: ``RefitPolicy.buffer_capacity``
@@ -72,7 +73,7 @@ from .network import (Network, NetworkConfig, backward_sum, cheap_forward, forwa
 # no longer called here, but perfbench's trace targets name these attributes
 from .estimator import alignment_stats  # noqa: F401
 from .network import backward  # noqa: F401
-from .predictor import (PREDICTORS, FitRows, PerfectPredictor, RefitPolicy, fit_scalar,
+from .predictor import (PREDICTORS, FitRows, PerfectPredictor, RefitPolicy, fit_feedback,
                         fit_structured, should_refit, trunk_alignment)
 from .rng import substream
 
@@ -214,8 +215,8 @@ def _fit(kind: str, rows: FitRows, policy: RefitPolicy):
     """A fresh predictor of a learned kind fitted on ``rows``. The fit
     functions are looked up in this module, so wrapping
     ``predgrad.trainer.fit_*`` sees every fit."""
-    if kind == "scalar":
-        return fit_scalar(rows, policy.ridge_lambda)
+    if kind == "feedback":
+        return fit_feedback(rows, policy.ridge_lambda)
     return fit_structured(rows, None, policy.ridge_lambda)
 
 
@@ -306,12 +307,18 @@ def _refit(cfg: TrainConfig, ds: Dataset, state: TrainState, kind: str):
     return 1, stats
 
 
-def _check_run(cfg: TrainConfig, ds: Dataset, predicted: bool) -> int:
-    """Validate a run's config against its data, warning once when the
-    control fraction does not split a batch evenly; returns the smallest
-    usable batch, the same for both loops."""
+def _check_run(cfg: TrainConfig, ds: Dataset, net: Network, predicted: bool) -> int:
+    """Validate a run's config and network against its data, warning once
+    when the control fraction does not split a batch evenly; returns the
+    smallest usable batch, the same for both loops."""
     if len(ds.train_idx) == 0:
         raise DataError("dataset has no training examples")
+    c, labels = net.config, ds.kind == "classification"  # a class may go unlabelled
+    if ds.input_dim != c.input_dim or ds.output_dim > c.output_dim \
+            or (not labels and ds.output_dim != c.output_dim):
+        raise DataError(f"the network has input width {c.input_dim} and output width "
+                        f"{c.output_dim}; the data has input width {ds.input_dim} and "
+                        f"{ds.output_dim} {'classes' if labels else 'target columns'}")
     f = cfg.control_fraction
     min_batch = max(2, math.ceil(1.0 / f))
     if not predicted:
@@ -423,7 +430,7 @@ def _fresh_state(cfg: TrainConfig, net: Network) -> TrainState:
 def train_vanilla(cfg: TrainConfig, ds: Dataset, net: Network,
                   metrics_path=None) -> RunResult:
     """Full-gradient mini-batch training (the baseline loop)."""
-    return _train_loop(cfg, ds, _fresh_state(cfg, net), _check_run(cfg, ds, False),
+    return _train_loop(cfg, ds, _fresh_state(cfg, net), _check_run(cfg, ds, net, False),
                        metrics_path)
 
 
@@ -435,16 +442,14 @@ def _check_kind(kind) -> None:
 def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, kind: str,
                     metrics_path=None) -> RunResult:
     """Predicted-gradient training with a predictor of the named kind,
-    "scalar", "structured" or "perfect". "perfect" becomes a
+    "feedback", "structured" or "perfect". "perfect" becomes a
     PerfectPredictor; a learned kind is fitted on a warmup sample before
     the first step, and needs a fit sample (``buffer_capacity``) of at
     least D+1 rows (D the last hidden width).
     """
     state = _fresh_state(cfg, net)
-    min_batch = _check_run(cfg, ds, predicted=True)
+    min_batch = _check_run(cfg, ds, net, predicted=True)
     _check_kind(kind)
-    if kind == "scalar" and ds.loss_kind != "squared_scalar":
-        raise ConfigError("the scalar predictor requires a scalar squared loss")
     need = net.config.last_hidden + 1
     if kind != "perfect" and cfg.refit.buffer_capacity < need:
         raise ConfigError(
@@ -675,5 +680,6 @@ def resume_run(cfg: TrainConfig, ds: Dataset, checkpoint_path,
     held = "none" if state.predictor is None else state.predictor.kind
     if kind not in (None, held):
         raise ConfigError(f"checkpoint holds predictor kind {held!r}, not {kind!r}")
-    return _train_loop(cfg, ds, state, _check_run(cfg, ds, state.predictor is not None),
+    return _train_loop(cfg, ds, state,
+                       _check_run(cfg, ds, state.net, state.predictor is not None),
                        metrics_path)

@@ -30,17 +30,20 @@ def benchmark(fn, *args, **kwargs):
 
 @pytest.mark.parametrize("algo", ["vanilla", "predicted"])
 def test_step_bench_runs(algo):
-    step_bench.test_step(benchmark, algo, HIDDEN, M)
+    for kind in step_bench.KINDS:
+        step_bench.test_step(benchmark, algo, kind, HIDDEN, M)
 
 
 @pytest.mark.parametrize("layer", ["forward", "backward_sum", "predict_sums"])
 def test_step_layer_bench_runs(layer):
-    step_bench.test_layer(benchmark, layer, HIDDEN, M)
+    for kind in step_bench.KINDS:
+        step_bench.test_layer(benchmark, layer, kind, HIDDEN, M)
 
 
 @pytest.mark.parametrize("phase", ["pass", "measure", "fit"])
 def test_refit_bench_runs(phase):
-    refit_bench.test_refit(benchmark, phase, HIDDEN, M)
+    for kind in refit_bench.KINDS:
+        refit_bench.test_refit(benchmark, phase, kind, HIDDEN, M)
 
 
 def test_trajectory_digests_runs(capsys):
@@ -48,7 +51,7 @@ def test_trajectory_digests_runs(capsys):
     lines = digests.main([str(BENCH.parent / "src"), "--n", "100", "--max-steps", "2"])
     assert capsys.readouterr().out.splitlines() == lines
     fields = dict((name, rest) for name, *rest in map(str.split, lines))
-    assert len(fields) == len(digests.CONFIGS) == 28
+    assert len(fields) == len(digests.CONFIGS) == 31
     for name, (params, metrics, report) in fields.items():
         assert (params == "-") == name.startswith("compare") == (report != "-")
         if name.startswith("train") and name.endswith("-perfect"):

@@ -128,10 +128,10 @@ def test_simulate_writes_a_finite_ratio(tmp_path, capsys, extra):
 
 
 @pytest.mark.parametrize("first, then, code", [
-    ([], ["--predictor", "scalar"], 2),
-    (["--predictor", "structured"], ["--predictor", "scalar"], 2),
-    (["--predictor", "scalar"], ["--predictor", "scalar"], 0),
-], ids=["vanilla-to-scalar", "structured-to-scalar", "scalar-to-scalar"])
+    ([], ["--predictor", "feedback"], 2),
+    (["--predictor", "structured"], ["--predictor", "feedback"], 2),
+    (["--predictor", "feedback"], ["--predictor", "feedback"], 0),
+], ids=["vanilla-to-feedback", "structured-to-feedback", "feedback-to-feedback"])
 def test_resume_checks_the_requested_algorithm(tmp_path, capsys, first, then, code):
     first_dir, second_dir = tmp_path / "first", tmp_path / "second"
     got, err = run(capsys, TRAIN + first + ["--max-steps", "2", "--outdir", str(first_dir)])
@@ -180,15 +180,34 @@ def test_a_bad_argument_exits_2_with_one_error_line(tmp_path, capsys, source, ke
 
 
 def test_flags_override_the_config_file_and_none_keeps_the_default(tmp_path, capsys):
+    # none is the default of --ridge-lambda, and no value of --learning-rate
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("batch_size = 8\nlearning_rate = none\nmax_steps = 2\n")
+    cfg.write_text("batch_size = 8\nridge_lambda = none\nmax_steps = 2\n")
     code, err = run(capsys, ["--config", str(cfg)] + TRAIN + ["--batch-size", "16",
                                                                "--outdir", str(tmp_path)])
     assert code == 0, err
     written = dict(line.split(" = ") for line in
                    (tmp_path / "config.txt").read_text().splitlines())
-    assert (written["batch_size"], written["learning_rate"], written["max_steps"]) \
-        == ("16", "0.05", "2")
+    assert (written["batch_size"], written["ridge_lambda"], written["max_steps"]) \
+        == ("16", "none", "2")
+    cfg.write_text("max_steps = 2\nlearning_rate = none\n")
+    code, err = run(capsys, ["--config", str(cfg)] + TRAIN + ["--outdir", str(tmp_path)])
+    assert code == 2 and err.startswith(f"error:ConfigError:{cfg}:2: "), err
+
+
+def test_a_predictor_none_line_means_none(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("predictor = none\nmax_steps = 2\n")
+    code, err = run(capsys, ["--config", str(cfg), "compare"] + TRAIN[1:] + [
+        "--budget", "1000", "--outdir", str(tmp_path / "compare")])
+    assert code == 2 and error_type(err) == "ConfigError"
+    assert len(err.splitlines()) == 1 and err.startswith(f"error:ConfigError:{cfg}:1: "), err
+    assert not (tmp_path / "compare" / "metrics_vanilla.csv").exists()
+    code, err = run(capsys, ["--config", str(cfg)] + TRAIN + ["--outdir", str(tmp_path)])
+    assert code == 0, err
+    with np.load(tmp_path / "checkpoint.npz") as z:
+        header = json.loads(bytes(z["header"]).decode("utf-8"))
+    assert header["predictor_kind"] == "none"
 
 
 def test_config_equals_form_is_read_and_an_abbreviation_is_refused(tmp_path, capsys):
@@ -200,13 +219,13 @@ def test_config_equals_form_is_read_and_an_abbreviation_is_refused(tmp_path, cap
 
 
 def test_train_runs_the_predictor_it_is_given(tmp_path, capsys):
-    code = main(TRAIN + ["--predictor", "scalar", "--max-steps", "3",
+    code = main(TRAIN + ["--predictor", "feedback", "--max-steps", "3",
                          "--outdir", str(tmp_path)])
     out, err = capsys.readouterr()
     assert code == 0, err
     with np.load(tmp_path / "checkpoint.npz") as z:
         header = json.loads(bytes(z["header"]).decode("utf-8"))
-    assert header["predictor_kind"] == "scalar"
+    assert header["predictor_kind"] == "feedback"
     # batches of 32 at f = 0.25: 8 control rows a forward and a backward,
     # 24 predicted rows a cheap forward, not the 32 forwards and backwards
     # of a vanilla step
@@ -216,7 +235,7 @@ def test_train_runs_the_predictor_it_is_given(tmp_path, capsys):
         3 * (8 * cm.vanilla_per_example + 24 * cm.cheap_forward))
     written = dict(line.split(" = ") for line in
                    (tmp_path / "config.txt").read_text().splitlines())
-    assert written["predictor"] == "scalar" and "algo" not in written
+    assert written["predictor"] == "feedback" and "algo" not in written
 
 
 def test_compare_refuses_the_none_predictor(tmp_path, capsys):
@@ -226,3 +245,44 @@ def test_compare_refuses_the_none_predictor(tmp_path, capsys):
     assert code == 2 and error_type(err) == "ConfigError"
     assert len(err.splitlines()) == 1, err
     assert not (tmp_path / "metrics_vanilla.csv").exists()
+
+
+def checkpoint_as(path, kind, arrays):
+    """The checkpoint at ``path`` rewritten to hold a predictor of ``kind``,
+    with ``arrays`` in place of the one it held."""
+    with np.load(path) as z:
+        kept = {key: z[key] for key in z.files if not key.startswith("pred_")}
+    header = json.loads(bytes(kept["header"]).decode("utf-8"))
+    kept["header"] = np.frombuffer(json.dumps({**header, "predictor_kind": kind}).encode(),
+                                   dtype=np.uint8)
+    np.savez(path, **kept, **arrays)
+
+
+def test_the_retired_scalar_predictor_exits_2(tmp_path, capsys):
+    # older versions had a scalar predictor; its checkpoints and flag are refused
+    code, err = run(capsys, TRAIN + ["--predictor", "structured", "--max-steps", "2",
+                                     "--outdir", str(tmp_path)])
+    assert code == 0, err
+    ckpt = tmp_path / "checkpoint.npz"
+    checkpoint_as(ckpt, "scalar", {"pred_coef": np.zeros((8 * 6 + 8, 9)),
+                                   "pred_meta": np.zeros(2)})
+    for then in ([], ["--predictor", "scalar"]):
+        code, err = run(capsys, TRAIN + then + ["--max-steps", "4", "--resume", str(ckpt),
+                                                "--outdir", str(tmp_path / "resumed")])
+        assert code == 2 and error_type(err) == "ConfigError"
+        assert "'scalar'" in err
+    assert not (tmp_path / "resumed" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("data", [["--task", "blobs"], ["--input-dim", "5"]],
+                         ids=["labels", "input-dim"])
+def test_resuming_on_data_the_network_does_not_fit_exits_3(tmp_path, capsys, data):
+    code, err = run(capsys, TRAIN + ["--input-dim", "8", "--hidden", "16", "--max-steps", "2",
+                                     "--outdir", str(tmp_path)])
+    assert code == 0, err
+    code, err = run(capsys, TRAIN + ["--input-dim", "8", "--hidden", "16"] + data + [
+        "--max-steps", "4", "--resume", str(tmp_path / "checkpoint.npz"),
+        "--outdir", str(tmp_path / "resumed")])
+    assert code == 3 and error_type(err) == "DataError"
+    assert "input width 8 and output width 1" in err
+    assert not (tmp_path / "resumed" / "metrics.csv").exists()

@@ -126,7 +126,7 @@ def test_few_column_product_equals_the_plain_product(shape, cols):
 
 
 def test_few_column_product_reads_a_transposed_matrix():
-    # the scalar predictor keeps its map as the transpose of a C-ordered array
+    # a matrix kept as the transpose of a C-ordered array
     rng = substream(5, "few-column")
     a = rng.standard_normal((10, BLOCK_BYTES // 80 * 3 + 7)).T
     b = rng.standard_normal((10, 2))
@@ -160,7 +160,12 @@ def test_factored_trunk_rows_match_the_backward_rows(monkeypatch, hidden, activa
     assert rows.shape == dense.shape
     assert np.array_equal(rows.dense(), dense)
     assert rel_err(rows.gram(), dense @ dense.T) <= 1e-12
-    assert rel_err(rows.sq_norms(), np.einsum("ij,ij->i", dense, dense)) <= 1e-12
+    assert rel_err(rows.row_dots(rows), np.einsum("ij,ij->i", dense, dense)) <= 1e-12
+    other = FactoredRows([(rng.standard_normal(u.shape), rng.standard_normal(v.shape))
+                          for u, v in rows.blocks], bias=True)
+    assert rel_err(rows.row_dots(other), np.einsum("ij,ij->i", dense, other.dense())) <= 1e-12
+    with pytest.raises(DimensionError):
+        rows.row_dots(FactoredRows(other.blocks))
     w = rng.standard_normal((len(dense), 5))
     for order in ("C", "F"):
         assert rel_err(rows.t_dot(w, order), dense.T @ w) <= 1e-12
@@ -168,6 +173,7 @@ def test_factored_trunk_rows_match_the_backward_rows(monkeypatch, hidden, activa
     m = rng.standard_normal((dense.shape[1], 4))
     for operand in (m, np.asfortranarray(m), m[:, :1]):
         assert rel_err(rows.dot(operand), dense @ operand) <= 1e-12
+    assert np.array_equal(rows.dot(np.asfortranarray(m)), rows.dot(m))
     keep = np.arange(len(dense)) % 3 != 1
     assert np.array_equal(rows[keep].dense(), dense[keep])
 
@@ -178,7 +184,7 @@ def test_factored_feature_gram_equals_the_bilinear_features_gram():
     feats, rows = _bilinear(h, llh), _features(h, llh)
     assert np.array_equal(rows.dense(), feats)
     assert rel_err(rows.gram(), feats @ feats.T) <= 1e-12
-    assert rel_err(rows.sq_norms(), np.einsum("ij,ij->i", feats, feats)) <= 1e-12
+    assert rel_err(rows.row_dots(rows), np.einsum("ij,ij->i", feats, feats)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [12, 60], ids=["wide", "tall"])

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from predgrad import linalg, predictor
+from predgrad.data import gen_blobs, gen_regression
 from predgrad.errors import DimensionError, InsufficientData
-from predgrad.network import (NetworkConfig, backward, backward_sum, forward, init_network,
-                              loss_and_residual)
-from predgrad.predictor import (FitRows, PerfectPredictor, RefitPolicy, ScalarPredictor,
-                                StructuredPredictor, choose_rank, fit_scalar,
-                                fit_structured, predict_scalar, predict_structured,
-                                should_refit)
+from predgrad.estimator import alignment_stats
+from predgrad.network import (NetworkConfig, backward, backward_sum, forward, gradient_rows,
+                              init_network, loss_and_residual, trunk_rows)
+from predgrad.predictor import (FeedbackPredictor, FitRows, PerfectPredictor, RefitPolicy,
+                                StructuredPredictor, choose_rank, fit_feedback,
+                                fit_structured, predict_structured, should_refit,
+                                trunk_alignment)
 from predgrad.rng import substream
 
 
@@ -18,85 +20,94 @@ def cosine(u, v):
     return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
-def deep_linear_net(seed=0, dim=4):
-    # square identity-activation layers keep the trunk gradient an exact
-    # linear function of the head gradient
-    cfg = NetworkConfig(input_dim=dim, hidden_widths=(dim, dim), output_dim=1,
-                        activation="identity", seed=seed)
-    return init_network(cfg)
+def feedback_sample(net, ds, idx):
+    """A pass on the examples idx: (cache, residuals, trunk rows as factors,
+    their FitRows)."""
+    _, output, cache = forward(net, ds.features[idx])
+    _, residuals = loss_and_residual(output, ds.targets[idx], ds.loss_kind)
+    trunk = trunk_rows(net, cache, residuals)
+    return (cache, residuals, trunk,
+            FitRows.from_pass(cache.act[-1], residuals, trunk, net.head_weight))
 
 
-def scalar_rows(net, xs, ys):
-    llh, output, cache = forward(net, xs)
-    _, residuals = loss_and_residual(output, ys, "squared_scalar")
-    grads = backward(net, cache, residuals)
-    return FitRows.from_pass(llh, residuals, grads[:, :net.trunk_size], net.head_weight)
+def feedback_case(data, hidden=(5, 6), activation="tanh", n=200):
+    """A dataset of the named kind and a net on it."""
+    if data == "regression":
+        ds, out = gen_regression(n, 4, 0.05, 20, val_fraction=0.0), 1
+    else:
+        ds, out = gen_blobs(n, 3, 4, 6.0, 21, val_fraction=0.0), 3
+    return ds, init_network(NetworkConfig(4, hidden, out, activation=activation,
+                                          seed=len(hidden)))
 
 
-def test_scalar_predictor_exact_on_deep_linear_net():
-    net = deep_linear_net(seed=3)
-    rng = substream(20, "lin")
-    xs = rng.standard_normal((60, 4))
-    ys = rng.standard_normal(60)
-    pred = fit_scalar(scalar_rows(net, xs, ys), lam=0.0)
+@pytest.mark.parametrize("data", ["regression", "blobs"])
+def test_feedback_predictor_exact_on_identity_nets(data):
+    # with identity activations each layer's pre-activation gradient is a
+    # fixed linear map of the residual, which the fit recovers; a tiny ridge
+    # keeps the blobs system, whose residuals sum to 0, positive definite
+    ds, net = feedback_case(data, activation="identity")
+    *_, rows = feedback_sample(net, ds, np.arange(100))
+    pred = fit_feedback(rows, lam=1e-12)
+    cache, residuals, trunk, _ = feedback_sample(net, ds, np.arange(100, 200))
+    stats = trunk_alignment(pred, net, cache, residuals, trunk)
+    assert stats.rho >= 1 - 1e-9
+    assert abs(stats.kappa - 1) <= 1e-9
 
-    held_x = rng.standard_normal((20, 4))
-    held_y = rng.standard_normal(20)
+
+@pytest.mark.parametrize("hidden", [(7,), (6, 9), (9, 4, 6)])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("data", ["regression", "blobs"])
+def test_feedback_sums_and_statistics_match_its_formed_rows(data, activation, hidden):
+    ds, net = feedback_case(data, hidden, activation)
+    pred = fit_feedback(feedback_sample(net, ds, np.arange(100))[3])
+    cache, residuals, trunk, _ = feedback_sample(net, ds, np.arange(100, 200))
+    formed = pred.trunk_rows(net, cache, residuals).dense()
+    assert formed.shape == trunk.shape
+    (summed,) = pred.predict_sums(net, [(cache, residuals)])
+    total = formed.sum(axis=0)
+    assert np.linalg.norm(summed - total) <= 1e-12 * np.linalg.norm(total)
+    stats = trunk_alignment(pred, net, cache, residuals, trunk)
+    ref = alignment_stats(trunk.dense(), formed)
+    for name in ("sigma_g", "sigma_h", "kappa"):
+        assert getattr(stats, name) == pytest.approx(getattr(ref, name), rel=1e-12)
+    assert abs(stats.rho - ref.rho) <= 1e-12
+
+
+def test_fit_feedback_rejects_zero_residuals():
+    ds, net = feedback_case("regression")
+    *_, rows = feedback_sample(net, ds, np.arange(10))
+    with pytest.raises(InsufficientData):
+        fit_feedback(rows._replace(residual=np.zeros_like(rows.residual)))
+
+
+def test_fit_feedback_needs_enough_samples():
+    # D+1 = 7 rows, whatever the output width
+    ds, net = feedback_case("blobs")
+    *_, rows = feedback_sample(net, ds, np.arange(6))
+    with pytest.raises(InsufficientData, match="D\\+1 = 7"):
+        fit_feedback(rows)
+
+
+def test_fit_feedback_large_lambda_shrinks_to_zero():
+    ds, net = feedback_case("blobs")
+    cache, residuals, _, rows = feedback_sample(net, ds, np.arange(30))
+    pred = fit_feedback(rows, lam=1e12)
+    assert np.max(np.abs(pred.b)) <= 1e-8
+    assert np.max(np.abs(pred.trunk_rows(net, cache, residuals).dense())) <= 1e-6
+
+
+def test_feedback_zero_residual_and_zero_map(predicted_rows):
+    ds, net = feedback_case("regression")
+    cache, residuals, _, rows = feedback_sample(net, ds, np.arange(30))
+    pred = fit_feedback(rows)
+    est = predicted_rows(net, pred, cache, np.zeros_like(residuals))
+    assert np.array_equal(est, np.zeros((30, net.n_params)))
+
+    zero = FeedbackPredictor(b=np.zeros_like(pred.b))
+    est = predicted_rows(net, zero, cache, residuals)
     pt = net.trunk_size
-    for x, y in zip(held_x, held_y):
-        llh, output, cache = forward(net, x)
-        _, residual = loss_and_residual(output, np.array([y]), "squared_scalar")
-        true_grad = backward(net, cache, residual)
-        est = predict_scalar(pred, llh, residual)
-        assert cosine(est[:pt], true_grad[:pt]) >= 0.999
-        rel = np.linalg.norm(est[:pt] - true_grad[:pt]) / np.linalg.norm(true_grad[:pt])
-        assert rel <= 1e-6
-        # head part is the exact closed form
-        assert np.max(np.abs(est[pt:] - true_grad[pt:])) <= 1e-12
-
-
-def test_fit_scalar_rejects_zero_residuals():
-    net = deep_linear_net()
-    rng = substream(21, "zr")
-    xs = rng.standard_normal((10, 4))
-    rows = scalar_rows(net, xs, rng.standard_normal(10))
-    with pytest.raises(InsufficientData):
-        fit_scalar(rows._replace(residual=np.zeros_like(rows.residual)))
-
-
-def test_fit_scalar_needs_enough_samples():
-    net = deep_linear_net()
-    rng = substream(22, "few")
-    xs = rng.standard_normal((3, 4))
-    with pytest.raises(InsufficientData):
-        fit_scalar(scalar_rows(net, xs, rng.standard_normal(3)))
-
-
-def test_fit_scalar_large_lambda_shrinks_to_zero():
-    net = deep_linear_net(seed=4)
-    rng = substream(23, "shrink")
-    xs = rng.standard_normal((30, 4))
-    pred = fit_scalar(scalar_rows(net, xs, rng.standard_normal(30)), lam=1e12)
-    assert np.max(np.abs(pred.coef)) <= 1e-8
-    est = predict_scalar(pred, xs[0][: net.config.last_hidden], np.array([1.0]))
-    assert np.max(np.abs(est[:net.trunk_size])) <= 1e-6
-
-
-def test_predict_scalar_zero_residual_and_zero_map():
-    net = deep_linear_net(seed=5)
-    rng = substream(24, "pz")
-    xs = rng.standard_normal((30, 4))
-    pred = fit_scalar(scalar_rows(net, xs, rng.standard_normal(30)))
-    llh = rng.standard_normal(4)
-    est = predict_scalar(pred, llh, np.zeros(1))
-    assert np.array_equal(est, np.zeros(net.n_params))
-
-    zero = fit_scalar(scalar_rows(net, xs, rng.standard_normal(30)), lam=0.0)
-    zero.coef = np.zeros_like(zero.coef)
-    est = predict_scalar(zero, llh, np.array([1.0]))
-    assert np.array_equal(est[:net.trunk_size], np.zeros(net.trunk_size))
-    aug = np.concatenate([llh, [1.0]])
-    assert np.allclose(est[net.trunk_size:], aug * 1.0, atol=1e-14)
+    assert np.array_equal(est[:, :pt], np.zeros((30, pt)))
+    assert np.array_equal(est[:, pt:], backward(net, cache, residuals)[:, pt:])
 
 
 def planted_structured(rng, n, p_t=30, d=5, c=3, r=2):
@@ -260,19 +271,18 @@ def test_choose_rank_energy_rule():
 
 
 def batch_predictors(n=40):
-    """Scalar-output, vector-output and exact cases:
+    """Feedback, structured and exact cases:
     (net, predictor, inputs, forward cache, residuals)."""
     rng = substream(43, "batch-predict")
     cases = []
-    for out, kind in ((1, "squared_scalar"), (4, "squared_vector"), (3, "squared_vector")):
+    for out, kind in ((2, "squared_vector"), (4, "squared_vector"), (1, "squared_scalar")):
         net = init_network(NetworkConfig(8, (24, 16), out, activation="tanh", seed=out))
         xs = rng.standard_normal((n, 8))
         _, output, cache = forward(net, xs)
         _, residuals = loss_and_residual(output, rng.standard_normal((n, out)), kind)
         pt, d = net.trunk_size, net.config.last_hidden
-        if out == 1:
-            # the fit stores the transpose of its solution
-            pred = ScalarPredictor(coef=rng.standard_normal((d + 1, pt)).T)
+        if out == 2:
+            pred = FeedbackPredictor(b=rng.standard_normal((24 + 16, 2)))
         elif out == 4:
             basis, _ = np.linalg.qr(rng.standard_normal((pt, 6)))
             pred = StructuredPredictor(basis=basis, maps=rng.standard_normal((6, d, d + 1)),
@@ -284,8 +294,9 @@ def batch_predictors(n=40):
 
 
 def single_prediction(net, pred, x, llh, residual):
-    if pred.kind == "scalar":
-        return predict_scalar(pred, llh, residual)
+    if pred.kind == "feedback":
+        trunk = pred.trunk_rows(net, forward(net, x[None])[2], residual[None]).dense()[0]
+        return gradient_rows(trunk, llh, residual)
     if pred.kind == "structured":
         return predict_structured(pred, llh, residual, net.head_weight)
     return backward(net, forward(net, x)[2], residual)

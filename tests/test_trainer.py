@@ -13,7 +13,7 @@ import pytest
 from predgrad import predictor as predictor_module
 from predgrad import trainer
 from predgrad.data import gen_blobs, gen_regression
-from predgrad.errors import ConfigError, InsufficientData, NumericError
+from predgrad.errors import ConfigError, DataError, InsufficientData, NumericError
 from predgrad.estimator import alignment_stats, combine, split_minibatch, variance_inflation
 from predgrad.linalg import FactoredRows, solve_ridge, truncated_svd
 from predgrad.network import (NetworkConfig, backward, forward, init_network,
@@ -21,7 +21,8 @@ from predgrad.network import (NetworkConfig, backward, forward, init_network,
 from predgrad.predictor import PREDICTORS, PerfectPredictor, RefitPolicy
 from predgrad.rng import substream
 from predgrad.trainer import (TrainConfig, load_run_checkpoint, resume_run,
-                              save_run_checkpoint, train_predicted, train_vanilla)
+                              run_budgeted_comparison, save_run_checkpoint, train_predicted,
+                              train_vanilla)
 
 DATA = Path(__file__).parent / "data"
 
@@ -137,6 +138,7 @@ def test_fractional_control_batch_warns_once_per_run(caplog):
     # batches of 53 leave 2 rows, fewer than the 4 a split needs, so the
     # epoch drops them; the extension takes the last whole batch, then epoch 1
     pytest.param("structured", 53, 5, 6, id="structured-short-last-batch-dropped"),
+    pytest.param("feedback", 32, 6, 10, id="feedback"),
 ])
 def test_resume_extends_a_run_bit_exactly(tmp_path, algo, batch_size, n, per_epoch):
     ds, ncfg = regression()
@@ -218,12 +220,9 @@ def test_predictor_argument_errors():
         train_predicted(cfg, ds, init_network(ncfg), "linear")
     with pytest.raises(ConfigError):
         train_predicted(cfg, ds, init_network(ncfg), PerfectPredictor())
-    cds, cncfg = blobs()
-    with pytest.raises(ConfigError):
-        train_predicted(cfg, cds, init_network(cncfg), "scalar")
 
 
-@pytest.mark.parametrize("algo", ["vanilla", "structured", "scalar"])
+@pytest.mark.parametrize("algo", ["vanilla", "structured", "feedback"])
 def test_divergence_stops_the_run_at_the_first_non_finite_step(algo):
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, epochs=10, max_steps=50, learning_rate=1e4, seed=0,
@@ -371,7 +370,8 @@ def test_format_1_checkpoint_resumes():
 
 
 LEARNED_STEPS = pytest.mark.parametrize("kind, make_data, loss_kind", [
-    ("scalar", regression, "squared_scalar"),
+    ("feedback", regression, "squared_scalar"),
+    ("feedback", blobs, "cross_entropy"),
     ("structured", blobs, "cross_entropy"),
 ])
 
@@ -406,21 +406,21 @@ def test_learned_step_from_sums_matches_the_summed_rows(monkeypatch, kind, make_
     assert np.linalg.norm(from_sums - from_rows) <= 1e-12 * np.linalg.norm(from_rows)
 
 
-@LEARNED_STEPS
+@pytest.mark.parametrize("kind, make_data, loss_kind", [
+    ("structured", blobs, "cross_entropy"),
+])
 def test_a_step_reads_each_predictor_matrix_once(monkeypatch, kind, make_data, loss_kind):
     _, pred, *_, step = fitted_step(kind, make_data, loss_kind)
-    matrices = {"coef": getattr(pred, "coef", None), "basis": getattr(pred, "basis", None),
-                "maps": getattr(pred, "maps", None)}
+    matrices = {"basis": pred.basis, "maps": pred.maps}
     products = []
 
     def counted(a, b):
-        products.extend(name for name, m in matrices.items()
-                        if m is not None and np.shares_memory(a, m))
+        products.extend(name for name, m in matrices.items() if np.shares_memory(a, m))
         return a @ b
 
     monkeypatch.setattr(predictor_module, "few_column_product", counted)
     step()
-    assert sorted(products) == (["coef"] if kind == "scalar" else ["basis", "maps"])
+    assert sorted(products) == ["basis", "maps"]
 
 
 @LEARNED_STEPS
@@ -441,7 +441,7 @@ def test_lean_step_matches_the_row_path(kind, make_data, loss_kind, predicted_ro
     assert np.linalg.norm(lean - from_rows) <= 1e-12 * np.linalg.norm(from_rows)
 
 
-@pytest.mark.parametrize("kind", ["scalar", "structured"])
+@pytest.mark.parametrize("kind", ["feedback", "structured"])
 def test_alignment_statistics_come_from_the_refit_samples(kind):
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, max_steps=10, refit=RefitPolicy(
@@ -461,6 +461,17 @@ def test_alignment_statistics_come_from_the_refit_samples(kind):
     assert ledger.cheap_forward_count == 0
 
 
+def test_a_network_that_does_not_fit_the_data_is_refused_before_step_1(tmp_path):
+    ds, _ = blobs()
+    ncfg = NetworkConfig(input_dim=6, hidden_widths=(8,), output_dim=1, seed=5)
+    cfg = TrainConfig(batch_size=32, budget=500.0, seed=1, eval_every=0)
+    paths = tmp_path / "vanilla.csv", tmp_path / "predicted.csv"
+    with pytest.raises(DataError, match="output width 1; the data has input width 6 and 3 "
+                                        "classes"):
+        run_budgeted_comparison(cfg, ds, ncfg, "structured", *paths)
+    assert not any(path.exists() for path in paths)
+
+
 def test_a_perfect_run_draws_no_fit_sample():
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, max_steps=7, refit=RefitPolicy(period=3), seed=5,
@@ -475,7 +486,7 @@ def test_a_fit_buffer_below_d_plus_1_rows_is_a_config_error():
     cfg = TrainConfig(batch_size=32, max_steps=2, refit=RefitPolicy(buffer_capacity=16),
                       seed=1, eval_every=0)
     for kind, (ds, ncfg) in (("structured", blobs(hidden=(16,))),
-                             ("scalar", regression(hidden=(16,)))):
+                             ("feedback", regression(hidden=(16,)))):
         with pytest.raises(ConfigError, match=r"capacity 16 is below the D\+1 = 17"):
             train_predicted(cfg, ds, init_network(ncfg), kind)
         enough = replace(cfg, refit=RefitPolicy(buffer_capacity=17))
@@ -495,8 +506,9 @@ def narrow_regression_shape(hidden=(16,)):
 
 
 @pytest.mark.parametrize("kind, make_data, loss_kind, hidden", [
-    ("scalar", narrow_regression_shape, "squared_scalar", (16,)),
+    ("feedback", narrow_regression_shape, "squared_scalar", (16,)),
     ("structured", wide_blobs_shape, "cross_entropy", (64, 64)),
+    ("feedback", wide_blobs_shape, "cross_entropy", (64, 64)),
 ])
 def test_a_learned_step_has_vanillas_head_and_predicts_only_the_trunk(kind, make_data,
                                                                       loss_kind, hidden):
@@ -522,7 +534,8 @@ def state_before_a_refit(make_data, kind):
 @pytest.mark.parametrize("make_data, kind, loss_kind", [
     (wide_blobs_shape, "structured", "cross_entropy"),
     (narrow_regression_shape, "structured", "squared_scalar"),
-    (narrow_regression_shape, "scalar", "squared_scalar"),
+    (narrow_regression_shape, "feedback", "squared_scalar"),
+    (wide_blobs_shape, "feedback", "cross_entropy"),
 ])
 def test_factored_refit_matches_the_dense_row_refit(monkeypatch, make_data, kind, loss_kind,
                                                     predicted_rows):
