@@ -1,5 +1,6 @@
 """Time the three phases of a refit, per learned predictor kind, at the step
-cases' sizes and at 64x2 with 256 fit rows: the fit sample's pass (the
+cases' sizes, at 64x2 with 256 fit rows, and on the narrow-regression
+workload's 8-16-1 regression net with 256 fit rows: the fit sample's pass (the
 forward and loss, and the trunk gradients as ``network.trunk_rows``
 factors), the measurement of the outgoing predictor on the sample
 (``predictor.trunk_alignment``), and the fit itself (``trainer._fit`` on
@@ -19,15 +20,24 @@ the training set, at the same parameters.
 import pytest
 
 from predgrad import trainer
-from predgrad.data import gen_blobs
+from predgrad.data import gen_blobs, gen_regression
 from predgrad.network import NetworkConfig, init_network, trunk_rows
 from predgrad.predictor import FitRows, RefitPolicy, trunk_alignment
 
-# (hidden widths, fit rows): the step cases' sizes with one batch of fit rows,
-# and the wide-blobs workload's net with its 256-row fit sample
-CASES = [((64, 64), 128), ((64, 64, 64, 64), 512), ((128, 128), 256), ((64, 64), 256)]
-CASE_IDS = [f"{'x'.join(map(str, h))}-n{n}" for h, n in CASES]
+# (hidden widths, fit rows, data): the step cases' sizes with one batch of
+# fit rows, and the wide-blobs and narrow-regression workloads' nets with
+# their 256-row fit samples; one output on regression, three on blobs
+CASES = [((64, 64), 128, "blobs"), ((64, 64, 64, 64), 512, "blobs"),
+         ((128, 128), 256, "blobs"), ((64, 64), 256, "blobs"), ((16,), 256, "regression")]
+CASE_IDS = [f"{'x'.join(map(str, h))}-n{n}" + ("" if data == "blobs" else f"-{data}")
+            for h, n, data in CASES]
 KINDS = ["structured", "feedback"]
+
+
+def _dataset(data, n):
+    if data == "regression":
+        return gen_regression(4 * n, 8, 0.05, 1, val_fraction=0.0)
+    return gen_blobs(4 * n, 3, 8, 6.0, 2, val_fraction=0.0)
 
 
 def _sample_pass(net, ds, idx):
@@ -35,12 +45,12 @@ def _sample_pass(net, ds, idx):
     return cache, residuals, trunk_rows(net, cache, residuals)
 
 
-@pytest.mark.parametrize("hidden, n", CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("hidden, n, data", CASES, ids=CASE_IDS)
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("phase", ["pass", "measure", "fit"])
-def test_refit(benchmark, phase, kind, hidden, n):
-    ds = gen_blobs(4 * n, 3, 8, 6.0, 2, val_fraction=0.0)
-    ncfg = NetworkConfig(input_dim=8, hidden_widths=hidden, output_dim=3, seed=2)
+def test_refit(benchmark, phase, kind, hidden, n, data):
+    ds = _dataset(data, n)
+    ncfg = NetworkConfig(input_dim=8, hidden_widths=hidden, output_dim=ds.output_dim, seed=2)
     cfg = trainer.TrainConfig(batch_size=n, max_steps=1,
                               refit=RefitPolicy(buffer_capacity=n), seed=5, eval_every=0)
     res = trainer.train_predicted(cfg, ds, init_network(ncfg), kind)

@@ -3,8 +3,8 @@
 Everything is double precision: inputs are converted to float64 ndarrays.
 A matrix whose rows are sums of outer products of short factors, as
 per-example gradients of dense layers are, can be given as ``FactoredRows``
-instead: ``solve_ridge`` and ``truncated_svd`` take it beside a dense array
-and use its factors wherever they would multiply by the rows.
+instead: ``truncated_svd`` takes it beside a dense array and uses its
+factors wherever it would multiply by the rows.
 """
 
 import numpy as np
@@ -92,14 +92,13 @@ class FactoredRows:
             out += np.einsum("ij,ij->i", u, x) * (np.einsum("ij,ij->i", v, y) + self.bias)
         return out
 
-    def t_dot(self, w, order: str = "C") -> np.ndarray:
-        """G^T W, p x k, for W of n rows and k columns, in C or F memory
-        order (with "F" each column of the result is contiguous)."""
+    def t_dot(self, w) -> np.ndarray:
+        """G^T W, p x k, for W of n rows and k columns."""
         w = _as_matrix(w, "W")
         n, k = w.shape
         if n != self.shape[0]:
             raise DimensionError(f"W has {n} rows, the factored rows {self.shape[0]}")
-        out = np.empty((self.shape[1], k), order=order)
+        out = np.empty((self.shape[1], k))
         step = max(1, BLOCK_BYTES // (8 * n * k))
         for u, v, start in self._spans():
             d, e = u.shape[1], v.shape[1]
@@ -193,16 +192,13 @@ def solve_ridge(a, b, lam: float) -> np.ndarray:
 
     A is n x p, B is n x q; the result is p x q. With p <= n this solves
     (A^T A + lam I) X = A^T B, else the kernel form X = A^T (A A^T + lam I)^-1 B.
-    A and B may be ``FactoredRows``: a wide A enters only through its Gram
-    matrix and A^T, and a narrow one is formed densely, as is a B that the
-    kernel form takes as its right-hand side.
     A Cholesky factorization only checks that the k x k system is positive
     definite; np.linalg.solve solves it. If the check fails with lam > 0, a
     jitter of 1e-12 * trace(Gram)/k is added once and the check retried. With
     lam == 0, a failed check or p > n means the minimiser is not unique, and
     SingularSystem is raised.
     """
-    a, b = _checked(a, "A"), _checked(b, "B")
+    a, b = _as_matrix(a, "A"), _as_matrix(b, "B")
     if a.shape[0] != b.shape[0]:
         raise DimensionError(f"A has {a.shape[0]} rows but B has {b.shape[0]}")
     if a.shape[0] < 1:
@@ -215,13 +211,8 @@ def solve_ridge(a, b, lam: float) -> np.ndarray:
     if wide and lam == 0:
         raise SingularSystem(f"A has {p} columns, {n} rows and no ridge penalty")
     if wide:
-        x = _solve_system(_row_gram(a), _dense(b, "B"), lam)
-        # F order: each output's coefficients are contiguous, so a caller that
-        # reshapes them (fit_structured's maps) makes no copy
-        return a.t_dot(x, order="F") if isinstance(a, FactoredRows) else a.T @ x
-    a = _dense(a, "A")
-    rhs = b.t_dot(a).T if isinstance(b, FactoredRows) else a.T @ b
-    return _solve_system(a.T @ a, rhs, lam)
+        return a.T @ _solve_system(a @ a.T, b, lam)
+    return _solve_system(a.T @ a, a.T @ b, lam)
 
 
 def _solve_system(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:

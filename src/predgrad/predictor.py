@@ -17,18 +17,16 @@ any output width, through the residual alone:
   coefficient of direction i is [a(x); 1]^T S_i^T h with h = W_a^T residual.
 
 Both are fit by ridge least squares on ``FitRows`` (activation, residual and
-true trunk gradients, one row per example of a fit sample; the trainer
-gives the trunk gradients as their per-layer factors, ``network.trunk_rows``:
-each layer's pre-activation gradients Dz and inputs A_prev). The feedback
-fit regresses all layers' Dz on the residuals in one C x C solve. The
-structured fit hands the rows to ``predgrad.linalg`` as factors, never
-formed where they have more columns than there are rows: over n rows its
-features h x [a; 1] have the Gram matrix (H H^T) o (A A^T), A the rows
-[a; 1], the last-layer tangent kernel, and the trunk gradients the sum over
-trunk layers of (Dz Dz^T) o (A_prev A_prev^T), with a ones column on
-A_prev, the trunk's empirical tangent kernel. With more columns than rows,
-``truncated_svd`` takes the basis from the second and ``solve_ridge`` fits
-the maps through the first (kernel ridge). ``trunk_alignment`` measures a
+true trunk gradients, one row per example of a fit sample, and the pass's
+head weight W_a; the trunk gradients come as ``network.trunk_rows``' layer
+factors, pre-activation gradients Dz and inputs A_prev). The feedback fit
+regresses all layers' Dz on the residuals in one C x C solve. The
+structured fit takes its basis, where the trunk gradients have more columns
+than rows, from their Gram matrix, the sum over trunk layers of
+(Dz Dz^T) o (A~ A~^T), A~ = [A_prev 1]: the trunk's empirical tangent
+kernel. Its features h x [a; 1] lie in range(W_a^T) x R^(D+1), q(D+1)
+dimensions with q = min(C, D), and it ridge-fits the maps on their
+coordinates there, from a thin QR of W_a^T. ``trunk_alignment`` measures a
 learned predictor on a fit sample from the moments of the true and the
 predicted trunk rows, formed from their factors. A third, diagnostic
 predictor returns the exact trunk gradient.
@@ -40,7 +38,7 @@ and ``to_arrays()`` / ``from_arrays()`` for run checkpoints; the learned
 ones also have ``trunk_moments`` for ``trunk_alignment``. ``PREDICTORS``
 maps each kind to its class. The row references are
 ``FeedbackPredictor.trunk_rows`` and ``predict_structured``, which applies
-the maps to the bilinear features ``fit_structured`` regressed on. A
+the maps to the formed bilinear features h x [a; 1]. A
 learned ``predict_sums`` sums each part's rows first, through the summed
 head gradients ``network.head_sum`` of its layer inputs (feedback) or last
 hidden activations (structured, which stacks the parts' sums as columns and
@@ -63,16 +61,16 @@ ENERGY_TARGET = 0.99    # default rank rule: 99% of squared singular mass
 
 
 class FitRows(NamedTuple):
-    """Fit data, one row per example of a fit sample."""
+    """Fit data: one row per example of a fit sample, and the pass's head weight."""
     llh: np.ndarray         # (n, D)
     residual: np.ndarray    # (n, C)
-    h: np.ndarray           # (n, D) = W_a^T residual, W_a the head weight of the pass
+    head_weight: np.ndarray # (C, D) W_a
     trunk_grad: object      # (n, P_T) true gradient: an array, or its FactoredRows
                             # (``network.trunk_rows``)
 
     @classmethod
     def from_pass(cls, llh, residual, trunk_grad, head_weight) -> "FitRows":
-        return cls(llh, residual, residual @ head_weight, trunk_grad)
+        return cls(llh, residual, head_weight, trunk_grad)
 
 
 @dataclass(frozen=True)
@@ -150,11 +148,11 @@ class StructuredPredictor:
         return list(few_column_product(self.basis, coeffs).T)
 
     def trunk_moments(self, net, cache, residuals, trunk: FactoredRows):
-        # the predicted rows are C U^T, C the coefficients: sum ||h||^2 is
-        # sum c^T (U^T U) c and sum <g, h> is sum (G U) o C
+        # the predicted rows are C U^T, c_ik = r_i^T (W_a S_k) [a_i; 1]: sum
+        # ||h||^2 is sum c^T (U^T U) c and sum <g, h> is sum (G U) o C
         llh, residual = _structured_inputs(self, cache.act[-1], residuals, net.head_weight)
-        features = _features(residual @ net.head_weight, llh)
-        coeffs, basis = features.dot(self.maps.reshape(len(self.maps), -1).T), self.basis
+        maps = np.matmul(net.head_weight, self.maps)  # (r, C, D+1)
+        coeffs, basis = _bilinear(residual, llh) @ maps.reshape(len(maps), -1).T, self.basis
         return (np.einsum("ik,ik->", coeffs @ (basis.T @ basis), coeffs),
                 np.einsum("ik,ik->", trunk.dot(basis), coeffs), basis @ coeffs.sum(axis=0))
 
@@ -224,12 +222,6 @@ def _bilinear(h: np.ndarray, llh: np.ndarray) -> np.ndarray:
     return (h[..., :, None] * _augment(llh)[..., None, :]).reshape(h.shape[:-1] + (-1,))
 
 
-def _features(h: np.ndarray, llh: np.ndarray) -> FactoredRows:
-    """The rows of ``_bilinear`` on a batch, held as their factors h and
-    [llh; 1]: their Gram matrix is (H H^T) o (A A^T), A the rows [llh; 1]."""
-    return FactoredRows([(h, _augment(llh))])
-
-
 def _default_lambda(sq_norms: np.ndarray) -> float:
     """1e-6 times the mean squared regressor norm, from the rows' squared norms."""
     return 1e-6 * float(np.mean(sq_norms))
@@ -255,7 +247,8 @@ def _usable(rows: FitRows) -> FitRows:
     n, d = int(keep.sum()), rows.llh.shape[1]
     if n < d + 1:
         raise InsufficientData(f"fit needs at least D+1 = {d + 1} usable samples, got {n}")
-    return rows if n == len(keep) else FitRows(*(a[keep] for a in rows))
+    return rows if n == len(keep) else FitRows(
+        rows.llh[keep], rows.residual[keep], rows.head_weight, rows.trunk_grad[keep])
 
 
 def fit_feedback(rows: FitRows, lam: float | None = None) -> FeedbackPredictor:
@@ -274,16 +267,16 @@ def fit_structured(rows: FitRows, r: int | None = None,
                    lam: float | None = None) -> StructuredPredictor:
     """Fit the basis + bilinear-coefficient predictor.
 
-    The basis is the top-r left singular subspace of the trunk gradients;
-    per-row coefficient targets are the basis projections U^T g, regressed
-    on the bilinear features h x [llh; 1] with one shared ridge solve for
-    all r outputs. With r = None the rank is chosen by the 99%
-    squared-singular-mass rule, capped at D, from the singular values of
-    the same factorization that gives the basis. The projections are read
-    off that factorization too: with G = V S U^T, G U_r = V_r S_r. The
-    features go to ``solve_ridge`` as their factors, and so do trunk
-    gradients given as ``FactoredRows`` to ``truncated_svd``: with fewer
-    rows than columns neither is formed.
+    The basis is the top-r left singular subspace of the trunk gradients
+    (``truncated_svd``, which reads ``FactoredRows`` unformed where they are
+    wide); with r = None the rank is chosen by the 99% squared-singular-mass
+    rule, capped at D. The coefficient targets U^T g, read off the same
+    factorization (G = V S U^T gives G U_r = V_r S_r), are regressed on the
+    bilinear features h x [llh; 1] in one ridge solve for all r outputs, in
+    the head's row space: with W_a^T = Q T (thin QR, q = min(C, D) columns),
+    h = Q T r, so the rows (T r) x [llh; 1] have the features' inner
+    products, and their ridge solution Y (q(D+1) x r), at the same lambda,
+    gives the maps S_k = Q Y_k.
     """
     rows = _usable(rows)
     (n, d), p_t = rows.llh.shape, rows.trunk_grad.shape[1]
@@ -299,13 +292,14 @@ def fit_structured(rows: FitRows, r: int | None = None,
     basis = np.ascontiguousarray(ut.T)
     coef_targets = v * sing  # (n, r), row i = U^T g_i
 
-    feats = _features(rows.h, rows.llh)
+    q, t = np.linalg.qr(rows.head_weight.T)
+    feats = _bilinear(rows.residual @ t.T, rows.llh)
     if lam is None:
-        lam = _default_lambda(feats.row_dots(feats))
+        lam = _default_lambda(np.einsum("ij,ij->i", feats, feats))
         if lam <= 0:
             raise InsufficientData("all bilinear features vanish; nothing to fit")
-    weights = solve_ridge(feats, coef_targets, lam)  # (D(D+1), r)
-    maps = np.ascontiguousarray(weights.T.reshape(r, d, d + 1))
+    weights = solve_ridge(feats, coef_targets, lam)  # (q(D+1), r)
+    maps = np.matmul(q, weights.T.reshape(r, -1, d + 1), out=np.empty((r, d, d + 1)))
     return StructuredPredictor(basis=basis, maps=maps, rank=int(r),
                                n_fit=n, ridge_lambda=float(lam))
 

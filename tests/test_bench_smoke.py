@@ -43,7 +43,8 @@ def test_step_layer_bench_runs(layer):
 @pytest.mark.parametrize("phase", ["pass", "measure", "fit"])
 def test_refit_bench_runs(phase):
     for kind in refit_bench.KINDS:
-        refit_bench.test_refit(benchmark, phase, kind, HIDDEN, M)
+        for data in sorted({data for *_, data in refit_bench.CASES}):
+            refit_bench.test_refit(benchmark, phase, kind, HIDDEN, M, data)
 
 
 def test_trajectory_digests_runs(capsys):

@@ -7,7 +7,7 @@ from predgrad.linalg import (BLOCK_BYTES, FactoredRows, few_column_product, solv
                              truncated_svd)
 from predgrad.network import (NetworkConfig, backward, forward, init_network,
                               loss_and_residual, trunk_rows)
-from predgrad.predictor import _bilinear, _features
+from predgrad.predictor import _augment, _bilinear
 from predgrad.rng import substream
 
 
@@ -167,9 +167,7 @@ def test_factored_trunk_rows_match_the_backward_rows(monkeypatch, hidden, activa
     with pytest.raises(DimensionError):
         rows.row_dots(FactoredRows(other.blocks))
     w = rng.standard_normal((len(dense), 5))
-    for order in ("C", "F"):
-        assert rel_err(rows.t_dot(w, order), dense.T @ w) <= 1e-12
-    assert rows.t_dot(w, "F").T.flags.c_contiguous
+    assert rel_err(rows.t_dot(w), dense.T @ w) <= 1e-12
     m = rng.standard_normal((dense.shape[1], 4))
     for operand in (m, np.asfortranarray(m), m[:, :1]):
         assert rel_err(rows.dot(operand), dense @ operand) <= 1e-12
@@ -181,26 +179,20 @@ def test_factored_trunk_rows_match_the_backward_rows(monkeypatch, hidden, activa
 def test_factored_feature_gram_equals_the_bilinear_features_gram():
     rng = substream(8, "feature-gram")
     h, llh = rng.standard_normal((25, 6)), rng.standard_normal((25, 6))
-    feats, rows = _bilinear(h, llh), _features(h, llh)
+    feats, rows = _bilinear(h, llh), FactoredRows([(h, _augment(llh))])
     assert np.array_equal(rows.dense(), feats)
     assert rel_err(rows.gram(), feats @ feats.T) <= 1e-12
     assert rel_err(rows.row_dots(rows), np.einsum("ij,ij->i", feats, feats)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [12, 60], ids=["wide", "tall"])
-def test_solve_ridge_and_svd_take_factored_rows(n):
-    # 12 rows of 42 columns take the kernel side, 60 rows the primal side
+def test_truncated_svd_takes_factored_rows(n):
+    # 12 rows of 42 columns take the Gram side, 60 rows the formed p x p side
     rng = substream(9, f"factored-solve:{n}")
     rows = FactoredRows([(rng.standard_normal((n, 3)), rng.standard_normal((n, 4))),
                          (rng.standard_normal((n, 5)), rng.standard_normal((n, 2)))],
                         bias=True)
     dense = rows.dense()
-    b = rng.standard_normal((n, 3))
-    assert rel_err(solve_ridge(rows, b, 0.1), solve_ridge(dense, b, 0.1)) <= 1e-10
-    targets = FactoredRows([(rng.standard_normal((n, 2)), rng.standard_normal((n, 3)))])
-    features = rng.standard_normal((n, 4))
-    assert rel_err(solve_ridge(features, targets, 0.1),
-                   solve_ridge(features, targets.dense(), 0.1)) <= 1e-10
     u, s, vt = truncated_svd(rows, 3)
     ud, sd, vtd = truncated_svd(dense, 3)
     assert rel_err(s, sd) <= 1e-10

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from predgrad import linalg, predictor
+from predgrad import linalg
 from predgrad.data import gen_blobs, gen_regression
 from predgrad.errors import DimensionError, InsufficientData
 from predgrad.estimator import alignment_stats
@@ -116,43 +116,74 @@ def planted_structured(rng, n, p_t=30, d=5, c=3, r=2):
     head_w = rng.standard_normal((c, d))
     llh = rng.standard_normal((n, d))
     residual = rng.standard_normal((n, c))
-    h = residual @ head_w
-    coeff = np.einsum("ni,rij,nj->nr", h, maps_true, np.c_[llh, np.ones(n)])
-    return FitRows(llh, residual, h, coeff @ basis.T), head_w
+    coeff = np.einsum("ni,rij,nj->nr", residual @ head_w, maps_true, np.c_[llh, np.ones(n)])
+    return FitRows(llh, residual, head_w, coeff @ basis.T), head_w
 
 
 def test_structured_predictor_recovers_planted_model():
     rng = substream(25, "plant")
     rows, head_w = planted_structured(rng, 150)
-    pred = fit_structured(FitRows(*(a[:120] for a in rows)), r=2, lam=1e-10)
-    for llh, residual, _, trunk_grad in zip(*(a[120:] for a in rows)):  # held out
+    pred = fit_structured(FitRows(rows.llh[:120], rows.residual[:120], head_w,
+                                  rows.trunk_grad[:120]), r=2, lam=1e-10)
+    for llh, residual, trunk_grad in zip(rows.llh[120:], rows.residual[120:],
+                                         rows.trunk_grad[120:]):  # held out
         est = predict_structured(pred, llh, residual, head_w)
         assert cosine(est[:len(trunk_grad)], trunk_grad) >= 0.99
 
 
-def primal_ridge(a, b, lam):
-    """The normal-equation ridge solve (A^T A + lam I) X = A^T B, whatever A's
-    shape, on the formed rows of an A given as factors."""
-    if isinstance(a, linalg.FactoredRows):
-        a = a.dense()
-    return np.linalg.solve(a.T @ a + lam * np.eye(a.shape[1]), a.T @ b)
+def svd_ridge(f, t, lam):
+    """argmin_X ||F X - T||^2 + lam ||X||^2, through the SVD of F."""
+    u, s, vt = np.linalg.svd(f, full_matrices=False)
+    return vt.T @ ((s / (s ** 2 + lam))[:, None] * (u.T @ t))
 
 
-def test_structured_kernel_form_fit_predicts_like_the_primal_fit(monkeypatch):
-    # D(D+1) = 72 bilinear features on 40 rows: the fit solves through the
-    # 40 x 40 kernel; the 72 x 72 primal solve is the reference
-    rng = substream(26, "kernel")
-    rows, head_w = planted_structured(rng, 60, d=8)
-    fit_rows = FitRows(*(a[:40] for a in rows))
-    dual = fit_structured(fit_rows)
-    monkeypatch.setattr(predictor, "solve_ridge", primal_ridge)
-    primal = fit_structured(fit_rows)
-    assert dual.ridge_lambda == primal.ridge_lambda > 0
-    assert dual.rank == primal.rank == 2
-    llh, residual, _, trunk_grad = (a[40:] for a in rows)
-    est = predict_structured(dual, llh, residual, head_w)[:, :trunk_grad.shape[1]]
-    ref = predict_structured(primal, llh, residual, head_w)[:, :trunk_grad.shape[1]]
+# (C, D, fit rows, case): the fit solves in q(D+1) columns, q = min(C, D),
+# on the primal side of solve_ridge when that is at most the rows, else on
+# the kernel side
+@pytest.mark.parametrize("c, d, n, case", [
+    (1, 8, 40, "squared"), (3, 8, 20, "squared"), (3, 8, 60, "squared"),
+    (5, 5, 20, "squared"), (5, 5, 40, "squared"), (7, 4, 12, "squared"),
+    (7, 4, 30, "squared"), (3, 6, 15, "zero-row"), (3, 6, 40, "zero-row"),
+    (3, 6, 15, "cross_entropy"), (3, 6, 40, "cross_entropy")])
+def test_structured_fit_predicts_like_a_ridge_on_the_formed_features(c, d, n, case):
+    # the reference regresses the coefficient targets on the formed D(D+1)
+    # bilinear features h x [llh; 1], h = W_a^T r, with the fit's basis and lambda
+    rng = substream(26, f"reduced-fit:{c}:{d}:{n}:{case}")
+    head_w = rng.standard_normal((c, d))
+    if case == "zero-row":
+        head_w[1] = 0.0
+    llh, trunk = rng.standard_normal((n + 20, d)), rng.standard_normal((n + 20, 30))
+    if case == "cross_entropy":
+        _, residual = loss_and_residual(rng.standard_normal((n + 20, c)),
+                                        rng.integers(c, size=n + 20), "cross_entropy")
+    else:
+        residual = rng.standard_normal((n + 20, c))
+    pred = fit_structured(FitRows(llh[:n], residual[:n], head_w, trunk[:n]))
+    feats = np.einsum("ni,nj->nij", residual @ head_w, np.c_[llh, np.ones(n + 20)]).reshape(
+        n + 20, -1)
+    lam = 1e-6 * np.mean(np.einsum("ij,ij->i", feats[:n], feats[:n]))
+    assert pred.ridge_lambda == pytest.approx(lam, rel=1e-12)
+    weights = svd_ridge(feats[:n], trunk[:n] @ pred.basis, pred.ridge_lambda)
+    ref = feats[n:] @ weights @ pred.basis.T
+    est = predict_structured(pred, llh[n:], residual[n:], head_w)[:, :30]
     assert np.linalg.norm(est - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_structured_fit_does_not_amplify_rounding_in_the_residuals(seed):
+    # an 8-16-1 regression fit sample's residuals moved by 1e-15 relative
+    # move the held-out predicted trunk sum by about as much
+    ds = gen_regression(600, 8, 0.05, 1, val_fraction=0.0)
+    net = init_network(NetworkConfig(8, (16,), 1, activation="tanh", seed=seed))
+    *_, rows = feedback_sample(net, ds, np.arange(256))
+    noise = 1 + 1e-15 * substream(seed, "rounding").standard_normal(rows.residual.shape)
+    cache, residuals, *_ = feedback_sample(net, ds, np.arange(256, 600))  # held out
+    sums = []
+    for residual in (rows.residual, rows.residual * noise):
+        pred = fit_structured(FitRows.from_pass(rows.llh, residual, rows.trunk_grad,
+                                                net.head_weight))
+        sums.append(pred.predict_sums(net, [(cache, residuals)])[0])
+    assert np.linalg.norm(sums[1] - sums[0]) <= 1e-12 * np.linalg.norm(sums[0])
 
 
 def test_structured_fit_memory_stays_within_the_kernel_size():

@@ -574,7 +574,8 @@ def test_factored_refit_matches_the_dense_row_refit(monkeypatch, make_data, kind
 def test_a_refit_forms_no_trunk_or_feature_rows():
     # 8-64-64-3 with 256 fit rows: the trunk rows would be a (256, 4736)
     # array, 9.7 MB, and the bilinear features a (256, 4160) one. What the
-    # refit holds beyond the predictor it returns stays below half the first.
+    # refit holds beyond the predictor it returns stays below a quarter of
+    # the first; maps formed apart and then copied into place would not.
     cfg, ds, state = state_before_a_refit(wide_blobs_shape, "structured")
     rows_bytes = 256 * state.net.trunk_size * 8
     assert state.net.trunk_size == 4736
@@ -585,4 +586,4 @@ def test_a_refit_forms_no_trunk_or_feature_rows():
     finally:
         tracemalloc.stop()
     fitted = state.predictor.basis.nbytes + state.predictor.maps.nbytes
-    assert peak - fitted < rows_bytes / 2
+    assert peak - fitted < rows_bytes / 4
