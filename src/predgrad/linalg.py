@@ -26,57 +26,53 @@ class FactoredRows:
 
     ``blocks`` holds pairs (U, V) of arrays of n rows, d and e columns. A
     block gives row i the d*e columns vec(U_i V_i^T), U's index major, and
-    then, when ``bias`` is set, d more, U_i itself: the layout of a dense
-    layer's weight and bias gradients, U the layer's pre-activation
-    gradients and V its inputs. Row i is the blocks' columns in order.
+    then d more, U_i itself: the layout of a dense layer's weight and bias
+    gradients, U the layer's pre-activation gradients and V its inputs. Row
+    i is the blocks' columns in order.
 
-    With V~ = [V 1] when ``bias`` is set and V otherwise, inner products of
-    rows are products of the factors' inner products: the n x n Gram matrix
-    is G G^T = sum over blocks of (U U^T) o (V~ V~^T), at O(n^2 (d + e)) a
-    block rather than O(n^2 d e), and the inner products of the rows with
-    the matching rows of H, factors (X, Y) in the same layout (``row_dots``),
-    are (U_i . X_i)(V~_i . Y~_i) summed over blocks. ``t_dot`` (G^T W) and ``dot``
-    (G M) take one matrix product per block and per chunk of a factor's
+    With V~ = [V 1], inner products of rows are products of the factors'
+    inner products: the n x n Gram matrix is G G^T = sum over blocks of
+    (U U^T) o (V~ V~^T), at O(n^2 (d + e)) a block rather than O(n^2 d e),
+    and the inner products of the rows with the matching rows of H, factors
+    (X, Y) in the same layout (``row_dots``), are (U_i . X_i)(V~_i . Y~_i)
+    summed over blocks. ``t_dot`` (G^T W) and ``dot`` (G M) take one matrix product per block and per chunk of a factor's
     columns, the chunk sized so that the operand it expands stays near
     BLOCK_BYTES; they cost what the products with the formed rows cost,
     without the rows.
     """
 
-    def __init__(self, blocks, bias: bool = False):
+    def __init__(self, blocks):
         self.blocks = [(_as_matrix(u, "U"), _as_matrix(v, "V")) for u, v in blocks]
-        self.bias = bool(bias)
         if not self.blocks or any(len(u) != len(self.blocks[0][0]) or len(v) != len(u)
                                   for u, v in self.blocks):
             raise DimensionError("factored rows need blocks of factors with equal row counts")
         self.shape = (len(self.blocks[0][0]),
-                      sum(u.shape[1] * (v.shape[1] + self.bias) for u, v in self.blocks))
+                      sum(u.shape[1] * (v.shape[1] + 1) for u, v in self.blocks))
 
     def __getitem__(self, idx) -> "FactoredRows":
         """The rows ``idx`` (an index array or a boolean mask)."""
-        return FactoredRows([(u[idx], v[idx]) for u, v in self.blocks], self.bias)
+        return FactoredRows([(u[idx], v[idx]) for u, v in self.blocks])
 
     def _spans(self):
         """(U, V, start) for each block, start its first column in a row."""
         start = 0
         for u, v in self.blocks:
             yield u, v, start
-            start += u.shape[1] * (v.shape[1] + self.bias)
+            start += u.shape[1] * (v.shape[1] + 1)
 
     def dense(self) -> np.ndarray:
         out = np.empty(self.shape)
         for u, v, start in self._spans():
             de = u.shape[1] * v.shape[1]
             out[:, start:start + de] = _expand(u, v)
-            if self.bias:
-                out[:, start + de:start + de + u.shape[1]] = u
+            out[:, start + de:start + de + u.shape[1]] = u
         return out
 
     def gram(self) -> np.ndarray:
         out = np.zeros((self.shape[0], self.shape[0]))
         for u, v, _ in self._spans():
             vv = v @ v.T
-            if self.bias:
-                vv += 1.0
+            vv += 1.0
             vv *= u @ u.T
             out += vv
         return out
@@ -85,11 +81,11 @@ class FactoredRows:
         """<G_i, H_i> for each row i, H ``other`` in the same layout; with
         ``other`` itself, the squared row norms."""
         layout = [(u.shape, v.shape) for u, v in self.blocks]
-        if other.bias != self.bias or [(x.shape, y.shape) for x, y in other.blocks] != layout:
+        if [(x.shape, y.shape) for x, y in other.blocks] != layout:
             raise DimensionError("row dots need two factored matrices of one layout")
         out = np.zeros(self.shape[0])
         for (u, v), (x, y) in zip(self.blocks, other.blocks):
-            out += np.einsum("ij,ij->i", u, x) * (np.einsum("ij,ij->i", v, y) + self.bias)
+            out += np.einsum("ij,ij->i", u, x) * (np.einsum("ij,ij->i", v, y) + 1.0)
         return out
 
     def t_dot(self, w) -> np.ndarray:
@@ -113,8 +109,7 @@ class FactoredRows:
                 for b in range(0, e, step):
                     part = (_expand(v[:, b:b + step], w).T @ u).reshape(-1, k, d)
                     block[:, b:b + len(part)] = part.transpose(2, 0, 1)
-            if self.bias:
-                out[start + d * e:start + d * e + d] = u.T @ w
+            out[start + d * e:start + d * e + d] = u.T @ w
         return out
 
     def dot(self, m) -> np.ndarray:
@@ -135,8 +130,7 @@ class FactoredRows:
                 # against V_i over them
                 part = (u @ block[:, b * k:(b + step) * k]).reshape(n, -1, k)
                 out += np.matmul(v[:, None, b:b + step], part)[:, 0]
-            if self.bias:
-                out += u @ m[start + d * e:start + d * e + d]
+            out += u @ m[start + d * e:start + d * e + d]
         return out
 
 

@@ -311,12 +311,12 @@ def _trunk_walk(net: Network, cache: ForwardCache, residual: np.ndarray):
 
 def trunk_rows(net: Network, cache: ForwardCache, residual: np.ndarray) -> FactoredRows:
     """The trunk part of ``backward``'s rows on a batch, held as its factors:
-    each layer's pre-activation gradients and inputs, as ``FactoredRows``
-    with a bias, so that sums and products over the rows need not form them."""
+    each layer's pre-activation gradients and inputs, as ``FactoredRows``,
+    so that sums and products over the rows need not form them."""
     residual = _checked_residual(net, cache, residual)
     if residual.ndim != 2:
         raise DimensionError(f"trunk rows need a batch of residuals, got {residual.shape}")
-    return FactoredRows(list(_trunk_walk(net, cache, residual))[::-1], bias=True)
+    return FactoredRows(list(_trunk_walk(net, cache, residual))[::-1])
 
 
 def backward(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:
@@ -332,7 +332,7 @@ def backward(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndar
     lead = residual.shape[:-1]
     layers = [(dz.reshape(-1, dz.shape[-1]), a_prev.reshape(-1, a_prev.shape[-1]))
               for dz, a_prev in _trunk_walk(net, cache, residual)]
-    trunk = FactoredRows(layers[::-1], bias=True).dense()
+    trunk = FactoredRows(layers[::-1]).dense()
     return gradient_rows(trunk.reshape(lead + (net.trunk_size,)), cache.act[-1], residual)
 
 

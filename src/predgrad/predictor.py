@@ -13,8 +13,10 @@ any output width, through the residual alone:
   (Jaderberg et al. 2017, arXiv:1608.05343) whose bias the control variate
   removes.
 * structured variant, the paper's: an orthonormal basis U for the span of
-  observed trunk gradients plus per-basis-direction bilinear maps S_i; the
-  coefficient of direction i is [a(x); 1]^T S_i^T h with h = W_a^T residual.
+  observed trunk gradients plus per-basis-direction bilinear maps S_k, kept
+  factored as S_k = Q Y_k: Q (D x q) an orthonormal basis of range(W_a^T)
+  at the fit, q = min(C, D), and Y_k q x (D+1). The coefficient of
+  direction k is r^T (W_a Q) Y_k [a(x); 1], which reads q/D of S_k.
 
 Both are fit by ridge least squares on ``FitRows`` (activation, residual and
 true trunk gradients, one row per example of a fit sample, and the pass's
@@ -24,12 +26,12 @@ regresses all layers' Dz on the residuals in one C x C solve. The
 structured fit takes its basis, where the trunk gradients have more columns
 than rows, from their Gram matrix, the sum over trunk layers of
 (Dz Dz^T) o (A~ A~^T), A~ = [A_prev 1]: the trunk's empirical tangent
-kernel. Its features h x [a; 1] lie in range(W_a^T) x R^(D+1), q(D+1)
-dimensions with q = min(C, D), and it ridge-fits the maps on their
-coordinates there, from a thin QR of W_a^T. ``trunk_alignment`` measures a
-learned predictor on a fit sample from the moments of the true and the
-predicted trunk rows, formed from their factors. A third, diagnostic
-predictor returns the exact trunk gradient.
+kernel. Its features h x [a; 1], h = W_a^T r, lie in range(W_a^T) x
+R^(D+1), and it ridge-fits the maps Y_k on their coordinates there, from a
+thin QR of W_a^T. ``trunk_alignment`` measures a learned predictor on a
+fit sample from the moments of the true and the predicted trunk rows,
+formed from their factors. A third, diagnostic predictor returns the exact
+trunk gradient.
 
 Every predictor has a ``kind`` name, ``predict_sums(net, parts)`` taking a
 list of ``(cache, residuals)`` pairs and returning, for each pair, the sum
@@ -38,11 +40,11 @@ and ``to_arrays()`` / ``from_arrays()`` for run checkpoints; the learned
 ones also have ``trunk_moments`` for ``trunk_alignment``. ``PREDICTORS``
 maps each kind to its class. The row references are
 ``FeedbackPredictor.trunk_rows`` and ``predict_structured``, which applies
-the maps to the formed bilinear features h x [a; 1]. A
-learned ``predict_sums`` sums each part's rows first, through the summed
-head gradients ``network.head_sum`` of its layer inputs (feedback) or last
-hidden activations (structured, which stacks the parts' sums as columns and
-reads each of its matrices once per call, through ``few_column_product``).
+the maps Y_k to the formed features ((W_a Q)^T r) x [a; 1]. A learned
+``predict_sums`` sums each part's rows first, through the summed head
+gradients ``network.head_sum`` of its layer inputs (feedback) or last hidden
+activations (structured, which stacks the parts' (W_a Q)^T R^T [A 1] as
+columns and reads U and Y once per call, through ``few_column_product``).
 """
 
 from dataclasses import dataclass
@@ -112,8 +114,7 @@ class FeedbackPredictor:
     def trunk_rows(self, net, cache, residuals) -> FactoredRows:
         """The predicted trunk rows of a batch, as the factors (R B_l^T, A_prev)
         of ``network.trunk_rows``' layout; formed, they are the row reference."""
-        return FactoredRows([(residuals @ b.T, a_prev) for b, a_prev in self._layers(net, cache)],
-                            bias=True)
+        return FactoredRows([(residuals @ b.T, a_prev) for b, a_prev in self._layers(net, cache)])
 
     def trunk_moments(self, net, cache, residuals, trunk: FactoredRows):
         h = self.trunk_rows(net, cache, residuals)
@@ -131,8 +132,9 @@ class FeedbackPredictor:
 
 @dataclass
 class StructuredPredictor:
-    basis: np.ndarray       # (P_T, r), orthonormal columns
-    maps: np.ndarray        # (r, D, D+1)
+    basis: np.ndarray       # (P_T, r), orthonormal columns U
+    head_q: np.ndarray      # (D, q), orthonormal columns Q: the fit's range(W_a^T)
+    maps: np.ndarray        # (r, q, D+1), Y: map k is S_k = Q Y_k, kept factored
     rank: int
     n_fit: int = 0
     ridge_lambda: float = 0.0
@@ -140,30 +142,33 @@ class StructuredPredictor:
     kind = "structured"
 
     def predict_sums(self, net, parts) -> list:
-        # W_a^T [R^T A | R^T 1] is vec(H^T [A 1]), H = R W_a, at C/D of its cost
-        w = net.head_weight
-        features = np.stack([(w.T @ head_sum(*_structured_inputs(self, c.act[-1], r, w))).ravel()
+        # (W_a Q)^T [R^T A | R^T 1] is Q^T H^T [A 1], H = R W_a, without forming H
+        w, wq = net.head_weight, net.head_weight @ self.head_q
+        features = np.stack([(wq.T @ head_sum(*_structured_inputs(self, c.act[-1], r, w))).ravel()
                              for c, r in parts], axis=1)
         coeffs = few_column_product(self.maps.reshape(len(self.maps), -1), features)
         return list(few_column_product(self.basis, coeffs).T)
 
     def trunk_moments(self, net, cache, residuals, trunk: FactoredRows):
-        # the predicted rows are C U^T, c_ik = r_i^T (W_a S_k) [a_i; 1]: sum
+        # the predicted rows are C U^T, c_ik = r_i^T (W_a Q Y_k) [a_i; 1]: sum
         # ||h||^2 is sum c^T (U^T U) c and sum <g, h> is sum (G U) o C
         llh, residual = _structured_inputs(self, cache.act[-1], residuals, net.head_weight)
-        maps = np.matmul(net.head_weight, self.maps)  # (r, C, D+1)
+        maps = np.matmul(net.head_weight @ self.head_q, self.maps)  # (r, C, D+1)
         coeffs, basis = _bilinear(residual, llh) @ maps.reshape(len(maps), -1).T, self.basis
         return (np.einsum("ik,ik->", coeffs @ (basis.T @ basis), coeffs),
                 np.einsum("ik,ik->", trunk.dot(basis), coeffs), basis @ coeffs.sum(axis=0))
 
     def to_arrays(self) -> dict:
-        return {"pred_basis": self.basis, "pred_maps": self.maps,
+        return {"pred_basis": self.basis, "pred_head_q": self.head_q, "pred_maps": self.maps,
                 "pred_meta": np.asarray([self.rank, self.n_fit, self.ridge_lambda])}
 
     @classmethod
     def from_arrays(cls, z) -> "StructuredPredictor":
+        # a checkpoint without Q holds the maps S_k themselves: Q = I_D
         rank, n_fit, lam = z["pred_meta"]
-        return cls(basis=z["pred_basis"], maps=z["pred_maps"], rank=int(rank),
+        maps = z["pred_maps"]
+        head_q = z["pred_head_q"] if "pred_head_q" in z else np.eye(maps.shape[1])
+        return cls(basis=z["pred_basis"], head_q=head_q, maps=maps, rank=int(rank),
                    n_fit=int(n_fit), ridge_lambda=float(lam))
 
 
@@ -276,7 +281,7 @@ def fit_structured(rows: FitRows, r: int | None = None,
     the head's row space: with W_a^T = Q T (thin QR, q = min(C, D) columns),
     h = Q T r, so the rows (T r) x [llh; 1] have the features' inner
     products, and their ridge solution Y (q(D+1) x r), at the same lambda,
-    gives the maps S_k = Q Y_k.
+    gives the maps S_k = Q Y_k, which the predictor keeps factored as Q and Y.
     """
     rows = _usable(rows)
     (n, d), p_t = rows.llh.shape, rows.trunk_grad.shape[1]
@@ -299,9 +304,9 @@ def fit_structured(rows: FitRows, r: int | None = None,
         if lam <= 0:
             raise InsufficientData("all bilinear features vanish; nothing to fit")
     weights = solve_ridge(feats, coef_targets, lam)  # (q(D+1), r)
-    maps = np.matmul(q, weights.T.reshape(r, -1, d + 1), out=np.empty((r, d, d + 1)))
-    return StructuredPredictor(basis=basis, maps=maps, rank=int(r),
-                               n_fit=n, ridge_lambda=float(lam))
+    maps = np.ascontiguousarray(weights.T).reshape(r, -1, d + 1)
+    return StructuredPredictor(basis=basis, head_q=np.ascontiguousarray(q), maps=maps,
+                               rank=int(r), n_fit=n, ridge_lambda=float(lam))
 
 
 def _structured_inputs(p: StructuredPredictor, llh, residual, head_weight):
@@ -313,9 +318,9 @@ def _structured_inputs(p: StructuredPredictor, llh, residual, head_weight):
         raise DimensionError(
             f"head weight {head_weight.shape} incompatible with residuals "
             f"{residual.shape} and activations {llh.shape}")
-    if p.maps.shape[1:] != (d, d + 1):
+    if p.head_q.shape != (d, p.maps.shape[1]) or p.maps.shape[2] != d + 1:
         raise DimensionError(
-            f"predictor was fit for activation dim {p.maps.shape[1]}, got {d}")
+            f"predictor was fit for activation dim {p.head_q.shape[0]}, got {d}")
     return llh, residual
 
 
@@ -323,9 +328,10 @@ def predict_structured(p: StructuredPredictor, llh, residual,
                        head_weight: np.ndarray) -> np.ndarray:
     """Predicted flat gradient rows from the structured predictor.
 
-    Exact head part; trunk part U c with c_i = [llh; 1]^T S_i^T (W_a^T r).
-    Works identically for regression and classification residuals.
+    Exact head part; trunk part U c with c_k = r^T (W_a Q) Y_k [llh; 1], the
+    maps S_k = Q Y_k in factored form. Works for any residual.
     """
     llh, residual = _structured_inputs(p, llh, residual, head_weight)
-    coeffs = _bilinear(residual @ head_weight, llh) @ p.maps.reshape(len(p.maps), -1).T
+    maps = p.maps.reshape(len(p.maps), -1)
+    coeffs = _bilinear(residual @ head_weight @ p.head_q, llh) @ maps.T
     return gradient_rows(coeffs @ p.basis.T, llh, residual)

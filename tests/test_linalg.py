@@ -7,7 +7,7 @@ from predgrad.linalg import (BLOCK_BYTES, FactoredRows, few_column_product, solv
                              truncated_svd)
 from predgrad.network import (NetworkConfig, backward, forward, init_network,
                               loss_and_residual, trunk_rows)
-from predgrad.predictor import _augment, _bilinear
+from predgrad.predictor import _bilinear
 from predgrad.rng import substream
 
 
@@ -162,10 +162,12 @@ def test_factored_trunk_rows_match_the_backward_rows(monkeypatch, hidden, activa
     assert rel_err(rows.gram(), dense @ dense.T) <= 1e-12
     assert rel_err(rows.row_dots(rows), np.einsum("ij,ij->i", dense, dense)) <= 1e-12
     other = FactoredRows([(rng.standard_normal(u.shape), rng.standard_normal(v.shape))
-                          for u, v in rows.blocks], bias=True)
+                          for u, v in rows.blocks])
     assert rel_err(rows.row_dots(other), np.einsum("ij,ij->i", dense, other.dense())) <= 1e-12
+    # the last layer's input one column short: as many rows, another layout
+    x, y = other.blocks[-1]
     with pytest.raises(DimensionError):
-        rows.row_dots(FactoredRows(other.blocks))
+        rows.row_dots(FactoredRows([*other.blocks[:-1], (x, y[:, 1:])]))
     w = rng.standard_normal((len(dense), 5))
     assert rel_err(rows.t_dot(w), dense.T @ w) <= 1e-12
     m = rng.standard_normal((dense.shape[1], 4))
@@ -177,21 +179,24 @@ def test_factored_trunk_rows_match_the_backward_rows(monkeypatch, hidden, activa
 
 
 def test_factored_feature_gram_equals_the_bilinear_features_gram():
+    # the factored rows (h, llh) are the features h x [llh; 1] with the
+    # columns h_j * 1 moved to the end
     rng = substream(8, "feature-gram")
     h, llh = rng.standard_normal((25, 6)), rng.standard_normal((25, 6))
-    feats, rows = _bilinear(h, llh), FactoredRows([(h, _augment(llh))])
-    assert np.array_equal(rows.dense(), feats)
+    feats, rows = _bilinear(h, llh), FactoredRows([(h, llh)])
+    cols = np.arange(feats.shape[1]).reshape(6, 7)
+    assert np.array_equal(rows.dense(), feats[:, np.concatenate([cols[:, :-1].ravel(),
+                                                                 cols[:, -1]])])
     assert rel_err(rows.gram(), feats @ feats.T) <= 1e-12
     assert rel_err(rows.row_dots(rows), np.einsum("ij,ij->i", feats, feats)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [12, 60], ids=["wide", "tall"])
 def test_truncated_svd_takes_factored_rows(n):
-    # 12 rows of 42 columns take the Gram side, 60 rows the formed p x p side
+    # 12 rows of 30 columns take the Gram side, 60 rows the formed p x p side
     rng = substream(9, f"factored-solve:{n}")
     rows = FactoredRows([(rng.standard_normal((n, 3)), rng.standard_normal((n, 4))),
-                         (rng.standard_normal((n, 5)), rng.standard_normal((n, 2)))],
-                        bias=True)
+                         (rng.standard_normal((n, 5)), rng.standard_normal((n, 2)))])
     dense = rows.dense()
     u, s, vt = truncated_svd(rows, 3)
     ud, sd, vtd = truncated_svd(dense, 3)

@@ -186,6 +186,35 @@ def test_structured_fit_does_not_amplify_rounding_in_the_residuals(seed):
     assert np.linalg.norm(sums[1] - sums[0]) <= 1e-12 * np.linalg.norm(sums[0])
 
 
+@pytest.mark.parametrize("data, hidden", [("regression", (5, 6)), ("blobs", (5, 6)),
+                                          ("blobs", (5, 2))], ids=["C=1", "C=3", "C>D"])
+def test_factored_maps_predict_as_the_formed_maps(data, hidden):
+    # a checkpoint without Q holds the formed maps S_k = Q Y_k and loads as
+    # Q = I_D: the same predictor with q = D, at any later head weight
+    ds, net = feedback_case(data, hidden)
+    pred = fit_structured(feedback_sample(net, ds, np.arange(100))[3])
+    (c, d), rank = net.head_weight.shape, pred.rank
+    assert pred.head_q.shape == (d, min(c, d))
+    assert pred.maps.shape == (rank, min(c, d), d + 1)
+    arrays = pred.to_arrays()
+    del arrays["pred_head_q"]
+    arrays["pred_maps"] = np.matmul(pred.head_q, pred.maps)
+    formed = StructuredPredictor.from_arrays(arrays)
+    assert np.array_equal(formed.head_q, np.eye(d)) and formed.maps.shape == (rank, d, d + 1)
+
+    theta = net.flat_params()
+    theta[net.trunk_size:] += 0.1 * substream(35, "moved-head").standard_normal(net.head_size)
+    net.set_flat_params(theta)
+    cache, residuals, trunk, _ = feedback_sample(net, ds, np.arange(100, 200))
+    parts = [(cache, residuals), (cache.rows([3, 7]), residuals[[3, 7]])]
+    got = [*pred.predict_sums(net, parts), *pred.trunk_moments(net, cache, residuals, trunk),
+           predict_structured(pred, cache.act[-1], residuals, net.head_weight)]
+    ref = [*formed.predict_sums(net, parts), *formed.trunk_moments(net, cache, residuals, trunk),
+           predict_structured(formed, cache.act[-1], residuals, net.head_weight)]
+    for g, r in zip(got, ref, strict=True):
+        assert np.linalg.norm(g - r) <= 1e-12 * np.linalg.norm(r)
+
+
 def test_structured_fit_memory_stays_within_the_kernel_size():
     # 80 rows of D = 64: the primal system would be 4160 x 4160 (138 MB)
     rng = substream(34, "fit-memory")
@@ -198,7 +227,8 @@ def test_structured_fit_memory_stays_within_the_kernel_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert pred.maps.shape[1:] == (64, 65)
+    assert pred.head_q.shape == (64, 3)
+    assert pred.maps.shape[1:] == (3, 65)
     assert peak < 32e6
 
 
@@ -316,8 +346,9 @@ def batch_predictors(n=40):
             pred = FeedbackPredictor(b=rng.standard_normal((24 + 16, 2)))
         elif out == 4:
             basis, _ = np.linalg.qr(rng.standard_normal((pt, 6)))
-            pred = StructuredPredictor(basis=basis, maps=rng.standard_normal((6, d, d + 1)),
-                                       rank=6)
+            head_q, _ = np.linalg.qr(net.head_weight.T)
+            pred = StructuredPredictor(basis=basis, head_q=head_q,
+                                       maps=rng.standard_normal((6, 4, d + 1)), rank=6)
         else:
             pred = PerfectPredictor()
         cases.append((net, pred, xs, cache, residuals))

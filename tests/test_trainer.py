@@ -411,7 +411,7 @@ def test_learned_step_from_sums_matches_the_summed_rows(monkeypatch, kind, make_
 ])
 def test_a_step_reads_each_predictor_matrix_once(monkeypatch, kind, make_data, loss_kind):
     _, pred, *_, step = fitted_step(kind, make_data, loss_kind)
-    matrices = {"basis": pred.basis, "maps": pred.maps}
+    matrices = {"basis": pred.basis, "head_q": pred.head_q, "maps": pred.maps}
     products = []
 
     def counted(a, b):
@@ -575,7 +575,7 @@ def test_a_refit_forms_no_trunk_or_feature_rows():
     # 8-64-64-3 with 256 fit rows: the trunk rows would be a (256, 4736)
     # array, 9.7 MB, and the bilinear features a (256, 4160) one. What the
     # refit holds beyond the predictor it returns stays below a quarter of
-    # the first; maps formed apart and then copied into place would not.
+    # the first. The maps stay in the head's row space, q = C = 3 rows each.
     cfg, ds, state = state_before_a_refit(wide_blobs_shape, "structured")
     rows_bytes = 256 * state.net.trunk_size * 8
     assert state.net.trunk_size == 4736
@@ -585,5 +585,7 @@ def test_a_refit_forms_no_trunk_or_feature_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    fitted = state.predictor.basis.nbytes + state.predictor.maps.nbytes
+    pred = state.predictor
+    assert pred.head_q.shape == (64, 3) and pred.maps.shape == (pred.rank, 3, 65)
+    fitted = pred.basis.nbytes + pred.head_q.nbytes + pred.maps.nbytes
     assert peak - fitted < rows_bytes / 4
