@@ -3,8 +3,8 @@ cases' sizes, at 64x2 with 256 fit rows, and on the narrow-regression
 workload's 8-16-1 regression net with 256 fit rows: the fit sample's pass (the
 forward and loss, and the trunk gradients as ``network.trunk_rows``
 factors), the measurement of the outgoing predictor on the sample
-(``predictor.trunk_alignment``), and the fit itself (``trainer._fit`` on
-the sample's ``FitRows``).
+(``predictor.trunk_alignment``), and the fit itself (the trainer's call,
+``fit_feedback`` or ``fit_structured`` on the sample's ``FitRows``).
 
 Run from the repository root, with one BLAS thread:
 
@@ -62,5 +62,5 @@ def test_refit(benchmark, phase, kind, hidden, n, data):
     if phase == "measure":
         benchmark(trunk_alignment, res.predictor, net, cache, residuals, trunk)
     else:
-        rows = FitRows.from_pass(cache.act[-1], residuals, trunk, net.head_weight)
-        benchmark(trainer._fit, kind, rows, cfg.refit)
+        fit = trainer.fit_feedback if kind == "feedback" else trainer.fit_structured
+        benchmark(fit, FitRows(cache.act[-1], residuals, net.head_weight, trunk))

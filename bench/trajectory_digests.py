@@ -17,6 +17,9 @@ three digests: of the final parameters' bytes (``-`` for a comparison, which
 returns none), of every metrics row (both runs' for a comparison) and of the
 comparison report (``-`` for a training run). ``--n`` and ``--max-steps``
 shrink the runs; the defaults make 2-epoch runs with a refit every 7 steps.
+The last run, ``-short-batch``, is a comparison on 60 examples whatever
+``--n``: 48 training rows, so each step is one short batch of 48 at batch
+size 64, with f = 0.05.
 """
 
 import argparse
@@ -40,7 +43,10 @@ CONFIGS = (
         (BLOBS, "tanh", "perfect"), (BLOBS, "relu", "structured"),
         (WIDE_REGRESSION, "tanh", "feedback"), (WIDE_REGRESSION, "tanh", "structured"),
         (WIDE_REGRESSION, "relu", "perfect"))]
+    + [("compare", REGRESSION, "tanh", "feedback", "short-batch")]
 )
+# a run's fixed sizes, which --n does not change
+VARIANTS = {"short-batch": {"n": 60, "batch_size": 64, "control_fraction": 0.05}}
 
 
 def _digest(chunks) -> str:
@@ -54,7 +60,7 @@ def _rows(records) -> list:
     return [r.csv_row() for r in records]
 
 
-def run(command, data, activation, algo, n=400, max_steps=None) -> str:
+def run(command, data, activation, algo, variant=None, n=400, max_steps=None) -> str:
     """The digest line of one run."""
     from predgrad.data import gen_blobs, gen_regression
     from predgrad.network import NetworkConfig, init_network
@@ -63,16 +69,20 @@ def run(command, data, activation, algo, n=400, max_steps=None) -> str:
                                   train_vanilla)
 
     task, hidden = data
+    fixed = VARIANTS.get(variant, {})
+    n = fixed.get("n", n)
     if task == "regression":
         ds, out = gen_regression(n, 8, 0.05, 11, val_fraction=0.2), 1
     else:
         ds, out = gen_blobs(n, 3, 8, 6.0, 12, val_fraction=0.2), 3
     ncfg = NetworkConfig(input_dim=8, hidden_widths=hidden, output_dim=out,
                          activation=activation, seed=5)
-    cfg = TrainConfig(epochs=2, batch_size=32, momentum=0.5, refit=RefitPolicy(period=7),
-                      max_steps=max_steps, seed=3,
+    cfg = TrainConfig(epochs=2, batch_size=fixed.get("batch_size", 32),
+                      control_fraction=fixed.get("control_fraction", 0.25), momentum=0.5,
+                      refit=RefitPolicy(period=7), max_steps=max_steps, seed=3,
                       budget=1500.0 if command == "compare" else None)
-    name = f"{command}-{task}-{'x'.join(map(str, hidden))}-{activation}-{algo}"
+    name = f"{command}-{task}-{'x'.join(map(str, hidden))}-{activation}-{algo}" \
+        + (f"-{variant}" if variant else "")
     if command == "compare":
         report = run_budgeted_comparison(cfg, ds, ncfg, algo)
         metrics = _digest(_rows(report.vanilla_records) + _rows(report.predicted_records))

@@ -13,9 +13,11 @@ argument besides `--config FILE`. Each line becomes the flag `--key=value`
 these win; so file values are checked exactly like flags. `none` keeps an
 option that defaults to none at it, and is any other option's value
 (`predictor = none` is vanilla for `train`, an error for `compare`). Options
-older versions had (`loss`, `smoothing`, `lr_decay`, `algo`) are unknown,
-exit 2. Every command writes its resolved configuration to
-<outdir>/config.txt, which is itself a valid config file.
+older versions had are unknown, exit 2: `loss`, `smoothing`, `lr_decay` and
+`algo`; `ridge_lambda` (every fit takes lambda from its sample); compare's
+`epochs` (its budget ends each run); and simulate's `sigma_h` and `tau`
+(kappa sigma_g and rho sigma_g sigma_h). Every command writes its resolved
+configuration to <outdir>/config.txt, which is itself a valid config file.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric error.
 Failures, bad arguments among them, print one machine-readable line
@@ -81,7 +83,6 @@ def _add_train_options(p, predictor):
     p.add_argument("--hidden", default="16", help="comma-separated hidden widths")
     p.add_argument("--activation", default="tanh",
                    choices=["tanh", "relu", "identity"])
-    p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--control-fraction", "-f", dest="control_fraction",
                    type=float, default=0.25)
@@ -92,7 +93,6 @@ def _add_train_options(p, predictor):
     p.add_argument("--buffer-capacity", type=int, default=256,
                    help="training rows drawn afresh for each predictor fit "
                         "(warmup and every refit); at least D+1")
-    p.add_argument("--ridge-lambda", type=float, default=None)
     p.add_argument("--budget", type=float, default=None,
                    help="stepping-cost budget in cost units")
     p.add_argument("--max-steps", type=int, default=None)
@@ -129,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common], help="train one algorithm")
     p.add_argument("--resume", default=None, help="run checkpoint to resume from")
+    p.add_argument("--epochs", type=int, default=1)
     _add_data_options(p)
     _add_train_options(p, predictor="none")
     p.set_defaults(func=cmd_train)
@@ -150,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common],
                        help="Monte Carlo estimator verification")
     p.add_argument("--sigma-g", type=float, default=1.0)
-    p.add_argument("--sigma-h", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
     p.add_argument("--rho", type=float, default=0.8)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--dim", type=int, default=8)
@@ -255,14 +254,12 @@ def _dataset_from_args(args):
 
 def _train_config(args) -> TrainConfig:
     return TrainConfig(
-        epochs=args.epochs,
+        epochs=getattr(args, "epochs", 1),   # compare has none: its budget ends each run
         batch_size=args.batch_size,
         control_fraction=args.control_fraction,
         learning_rate=args.learning_rate,
         momentum=args.momentum,
-        refit=RefitPolicy(period=args.refit_period,
-                          buffer_capacity=args.buffer_capacity,
-                          ridge_lambda=args.ridge_lambda),
+        refit=RefitPolicy(period=args.refit_period, buffer_capacity=args.buffer_capacity),
         cost_model=CostModel(backward=args.cost_backward,
                              forward=args.cost_forward,
                              cheap_forward=args.cost_cheap_forward),
@@ -365,8 +362,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sigma_h = args.sigma_h if args.sigma_h is not None else args.kappa * args.sigma_g
-    tau = args.tau if args.tau is not None else args.rho * args.sigma_g * sigma_h
+    sigma_h = args.kappa * args.sigma_g
+    tau = args.rho * args.sigma_g * sigma_h
     res = simulate_estimator(args.sigma_g, sigma_h, tau, args.dim, args.f,
                              args.m, args.trials, args.seed,
                              mu=args.mu, mu_h=args.mu_h)

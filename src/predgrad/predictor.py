@@ -21,7 +21,9 @@ any output width, through the residual alone:
 Both are fit by ridge least squares on ``FitRows`` (activation, residual and
 true trunk gradients, one row per example of a fit sample, and the pass's
 head weight W_a; the trunk gradients come as ``network.trunk_rows``' layer
-factors, pre-activation gradients Dz and inputs A_prev). The feedback fit
+factors, pre-activation gradients Dz and inputs A_prev). The ridge lambda
+always follows from the sample, 1e-6 times the mean squared regressor norm,
+unless a caller passes the fit a ``lam``; training never does. The feedback fit
 regresses all layers' Dz on the residuals in one C x C solve. The
 structured fit takes its basis, where the trunk gradients have more columns
 than rows, from their Gram matrix, the sum over trunk layers of
@@ -70,24 +72,20 @@ class FitRows(NamedTuple):
     trunk_grad: object      # (n, P_T) true gradient: an array, or its FactoredRows
                             # (``network.trunk_rows``)
 
-    @classmethod
-    def from_pass(cls, llh, residual, trunk_grad, head_weight) -> "FitRows":
-        return cls(llh, residual, head_weight, trunk_grad)
-
 
 @dataclass(frozen=True)
 class RefitPolicy:
+    """When a learned predictor is refitted and on how many rows. Its ridge
+    lambda is not a policy: every fit takes the data rule, 1e-6 times the
+    mean squared regressor norm of its sample."""
     period: int = 50
     buffer_capacity: int = 256          # rows drawn for each fit
-    ridge_lambda: float | None = None  # None: 1e-6 * mean squared regressor norm
 
     def __post_init__(self):
         if self.period < 1:
             raise ConfigError(f"refit period must be >= 1, got {self.period}")
         if self.buffer_capacity < 2:
             raise ConfigError("buffer capacity (rows per fit) must be >= 2")
-        if self.ridge_lambda is not None and self.ridge_lambda < 0:
-            raise ConfigError("ridge lambda must be nonnegative")
 
 
 @dataclass

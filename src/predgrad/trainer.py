@@ -58,11 +58,12 @@ import json
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .analysis import CostModel, gamma, rho_star
+from .analysis import CostModel, break_even_satisfied, gamma, rho_star
 from .data import Dataset
 from .errors import (BudgetError, ConfigError, DataError, DimensionError,
                      InsufficientData, NumericError)
@@ -77,8 +78,6 @@ from .predictor import (PREDICTORS, FitRows, PerfectPredictor, RefitPolicy, fit_
                         fit_structured, should_refit, trunk_alignment)
 from .rng import substream
 
-METRICS_HEADER = ["step", "epoch", "cost_units", "loss", "val_metric",
-                  "rho_hat", "kappa_hat", "phi_hat", "refit"]
 RUN_CHECKPOINT_FORMAT = 1
 
 log = logging.getLogger(__name__)
@@ -158,10 +157,10 @@ class StepRecord:
     refit: int
 
     def csv_row(self):
-        return [self.step, self.epoch, repr(float(self.cost_units)),
-                repr(float(self.loss)), repr(float(self.val_metric)),
-                repr(float(self.rho_hat)), repr(float(self.kappa_hat)),
-                repr(float(self.phi_hat)), self.refit]
+        return [repr(float(v)) if isinstance(v, float) else v for v in vars(self).values()]
+
+
+METRICS_HEADER = [f.name for f in fields(StepRecord)]
 
 
 def optimizer_step(theta: np.ndarray, g: np.ndarray, state, lr: float, momentum: float):
@@ -209,15 +208,6 @@ class RunResult:
     @property
     def final_loss(self) -> float:
         return self.records[-1].loss if self.records else float("nan")
-
-
-def _fit(kind: str, rows: FitRows, policy: RefitPolicy):
-    """A fresh predictor of a learned kind fitted on ``rows``. The fit
-    functions are looked up in this module, so wrapping
-    ``predgrad.trainer.fit_*`` sees every fit."""
-    if kind == "feedback":
-        return fit_feedback(rows, policy.ridge_lambda)
-    return fit_structured(rows, None, policy.ridge_lambda)
 
 
 def _pass(net, ds, idx):
@@ -295,9 +285,10 @@ def _refit(cfg: TrainConfig, ds: Dataset, state: TrainState, kind: str):
     stats = None
     if outgoing is not None:
         stats = trunk_alignment(outgoing, net, cache, residuals, trunk)
+    # looked up in this module at call time, so wrapping predgrad.trainer.fit_* sees every fit
+    fit = fit_feedback if kind == "feedback" else fit_structured
     try:
-        state.predictor = _fit(kind, FitRows.from_pass(cache.act[-1], residuals, trunk,
-                                                       net.head_weight), cfg.refit)
+        state.predictor = fit(FitRows(cache.act[-1], residuals, net.head_weight, trunk))
     except InsufficientData as e:
         if outgoing is None:
             raise
@@ -400,16 +391,12 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
             else:
                 val = float("nan")
 
-            nan = float("nan")
+            rho = kappa = phi = float("nan")
             if stats is not None and not stats.degenerate:
-                rec = StepRecord(
-                    state.step, epoch, state.stepping.cost_units, batch_loss,
-                    val, stats.rho, stats.kappa,
-                    variance_inflation(split.f_effective, stats.rho, stats.kappa),
-                    refit_flag)
-            else:
-                rec = StepRecord(state.step, epoch, state.stepping.cost_units,
-                                 batch_loss, val, nan, nan, nan, refit_flag)
+                rho, kappa = stats.rho, stats.kappa
+                phi = variance_inflation(split.f_effective, rho, kappa)
+            rec = StepRecord(state.step, epoch, float(state.stepping.cost_units), batch_loss,
+                             val, rho, kappa, phi, refit_flag)
             records.append(rec)
             writer.write(rec)
     finally:
@@ -502,15 +489,14 @@ def run_budgeted_comparison(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfi
                             predicted_metrics_path=None) -> ComparisonReport:
     """Train both algorithms from the same initialization until each exhausts
     the same stepping-cost budget, and report paired outcomes plus the
-    measured-alignment break-even verdict."""
+    measured-alignment break-even verdict, ``break_even_satisfied`` at the
+    mean rho_hat and kappa_hat. The budget, or ``cfg.max_steps`` if it comes
+    first, ends each run; ``cfg.epochs`` is ignored."""
     if cfg.budget is None or cfg.budget <= 0:
         raise BudgetError("run_budgeted_comparison requires a positive budget")
     _check_kind(predictor)
     base = init_network(net_cfg)
-    batches_per_epoch = max(1, len(ds.train_idx) // cfg.batch_size)
-    cheapest = cfg.batch_size * cfg.cost_model.cheap_forward
-    epochs_needed = int(cfg.budget // (batches_per_epoch * cheapest)) + 2
-    run_cfg = replace(cfg, epochs=max(cfg.epochs, epochs_needed))
+    run_cfg = replace(cfg, epochs=sys.maxsize)
 
     res_v = train_vanilla(run_cfg, ds, base.copy(), vanilla_metrics_path)
     res_p = train_predicted(run_cfg, ds, base.copy(), predictor,
@@ -520,12 +506,10 @@ def run_budgeted_comparison(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfi
     kappa = _nanmean([r.kappa_hat for r in res_p.records])
     phi = _nanmean([r.phi_hat for r in res_p.records])
     f = cfg.control_fraction
-    if math.isnan(rho_trunk) or math.isnan(kappa) or kappa <= 0:
-        star = float("nan")
-        verdict = False
-    else:
+    star, verdict = float("nan"), False
+    if kappa > 0:   # NaN where no refit measured the predictor, as rho_trunk
         star = rho_star(cfg.cost_model, f, kappa)
-        verdict = bool(rho_trunk >= star)
+        verdict = break_even_satisfied(cfg.cost_model, f, rho_trunk, kappa)
 
     def final_val(records):
         vals = [r.val_metric for r in records if not math.isnan(r.val_metric)]
@@ -558,8 +542,9 @@ def run_budgeted_comparison(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfi
 
 RUN_LENGTH_KEYS = ("epochs", "max_steps", "budget")  # a resumed run may change them
 RETIRED_KEYS = ("warmup",)  # written by older versions, no longer an option
-# options older versions wrote, at the one value this version runs
-RETIRED_DEFAULTS = {"loss_kind": None, "smoothing": 0.0, "lr_decay": 0.0}
+# options older versions wrote, at the one value this version runs (a null
+# ridge_lambda is the data rule that every fit now takes)
+RETIRED_DEFAULTS = {"loss_kind": None, "smoothing": 0.0, "lr_decay": 0.0, "ridge_lambda": None}
 
 
 def _cfg_json(cfg: TrainConfig) -> str:
@@ -569,7 +554,6 @@ def _cfg_json(cfg: TrainConfig) -> str:
         "learning_rate": cfg.learning_rate, "momentum": cfg.momentum,
         "refit_period": cfg.refit.period,
         "buffer_capacity": cfg.refit.buffer_capacity,
-        "ridge_lambda": cfg.refit.ridge_lambda,
         "cost_backward": cfg.cost_model.backward,
         "cost_forward": cfg.cost_model.forward,
         "cost_cheap_forward": cfg.cost_model.cheap_forward,

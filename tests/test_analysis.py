@@ -1,10 +1,15 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from predgrad.analysis import BoundInputs, nc_bound, sc_bound, simulate_estimator
+from predgrad.analysis import (BoundInputs, CostModel, break_even_satisfied, gamma,
+                               nc_bound, q_objective, rho_star, rho_switch, sc_bound,
+                               simulate_estimator)
 from predgrad.errors import DomainError, StepsizeError
 from predgrad.estimator import control_batch_size, v2_exact
+from predgrad.trainer import BudgetLedger
 
 TRIALS = 4000
 DIM = 6
@@ -75,3 +80,54 @@ def test_bound_argument_errors():
             sc_bound(bound_inputs(strong_convexity=alpha))
     with pytest.raises(DomainError):
         nc_bound(bound_inputs(horizon=0))
+
+
+# pass costs of any size, the cheap forward a share of forward + backward
+COST_MODELS = st.builds(lambda b, fw, share: CostModel(b, fw, share * (b + fw)),
+                        st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.floats(0.01, 1.0))
+
+
+@settings(max_examples=200)
+@given(cm=COST_MODELS, m=st.integers(2, 1000), data=st.data())
+def test_gamma_is_the_ledgers_ratio_of_predicted_to_vanilla_charges(cm, m, data):
+    m_c = data.draw(st.integers(1, m))
+    predicted, vanilla = BudgetLedger(cm), BudgetLedger(cm)
+    predicted.charge(forward=m_c, backward=m_c, cheap_forward=m - m_c)  # as a step charges
+    vanilla.charge(forward=m, backward=m)
+    assert gamma(cm, m_c / m) == pytest.approx(predicted.cost_units / vanilla.cost_units,
+                                               rel=1e-12)
+
+
+@settings(max_examples=300)
+@given(cm=COST_MODELS, f=st.floats(0.01, 0.99), rho=st.floats(-1.0, 1.0),
+       kappa=st.floats(0.0, 3.0), sigma_g=st.floats(0.1, 10.0), m=st.integers(2, 1000))
+def test_break_even_is_q_at_most_1_with_phi_from_the_exact_variance(cm, f, rho, kappa,
+                                                                    sigma_g, m):
+    sigma_h = kappa * sigma_g
+    phi = v2_exact(sigma_g, sigma_h, rho * sigma_g * sigma_h, f, m) * m / sigma_g ** 2
+    q = phi * gamma(cm, f)
+    if abs(q - 1.0) > 1e-9:   # closer to parity, the two roundings may disagree
+        assert break_even_satisfied(cm, f, rho, kappa) == (q <= 1.0)
+
+
+@settings(max_examples=300)
+@given(cm=COST_MODELS, f=st.floats(0.01, 0.99), kappa=st.floats(0.05, 3.0))
+def test_the_break_even_verdict_flips_at_rho_star(cm, f, kappa):
+    star = rho_star(cm, f, kappa)
+    assert break_even_satisfied(cm, f, star + 1e-6, kappa)
+    assert not break_even_satisfied(cm, f, star - 1e-6, kappa)
+
+
+@settings(max_examples=100)
+@given(cm=COST_MODELS, kappa=st.floats(0.05, 3.0))
+def test_the_grid_minimum_of_q_leaves_f_1_at_rho_switch(cm, kappa):
+    # the grid is dense next to 1, where the minimum moves first: 1e-3 above
+    # rho_switch, Q is below Q(1) on at least (1 - 4e-4, 1)
+    grid = np.concatenate([np.linspace(0.01, 1.0, 1001), 1.0 - np.geomspace(1e-2, 1e-8, 121)])
+
+    def best_f(rho):
+        return grid[np.argmin([q_objective(cm, f, rho, kappa) for f in grid])]
+
+    switch = rho_switch(cm, kappa)
+    assert best_f(switch - 1e-3) == 1.0
+    assert best_f(switch + 1e-3) < 1.0

@@ -52,7 +52,7 @@ def test_trajectory_digests_runs(capsys):
     lines = digests.main([str(BENCH.parent / "src"), "--n", "100", "--max-steps", "2"])
     assert capsys.readouterr().out.splitlines() == lines
     fields = dict((name, rest) for name, *rest in map(str.split, lines))
-    assert len(fields) == len(digests.CONFIGS) == 31
+    assert len(fields) == len(digests.CONFIGS) == 32
     for name, (params, metrics, report) in fields.items():
         assert (params == "-") == name.startswith("compare") == (report != "-")
         if name.startswith("train") and name.endswith("-perfect"):

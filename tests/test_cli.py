@@ -61,29 +61,47 @@ def test_divergence_exits_4(tmp_path, capsys):
     assert "at step" in err
 
 
+COMMANDS = {
+    "gen-data": ["gen-data", "--task", "blobs", "--n", "50"],
+    "train": TRAIN + ["--max-steps", "2"],
+    "compare": ["compare"] + TRAIN[1:] + ["--budget", "300", "--max-steps", "2"],
+    "analyze": ["analyze", "--f", "0.25", "--rho", "0.9"],
+    "simulate": ["simulate", "--trials", "100", "--kappa", "0.5"],
+}
+
+
 def test_written_config_is_a_valid_config_file(tmp_path, capsys):
-    first, second = tmp_path / "first", tmp_path / "second"
-    code, err = run(capsys, TRAIN + ["--max-steps", "2", "--seed", "3",
-                                     "--outdir", str(first)])
-    assert code == 0, err
-    code, err = run(capsys, ["--config", str(first / "config.txt"), "train",
-                             "--outdir", str(second)])
-    assert code == 0, err
-    assert (second / "config.txt").read_text() == \
-        (first / "config.txt").read_text().replace(str(first), str(second))
+    # each command's resolved options, read back from its config.txt, resolve
+    # to the same options
+    for command, argv in COMMANDS.items():
+        first, second = tmp_path / command / "first", tmp_path / command / "second"
+        code, err = run(capsys, argv + ["--seed", "3", "--outdir", str(first)])
+        assert code == 0, err
+        code, err = run(capsys, ["--config", str(first / "config.txt"), command,
+                                 "--outdir", str(second)])
+        assert code == 0, err
+        assert (second / "config.txt").read_text() == \
+            (first / "config.txt").read_text().replace(str(first), str(second))
 
 
-@pytest.mark.parametrize("key, value", [("warmup", "true"), ("loss", "auto"),
-                                        ("smoothing", "0.0"), ("lr_decay", "0.0"),
-                                        ("algo", "vanilla")],
-                         ids=["warmup", "loss", "smoothing", "lr_decay", "algo"])
-def test_a_retired_option_exits_2(tmp_path, capsys, key, value):
-    # config files written by older versions set these options, now removed
+# config files written by older versions set these options, now removed:
+# (key, value, the command the file is for)
+RETIRED = {"warmup": ("warmup", "true", TRAIN), "loss": ("loss", "auto", TRAIN),
+           "smoothing": ("smoothing", "0.0", TRAIN), "lr_decay": ("lr_decay", "0.0", TRAIN),
+           "algo": ("algo", "vanilla", TRAIN), "ridge_lambda": ("ridge_lambda", "0.5", TRAIN),
+           "compare-epochs": ("epochs", "3", COMMANDS["compare"]),
+           "sigma_h": ("sigma_h", "2.0", COMMANDS["simulate"]),
+           "tau": ("tau", "0.5", COMMANDS["simulate"])}
+
+
+@pytest.mark.parametrize("key, value, argv", RETIRED.values(), ids=RETIRED)
+def test_a_retired_option_exits_2(tmp_path, capsys, key, value, argv):
     cfg = tmp_path / "old.cfg"
-    cfg.write_text(f"{key} = {value}\n")
-    code, err = run(capsys, ["--config", str(cfg)] + TRAIN + ["--outdir", str(tmp_path)])
+    cfg.write_text(f"seed = 1\n{key} = {value}\n")
+    code, err = run(capsys, ["--config", str(cfg)] + argv + ["--outdir", str(tmp_path)])
     assert code == 2 and error_type(err) == "ConfigError"
-    assert f"old.cfg:1: unrecognized arguments: --{key.replace('_', '-')}={value}" in err
+    assert f"old.cfg:2: unrecognized arguments: --{key.replace('_', '-')}={value}" in err
+    assert not (tmp_path / "config.txt").exists()
 
 
 def test_compare_writes_the_report(tmp_path, capsys):
@@ -180,15 +198,15 @@ def test_a_bad_argument_exits_2_with_one_error_line(tmp_path, capsys, source, ke
 
 
 def test_flags_override_the_config_file_and_none_keeps_the_default(tmp_path, capsys):
-    # none is the default of --ridge-lambda, and no value of --learning-rate
+    # none is the default of --budget, and no value of --learning-rate
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("batch_size = 8\nridge_lambda = none\nmax_steps = 2\n")
+    cfg.write_text("batch_size = 8\nbudget = none\nmax_steps = 2\n")
     code, err = run(capsys, ["--config", str(cfg)] + TRAIN + ["--batch-size", "16",
                                                                "--outdir", str(tmp_path)])
     assert code == 0, err
     written = dict(line.split(" = ") for line in
                    (tmp_path / "config.txt").read_text().splitlines())
-    assert (written["batch_size"], written["ridge_lambda"], written["max_steps"]) \
+    assert (written["batch_size"], written["budget"], written["max_steps"]) \
         == ("16", "none", "2")
     cfg.write_text("max_steps = 2\nlearning_rate = none\n")
     code, err = run(capsys, ["--config", str(cfg)] + TRAIN + ["--outdir", str(tmp_path)])
@@ -271,6 +289,25 @@ def test_the_retired_scalar_predictor_exits_2(tmp_path, capsys):
                                                 "--outdir", str(tmp_path / "resumed")])
         assert code == 2 and error_type(err) == "ConfigError"
         assert "'scalar'" in err
+    assert not (tmp_path / "resumed" / "metrics.csv").exists()
+
+
+def test_a_checkpoint_with_a_ridge_lambda_set_exits_2(tmp_path, capsys):
+    # older versions wrote ridge_lambda; only null, the data rule, resumes
+    code, err = run(capsys, TRAIN + ["--predictor", "feedback", "--max-steps", "2",
+                                     "--outdir", str(tmp_path)])
+    assert code == 0, err
+    ckpt = tmp_path / "checkpoint.npz"
+    with np.load(ckpt) as z:
+        arrays = dict(z)
+    header = json.loads(bytes(arrays["header"]).decode("utf-8"))
+    header["cfg"] = json.dumps({**json.loads(header["cfg"]), "ridge_lambda": 0.5})
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    np.savez(ckpt, **arrays)
+    code, err = run(capsys, TRAIN + ["--predictor", "feedback", "--max-steps", "4",
+                                     "--resume", str(ckpt), "--outdir", str(tmp_path / "resumed")])
+    assert code == 2 and error_type(err) == "ConfigError"
+    assert "ridge_lambda = 0.5" in err
     assert not (tmp_path / "resumed" / "metrics.csv").exists()
 
 

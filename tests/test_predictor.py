@@ -27,7 +27,7 @@ def feedback_sample(net, ds, idx):
     _, residuals = loss_and_residual(output, ds.targets[idx], ds.loss_kind)
     trunk = trunk_rows(net, cache, residuals)
     return (cache, residuals, trunk,
-            FitRows.from_pass(cache.act[-1], residuals, trunk, net.head_weight))
+            FitRows(cache.act[-1], residuals, net.head_weight, trunk))
 
 
 def feedback_case(data, hidden=(5, 6), activation="tanh", n=200):
@@ -180,8 +180,7 @@ def test_structured_fit_does_not_amplify_rounding_in_the_residuals(seed):
     cache, residuals, *_ = feedback_sample(net, ds, np.arange(256, 600))  # held out
     sums = []
     for residual in (rows.residual, rows.residual * noise):
-        pred = fit_structured(FitRows.from_pass(rows.llh, residual, rows.trunk_grad,
-                                                net.head_weight))
+        pred = fit_structured(FitRows(rows.llh, residual, net.head_weight, rows.trunk_grad))
         sums.append(pred.predict_sums(net, [(cache, residuals)])[0])
     assert np.linalg.norm(sums[1] - sums[0]) <= 1e-12 * np.linalg.norm(sums[0])
 
@@ -219,8 +218,8 @@ def test_structured_fit_memory_stays_within_the_kernel_size():
     # 80 rows of D = 64: the primal system would be 4160 x 4160 (138 MB)
     rng = substream(34, "fit-memory")
     head_w = rng.standard_normal((3, 64))
-    rows = FitRows.from_pass(rng.standard_normal((80, 64)), rng.standard_normal((80, 3)),
-                             rng.standard_normal((80, 200)), head_w)
+    rows = FitRows(rng.standard_normal((80, 64)), rng.standard_normal((80, 3)), head_w,
+                   rng.standard_normal((80, 200)))
     tracemalloc.start()
     try:
         pred = fit_structured(rows)
@@ -240,7 +239,7 @@ def test_structured_rank_one_parallel_gradients():
     llh = rng.standard_normal((12, 4))
     residuals = rng.standard_normal((12, 2))
     scales = rng.uniform(0.5, 2.0, size=(12, 1))
-    rows = FitRows.from_pass(llh, residuals, scales * direction, head_w)
+    rows = FitRows(llh, residuals, head_w, scales * direction)
     pred = fit_structured(rows, r=1)
     assert abs(cosine(pred.basis[:, 0], direction)) >= 1.0 - 1e-10
     g = rows.trunk_grad[0]
@@ -297,7 +296,7 @@ def test_predicted_head_gradient_always_exact():
     llh, output, cache = forward(net, rng.standard_normal((40, 4)))
     _, residuals = loss_and_residual(output, rng.integers(3, size=40), "cross_entropy")
     grads = backward(net, cache, residuals)
-    pred = fit_structured(FitRows.from_pass(llh, residuals, grads[:, :pt], net.head_weight))
+    pred = fit_structured(FitRows(llh, residuals, net.head_weight, grads[:, :pt]))
     for _ in range(10):
         x = rng.standard_normal(4)
         llh, output, cache = forward(net, x)

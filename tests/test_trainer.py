@@ -12,6 +12,7 @@ import pytest
 
 from predgrad import predictor as predictor_module
 from predgrad import trainer
+from predgrad.analysis import CostModel
 from predgrad.data import gen_blobs, gen_regression
 from predgrad.errors import ConfigError, DataError, InsufficientData, NumericError
 from predgrad.estimator import alignment_stats, combine, split_minibatch, variance_inflation
@@ -301,10 +302,11 @@ def test_checkpoint_from_plain_sgd_resumes_without_momentum(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("smoothing", 0.05), ("lr_decay", 0.01),
-                                        ("loss_kind", "squared_vector")])
+                                        ("loss_kind", "squared_vector"),
+                                        ("ridge_lambda", 0.5)])
 def test_checkpoint_with_a_retired_option_set_is_refused(tmp_path, key, value):
     # older versions wrote these options; a checkpoint at any value but the
-    # one this version runs (0.0, 0.0 and null) took another trajectory
+    # one this version runs (0.0, 0.0, null and null) took another trajectory
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, max_steps=3, seed=2, eval_every=0)
     path = tmp_path / "run.npz"
@@ -367,6 +369,43 @@ def test_format_1_checkpoint_resumes():
     assert rest.steps == 9
     assert all(math.isfinite(r.loss) for r in rest.records)
     assert [r.refit for r in rest.records] == [1, 0, 0, 1]   # steps 6 and 9
+
+
+def test_a_checkpoint_with_a_null_ridge_lambda_resumes_bit_exactly():
+    # written by a version whose config carried ridge_lambda, null for the
+    # data rule that every fit now takes: feedback predictor, hidden (8,),
+    # refits every 3 steps, 4 steps done. The resumed run crosses refits at
+    # steps 6, 9 and 12 and the epoch boundary at step 10.
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=32, epochs=2, max_steps=12, refit=RefitPolicy(period=3),
+                      momentum=0.9, seed=1, eval_every=0)
+    path = DATA / "ridge_lambda_null_feedback.npz"
+    with np.load(path) as z:
+        assert json.loads(json.loads(bytes(z["header"]).decode("utf-8"))["cfg"])[
+            "ridge_lambda"] is None
+    rest = resume_run(cfg, ds, path)
+    whole = train_predicted(cfg, ds, init_network(ncfg), "feedback")
+    assert rows(rest.records) == rows(whole.records)[4:]
+    assert np.array_equal(rest.network.flat_params(), whole.network.flat_params())
+    assert np.array_equal(rest.predictor.b, whole.predictor.b)
+
+
+@pytest.mark.parametrize("cheap", [0.7, 3.0])
+def test_a_comparison_spends_its_budget_whatever_the_epochs(cheap):
+    # 48 training rows at batch 64: every step is one short batch of 48 and
+    # an epoch, 2 control rows at f = 0.05. Each run stops only when its next
+    # step would exceed the budget, so within one step's cost of it.
+    ds = gen_regression(60, 8, 0.05, 1)
+    assert len(ds.train_idx) == 48
+    cm = CostModel(cheap_forward=cheap)
+    cfg = TrainConfig(batch_size=64, control_fraction=0.05, budget=10000.0, cost_model=cm)
+    report = run_budgeted_comparison(cfg, ds, NetworkConfig(8, (4,), 1), "feedback")
+    step_cost = {"vanilla": 48 * cm.vanilla_per_example,
+                 "predicted": 2 * cm.vanilla_per_example + 46 * cheap}
+    for algo, cost in step_cost.items():
+        spent = getattr(report, f"{algo}_cost_units")
+        assert cfg.budget - cost < spent <= cfg.budget, (algo, spent)
+        assert getattr(report, f"{algo}_steps") == round(spent / cost)
 
 
 LEARNED_STEPS = pytest.mark.parametrize("kind, make_data, loss_kind", [
