@@ -3,29 +3,25 @@ control variate, with the break-even compute theory as executable code."""
 
 __version__ = "0.1.0"
 
-from .analysis import (BoundInputs, CostModel, break_even_satisfied, f_star,
-                       gamma, nc_bound, q_objective, rho_star, rho_switch,
-                       sc_bound, simulate_estimator, sweep)
-from .estimator import (AlignmentStats, BatchSplit, alignment_stats, combine,
-                        split_minibatch, v2_exact, variance_inflation)
-from .network import (Network, NetworkConfig, backward, backward_sum, cheap_forward,
-                      forward, init_network, loss_and_residual)
+from .analysis import (CostModel, break_even_satisfied, f_star, gamma, q_objective,
+                       rho_star, rho_switch, simulate_estimator, sweep)
+from .estimator import (AlignmentStats, BatchSplit, combine, split_minibatch, v2_exact,
+                        variance_inflation)
+from .network import (Network, NetworkConfig, backward_sum, cheap_forward, forward,
+                      init_network, loss_and_residual)
 from .predictor import (FeedbackPredictor, PerfectPredictor, RefitPolicy,
-                        StructuredPredictor, fit_feedback, fit_structured,
-                        predict_structured, should_refit)
+                        StructuredPredictor, fit_feedback, fit_structured, should_refit)
 from .trainer import (BudgetLedger, RunResult, StepRecord, TrainConfig,
                       optimizer_step, run_budgeted_comparison, train_predicted,
                       train_vanilla)
 
 __all__ = [
-    "AlignmentStats", "BatchSplit", "BoundInputs", "BudgetLedger", "CostModel",
-    "FeedbackPredictor", "Network", "NetworkConfig", "PerfectPredictor", "RefitPolicy",
-    "RunResult", "StepRecord", "StructuredPredictor",
-    "TrainConfig", "alignment_stats", "backward", "backward_sum", "break_even_satisfied",
-    "cheap_forward", "combine", "f_star", "fit_feedback", "fit_structured", "forward",
-    "gamma", "init_network", "loss_and_residual", "nc_bound", "optimizer_step",
-    "predict_structured", "q_objective", "rho_star",
-    "rho_switch", "run_budgeted_comparison", "sc_bound", "should_refit",
-    "simulate_estimator", "split_minibatch", "sweep", "train_predicted",
+    "AlignmentStats", "BatchSplit", "BudgetLedger", "CostModel", "FeedbackPredictor",
+    "Network", "NetworkConfig", "PerfectPredictor", "RefitPolicy", "RunResult",
+    "StepRecord", "StructuredPredictor", "TrainConfig", "backward_sum",
+    "break_even_satisfied", "cheap_forward", "combine", "f_star", "fit_feedback",
+    "fit_structured", "forward", "gamma", "init_network", "loss_and_residual",
+    "optimizer_step", "q_objective", "rho_star", "rho_switch", "run_budgeted_comparison",
+    "should_refit", "simulate_estimator", "split_minibatch", "sweep", "train_predicted",
     "train_vanilla", "v2_exact", "variance_inflation",
 ]

@@ -13,8 +13,6 @@ B = 1 - A, the closed forms below reduce to the default-cost constants
 * rho_switch    = kappa/2 + A / (2 kappa), the alignment above which the
                   optimal control fraction drops below 1.
 * f_star        = argmin of Q(f) = phi(f, rho, kappa) * gamma(f) over (0, 1].
-* sc_bound / nc_bound evaluate the constant-stepsize strongly convex bound
-  and the average-gradient non-convex bound for a given variance level.
 
 simulate_estimator is the Monte Carlo verifier for unbiasedness and the
 exact variance formula.
@@ -26,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, MomentError, StepsizeError
+from .errors import DimensionError, DomainError, MomentError
 from .estimator import combine, control_batch_size, v2_exact, variance_inflation
 from .rng import substream
 
@@ -56,24 +54,6 @@ class CostModel:
     def cheap_share(self) -> float:
         """A = cheap_forward / (forward + backward)."""
         return self.cheap_forward / self.vanilla_per_example
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    initial_gap: float
-    strong_convexity: float
-    smoothness: float
-    stepsize: float
-    variance: float
-    horizon: int
-
-    def __post_init__(self):
-        if self.initial_gap < 0 or self.variance < 0:
-            raise DomainError("initial gap and variance must be nonnegative")
-        if self.smoothness <= 0 or self.stepsize <= 0:
-            raise DomainError("smoothness and stepsize must be positive")
-        if self.horizon < 0:
-            raise DomainError("horizon must be nonnegative")
 
 
 def _check_f_open(f: float):
@@ -138,30 +118,6 @@ def q_objective(cm: CostModel, f: float, rho: float, kappa: float) -> float:
     if not 0.0 < f <= 1.0:
         raise DomainError(f"control fraction must be in (0,1], got {f}")
     return variance_inflation(f, rho, kappa) * gamma(cm, f)
-
-
-def sc_bound(b: BoundInputs) -> float:
-    """Strongly convex constant-stepsize bound with noise floor
-    L eta V / (2 alpha)."""
-    if b.strong_convexity <= 0:
-        raise DomainError("strong convexity must be positive")
-    if b.stepsize > 1.0 / b.smoothness:
-        raise StepsizeError(
-            f"stepsize {b.stepsize} exceeds 1/L = {1.0 / b.smoothness}")
-    floor = b.smoothness * b.stepsize * b.variance / (2.0 * b.strong_convexity)
-    contraction = (1.0 - b.strong_convexity * b.stepsize) ** b.horizon
-    return contraction * (b.initial_gap - floor) + floor
-
-
-def nc_bound(b: BoundInputs) -> float:
-    """Non-convex average-gradient bound 2 gap / (eta T) + L eta V."""
-    if b.stepsize > 1.0 / b.smoothness:
-        raise StepsizeError(
-            f"stepsize {b.stepsize} exceeds 1/L = {1.0 / b.smoothness}")
-    if b.horizon < 1:
-        raise DomainError("horizon must be >= 1")
-    return 2.0 * b.initial_gap / (b.stepsize * b.horizon) \
-        + b.smoothness * b.stepsize * b.variance
 
 
 class SimulationResult(NamedTuple):

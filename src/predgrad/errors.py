@@ -54,10 +54,6 @@ class DomainError(NumericError):
     pass
 
 
-class StepsizeError(DomainError):
-    pass
-
-
 class MomentError(DomainError):
     pass
 

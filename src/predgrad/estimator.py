@@ -6,16 +6,15 @@ trainer and the Monte Carlo verifier both call it. Its variance relative to
 the vanilla mini-batch gradient is governed entirely by the alignment rho
 and scale ratio kappa between per-example true and predicted gradients,
 through the inflation factor phi (``variance_inflation``).
-``alignment_stats`` measures rho and kappa on rows of true and predicted
-gradients; ``moment_stats`` gives the same statistics from the rows' raw
-moments, for rows held as factors.
+``moment_stats`` measures rho and kappa from the raw moments of rows of true
+and predicted gradients, so rows held as factors need not be formed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ControlBatchEmpty, DimensionError, DomainError, InsufficientData
+from .errors import ControlBatchEmpty, DomainError, InsufficientData
 
 
 @dataclass(frozen=True)
@@ -83,39 +82,22 @@ def combine(s_pred, s_ctrl_true, s_ctrl_pred, m_c: int, m: int):
     return s_pred / m + (s_ctrl_true - s_ctrl_pred) / m_c
 
 
-def alignment_stats(gs, hs) -> AlignmentStats:
-    """Sample moments of per-example true gradients ``gs`` and predicted
-    gradients ``hs``, both (n, P) with row i of each from example i.
+def moment_stats(n: int, gg: float, hh: float, gh: float, g_sum, h_sum) -> AlignmentStats:
+    """Alignment statistics of n pairs of true gradients g_i and predicted
+    gradients h_i, from their raw moments, for rows that are never formed:
+    gg = sum ||g_i||^2, hh = sum ||h_i||^2, gh = sum <g_i, h_i>, and the row
+    sums ``g_sum`` and ``h_sum``.
 
     Population-style moments (divide by n): sigma_g^2 = mean ||g - mu||^2,
     sigma_h^2 likewise, tau = mean <g - mu, h - mu_h>. rho and kappa are the
     derived alignment and scale quantities; a vanishing sigma makes the pair
     degenerate: rho is reported as 0 with the flag set, and kappa as
     sigma_h / sigma_g, or 0 when sigma_g vanishes.
-    """
-    gs = np.asarray(gs, dtype=np.float64)
-    hs = np.asarray(hs, dtype=np.float64)
-    if gs.ndim != 2 or gs.shape != hs.shape:
-        raise DimensionError(
-            f"need two (n, P) arrays of one shape, got {gs.shape} and {hs.shape}")
-    n = _pair_count(gs.shape[0])
-    mu = gs.mean(axis=0)
-    mu_h = hs.mean(axis=0)
-    du = gs - mu
-    dv = hs - mu_h
-    return _stats(n, float(np.einsum("ij,ij->", du, du)) / n,
-                  float(np.einsum("ij,ij->", dv, dv)) / n,
-                  float(np.einsum("ij,ij->", du, dv)) / n, mu, mu_h)
 
-
-def moment_stats(n: int, gg: float, hh: float, gh: float, g_sum, h_sum) -> AlignmentStats:
-    """``alignment_stats`` of n pairs from their raw moments, for rows that
-    are never formed: gg = sum ||g_i||^2, hh = sum ||h_i||^2,
-    gh = sum <g_i, h_i>, and the row sums ``g_sum`` and ``h_sum``. Then
-    n sigma_g^2 = gg - ||g_sum||^2 / n, n sigma_h^2 and n tau likewise. The
-    subtraction costs about eps (||mu|| / sigma)^2 of relative precision, so
-    it matches the centred form closely unless the mean dwarfs the spread;
-    a variance that rounding takes below 0 is 0.
+    Here n sigma_g^2 = gg - ||g_sum||^2 / n, and n sigma_h^2 and n tau
+    likewise. The subtraction costs about eps (||mu|| / sigma)^2 of relative
+    precision, so it matches the centred form closely unless the mean dwarfs
+    the spread; a variance that rounding takes below 0 is 0.
     """
     n = _pair_count(n)
     g_sum = np.asarray(g_sum, dtype=np.float64)
@@ -157,7 +139,7 @@ def variance_inflation(f: float, rho: float, kappa: float) -> float:
 
 def v2_exact(sigma_g: float, sigma_h: float, tau: float, f: float, m: int) -> float:
     """Exact per-iteration variance E||G - mu||^2 of the debiased estimator
-    for per-example moments sigma_g, sigma_h and tau (see ``alignment_stats``):
+    for per-example moments sigma_g, sigma_h and tau (see ``moment_stats``):
     sigma_g^2 phi(f, rho, kappa) / m, which is
     (sigma_g^2 + (1-f) sigma_h^2 - 2 (1-f) tau) / (f m). A prediction that
     does not vary (sigma_h = 0) has rho = 0."""

@@ -6,21 +6,22 @@ float64 vector. The pass procedures are:
 
 * ``forward`` - full pass that also returns a cache for backprop,
 * ``cheap_forward`` - the same pass without the cache,
-* ``backward`` - exact flat gradient rows from a cache and an output-space
-  residual,
-* ``trunk_sum`` - the sum of their trunk part over the batch, one matrix
-  product per trunk layer; it and ``backward`` walk the layers alike,
+* ``trunk_sum`` - the trunk part of the exact gradient summed over a batch,
+  one matrix product per trunk layer,
 * ``backward_sum`` - ``gradient_sum`` of ``trunk_sum`` and ``head_sum``, the
   closed-form sum of the head part residual x [llh; 1].
 
-Only ``gradient_rows`` and ``gradient_sum`` lay out a flat gradient.
+No pass forms a gradient row by row (the tests form the rows, as the
+reference these sums are checked against), and only ``gradient_sum`` lays
+out a flat gradient.
 
 They take ``loss_and_residual``'s residual, the loss's exact gradient in
 the output: f(x) - y for squared error, p - onehot(y) for cross-entropy.
 
-``trunk_rows`` gives the trunk part of ``backward``'s rows on a batch
-unformed, as the per-layer factors they are outer products of
-(``predgrad.linalg.FactoredRows``); ``backward`` forms exactly those rows.
+``trunk_rows`` gives the trunk part of the exact per-example gradient rows
+of a batch unformed, as the per-layer factors they are outer products of
+(``predgrad.linalg.FactoredRows``); it and ``trunk_sum`` walk the layers
+alike.
 
 ``ForwardCache.rows`` takes some rows of a batch's cache, so a backward
 pass on those rows reuses the batch's forward instead of repeating it.
@@ -199,15 +200,6 @@ def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
     return np.ones_like(a)
 
 
-def gradient_rows(trunk_grad: np.ndarray, llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """Flat-layout gradient rows from trunk gradient rows and the exact head
-    gradient residual x [llh; 1]."""
-    lead = residual.shape[:-1]
-    c, d = residual.shape[-1], llh.shape[-1]
-    head_w = (residual[..., :, None] * llh[..., None, :]).reshape(lead + (c * d,))
-    return np.concatenate([trunk_grad, head_w, residual], axis=-1)
-
-
 def head_sum(llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """[R^T A | R^T 1], R and A the rows of residual and llh: the summed head
     gradient, one row per output, without a ones column on every row."""
@@ -239,7 +231,8 @@ def forward(net: Network, x: np.ndarray):
 
 def cheap_forward(net: Network, x: np.ndarray):
     """Activations-only pass: returns (llh, output) of ``forward``, without
-    its backprop cache."""
+    its backprop cache. Kept beside ``forward`` because perfbench's
+    ``val_loss`` calls it."""
     llh, output, _ = forward(net, x)
     return llh, output
 
@@ -310,7 +303,7 @@ def _trunk_walk(net: Network, cache: ForwardCache, residual: np.ndarray):
 
 
 def trunk_rows(net: Network, cache: ForwardCache, residual: np.ndarray) -> FactoredRows:
-    """The trunk part of ``backward``'s rows on a batch, held as its factors:
+    """The trunk part of the exact gradient rows of a batch, held as its factors:
     each layer's pre-activation gradients and inputs, as ``FactoredRows``,
     so that sums and products over the rows need not form them."""
     residual = _checked_residual(net, cache, residual)
@@ -319,26 +312,9 @@ def trunk_rows(net: Network, cache: ForwardCache, residual: np.ndarray) -> Facto
     return FactoredRows(list(_trunk_walk(net, cache, residual))[::-1])
 
 
-def backward(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:
-    """Exact gradient rows (..., n_params) in the flat layout, from a forward
-    cache and the output-space residual.
-
-    The head part is residual x [llh; 1]; the trunk part backpropagates
-    W_a^T residual through the cached trunk, each layer's weight gradient
-    being the outer product of its pre-activation gradient and its input:
-    the rows of ``trunk_rows``, formed.
-    """
-    residual = _checked_residual(net, cache, residual)
-    lead = residual.shape[:-1]
-    layers = [(dz.reshape(-1, dz.shape[-1]), a_prev.reshape(-1, a_prev.shape[-1]))
-              for dz, a_prev in _trunk_walk(net, cache, residual)]
-    trunk = FactoredRows(layers[::-1]).dense()
-    return gradient_rows(trunk.reshape(lead + (net.trunk_size,)), cache.act[-1], residual)
-
-
 def trunk_sum(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:
-    """The sum of the trunk part of ``backward``'s rows, formed as a sum: one
-    product dz^T a_prev per trunk layer."""
+    """The sum of the trunk part of the exact gradient rows, formed as a sum:
+    one product dz^T a_prev per trunk layer."""
     residual = _checked_residual(net, cache, residual)
     parts = []
     for dz, a_prev in _trunk_walk(net, cache, residual):
@@ -348,6 +324,6 @@ def trunk_sum(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.nda
 
 
 def backward_sum(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:
-    """The sum of ``backward``'s rows, in the flat layout."""
+    """The sum of the exact gradient rows, in the flat layout."""
     residual = _checked_residual(net, cache, residual)
     return gradient_sum(trunk_sum(net, cache, residual), head_sum(cache.act[-1], residual))

@@ -40,11 +40,12 @@ list of ``(cache, residuals)`` pairs and returning, for each pair, the sum
 of its rows' predicted trunk gradients (length P_T) without forming them,
 and ``to_arrays()`` / ``from_arrays()`` for run checkpoints; the learned
 ones also have ``trunk_moments`` for ``trunk_alignment``. ``PREDICTORS``
-maps each kind to its class. The row references are
-``FeedbackPredictor.trunk_rows`` and ``predict_structured``, which applies
-the maps Y_k to the formed features ((W_a Q)^T r) x [a; 1]. A learned
-``predict_sums`` sums each part's rows first, through the summed head
-gradients ``network.head_sum`` of its layer inputs (feedback) or last hidden
+maps each kind to its class. ``FeedbackPredictor.trunk_rows`` gives the
+feedback predictor's rows as factors, which formed are its row reference;
+the structured one's, the maps Y_k applied to the formed features
+((W_a Q)^T r) x [a; 1], is kept with the tests. A learned ``predict_sums``
+sums each part's rows first, through the summed head gradients
+``network.head_sum`` of its layer inputs (feedback) or last hidden
 activations (structured, which stacks the parts' (W_a Q)^T R^T [A 1] as
 columns and reads U and Y once per call, through ``few_column_product``).
 """
@@ -58,7 +59,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, InsufficientData
 from .estimator import AlignmentStats, moment_stats
 from .linalg import FactoredRows, few_column_product, solve_ridge, truncated_svd
-from .network import gradient_rows, gradient_sum, head_sum, trunk_sum
+from .network import gradient_sum, head_sum, trunk_sum
 
 RESIDUAL_FLOOR = 1e-8   # rows with smaller residuals carry no fit signal
 ENERGY_TARGET = 0.99    # default rank rule: 99% of squared singular mass
@@ -320,16 +321,3 @@ def _structured_inputs(p: StructuredPredictor, llh, residual, head_weight):
         raise DimensionError(
             f"predictor was fit for activation dim {p.head_q.shape[0]}, got {d}")
     return llh, residual
-
-
-def predict_structured(p: StructuredPredictor, llh, residual,
-                       head_weight: np.ndarray) -> np.ndarray:
-    """Predicted flat gradient rows from the structured predictor.
-
-    Exact head part; trunk part U c with c_k = r^T (W_a Q) Y_k [llh; 1], the
-    maps S_k = Q Y_k in factored form. Works for any residual.
-    """
-    llh, residual = _structured_inputs(p, llh, residual, head_weight)
-    maps = p.maps.reshape(len(p.maps), -1)
-    coeffs = _bilinear(residual @ head_weight @ p.head_q, llh) @ maps.T
-    return gradient_rows(coeffs @ p.basis.T, llh, residual)

@@ -71,9 +71,6 @@ from .estimator import combine, control_batch_size, split_minibatch, variance_in
 from .network import (Network, NetworkConfig, backward_sum, cheap_forward, forward,
                       gradient_sum, head_sum, init_network, loss_and_residual,
                       trunk_rows, trunk_sum)
-# no longer called here, but perfbench's trace targets name these attributes
-from .estimator import alignment_stats  # noqa: F401
-from .network import backward  # noqa: F401
 from .predictor import (PREDICTORS, FitRows, PerfectPredictor, RefitPolicy, fit_feedback,
                         fit_structured, should_refit, trunk_alignment)
 from .rng import substream
@@ -298,10 +295,22 @@ def _refit(cfg: TrainConfig, ds: Dataset, state: TrainState, kind: str):
     return 1, stats
 
 
+def _epoch_batches(n_train: int, batch_size: int, min_batch: int) -> tuple[int, tuple]:
+    """(k, sizes): an epoch is its shuffle's whole batches, then a short last
+    batch if it has at least ``min_batch`` rows, and at least one batch; k is
+    their count and ``sizes`` their distinct row counts."""
+    full, short = divmod(n_train, batch_size)
+    sizes = (batch_size,) if full else ()
+    if short >= min_batch or not full:
+        return full + 1, sizes + (short,)
+    return full, sizes
+
+
 def _check_run(cfg: TrainConfig, ds: Dataset, net: Network, predicted: bool) -> int:
     """Validate a run's config and network against its data, warning once
-    when the control fraction does not split a batch evenly; returns the
-    smallest usable batch, the same for both loops."""
+    for each size of batch the run takes that the control fraction does not
+    split evenly; returns the smallest usable batch, the same for both
+    loops."""
     if len(ds.train_idx) == 0:
         raise DataError("dataset has no training examples")
     c, labels = net.config, ds.kind == "classification"  # a class may go unlabelled
@@ -323,20 +332,19 @@ def _check_run(cfg: TrainConfig, ds: Dataset, net: Network, predicted: bool) -> 
             f"{f} (need >= {min_batch})")
     if len(ds.train_idx) < min_batch:
         raise DataError("training set smaller than the minimum batch")
-    m_c = control_batch_size(cfg.batch_size, f)
-    if abs(f * cfg.batch_size - m_c) > 1e-9:
-        log.warning("control fraction f=%g gives fractional batch size %g; "
-                    "rounding to %d", f, f * cfg.batch_size, m_c)
+    for m in _epoch_batches(len(ds.train_idx), cfg.batch_size, min_batch)[1]:
+        m_c = control_batch_size(m, f)
+        if abs(f * m - m_c) > 1e-9:
+            log.warning("control fraction f=%g of a %d-row batch gives fractional "
+                        "batch size %g; rounding to %d", f, m, f * m, m_c)
     return min_batch
 
 
 def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int,
                 metrics_path=None) -> RunResult:
     """Run from ``state`` to the end of the run, with the smallest batch
-    ``_check_run`` returned for it. An epoch is its shuffle's whole batches,
-    then a short last batch if it has at least ``min_batch`` rows, and at
-    least one batch; so step t is batch t % k of epoch t // k, k batches an
-    epoch."""
+    ``_check_run`` returned for it. Step t is batch t % k of epoch t // k,
+    k batches an epoch (``_epoch_batches``)."""
     predicted = state.predictor is not None
     learned = predicted and state.predictor.kind != "perfect"
     f, cm, bs = cfg.control_fraction, cfg.cost_model, cfg.batch_size
@@ -344,7 +352,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
     records = []
     writer = _MetricsWriter(metrics_path, append=state.step > 0)
     n_train = len(ds.train_idx)
-    per_epoch = max(1, n_train // bs + (n_train % bs >= min_batch))
+    per_epoch = _epoch_batches(n_train, bs, min_batch)[0]
     end = min(cfg.epochs * per_epoch, cfg.max_steps or math.inf)
     order = None
 

@@ -1,7 +1,6 @@
 import pytest
 
-from predgrad.network import backward, gradient_rows
-from predgrad.predictor import predict_structured
+from oracles import backward, gradient_rows, predict_structured
 
 
 def _predicted_rows(net, pred, cache, residuals):

@@ -1,0 +1,80 @@
+"""Formed-row references that the tests check predgrad's sum paths against.
+
+Training needs only sums over rows: ``network.backward_sum``,
+``network.trunk_sum`` and a predictor's ``predict_sums``, and the alignment
+statistics come from raw moments (``estimator.moment_stats``). These
+functions form the rows themselves, one flat gradient per example, so a
+test can sum them, or take their centred moments, and compare.
+"""
+
+import numpy as np
+
+from predgrad.estimator import _pair_count, _stats
+from predgrad.errors import DimensionError
+from predgrad.linalg import FactoredRows
+from predgrad.network import _checked_residual, _trunk_walk
+from predgrad.predictor import _bilinear, _structured_inputs
+
+
+def gradient_rows(trunk_grad: np.ndarray, llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Flat-layout gradient rows from trunk gradient rows and the exact head
+    gradient residual x [llh; 1]."""
+    lead = residual.shape[:-1]
+    c, d = residual.shape[-1], llh.shape[-1]
+    head_w = (residual[..., :, None] * llh[..., None, :]).reshape(lead + (c * d,))
+    return np.concatenate([trunk_grad, head_w, residual], axis=-1)
+
+
+def backward(net, cache, residual: np.ndarray) -> np.ndarray:
+    """Exact gradient rows (..., n_params) in the flat layout, from a forward
+    cache and the output-space residual.
+
+    The head part is residual x [llh; 1]; the trunk part backpropagates
+    W_a^T residual through the cached trunk, each layer's weight gradient
+    being the outer product of its pre-activation gradient and its input:
+    the rows of ``network.trunk_rows``, formed.
+    """
+    residual = _checked_residual(net, cache, residual)
+    lead = residual.shape[:-1]
+    layers = [(dz.reshape(-1, dz.shape[-1]), a_prev.reshape(-1, a_prev.shape[-1]))
+              for dz, a_prev in _trunk_walk(net, cache, residual)]
+    trunk = FactoredRows(layers[::-1]).dense()
+    return gradient_rows(trunk.reshape(lead + (net.trunk_size,)), cache.act[-1], residual)
+
+
+def predict_structured(p, llh, residual, head_weight: np.ndarray) -> np.ndarray:
+    """Predicted flat gradient rows from the structured predictor.
+
+    Exact head part; trunk part U c with c_k = r^T (W_a Q) Y_k [llh; 1], the
+    maps S_k = Q Y_k in factored form. Works for any residual.
+    """
+    llh, residual = _structured_inputs(p, llh, residual, head_weight)
+    maps = p.maps.reshape(len(p.maps), -1)
+    coeffs = _bilinear(residual @ head_weight @ p.head_q, llh) @ maps.T
+    return gradient_rows(coeffs @ p.basis.T, llh, residual)
+
+
+def alignment_stats(gs, hs):
+    """Sample moments of per-example true gradients ``gs`` and predicted
+    gradients ``hs``, both (n, P) with row i of each from example i, in the
+    centred form that ``moment_stats`` gives from raw moments.
+
+    Population-style moments (divide by n): sigma_g^2 = mean ||g - mu||^2,
+    sigma_h^2 likewise, tau = mean <g - mu, h - mu_h>. rho and kappa are the
+    derived alignment and scale quantities; a vanishing sigma makes the pair
+    degenerate: rho is reported as 0 with the flag set, and kappa as
+    sigma_h / sigma_g, or 0 when sigma_g vanishes.
+    """
+    gs = np.asarray(gs, dtype=np.float64)
+    hs = np.asarray(hs, dtype=np.float64)
+    if gs.ndim != 2 or gs.shape != hs.shape:
+        raise DimensionError(
+            f"need two (n, P) arrays of one shape, got {gs.shape} and {hs.shape}")
+    n = _pair_count(gs.shape[0])
+    mu = gs.mean(axis=0)
+    mu_h = hs.mean(axis=0)
+    du = gs - mu
+    dv = hs - mu_h
+    return _stats(n, float(np.einsum("ij,ij->", du, du)) / n,
+                  float(np.einsum("ij,ij->", dv, dv)) / n,
+                  float(np.einsum("ij,ij->", du, dv)) / n, mu, mu_h)

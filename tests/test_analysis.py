@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from predgrad.analysis import (BoundInputs, CostModel, break_even_satisfied, gamma,
-                               nc_bound, q_objective, rho_star, rho_switch, sc_bound,
-                               simulate_estimator)
-from predgrad.errors import DomainError, StepsizeError
+from predgrad.analysis import (CostModel, break_even_satisfied, gamma, q_objective, rho_star,
+                               rho_switch, simulate_estimator)
 from predgrad.estimator import control_batch_size, v2_exact
 from predgrad.trainer import BudgetLedger
 
@@ -40,46 +38,6 @@ def test_simulate_is_deterministic_per_seed():
     args = (1.0, 1.0, 0.8, 8, 0.25, 100, 500)
     assert simulate_estimator(*args, seed=3) == simulate_estimator(*args, seed=3)
     assert simulate_estimator(*args, seed=3) != simulate_estimator(*args, seed=4)
-
-
-def bound_inputs(**kw):
-    base = dict(initial_gap=3.0, strong_convexity=0.5, smoothness=4.0, stepsize=0.2,
-                variance=1.5, horizon=10)
-    return BoundInputs(**{**base, **kw})
-
-
-def test_sc_bound_at_horizon_zero_is_the_initial_gap():
-    assert sc_bound(bound_inputs(horizon=0)) == pytest.approx(3.0, rel=1e-15)
-
-
-def test_sc_bound_without_variance_contracts_the_gap():
-    b = bound_inputs(variance=0.0, horizon=7)
-    assert sc_bound(b) == pytest.approx((1 - 0.5 * 0.2) ** 7 * 3.0, rel=1e-14)
-
-
-def test_sc_bound_approaches_the_noise_floor():
-    floor = 4.0 * 0.2 * 1.5 / (2 * 0.5)
-    assert sc_bound(bound_inputs(horizon=2000)) == pytest.approx(floor, rel=1e-12)
-    # from above when the gap starts above the floor, from below otherwise
-    assert floor < sc_bound(bound_inputs(horizon=30)) < 3.0
-    assert 0.1 < sc_bound(bound_inputs(initial_gap=0.1, horizon=30)) < floor
-
-
-def test_nc_bound_closed_form():
-    b = bound_inputs(horizon=25)
-    assert nc_bound(b) == pytest.approx(2 * 3.0 / (0.2 * 25) + 4.0 * 0.2 * 1.5, rel=1e-14)
-
-
-def test_bound_argument_errors():
-    with pytest.raises(StepsizeError):
-        sc_bound(bound_inputs(stepsize=0.3))   # 1/L = 0.25
-    with pytest.raises(StepsizeError):
-        nc_bound(bound_inputs(stepsize=0.3))
-    for alpha in (0.0, -1.0):
-        with pytest.raises(DomainError):
-            sc_bound(bound_inputs(strong_convexity=alpha))
-    with pytest.raises(DomainError):
-        nc_bound(bound_inputs(horizon=0))
 
 
 # pass costs of any size, the cheap forward a share of forward + backward

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from predgrad.errors import (ConfigError, DimensionError, LabelError, StaleCache)
-from predgrad.network import (ACTIVATIONS, NetworkConfig, backward, backward_sum,
-                              cheap_forward, forward, init_network, loss_and_residual)
+from predgrad.network import (ACTIVATIONS, NetworkConfig, backward_sum, cheap_forward,
+                              forward, init_network, loss_and_residual, trunk_rows,
+                              trunk_sum)
 from predgrad.rng import substream
 
+from oracles import backward
+
 LOSS_KINDS = ("squared_scalar", "squared_vector", "cross_entropy")
+# the src entry points that take a forward cache and a residual
+CACHE_PASSES = (backward_sum, trunk_sum, trunk_rows)
 
 
 def small_cfg(seed=0, activation="tanh"):
@@ -212,11 +217,13 @@ def test_backward_rejects_stale_cache():
     net = init_network(small_cfg())
     _, _, cache = forward(net, np.ones(4))
     net.set_flat_params(net.flat_params() * 1.01)
-    with pytest.raises(StaleCache):
-        backward(net, cache, np.zeros(3))
+    for back in CACHE_PASSES:
+        with pytest.raises(StaleCache):
+            back(net, cache, np.zeros(3))
 
 
-@pytest.mark.parametrize("back", [backward, backward_sum])
+# the formed-row reference checks its inputs as the src passes do
+@pytest.mark.parametrize("back", [backward, *CACHE_PASSES], ids=lambda f: f.__name__)
 def test_backward_and_its_sum_reject_stale_caches_and_wrong_residuals(back):
     net = init_network(small_cfg())
     _, _, cache = forward(net, np.ones((5, 4)))

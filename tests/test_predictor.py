@@ -6,14 +6,14 @@ import pytest
 from predgrad import linalg
 from predgrad.data import gen_blobs, gen_regression
 from predgrad.errors import DimensionError, InsufficientData
-from predgrad.estimator import alignment_stats
-from predgrad.network import (NetworkConfig, backward, backward_sum, forward, gradient_rows,
-                              init_network, loss_and_residual, trunk_rows)
+from predgrad.network import (NetworkConfig, backward_sum, forward, init_network,
+                              loss_and_residual, trunk_rows)
 from predgrad.predictor import (FeedbackPredictor, FitRows, PerfectPredictor, RefitPolicy,
                                 StructuredPredictor, choose_rank, fit_feedback,
-                                fit_structured, predict_structured, should_refit,
-                                trunk_alignment)
+                                fit_structured, should_refit, trunk_alignment)
 from predgrad.rng import substream
+
+from oracles import alignment_stats, backward, gradient_rows, predict_structured
 
 
 def cosine(u, v):

@@ -15,15 +15,16 @@ from predgrad import trainer
 from predgrad.analysis import CostModel
 from predgrad.data import gen_blobs, gen_regression
 from predgrad.errors import ConfigError, DataError, InsufficientData, NumericError
-from predgrad.estimator import alignment_stats, combine, split_minibatch, variance_inflation
+from predgrad.estimator import combine, split_minibatch, variance_inflation
 from predgrad.linalg import FactoredRows, solve_ridge, truncated_svd
-from predgrad.network import (NetworkConfig, backward, forward, init_network,
-                              loss_and_residual)
+from predgrad.network import NetworkConfig, forward, init_network, loss_and_residual
 from predgrad.predictor import PREDICTORS, PerfectPredictor, RefitPolicy
 from predgrad.rng import substream
 from predgrad.trainer import (TrainConfig, load_run_checkpoint, resume_run,
                               run_budgeted_comparison, save_run_checkpoint, train_predicted,
                               train_vanilla)
+
+from oracles import alignment_stats, backward
 
 DATA = Path(__file__).parent / "data"
 
@@ -124,6 +125,20 @@ def test_fractional_control_batch_warns_once_per_run(caplog):
     assert res.steps == 5
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and "fractional batch size 7.5" in warnings[0]
+
+
+@pytest.mark.parametrize("n, warning", [
+    # 48 training rows at batch 64: every step is one 48-row batch, 2.4 control rows
+    (60, "of a 48-row batch gives fractional batch size 2.4; rounding to 2"),
+    # 40 training rows: 2 control rows exactly, though 0.05 * 64 = 3.2
+    (50, None)], ids=["48-rows", "40-rows"])
+def test_the_control_fraction_warning_reads_the_batches_the_run_takes(caplog, n, warning):
+    ds = gen_regression(n, 8, 0.05, 1)
+    cfg = TrainConfig(batch_size=64, control_fraction=0.05, max_steps=2, eval_every=0)
+    with caplog.at_level(logging.WARNING):
+        train_predicted(cfg, ds, init_network(NetworkConfig(8, (4,), 1)), "perfect")
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ([] if warning is None else [f"control fraction f=0.05 {warning}"])
 
 
 @pytest.mark.parametrize("algo, batch_size, n, per_epoch", [
