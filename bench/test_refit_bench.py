@@ -60,7 +60,7 @@ def test_refit(benchmark, phase, kind, hidden, n, data):
         return
     cache, residuals, trunk = _sample_pass(net, ds, idx)
     if phase == "measure":
-        benchmark(trunk_alignment, res.predictor, net, cache, residuals, trunk)
+        benchmark(trunk_alignment, res.state.predictor, net, cache, residuals, trunk)
     else:
         fit = trainer.fit_feedback if kind == "feedback" else trainer.fit_structured
         benchmark(fit, FitRows(cache.act[-1], residuals, net.head_weight, trunk))

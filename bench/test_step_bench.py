@@ -51,7 +51,7 @@ def _step(kind, hidden, m) -> Step:
     cfg = trainer.TrainConfig(batch_size=m, max_steps=1, refit=RefitPolicy(buffer_capacity=m),
                               seed=5, eval_every=0)
     res = trainer.train_predicted(cfg, ds, init_network(ncfg), kind)
-    return Step(res.network, res.predictor, ds, ds.train_idx[m:2 * m],
+    return Step(res.network, res.state.predictor, ds, ds.train_idx[m:2 * m],
                 split_minibatch(m, 0.25, substream(5, "bench-split")))
 
 

@@ -12,12 +12,9 @@ argument besides `--config FILE`. Each line becomes the flag `--key=value`
 (`_` in a key reads as `-`), placed before the command line's flags so that
 these win; so file values are checked exactly like flags. `none` keeps an
 option that defaults to none at it, and is any other option's value
-(`predictor = none` is vanilla for `train`, an error for `compare`). Options
-older versions had are unknown, exit 2: `loss`, `smoothing`, `lr_decay` and
-`algo`; `ridge_lambda` (every fit takes lambda from its sample); compare's
-`epochs` (its budget ends each run); and simulate's `sigma_h` and `tau`
-(kappa sigma_g and rho sigma_g sigma_h). Every command writes its resolved
-configuration to <outdir>/config.txt, which is itself a valid config file.
+(`predictor = none` is vanilla for `train`, an error for `compare`). Every
+command writes its resolved configuration to <outdir>/config.txt, which is
+itself a valid config file.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric error.
 Failures, bad arguments among them, print one machine-readable line
@@ -224,16 +221,16 @@ def _config_flags(argv, parser):
 
 
 def _write_effective_config(args):
-    os.makedirs(args.outdir, exist_ok=True)
     skip = {"func", "command", "config", "resume"}
-    with open(os.path.join(args.outdir, "config.txt"), "w") as fh:
-        for key in sorted(vars(args)):
-            if key in skip:
-                continue
-            value = getattr(args, key)
-            if value is None:
-                value = "none"
-            fh.write(f"{key} = {value}\n")
+    try:
+        os.makedirs(args.outdir, exist_ok=True)
+        with open(os.path.join(args.outdir, "config.txt"), "w") as fh:
+            for key in sorted(vars(args)):
+                if key not in skip:
+                    value = getattr(args, key)
+                    fh.write(f"{key} = {'none' if value is None else value}\n")
+    except OSError as e:
+        raise ConfigError(f"cannot write to --outdir {args.outdir}: {e}") from None
 
 
 def _dataset_from_args(args):
@@ -241,8 +238,8 @@ def _dataset_from_args(args):
         try:
             return load_csv(args.data, kind=args.data_kind,
                             val_fraction=args.val_fraction)
-        except FileNotFoundError:
-            raise DataError(f"dataset file not found: {args.data}") from None
+        except OSError as e:
+            raise DataError(f"cannot read dataset {args.data}: {e}") from None
     if args.task == "regression":
         return gen_regression(args.n, args.input_dim, args.noise_sd, args.seed,
                               val_fraction=args.val_fraction)
@@ -301,8 +298,9 @@ def cmd_train(args) -> int:
             result = train_predicted(cfg, ds, net, args.predictor, metrics_path)
     save_run_checkpoint(ckpt_path, result, cfg)
     print(f"steps {result.steps}")
-    print(f"cost_units {result.stepping_ledger.cost_units!r}")
-    print(f"total_cost_units {result.ledger.cost_units!r}")
+    state = result.state
+    print(f"cost_units {state.stepping.cost_units!r}")
+    print(f"total_cost_units {state.stepping.plus(state.warmup_ledger).cost_units!r}")
     print(f"final_loss {result.final_loss!r}")
     print(f"metrics {metrics_path}")
     print(f"checkpoint {ckpt_path}")

@@ -35,10 +35,10 @@ class FactoredRows:
     (U U^T) o (V~ V~^T), at O(n^2 (d + e)) a block rather than O(n^2 d e),
     and the inner products of the rows with the matching rows of H, factors
     (X, Y) in the same layout (``row_dots``), are (U_i . X_i)(V~_i . Y~_i)
-    summed over blocks. ``t_dot`` (G^T W) and ``dot`` (G M) take one matrix product per block and per chunk of a factor's
-    columns, the chunk sized so that the operand it expands stays near
-    BLOCK_BYTES; they cost what the products with the formed rows cost,
-    without the rows.
+    summed over blocks. ``t_dot`` (G^T W) and ``dot`` (G M) take one matrix
+    product per block and per chunk of a factor's columns, the chunk sized
+    so that the operand it expands stays near BLOCK_BYTES; they cost what
+    the products with the formed rows cost, without the rows.
     """
 
     def __init__(self, blocks):

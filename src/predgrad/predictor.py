@@ -37,9 +37,9 @@ trunk gradient.
 
 Every predictor has a ``kind`` name, ``predict_sums(net, parts)`` taking a
 list of ``(cache, residuals)`` pairs and returning, for each pair, the sum
-of its rows' predicted trunk gradients (length P_T) without forming them,
-and ``to_arrays()`` / ``from_arrays()`` for run checkpoints; the learned
-ones also have ``trunk_moments`` for ``trunk_alignment``. ``PREDICTORS``
+of its rows' predicted trunk gradients (length P_T) without forming them;
+the learned ones also have ``trunk_moments`` for ``trunk_alignment``.
+Each is a dataclass, whose fields a run checkpoint stores. ``PREDICTORS``
 maps each kind to its class. ``FeedbackPredictor.trunk_rows`` gives the
 feedback predictor's rows as factors, which formed are its row reference;
 the structured one's, the maps Y_k applied to the formed features
@@ -120,14 +120,6 @@ class FeedbackPredictor:
         return (h.row_dots(h).sum(), trunk.row_dots(h).sum(),
                 self.predict_sums(net, [(cache, residuals)])[0])
 
-    def to_arrays(self) -> dict:
-        return {"pred_b": self.b, "pred_meta": np.asarray([self.n_fit, self.ridge_lambda])}
-
-    @classmethod
-    def from_arrays(cls, z) -> "FeedbackPredictor":
-        n_fit, lam = z["pred_meta"]
-        return cls(b=z["pred_b"], n_fit=int(n_fit), ridge_lambda=float(lam))
-
 
 @dataclass
 class StructuredPredictor:
@@ -157,20 +149,8 @@ class StructuredPredictor:
         return (np.einsum("ik,ik->", coeffs @ (basis.T @ basis), coeffs),
                 np.einsum("ik,ik->", trunk.dot(basis), coeffs), basis @ coeffs.sum(axis=0))
 
-    def to_arrays(self) -> dict:
-        return {"pred_basis": self.basis, "pred_head_q": self.head_q, "pred_maps": self.maps,
-                "pred_meta": np.asarray([self.rank, self.n_fit, self.ridge_lambda])}
 
-    @classmethod
-    def from_arrays(cls, z) -> "StructuredPredictor":
-        # a checkpoint without Q holds the maps S_k themselves: Q = I_D
-        rank, n_fit, lam = z["pred_meta"]
-        maps = z["pred_maps"]
-        head_q = z["pred_head_q"] if "pred_head_q" in z else np.eye(maps.shape[1])
-        return cls(basis=z["pred_basis"], head_q=head_q, maps=maps, rank=int(rank),
-                   n_fit=int(n_fit), ridge_lambda=float(lam))
-
-
+@dataclass
 class PerfectPredictor:
     """Diagnostic predictor that returns the exact trunk gradient.
 
@@ -186,19 +166,12 @@ class PerfectPredictor:
     def predict_sums(self, net, parts) -> list:
         return [trunk_sum(net, cache, r) for cache, r in parts]
 
-    def to_arrays(self) -> dict:
-        return {}
-
-    @classmethod
-    def from_arrays(cls, z) -> "PerfectPredictor":
-        return cls()
-
 
 PREDICTORS = {p.kind: p for p in (FeedbackPredictor, StructuredPredictor, PerfectPredictor)}
 
 
 def should_refit(policy: RefitPolicy, step: int) -> bool:
-    """Refit on every period-th completed optimizer step, never at step 0."""
+    """Refit after every period-th completed step, never at step 0."""
     if step < 0:
         raise ConfigError(f"step must be nonnegative, got {step}")
     return step > 0 and step % policy.period == 0

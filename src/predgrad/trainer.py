@@ -59,7 +59,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+import zipfile
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -75,7 +76,7 @@ from .predictor import (PREDICTORS, FitRows, PerfectPredictor, RefitPolicy, fit_
                         fit_structured, should_refit, trunk_alignment)
 from .rng import substream
 
-RUN_CHECKPOINT_FORMAT = 1
+RUN_CHECKPOINT_FORMAT = 2
 
 log = logging.getLogger(__name__)
 
@@ -179,24 +180,19 @@ class TrainState:
     net: Network
     predictor: object | None        # a fitted predictor; None for vanilla
     opt_state: np.ndarray | None
+    stepping: BudgetLedger
+    warmup_ledger: BudgetLedger
     step: int = 0
-    stepping: BudgetLedger | None = None
-    warmup_ledger: BudgetLedger | None = None
 
 
 @dataclass
 class RunResult:
-    network: Network
-    records: list
-    stepping_ledger: BudgetLedger
-    warmup_ledger: BudgetLedger
-    predictor: object | None
     state: TrainState
+    records: list
 
     @property
-    def ledger(self) -> BudgetLedger:
-        """Total compute ledger for the run (stepping plus warmup)."""
-        return self.stepping_ledger.plus(self.warmup_ledger)
+    def network(self) -> Network:
+        return self.state.net
 
     @property
     def steps(self) -> int:
@@ -410,10 +406,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
     finally:
         writer.close()
 
-    return RunResult(network=state.net, records=records,
-                     stepping_ledger=state.stepping,
-                     warmup_ledger=state.warmup_ledger,
-                     predictor=state.predictor, state=state)
+    return RunResult(state, records)
 
 
 def _fresh_state(cfg: TrainConfig, net: Network) -> TrainState:
@@ -533,9 +526,9 @@ def run_budgeted_comparison(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfi
         predicted_final_loss=res_p.final_loss,
         vanilla_final_val=final_val(res_v.records),
         predicted_final_val=final_val(res_p.records),
-        vanilla_cost_units=res_v.stepping_ledger.cost_units,
-        predicted_cost_units=res_p.stepping_ledger.cost_units,
-        predicted_warmup_cost_units=res_p.warmup_ledger.cost_units,
+        vanilla_cost_units=res_v.state.stepping.cost_units,
+        predicted_cost_units=res_p.state.stepping.cost_units,
+        predicted_warmup_cost_units=res_p.state.warmup_ledger.cost_units,
         rho_hat_trunk_mean=rho_trunk,
         kappa_hat_mean=kappa,
         phi_hat_mean=phi,
@@ -549,62 +542,52 @@ def run_budgeted_comparison(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfi
 # --- run checkpointing -----------------------------------------------------
 
 RUN_LENGTH_KEYS = ("epochs", "max_steps", "budget")  # a resumed run may change them
-RETIRED_KEYS = ("warmup",)  # written by older versions, no longer an option
-# options older versions wrote, at the one value this version runs (a null
-# ridge_lambda is the data rule that every fit now takes)
-RETIRED_DEFAULTS = {"loss_kind": None, "smoothing": 0.0, "lr_decay": 0.0, "ridge_lambda": None}
 
 
-def _cfg_json(cfg: TrainConfig) -> str:
-    d = {
-        "epochs": cfg.epochs, "batch_size": cfg.batch_size,
-        "control_fraction": cfg.control_fraction,
-        "learning_rate": cfg.learning_rate, "momentum": cfg.momentum,
-        "refit_period": cfg.refit.period,
-        "buffer_capacity": cfg.refit.buffer_capacity,
-        "cost_backward": cfg.cost_model.backward,
-        "cost_forward": cfg.cost_model.forward,
-        "cost_cheap_forward": cfg.cost_model.cheap_forward,
-        "budget": cfg.budget, "max_steps": cfg.max_steps, "seed": cfg.seed,
-        "eval_every": cfg.eval_every,
-    }
-    return json.dumps(d, sort_keys=True)
+def _run_identity(cfg: TrainConfig) -> dict:
+    """The config as a checkpoint's header holds it, and as loading compares
+    it: ``asdict`` without the run-length fields, through JSON."""
+    d = {k: v for k, v in asdict(cfg).items() if k not in RUN_LENGTH_KEYS}
+    return json.loads(json.dumps(d))
 
 
 def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
-    """Bundle network, predictor, optimizer state and step; resuming from it
-    reproduces an uninterrupted run bit-exactly (all random streams are
-    derived statelessly from the seed and the step, and so are the epoch and
-    the batch in it). The file is written to ``<path>.tmp`` and then
-    moved into place, so a failed write leaves any previous checkpoint at
-    ``path`` as it was."""
+    """Save a run's state as an npz archive; resuming from it reproduces an
+    uninterrupted run bit-exactly (all random streams are derived
+    statelessly from the seed and the step, and so are the epoch and the
+    batch in it). Format 2 holds:
+
+    * ``header``: UTF-8 JSON of ``format``, ``predictor_kind`` ("none" for
+      vanilla), ``cfg`` (``_run_identity``) and ``net`` (the
+      ``NetworkConfig`` as a dict);
+    * ``trunk_params``, ``head_weight``, ``head_bias`` and ``net_version``;
+    * ``step``, and ``stepping_counts`` and ``warmup_counts``: each ledger's
+      forward, cheap forward and backward counts;
+    * ``opt_state``, the momentum buffer, when the run has one;
+    * ``pred_<field>`` for each field of the predictor's dataclass.
+
+    The file is written to ``<path>.tmp`` and then moved into place, so a
+    failed write leaves any previous checkpoint at ``path`` as it was."""
     state = result.state
-    net = state.net
+    net, pred = state.net, state.predictor
     arrays = {
         "trunk_params": net.trunk_params,
         "head_weight": net.head_weight,
         "head_bias": net.head_bias,
         "net_version": np.int64(net.version),
-        # older versions appended the epoch, the batch in it and a warmup flag
-        "counters": np.asarray([state.step], dtype=np.int64),
-        "stepping_counts": np.asarray([state.stepping.forward_count,
-                                       state.stepping.cheap_forward_count,
-                                       state.stepping.backward_count], dtype=np.int64),
-        "warmup_counts": np.asarray([state.warmup_ledger.forward_count,
-                                     state.warmup_ledger.cheap_forward_count,
-                                     state.warmup_ledger.backward_count], dtype=np.int64),
+        "step": np.int64(state.step),
+        "stepping_counts": np.asarray(astuple(state.stepping)[1:], dtype=np.int64),
+        "warmup_counts": np.asarray(astuple(state.warmup_ledger)[1:], dtype=np.int64),
     }
     if state.opt_state is not None:
         arrays["opt_state"] = state.opt_state
-
-    pred = state.predictor
     if pred is not None:
-        arrays.update(pred.to_arrays())
+        arrays.update((f"pred_{f.name}", getattr(pred, f.name)) for f in fields(pred))
 
     header = json.dumps({
         "format": RUN_CHECKPOINT_FORMAT,
         "predictor_kind": "none" if pred is None else pred.kind,
-        "cfg": _cfg_json(cfg),
+        "cfg": _run_identity(cfg),
         "net": asdict(net.config),
     })
     tmp = f"{os.fspath(path)}.tmp"
@@ -621,46 +604,52 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
         raise
 
 
-def _run_identity(cfg_json: str) -> dict:
-    d = json.loads(cfg_json)
-    if d.pop("optimizer", None) == "sgd":  # older versions ignored momentum then
-        d["momentum"] = 0.0
-    for key in RUN_LENGTH_KEYS + RETIRED_KEYS:
-        d.pop(key, None)
-    for key, runs in RETIRED_DEFAULTS.items():
-        held = d.pop(key, runs)
-        if held != runs:
-            raise ConfigError(f"checkpoint was written with {key} = {held!r}, an option "
-                              f"this version no longer has")
-    return d
-
-
 def load_run_checkpoint(path, cfg: TrainConfig) -> TrainState:
     """State of a checkpointed run. The config must match the one it was
     written under, except for the run-length fields, so a run can be
-    extended. The fit buffer that older versions saved as ``buf_*`` arrays
-    is ignored: each refit draws a sample of its own."""
-    with np.load(path) as z:
-        header = json.loads(bytes(z["header"]).decode("utf-8"))
-        if header.get("format") != RUN_CHECKPOINT_FORMAT:
-            raise ConfigError(f"unsupported checkpoint format {header.get('format')}")
-        if _run_identity(header["cfg"]) != _run_identity(_cfg_json(cfg)):
-            raise ConfigError("checkpoint was written under a different training config")
-        net = Network(NetworkConfig(**header["net"]), z["trunk_params"],
-                      z["head_weight"], z["head_bias"], version=int(z["net_version"]))
-        step = int(z["counters"][0])
+    extended. A file that cannot be read, is of another format or lacks an
+    entry raises a ``ConfigError`` that names it."""
+    try:
+        with open(path, "rb") as fh:
+            return _run_state(np.load(fh), path, cfg)
+    except (OSError, ValueError, zipfile.BadZipFile) as e:
+        raise ConfigError(f"cannot read checkpoint {path}: {e}") from None
 
-        kind = header["predictor_kind"]
-        if kind != "none" and kind not in PREDICTORS:
-            raise ConfigError(f"checkpoint holds an unknown predictor kind {kind!r}")
-        pred = None if kind == "none" else PREDICTORS[kind].from_arrays(z)
 
-        stepping = BudgetLedger(cfg.cost_model, *(int(v) for v in z["stepping_counts"]))
-        warmup_ledger = BudgetLedger(cfg.cost_model, *(int(v) for v in z["warmup_counts"]))
-        opt_state = z["opt_state"].copy() if "opt_state" in z else None
-        return TrainState(net=net, predictor=pred, opt_state=opt_state,
-                          step=step,
-                          stepping=stepping, warmup_ledger=warmup_ledger)
+def _run_state(z, path, cfg: TrainConfig) -> TrainState:
+    def need(store, key):
+        if key not in store:
+            raise ConfigError(f"checkpoint {path} has no {key!r}")
+        return store[key]
+
+    header = json.loads(bytes(need(z, "header")).decode("utf-8"))
+    if need(header, "format") != RUN_CHECKPOINT_FORMAT:
+        raise ConfigError(f"checkpoint {path} is in format {header['format']!r}; "
+                          f"this version reads format {RUN_CHECKPOINT_FORMAT} only")
+    held, given = need(header, "cfg"), _run_identity(cfg)
+    changed = sorted(k for k in held.keys() | given.keys() if held.get(k) != given.get(k))
+    if changed:
+        raise ConfigError(f"checkpoint was written under a different config: {', '.join(changed)}")
+    net = Network(NetworkConfig(**need(header, "net")), need(z, "trunk_params"),
+                  need(z, "head_weight"), need(z, "head_bias"),
+                  version=int(need(z, "net_version")))
+
+    kind = need(header, "predictor_kind")
+    if kind != "none" and kind not in PREDICTORS:
+        raise ConfigError(f"checkpoint holds an unknown predictor kind {kind!r}")
+    pred = None
+    if kind != "none":
+        cls, values = PREDICTORS[kind], {}
+        for f in fields(cls):   # a 0-d array holds a scalar field, of the field's type
+            value = need(z, f"pred_{f.name}")
+            values[f.name] = f.type(value) if value.ndim == 0 else value
+        pred = cls(**values)
+
+    return TrainState(
+        net=net, predictor=pred, opt_state=z["opt_state"].copy() if "opt_state" in z else None,
+        stepping=BudgetLedger(cfg.cost_model, *map(int, need(z, "stepping_counts"))),
+        warmup_ledger=BudgetLedger(cfg.cost_model, *map(int, need(z, "warmup_counts"))),
+        step=int(need(z, "step")))
 
 
 def resume_run(cfg: TrainConfig, ds: Dataset, checkpoint_path,

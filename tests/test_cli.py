@@ -30,10 +30,14 @@ def test_train_runs(tmp_path, capsys):
     assert (tmp_path / "metrics.csv").exists() and (tmp_path / "checkpoint.npz").exists()
 
 
-@pytest.mark.parametrize("extra", [["--batch-size", "0"], ["--control-fraction", "2"]])
-def test_bad_config_exits_2(tmp_path, capsys, extra):
-    code, err = run(capsys, TRAIN + extra + ["--outdir", str(tmp_path)])
+@pytest.mark.parametrize("extra", [["--batch-size", "0"], ["--control-fraction", "2"],
+                                   ["--outdir", "a-file"]])
+def test_bad_config_exits_2(tmp_path, capsys, monkeypatch, extra):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-file").write_text("")
+    code, err = run(capsys, TRAIN + ["--outdir", str(tmp_path)] + extra)
     assert code == 2 and error_type(err) == "ConfigError"
+    assert len(err.splitlines()) == 1, err
 
 
 def test_unknown_config_file_key_exits_2(tmp_path, capsys):
@@ -51,6 +55,8 @@ def test_bad_data_exits_3(tmp_path, capsys):
     bad.write_text("x0,target\n1.0,2.0\n1.0,oops\n")
     code, err = run(capsys, ["train", "--data", str(bad), "--outdir", str(tmp_path)])
     assert code == 3 and error_type(err) == "FormatError"
+    code, err = run(capsys, ["train", "--data", str(tmp_path), "--outdir", str(tmp_path)])
+    assert code == 3 and error_type(err) == "DataError" and len(err.splitlines()) == 1
 
 
 def test_divergence_exits_4(tmp_path, capsys):
@@ -265,15 +271,16 @@ def test_compare_refuses_the_none_predictor(tmp_path, capsys):
     assert not (tmp_path / "metrics_vanilla.csv").exists()
 
 
-def checkpoint_as(path, kind, arrays):
-    """The checkpoint at ``path`` rewritten to hold a predictor of ``kind``,
-    with ``arrays`` in place of the one it held."""
+def rewrite_checkpoint(path, drop=(), arrays=None, **header):
+    """Rewrite the checkpoint at ``path`` without the entries named in
+    ``drop``, an array's name or "header:<key>", with ``arrays`` added and
+    the ``header`` keys set."""
     with np.load(path) as z:
-        kept = {key: z[key] for key in z.files if not key.startswith("pred_")}
-    header = json.loads(bytes(kept["header"]).decode("utf-8"))
-    kept["header"] = np.frombuffer(json.dumps({**header, "predictor_kind": kind}).encode(),
-                                   dtype=np.uint8)
-    np.savez(path, **kept, **arrays)
+        kept = {key: z[key] for key in z.files if key not in drop}
+    held = {**json.loads(bytes(kept["header"]).decode("utf-8")), **header}
+    held = {key: value for key, value in held.items() if f"header:{key}" not in drop}
+    kept["header"] = np.frombuffer(json.dumps(held).encode(), dtype=np.uint8)
+    np.savez(path, **kept, **(arrays or {}))
 
 
 def test_the_retired_scalar_predictor_exits_2(tmp_path, capsys):
@@ -282,8 +289,8 @@ def test_the_retired_scalar_predictor_exits_2(tmp_path, capsys):
                                      "--outdir", str(tmp_path)])
     assert code == 0, err
     ckpt = tmp_path / "checkpoint.npz"
-    checkpoint_as(ckpt, "scalar", {"pred_coef": np.zeros((8 * 6 + 8, 9)),
-                                   "pred_meta": np.zeros(2)})
+    rewrite_checkpoint(ckpt, arrays={"pred_coef": np.zeros((8 * 6 + 8, 9))},
+                       predictor_kind="scalar")
     for then in ([], ["--predictor", "scalar"]):
         code, err = run(capsys, TRAIN + then + ["--max-steps", "4", "--resume", str(ckpt),
                                                 "--outdir", str(tmp_path / "resumed")])
@@ -292,22 +299,28 @@ def test_the_retired_scalar_predictor_exits_2(tmp_path, capsys):
     assert not (tmp_path / "resumed" / "metrics.csv").exists()
 
 
-def test_a_checkpoint_with_a_ridge_lambda_set_exits_2(tmp_path, capsys):
-    # older versions wrote ridge_lambda; only null, the data rule, resumes
+BAD_CHECKPOINTS = {
+    "missing-file": (lambda ckpt: ckpt.unlink(), "No such file"),
+    "not-an-archive": (lambda ckpt: ckpt.write_text("step = 2\n"), "cannot read"),
+    "no-array": (lambda ckpt: rewrite_checkpoint(ckpt, ["head_bias"]), "'head_bias'"),
+    "no-header-key": (lambda ckpt: rewrite_checkpoint(ckpt, ["header:cfg"]), "'cfg'"),
+    "no-predictor-field": (lambda ckpt: rewrite_checkpoint(ckpt, ["pred_n_fit"]),
+                           "'pred_n_fit'"),
+    "format-1": (lambda ckpt: rewrite_checkpoint(ckpt, format=1), "format 1"),
+}
+
+
+@pytest.mark.parametrize("spoil, named", BAD_CHECKPOINTS.values(), ids=BAD_CHECKPOINTS)
+def test_an_unreadable_checkpoint_exits_2_naming_it(tmp_path, capsys, spoil, named):
     code, err = run(capsys, TRAIN + ["--predictor", "feedback", "--max-steps", "2",
                                      "--outdir", str(tmp_path)])
     assert code == 0, err
     ckpt = tmp_path / "checkpoint.npz"
-    with np.load(ckpt) as z:
-        arrays = dict(z)
-    header = json.loads(bytes(arrays["header"]).decode("utf-8"))
-    header["cfg"] = json.dumps({**json.loads(header["cfg"]), "ridge_lambda": 0.5})
-    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    np.savez(ckpt, **arrays)
+    spoil(ckpt)
     code, err = run(capsys, TRAIN + ["--predictor", "feedback", "--max-steps", "4",
                                      "--resume", str(ckpt), "--outdir", str(tmp_path / "resumed")])
     assert code == 2 and error_type(err) == "ConfigError"
-    assert "ridge_lambda = 0.5" in err
+    assert len(err.splitlines()) == 1 and str(ckpt) in err and named in err, err
     assert not (tmp_path / "resumed" / "metrics.csv").exists()
 
 

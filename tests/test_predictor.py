@@ -188,18 +188,15 @@ def test_structured_fit_does_not_amplify_rounding_in_the_residuals(seed):
 @pytest.mark.parametrize("data, hidden", [("regression", (5, 6)), ("blobs", (5, 6)),
                                           ("blobs", (5, 2))], ids=["C=1", "C=3", "C>D"])
 def test_factored_maps_predict_as_the_formed_maps(data, hidden):
-    # a checkpoint without Q holds the formed maps S_k = Q Y_k and loads as
-    # Q = I_D: the same predictor with q = D, at any later head weight
+    # the formed maps S_k = Q Y_k with Q = I_D are the same predictor with
+    # q = D, at any later head weight
     ds, net = feedback_case(data, hidden)
     pred = fit_structured(feedback_sample(net, ds, np.arange(100))[3])
     (c, d), rank = net.head_weight.shape, pred.rank
     assert pred.head_q.shape == (d, min(c, d))
     assert pred.maps.shape == (rank, min(c, d), d + 1)
-    arrays = pred.to_arrays()
-    del arrays["pred_head_q"]
-    arrays["pred_maps"] = np.matmul(pred.head_q, pred.maps)
-    formed = StructuredPredictor.from_arrays(arrays)
-    assert np.array_equal(formed.head_q, np.eye(d)) and formed.maps.shape == (rank, d, d + 1)
+    formed = StructuredPredictor(basis=pred.basis, head_q=np.eye(d),
+                                 maps=np.matmul(pred.head_q, pred.maps), rank=rank)
 
     theta = net.flat_params()
     theta[net.trunk_size:] += 0.1 * substream(35, "moved-head").standard_normal(net.head_size)

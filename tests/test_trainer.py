@@ -4,8 +4,7 @@ import logging
 import math
 import re
 import tracemalloc
-from dataclasses import replace
-from pathlib import Path
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -25,8 +24,6 @@ from predgrad.trainer import (TrainConfig, load_run_checkpoint, resume_run,
                               train_vanilla)
 
 from oracles import alignment_stats, backward
-
-DATA = Path(__file__).parent / "data"
 
 
 def regression(hidden=(8,), n=400):
@@ -74,46 +71,64 @@ def test_checkpoint_round_trip(tmp_path, kind):
     save_run_checkpoint(path, res, cfg)
     state = load_run_checkpoint(path, cfg)
 
-    assert type(state.predictor) is type(res.predictor)
+    assert type(state.predictor) is type(res.state.predictor)
     assert state.predictor.kind == kind
-    saved, loaded = res.predictor.to_arrays(), state.predictor.to_arrays()
-    assert saved.keys() == loaded.keys()
-    for key in saved:
-        assert np.array_equal(saved[key], loaded[key])
+    for f in fields(state.predictor):
+        saved, loaded = getattr(res.state.predictor, f.name), getattr(state.predictor, f.name)
+        assert type(loaded) is type(saved) and np.array_equal(loaded, saved), f.name
     assert state.step == res.state.step
     assert state.net.config == res.network.config
     assert state.net.version == res.network.version
     assert np.array_equal(state.net.flat_params(), res.network.flat_params())
     assert np.array_equal(state.opt_state, res.state.opt_state)
-    assert state.stepping == res.stepping_ledger
-    assert state.warmup_ledger == res.warmup_ledger
-    with np.load(path) as z:   # each fit draws its own sample, so no rows are kept
-        assert not [key for key in z.files if key.startswith("buf_")]
+    assert state.stepping == res.state.stepping
+    assert state.warmup_ledger == res.state.warmup_ledger
 
 
-def test_perfect_checkpoint_with_buffer_rows_resumes_bit_exactly(tmp_path):
-    # older versions kept a fit buffer of control rows, a perfect run's too,
-    # and saved it; a resume ignores those arrays
+# the format-2 layout; a field added to a predictor or to TrainConfig changes
+# it, and is a new format: RUN_CHECKPOINT_FORMAT and these change together
+RUN_ARRAYS = {"header", "trunk_params", "head_weight", "head_bias", "net_version", "step",
+              "stepping_counts", "warmup_counts", "opt_state"}
+PREDICTOR_ARRAYS = {"none": set(), "perfect": set(),
+                    "feedback": {"pred_b", "pred_n_fit", "pred_ridge_lambda"},
+                    "structured": {"pred_basis", "pred_head_q", "pred_maps", "pred_rank",
+                                   "pred_n_fit", "pred_ridge_lambda"}}
+
+
+@pytest.mark.parametrize("kind", sorted(PREDICTOR_ARRAYS))
+def test_the_checkpoint_layout_is_pinned(tmp_path, kind):
     ds, ncfg = regression()
-    long = TrainConfig(batch_size=32, max_steps=8, momentum=0.9, seed=1, eval_every=0)
-    short = replace(long, max_steps=4)
-    part = train_predicted(short, ds, init_network(ncfg), "perfect")
+    cfg = TrainConfig(batch_size=32, max_steps=2, momentum=0.9, seed=1, eval_every=0)
+    net = init_network(ncfg)
+    res = train_vanilla(cfg, ds, net) if kind == "none" else train_predicted(cfg, ds, net, kind)
     path = tmp_path / "run.npz"
-    save_run_checkpoint(path, part, short)
+    save_run_checkpoint(path, res, cfg)
+    with np.load(path) as z:
+        assert set(z.files) == RUN_ARRAYS | PREDICTOR_ARRAYS[kind]
+        header = json.loads(bytes(z["header"]).decode("utf-8"))
+    assert trainer.RUN_CHECKPOINT_FORMAT == 2
+    assert header == {
+        "format": 2, "predictor_kind": kind,
+        "cfg": {"batch_size": 32, "control_fraction": 0.25, "learning_rate": 0.05,
+                "momentum": 0.9, "refit": {"period": 50, "buffer_capacity": 256},
+                "cost_model": {"backward": 2.0, "forward": 1.0, "cheap_forward": 0.7},
+                "seed": 1, "eval_every": 0},
+        "net": {"input_dim": 6, "hidden_widths": [8], "output_dim": 1, "activation": "tanh",
+                "seed": 5}}
+
+
+def test_a_checkpoint_of_another_format_is_refused(tmp_path):
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=32, max_steps=2, seed=2, eval_every=0)
+    path = tmp_path / "run.npz"
+    save_run_checkpoint(path, train_vanilla(cfg, ds, init_network(ncfg)), cfg)
     with np.load(path) as z:
         arrays = dict(z)
-    d, pt = part.network.config.last_hidden, part.network.trunk_size
-    rng = np.random.default_rng(0)
-    arrays.update((key, rng.standard_normal((32, k))) for key, k in
-                  (("buf_llh", d), ("buf_residual", 1), ("buf_h", d),
-                   ("buf_trunk_grad", pt)))
+    header = json.loads(bytes(arrays["header"]).decode("utf-8"))
+    arrays["header"] = np.frombuffer(json.dumps({**header, "format": 1}).encode(), np.uint8)
     np.savez(path, **arrays)
-    assert load_run_checkpoint(path, long).step == 4
-
-    rest = resume_run(long, ds, path)
-    whole = train_predicted(long, ds, init_network(ncfg), "perfect")
-    assert rows(part.records) + rows(rest.records) == rows(whole.records)
-    assert np.array_equal(rest.network.flat_params(), whole.network.flat_params())
+    with pytest.raises(ConfigError, match="format 1"):
+        load_run_checkpoint(path, cfg)
 
 
 def test_fractional_control_batch_warns_once_per_run(caplog):
@@ -155,6 +170,7 @@ def test_the_control_fraction_warning_reads_the_batches_the_run_takes(caplog, n,
     # epoch drops them; the extension takes the last whole batch, then epoch 1
     pytest.param("structured", 53, 5, 6, id="structured-short-last-batch-dropped"),
     pytest.param("feedback", 32, 6, 10, id="feedback"),
+    pytest.param("perfect", 32, 6, 10, id="perfect"),
 ])
 def test_resume_extends_a_run_bit_exactly(tmp_path, algo, batch_size, n, per_epoch):
     ds, ncfg = regression()
@@ -177,7 +193,7 @@ def test_resume_extends_a_run_bit_exactly(tmp_path, algo, batch_size, n, per_epo
     assert [r.epoch for r in whole.records] == [t // per_epoch for t in range(2 * n)]
     assert rows(part.records) + rows(rest.records) == rows(whole.records)
     assert np.array_equal(rest.network.flat_params(), whole.network.flat_params())
-    if algo != "vanilla":
+    if algo not in ("vanilla", "perfect"):
         assert sum(r.refit for r in rest.records) >= 1
 
 
@@ -196,15 +212,38 @@ def test_a_fresh_run_rewrites_its_metrics_file_and_a_resume_appends(tmp_path):
     assert path.read_text() == (tmp_path / "whole.csv").read_text()
 
 
-def test_resume_rejects_a_changed_config(tmp_path):
+def _config_fields():
+    """Every TrainConfig field, a nested dataclass's as "<field>.<its field>"."""
+    cfg = TrainConfig()
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        yield from ([f"{f.name}.{g.name}" for g in fields(value)] if is_dataclass(value)
+                    else [f.name])
+
+
+def _changed(cfg, name):
+    """``cfg`` with the field ``name`` moved to another valid value."""
+    outer, _, inner = name.partition(".")
+    if inner:
+        return replace(cfg, **{outer: _changed(getattr(cfg, outer), inner)})
+    value = getattr(cfg, name)
+    if value is None or isinstance(value, int):
+        return replace(cfg, **{name: 1000 if value is None else value + 1})
+    return replace(cfg, **{name: value / 2 if value else 0.5})
+
+
+@pytest.mark.parametrize("name", list(_config_fields()))
+def test_resume_rejects_a_changed_config(tmp_path, name):
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, max_steps=3, seed=2)
     res = train_vanilla(cfg, ds, init_network(ncfg))
     path = tmp_path / "run.npz"
     save_run_checkpoint(path, res, cfg)
-    with pytest.raises(ConfigError):
-        load_run_checkpoint(path, TrainConfig(batch_size=32, max_steps=3, seed=2,
-                                              learning_rate=0.01))
+    if name in trainer.RUN_LENGTH_KEYS:
+        assert load_run_checkpoint(path, _changed(cfg, name)).step == 3
+    else:
+        with pytest.raises(ConfigError, match=name.partition(".")[0]):
+            load_run_checkpoint(path, _changed(cfg, name))
 
 
 def test_warmup_with_batch_smaller_than_width():
@@ -215,7 +254,7 @@ def test_warmup_with_batch_smaller_than_width():
                       seed=4, eval_every=0)
     res = train_predicted(cfg, ds, init_network(ncfg), "structured")
     assert res.steps == 3
-    assert res.warmup_ledger.backward_count == 2 * 256
+    assert res.state.warmup_ledger.backward_count == 2 * 256
     assert sum(r.refit for r in res.records) >= 1
 
 
@@ -225,8 +264,8 @@ def test_fit_sample_is_the_capacity_or_the_whole_training_set():
         cfg = TrainConfig(batch_size=32, max_steps=2, refit=RefitPolicy(
             buffer_capacity=capacity), seed=4, eval_every=0)
         res = train_predicted(cfg, ds, init_network(ncfg), "structured")
-        assert res.warmup_ledger.backward_count == drawn
-        assert res.predictor.n_fit <= drawn
+        assert res.state.warmup_ledger.backward_count == drawn
+        assert res.state.predictor.n_fit <= drawn
 
 
 def test_predictor_argument_errors():
@@ -296,47 +335,6 @@ def test_momentum_alone_selects_heavy_ball():
     assert not np.array_equal(heavy.network.flat_params(), sgd.network.flat_params())
 
 
-def test_checkpoint_from_plain_sgd_resumes_without_momentum(tmp_path):
-    # older versions wrote "optimizer" and ran plain SGD under "sgd" whatever
-    # the momentum said, so such a checkpoint resumes with momentum 0
-    ds, ncfg = regression()
-    cfg = TrainConfig(batch_size=32, max_steps=3, seed=2, eval_every=0)
-    path = tmp_path / "run.npz"
-    save_run_checkpoint(path, train_vanilla(cfg, ds, init_network(ncfg)), cfg)
-    with np.load(path) as z:
-        arrays = dict(z)
-    header = json.loads(bytes(arrays["header"]).decode("utf-8"))
-    header["cfg"] = json.dumps({**json.loads(header["cfg"]), "optimizer": "sgd",
-                                "momentum": 0.9})
-    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
-
-    assert load_run_checkpoint(path, cfg).step == 3
-    with pytest.raises(ConfigError):
-        load_run_checkpoint(path, replace(cfg, momentum=0.9))
-
-
-@pytest.mark.parametrize("key, value", [("smoothing", 0.05), ("lr_decay", 0.01),
-                                        ("loss_kind", "squared_vector"),
-                                        ("ridge_lambda", 0.5)])
-def test_checkpoint_with_a_retired_option_set_is_refused(tmp_path, key, value):
-    # older versions wrote these options; a checkpoint at any value but the
-    # one this version runs (0.0, 0.0, null and null) took another trajectory
-    ds, ncfg = regression()
-    cfg = TrainConfig(batch_size=32, max_steps=3, seed=2, eval_every=0)
-    path = tmp_path / "run.npz"
-    save_run_checkpoint(path, train_vanilla(cfg, ds, init_network(ncfg)), cfg)
-    with np.load(path) as z:
-        arrays = dict(z)
-    header = json.loads(bytes(arrays["header"]).decode("utf-8"))
-    header["cfg"] = json.dumps({**json.loads(header["cfg"]), key: value})
-    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
-
-    with pytest.raises(ConfigError, match=key):
-        load_run_checkpoint(path, cfg)
-
-
 def test_skipped_refit_logs_a_warning_and_keeps_the_predictor(monkeypatch, caplog):
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, max_steps=7, refit=RefitPolicy(period=3), seed=1,
@@ -354,7 +352,7 @@ def test_skipped_refit_logs_a_warning_and_keeps_the_predictor(monkeypatch, caplo
     with caplog.at_level(logging.WARNING, logger="predgrad.trainer"):
         res = train_predicted(cfg, ds, init_network(ncfg), "structured")
     assert res.steps == 7
-    assert res.predictor is fits[0]
+    assert res.state.predictor is fits[0]
     assert [r.refit for r in res.records] == [0] * 7
     # the samples were drawn, so the outgoing predictor was still measured
     assert [math.isfinite(r.rho_hat) for r in res.records] == [r.step % 3 == 0
@@ -363,46 +361,6 @@ def test_skipped_refit_logs_a_warning_and_keeps_the_predictor(monkeypatch, caplo
     assert len(warnings) == 2
     for step, msg in zip((3, 6), warnings):
         assert f"step {step}" in msg and "too few usable samples" in msg
-
-
-def test_format_1_checkpoint_resumes():
-    # written by an earlier version, whose config carried a warmup option:
-    # structured predictor, hidden (8,), refits every 3 steps, 5 steps done
-    # It also holds a 16-row fit buffer, which is ignored. Its fits read that
-    # buffer, where refits now draw fresh samples, so an uninterrupted run
-    # takes another trajectory and is not compared.
-    ds, ncfg = regression()
-    cfg = TrainConfig(batch_size=32, max_steps=9,
-                      refit=RefitPolicy(period=3, buffer_capacity=16),
-                      momentum=0.9, seed=1, eval_every=0)
-    state = load_run_checkpoint(DATA / "format1_structured.npz", cfg)
-    assert state.net.config == ncfg
-    assert state.predictor.kind == "structured"
-    assert state.step == 5
-
-    rest = resume_run(cfg, ds, DATA / "format1_structured.npz")
-    assert rest.steps == 9
-    assert all(math.isfinite(r.loss) for r in rest.records)
-    assert [r.refit for r in rest.records] == [1, 0, 0, 1]   # steps 6 and 9
-
-
-def test_a_checkpoint_with_a_null_ridge_lambda_resumes_bit_exactly():
-    # written by a version whose config carried ridge_lambda, null for the
-    # data rule that every fit now takes: feedback predictor, hidden (8,),
-    # refits every 3 steps, 4 steps done. The resumed run crosses refits at
-    # steps 6, 9 and 12 and the epoch boundary at step 10.
-    ds, ncfg = regression()
-    cfg = TrainConfig(batch_size=32, epochs=2, max_steps=12, refit=RefitPolicy(period=3),
-                      momentum=0.9, seed=1, eval_every=0)
-    path = DATA / "ridge_lambda_null_feedback.npz"
-    with np.load(path) as z:
-        assert json.loads(json.loads(bytes(z["header"]).decode("utf-8"))["cfg"])[
-            "ridge_lambda"] is None
-    rest = resume_run(cfg, ds, path)
-    whole = train_predicted(cfg, ds, init_network(ncfg), "feedback")
-    assert rows(rest.records) == rows(whole.records)[4:]
-    assert np.array_equal(rest.network.flat_params(), whole.network.flat_params())
-    assert np.array_equal(rest.predictor.b, whole.predictor.b)
 
 
 @pytest.mark.parametrize("cheap", [0.7, 3.0])
@@ -442,9 +400,9 @@ def fitted_step(kind, make_data, loss_kind, hidden=(24, 16)):
     split = split_minibatch(64, 0.25, substream(7, "split"))
 
     def step():
-        return trainer._batch_predicted(res.network, res.predictor, ds, batch_idx, split)[0]
+        return trainer._batch_predicted(res.network, res.state.predictor, ds, batch_idx, split)[0]
 
-    return res.network, res.predictor, ds, batch_idx, split, step
+    return res.network, res.state.predictor, ds, batch_idx, split, step
 
 
 @LEARNED_STEPS
@@ -510,7 +468,7 @@ def test_alignment_statistics_come_from_the_refit_samples(kind):
         if refit_step:
             assert rec.phi_hat == variance_inflation(8 / 32, rec.rho_hat, rec.kappa_hat)
     # each fit sample is charged once, as a forward and a backward per row
-    ledger = res.warmup_ledger
+    ledger = res.state.warmup_ledger
     assert ledger.backward_count == ledger.forward_count == 100 * (1 + 3)
     assert ledger.cheap_forward_count == 0
 
@@ -531,7 +489,7 @@ def test_a_perfect_run_draws_no_fit_sample():
     cfg = TrainConfig(batch_size=32, max_steps=7, refit=RefitPolicy(period=3), seed=5,
                       eval_every=0)
     res = train_predicted(cfg, ds, init_network(ncfg), "perfect")
-    assert res.warmup_ledger.cost_units == 0
+    assert res.state.warmup_ledger.cost_units == 0
     assert all(math.isnan(r.rho_hat) for r in res.records)
 
 
