@@ -42,7 +42,7 @@ class Step:
     predictor: object
     ds: object
     batch_idx: object
-    split: object
+    control: object         # the control positions within the batch
 
 
 def _step(kind, hidden, m) -> Step:
@@ -63,7 +63,7 @@ def test_step(benchmark, algo, kind, hidden, m):
     if algo == "vanilla":
         benchmark(trainer._batch_true, s.net, s.ds, s.batch_idx)
     else:
-        benchmark(trainer._batch_predicted, s.net, s.predictor, s.ds, s.batch_idx, s.split)
+        benchmark(trainer._batch_predicted, s.net, s.predictor, s.ds, s.batch_idx, s.control)
 
 
 @pytest.mark.parametrize("hidden, m", SIZES, ids=SIZE_IDS)
@@ -72,7 +72,7 @@ def test_step(benchmark, algo, kind, hidden, m):
 def test_layer(benchmark, layer, kind, hidden, m):
     s = _step(kind, hidden, m)
     cache, _, residuals = trainer._pass(s.net, s.ds, s.batch_idx)
-    cache_c, r_c = cache.rows(s.split.control), residuals[s.split.control]
+    cache_c, r_c = cache.rows(s.control), residuals[s.control]
     if layer == "forward":
         benchmark(trainer._pass, s.net, s.ds, s.batch_idx)
     elif layer == "backward_sum":

@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 
 from .analysis import (CostModel, break_even_satisfied, f_star, gamma, q_objective,
                        rho_star, rho_switch, simulate_estimator, sweep)
-from .estimator import (AlignmentStats, BatchSplit, combine, split_minibatch, v2_exact,
-                        variance_inflation)
+from .estimator import combine, split_minibatch, v2_exact, variance_inflation
 from .network import (Network, NetworkConfig, backward_sum, cheap_forward, forward,
                       init_network, loss_and_residual)
 from .predictor import (FeedbackPredictor, PerfectPredictor, RefitPolicy,
@@ -16,12 +15,11 @@ from .trainer import (BudgetLedger, RunResult, StepRecord, TrainConfig,
                       train_vanilla)
 
 __all__ = [
-    "AlignmentStats", "BatchSplit", "BudgetLedger", "CostModel", "FeedbackPredictor",
-    "Network", "NetworkConfig", "PerfectPredictor", "RefitPolicy", "RunResult",
-    "StepRecord", "StructuredPredictor", "TrainConfig", "backward_sum",
-    "break_even_satisfied", "cheap_forward", "combine", "f_star", "fit_feedback",
-    "fit_structured", "forward", "gamma", "init_network", "loss_and_residual",
-    "optimizer_step", "q_objective", "rho_star", "rho_switch", "run_budgeted_comparison",
-    "should_refit", "simulate_estimator", "split_minibatch", "sweep", "train_predicted",
-    "train_vanilla", "v2_exact", "variance_inflation",
+    "BudgetLedger", "CostModel", "FeedbackPredictor", "Network", "NetworkConfig",
+    "PerfectPredictor", "RefitPolicy", "RunResult", "StepRecord", "StructuredPredictor",
+    "TrainConfig", "backward_sum", "break_even_satisfied", "cheap_forward", "combine",
+    "f_star", "fit_feedback", "fit_structured", "forward", "gamma", "init_network",
+    "loss_and_residual", "optimizer_step", "q_objective", "rho_star", "rho_switch",
+    "run_budgeted_comparison", "should_refit", "simulate_estimator", "split_minibatch",
+    "sweep", "train_predicted", "train_vanilla", "v2_exact", "variance_inflation",
 ]

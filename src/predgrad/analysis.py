@@ -15,10 +15,9 @@ B = 1 - A, the closed forms below reduce to the default-cost constants
 * f_star        = argmin of Q(f) = phi(f, rho, kappa) * gamma(f) over (0, 1].
 
 simulate_estimator is the Monte Carlo verifier for unbiasedness and the
-exact variance formula.
+exact variance formula; sweep tabulates phi, gamma, Q and break-even.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,9 +26,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, MomentError
 from .estimator import combine, control_batch_size, v2_exact, variance_inflation
 from .rng import substream
-
-SWEEP_HEADER = ["f", "rho", "kappa", "phi", "gamma", "Q", "break_even"]
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -127,8 +123,7 @@ class SimulationResult(NamedTuple):
 
 
 def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
-                       f: float, m: int, trials: int, seed: int,
-                       mu=None, mu_h=None) -> SimulationResult:
+                       f: float, m: int, trials: int, seed: int) -> SimulationResult:
     """Monte Carlo check of ``combine`` against the exact variance ``v2_exact``.
 
     Per-example gradient pairs are Gaussian with the requested second
@@ -138,12 +133,12 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
     the control block (m_c examples) and of h over the prediction block
     (m_p): it takes the sum of h over both blocks and the two control sums.
     So each trial draws the four block sums of z and z' directly: the sum
-    of k draws of N(0, I) is N(0, k I). With g = mu + u and h = mu_h + v,
-    the means enter G - mu, ``combine`` being linear, as one bias vector
-    combine(m mu_h, m_c mu, m_c mu_h) - mu, which is zero up to rounding.
-    Returned are ||mean(G) - mu||, the empirical E||G - mu||^2, and the
-    closed-form prediction. mu and mu_h (scalar or length-dim vectors)
-    default to zero; the estimator is unbiased for mu regardless of mu_h.
+    of k draws of N(0, I) is N(0, k I). The pairs have mean zero, which
+    loses nothing: means mu of g and mu_h of h would enter G - mu,
+    ``combine`` being linear, only as combine(m mu_h, m_c mu, m_c mu_h,
+    m_c, m) - mu, which is zero up to rounding whatever mu_h. Returned are
+    ||mean(G) - mu||, the empirical E||G - mu||^2 and the closed-form
+    prediction.
     """
     if sigma_g <= 0 or sigma_h < 0:
         raise MomentError(f"need sigma_g > 0 and sigma_h >= 0, got {sigma_g}, {sigma_h}")
@@ -161,12 +156,6 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
     if m_c >= m:
         raise DomainError(f"f = {f} leaves no prediction micro-batch for m = {m}")
     m_p = m - m_c
-
-    mu_vec = np.zeros(dim) if mu is None else np.broadcast_to(
-        np.asarray(mu, dtype=np.float64), (dim,)).copy()
-    mu_h_vec = np.zeros(dim) if mu_h is None else np.broadcast_to(
-        np.asarray(mu_h, dtype=np.float64), (dim,)).copy()
-    bias = combine(m * mu_h_vec, m_c * mu_vec, m_c * mu_h_vec, m_c, m) - mu_vec
 
     su = sigma_g / np.sqrt(dim)
     coef = tau / sigma_g ** 2
@@ -186,7 +175,7 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
         g_c = su_c * zg_c
         h_c = coef * g_c + sw_c * zw_c
         h_p = coef * su_p * zg_p + sw_p * zw_p
-        err = combine(h_c + h_p, g_c, h_c, m_c, m) + bias
+        err = combine(h_c + h_p, g_c, h_c, m_c, m)
         sum_err += err.sum(axis=0)
         sum_sq += float(np.einsum("ij,ij->", err, err))
         done += n
@@ -196,21 +185,8 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
     return SimulationResult(mean_err, emp_var, v2_exact(sigma_g, sigma_h, tau, m_c / m, m))
 
 
-@dataclass
-class SweepResult:
-    rows: list  # (f, rho, kappa, phi, gamma, Q, break_even)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_HEADER)
-            for row in self.rows:
-                writer.writerow([repr(v) if isinstance(v, float) else int(v)
-                                 for v in row])
-
-
-def sweep(cm: CostModel, f_values, rho_values, kappa_values) -> SweepResult:
-    """Evaluate phi, gamma, Q and the break-even verdict over a grid."""
+def sweep(cm: CostModel, f_values, rho_values, kappa_values) -> list:
+    """The rows (f, rho, kappa, phi, gamma, Q, break_even) of a grid, kappa fastest."""
     fs = np.asarray(f_values, dtype=np.float64)
     rhos = np.asarray(rho_values, dtype=np.float64)
     kappas = np.asarray(kappa_values, dtype=np.float64)
@@ -227,4 +203,4 @@ def sweep(cm: CostModel, f_values, rho_values, kappa_values) -> SweepResult:
                 rows.append((float(f), float(rho), float(kappa),
                              float(variance_inflation(f, rho, kappa)), float(gamma(cm, f)),
                              float(q_objective(cm, f, rho, kappa)), bool(ok)))
-    return SweepResult(rows)
+    return rows

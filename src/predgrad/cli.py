@@ -154,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=float, default=0.25)
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--mu-h", type=float, default=0.0)
     p.set_defaults(func=cmd_simulate)
 
     return parser
@@ -300,7 +298,9 @@ def cmd_train(args) -> int:
     print(f"steps {result.steps}")
     state = result.state
     print(f"cost_units {state.stepping.cost_units!r}")
-    print(f"total_cost_units {state.stepping.plus(state.warmup_ledger).cost_units!r}")
+    w = state.warmup_ledger   # the fit samples, charged outside the budget
+    print(f"total_cost_units "
+          f"{state.stepping.price(w.forward_count, w.cheap_forward_count, w.backward_count)!r}")
     print(f"final_loss {result.final_loss!r}")
     print(f"metrics {metrics_path}")
     print(f"checkpoint {ckpt_path}")
@@ -338,9 +338,13 @@ def cmd_analyze(args) -> int:
     rhos = _floats(args.rho) if args.rho else [round(0.05 * i, 2) for i in range(0, 21)]
     kappas = _floats(args.kappa)
 
-    result = sweep(cm, fs, rhos, kappas)
+    rows = sweep(cm, fs, rhos, kappas)
     path = os.path.join(args.outdir, "sweep.csv")
-    result.write_csv(path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["f", "rho", "kappa", "phi", "gamma", "Q", "break_even"])
+        writer.writerows([repr(v) if isinstance(v, float) else int(v) for v in row]
+                         for row in rows)
 
     if len(fs) == 1 and len(kappas) == 1:
         f, kappa = fs[0], kappas[0]
@@ -363,8 +367,7 @@ def cmd_simulate(args) -> int:
     sigma_h = args.kappa * args.sigma_g
     tau = args.rho * args.sigma_g * sigma_h
     res = simulate_estimator(args.sigma_g, sigma_h, tau, args.dim, args.f,
-                             args.m, args.trials, args.seed,
-                             mu=args.mu, mu_h=args.mu_h)
+                             args.m, args.trials, args.seed)
     ratio = res.emp_var / res.predicted_var
     se = math.sqrt(res.predicted_var / args.trials)
     path = os.path.join(args.outdir, "simulation.csv")

@@ -33,14 +33,10 @@ class Dataset:
         return self.features.shape[1]
 
     @property
-    def n_classes(self) -> int:
-        if self.kind != "classification":
-            raise DataError("n_classes only applies to classification datasets")
-        return int(self.targets.max()) + 1
-
-    @property
     def output_dim(self) -> int:
-        return self.n_classes if self.kind == "classification" else self.targets.shape[1]
+        """Classes (the largest label + 1) or target columns."""
+        return int(self.targets.max()) + 1 if self.kind == "classification" \
+            else self.targets.shape[1]
 
     @property
     def loss_kind(self) -> str:

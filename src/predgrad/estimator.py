@@ -6,43 +6,14 @@ trainer and the Monte Carlo verifier both call it. Its variance relative to
 the vanilla mini-batch gradient is governed entirely by the alignment rho
 and scale ratio kappa between per-example true and predicted gradients,
 through the inflation factor phi (``variance_inflation``).
-``moment_stats`` measures rho and kappa from the raw moments of rows of true
-and predicted gradients, so rows held as factors need not be formed.
+``split_minibatch`` gives a step's control positions, and ``moment_stats``
+measures rho and kappa from the raw moments of rows of true and predicted
+gradients, so rows held as factors need not be formed.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ControlBatchEmpty, DomainError, InsufficientData
-
-
-@dataclass(frozen=True)
-class BatchSplit:
-    control: np.ndarray      # positions within the mini-batch, size m_c
-    m: int                   # the other m - m_c positions are prediction rows
-
-    @property
-    def m_c(self) -> int:
-        return len(self.control)
-
-    @property
-    def f_effective(self) -> float:
-        """Realized control fraction m_c / m (differs from the requested f after rounding)."""
-        return self.m_c / self.m
-
-
-@dataclass
-class AlignmentStats:
-    sigma_g: float
-    sigma_h: float
-    tau: float
-    rho: float
-    kappa: float
-    n: int
-    mu: np.ndarray | None = None
-    mu_h: np.ndarray | None = None
-    degenerate: bool = False
 
 
 def control_batch_size(m: int, f: float) -> int:
@@ -56,13 +27,12 @@ def control_batch_size(m: int, f: float) -> int:
     return m_c
 
 
-def split_minibatch(m: int, f: float, rng: np.random.Generator) -> BatchSplit:
+def split_minibatch(m: int, f: float, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random split of 0..m-1 into control and prediction
-    micro-batches with m_c = round(f*m), given by the sorted control
-    positions. With f = 1 the prediction side is empty."""
-    m_c = control_batch_size(m, f)
-    perm = rng.permutation(m)
-    return BatchSplit(control=np.sort(perm[:m_c]), m=int(m))
+    micro-batches with m_c = round(f*m): the sorted control positions, the
+    other m - m_c being prediction rows. With f = 1 the prediction side is
+    empty."""
+    return np.sort(rng.permutation(m)[:control_batch_size(m, f)])
 
 
 def combine(s_pred, s_ctrl_true, s_ctrl_pred, m_c: int, m: int):
@@ -82,50 +52,30 @@ def combine(s_pred, s_ctrl_true, s_ctrl_pred, m_c: int, m: int):
     return s_pred / m + (s_ctrl_true - s_ctrl_pred) / m_c
 
 
-def moment_stats(n: int, gg: float, hh: float, gh: float, g_sum, h_sum) -> AlignmentStats:
-    """Alignment statistics of n pairs of true gradients g_i and predicted
-    gradients h_i, from their raw moments, for rows that are never formed:
-    gg = sum ||g_i||^2, hh = sum ||h_i||^2, gh = sum <g_i, h_i>, and the row
-    sums ``g_sum`` and ``h_sum``.
+def moment_stats(n: int, gg: float, hh: float, gh: float, g_sum, h_sum) -> tuple[float, float]:
+    """The alignment rho and scale ratio kappa of n pairs of true gradients
+    g_i and predicted gradients h_i, from their raw moments, for rows that
+    are never formed: gg = sum ||g_i||^2, hh = sum ||h_i||^2,
+    gh = sum <g_i, h_i>, and the row sums ``g_sum`` and ``h_sum``.
 
-    Population-style moments (divide by n): sigma_g^2 = mean ||g - mu||^2,
-    sigma_h^2 likewise, tau = mean <g - mu, h - mu_h>. rho and kappa are the
-    derived alignment and scale quantities; a vanishing sigma makes the pair
-    degenerate: rho is reported as 0 with the flag set, and kappa as
-    sigma_h / sigma_g, or 0 when sigma_g vanishes.
+    With population-style moments (divide by n), sigma_g^2 = mean
+    ||g - mu||^2, sigma_h^2 likewise and tau = mean <g - mu, h - mu_h>,
+    rho = tau / (sigma_g sigma_h), clipped to [-1, 1], and
+    kappa = sigma_h / sigma_g; both are NaN when sigma_g or sigma_h is 0.
 
     Here n sigma_g^2 = gg - ||g_sum||^2 / n, and n sigma_h^2 and n tau
     likewise. The subtraction costs about eps (||mu|| / sigma)^2 of relative
     precision, so it matches the centred form closely unless the mean dwarfs
     the spread; a variance that rounding takes below 0 is 0.
     """
-    n = _pair_count(n)
-    g_sum = np.asarray(g_sum, dtype=np.float64)
-    h_sum = np.asarray(h_sum, dtype=np.float64)
-    var_g = max(0.0, float(gg) - float(g_sum @ g_sum) / n) / n
-    var_h = max(0.0, float(hh) - float(h_sum @ h_sum) / n) / n
-    tau = (float(gh) - float(g_sum @ h_sum) / n) / n
-    return _stats(n, var_g, var_h, tau, g_sum / n, h_sum / n)
-
-
-def _pair_count(n) -> int:
     if n < 2:
         raise InsufficientData(f"need at least 2 pairs, got {n}")
-    return int(n)
-
-
-def _stats(n, var_g, var_h, tau, mu, mu_h) -> AlignmentStats:
-    sigma_g = float(np.sqrt(var_g))
-    sigma_h = float(np.sqrt(var_h))
-    degenerate = sigma_g == 0.0 or sigma_h == 0.0
-    if degenerate:
-        rho = 0.0
-        kappa = sigma_h / sigma_g if sigma_g > 0 else 0.0
-    else:
-        rho = min(1.0, max(-1.0, tau / (sigma_g * sigma_h)))
-        kappa = sigma_h / sigma_g
-    return AlignmentStats(sigma_g=sigma_g, sigma_h=sigma_h, tau=tau, rho=rho,
-                          kappa=kappa, n=n, mu=mu, mu_h=mu_h, degenerate=degenerate)
+    sigma_g = float(np.sqrt(max(0.0, float(gg) - float(g_sum @ g_sum) / n) / n))
+    sigma_h = float(np.sqrt(max(0.0, float(hh) - float(h_sum @ h_sum) / n) / n))
+    if sigma_g == 0.0 or sigma_h == 0.0:
+        return float("nan"), float("nan")
+    tau = (float(gh) - float(g_sum @ h_sum) / n) / n
+    return min(1.0, max(-1.0, tau / (sigma_g * sigma_h))), sigma_h / sigma_g
 
 
 def variance_inflation(f: float, rho: float, kappa: float) -> float:

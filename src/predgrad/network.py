@@ -103,12 +103,11 @@ class Network:
         self.head_weight = np.ascontiguousarray(head_weight, dtype=np.float64)
         self.head_bias = np.ascontiguousarray(head_bias, dtype=np.float64)
         self.version = version
-        if self.trunk_params.shape != (config.trunk_size,):
-            raise DimensionError("trunk parameter vector has the wrong length")
-        if self.head_weight.shape != (config.output_dim, config.last_hidden):
-            raise DimensionError("head weight has the wrong shape")
-        if self.head_bias.shape != (config.output_dim,):
-            raise DimensionError("head bias has the wrong length")
+        for name, shape in (("trunk_params", (config.trunk_size,)),
+                            ("head_weight", (config.output_dim, config.last_hidden)),
+                            ("head_bias", (config.output_dim,))):
+            if getattr(self, name).shape != shape:
+                raise DimensionError(f"{name} has shape {getattr(self, name).shape}, not {shape}")
 
     @property
     def trunk_size(self) -> int:

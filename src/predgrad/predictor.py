@@ -39,7 +39,8 @@ Every predictor has a ``kind`` name, ``predict_sums(net, parts)`` taking a
 list of ``(cache, residuals)`` pairs and returning, for each pair, the sum
 of its rows' predicted trunk gradients (length P_T) without forming them;
 the learned ones also have ``trunk_moments`` for ``trunk_alignment``.
-Each is a dataclass, whose fields a run checkpoint stores. ``PREDICTORS``
+Each is a dataclass, whose fields a run checkpoint stores, checked on load
+against ``shapes(ncfg)``, the array fields' shapes on a net. ``PREDICTORS``
 maps each kind to its class. ``FeedbackPredictor.trunk_rows`` gives the
 feedback predictor's rows as factors, which formed are its row reference;
 the structured one's, the maps Y_k applied to the formed features
@@ -57,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InsufficientData
-from .estimator import AlignmentStats, moment_stats
+from .estimator import moment_stats
 from .linalg import FactoredRows, few_column_product, solve_ridge, truncated_svd
 from .network import gradient_sum, head_sum, trunk_sum
 
@@ -104,6 +105,9 @@ class FeedbackPredictor:
             raise DimensionError(f"feedback of shape {self.b.shape} for a net of widths {widths}")
         return list(zip(np.split(self.b, np.cumsum(widths)[:-1]), [cache.x, *cache.act[:-1]]))
 
+    def shapes(self, ncfg) -> dict:
+        return {"b": (sum(ncfg.hidden_widths), ncfg.output_dim)}
+
     def predict_sums(self, net, parts) -> list:
         # layer l's sum B_l [R^T A | R^T 1], A its inputs, is laid out as a head sum
         return [np.concatenate([gradient_sum(np.empty(0), b @ head_sum(a_prev, r))
@@ -131,6 +135,10 @@ class StructuredPredictor:
     ridge_lambda: float = 0.0
 
     kind = "structured"
+
+    def shapes(self, ncfg) -> dict:
+        d, q, r = ncfg.last_hidden, min(ncfg.last_hidden, ncfg.output_dim), self.rank
+        return {"basis": (ncfg.trunk_size, r), "head_q": (d, q), "maps": (r, q, d + 1)}
 
     def predict_sums(self, net, parts) -> list:
         # (W_a Q)^T [R^T A | R^T 1] is Q^T H^T [A 1], H = R W_a, without forming H
@@ -162,6 +170,9 @@ class PerfectPredictor:
     """
 
     kind = "perfect"
+
+    def shapes(self, ncfg) -> dict:
+        return {}
 
     def predict_sums(self, net, parts) -> list:
         return [trunk_sum(net, cache, r) for cache, r in parts]
@@ -204,12 +215,13 @@ def _default_lambda(sq_norms: np.ndarray) -> float:
     return 1e-6 * float(np.mean(sq_norms))
 
 
-def trunk_alignment(p, net, cache, residuals, trunk: FactoredRows) -> AlignmentStats:
-    """The trunk-only alignment statistics of a learned predictor ``p`` on a
-    pass, against the true trunk rows ``trunk`` (``network.trunk_rows`` of
-    that pass), from the moments: sum ||g||^2 and the row sum G^T 1 from
-    ``trunk``, and sum ||h||^2, sum <g, h> and the predicted rows' sum from
-    ``p.trunk_moments``. No row of either side is formed."""
+def trunk_alignment(p, net, cache, residuals, trunk: FactoredRows) -> tuple[float, float]:
+    """The trunk-only alignment (rho, kappa) of a learned predictor ``p`` on
+    a pass, against the true trunk rows ``trunk`` (``network.trunk_rows`` of
+    that pass), from the moments (``estimator.moment_stats``): sum ||g||^2
+    and the row sum G^T 1 from ``trunk``, and sum ||h||^2, sum <g, h> and
+    the predicted rows' sum from ``p.trunk_moments``. No row of either side
+    is formed."""
     n = trunk.shape[0]
     hh, gh, h_sum = p.trunk_moments(net, cache, residuals, trunk)
     return moment_stats(n, trunk.row_dots(trunk).sum(), hh, gh,

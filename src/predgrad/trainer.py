@@ -45,11 +45,12 @@ independent of how a predictor is implemented internally. It counts passes
 per example, so a sum formed by ``trunk_sum`` or ``predict_sums`` is
 charged as the rows it sums, whatever it costs, and the control rows'
 prediction is not charged. Each step's split is drawn before the budget
-check, and that check and the step's one charge read the same m_c and
-m_p. Every fit sample, the warmup's and each refit's, is charged to a
-separate warmup (fit) ledger as a forward and a backward per row; the
-budget governs stepping cost only, mirroring a cost model that counts
-per-iteration passes.
+check, which prices the ledger's counts with the step's charge added
+(``BudgetLedger.price``), so a step is taken exactly when the
+``cost_units`` reported after it are within the budget. Every fit sample,
+the warmup's and each refit's, is charged to a separate warmup (fit)
+ledger as a forward and a backward per row; the budget governs stepping
+cost only, mirroring a cost model that counts per-iteration passes.
 """
 
 import contextlib
@@ -127,18 +128,16 @@ class BudgetLedger:
         self.cheap_forward_count += cheap_forward
         self.backward_count += backward
 
+    def price(self, forward: int = 0, cheap_forward: int = 0, backward: int = 0) -> float:
+        """Cost units of the counts with a prospective charge added."""
+        cm = self.cost_model
+        return ((self.forward_count + forward) * cm.forward
+                + (self.cheap_forward_count + cheap_forward) * cm.cheap_forward
+                + (self.backward_count + backward) * cm.backward)
+
     @property
     def cost_units(self) -> float:
-        cm = self.cost_model
-        return (self.forward_count * cm.forward
-                + self.cheap_forward_count * cm.cheap_forward
-                + self.backward_count * cm.backward)
-
-    def plus(self, other: "BudgetLedger") -> "BudgetLedger":
-        return BudgetLedger(self.cost_model,
-                            self.forward_count + other.forward_count,
-                            self.cheap_forward_count + other.cheap_forward_count,
-                            self.backward_count + other.backward_count)
+        return self.price()
 
 
 @dataclass
@@ -218,15 +217,17 @@ def _batch_true(net, ds, batch_idx):
     return backward_sum(net, cache, residuals) / m, float(losses.sum() / m)
 
 
-def _batch_predicted(net, predictor, ds, batch_idx, split):
+def _batch_predicted(net, predictor, ds, batch_idx, control):
     """Debiased combined gradient, with vanilla's exact head part, and mean
-    loss over one split mini-batch, from one forward and sums over its cache."""
+    loss over one mini-batch split at the control positions ``control``,
+    from one forward and sums over its cache."""
+    m = len(batch_idx)
     cache, losses, residuals = _pass(net, ds, batch_idx)
-    cache_c, r_c = cache.rows(split.control), residuals[split.control]
+    cache_c, r_c = cache.rows(control), residuals[control]
     predicted, predicted_c = predictor.predict_sums(net, [(cache, residuals), (cache_c, r_c)])
-    trunk = combine(predicted, trunk_sum(net, cache_c, r_c), predicted_c, split.m_c, split.m)
-    head = head_sum(cache.act[-1], residuals) / split.m
-    return gradient_sum(trunk, head), float(losses.sum() / split.m)
+    trunk = combine(predicted, trunk_sum(net, cache_c, r_c), predicted_c, len(control), m)
+    head = head_sum(cache.act[-1], residuals) / m
+    return gradient_sum(trunk, head), float(losses.sum() / m)
 
 
 def _eval_val(net, ds) -> float:
@@ -264,7 +265,7 @@ class _MetricsWriter:
 def _refit(cfg: TrainConfig, ds: Dataset, state: TrainState, kind: str):
     """Fit a fresh ``kind`` predictor on a fit sample drawn for this step and
     make it ``state.predictor``; returns (1 if it was replaced else 0, the
-    outgoing predictor's alignment stats on the sample or None). The
+    outgoing predictor's (rho, kappa) on the sample or None). The
     sample, charged to the warmup ledger, is ``buffer_capacity`` training
     rows, or all of them if fewer. At step 0 there is no outgoing predictor
     and a failed fit raises; later, it keeps the old predictor and warns."""
@@ -343,7 +344,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
     k batches an epoch (``_epoch_batches``)."""
     predicted = state.predictor is not None
     learned = predicted and state.predictor.kind != "perfect"
-    f, cm, bs = cfg.control_fraction, cfg.cost_model, cfg.batch_size
+    f, bs = cfg.control_fraction, cfg.batch_size
     theta = state.net.flat_params()
     records = []
     writer = _MetricsWriter(metrics_path, append=state.step > 0)
@@ -361,22 +362,20 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
             batch_idx = order[b * bs:(b + 1) * bs]
             m_c = m = len(batch_idx)
             if predicted:
-                split = split_minibatch(m, f, substream(cfg.seed, f"split:{state.step}"))
-                m_c = split.m_c
-            cost = m_c * cm.vanilla_per_example + (m - m_c) * cm.cheap_forward
-            if cfg.budget is not None and state.stepping.cost_units + cost > cfg.budget:
+                control = split_minibatch(m, f, substream(cfg.seed, f"split:{state.step}"))
+                m_c = len(control)
+            if cfg.budget is not None and state.stepping.price(m_c, m - m_c, m_c) > cfg.budget:
                 if state.step == 0:
-                    raise BudgetError(
-                        f"budget {cfg.budget} is smaller than one batch "
-                        f"({cost} cost units)")
+                    raise BudgetError(f"budget {cfg.budget} is smaller than one batch ("
+                                      f"{state.stepping.price(m_c, m - m_c, m_c)} cost units)")
                 break
-            state.stepping.charge(forward=m_c, backward=m_c, cheap_forward=m - m_c)
+            state.stepping.charge(forward=m_c, cheap_forward=m - m_c, backward=m_c)
 
             if not predicted:
                 grad, batch_loss = _batch_true(state.net, ds, batch_idx)
             else:
                 grad, batch_loss = _batch_predicted(
-                    state.net, state.predictor, ds, batch_idx, split)
+                    state.net, state.predictor, ds, batch_idx, control)
             if not (math.isfinite(batch_loss) and np.isfinite(grad).all()):
                 raise NumericError(
                     f"non-finite loss or gradient at step {state.step + 1}")
@@ -396,9 +395,9 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
                 val = float("nan")
 
             rho = kappa = phi = float("nan")
-            if stats is not None and not stats.degenerate:
-                rho, kappa = stats.rho, stats.kappa
-                phi = variance_inflation(split.f_effective, rho, kappa)
+            if stats is not None:   # NaN where either side's rows do not vary
+                rho, kappa = stats
+                phi = variance_inflation(m_c / m, rho, kappa)
             rec = StepRecord(state.step, epoch, float(state.stepping.cost_units), batch_loss,
                              val, rho, kappa, phi, refit_flag)
             records.append(rec)
@@ -607,12 +606,12 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
 def load_run_checkpoint(path, cfg: TrainConfig) -> TrainState:
     """State of a checkpointed run. The config must match the one it was
     written under, except for the run-length fields, so a run can be
-    extended. A file that cannot be read, is of another format or lacks an
-    entry raises a ``ConfigError`` that names it."""
+    extended. A file that cannot be read, is of another format, lacks an
+    entry or holds one of the wrong shape raises a ``ConfigError`` naming it."""
     try:
         with open(path, "rb") as fh:
             return _run_state(np.load(fh), path, cfg)
-    except (OSError, ValueError, zipfile.BadZipFile) as e:
+    except (OSError, ValueError, DimensionError, zipfile.BadZipFile) as e:
         raise ConfigError(f"cannot read checkpoint {path}: {e}") from None
 
 
@@ -630,9 +629,10 @@ def _run_state(z, path, cfg: TrainConfig) -> TrainState:
     changed = sorted(k for k in held.keys() | given.keys() if held.get(k) != given.get(k))
     if changed:
         raise ConfigError(f"checkpoint was written under a different config: {', '.join(changed)}")
-    net = Network(NetworkConfig(**need(header, "net")), need(z, "trunk_params"),
-                  need(z, "head_weight"), need(z, "head_bias"),
-                  version=int(need(z, "net_version")))
+    try:
+        c = NetworkConfig(**need(header, "net"))
+    except TypeError as e:
+        raise ConfigError(f"checkpoint {path} has a malformed 'net': {e}") from None
 
     kind = need(header, "predictor_kind")
     if kind != "none" and kind not in PREDICTORS:
@@ -645,6 +645,14 @@ def _run_state(z, path, cfg: TrainConfig) -> TrainState:
             values[f.name] = f.type(value) if value.ndim == 0 else value
         pred = cls(**values)
 
+    shapes = {"opt_state": (c.n_params,), "stepping_counts": (3,), "warmup_counts": (3,)}
+    if pred is not None:
+        shapes.update((f"pred_{k}", v) for k, v in pred.shapes(c).items())
+    for k, shape in shapes.items():
+        if k in z and z[k].shape != shape:
+            raise ConfigError(f"checkpoint {path} has {k!r} of shape {z[k].shape}, not {shape}")
+    net = Network(c, need(z, "trunk_params"), need(z, "head_weight"), need(z, "head_bias"),
+                  version=int(need(z, "net_version")))
     return TrainState(
         net=net, predictor=pred, opt_state=z["opt_state"].copy() if "opt_state" in z else None,
         stepping=BudgetLedger(cfg.cost_model, *map(int, need(z, "stepping_counts"))),

@@ -9,8 +9,7 @@ test can sum them, or take their centred moments, and compare.
 
 import numpy as np
 
-from predgrad.estimator import _pair_count, _stats
-from predgrad.errors import DimensionError
+from predgrad.errors import DimensionError, InsufficientData
 from predgrad.linalg import FactoredRows
 from predgrad.network import _checked_residual, _trunk_walk
 from predgrad.predictor import _bilinear, _structured_inputs
@@ -55,26 +54,29 @@ def predict_structured(p, llh, residual, head_weight: np.ndarray) -> np.ndarray:
 
 
 def alignment_stats(gs, hs):
-    """Sample moments of per-example true gradients ``gs`` and predicted
-    gradients ``hs``, both (n, P) with row i of each from example i, in the
-    centred form that ``moment_stats`` gives from raw moments.
+    """The alignment rho and scale ratio kappa of per-example true gradients
+    ``gs`` and predicted gradients ``hs``, both (n, P) with row i of each
+    from example i, from their centred moments: what ``moment_stats`` gives
+    from raw moments.
 
     Population-style moments (divide by n): sigma_g^2 = mean ||g - mu||^2,
-    sigma_h^2 likewise, tau = mean <g - mu, h - mu_h>. rho and kappa are the
-    derived alignment and scale quantities; a vanishing sigma makes the pair
-    degenerate: rho is reported as 0 with the flag set, and kappa as
-    sigma_h / sigma_g, or 0 when sigma_g vanishes.
+    sigma_h^2 likewise, tau = mean <g - mu, h - mu_h>; rho is
+    tau / (sigma_g sigma_h), clipped to [-1, 1], and kappa sigma_h / sigma_g,
+    both NaN when sigma_g or sigma_h is 0.
     """
     gs = np.asarray(gs, dtype=np.float64)
     hs = np.asarray(hs, dtype=np.float64)
     if gs.ndim != 2 or gs.shape != hs.shape:
         raise DimensionError(
             f"need two (n, P) arrays of one shape, got {gs.shape} and {hs.shape}")
-    n = _pair_count(gs.shape[0])
-    mu = gs.mean(axis=0)
-    mu_h = hs.mean(axis=0)
-    du = gs - mu
-    dv = hs - mu_h
-    return _stats(n, float(np.einsum("ij,ij->", du, du)) / n,
-                  float(np.einsum("ij,ij->", dv, dv)) / n,
-                  float(np.einsum("ij,ij->", du, dv)) / n, mu, mu_h)
+    n = gs.shape[0]
+    if n < 2:
+        raise InsufficientData(f"need at least 2 pairs, got {n}")
+    du = gs - gs.mean(axis=0)
+    dv = hs - hs.mean(axis=0)
+    sigma_g = float(np.sqrt(np.einsum("ij,ij->", du, du) / n))
+    sigma_h = float(np.sqrt(np.einsum("ij,ij->", dv, dv) / n))
+    if sigma_g == 0.0 or sigma_h == 0.0:
+        return float("nan"), float("nan")
+    tau = float(np.einsum("ij,ij->", du, dv)) / n
+    return min(1.0, max(-1.0, tau / (sigma_g * sigma_h))), sigma_h / sigma_g

@@ -24,8 +24,7 @@ def test_simulate_matches_exact_variance(f, m, rho, kappa):
     sigma_g = 1.5
     sigma_h = kappa * sigma_g
     tau = rho * sigma_g * sigma_h
-    res = simulate_estimator(sigma_g, sigma_h, tau, DIM, f, m, TRIALS, seed=7,
-                             mu=0.3, mu_h=[-2.0, 1.0, 0.0, 4.0, 0.5, -1.0])
+    res = simulate_estimator(sigma_g, sigma_h, tau, DIM, f, m, TRIALS, seed=7)
     f_eff = control_batch_size(m, f) / m
     v = v2_exact(sigma_g, sigma_h, tau, f_eff, m)
     assert res.predicted_var == v

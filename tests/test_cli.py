@@ -97,7 +97,9 @@ RETIRED = {"warmup": ("warmup", "true", TRAIN), "loss": ("loss", "auto", TRAIN),
            "algo": ("algo", "vanilla", TRAIN), "ridge_lambda": ("ridge_lambda", "0.5", TRAIN),
            "compare-epochs": ("epochs", "3", COMMANDS["compare"]),
            "sigma_h": ("sigma_h", "2.0", COMMANDS["simulate"]),
-           "tau": ("tau", "0.5", COMMANDS["simulate"])}
+           "tau": ("tau", "0.5", COMMANDS["simulate"]),
+           "mu": ("mu", "0.3", COMMANDS["simulate"]),
+           "mu_h": ("mu_h", "-1.0", COMMANDS["simulate"])}
 
 
 @pytest.mark.parametrize("key, value, argv", RETIRED.values(), ids=RETIRED)
@@ -262,6 +264,20 @@ def test_train_runs_the_predictor_it_is_given(tmp_path, capsys):
     assert written["predictor"] == "feedback" and "algo" not in written
 
 
+@pytest.mark.parametrize("budget, steps, units", [("326.4", 8, 326.4),
+                                                   ("122.39999999999999", 2, 81.6)])
+def test_train_stops_at_the_last_step_the_ledger_prices_within_the_budget(
+        tmp_path, capsys, budget, steps, units):
+    # batches of 32 at f = 0.25 cost 40.8 units a step: 8 steps are exactly
+    # 326.4 by the ledger, and 3 steps, 122.4, exceed 122.39999999999999
+    code = main(["train", "--task", "regression", "--n", "1000", "--predictor", "feedback",
+                 "--epochs", "5", "--budget", budget, "--outdir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    printed = dict(line.split(" ", 1) for line in out.splitlines())
+    assert int(printed["steps"]) == steps and float(printed["cost_units"]) == units
+
+
 def test_compare_refuses_the_none_predictor(tmp_path, capsys):
     code, err = run(capsys, ["compare"] + TRAIN[1:] + ["--predictor", "none",
                                                        "--budget", "1000",
@@ -273,14 +289,19 @@ def test_compare_refuses_the_none_predictor(tmp_path, capsys):
 
 def rewrite_checkpoint(path, drop=(), arrays=None, **header):
     """Rewrite the checkpoint at ``path`` without the entries named in
-    ``drop``, an array's name or "header:<key>", with ``arrays`` added and
-    the ``header`` keys set."""
+    ``drop``, an array's name or "header:<key>", with the ``arrays`` and the
+    ``header`` keys set; a callable value is applied to the value held."""
+    def value(new, held):
+        return new(held) if callable(new) else new
+
     with np.load(path) as z:
         kept = {key: z[key] for key in z.files if key not in drop}
-    held = {**json.loads(bytes(kept["header"]).decode("utf-8")), **header}
-    held = {key: value for key, value in held.items() if f"header:{key}" not in drop}
+    held = json.loads(bytes(kept["header"]).decode("utf-8"))
+    held.update((key, value(new, held.get(key))) for key, new in header.items())
+    held = {key: v for key, v in held.items() if f"header:{key}" not in drop}
+    kept.update((key, value(new, kept.get(key))) for key, new in (arrays or {}).items())
     kept["header"] = np.frombuffer(json.dumps(held).encode(), dtype=np.uint8)
-    np.savez(path, **kept, **(arrays or {}))
+    np.savez(path, **kept)
 
 
 def test_the_retired_scalar_predictor_exits_2(tmp_path, capsys):
@@ -307,6 +328,16 @@ BAD_CHECKPOINTS = {
     "no-predictor-field": (lambda ckpt: rewrite_checkpoint(ckpt, ["pred_n_fit"]),
                            "'pred_n_fit'"),
     "format-1": (lambda ckpt: rewrite_checkpoint(ckpt, format=1), "format 1"),
+    # entries of a shape the network does not take
+    "net-extra-key": (lambda ckpt: rewrite_checkpoint(ckpt, net=lambda net: {**net, "x": 1}),
+                      "'net'"),
+    "four-stepping-counts": (lambda ckpt: rewrite_checkpoint(
+        ckpt, arrays={"stepping_counts": lambda counts: np.append(counts, 0)}),
+        "'stepping_counts'"),
+    "short-trunk-params": (lambda ckpt: rewrite_checkpoint(
+        ckpt, arrays={"trunk_params": lambda theta: theta[:-3]}), "trunk_params has shape"),
+    "short-feedback-map": (lambda ckpt: rewrite_checkpoint(
+        ckpt, arrays={"pred_b": lambda b: b[:-1]}), "'pred_b'"),
 }
 
 

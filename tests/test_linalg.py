@@ -55,6 +55,37 @@ def test_solve_ridge_singular_without_penalty():
         solve_ridge(np.eye(2, 3), np.ones((2, 1)), 0.0)
 
 
+@pytest.mark.parametrize("a", [
+    np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]),
+    np.ones((2, 4)),
+], ids=["equal-columns", "equal-rows"])
+def test_a_singular_system_at_a_tiny_penalty_takes_the_jitter_rescue(monkeypatch, a):
+    # the Gram matrices (A^T A, or A A^T for the wide A) are exactly
+    # singular, so Cholesky fails at lambda = 1e-300; the rescue adds
+    # 1e-12 trace(Gram) / k and solves the jittered normal equations. B is
+    # in the range of A, so the kernel side's solution has no large part
+    # along the null space of A A^T for A^T to cancel
+    checks, cholesky = [], np.linalg.cholesky
+
+    def checked(m):
+        checks.append("failed")
+        out = cholesky(m)
+        checks[-1] = "passed"
+        return out
+
+    monkeypatch.setattr(linalg.np.linalg, "cholesky", checked)
+    n, p = a.shape
+    b = a @ substream(2, "jitter").standard_normal((p, 2))
+    lam = 1e-300
+    x = solve_ridge(a, b, lam)
+    assert checks == ["failed", "passed"]
+    gram = a.T @ a if p <= n else a @ a.T
+    jitter = 1e-12 * np.trace(gram) / len(gram)
+    atb = a.T @ b
+    resid = (a.T @ a + (lam + jitter) * np.eye(p)) @ x - atb
+    assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(atb)
+
+
 def test_solve_ridge_dimension_mismatch():
     with pytest.raises(DimensionError):
         solve_ridge(np.eye(2), np.ones((3, 1)), 0.0)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from predgrad.data import gen_blobs, gen_regression
 from predgrad.errors import DimensionError, InsufficientData
 from predgrad.network import (NetworkConfig, backward_sum, forward, init_network,
                               loss_and_residual, trunk_rows)
-from predgrad.predictor import (FeedbackPredictor, FitRows, PerfectPredictor, RefitPolicy,
-                                StructuredPredictor, choose_rank, fit_feedback,
+from predgrad.predictor import (RESIDUAL_FLOOR, FeedbackPredictor, FitRows, PerfectPredictor,
+                                RefitPolicy, StructuredPredictor, choose_rank, fit_feedback,
                                 fit_structured, should_refit, trunk_alignment)
 from predgrad.rng import substream
 
@@ -49,9 +50,9 @@ def test_feedback_predictor_exact_on_identity_nets(data):
     *_, rows = feedback_sample(net, ds, np.arange(100))
     pred = fit_feedback(rows, lam=1e-12)
     cache, residuals, trunk, _ = feedback_sample(net, ds, np.arange(100, 200))
-    stats = trunk_alignment(pred, net, cache, residuals, trunk)
-    assert stats.rho >= 1 - 1e-9
-    assert abs(stats.kappa - 1) <= 1e-9
+    rho, kappa = trunk_alignment(pred, net, cache, residuals, trunk)
+    assert rho >= 1 - 1e-9
+    assert abs(kappa - 1) <= 1e-9
 
 
 @pytest.mark.parametrize("hidden", [(7,), (6, 9), (9, 4, 6)])
@@ -66,11 +67,31 @@ def test_feedback_sums_and_statistics_match_its_formed_rows(data, activation, hi
     (summed,) = pred.predict_sums(net, [(cache, residuals)])
     total = formed.sum(axis=0)
     assert np.linalg.norm(summed - total) <= 1e-12 * np.linalg.norm(total)
-    stats = trunk_alignment(pred, net, cache, residuals, trunk)
-    ref = alignment_stats(trunk.dense(), formed)
-    for name in ("sigma_g", "sigma_h", "kappa"):
-        assert getattr(stats, name) == pytest.approx(getattr(ref, name), rel=1e-12)
-    assert abs(stats.rho - ref.rho) <= 1e-12
+    rho, kappa = trunk_alignment(pred, net, cache, residuals, trunk)
+    ref_rho, ref_kappa = alignment_stats(trunk.dense(), formed)
+    assert kappa == pytest.approx(ref_kappa, rel=1e-12)
+    assert abs(rho - ref_rho) <= 1e-12
+
+
+@pytest.mark.parametrize("fit", [fit_feedback, fit_structured])
+def test_rows_at_the_residual_floor_are_left_out_of_a_fit(fit):
+    # rows whose residuals are 0 or within RESIDUAL_FLOOR carry no fit
+    # signal: the fit is that of the other rows alone, bit for bit
+    ds, net = feedback_case("blobs")
+    _, output, cache = forward(net, ds.features[:80])
+    _, residuals = loss_and_residual(output, ds.targets[:80], ds.loss_kind)
+    zeroed, low = [3, 9], [40, 61]
+    residuals[zeroed] = 0.0
+    residuals[low] *= 0.5 * RESIDUAL_FLOOR / np.abs(residuals[low]).max(axis=1, keepdims=True)
+    keep = np.ones(80, dtype=bool)
+    keep[zeroed + low] = False
+    trunk = trunk_rows(net, cache, residuals)
+    every = fit(FitRows(cache.act[-1], residuals, net.head_weight, trunk))
+    alone = fit(FitRows(cache.act[-1][keep], residuals[keep], net.head_weight, trunk[keep]))
+    assert every.n_fit == 76
+    for f in fields(every):
+        got, want = np.asarray(getattr(every, f.name)), np.asarray(getattr(alone, f.name))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
 
 
 def test_fit_feedback_rejects_zero_residuals():

@@ -8,6 +8,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from predgrad import predictor as predictor_module
 from predgrad import trainer
@@ -381,6 +382,29 @@ def test_a_comparison_spends_its_budget_whatever_the_epochs(cheap):
         assert getattr(report, f"{algo}_steps") == round(spent / cost)
 
 
+@settings(max_examples=40)
+@given(cm=st.builds(lambda b, fw, share: CostModel(b, fw, share * (b + fw)),
+                    st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.floats(0.01, 1.0)),
+       algo=st.sampled_from(["vanilla", "perfect"]), f=st.sampled_from([0.1, 0.25, 0.3, 0.5]),
+       batch_size=st.integers(10, 70), k=st.integers(1, 12))
+def test_a_budget_of_the_ledger_after_k_steps_takes_exactly_k_steps(cm, algo, f, batch_size, k):
+    # 320 training rows: some batch sizes end an epoch on a short batch
+    ds, ncfg = regression(hidden=(4,))
+    cfg = TrainConfig(epochs=12, batch_size=batch_size, control_fraction=f, cost_model=cm,
+                      seed=2, eval_every=0)
+
+    def run(cfg):
+        net = init_network(ncfg)
+        return train_vanilla(cfg, ds, net) if algo == "vanilla" else \
+            train_predicted(cfg, ds, net, algo)
+
+    budget = run(replace(cfg, max_steps=k)).state.stepping.cost_units
+    res = run(replace(cfg, budget=budget))
+    assert res.steps == k
+    assert all(r.cost_units <= budget for r in res.records)
+    assert res.state.stepping.cost_units == budget
+
+
 LEARNED_STEPS = pytest.mark.parametrize("kind, make_data, loss_kind", [
     ("feedback", regression, "squared_scalar"),
     ("feedback", blobs, "cross_entropy"),
@@ -389,20 +413,21 @@ LEARNED_STEPS = pytest.mark.parametrize("kind, make_data, loss_kind", [
 
 
 def fitted_step(kind, make_data, loss_kind, hidden=(24, 16)):
-    """A learned predictor after a refit, a batch and its split, and a
-    function giving the lean step's G on them."""
+    """A learned predictor after a refit, a batch and its control positions,
+    and a function giving the lean step's G on them."""
     ds, ncfg = make_data(hidden=hidden)
     assert ds.loss_kind == loss_kind
     cfg = TrainConfig(batch_size=64, max_steps=4, refit=RefitPolicy(period=2), seed=7,
                       eval_every=0)
     res = train_predicted(cfg, ds, init_network(ncfg), kind)
     batch_idx = ds.train_idx[64:128]
-    split = split_minibatch(64, 0.25, substream(7, "split"))
+    control = split_minibatch(64, 0.25, substream(7, "split"))
 
     def step():
-        return trainer._batch_predicted(res.network, res.state.predictor, ds, batch_idx, split)[0]
+        return trainer._batch_predicted(res.network, res.state.predictor, ds, batch_idx,
+                                        control)[0]
 
-    return res.network, res.state.predictor, ds, batch_idx, split, step
+    return res.network, res.state.predictor, ds, batch_idx, control, step
 
 
 @LEARNED_STEPS
@@ -439,8 +464,8 @@ def test_a_step_reads_each_predictor_matrix_once(monkeypatch, kind, make_data, l
 def test_lean_step_matches_the_row_path(kind, make_data, loss_kind, predicted_rows):
     # the row path: a second forward on the control rows, and per-row
     # backward and prediction rows, summed
-    net, pred, ds, batch_idx, split, step = fitted_step(kind, make_data, loss_kind)
-    ctrl = batch_idx[split.control]
+    net, pred, ds, batch_idx, control, step = fitted_step(kind, make_data, loss_kind)
+    ctrl = batch_idx[control]
     _, output, cache = forward(net, ds.features[batch_idx])
     _, r = loss_and_residual(output, ds.targets[batch_idx], loss_kind)
     _, output_c, cache_c = forward(net, ds.features[ctrl])
@@ -448,7 +473,7 @@ def test_lean_step_matches_the_row_path(kind, make_data, loss_kind, predicted_ro
     from_rows = combine(predicted_rows(net, pred, cache, r).sum(axis=0),
                         backward(net, cache_c, r_c).sum(axis=0),
                         predicted_rows(net, pred, cache_c, r_c).sum(axis=0),
-                        split.m_c, split.m)
+                        len(control), len(batch_idx))
     lean = step()
     assert np.linalg.norm(lean - from_rows) <= 1e-12 * np.linalg.norm(from_rows)
 
@@ -524,13 +549,12 @@ def narrow_regression_shape(hidden=(16,)):
 ])
 def test_a_learned_step_has_vanillas_head_and_predicts_only_the_trunk(kind, make_data,
                                                                       loss_kind, hidden):
-    net, pred, ds, batch_idx, split, step = fitted_step(kind, make_data, loss_kind, hidden)
+    net, pred, ds, batch_idx, ctrl, step = fitted_step(kind, make_data, loss_kind, hidden)
     pt = net.trunk_size
     vanilla, _ = trainer._batch_true(net, ds, batch_idx)
     assert step()[pt:].tobytes() == vanilla[pt:].tobytes()
     _, output, cache = forward(net, ds.features[batch_idx])
     _, r = loss_and_residual(output, ds.targets[batch_idx], loss_kind)
-    ctrl = split.control
     sums = pred.predict_sums(net, [(cache, r), (cache.rows(ctrl), r[ctrl])])
     assert [s.shape for s in sums] == [(pt,), (pt,)]
 
@@ -571,11 +595,10 @@ def test_factored_refit_matches_the_dense_row_refit(monkeypatch, make_data, kind
                         lambda p, net, cache, r, trunk:
                         alignment_stats(backward(net, cache, r)[:, :pt],
                                         predicted_rows(net, p, cache, r)[:, :pt]))
-    dense_refit, dense_stats = trainer._refit(cfg, ds, dense_state, kind)
+    dense_refit, (dense_rho, dense_kappa) = trainer._refit(cfg, ds, dense_state, kind)
     assert refit == dense_refit == 1
-    for name in ("sigma_g", "sigma_h", "kappa"):
-        assert getattr(stats, name) == pytest.approx(getattr(dense_stats, name), rel=1e-9)
-    assert abs(stats.rho - dense_stats.rho) <= 1e-9
+    assert stats[1] == pytest.approx(dense_kappa, rel=1e-9)
+    assert abs(stats[0] - dense_rho) <= 1e-9
     _, output, cache = forward(net, ds.features[ds.val_idx])
     _, r = loss_and_residual(output, ds.targets[ds.val_idx], loss_kind)
     got = predicted_rows(net, state.predictor, cache, r)
