@@ -78,7 +78,7 @@ def run(command, data, activation, algo, variant=None, n=400, max_steps=None) ->
     ncfg = NetworkConfig(input_dim=8, hidden_widths=hidden, output_dim=out,
                          activation=activation, seed=5)
     cfg = TrainConfig(epochs=2, batch_size=fixed.get("batch_size", 32),
-                      control_fraction=fixed.get("control_fraction", 0.25), momentum=0.5,
+                      control_fraction=fixed.get("control_fraction", 0.25),
                       refit=RefitPolicy(period=7), max_steps=max_steps, seed=3,
                       budget=1500.0 if command == "compare" else None)
     name = f"{command}-{task}-{'x'.join(map(str, hidden))}-{activation}-{algo}" \

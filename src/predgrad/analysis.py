@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, MomentError
+from .errors import DomainError, MomentError
 from .estimator import combine, control_batch_size, v2_exact, variance_inflation
 from .rng import substream
 
@@ -146,7 +146,7 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
         raise MomentError(
             f"|tau| = {abs(tau)} violates the Cauchy-Schwarz bound {sigma_g * sigma_h}")
     if dim < 1:
-        raise DimensionError(f"dim must be >= 1, got {dim}")
+        raise DomainError(f"dim must be >= 1, got {dim}")
     if m < 2:
         raise DomainError(f"mini-batch size must be >= 2, got {m}")
     if trials < 1:

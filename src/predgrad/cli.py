@@ -85,7 +85,6 @@ def _add_train_options(p, predictor):
                    type=float, default=0.25)
     p.add_argument("--learning-rate", "--lr", dest="learning_rate",
                    type=float, default=0.05)
-    p.add_argument("--momentum", type=float, default=0.0, help="heavy ball; 0 is SGD")
     p.add_argument("--refit-period", type=int, default=50)
     p.add_argument("--buffer-capacity", type=int, default=256,
                    help="training rows drawn afresh for each predictor fit "
@@ -253,7 +252,6 @@ def _train_config(args) -> TrainConfig:
         batch_size=args.batch_size,
         control_fraction=args.control_fraction,
         learning_rate=args.learning_rate,
-        momentum=args.momentum,
         refit=RefitPolicy(period=args.refit_period, buffer_capacity=args.buffer_capacity),
         cost_model=CostModel(backward=args.cost_backward,
                              forward=args.cost_forward,
@@ -286,7 +284,8 @@ def cmd_train(args) -> int:
     ckpt_path = os.path.join(args.outdir, "checkpoint.npz")
 
     if args.resume is not None:
-        result = resume_run(cfg, ds, args.resume, metrics_path, args.predictor)
+        result = resume_run(cfg, ds, _net_config(args, ds), args.resume, metrics_path,
+                            args.predictor)
     else:
         from .network import init_network
         net = init_network(_net_config(args, ds))
@@ -294,7 +293,7 @@ def cmd_train(args) -> int:
             result = train_vanilla(cfg, ds, net, metrics_path)
         else:
             result = train_predicted(cfg, ds, net, args.predictor, metrics_path)
-    save_run_checkpoint(ckpt_path, result, cfg)
+    save_run_checkpoint(ckpt_path, result, cfg, ds)
     print(f"steps {result.steps}")
     state = result.state
     print(f"cost_units {state.stepping.cost_units!r}")

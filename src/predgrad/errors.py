@@ -50,7 +50,7 @@ class SingularSystem(NumericError):
     pass
 
 
-class DomainError(NumericError):
+class DomainError(ConfigError):    # an argument outside its function's domain
     pass
 
 

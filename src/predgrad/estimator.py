@@ -79,11 +79,11 @@ def moment_stats(n: int, gg: float, hh: float, gh: float, g_sum, h_sum) -> tuple
 
 
 def variance_inflation(f: float, rho: float, kappa: float) -> float:
-    """phi(f, rho, kappa) = (1 + (1-f) kappa^2 - 2 (1-f) rho kappa) / f."""
-    if f <= 0:
-        raise DomainError(f"control fraction must be positive, got {f}")
-    if f > 1:
-        raise DomainError(f"control fraction must be <= 1, got {f}")
+    """phi(f, rho, kappa) = (1 + (1-f) kappa^2 - 2 (1-f) rho kappa) / f; NaN passes."""
+    if not 0.0 < f <= 1.0:
+        raise DomainError(f"control fraction must be in (0,1], got {f}")
+    if abs(rho) > 1.0 or kappa < 0.0:
+        raise DomainError(f"need |rho| <= 1 and kappa >= 0, got rho {rho}, kappa {kappa}")
     return (1.0 + (1.0 - f) * kappa * kappa - 2.0 * (1.0 - f) * rho * kappa) / f
 
 

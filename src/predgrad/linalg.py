@@ -2,9 +2,9 @@
 
 Everything is double precision: inputs are converted to float64 ndarrays.
 A matrix whose rows are sums of outer products of short factors, as
-per-example gradients of dense layers are, can be given as ``FactoredRows``
-instead: ``truncated_svd`` takes it beside a dense array and uses its
-factors wherever it would multiply by the rows.
+per-example gradients of dense layers are, is held as ``FactoredRows``,
+the only form ``truncated_svd`` takes; it uses the factors wherever it would
+multiply by the rows. A dense n x p A is ``FactoredRows([(A, np.empty((n, 0)))])``.
 """
 
 import numpy as np
@@ -139,45 +139,24 @@ def _expand(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x[:, :, None] * w[:, None, :]).reshape(len(x), -1)
 
 
-def _dense(a, name: str) -> np.ndarray:
-    return a.dense() if isinstance(a, FactoredRows) else _as_matrix(a, name)
-
-
-def _checked(a, name: str):
-    return a if isinstance(a, FactoredRows) else _as_matrix(a, name)
-
-
-def _row_gram(a) -> np.ndarray:
-    """A A^T."""
-    return a.gram() if isinstance(a, FactoredRows) else a @ a.T
-
-
 def few_column_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A @ B for a B of few columns, reading A from memory once.
 
     Each column of B alone is a matrix-vector product that costs the bytes
     of A it reads. A plain A @ B with several columns makes BLAS pack A,
     which above a few MB costs more than one matrix-vector product per
-    column. So A is cut along its long axis into blocks of about
-    BLOCK_BYTES, and each block meets every column of B while it is in
-    cache: row blocks for a tall A, and for a wide A column blocks whose
-    partial products are summed. An A that fits in one block is a plain
-    A @ B.
+    column. So A is cut into row blocks of about BLOCK_BYTES, each meeting
+    every column of B while it is in cache; an A that fits in one block is a
+    plain A @ B. A long A is tall here (a basis, P_T x r), and a wide one
+    (the maps, r x q(D+1)) fits in a block.
     """
     a, b = _as_matrix(a, "A"), _as_matrix(b, "B")
-    n, k = a.shape
     if a.nbytes <= BLOCK_BYTES:
         return a @ b
-    if n >= k:
-        step = max(1, BLOCK_BYTES // (a.itemsize * k))
-        out = np.empty((n, b.shape[1]))
-        for i in range(0, n, step):
-            np.matmul(a[i:i + step], b, out=out[i:i + step])
-        return out
-    step = max(1, BLOCK_BYTES // (a.itemsize * n))
-    out = a[:, :step] @ b[:step]
-    for j in range(step, k, step):
-        out += a[:, j:j + step] @ b[j:j + step]
+    step = max(1, BLOCK_BYTES // (a.itemsize * a.shape[1]))
+    out = np.empty((len(a), b.shape[1]))
+    for i in range(0, len(a), step):
+        np.matmul(a[i:i + step], b, out=out[i:i + step])
     return out
 
 
@@ -229,8 +208,8 @@ def _solve_system(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
     return np.linalg.solve(system, rhs)
 
 
-def truncated_svd(a, rank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best rank-r factorization of A: returns (U, s, Vt) with U n x r.
+def truncated_svd(a: FactoredRows, rank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best rank-r factorization of the rows A: returns (U, s, Vt) with U n x r.
 
     ``rank`` is r, or a function that picks r from all min(n, p) singular
     values in descending order; either way only the r kept singular
@@ -242,9 +221,9 @@ def truncated_svd(a, rank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``solve_ridge`` picks its side: A^T A (p x p) when p <= n, giving V, or
     A A^T when p > n, giving U; eigenvalues below 0 are rounding and are
     clamped to 0. The other factor is A V / s (or (A^T (U / s))^T), zero
-    where s = 0. An A given as ``FactoredRows`` is formed densely on the
-    p x p side, where it is no wider than tall, and on the other enters
-    only through its Gram matrix and A^T (U / s).
+    where s = 0. A is formed densely on the p x p side, where it is no
+    wider than tall, and on the other enters only through its Gram matrix
+    and A^T (U / s).
 
     Precision is lost where the Gram matrix squares the spectrum: a singular
     value s_i is accurate to about eps s_1^2 / s_i rather than eps s_1, so
@@ -252,12 +231,11 @@ def truncated_svd(a, rank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     columns are orthonormal only to about eps (s_1 / s_i)^2. Columns with
     s_i >= 1e-3 s_1 stay orthonormal to about 1e-10.
     """
-    a = _checked(a, "A")
     n, p = a.shape
     tall = p <= n
     if tall:
-        a = _dense(a, "A")
-    eigvals, vecs = np.linalg.eigh(a.T @ a if tall else _row_gram(a))
+        a = a.dense()
+    eigvals, vecs = np.linalg.eigh(a.T @ a if tall else a.gram())
     singulars = np.sqrt(np.maximum(eigvals[::-1], 0.0))
     r = rank(singulars) if callable(rank) else rank
     if not 1 <= r <= min(n, p):
@@ -267,5 +245,4 @@ def truncated_svd(a, rank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
     if tall:
         return (a @ vecs) * inv, s, vecs.T
-    w = vecs * inv
-    return vecs, s, (a.t_dot(w) if isinstance(a, FactoredRows) else a.T @ w).T
+    return vecs, s, a.t_dot(vecs * inv).T

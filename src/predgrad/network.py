@@ -109,18 +109,6 @@ class Network:
             if getattr(self, name).shape != shape:
                 raise DimensionError(f"{name} has shape {getattr(self, name).shape}, not {shape}")
 
-    @property
-    def trunk_size(self) -> int:
-        return self.config.trunk_size
-
-    @property
-    def head_size(self) -> int:
-        return self.config.head_size
-
-    @property
-    def n_params(self) -> int:
-        return self.config.n_params
-
     def trunk_layers(self):
         """Views (W_k, b_k) into the flat trunk vector, in layer order."""
         layers = []
@@ -138,11 +126,10 @@ class Network:
 
     def set_flat_params(self, theta: np.ndarray) -> None:
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.n_params,):
-            raise DimensionError(
-                f"expected {self.n_params} parameters, got {theta.shape}")
-        pt = self.trunk_size
-        c, d = self.config.output_dim, self.config.last_hidden
+        cfg = self.config
+        if theta.shape != (cfg.n_params,):
+            raise DimensionError(f"expected {cfg.n_params} parameters, got {theta.shape}")
+        pt, c, d = cfg.trunk_size, cfg.output_dim, cfg.last_hidden
         self.trunk_params = np.ascontiguousarray(theta[:pt])
         self.head_weight = np.ascontiguousarray(theta[pt:pt + c * d].reshape(c, d))
         self.head_bias = np.ascontiguousarray(theta[pt + c * d:])

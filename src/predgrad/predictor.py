@@ -68,11 +68,10 @@ ENERGY_TARGET = 0.99    # default rank rule: 99% of squared singular mass
 
 class FitRows(NamedTuple):
     """Fit data: one row per example of a fit sample, and the pass's head weight."""
-    llh: np.ndarray         # (n, D)
-    residual: np.ndarray    # (n, C)
-    head_weight: np.ndarray # (C, D) W_a
-    trunk_grad: object      # (n, P_T) true gradient: an array, or its FactoredRows
-                            # (``network.trunk_rows``)
+    llh: np.ndarray             # (n, D)
+    residual: np.ndarray        # (n, C)
+    head_weight: np.ndarray     # (C, D) W_a
+    trunk_grad: FactoredRows    # (n, P_T) true trunk gradients, as network.trunk_rows
 
 
 @dataclass(frozen=True)

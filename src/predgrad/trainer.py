@@ -16,7 +16,9 @@ the control prediction the same call on the same arrays as the true control
 sum: the correction is exactly zero and the step is vanilla's bit for bit.
 
 The predictor is one of the objects of ``predgrad.predictor``. The loss
-comes from the data (``Dataset.loss_kind``), and the learning rate is fixed.
+comes from the data (``Dataset.loss_kind``). The update is plain SGD at a
+fixed learning rate, theta - lr G: the control variate makes G unbiased
+whatever the step rule, so a run holds no optimizer state.
 
 A step whose batch loss or combined gradient is not finite stops the run
 with a ``NumericError`` that names the step. A network whose input or
@@ -77,7 +79,7 @@ from .predictor import (PREDICTORS, FitRows, PerfectPredictor, RefitPolicy, fit_
                         fit_structured, should_refit, trunk_alignment)
 from .rng import substream
 
-RUN_CHECKPOINT_FORMAT = 2
+RUN_CHECKPOINT_FORMAT = 3
 
 log = logging.getLogger(__name__)
 
@@ -88,7 +90,6 @@ class TrainConfig:
     batch_size: int = 32
     control_fraction: float = 0.25
     learning_rate: float = 0.05
-    momentum: float = 0.0               # > 0: heavy-ball momentum
     refit: RefitPolicy = field(default_factory=RefitPolicy)
     cost_model: CostModel = field(default_factory=CostModel)
     budget: float | None = None         # cap on stepping cost units
@@ -106,8 +107,6 @@ class TrainConfig:
                 f"control_fraction must be in (0,1], got {self.control_fraction}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must be in [0,1)")
         if self.budget is not None and self.budget < 0:
             raise ConfigError("budget must be nonnegative")
         if self.max_steps is not None and self.max_steps < 1:
@@ -160,25 +159,18 @@ class StepRecord:
 METRICS_HEADER = [f.name for f in fields(StepRecord)]
 
 
-def optimizer_step(theta: np.ndarray, g: np.ndarray, state, lr: float, momentum: float):
-    """One sgd / sgd-with-momentum update; returns (theta', state')."""
-    theta = np.asarray(theta, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
+def optimizer_step(theta: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
+    """One SGD update, theta - lr g."""
     if theta.shape != g.shape:
         raise DimensionError(f"parameter/gradient shape mismatch "
                              f"{theta.shape} vs {g.shape}")
-    if momentum == 0.0 and state is None:
-        return theta - lr * g, None
-    buf = np.zeros_like(theta) if state is None else state
-    buf = momentum * buf + g
-    return theta - lr * buf, buf
+    return theta - lr * g
 
 
 @dataclass
 class TrainState:
     net: Network
     predictor: object | None        # a fitted predictor; None for vanilla
-    opt_state: np.ndarray | None
     stepping: BudgetLedger
     warmup_ledger: BudgetLedger
     step: int = 0
@@ -303,6 +295,16 @@ def _epoch_batches(n_train: int, batch_size: int, min_batch: int) -> tuple[int, 
     return full, sizes
 
 
+def _check_fit(ds: Dataset, c: NetworkConfig) -> None:
+    """Refuse data whose input or output width the network ``c`` does not fit."""
+    labels = ds.kind == "classification"  # a class may go unlabelled
+    if ds.input_dim != c.input_dim or ds.output_dim > c.output_dim \
+            or (not labels and ds.output_dim != c.output_dim):
+        raise DataError(f"the network has input width {c.input_dim} and output width "
+                        f"{c.output_dim}; the data has input width {ds.input_dim} and "
+                        f"{ds.output_dim} {'classes' if labels else 'target columns'}")
+
+
 def _check_run(cfg: TrainConfig, ds: Dataset, net: Network, predicted: bool) -> int:
     """Validate a run's config and network against its data, warning once
     for each size of batch the run takes that the control fraction does not
@@ -310,12 +312,7 @@ def _check_run(cfg: TrainConfig, ds: Dataset, net: Network, predicted: bool) -> 
     loops."""
     if len(ds.train_idx) == 0:
         raise DataError("dataset has no training examples")
-    c, labels = net.config, ds.kind == "classification"  # a class may go unlabelled
-    if ds.input_dim != c.input_dim or ds.output_dim > c.output_dim \
-            or (not labels and ds.output_dim != c.output_dim):
-        raise DataError(f"the network has input width {c.input_dim} and output width "
-                        f"{c.output_dim}; the data has input width {ds.input_dim} and "
-                        f"{ds.output_dim} {'classes' if labels else 'target columns'}")
+    _check_fit(ds, net.config)
     f = cfg.control_fraction
     min_batch = max(2, math.ceil(1.0 / f))
     if not predicted:
@@ -380,8 +377,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
                 raise NumericError(
                     f"non-finite loss or gradient at step {state.step + 1}")
 
-            theta, state.opt_state = optimizer_step(
-                theta, grad, state.opt_state, cfg.learning_rate, cfg.momentum)
+            theta = optimizer_step(theta, grad, cfg.learning_rate)
             state.net.set_flat_params(theta)
             state.step += 1
 
@@ -409,8 +405,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
 
 
 def _fresh_state(cfg: TrainConfig, net: Network) -> TrainState:
-    return TrainState(net=net, predictor=None, opt_state=None,
-                      stepping=BudgetLedger(cfg.cost_model),
+    return TrainState(net=net, predictor=None, stepping=BudgetLedger(cfg.cost_model),
                       warmup_ledger=BudgetLedger(cfg.cost_model))
 
 
@@ -550,19 +545,32 @@ def _run_identity(cfg: TrainConfig) -> dict:
     return json.loads(json.dumps(d))
 
 
-def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
-    """Save a run's state as an npz archive; resuming from it reproduces an
+def _data_digest(ds: Dataset) -> str:
+    """SHA-256 of the dataset's features, targets, and training and validation indices."""
+    import hashlib   # here, as only a checkpoint's save and load need it
+    h = hashlib.sha256()
+    for a in (ds.features, ds.targets, ds.train_idx, ds.val_idx):
+        h.update(repr(a.shape).encode() + a.tobytes())
+    return h.hexdigest()
+
+
+def _differing(held: dict, given: dict) -> str:
+    return ", ".join(sorted(k for k in held.keys() | given.keys() if held.get(k) != given.get(k)))
+
+
+def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig, ds: Dataset) -> None:
+    """Save a run on ``ds`` as an npz archive; resuming from it reproduces an
     uninterrupted run bit-exactly (all random streams are derived
     statelessly from the seed and the step, and so are the epoch and the
-    batch in it). Format 2 holds:
+    batch in it). Format 3 holds what a resumed run reads, every entry
+    required:
 
     * ``header``: UTF-8 JSON of ``format``, ``predictor_kind`` ("none" for
-      vanilla), ``cfg`` (``_run_identity``) and ``net`` (the
-      ``NetworkConfig`` as a dict);
-    * ``trunk_params``, ``head_weight``, ``head_bias`` and ``net_version``;
+      vanilla), ``cfg`` (``_run_identity``), ``net`` (the ``NetworkConfig``
+      as a dict) and ``data`` (``_data_digest``);
+    * ``trunk_params``, ``head_weight`` and ``head_bias``;
     * ``step``, and ``stepping_counts`` and ``warmup_counts``: each ledger's
       forward, cheap forward and backward counts;
-    * ``opt_state``, the momentum buffer, when the run has one;
     * ``pred_<field>`` for each field of the predictor's dataclass.
 
     The file is written to ``<path>.tmp`` and then moved into place, so a
@@ -573,13 +581,10 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
         "trunk_params": net.trunk_params,
         "head_weight": net.head_weight,
         "head_bias": net.head_bias,
-        "net_version": np.int64(net.version),
         "step": np.int64(state.step),
         "stepping_counts": np.asarray(astuple(state.stepping)[1:], dtype=np.int64),
         "warmup_counts": np.asarray(astuple(state.warmup_ledger)[1:], dtype=np.int64),
     }
-    if state.opt_state is not None:
-        arrays["opt_state"] = state.opt_state
     if pred is not None:
         arrays.update((f"pred_{f.name}", getattr(pred, f.name)) for f in fields(pred))
 
@@ -588,6 +593,7 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
         "predictor_kind": "none" if pred is None else pred.kind,
         "cfg": _run_identity(cfg),
         "net": asdict(net.config),
+        "data": _data_digest(ds),
     })
     tmp = f"{os.fspath(path)}.tmp"
     try:
@@ -603,19 +609,21 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig) -> None:
         raise
 
 
-def load_run_checkpoint(path, cfg: TrainConfig) -> TrainState:
-    """State of a checkpointed run. The config must match the one it was
-    written under, except for the run-length fields, so a run can be
-    extended. A file that cannot be read, is of another format, lacks an
-    entry or holds one of the wrong shape raises a ``ConfigError`` naming it."""
+def load_run_checkpoint(path, cfg: TrainConfig, ds: Dataset,
+                        net_cfg: NetworkConfig) -> TrainState:
+    """State of a run checkpointed on ``ds``, to go on with the network
+    ``net_cfg``. The config must be the one it was written under, but for
+    the run-length fields, so a run can be extended. An unreadable file, a
+    format, entry or shape other than format 3's, or another config or
+    network raises a ``ConfigError`` naming it; other data a ``DataError``."""
     try:
         with open(path, "rb") as fh:
-            return _run_state(np.load(fh), path, cfg)
+            return _run_state(np.load(fh), path, cfg, ds, net_cfg)
     except (OSError, ValueError, DimensionError, zipfile.BadZipFile) as e:
         raise ConfigError(f"cannot read checkpoint {path}: {e}") from None
 
 
-def _run_state(z, path, cfg: TrainConfig) -> TrainState:
+def _run_state(z, path, cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfig) -> TrainState:
     def need(store, key):
         if key not in store:
             raise ConfigError(f"checkpoint {path} has no {key!r}")
@@ -625,19 +633,23 @@ def _run_state(z, path, cfg: TrainConfig) -> TrainState:
     if need(header, "format") != RUN_CHECKPOINT_FORMAT:
         raise ConfigError(f"checkpoint {path} is in format {header['format']!r}; "
                           f"this version reads format {RUN_CHECKPOINT_FORMAT} only")
-    held, given = need(header, "cfg"), _run_identity(cfg)
-    changed = sorted(k for k in held.keys() | given.keys() if held.get(k) != given.get(k))
+    changed = _differing(need(header, "cfg"), _run_identity(cfg))
     if changed:
-        raise ConfigError(f"checkpoint was written under a different config: {', '.join(changed)}")
+        raise ConfigError(f"checkpoint was written under a different config: {changed}")
     try:
         c = NetworkConfig(**need(header, "net"))
     except TypeError as e:
         raise ConfigError(f"checkpoint {path} has a malformed 'net': {e}") from None
+    _check_fit(ds, c)
+    if need(header, "data") != _data_digest(ds):
+        raise DataError(f"checkpoint {path} was written on other data")
+    changed = _differing(asdict(c), asdict(net_cfg))
+    if changed:
+        raise ConfigError(f"checkpoint {path} holds another network: {changed}")
 
-    kind = need(header, "predictor_kind")
+    kind, pred = need(header, "predictor_kind"), None
     if kind != "none" and kind not in PREDICTORS:
         raise ConfigError(f"checkpoint holds an unknown predictor kind {kind!r}")
-    pred = None
     if kind != "none":
         cls, values = PREDICTORS[kind], {}
         for f in fields(cls):   # a 0-d array holds a scalar field, of the field's type
@@ -645,27 +657,26 @@ def _run_state(z, path, cfg: TrainConfig) -> TrainState:
             values[f.name] = f.type(value) if value.ndim == 0 else value
         pred = cls(**values)
 
-    shapes = {"opt_state": (c.n_params,), "stepping_counts": (3,), "warmup_counts": (3,)}
+    shapes = {"stepping_counts": (3,), "warmup_counts": (3,)}
     if pred is not None:
         shapes.update((f"pred_{k}", v) for k, v in pred.shapes(c).items())
     for k, shape in shapes.items():
-        if k in z and z[k].shape != shape:
+        if need(z, k).shape != shape:
             raise ConfigError(f"checkpoint {path} has {k!r} of shape {z[k].shape}, not {shape}")
-    net = Network(c, need(z, "trunk_params"), need(z, "head_weight"), need(z, "head_bias"),
-                  version=int(need(z, "net_version")))
     return TrainState(
-        net=net, predictor=pred, opt_state=z["opt_state"].copy() if "opt_state" in z else None,
+        net=Network(c, need(z, "trunk_params"), need(z, "head_weight"), need(z, "head_bias")),
+        predictor=pred,
         stepping=BudgetLedger(cfg.cost_model, *map(int, need(z, "stepping_counts"))),
         warmup_ledger=BudgetLedger(cfg.cost_model, *map(int, need(z, "warmup_counts"))),
         step=int(need(z, "step")))
 
 
-def resume_run(cfg: TrainConfig, ds: Dataset, checkpoint_path,
+def resume_run(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfig, checkpoint_path,
                metrics_path=None, kind: str | None = None) -> RunResult:
-    """Continue a checkpointed run; produces the same records the original
-    run would have produced from that point. A given predictor ``kind``,
-    "none" for vanilla, must be the checkpoint's."""
-    state = load_run_checkpoint(checkpoint_path, cfg)
+    """Continue a checkpointed run on its data and network; produces the
+    same records the original run would have produced from that point. A
+    given predictor ``kind``, "none" for vanilla, must be the checkpoint's."""
+    state = load_run_checkpoint(checkpoint_path, cfg, ds, net_cfg)
     held = "none" if state.predictor is None else state.predictor.kind
     if kind not in (None, held):
         raise ConfigError(f"checkpoint holds predictor kind {held!r}, not {kind!r}")

@@ -15,6 +15,12 @@ from predgrad.network import _checked_residual, _trunk_walk
 from predgrad.predictor import _bilinear, _structured_inputs
 
 
+def factored(a: np.ndarray) -> FactoredRows:
+    """A dense (n, p) matrix as ``FactoredRows``: one block whose second
+    factor has no columns, so that its rows are A's exactly."""
+    return FactoredRows([(a, np.empty((len(a), 0)))])
+
+
 def gradient_rows(trunk_grad: np.ndarray, llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """Flat-layout gradient rows from trunk gradient rows and the exact head
     gradient residual x [llh; 1]."""
@@ -38,7 +44,7 @@ def backward(net, cache, residual: np.ndarray) -> np.ndarray:
     layers = [(dz.reshape(-1, dz.shape[-1]), a_prev.reshape(-1, a_prev.shape[-1]))
               for dz, a_prev in _trunk_walk(net, cache, residual)]
     trunk = FactoredRows(layers[::-1]).dense()
-    return gradient_rows(trunk.reshape(lead + (net.trunk_size,)), cache.act[-1], residual)
+    return gradient_rows(trunk.reshape(lead + (net.config.trunk_size,)), cache.act[-1], residual)
 
 
 def predict_structured(p, llh, residual, head_weight: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from predgrad.analysis import (CostModel, break_even_satisfied, gamma, q_objective, rho_star,
                                rho_switch, simulate_estimator)
+from predgrad.errors import DomainError
 from predgrad.estimator import control_batch_size, v2_exact
 from predgrad.trainer import BudgetLedger
 
@@ -70,9 +71,16 @@ def test_break_even_is_q_at_most_1_with_phi_from_the_exact_variance(cm, f, rho, 
 @settings(max_examples=300)
 @given(cm=COST_MODELS, f=st.floats(0.01, 0.99), kappa=st.floats(0.05, 3.0))
 def test_the_break_even_verdict_flips_at_rho_star(cm, f, kappa):
+    # an alignment is at most 1: above it, rho_star is no alignment and
+    # phi refuses it
     star = rho_star(cm, f, kappa)
-    assert break_even_satisfied(cm, f, star + 1e-6, kappa)
-    assert not break_even_satisfied(cm, f, star - 1e-6, kappa)
+    if star - 1e-6 <= 1.0:
+        assert not break_even_satisfied(cm, f, star - 1e-6, kappa)
+    if star + 1e-6 <= 1.0:
+        assert break_even_satisfied(cm, f, star + 1e-6, kappa)
+    else:
+        with pytest.raises(DomainError, match="rho"):
+            break_even_satisfied(cm, f, star + 1e-6, kappa)
 
 
 @settings(max_examples=100)
@@ -85,6 +93,9 @@ def test_the_grid_minimum_of_q_leaves_f_1_at_rho_switch(cm, kappa):
     def best_f(rho):
         return grid[np.argmin([q_objective(cm, f, rho, kappa) for f in grid])]
 
+    # an alignment is at most 1: where rho_switch is not, f = 1 wins at
+    # every alignment, rho = 1 the nearest to the switch
     switch = rho_switch(cm, kappa)
-    assert best_f(switch - 1e-3) == 1.0
-    assert best_f(switch + 1e-3) < 1.0
+    assert best_f(min(switch - 1e-3, 1.0)) == 1.0
+    if switch + 1e-3 <= 1.0:
+        assert best_f(switch + 1e-3) < 1.0

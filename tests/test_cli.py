@@ -99,16 +99,22 @@ RETIRED = {"warmup": ("warmup", "true", TRAIN), "loss": ("loss", "auto", TRAIN),
            "sigma_h": ("sigma_h", "2.0", COMMANDS["simulate"]),
            "tau": ("tau", "0.5", COMMANDS["simulate"]),
            "mu": ("mu", "0.3", COMMANDS["simulate"]),
-           "mu_h": ("mu_h", "-1.0", COMMANDS["simulate"])}
+           "mu_h": ("mu_h", "-1.0", COMMANDS["simulate"]),
+           "momentum": ("momentum", "0.9", TRAIN),
+           "compare-momentum": ("momentum", "0.9", COMMANDS["compare"])}
 
 
 @pytest.mark.parametrize("key, value, argv", RETIRED.values(), ids=RETIRED)
 def test_a_retired_option_exits_2(tmp_path, capsys, key, value, argv):
-    cfg = tmp_path / "old.cfg"
+    # as a config file line, and as a flag
+    cfg, flag = tmp_path / "old.cfg", f"--{key.replace('_', '-')}={value}"
     cfg.write_text(f"seed = 1\n{key} = {value}\n")
     code, err = run(capsys, ["--config", str(cfg)] + argv + ["--outdir", str(tmp_path)])
     assert code == 2 and error_type(err) == "ConfigError"
-    assert f"old.cfg:2: unrecognized arguments: --{key.replace('_', '-')}={value}" in err
+    assert f"old.cfg:2: unrecognized arguments: {flag}" in err
+    code, err = run(capsys, argv + [flag, "--outdir", str(tmp_path)])
+    assert code == 2 and error_type(err) == "ConfigError"
+    assert err == f"error:ConfigError:unrecognized arguments: {flag}\n"
     assert not (tmp_path / "config.txt").exists()
 
 
@@ -328,6 +334,7 @@ BAD_CHECKPOINTS = {
     "no-predictor-field": (lambda ckpt: rewrite_checkpoint(ckpt, ["pred_n_fit"]),
                            "'pred_n_fit'"),
     "format-1": (lambda ckpt: rewrite_checkpoint(ckpt, format=1), "format 1"),
+    "format-2": (lambda ckpt: rewrite_checkpoint(ckpt, format=2), "format 2"),
     # entries of a shape the network does not take
     "net-extra-key": (lambda ckpt: rewrite_checkpoint(ckpt, net=lambda net: {**net, "x": 1}),
                       "'net'"),
@@ -367,3 +374,63 @@ def test_resuming_on_data_the_network_does_not_fit_exits_3(tmp_path, capsys, dat
     assert code == 3 and error_type(err) == "DataError"
     assert "input width 8 and output width 1" in err
     assert not (tmp_path / "resumed" / "metrics.csv").exists()
+
+
+def test_a_resume_with_the_runs_options_continues_it_bit_exactly(tmp_path, capsys):
+    feedback = TRAIN + ["--predictor", "feedback"]
+    for steps, outdir in ((3, "run"), (6, "whole")):
+        code, err = run(capsys, feedback + ["--max-steps", str(steps),
+                                            "--outdir", str(tmp_path / outdir)])
+        assert code == 0, err
+    code, err = run(capsys, feedback + ["--max-steps", "6", "--resume",
+                                        str(tmp_path / "run" / "checkpoint.npz"),
+                                        "--outdir", str(tmp_path / "run")])
+    assert code == 0, err
+    assert (tmp_path / "run" / "metrics.csv").read_text() \
+        == (tmp_path / "whole" / "metrics.csv").read_text()
+    with np.load(tmp_path / "run" / "checkpoint.npz") as resumed, \
+            np.load(tmp_path / "whole" / "checkpoint.npz") as whole:
+        assert resumed.files == whole.files
+        for key in whole.files:
+            assert np.array_equal(resumed[key], whole[key]), key
+
+
+# options that build another network from the same data, and other data
+OTHER_RUNS = {"network": (["--activation", "relu", "--hidden", "32"], 2, "ConfigError",
+                          "holds another network: activation, hidden_widths"),
+              "data": (["--n", "900", "--noise-sd", "0.5"], 3, "DataError",
+                       "was written on other data")}
+
+
+@pytest.mark.parametrize("extra, code, kind, named", OTHER_RUNS.values(), ids=OTHER_RUNS)
+def test_a_resume_is_the_run_it_resumes(tmp_path, capsys, extra, code, kind, named):
+    feedback = TRAIN + ["--predictor", "feedback"]
+    got, err = run(capsys, feedback + ["--max-steps", "3", "--outdir", str(tmp_path)])
+    assert got == 0, err
+    metrics = (tmp_path / "metrics.csv").read_text()
+    got, err = run(capsys, feedback + extra + [
+        "--max-steps", "6", "--resume", str(tmp_path / "checkpoint.npz"),
+        "--outdir", str(tmp_path)])
+    assert got == code and error_type(err) == kind
+    assert len(err.splitlines()) == 1 and named in err, err
+    assert (tmp_path / "metrics.csv").read_text() == metrics
+
+
+OUT_OF_RANGE = {
+    "analyze-f-0": ["analyze", "--f", "0,0.5"],
+    "analyze-f-above-1": ["analyze", "--f", "1.5"],
+    "analyze-negative-kappa": ["analyze", "--kappa", "-1", "--f", "0.5"],
+    "analyze-rho-above-1": ["analyze", "--rho", "1.5", "--f", "0.5"],
+    "simulate-rho-above-1": ["simulate", "--rho", "1.5"],
+    "simulate-m-1": ["simulate", "--m", "1"],
+    "simulate-dim-0": ["simulate", "--dim", "0"],
+    "train-negative-cost": ["train", "--task", "regression", "--cost-backward", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_an_argument_out_of_its_range_exits_2(tmp_path, capsys, argv):
+    code, err = run(capsys, argv + ["--outdir", str(tmp_path)])
+    assert code == 2 and error_type(err) in ("DomainError", "MomentError"), err
+    assert len(err.splitlines()) == 1, err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.txt"]   # no table, no metrics

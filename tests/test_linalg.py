@@ -9,7 +9,7 @@ from predgrad.network import NetworkConfig, forward, init_network, loss_and_resi
 from predgrad.predictor import _bilinear
 from predgrad.rng import substream
 
-from oracles import backward
+from oracles import backward, factored
 
 
 def test_solve_ridge_identity_system():
@@ -94,7 +94,7 @@ def test_solve_ridge_dimension_mismatch():
 
 
 def test_truncated_svd_diagonal():
-    _, s, _ = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
+    _, s, _ = truncated_svd(factored(np.diag([3.0, 2.0, 1.0])), 2)
     assert np.allclose(s, [3.0, 2.0], atol=1e-12)
 
 
@@ -102,14 +102,14 @@ def test_truncated_svd_rank_one_exact():
     u = np.array([1.0, 2.0, -1.0])
     v = np.array([0.5, -1.0])
     a = np.outer(u, v)
-    uu, s, vt = truncated_svd(a, 1)
+    uu, s, vt = truncated_svd(factored(a), 1)
     assert np.linalg.norm(uu @ np.diag(s) @ vt - a) <= 1e-12
 
 
 def test_truncated_svd_full_rank_reconstruction():
     rng = substream(2, "svd")
     a = rng.standard_normal((50, 10))
-    u, s, vt = truncated_svd(a, 10)
+    u, s, vt = truncated_svd(factored(a), 10)
     rel = np.linalg.norm(u @ np.diag(s) @ vt - a) / np.linalg.norm(a)
     assert rel <= 1e-8
 
@@ -118,7 +118,7 @@ def test_truncated_svd_orthonormal_columns():
     rng = substream(3, "svd")
     for n, p, r in ((12, 7, 3), (6, 9, 5), (20, 20, 10)):
         a = rng.standard_normal((n, p))
-        u, _, _ = truncated_svd(a, r)
+        u, _, _ = truncated_svd(factored(a), r)
         assert np.max(np.abs(u.T @ u - np.eye(r))) <= 1e-10
     # a graded spectrum, 1 down to 1e-8, tall and wide, so that U and V each
     # come from the Gram matrix once: the top 16 values span 1 to 8e-4
@@ -126,7 +126,7 @@ def test_truncated_svd_orthonormal_columns():
     q1, _ = np.linalg.qr(rng.standard_normal((300, 40)))
     q2, _ = np.linalg.qr(rng.standard_normal((40, 40)))
     for a in (q1 * spectrum @ q2.T, (q1 * spectrum @ q2.T).T):
-        u, s, vt = truncated_svd(a, 16)
+        u, s, vt = truncated_svd(factored(a), 16)
         assert np.max(np.abs(u.T @ u - np.eye(16))) <= 1e-10
         assert np.max(np.abs(vt @ vt.T - np.eye(16))) <= 1e-10
         assert np.max(np.abs(s / spectrum[:16] - 1.0)) <= 1e-10
@@ -134,15 +134,15 @@ def test_truncated_svd_orthonormal_columns():
 
 def test_truncated_svd_rank_out_of_range():
     with pytest.raises(DimensionError):
-        truncated_svd(np.eye(3), 0)
+        truncated_svd(factored(np.eye(3)), 0)
     with pytest.raises(DimensionError):
-        truncated_svd(np.eye(3), 4)
+        truncated_svd(factored(np.eye(3)), 4)
 
 
 @pytest.mark.parametrize("shape, cols", [
     ((10, 4), 2),                                   # fits in one block
     ((BLOCK_BYTES // 80 * 3 + 7, 10), 2),           # tall; the last row block is short
-    ((10, BLOCK_BYTES // 80 * 3 + 7), 2),           # wide; the last column block is short
+    ((10, BLOCK_BYTES // 80 * 3 + 7), 2),           # wide; row blocks of 3, the last of 1
     ((BLOCK_BYTES // 80 * 2, 10), 1),               # a single column
     ((10, BLOCK_BYTES // 80 * 2), 1),
     ((BLOCK_BYTES // 8 + 1, 1), 3),                 # A of one column; a 1-row last block
@@ -176,7 +176,7 @@ def dense_and_factored_trunk(hidden, activation, n=30):
     net = init_network(NetworkConfig(5, hidden, 3, activation=activation, seed=len(hidden)))
     _, output, cache = forward(net, rng.standard_normal((n, 5)))
     _, residuals = loss_and_residual(output, rng.integers(3, size=n), "cross_entropy")
-    dense = backward(net, cache, residuals)[:, :net.trunk_size]
+    dense = backward(net, cache, residuals)[:, :net.config.trunk_size]
     return dense, trunk_rows(net, cache, residuals)
 
 
@@ -231,9 +231,22 @@ def test_truncated_svd_takes_factored_rows(n):
                          (rng.standard_normal((n, 5)), rng.standard_normal((n, 2)))])
     dense = rows.dense()
     u, s, vt = truncated_svd(rows, 3)
-    ud, sd, vtd = truncated_svd(dense, 3)
+    ud, sd, vtd = truncated_svd(factored(dense), 3)
     assert rel_err(s, sd) <= 1e-10
     assert rel_err((u * s) @ vt, (ud * sd) @ vtd) <= 1e-8
+
+
+@pytest.mark.parametrize("shape", [(12, 30), (60, 30)], ids=["wide", "tall"])
+def test_a_zero_width_block_is_the_dense_matrix(shape):
+    # the tests' dense matrices enter truncated_svd and the fits this way
+    rng = substream(10, f"zero-width:{shape}")
+    a, w, m = (rng.standard_normal(s) for s in (shape, (shape[0], 4), (shape[1], 3)))
+    rows = factored(a)
+    assert rows.shape == a.shape and np.array_equal(rows.dense(), a)
+    assert np.array_equal(rows.gram(), a @ a.T)
+    assert np.array_equal(rows.t_dot(w), a.T @ w)
+    assert np.array_equal(rows.dot(m), a @ m)
+    assert np.array_equal(rows.row_dots(rows), np.einsum("ij,ij->i", a, a))
 
 
 def test_factored_rows_argument_errors():

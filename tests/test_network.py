@@ -55,9 +55,9 @@ def test_init_seed_sensitivity():
 
 def test_parameter_counts():
     net = init_network(small_cfg())
-    assert net.head_size == 3 * 8 + 3 == 27
-    assert net.trunk_size == 8 * 4 + 8
-    assert net.n_params == net.trunk_size + net.head_size
+    assert net.config.head_size == 3 * 8 + 3 == 27
+    assert net.config.trunk_size == 8 * 4 + 8
+    assert net.config.n_params == net.config.trunk_size + net.config.head_size
 
 
 def test_config_validation():
@@ -71,7 +71,7 @@ def test_config_validation():
 
 def test_zero_parameters_give_bias_output():
     net = init_network(small_cfg())
-    net.set_flat_params(np.zeros(net.n_params))
+    net.set_flat_params(np.zeros(net.config.n_params))
     llh, output, _ = forward(net, np.array([1.0, -2.0, 0.5, 3.0]))
     assert np.array_equal(llh, np.zeros(8))
     assert np.array_equal(output, net.head_bias)
@@ -118,7 +118,7 @@ def test_cheap_forward_matches_forward_bitwise():
 
 def test_cheap_forward_zero_everything():
     net = init_network(small_cfg())
-    net.set_flat_params(np.zeros(net.n_params))
+    net.set_flat_params(np.zeros(net.config.n_params))
     _, output = cheap_forward(net, np.zeros(4))
     assert np.array_equal(output, net.head_bias)
 
@@ -157,7 +157,7 @@ def test_cross_entropy_label_out_of_range():
 def test_backward_zero_residual():
     net = init_network(small_cfg())
     _, _, cache = forward(net, np.ones(4))
-    assert np.array_equal(backward(net, cache, np.zeros(3)), np.zeros(net.n_params))
+    assert np.array_equal(backward(net, cache, np.zeros(3)), np.zeros(net.config.n_params))
 
 
 def test_backward_head_outer_product():
@@ -166,7 +166,7 @@ def test_backward_head_outer_product():
     x = rng.standard_normal(4)
     llh, output, cache = forward(net, x)
     residual = rng.standard_normal(3)
-    head = backward(net, cache, residual)[net.trunk_size:]
+    head = backward(net, cache, residual)[net.config.trunk_size:]
     # flat layout: head weight row-major, then head bias
     expected = np.concatenate([np.outer(residual, llh).ravel(), residual])
     assert np.max(np.abs(head - expected)) <= 1e-14
@@ -270,13 +270,13 @@ def test_batched_passes_equal_single_example_calls(activation, kind):
     llh_c, output_c = cheap_forward(net, xs)
     losses, residuals = loss_and_residual(output, ys, kind)
     grads = backward(net, cache, residuals)
-    assert grads.shape == (len(xs), net.n_params)
+    assert grads.shape == (len(xs), net.config.n_params)
     assert np.array_equal(llh_c, llh) and np.array_equal(output_c, output)
     for i, (x, y) in enumerate(zip(xs, ys)):
         a, out, c = forward(net, x)
         loss, r = loss_and_residual(out, y, kind)
         g = backward(net, c, r)
-        assert a.shape == llh.shape[1:] and g.shape == (net.n_params,)
+        assert a.shape == llh.shape[1:] and g.shape == (net.config.n_params,)
         for batch_row, single in ((llh[i], a), (output[i], out), (losses[i], loss),
                                   (residuals[i], r), (grads[i], g)):
             assert_rows_close(batch_row, single)
@@ -297,7 +297,7 @@ def test_backward_sum_equals_the_summed_rows(activation, kind, hidden):
     _, residuals = loss_and_residual(output, ys, kind)
     rows = backward(net, cache, residuals).sum(axis=0)
     summed = backward_sum(net, cache, residuals)
-    assert summed.shape == (net.n_params,)
+    assert summed.shape == (net.config.n_params,)
     assert np.linalg.norm(summed - rows) <= 1e-12 * np.linalg.norm(rows)
     # the cache's view of some rows sums those rows alone
     idx = np.array([30, 0, 17, 3])

@@ -14,7 +14,7 @@ from predgrad.predictor import (RESIDUAL_FLOOR, FeedbackPredictor, FitRows, Perf
                                 fit_structured, should_refit, trunk_alignment)
 from predgrad.rng import substream
 
-from oracles import alignment_stats, backward, gradient_rows, predict_structured
+from oracles import alignment_stats, backward, factored, gradient_rows, predict_structured
 
 
 def cosine(u, v):
@@ -122,11 +122,11 @@ def test_feedback_zero_residual_and_zero_map(predicted_rows):
     cache, residuals, _, rows = feedback_sample(net, ds, np.arange(30))
     pred = fit_feedback(rows)
     est = predicted_rows(net, pred, cache, np.zeros_like(residuals))
-    assert np.array_equal(est, np.zeros((30, net.n_params)))
+    assert np.array_equal(est, np.zeros((30, net.config.n_params)))
 
     zero = FeedbackPredictor(b=np.zeros_like(pred.b))
     est = predicted_rows(net, zero, cache, residuals)
-    pt = net.trunk_size
+    pt = net.config.trunk_size
     assert np.array_equal(est[:, :pt], np.zeros((30, pt)))
     assert np.array_equal(est[:, pt:], backward(net, cache, residuals)[:, pt:])
 
@@ -138,7 +138,7 @@ def planted_structured(rng, n, p_t=30, d=5, c=3, r=2):
     llh = rng.standard_normal((n, d))
     residual = rng.standard_normal((n, c))
     coeff = np.einsum("ni,rij,nj->nr", residual @ head_w, maps_true, np.c_[llh, np.ones(n)])
-    return FitRows(llh, residual, head_w, coeff @ basis.T), head_w
+    return FitRows(llh, residual, head_w, factored(coeff @ basis.T)), head_w
 
 
 def test_structured_predictor_recovers_planted_model():
@@ -147,7 +147,7 @@ def test_structured_predictor_recovers_planted_model():
     pred = fit_structured(FitRows(rows.llh[:120], rows.residual[:120], head_w,
                                   rows.trunk_grad[:120]), r=2, lam=1e-10)
     for llh, residual, trunk_grad in zip(rows.llh[120:], rows.residual[120:],
-                                         rows.trunk_grad[120:]):  # held out
+                                         rows.trunk_grad.dense()[120:]):  # held out
         est = predict_structured(pred, llh, residual, head_w)
         assert cosine(est[:len(trunk_grad)], trunk_grad) >= 0.99
 
@@ -179,7 +179,7 @@ def test_structured_fit_predicts_like_a_ridge_on_the_formed_features(c, d, n, ca
                                         rng.integers(c, size=n + 20), "cross_entropy")
     else:
         residual = rng.standard_normal((n + 20, c))
-    pred = fit_structured(FitRows(llh[:n], residual[:n], head_w, trunk[:n]))
+    pred = fit_structured(FitRows(llh[:n], residual[:n], head_w, factored(trunk[:n])))
     feats = np.einsum("ni,nj->nij", residual @ head_w, np.c_[llh, np.ones(n + 20)]).reshape(
         n + 20, -1)
     lam = 1e-6 * np.mean(np.einsum("ij,ij->i", feats[:n], feats[:n]))
@@ -220,7 +220,8 @@ def test_factored_maps_predict_as_the_formed_maps(data, hidden):
                                  maps=np.matmul(pred.head_q, pred.maps), rank=rank)
 
     theta = net.flat_params()
-    theta[net.trunk_size:] += 0.1 * substream(35, "moved-head").standard_normal(net.head_size)
+    pt, head = net.config.trunk_size, net.config.head_size
+    theta[pt:] += 0.1 * substream(35, "moved-head").standard_normal(head)
     net.set_flat_params(theta)
     cache, residuals, trunk, _ = feedback_sample(net, ds, np.arange(100, 200))
     parts = [(cache, residuals), (cache.rows([3, 7]), residuals[[3, 7]])]
@@ -237,7 +238,7 @@ def test_structured_fit_memory_stays_within_the_kernel_size():
     rng = substream(34, "fit-memory")
     head_w = rng.standard_normal((3, 64))
     rows = FitRows(rng.standard_normal((80, 64)), rng.standard_normal((80, 3)), head_w,
-                   rng.standard_normal((80, 200)))
+                   factored(rng.standard_normal((80, 200))))
     tracemalloc.start()
     try:
         pred = fit_structured(rows)
@@ -257,10 +258,10 @@ def test_structured_rank_one_parallel_gradients():
     llh = rng.standard_normal((12, 4))
     residuals = rng.standard_normal((12, 2))
     scales = rng.uniform(0.5, 2.0, size=(12, 1))
-    rows = FitRows(llh, residuals, head_w, scales * direction)
+    rows = FitRows(llh, residuals, head_w, factored(scales * direction))
     pred = fit_structured(rows, r=1)
     assert abs(cosine(pred.basis[:, 0], direction)) >= 1.0 - 1e-10
-    g = rows.trunk_grad[0]
+    g = rows.trunk_grad.dense()[0]
     assert abs(cosine(pred.basis @ (pred.basis.T @ g), g)) >= 1.0 - 1e-10
 
 
@@ -310,11 +311,11 @@ def test_classification_residual_uses_same_path():
 def test_predicted_head_gradient_always_exact():
     rng = substream(32, "hexact")
     net = init_network(NetworkConfig(4, (6,), 3, activation="tanh", seed=8))
-    pt = net.trunk_size
+    pt = net.config.trunk_size
     llh, output, cache = forward(net, rng.standard_normal((40, 4)))
     _, residuals = loss_and_residual(output, rng.integers(3, size=40), "cross_entropy")
     grads = backward(net, cache, residuals)
-    pred = fit_structured(FitRows(llh, residuals, net.head_weight, grads[:, :pt]))
+    pred = fit_structured(FitRows(llh, residuals, net.head_weight, factored(grads[:, :pt])))
     for _ in range(10):
         x = rng.standard_normal(4)
         llh, output, cache = forward(net, x)
@@ -358,7 +359,7 @@ def batch_predictors(n=40):
         xs = rng.standard_normal((n, 8))
         _, output, cache = forward(net, xs)
         _, residuals = loss_and_residual(output, rng.standard_normal((n, out)), kind)
-        pt, d = net.trunk_size, net.config.last_hidden
+        pt, d = net.config.trunk_size, net.config.last_hidden
         if out == 2:
             pred = FeedbackPredictor(b=rng.standard_normal((24 + 16, 2)))
         elif out == 4:
@@ -383,9 +384,9 @@ def single_prediction(net, pred, x, llh, residual):
 
 def test_prediction_rows_equal_single_example_calls(predicted_rows):
     for net, pred, xs, cache, residuals in batch_predictors():
-        llh, pt = cache.act[-1], net.trunk_size
+        llh, pt = cache.act[-1], net.config.trunk_size
         rows = predicted_rows(net, pred, cache, residuals)
-        assert rows.shape == (len(llh), net.n_params)
+        assert rows.shape == (len(llh), net.config.n_params)
         for i in range(len(llh)):
             one = single_prediction(net, pred, xs[i], llh[i], residuals[i])
             assert np.max(np.abs(rows[i] - one)) <= 1e-12 * np.max(np.abs(one))
@@ -402,7 +403,7 @@ def test_predict_sums_equal_each_parts_summed_rows(monkeypatch, block_bytes, pre
     # 1024-byte blocks send the small matrices through the blocked product
     monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
     for net, pred, _, cache, residuals in batch_predictors():
-        pt = net.trunk_size
+        pt = net.config.trunk_size
         ctrl = np.arange(3, 40, 4)
         parts = [(cache, residuals), (cache.rows(ctrl), residuals[ctrl]),
                  (cache.rows([5]), residuals[[5]])]

@@ -24,7 +24,7 @@ from predgrad.trainer import (TrainConfig, load_run_checkpoint, resume_run,
                               run_budgeted_comparison, save_run_checkpoint, train_predicted,
                               train_vanilla)
 
-from oracles import alignment_stats, backward
+from oracles import alignment_stats, backward, factored
 
 
 def regression(hidden=(8,), n=400):
@@ -52,8 +52,8 @@ def rows(records):
 ])
 def test_perfect_predictor_reproduces_vanilla(make_data, batch_size, f):
     ds, ncfg = make_data()
-    cfg = TrainConfig(batch_size=batch_size, control_fraction=f, epochs=2, momentum=0.5,
-                      seed=3, eval_every=2)
+    cfg = TrainConfig(batch_size=batch_size, control_fraction=f, epochs=2, seed=3,
+                      eval_every=2)
     van = train_vanilla(cfg, ds, init_network(ncfg))
     per = train_predicted(cfg, ds, init_network(ncfg), "perfect")
     assert per.steps == van.steps > 0
@@ -65,12 +65,12 @@ def test_perfect_predictor_reproduces_vanilla(make_data, batch_size, f):
 @pytest.mark.parametrize("kind", sorted(PREDICTORS))
 def test_checkpoint_round_trip(tmp_path, kind):
     ds, ncfg = regression()
-    cfg = TrainConfig(batch_size=32, max_steps=7, refit=RefitPolicy(period=3),
-                      momentum=0.9, seed=1, eval_every=0)
+    cfg = TrainConfig(batch_size=32, max_steps=7, refit=RefitPolicy(period=3), seed=1,
+                      eval_every=0)
     res = train_predicted(cfg, ds, init_network(ncfg), kind)
     path = tmp_path / "run.npz"
-    save_run_checkpoint(path, res, cfg)
-    state = load_run_checkpoint(path, cfg)
+    save_run_checkpoint(path, res, cfg, ds)
+    state = load_run_checkpoint(path, cfg, ds, ncfg)
 
     assert type(state.predictor) is type(res.state.predictor)
     assert state.predictor.kind == kind
@@ -79,17 +79,15 @@ def test_checkpoint_round_trip(tmp_path, kind):
         assert type(loaded) is type(saved) and np.array_equal(loaded, saved), f.name
     assert state.step == res.state.step
     assert state.net.config == res.network.config
-    assert state.net.version == res.network.version
     assert np.array_equal(state.net.flat_params(), res.network.flat_params())
-    assert np.array_equal(state.opt_state, res.state.opt_state)
     assert state.stepping == res.state.stepping
     assert state.warmup_ledger == res.state.warmup_ledger
 
 
-# the format-2 layout; a field added to a predictor or to TrainConfig changes
+# the format-3 layout; a field added to a predictor or to TrainConfig changes
 # it, and is a new format: RUN_CHECKPOINT_FORMAT and these change together
-RUN_ARRAYS = {"header", "trunk_params", "head_weight", "head_bias", "net_version", "step",
-              "stepping_counts", "warmup_counts", "opt_state"}
+RUN_ARRAYS = {"header", "trunk_params", "head_weight", "head_bias", "step", "stepping_counts",
+              "warmup_counts"}
 PREDICTOR_ARRAYS = {"none": set(), "perfect": set(),
                     "feedback": {"pred_b", "pred_n_fit", "pred_ridge_lambda"},
                     "structured": {"pred_basis", "pred_head_q", "pred_maps", "pred_rank",
@@ -99,37 +97,38 @@ PREDICTOR_ARRAYS = {"none": set(), "perfect": set(),
 @pytest.mark.parametrize("kind", sorted(PREDICTOR_ARRAYS))
 def test_the_checkpoint_layout_is_pinned(tmp_path, kind):
     ds, ncfg = regression()
-    cfg = TrainConfig(batch_size=32, max_steps=2, momentum=0.9, seed=1, eval_every=0)
+    cfg = TrainConfig(batch_size=32, max_steps=2, seed=1, eval_every=0)
     net = init_network(ncfg)
     res = train_vanilla(cfg, ds, net) if kind == "none" else train_predicted(cfg, ds, net, kind)
     path = tmp_path / "run.npz"
-    save_run_checkpoint(path, res, cfg)
+    save_run_checkpoint(path, res, cfg, ds)
     with np.load(path) as z:
         assert set(z.files) == RUN_ARRAYS | PREDICTOR_ARRAYS[kind]
         header = json.loads(bytes(z["header"]).decode("utf-8"))
-    assert trainer.RUN_CHECKPOINT_FORMAT == 2
+    assert trainer.RUN_CHECKPOINT_FORMAT == 3
     assert header == {
-        "format": 2, "predictor_kind": kind,
+        "format": 3, "predictor_kind": kind,
         "cfg": {"batch_size": 32, "control_fraction": 0.25, "learning_rate": 0.05,
-                "momentum": 0.9, "refit": {"period": 50, "buffer_capacity": 256},
+                "refit": {"period": 50, "buffer_capacity": 256},
                 "cost_model": {"backward": 2.0, "forward": 1.0, "cheap_forward": 0.7},
                 "seed": 1, "eval_every": 0},
         "net": {"input_dim": 6, "hidden_widths": [8], "output_dim": 1, "activation": "tanh",
-                "seed": 5}}
+                "seed": 5},
+        "data": trainer._data_digest(ds)}
 
 
 def test_a_checkpoint_of_another_format_is_refused(tmp_path):
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, max_steps=2, seed=2, eval_every=0)
     path = tmp_path / "run.npz"
-    save_run_checkpoint(path, train_vanilla(cfg, ds, init_network(ncfg)), cfg)
+    save_run_checkpoint(path, train_vanilla(cfg, ds, init_network(ncfg)), cfg, ds)
     with np.load(path) as z:
         arrays = dict(z)
     header = json.loads(bytes(arrays["header"]).decode("utf-8"))
     arrays["header"] = np.frombuffer(json.dumps({**header, "format": 1}).encode(), np.uint8)
     np.savez(path, **arrays)
     with pytest.raises(ConfigError, match="format 1"):
-        load_run_checkpoint(path, cfg)
+        load_run_checkpoint(path, cfg, ds, ncfg)
 
 
 def test_fractional_control_batch_warns_once_per_run(caplog):
@@ -176,7 +175,7 @@ def test_the_control_fraction_warning_reads_the_batches_the_run_takes(caplog, n,
 def test_resume_extends_a_run_bit_exactly(tmp_path, algo, batch_size, n, per_epoch):
     ds, ncfg = regression()
     long = TrainConfig(batch_size=batch_size, epochs=5, max_steps=2 * n,
-                       refit=RefitPolicy(period=4), momentum=0.9, seed=2)
+                       refit=RefitPolicy(period=4), seed=2)
     short = replace(long, max_steps=n)
 
     def run(cfg):
@@ -187,8 +186,8 @@ def test_resume_extends_a_run_bit_exactly(tmp_path, algo, batch_size, n, per_epo
     whole = run(long)
     part = run(short)
     path = tmp_path / "run.npz"
-    save_run_checkpoint(path, part, short)
-    rest = resume_run(long, ds, path)
+    save_run_checkpoint(path, part, short, ds)
+    rest = resume_run(long, ds, ncfg, path)
 
     assert rest.steps == whole.steps == 2 * n
     assert [r.epoch for r in whole.records] == [t // per_epoch for t in range(2 * n)]
@@ -207,8 +206,8 @@ def test_a_fresh_run_rewrites_its_metrics_file_and_a_resume_appends(tmp_path):
         part = train_vanilla(short, ds, init_network(ncfg), path)
     train_vanilla(short, ds, init_network(ncfg), tmp_path / "once.csv")
     assert path.read_text() == (tmp_path / "once.csv").read_text()
-    save_run_checkpoint(ckpt, part, short)
-    resume_run(long, ds, ckpt, path)
+    save_run_checkpoint(ckpt, part, short, ds)
+    resume_run(long, ds, ncfg, ckpt, path)
     train_vanilla(long, ds, init_network(ncfg), tmp_path / "whole.csv")
     assert path.read_text() == (tmp_path / "whole.csv").read_text()
 
@@ -239,12 +238,12 @@ def test_resume_rejects_a_changed_config(tmp_path, name):
     cfg = TrainConfig(batch_size=32, max_steps=3, seed=2)
     res = train_vanilla(cfg, ds, init_network(ncfg))
     path = tmp_path / "run.npz"
-    save_run_checkpoint(path, res, cfg)
+    save_run_checkpoint(path, res, cfg, ds)
     if name in trainer.RUN_LENGTH_KEYS:
-        assert load_run_checkpoint(path, _changed(cfg, name)).step == 3
+        assert load_run_checkpoint(path, _changed(cfg, name), ds, ncfg).step == 3
     else:
         with pytest.raises(ConfigError, match=name.partition(".")[0]):
-            load_run_checkpoint(path, _changed(cfg, name))
+            load_run_checkpoint(path, _changed(cfg, name), ds, ncfg)
 
 
 def test_warmup_with_batch_smaller_than_width():
@@ -302,7 +301,7 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, max_steps=3, seed=2, eval_every=0)
     path = tmp_path / "run.npz"
-    save_run_checkpoint(path, train_vanilla(cfg, ds, init_network(ncfg)), cfg)
+    save_run_checkpoint(path, train_vanilla(cfg, ds, init_network(ncfg)), cfg, ds)
     before = path.read_bytes()
 
     def broken_savez(fh, **arrays):
@@ -312,7 +311,7 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "savez", broken_savez)
     longer = replace(cfg, max_steps=5)
     with pytest.raises(OSError, match="disk full"):
-        save_run_checkpoint(path, train_vanilla(longer, ds, init_network(ncfg)), longer)
+        save_run_checkpoint(path, train_vanilla(longer, ds, init_network(ncfg)), longer, ds)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["run.npz"]
 
@@ -322,18 +321,9 @@ def test_checkpoint_into_a_missing_directory_raises_the_open_error(tmp_path):
     cfg = TrainConfig(batch_size=32, max_steps=2, seed=2, eval_every=0)
     res = train_vanilla(cfg, ds, init_network(ncfg))
     with pytest.raises(FileNotFoundError) as err:
-        save_run_checkpoint(tmp_path / "missing" / "run.npz", res, cfg)
+        save_run_checkpoint(tmp_path / "missing" / "run.npz", res, cfg, ds)
     assert err.value.__context__ is None
     assert list(tmp_path.iterdir()) == []
-
-
-def test_momentum_alone_selects_heavy_ball():
-    ds, ncfg = regression()
-    cfg = TrainConfig(batch_size=32, max_steps=20, seed=2, eval_every=0)
-    sgd = train_vanilla(cfg, ds, init_network(ncfg))
-    heavy = train_vanilla(replace(cfg, momentum=0.9), ds, init_network(ncfg))
-    assert sgd.state.opt_state is None and heavy.state.opt_state is not None
-    assert not np.array_equal(heavy.network.flat_params(), sgd.network.flat_params())
 
 
 def test_skipped_refit_logs_a_warning_and_keeps_the_predictor(monkeypatch, caplog):
@@ -437,7 +427,7 @@ def test_learned_step_from_sums_matches_the_summed_rows(monkeypatch, kind, make_
     from_sums = step()
     monkeypatch.setattr(PREDICTORS[kind], "predict_sums",
                         lambda self, net, parts:
-                        [predicted_rows(net, self, cache, r).sum(axis=0)[:net.trunk_size]
+                        [predicted_rows(net, self, cache, r).sum(axis=0)[:net.config.trunk_size]
                          for cache, r in parts])
     from_rows = step()
     assert np.linalg.norm(from_sums - from_rows) <= 1e-12 * np.linalg.norm(from_rows)
@@ -550,7 +540,7 @@ def narrow_regression_shape(hidden=(16,)):
 def test_a_learned_step_has_vanillas_head_and_predicts_only_the_trunk(kind, make_data,
                                                                       loss_kind, hidden):
     net, pred, ds, batch_idx, ctrl, step = fitted_step(kind, make_data, loss_kind, hidden)
-    pt = net.trunk_size
+    pt = net.config.trunk_size
     vanilla, _ = trainer._batch_true(net, ds, batch_idx)
     assert step()[pt:].tobytes() == vanilla[pt:].tobytes()
     _, output, cache = forward(net, ds.features[batch_idx])
@@ -582,13 +572,13 @@ def test_factored_refit_matches_the_dense_row_refit(monkeypatch, make_data, kind
     cfg, ds, state = state_before_a_refit(make_data, kind)
     dense_state = copy.deepcopy(state)
     refit, stats = trainer._refit(cfg, ds, state, kind)
-    net, pt = state.net, state.net.trunk_size
+    net, pt = state.net, state.net.config.trunk_size
 
     def formed(a):
         return a.dense() if isinstance(a, FactoredRows) else a
 
     monkeypatch.setattr(predictor_module, "truncated_svd",
-                        lambda a, rank: truncated_svd(formed(a), rank))
+                        lambda a, rank: truncated_svd(factored(formed(a)), rank))
     monkeypatch.setattr(predictor_module, "solve_ridge",
                         lambda a, b, lam: solve_ridge(formed(a), formed(b), lam))
     monkeypatch.setattr(trainer, "trunk_alignment",
@@ -612,8 +602,8 @@ def test_a_refit_forms_no_trunk_or_feature_rows():
     # refit holds beyond the predictor it returns stays below a quarter of
     # the first. The maps stay in the head's row space, q = C = 3 rows each.
     cfg, ds, state = state_before_a_refit(wide_blobs_shape, "structured")
-    rows_bytes = 256 * state.net.trunk_size * 8
-    assert state.net.trunk_size == 4736
+    rows_bytes = 256 * state.net.config.trunk_size * 8
+    assert state.net.config.trunk_size == 4736
     tracemalloc.start()
     try:
         trainer._refit(cfg, ds, state, "structured")

@@ -5,10 +5,16 @@
 its output must equal the digest lines of ``tests/data/trajectory_digests.txt``
 byte for byte. A run's last bits also depend on numpy, its BLAS build and
 the CPU, which the file's ``# key: value`` lines record; where one of them
-differs the test skips, naming it. A change that alters trajectories on
-purpose rewrites the file, from the repository root:
+differs the test skips, naming it. The file is rewritten, from the
+repository root, by
 
-    python tests/test_trajectory_digests.py
+    python tests/test_trajectory_digests.py [SRC]
+
+SRC being the source tree to run, ``src`` by default. A change that alters
+trajectories on purpose records from its own tree. A change to the runs
+themselves, which leaves the code's trajectories alone, records from the
+parent's tree (a ``git archive`` of it) before editing ``src``, so that the
+file that pins the change comes from the code before it.
 """
 
 import os
@@ -38,10 +44,10 @@ def environment() -> dict:
             "cpu": model, "simd": " ".join(config["SIMD Extensions"]["found"])}
 
 
-def digests() -> str:
+def digests(src=ROOT / "src") -> str:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, str(ROOT / "bench" / "trajectory_digests.py"),
-                           str(ROOT / "src")], cwd=ROOT, env=env, capture_output=True,
+                           str(src)], cwd=ROOT, env=env, capture_output=True,
                           text=True, check=True)
     return proc.stdout
 
@@ -59,4 +65,4 @@ def test_the_trajectory_digests_are_the_recorded_ones():
 
 if __name__ == "__main__":
     RECORD.write_text("".join(f"# {key}: {value}\n" for key, value in environment().items())
-                      + digests())
+                      + digests(*sys.argv[1:2]))
