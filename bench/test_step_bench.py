@@ -26,10 +26,9 @@ import pytest
 
 from predgrad import trainer
 from predgrad.data import gen_blobs
-from predgrad.estimator import split_minibatch
+from predgrad.estimator import control_batch_size
 from predgrad.network import NetworkConfig, backward_sum, init_network
 from predgrad.predictor import RefitPolicy
-from predgrad.rng import substream
 
 SIZES = [((64, 64), 128), ((64, 64, 64, 64), 512), ((128, 128), 256)]
 KINDS = ["structured", "feedback"]
@@ -42,7 +41,7 @@ class Step:
     predictor: object
     ds: object
     batch_idx: object
-    control: object         # the control positions within the batch
+    m_c: int                # the control rows: the batch's first m_c
 
 
 def _step(kind, hidden, m) -> Step:
@@ -52,7 +51,7 @@ def _step(kind, hidden, m) -> Step:
                               seed=5, eval_every=0)
     res = trainer.train_predicted(cfg, ds, init_network(ncfg), kind)
     return Step(res.network, res.state.predictor, ds, ds.train_idx[m:2 * m],
-                split_minibatch(m, 0.25, substream(5, "bench-split")))
+                control_batch_size(m, 0.25))
 
 
 @pytest.mark.parametrize("hidden, m", SIZES, ids=SIZE_IDS)
@@ -63,7 +62,7 @@ def test_step(benchmark, algo, kind, hidden, m):
     if algo == "vanilla":
         benchmark(trainer._batch_true, s.net, s.ds, s.batch_idx)
     else:
-        benchmark(trainer._batch_predicted, s.net, s.predictor, s.ds, s.batch_idx, s.control)
+        benchmark(trainer._batch_predicted, s.net, s.predictor, s.ds, s.batch_idx, s.m_c)
 
 
 @pytest.mark.parametrize("hidden, m", SIZES, ids=SIZE_IDS)
@@ -72,7 +71,7 @@ def test_step(benchmark, algo, kind, hidden, m):
 def test_layer(benchmark, layer, kind, hidden, m):
     s = _step(kind, hidden, m)
     cache, _, residuals = trainer._pass(s.net, s.ds, s.batch_idx)
-    cache_c, r_c = cache.rows(s.control), residuals[s.control]
+    cache_c, r_c = cache.rows(slice(0, s.m_c)), residuals[:s.m_c]
     if layer == "forward":
         benchmark(trainer._pass, s.net, s.ds, s.batch_idx)
     elif layer == "backward_sum":

@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .analysis import (CostModel, break_even_satisfied, f_star, gamma, q_objective,
                        rho_star, rho_switch, simulate_estimator, sweep)
-from .estimator import combine, split_minibatch, v2_exact, variance_inflation
+from .estimator import combine, v2_exact, variance_inflation
 from .network import (Network, NetworkConfig, backward_sum, cheap_forward, forward,
                       init_network, loss_and_residual)
 from .predictor import (FeedbackPredictor, PerfectPredictor, RefitPolicy,
@@ -20,6 +20,6 @@ __all__ = [
     "TrainConfig", "backward_sum", "break_even_satisfied", "cheap_forward", "combine",
     "f_star", "fit_feedback", "fit_structured", "forward", "gamma", "init_network",
     "loss_and_residual", "optimizer_step", "q_objective", "rho_star", "rho_switch",
-    "run_budgeted_comparison", "should_refit", "simulate_estimator", "split_minibatch",
-    "sweep", "train_predicted", "train_vanilla", "v2_exact", "variance_inflation",
+    "run_budgeted_comparison", "should_refit", "simulate_estimator", "sweep",
+    "train_predicted", "train_vanilla", "v2_exact", "variance_inflation",
 ]

@@ -11,7 +11,7 @@ B = 1 - A, the closed forms below reduce to the default-cost constants
 * rho_star      = kappa/2 + cheap / (2 kappa (cheap + (c1 - cheap) f)),
                   the minimum alignment for compute parity at fixed f.
 * rho_switch    = kappa/2 + A / (2 kappa), the alignment above which the
-                  optimal control fraction drops below 1.
+                  optimal control fraction drops below 1; both +inf at kappa 0.
 * f_star        = argmin of Q(f) = phi(f, rho, kappa) * gamma(f) over (0, 1].
 
 simulate_estimator is the Monte Carlo verifier for unbiasedness and the
@@ -65,10 +65,12 @@ def gamma(cm: CostModel, f: float) -> float:
 
 
 def rho_star(cm: CostModel, f: float, kappa: float) -> float:
-    """Break-even alignment at fixed control fraction f."""
+    """Break-even alignment at fixed control fraction f; NaN passes."""
     _check_f_open(f)
-    if kappa <= 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
+    if kappa < 0:
+        raise DomainError(f"kappa must be nonnegative, got {kappa}")
+    if kappa == 0:   # the limit as kappa -> 0+: a constant prediction never pays
+        return np.inf
     return kappa / 2.0 + cm.cheap_forward / (2.0 * kappa * cm.predicted_per_example(f))
 
 
@@ -80,8 +82,10 @@ def break_even_satisfied(cm: CostModel, f: float, rho: float, kappa: float) -> b
 
 def rho_switch(cm: CostModel, kappa: float) -> float:
     """Alignment above which the optimal control fraction moves off f = 1."""
-    if kappa <= 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
+    if kappa < 0:
+        raise DomainError(f"kappa must be nonnegative, got {kappa}")
+    if kappa == 0:   # the limit as kappa -> 0+: f = 1 wins at every alignment
+        return np.inf
     return kappa / 2.0 + cm.cheap_share / (2.0 * kappa)
 
 
@@ -92,10 +96,8 @@ def f_star(cm: CostModel, rho: float, kappa: float, f_min: float = 0.01) -> floa
     interior stationary point sqrt(A a / (B b)) applies, raised to the
     smallest admissible fraction f_min when it lies below it (Q is convex in
     f). In the degenerate perfect-alignment case a = 0, Q decreases all the
-    way down and f_min is returned.
+    way down and f_min is returned. At kappa = 0, Q = gamma(f) / f and f = 1 wins.
     """
-    if kappa <= 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
     if not 0.0 < f_min < 1.0:
         raise DomainError(f"f_min must be in (0,1), got {f_min}")
     if rho <= rho_switch(cm, kappa):

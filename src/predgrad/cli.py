@@ -12,9 +12,9 @@ argument besides `--config FILE`. Each line becomes the flag `--key=value`
 (`_` in a key reads as `-`), placed before the command line's flags so that
 these win; so file values are checked exactly like flags. `none` keeps an
 option that defaults to none at it, and is any other option's value
-(`predictor = none` is vanilla for `train`, an error for `compare`). Every
-command writes its resolved configuration to <outdir>/config.txt, which is
-itself a valid config file.
+(`predictor = none` is vanilla for `train`, an error for `compare`). A
+command that passes its checks (exit 0 or 4) writes its resolved
+configuration to <outdir>/config.txt, which is itself a valid config file.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric error.
 Failures, bad arguments among them, print one machine-readable line
@@ -32,7 +32,7 @@ from .analysis import (CostModel, break_even_satisfied, f_star, gamma,
                        q_objective, rho_star, rho_switch, simulate_estimator,
                        sweep)
 from .data import gen_blobs, gen_regression, load_csv, save_csv
-from .errors import ConfigError, DataError, PredgradError
+from .errors import ConfigError, DataError, NumericError, PredgradError
 from .estimator import variance_inflation
 from .network import NetworkConfig
 from .predictor import PREDICTORS, RefitPolicy
@@ -220,7 +220,6 @@ def _config_flags(argv, parser):
 def _write_effective_config(args):
     skip = {"func", "command", "config", "resume"}
     try:
-        os.makedirs(args.outdir, exist_ok=True)
         with open(os.path.join(args.outdir, "config.txt"), "w") as fh:
             for key in sorted(vars(args)):
                 if key not in skip:
@@ -391,8 +390,17 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse_args(argv)
+        try:
+            os.makedirs(args.outdir, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot write to --outdir {args.outdir}: {e}") from None
+        try:
+            code = args.func(args)
+        except NumericError:   # the run went ahead: record it beside its metrics
+            _write_effective_config(args)
+            raise
         _write_effective_config(args)
-        return args.func(args)
+        return code
     except PredgradError as e:
         print(f"error:{type(e).__name__}:{e}", file=sys.stderr)
         return e.exit_code

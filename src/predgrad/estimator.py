@@ -1,12 +1,12 @@
-"""The debiased estimator: mini-batch splitting, the combination, alignment
-statistics and the estimator's variance.
+"""The debiased estimator: the control batch size, the combination,
+alignment statistics and the estimator's variance.
 
 ``combine`` is the one statement of the combined mini-batch gradient; the
-trainer and the Monte Carlo verifier both call it. Its variance relative to
+trainer and the Monte Carlo verifier both call it, on control rows drawn
+uniformly and independently of the predictions. Its variance relative to
 the vanilla mini-batch gradient is governed entirely by the alignment rho
 and scale ratio kappa between per-example true and predicted gradients,
-through the inflation factor phi (``variance_inflation``).
-``split_minibatch`` gives a step's control positions, and ``moment_stats``
+through the inflation factor phi (``variance_inflation``). ``moment_stats``
 measures rho and kappa from the raw moments of rows of true and predicted
 gradients, so rows held as factors need not be formed.
 """
@@ -25,14 +25,6 @@ def control_batch_size(m: int, f: float) -> int:
         raise ControlBatchEmpty(
             f"round(f*m) = 0 for f={f}, m={m}; control micro-batch would be empty")
     return m_c
-
-
-def split_minibatch(m: int, f: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random split of 0..m-1 into control and prediction
-    micro-batches with m_c = round(f*m): the sorted control positions, the
-    other m - m_c being prediction rows. With f = 1 the prediction side is
-    empty."""
-    return np.sort(rng.permutation(m)[:control_batch_size(m, f)])
 
 
 def combine(s_pred, s_ctrl_true, s_ctrl_pred, m_c: int, m: int):

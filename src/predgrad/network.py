@@ -147,7 +147,7 @@ class ForwardCache:
     act: list[np.ndarray]   # per trunk layer activations; act[-1] is llh
 
     def rows(self, idx) -> "ForwardCache":
-        """The cache of the rows ``idx`` (an index array) of this batch."""
+        """The cache of the rows ``idx`` of this batch (views for a slice)."""
         return ForwardCache(self.version, self.x[idx], [a[idx] for a in self.act])
 
 

@@ -1,10 +1,10 @@
 """Named random substreams.
 
 All randomness in the package flows from a single root seed. Each consumer
-(data generation, weight init, epoch shuffles, micro-batch splits, Monte
+(data generation, weight init, epoch shuffles, predictor fit samples, Monte
 Carlo simulation) derives its own independent stream from the root seed and
-a stream name, so adding draws to one consumer never perturbs another. Epoch
-and step indices are folded into the name, which makes every stream
+a stream name, so adding draws to one consumer never perturbs another.
+Epoch and step indices are folded into the name, which makes every stream
 stateless and checkpoint/resume trivially bit-exact.
 """
 

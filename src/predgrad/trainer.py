@@ -2,18 +2,20 @@
 
 Both loops draw their epoch shuffles from the same named substream and drop
 the same short final batch, so runs with equal seeds see identical batch
-schedules regardless of algorithm. The predicted loop splits each
-mini-batch with a per-step substream. A step makes one ``forward`` on the
-batch; one ``predict_sums`` call on the batch and the control rows' view of
-its cache (``ForwardCache.rows``), which reads the predictor's matrices
-once for both trunk sums; and ``trunk_sum`` on that view. The trunk part is
-their control-variate combination ``predgrad.estimator.combine``, and the
-head part ``head_sum`` on the batch, the exact head of vanilla's
-``forward`` and ``backward_sum``. No gradient is formed row by row on an
-ordinary step. For a perfect predictor each predicted sum is ``trunk_sum``,
-so the whole-batch prediction is vanilla's own call on the same rows, and
-the control prediction the same call on the same arrays as the true control
-sum: the correction is exactly zero and the step is vanilla's bit for bit.
+schedules regardless of algorithm. A predicted step's control rows are the
+first m_c = round(f m) of its batch, a slice of a uniform permutation: its
+head is a uniform random subset, independent of the predictor fitted before
+the step. A step makes one ``forward`` on the batch; one ``predict_sums``
+call on the batch and the control rows' view of its cache
+(``ForwardCache.rows``), which reads the predictor's matrices once for both
+trunk sums; and ``trunk_sum`` on that view. The trunk part is their
+control-variate combination ``predgrad.estimator.combine``, and the head
+part ``head_sum`` on the batch, the exact head of vanilla's ``forward`` and
+``backward_sum``. No gradient is formed row by row on an ordinary step. For
+a perfect predictor each predicted sum is ``trunk_sum``, so the whole-batch
+prediction is vanilla's own call on the same rows, and the control
+prediction the same call on the same arrays as the true control sum: the
+correction is exactly zero and the step is vanilla's bit for bit.
 
 The predictor is one of the objects of ``predgrad.predictor``. The loss
 comes from the data (``Dataset.loss_kind``). The update is plain SGD at a
@@ -46,7 +48,7 @@ backward per control example, cheap forward per prediction example),
 independent of how a predictor is implemented internally. It counts passes
 per example, so a sum formed by ``trunk_sum`` or ``predict_sums`` is
 charged as the rows it sums, whatever it costs, and the control rows'
-prediction is not charged. Each step's split is drawn before the budget
+prediction is not charged. Each step's m_c is known before the budget
 check, which prices the ledger's counts with the step's charge added
 (``BudgetLedger.price``), so a step is taken exactly when the
 ``cost_units`` reported after it are within the budget. Every fit sample,
@@ -71,7 +73,7 @@ from .analysis import CostModel, break_even_satisfied, gamma, rho_star
 from .data import Dataset
 from .errors import (BudgetError, ConfigError, DataError, DimensionError,
                      InsufficientData, NumericError)
-from .estimator import combine, control_batch_size, split_minibatch, variance_inflation
+from .estimator import combine, control_batch_size, variance_inflation
 from .network import (Network, NetworkConfig, backward_sum, cheap_forward, forward,
                       gradient_sum, head_sum, init_network, loss_and_residual,
                       trunk_rows, trunk_sum)
@@ -209,15 +211,14 @@ def _batch_true(net, ds, batch_idx):
     return backward_sum(net, cache, residuals) / m, float(losses.sum() / m)
 
 
-def _batch_predicted(net, predictor, ds, batch_idx, control):
+def _batch_predicted(net, predictor, ds, batch_idx, m_c):
     """Debiased combined gradient, with vanilla's exact head part, and mean
-    loss over one mini-batch split at the control positions ``control``,
-    from one forward and sums over its cache."""
+    loss over a mini-batch whose first ``m_c`` rows are its control rows."""
     m = len(batch_idx)
     cache, losses, residuals = _pass(net, ds, batch_idx)
-    cache_c, r_c = cache.rows(control), residuals[control]
+    cache_c, r_c = cache.rows(slice(0, m_c)), residuals[:m_c]
     predicted, predicted_c = predictor.predict_sums(net, [(cache, residuals), (cache_c, r_c)])
-    trunk = combine(predicted, trunk_sum(net, cache_c, r_c), predicted_c, len(control), m)
+    trunk = combine(predicted, trunk_sum(net, cache_c, r_c), predicted_c, m_c, m)
     head = head_sum(cache.act[-1], residuals) / m
     return gradient_sum(trunk, head), float(losses.sum() / m)
 
@@ -357,10 +358,8 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
                 perm = substream(cfg.seed, f"shuffle:{epoch}").permutation(n_train)
                 order = ds.train_idx[perm]
             batch_idx = order[b * bs:(b + 1) * bs]
-            m_c = m = len(batch_idx)
-            if predicted:
-                control = split_minibatch(m, f, substream(cfg.seed, f"split:{state.step}"))
-                m_c = len(control)
+            m = len(batch_idx)
+            m_c = control_batch_size(m, f) if predicted else m
             if cfg.budget is not None and state.stepping.price(m_c, m - m_c, m_c) > cfg.budget:
                 if state.step == 0:
                     raise BudgetError(f"budget {cfg.budget} is smaller than one batch ("
@@ -372,7 +371,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
                 grad, batch_loss = _batch_true(state.net, ds, batch_idx)
             else:
                 grad, batch_loss = _batch_predicted(
-                    state.net, state.predictor, ds, batch_idx, control)
+                    state.net, state.predictor, ds, batch_idx, m_c)
             if not (math.isfinite(batch_loss) and np.isfinite(grad).all()):
                 raise NumericError(
                     f"non-finite loss or gradient at step {state.step + 1}")
@@ -501,10 +500,8 @@ def run_budgeted_comparison(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfi
     kappa = _nanmean([r.kappa_hat for r in res_p.records])
     phi = _nanmean([r.phi_hat for r in res_p.records])
     f = cfg.control_fraction
-    star, verdict = float("nan"), False
-    if kappa > 0:   # NaN where no refit measured the predictor, as rho_trunk
-        star = rho_star(cfg.cost_model, f, kappa)
-        verdict = break_even_satisfied(cfg.cost_model, f, rho_trunk, kappa)
+    star = rho_star(cfg.cost_model, f, kappa)   # NaN where no refit measured the predictor
+    verdict = break_even_satisfied(cfg.cost_model, f, rho_trunk, kappa)
 
     def final_val(records):
         vals = [r.val_metric for r in records if not math.isnan(r.val_metric)]

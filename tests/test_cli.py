@@ -65,6 +65,7 @@ def test_divergence_exits_4(tmp_path, capsys):
                                          "--max-steps", "50", "--outdir", str(tmp_path)])
     assert code == 4 and error_type(err) == "NumericError"
     assert "at step" in err
+    assert (tmp_path / "config.txt").exists()   # the run went ahead: its record stays
 
 
 COMMANDS = {
@@ -144,6 +145,19 @@ def test_analyze_writes_the_default_grid(tmp_path, capsys):
     for row in rows:
         f, rho, kappa = (float(row[key]) for key in ("f", "rho", "kappa"))
         assert float(row["Q"]) == q_objective(CostModel(), f, rho, kappa)
+
+
+def test_analyze_at_kappa_0_reports_the_limits(tmp_path, capsys):
+    # a prediction that does not vary: rho_star and rho_switch are +inf, and
+    # Q = gamma(f) / f is least at f = 1
+    code = main(["analyze", "--f", "0.25", "--kappa", "0", "--rho", "0.9",
+                 "--outdir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    printed = dict(line.split(" ", 1) for line in out.splitlines())
+    assert (printed["rho_star"], printed["rho_switch"], printed["f_star"]) \
+        == ("inf", "inf", "1.0")
+    assert printed["break_even"] == "False"
 
 
 @pytest.mark.parametrize("extra", [[], ["--kappa", "0"]])  # kappa 0: h does not vary
@@ -407,13 +421,14 @@ def test_a_resume_is_the_run_it_resumes(tmp_path, capsys, extra, code, kind, nam
     feedback = TRAIN + ["--predictor", "feedback"]
     got, err = run(capsys, feedback + ["--max-steps", "3", "--outdir", str(tmp_path)])
     assert got == 0, err
-    metrics = (tmp_path / "metrics.csv").read_text()
+    record = {name: (tmp_path / name).read_text() for name in ("metrics.csv", "config.txt")}
     got, err = run(capsys, feedback + extra + [
         "--max-steps", "6", "--resume", str(tmp_path / "checkpoint.npz"),
         "--outdir", str(tmp_path)])
     assert got == code and error_type(err) == kind
     assert len(err.splitlines()) == 1 and named in err, err
-    assert (tmp_path / "metrics.csv").read_text() == metrics
+    # a refused resume leaves the run's record as it was
+    assert {name: (tmp_path / name).read_text() for name in record} == record
 
 
 OUT_OF_RANGE = {
@@ -433,4 +448,4 @@ def test_an_argument_out_of_its_range_exits_2(tmp_path, capsys, argv):
     code, err = run(capsys, argv + ["--outdir", str(tmp_path)])
     assert code == 2 and error_type(err) in ("DomainError", "MomentError"), err
     assert len(err.splitlines()) == 1, err
-    assert [p.name for p in tmp_path.iterdir()] == ["config.txt"]   # no table, no metrics
+    assert list(tmp_path.iterdir()) == []   # no config.txt, no table, no metrics

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from predgrad.analysis import CostModel, f_star, q_objective
 from predgrad.errors import DimensionError, InsufficientData
@@ -146,6 +146,9 @@ def test_combine_of_mean_sums_is_the_true_mean(m, data, dim, scale):
 @settings(max_examples=300)
 @given(rho=st.floats(-1.0, 1.0), kappa=st.floats(0.05, 3.0),
        f_min=st.floats(0.001, 0.5), cheap=st.floats(0.05, 2.95))
+@example(rho=1.0, kappa=0.0, f_min=0.01, cheap=0.7)   # kappa 0: rho_switch is +inf
+@example(rho=0.5, kappa=0.0, f_min=0.2, cheap=2.9)
+@example(rho=-1.0, kappa=0.0, f_min=0.001, cheap=0.05)
 def test_f_star_is_the_grid_minimum_of_q(rho, kappa, f_min, cheap):
     cm = CostModel(cheap_forward=cheap)
     best = f_star(cm, rho, kappa, f_min)

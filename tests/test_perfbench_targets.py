@@ -3,10 +3,12 @@ attribute names; a renamed function would leave its figures at 0."""
 
 from perfbench.workloads import trace_targets
 
-# row references that no command runs any more; the benchmark skips an
-# attribute a module lacks, so their figures read 0 calls
+# row references that no command runs any more, and the per-step split that
+# the head of the shuffled batch replaced; the benchmark skips an attribute a
+# module lacks, so their figures read 0 calls
 DELETED = (("predgrad.trainer", "backward"), ("predgrad.trainer", "alignment_stats"),
-           ("predgrad.predictor", "predict_structured"))
+           ("predgrad.predictor", "predict_structured"),
+           ("predgrad.trainer", "split_minibatch"))
 
 
 def test_every_traced_function_exists():

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import logging
 import math
@@ -15,11 +16,10 @@ from predgrad import trainer
 from predgrad.analysis import CostModel
 from predgrad.data import gen_blobs, gen_regression
 from predgrad.errors import ConfigError, DataError, InsufficientData, NumericError
-from predgrad.estimator import combine, split_minibatch, variance_inflation
+from predgrad.estimator import combine, variance_inflation
 from predgrad.linalg import FactoredRows, solve_ridge, truncated_svd
 from predgrad.network import NetworkConfig, forward, init_network, loss_and_residual
 from predgrad.predictor import PREDICTORS, PerfectPredictor, RefitPolicy
-from predgrad.rng import substream
 from predgrad.trainer import (TrainConfig, load_run_checkpoint, resume_run,
                               run_budgeted_comparison, save_run_checkpoint, train_predicted,
                               train_vanilla)
@@ -403,21 +403,22 @@ LEARNED_STEPS = pytest.mark.parametrize("kind, make_data, loss_kind", [
 
 
 def fitted_step(kind, make_data, loss_kind, hidden=(24, 16)):
-    """A learned predictor after a refit, a batch and its control positions,
-    and a function giving the lean step's G on them."""
+    """A learned predictor after a refit, a batch and its control row count
+    m_c (its first m_c rows are the control rows), and a function giving the
+    lean step's G on them."""
     ds, ncfg = make_data(hidden=hidden)
     assert ds.loss_kind == loss_kind
     cfg = TrainConfig(batch_size=64, max_steps=4, refit=RefitPolicy(period=2), seed=7,
                       eval_every=0)
     res = train_predicted(cfg, ds, init_network(ncfg), kind)
     batch_idx = ds.train_idx[64:128]
-    control = split_minibatch(64, 0.25, substream(7, "split"))
+    m_c = 16
 
     def step():
         return trainer._batch_predicted(res.network, res.state.predictor, ds, batch_idx,
-                                        control)[0]
+                                        m_c)[0]
 
-    return res.network, res.state.predictor, ds, batch_idx, control, step
+    return res.network, res.state.predictor, ds, batch_idx, m_c, step
 
 
 @LEARNED_STEPS
@@ -454,8 +455,8 @@ def test_a_step_reads_each_predictor_matrix_once(monkeypatch, kind, make_data, l
 def test_lean_step_matches_the_row_path(kind, make_data, loss_kind, predicted_rows):
     # the row path: a second forward on the control rows, and per-row
     # backward and prediction rows, summed
-    net, pred, ds, batch_idx, control, step = fitted_step(kind, make_data, loss_kind)
-    ctrl = batch_idx[control]
+    net, pred, ds, batch_idx, m_c, step = fitted_step(kind, make_data, loss_kind)
+    ctrl = batch_idx[:m_c]
     _, output, cache = forward(net, ds.features[batch_idx])
     _, r = loss_and_residual(output, ds.targets[batch_idx], loss_kind)
     _, output_c, cache_c = forward(net, ds.features[ctrl])
@@ -463,9 +464,61 @@ def test_lean_step_matches_the_row_path(kind, make_data, loss_kind, predicted_ro
     from_rows = combine(predicted_rows(net, pred, cache, r).sum(axis=0),
                         backward(net, cache_c, r_c).sum(axis=0),
                         predicted_rows(net, pred, cache_c, r_c).sum(axis=0),
-                        len(control), len(batch_idx))
+                        m_c, len(batch_idx))
     lean = step()
     assert np.linalg.norm(lean - from_rows) <= 1e-12 * np.linalg.norm(from_rows)
+
+
+@LEARNED_STEPS
+def test_the_step_is_unbiased_with_the_sampling_variance_over_its_control_rows(
+        kind, make_data, loss_kind, predicted_rows):
+    # each of the 28 two-row subsets of an 8-row batch put at its head, as
+    # an order of the shuffle puts it: G averages to the batch gradient, and
+    # its variance is that of the mean of 2 of 8 rows of g - h drawn without
+    # replacement, (1 - m_c/m) S^2 / m_c
+    net, pred, ds, batch_idx, _, _ = fitted_step(kind, make_data, loss_kind)
+    batch, m, m_c = batch_idx[:8], 8, 2
+    gs = []
+    for ctrl in itertools.combinations(range(m), m_c):
+        order = list(ctrl) + [i for i in range(m) if i not in ctrl]
+        gs.append(trainer._batch_predicted(net, pred, ds, batch[order], m_c)[0])
+    gs = np.array(gs)
+    assert len(gs) == 28
+    true, _ = trainer._batch_true(net, ds, batch)
+    assert np.linalg.norm(gs.mean(axis=0) - true) <= 1e-12 * np.linalg.norm(true)
+    pt = net.config.trunk_size
+    _, output, cache = forward(net, ds.features[batch])
+    _, r = loss_and_residual(output, ds.targets[batch], loss_kind)
+    d = (backward(net, cache, r) - predicted_rows(net, pred, cache, r))[:, :pt]
+    s2 = ((d - d.mean(axis=0)) ** 2).sum() / (m - 1)
+    variance = ((gs - gs.mean(axis=0)) ** 2).sum() / len(gs)
+    assert variance == pytest.approx((1 - m_c / m) * s2 / m_c, rel=1e-9)
+
+
+def test_a_learned_step_takes_the_head_of_its_batch_as_control_rows(monkeypatch):
+    # the batches are vanilla's, and trunk_sum sees views of the first
+    # round(f m) rows of each
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=16, max_steps=3, seed=4, eval_every=0)
+    batches, control = [], []
+    batch_true, trunk_sum = trainer._batch_true, trainer.trunk_sum
+
+    def seen_batch(net, ds, batch_idx):
+        batches.append(batch_idx)
+        return batch_true(net, ds, batch_idx)
+
+    def seen_control(net, cache, r):
+        control.append(cache)
+        return trunk_sum(net, cache, r)
+
+    monkeypatch.setattr(trainer, "_batch_true", seen_batch)
+    monkeypatch.setattr(trainer, "trunk_sum", seen_control)
+    train_vanilla(cfg, ds, init_network(ncfg))
+    train_predicted(cfg, ds, init_network(ncfg), "feedback")
+    assert len(batches) == len(control) == 3
+    for batch_idx, cache in zip(batches, control):
+        assert np.array_equal(cache.x, ds.features[batch_idx][:4])
+        assert not any(a.flags.owndata for a in [cache.x, *cache.act])
 
 
 @pytest.mark.parametrize("kind", ["feedback", "structured"])
@@ -539,13 +592,13 @@ def narrow_regression_shape(hidden=(16,)):
 ])
 def test_a_learned_step_has_vanillas_head_and_predicts_only_the_trunk(kind, make_data,
                                                                       loss_kind, hidden):
-    net, pred, ds, batch_idx, ctrl, step = fitted_step(kind, make_data, loss_kind, hidden)
+    net, pred, ds, batch_idx, m_c, step = fitted_step(kind, make_data, loss_kind, hidden)
     pt = net.config.trunk_size
     vanilla, _ = trainer._batch_true(net, ds, batch_idx)
     assert step()[pt:].tobytes() == vanilla[pt:].tobytes()
     _, output, cache = forward(net, ds.features[batch_idx])
     _, r = loss_and_residual(output, ds.targets[batch_idx], loss_kind)
-    sums = pred.predict_sums(net, [(cache, r), (cache.rows(ctrl), r[ctrl])])
+    sums = pred.predict_sums(net, [(cache, r), (cache.rows(slice(0, m_c)), r[:m_c])])
     assert [s.shape for s in sums] == [(pt,), (pt,)]
 
 
