@@ -36,7 +36,8 @@ formed from their factors. A third, diagnostic predictor returns the exact
 trunk gradient.
 
 Every predictor has a ``kind`` name, ``predict_sums(net, parts)`` taking a
-list of ``(cache, residuals)`` pairs and returning, for each pair, the sum
+list of ``(cache, residuals)`` pairs, each optionally with the part's
+``network.head_sum`` as a third item, and returning, for each part, the sum
 of its rows' predicted trunk gradients (length P_T) without forming them;
 the learned ones also have ``trunk_moments`` for ``trunk_alignment``.
 Each is a dataclass, whose fields a run checkpoint stores, checked on load
@@ -48,7 +49,9 @@ the structured one's, the maps Y_k applied to the formed features
 sums each part's rows first, through the summed head gradients
 ``network.head_sum`` of its layer inputs (feedback) or last hidden
 activations (structured, which stacks the parts' (W_a Q)^T R^T [A 1] as
-columns and reads U and Y once per call, through ``few_column_product``).
+columns and reads U and Y once per call, through ``few_column_product``;
+it reads a part's head sum where it is given, as the trainer gives the
+batch's, which it forms for the exact head).
 """
 
 from dataclasses import dataclass
@@ -111,7 +114,7 @@ class FeedbackPredictor:
         # layer l's sum B_l [R^T A | R^T 1], A its inputs, is laid out as a head sum
         return [np.concatenate([gradient_sum(np.empty(0), b @ head_sum(a_prev, r))
                                 for b, a_prev in self._layers(net, cache)])
-                for cache, r in parts]
+                for cache, r, *_ in parts]
 
     def trunk_rows(self, net, cache, residuals) -> FactoredRows:
         """The predicted trunk rows of a batch, as the factors (R B_l^T, A_prev)
@@ -142,10 +145,14 @@ class StructuredPredictor:
     def predict_sums(self, net, parts) -> list:
         # (W_a Q)^T [R^T A | R^T 1] is Q^T H^T [A 1], H = R W_a, without forming H
         w, wq = net.head_weight, net.head_weight @ self.head_q
-        features = np.stack([(wq.T @ head_sum(*_structured_inputs(self, c.act[-1], r, w))).ravel()
-                             for c, r in parts], axis=1)
+        features = np.stack([(wq.T @ self._head_sum(w, *part)).ravel() for part in parts],
+                            axis=1)
         coeffs = few_column_product(self.maps.reshape(len(self.maps), -1), features)
         return list(few_column_product(self.basis, coeffs).T)
+
+    def _head_sum(self, w, cache, residuals, head=None):
+        llh, residuals = _structured_inputs(self, cache.act[-1], residuals, w)
+        return head_sum(llh, residuals) if head is None else head
 
     def trunk_moments(self, net, cache, residuals, trunk: FactoredRows):
         # the predicted rows are C U^T, c_ik = r_i^T (W_a Q Y_k) [a_i; 1]: sum
@@ -174,7 +181,7 @@ class PerfectPredictor:
         return {}
 
     def predict_sums(self, net, parts) -> list:
-        return [trunk_sum(net, cache, r) for cache, r in parts]
+        return [trunk_sum(net, cache, r) for cache, r, *_ in parts]
 
 
 PREDICTORS = {p.kind: p for p in (FeedbackPredictor, StructuredPredictor, PerfectPredictor)}

@@ -11,11 +11,12 @@ call on the batch and the control rows' view of its cache
 trunk sums; and ``trunk_sum`` on that view. The trunk part is their
 control-variate combination ``predgrad.estimator.combine``, and the head
 part ``head_sum`` on the batch, the exact head of vanilla's ``forward`` and
-``backward_sum``. No gradient is formed row by row on an ordinary step. For
-a perfect predictor each predicted sum is ``trunk_sum``, so the whole-batch
-prediction is vanilla's own call on the same rows, and the control
-prediction the same call on the same arrays as the true control sum: the
-correction is exactly zero and the step is vanilla's bit for bit.
+``backward_sum``, which ``predict_sums`` is handed with the batch. No
+gradient is formed row by row on an ordinary step. For a perfect predictor
+each predicted sum is ``trunk_sum``, so the whole-batch prediction is
+vanilla's own call on the same rows, and the control prediction the same
+call on the same arrays as the true control sum: the correction is exactly
+zero and the step is vanilla's bit for bit.
 
 The predictor is one of the objects of ``predgrad.predictor``. The loss
 comes from the data (``Dataset.loss_kind``). The update is plain SGD at a
@@ -217,10 +218,11 @@ def _batch_predicted(net, predictor, ds, batch_idx, m_c):
     m = len(batch_idx)
     cache, losses, residuals = _pass(net, ds, batch_idx)
     cache_c, r_c = cache.rows(slice(0, m_c)), residuals[:m_c]
-    predicted, predicted_c = predictor.predict_sums(net, [(cache, residuals), (cache_c, r_c)])
+    head = head_sum(cache.act[-1], residuals)
+    predicted, predicted_c = predictor.predict_sums(
+        net, [(cache, residuals, head), (cache_c, r_c)])
     trunk = combine(predicted, trunk_sum(net, cache_c, r_c), predicted_c, m_c, m)
-    head = head_sum(cache.act[-1], residuals) / m
-    return gradient_sum(trunk, head), float(losses.sum() / m)
+    return gradient_sum(trunk, head / m), float(losses.sum() / m)
 
 
 def _eval_val(net, ds) -> float:
