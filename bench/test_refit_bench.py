@@ -1,10 +1,10 @@
-"""Time the three phases of a refit, per learned predictor kind, at the step
-cases' sizes, at 64x2 with 256 fit rows, and on the narrow-regression
-workload's 8-16-1 regression net with 256 fit rows: the fit sample's pass (the
-forward and loss, and the trunk gradients as ``network.trunk_rows``
-factors), the measurement of the outgoing predictor on the sample
-(``predictor.trunk_alignment``), and the fit itself (the trainer's call,
-``fit_feedback`` or ``fit_structured`` on the sample's ``FitRows``).
+"""Time the two phases of a refit, per learned predictor kind, at the step
+cases' sizes, at 64x2 with 256 ring rows, and on the narrow-regression
+workload's 8-16-1 regression net with 256 ring rows: the measurement of the
+outgoing predictor (``predictor.trunk_alignment``) and the fit itself (the
+trainer's call, ``fit_feedback`` or ``fit_structured`` on ``FitRows``), each
+on the rows of the trainer's ring (``FitRing``). A refit runs no pass of its
+own: the rows are the factors the steps pushed.
 
 Run from the repository root, with one BLAS thread:
 
@@ -12,21 +12,22 @@ Run from the repository root, with one BLAS thread:
         --benchmark-json=BENCH_refit.json
 
 Like ``test_step_bench.py``, the directory is outside the tier-1 test paths.
-The outgoing predictor is the warmup fit of a one-step run whose fit sample
-has as many rows as the timed one; the timed sample is the next rows of
-the training set, at the same parameters.
+The ring is that of a two-step run at a batch of the ring's size: a vanilla
+opening step fills it, the first fit follows, and the second step's control
+rows overwrite its oldest rows. The outgoing predictor is that first fit,
+and both phases read the whole ring.
 """
 
 import pytest
 
 from predgrad import trainer
 from predgrad.data import gen_blobs, gen_regression
-from predgrad.network import NetworkConfig, init_network, trunk_rows
+from predgrad.network import NetworkConfig, init_network
 from predgrad.predictor import FitRows, RefitPolicy, trunk_alignment
 
-# (hidden widths, fit rows, data): the step cases' sizes with one batch of
-# fit rows, and the wide-blobs and narrow-regression workloads' nets with
-# their 256-row fit samples; one output on regression, three on blobs
+# (hidden widths, ring rows, data): the step cases' sizes with one batch of
+# ring rows, and the wide-blobs and narrow-regression workloads' nets with
+# their 256-row rings; one output on regression, three on blobs
 CASES = [((64, 64), 128, "blobs"), ((64, 64, 64, 64), 512, "blobs"),
          ((128, 128), 256, "blobs"), ((64, 64), 256, "blobs"), ((16,), 256, "regression")]
 CASE_IDS = [f"{'x'.join(map(str, h))}-n{n}" + ("" if data == "blobs" else f"-{data}")
@@ -40,25 +41,17 @@ def _dataset(data, n):
     return gen_blobs(4 * n, 3, 8, 6.0, 2, val_fraction=0.0)
 
 
-def _sample_pass(net, ds, idx):
-    cache, _, residuals = trainer._pass(net, ds, idx)
-    return cache, residuals, trunk_rows(net, cache, residuals)
-
-
 @pytest.mark.parametrize("hidden, n, data", CASES, ids=CASE_IDS)
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("phase", ["pass", "measure", "fit"])
+@pytest.mark.parametrize("phase", ["measure", "fit"])
 def test_refit(benchmark, phase, kind, hidden, n, data):
     ds = _dataset(data, n)
     ncfg = NetworkConfig(input_dim=8, hidden_widths=hidden, output_dim=ds.output_dim, seed=2)
-    cfg = trainer.TrainConfig(batch_size=n, max_steps=1,
+    cfg = trainer.TrainConfig(batch_size=n, max_steps=2,
                               refit=RefitPolicy(buffer_capacity=n), seed=5, eval_every=0)
     res = trainer.train_predicted(cfg, ds, init_network(ncfg), kind)
-    net, idx = res.network, ds.train_idx[n:2 * n]
-    if phase == "pass":
-        benchmark(_sample_pass, net, ds, idx)
-        return
-    cache, residuals, trunk = _sample_pass(net, ds, idx)
+    net, ring = res.network, res.state.ring
+    cache, residuals, trunk = ring.read(net.config, slice(None))
     if phase == "measure":
         benchmark(trunk_alignment, res.state.predictor, net, cache, residuals, trunk)
     else:

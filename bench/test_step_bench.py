@@ -15,9 +15,9 @@ The directory is not among the tier-1 test paths, so the plain test run
 does not collect it. Each case times the gradient of one batch at fixed
 parameters: the forward and backward work of a step, without the optimizer
 update, validation or refits; a layer case times one of its calls on the
-same batch. The predictor is fitted on the warmup sample
-of a one-step run whose fit sample is one batch, so both sides of a
-comparison fit it on the same rows.
+same batch. The predictor is the first fit of a one-step run whose ring
+holds one batch, its vanilla opening step's, so both sides of a comparison
+fit it on the same rows.
 """
 
 from dataclasses import dataclass

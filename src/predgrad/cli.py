@@ -87,8 +87,8 @@ def _add_train_options(p, predictor):
                    type=float, default=0.05)
     p.add_argument("--refit-period", type=int, default=50)
     p.add_argument("--buffer-capacity", type=int, default=256,
-                   help="training rows drawn afresh for each predictor fit "
-                        "(warmup and every refit); at least D+1")
+                   help="size of the ring of recent control rows that each predictor "
+                        "fit reads; at least C for feedback and D+1 for structured")
     p.add_argument("--budget", type=float, default=None,
                    help="stepping-cost budget in cost units")
     p.add_argument("--max-steps", type=int, default=None)
@@ -294,11 +294,7 @@ def cmd_train(args) -> int:
             result = train_predicted(cfg, ds, net, args.predictor, metrics_path)
     save_run_checkpoint(ckpt_path, result, cfg, ds)
     print(f"steps {result.steps}")
-    state = result.state
-    print(f"cost_units {state.stepping.cost_units!r}")
-    w = state.warmup_ledger   # the fit samples, charged outside the budget
-    print(f"total_cost_units "
-          f"{state.stepping.price(w.forward_count, w.cheap_forward_count, w.backward_count)!r}")
+    print(f"cost_units {result.state.stepping.cost_units!r}")
     print(f"final_loss {result.final_loss!r}")
     print(f"metrics {metrics_path}")
     print(f"checkpoint {ckpt_path}")
@@ -318,7 +314,6 @@ def cmd_compare(args) -> int:
         fh.write("\n")
     print(f"vanilla_steps {report.vanilla_steps}")
     print(f"predicted_steps {report.predicted_steps}")
-    print(f"predicted_warmup_cost_units {report.predicted_warmup_cost_units!r}")
     print(f"vanilla_final_loss {report.vanilla_final_loss!r}")
     print(f"predicted_final_loss {report.predicted_final_loss!r}")
     print(f"rho_hat_trunk_mean {report.rho_hat_trunk_mean!r}")

@@ -68,6 +68,11 @@ class FactoredRows:
             out[:, start + de:start + de + u.shape[1]] = u
         return out
 
+    def sum(self) -> np.ndarray:
+        """The sum of the rows, one product U^T V per block."""
+        return np.concatenate([part for u, v in self.blocks
+                               for part in ((u.T @ v).ravel(), u.sum(axis=0))])
+
     def gram(self) -> np.ndarray:
         out = np.zeros((self.shape[0], self.shape[0]))
         for u, v, _ in self._spans():

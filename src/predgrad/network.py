@@ -20,8 +20,8 @@ the output: f(x) - y for squared error, p - onehot(y) for cross-entropy.
 
 ``trunk_rows`` gives the trunk part of the exact per-example gradient rows
 of a batch unformed, as the per-layer factors they are outer products of
-(``predgrad.linalg.FactoredRows``); it and ``trunk_sum`` walk the layers
-alike.
+(``predgrad.linalg.FactoredRows``); ``trunk_sum`` is their sum, so one walk
+of the layers gives a caller both.
 
 ``ForwardCache.rows`` takes some rows of a batch's cache, so a backward
 pass on those rows reuses the batch's forward instead of repeating it.
@@ -291,22 +291,17 @@ def _trunk_walk(net: Network, cache: ForwardCache, residual: np.ndarray):
 def trunk_rows(net: Network, cache: ForwardCache, residual: np.ndarray) -> FactoredRows:
     """The trunk part of the exact gradient rows of a batch, held as its factors:
     each layer's pre-activation gradients and inputs, as ``FactoredRows``,
-    so that sums and products over the rows need not form them."""
+    so that sums and products over the rows need not form them; one example
+    is a batch of one."""
     residual = _checked_residual(net, cache, residual)
-    if residual.ndim != 2:
-        raise DimensionError(f"trunk rows need a batch of residuals, got {residual.shape}")
-    return FactoredRows(list(_trunk_walk(net, cache, residual))[::-1])
+    return FactoredRows([(dz.reshape(-1, dz.shape[-1]), a_prev.reshape(-1, a_prev.shape[-1]))
+                         for dz, a_prev in _trunk_walk(net, cache, residual)][::-1])
 
 
 def trunk_sum(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:
-    """The sum of the trunk part of the exact gradient rows, formed as a sum:
-    one product dz^T a_prev per trunk layer."""
-    residual = _checked_residual(net, cache, residual)
-    parts = []
-    for dz, a_prev in _trunk_walk(net, cache, residual):
-        dz = dz.reshape(-1, dz.shape[-1])
-        parts += [dz.sum(axis=0), (dz.T @ a_prev.reshape(-1, a_prev.shape[-1])).ravel()]
-    return np.concatenate(parts[::-1])
+    """The sum of the trunk part of the exact gradient rows, ``trunk_rows``
+    summed (``FactoredRows.sum``): one product dz^T a_prev per trunk layer."""
+    return trunk_rows(net, cache, residual).sum()
 
 
 def backward_sum(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:

@@ -19,10 +19,10 @@ any output width, through the residual alone:
   direction k is r^T (W_a Q) Y_k [a(x); 1], which reads q/D of S_k.
 
 Both are fit by ridge least squares on ``FitRows`` (activation, residual and
-true trunk gradients, one row per example of a fit sample, and the pass's
-head weight W_a; the trunk gradients come as ``network.trunk_rows``' layer
+true trunk gradients, one row per example the fit reads, and the head
+weight W_a; the trunk gradients come as ``network.trunk_rows``' layer
 factors, pre-activation gradients Dz and inputs A_prev). The ridge lambda
-always follows from the sample, 1e-6 times the mean squared regressor norm,
+always follows from the rows, 1e-6 times the mean squared regressor norm,
 unless a caller passes the fit a ``lam``; training never does. The feedback fit
 regresses all layers' Dz on the residuals in one C x C solve. The
 structured fit takes its basis, where the trunk gradients have more columns
@@ -30,14 +30,13 @@ than rows, from their Gram matrix, the sum over trunk layers of
 (Dz Dz^T) o (A~ A~^T), A~ = [A_prev 1]: the trunk's empirical tangent
 kernel. Its features h x [a; 1], h = W_a^T r, lie in range(W_a^T) x
 R^(D+1), and it ridge-fits the maps Y_k on their coordinates there, from a
-thin QR of W_a^T. ``trunk_alignment`` measures a learned predictor on a
-fit sample from the moments of the true and the predicted trunk rows,
-formed from their factors. A third, diagnostic predictor returns the exact
+thin QR of W_a^T. ``trunk_alignment`` measures a learned predictor on some
+rows from the moments of the true and the predicted trunk rows, formed
+from their factors. A third, diagnostic predictor returns the exact
 trunk gradient.
 
 Every predictor has a ``kind`` name, ``predict_sums(net, parts)`` taking a
-list of ``(cache, residuals)`` pairs, each optionally with the part's
-``network.head_sum`` as a third item, and returning, for each part, the sum
+list of ``(cache, residuals[, head_sum])`` parts and returning, for each, the sum
 of its rows' predicted trunk gradients (length P_T) without forming them;
 the learned ones also have ``trunk_moments`` for ``trunk_alignment``.
 Each is a dataclass, whose fields a run checkpoint stores, checked on load
@@ -49,9 +48,8 @@ the structured one's, the maps Y_k applied to the formed features
 sums each part's rows first, through the summed head gradients
 ``network.head_sum`` of its layer inputs (feedback) or last hidden
 activations (structured, which stacks the parts' (W_a Q)^T R^T [A 1] as
-columns and reads U and Y once per call, through ``few_column_product``;
-it reads a part's head sum where it is given, as the trainer gives the
-batch's, which it forms for the exact head).
+columns and reads U and Y once per call, through ``few_column_product``,
+and reads a part's ``head_sum`` where the caller gives it).
 """
 
 from dataclasses import dataclass
@@ -70,7 +68,7 @@ ENERGY_TARGET = 0.99    # default rank rule: 99% of squared singular mass
 
 
 class FitRows(NamedTuple):
-    """Fit data: one row per example of a fit sample, and the pass's head weight."""
+    """Fit data: one row per example the fit reads, and the head weight."""
     llh: np.ndarray             # (n, D)
     residual: np.ndarray        # (n, C)
     head_weight: np.ndarray     # (C, D) W_a
@@ -81,9 +79,9 @@ class FitRows(NamedTuple):
 class RefitPolicy:
     """When a learned predictor is refitted and on how many rows. Its ridge
     lambda is not a policy: every fit takes the data rule, 1e-6 times the
-    mean squared regressor norm of its sample."""
+    mean squared regressor norm of its rows."""
     period: int = 50
-    buffer_capacity: int = 256          # rows drawn for each fit
+    buffer_capacity: int = 256          # rows in the ring of recent rows each fit reads
 
     def __post_init__(self):
         if self.period < 1:
@@ -234,14 +232,14 @@ def trunk_alignment(p, net, cache, residuals, trunk: FactoredRows) -> tuple[floa
                         trunk.t_dot(np.ones((n, 1)))[:, 0], h_sum)
 
 
-def _usable(rows: FitRows) -> FitRows:
+def _usable(rows: FitRows, name: str, need: int) -> FitRows:
     """The rows whose residual exceeds RESIDUAL_FLOOR, of which a fit needs at
-    least D+1; both sides of the fit share the residual factor, so the other
-    rows carry no signal."""
+    least ``need`` (named ``name``); both sides of the fit share the
+    residual factor, so the other rows carry no signal."""
     keep = np.max(np.abs(rows.residual), axis=1) > RESIDUAL_FLOOR
-    n, d = int(keep.sum()), rows.llh.shape[1]
-    if n < d + 1:
-        raise InsufficientData(f"fit needs at least D+1 = {d + 1} usable samples, got {n}")
+    n = int(keep.sum())
+    if n < need:
+        raise InsufficientData(f"fit needs at least {name} = {need} usable samples, got {n}")
     return rows if n == len(keep) else FitRows(
         rows.llh[keep], rows.residual[keep], rows.head_weight, rows.trunk_grad[keep])
 
@@ -249,8 +247,9 @@ def _usable(rows: FitRows) -> FitRows:
 def fit_feedback(rows: FitRows, lam: float | None = None) -> FeedbackPredictor:
     """Ridge fit of the feedback matrices: all trunk layers' pre-activation
     gradients, the first factors of ``rows.trunk_grad``'s blocks, regressed
-    on the residuals in one solve, a C x C system whatever the widths."""
-    rows = _usable(rows)
+    on the residuals in one solve, a C x C system whatever the widths, from
+    at least C usable rows."""
+    rows = _usable(rows, "C", rows.residual.shape[1])
     if lam is None:
         lam = _default_lambda(np.einsum("ij,ij->i", rows.residual, rows.residual))
     dz = np.concatenate([u for u, _ in rows.trunk_grad.blocks], axis=1)
@@ -272,8 +271,9 @@ def fit_structured(rows: FitRows, r: int | None = None,
     h = Q T r, so the rows (T r) x [llh; 1] have the features' inner
     products, and their ridge solution Y (q(D+1) x r), at the same lambda,
     gives the maps S_k = Q Y_k, which the predictor keeps factored as Q and Y.
+    It needs at least D+1 usable rows.
     """
-    rows = _usable(rows)
+    rows = _usable(rows, "D+1", rows.llh.shape[1] + 1)
     (n, d), p_t = rows.llh.shape, rows.trunk_grad.shape[1]
     if r is not None and r > min(n, p_t):
         raise DimensionError(

@@ -3,59 +3,43 @@
 Both loops draw their epoch shuffles from the same named substream and drop
 the same short final batch, so runs with equal seeds see identical batch
 schedules regardless of algorithm. A predicted step's control rows are the
-first m_c = round(f m) of its batch, a slice of a uniform permutation: its
-head is a uniform random subset, independent of the predictor fitted before
-the step. A step makes one ``forward`` on the batch; one ``predict_sums``
-call on the batch and the control rows' view of its cache
-(``ForwardCache.rows``), which reads the predictor's matrices once for both
-trunk sums; and ``trunk_sum`` on that view. The trunk part is their
-control-variate combination ``predgrad.estimator.combine``, and the head
-part ``head_sum`` on the batch, the exact head of vanilla's ``forward`` and
-``backward_sum``, which ``predict_sums`` is handed with the batch. No
-gradient is formed row by row on an ordinary step. For a perfect predictor
-each predicted sum is ``trunk_sum``, so the whole-batch prediction is
-vanilla's own call on the same rows, and the control prediction the same
-call on the same arrays as the true control sum: the correction is exactly
-zero and the step is vanilla's bit for bit.
+first m_c = round(f m) of its batch, a slice of a uniform permutation: a
+uniform random subset, independent of the predictor fitted before the step.
+A step makes one ``forward`` on the batch; one ``predict_sums`` call on the
+batch, with its ``head_sum``, and the control rows' view of its cache
+(``ForwardCache.rows``); and ``trunk_rows`` on that view, summed. The trunk
+part is their control-variate combination ``predgrad.estimator.combine``,
+the head part that ``head_sum``, vanilla's exact head. No gradient is formed
+row by row. For a perfect predictor each predicted sum is ``trunk_sum``,
+the sum of ``trunk_rows``, so the correction is exactly zero and the step is
+vanilla's bit for bit. The update is plain SGD, theta - lr G: the control
+variate makes G unbiased whatever the step rule. A non-finite batch loss or
+gradient stops the run with a ``NumericError`` naming the step, and a
+network that does not fit the data is refused before step 1.
 
-The predictor is one of the objects of ``predgrad.predictor``. The loss
-comes from the data (``Dataset.loss_kind``). The update is plain SGD at a
-fixed learning rate, theta - lr G: the control variate makes G unbiased
-whatever the step rule, so a run holds no optimizer state.
+A learned predictor is fitted on rows the run has already paid for, held in
+a ring (``FitRing``) of the last ``RefitPolicy.buffer_capacity`` of them:
+each row's input, activations, residual and per-layer pre-activation
+gradients, the factors of its trunk gradient (``network.trunk_rows``). Each
+step pushes its control rows, whose factors its trunk sum walks anyway.
+Until the ring holds enough usable rows for a fit of the kind, the run
+takes vanilla steps and pushes their whole batches; the first fit follows
+the step after which it succeeds. A refit follows every refit period-th
+step. It first measures the outgoing predictor on the ring rows pushed
+since its own fit, which it has not seen: its trunk-only alignment
+(``predictor.trunk_alignment``) gives the step's rho_hat, kappa_hat and
+phi_hat (phi at the step's m_c/m); other steps record NaN. It then fits on
+the whole ring, with the current head weight. A refit runs no pass of its
+own; one that fails keeps the old predictor and warns, naming the step.
 
-A step whose batch loss or combined gradient is not finite stops the run
-with a ``NumericError`` that names the step. A network whose input or
-output width does not fit the data is refused before step 1 (``DataError``).
-
-A learned predictor is fitted before the first step, and refitted every
-refit period, on a fit sample of its own: ``RefitPolicy.buffer_capacity``
-training rows (all of them if there are fewer) drawn afresh from a
-stateless substream, "warmup" before the first step and "refit:<step>"
-after it, with a forward at the current parameters and the sample's trunk
-gradients held as their per-layer factors (``network.trunk_rows``), which
-the fit and the measurement use without forming a row. So a fit sees rows
-from one parameter state, and a resumed run draws the samples an
-uninterrupted one draws. Before a refit replaces the predictor, the
-outgoing one is measured on that sample: its trunk-only alignment
-statistics (``predictor.trunk_alignment``, from the moments of both
-sides' rows) are the refit step's rho_hat, kappa_hat and phi_hat (phi at
-the step's realised control fraction m_c/m), the end-of-period values of
-the predictor's refit period. Every other step records NaN for them. The
-perfect predictor fits nothing and draws no sample. A refit that fails for
-lack of usable rows keeps the old predictor and warns, naming the step.
-
-Cost accounting charges what the algorithm structure prescribes (forward +
-backward per control example, cheap forward per prediction example),
-independent of how a predictor is implemented internally. It counts passes
-per example, so a sum formed by ``trunk_sum`` or ``predict_sums`` is
-charged as the rows it sums, whatever it costs, and the control rows'
-prediction is not charged. Each step's m_c is known before the budget
-check, which prices the ledger's counts with the step's charge added
-(``BudgetLedger.price``), so a step is taken exactly when the
-``cost_units`` reported after it are within the budget. Every fit sample,
-the warmup's and each refit's, is charged to a separate warmup (fit)
-ledger as a forward and a backward per row; the budget governs stepping
-cost only, mirroring a cost model that counts per-iteration passes.
+Cost accounting charges what the algorithm structure prescribes: a forward
+and a backward per control row, or per row of a vanilla step (a learned
+run's opening steps among them), and a cheap forward per predicted row,
+whatever a predictor costs. The budget check prices the ledger's counts
+with the step's charge added (``BudgetLedger.price``), so a step is taken
+exactly when the ``cost_units`` reported after it are within the budget.
+Every row a fit reads was charged by the step that pushed it, so the one
+ledger covers every pass of a run.
 """
 
 import contextlib
@@ -75,14 +59,14 @@ from .data import Dataset
 from .errors import (BudgetError, ConfigError, DataError, DimensionError,
                      InsufficientData, NumericError)
 from .estimator import combine, control_batch_size, variance_inflation
-from .network import (Network, NetworkConfig, backward_sum, cheap_forward, forward,
-                      gradient_sum, head_sum, init_network, loss_and_residual,
-                      trunk_rows, trunk_sum)
+from .linalg import FactoredRows
+from .network import (ForwardCache, Network, NetworkConfig, cheap_forward, forward,
+                      gradient_sum, head_sum, init_network, loss_and_residual, trunk_rows)
 from .predictor import (PREDICTORS, FitRows, PerfectPredictor, RefitPolicy, fit_feedback,
                         fit_structured, should_refit, trunk_alignment)
 from .rng import substream
 
-RUN_CHECKPOINT_FORMAT = 3
+RUN_CHECKPOINT_FORMAT = 4
 
 log = logging.getLogger(__name__)
 
@@ -149,8 +133,9 @@ class StepRecord:
     cost_units: float
     loss: float
     val_metric: float
-    rho_hat: float          # trunk-only alignment of the outgoing predictor on a
-                            # refit sample; NaN on steps that drew none
+    rho_hat: float          # trunk-only alignment of the outgoing predictor on the
+                            # ring rows pushed since its fit; NaN on steps that
+                            # measured none
     kappa_hat: float
     phi_hat: float
     refit: int
@@ -171,11 +156,44 @@ def optimizer_step(theta: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
 
 
 @dataclass
+class FitRing:
+    """The last rows a learned run pushed, oldest overwritten first: row
+    pushed number i is rows[i % capacity], its columns [x | a_1 .. a_L | r |
+    dz_1 .. dz_L], the input, the trunk layers' activations, the residual
+    and the layers' pre-activation gradients."""
+    rows: np.ndarray        # (capacity, width)
+    pushed: int = 0         # rows pushed so far
+    fitted: int = 0         # rows pushed when the predictor was fitted; 0 before
+
+    @staticmethod
+    def widths(c: NetworkConfig) -> list:
+        return [c.input_dim, *c.hidden_widths, c.output_dim, *c.hidden_widths]
+
+    def push(self, cache: ForwardCache, residuals, trunk: FactoredRows) -> None:
+        n, capacity = len(residuals), len(self.rows)
+        at = (self.pushed + np.arange(max(0, n - capacity), n)) % capacity
+        self.rows[at] = np.concatenate(
+            [cache.x, *cache.act, residuals, *(dz for dz, _ in trunk.blocks)],
+            axis=1)[-capacity:]
+        self.pushed += n
+
+    def read(self, c: NetworkConfig, idx):
+        """The rows ``idx`` as (cache, residuals, trunk rows); the cache has
+        version -1, as its rows come from several parameter states."""
+        layers = len(c.hidden_widths)
+        x, *act = np.split(self.rows[idx], np.cumsum(self.widths(c))[:-1], axis=1)
+        act, residuals, dz = act[:layers], act[layers], act[layers + 1:]
+        return (ForwardCache(-1, x, act), residuals,
+                FactoredRows(list(zip(dz, [x, *act[:-1]]))))
+
+
+@dataclass
 class TrainState:
     net: Network
-    predictor: object | None        # a fitted predictor; None for vanilla
+    kind: str                       # "none" for vanilla, else the predictor kind
+    predictor: object | None        # None for vanilla and before a learned first fit
     stepping: BudgetLedger
-    warmup_ledger: BudgetLedger
+    ring: FitRing | None = None     # a learned run's
     step: int = 0
 
 
@@ -206,23 +224,28 @@ def _pass(net, ds, idx):
 
 
 def _batch_true(net, ds, batch_idx):
-    """Mean true gradient and mean loss over a batch."""
+    """Mean true gradient and mean loss over a batch, and its rows as a ring
+    takes them: (cache, residuals, trunk rows)."""
     m = len(batch_idx)
     cache, losses, residuals = _pass(net, ds, batch_idx)
-    return backward_sum(net, cache, residuals) / m, float(losses.sum() / m)
+    trunk = trunk_rows(net, cache, residuals)
+    grad = gradient_sum(trunk.sum(), head_sum(cache.act[-1], residuals)) / m
+    return grad, float(losses.sum() / m), (cache, residuals, trunk)
 
 
 def _batch_predicted(net, predictor, ds, batch_idx, m_c):
     """Debiased combined gradient, with vanilla's exact head part, and mean
-    loss over a mini-batch whose first ``m_c`` rows are its control rows."""
+    loss over a mini-batch whose first ``m_c`` rows are its control rows,
+    and the control rows as a ring takes them: (cache, residuals, trunk rows)."""
     m = len(batch_idx)
     cache, losses, residuals = _pass(net, ds, batch_idx)
     cache_c, r_c = cache.rows(slice(0, m_c)), residuals[:m_c]
     head = head_sum(cache.act[-1], residuals)
     predicted, predicted_c = predictor.predict_sums(
         net, [(cache, residuals, head), (cache_c, r_c)])
-    trunk = combine(predicted, trunk_sum(net, cache_c, r_c), predicted_c, m_c, m)
-    return gradient_sum(trunk, head / m), float(losses.sum() / m)
+    trunk_c = trunk_rows(net, cache_c, r_c)
+    trunk = combine(predicted, trunk_c.sum(), predicted_c, m_c, m)
+    return gradient_sum(trunk, head / m), float(losses.sum() / m), (cache_c, r_c, trunk_c)
 
 
 def _eval_val(net, ds) -> float:
@@ -233,57 +256,28 @@ def _eval_val(net, ds) -> float:
     return float(losses.mean())
 
 
-class _MetricsWriter:
-    """Writes a run's step records to ``path``: a fresh file, or with
-    ``append``, after the rows already there (a resumed run's)."""
-
-    def __init__(self, path, append: bool):
-        self.path = path
-        if path is not None:
-            fresh = not append or not os.path.exists(path) or os.path.getsize(path) == 0
-            self._fh = open(path, "w" if fresh else "a", newline="")
-            self._csv = csv.writer(self._fh)
-            if fresh:
-                self._csv.writerow(METRICS_HEADER)
-                self._fh.flush()
-
-    def write(self, rec: StepRecord):
-        if self.path is not None:
-            self._csv.writerow(rec.csv_row())
-            self._fh.flush()
-
-    def close(self):
-        if self.path is not None:
-            self._fh.close()
-
-
-def _refit(cfg: TrainConfig, ds: Dataset, state: TrainState, kind: str):
-    """Fit a fresh ``kind`` predictor on a fit sample drawn for this step and
-    make it ``state.predictor``; returns (1 if it was replaced else 0, the
-    outgoing predictor's (rho, kappa) on the sample or None). The
-    sample, charged to the warmup ledger, is ``buffer_capacity`` training
-    rows, or all of them if fewer. At step 0 there is no outgoing predictor
-    and a failed fit raises; later, it keeps the old predictor and warns."""
-    n = min(cfg.refit.buffer_capacity, len(ds.train_idx))
-    name = "warmup" if state.step == 0 else f"refit:{state.step}"
-    chosen = substream(cfg.seed, name).choice(ds.train_idx, size=n, replace=False)
-    net, outgoing = state.net, state.predictor
-    cache, _, residuals = _pass(net, ds, chosen)
-    trunk = trunk_rows(net, cache, residuals)
-    state.warmup_ledger.charge(forward=n, backward=n)
-    stats = None
-    if outgoing is not None:
-        stats = trunk_alignment(outgoing, net, cache, residuals, trunk)
+def _refit(state: TrainState):
+    """Fit a fresh predictor of the run's kind on its ring and make it
+    ``state.predictor``; returns (1 if it was replaced else 0, the outgoing
+    predictor's (rho, kappa) on the rows pushed since its fit, or None). A
+    failed first fit leaves the run in its opening steps; a failed refit
+    keeps the old predictor and warns."""
+    ring, net, outgoing = state.ring, state.net, state.predictor
+    capacity, stats = len(ring.rows), None
+    held = np.arange(max(ring.fitted, ring.pushed - capacity), ring.pushed) % capacity
+    if outgoing is not None and len(held) >= 2:
+        stats = trunk_alignment(outgoing, net, *ring.read(net.config, held))
+    cache, residuals, trunk = ring.read(net.config, slice(0, min(ring.pushed, capacity)))
     # looked up in this module at call time, so wrapping predgrad.trainer.fit_* sees every fit
-    fit = fit_feedback if kind == "feedback" else fit_structured
+    fit = fit_feedback if state.kind == "feedback" else fit_structured
     try:
         state.predictor = fit(FitRows(cache.act[-1], residuals, net.head_weight, trunk))
     except InsufficientData as e:
-        if outgoing is None:
-            raise
-        log.warning("refit skipped at step %d, keeping the old predictor: %s",
-                    state.step, e)
+        if outgoing is not None:
+            log.warning("refit skipped at step %d, keeping the old predictor: %s",
+                        state.step, e)
         return 0, stats
+    ring.fitted = ring.pushed
     return 1, stats
 
 
@@ -341,19 +335,23 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
                 metrics_path=None) -> RunResult:
     """Run from ``state`` to the end of the run, with the smallest batch
     ``_check_run`` returned for it. Step t is batch t % k of epoch t // k,
-    k batches an epoch (``_epoch_batches``)."""
-    predicted = state.predictor is not None
-    learned = predicted and state.predictor.kind != "perfect"
+    k batches an epoch (``_epoch_batches``). Each step's record goes to
+    ``metrics_path``: a fresh file, or on resuming, after the rows there."""
     f, bs = cfg.control_fraction, cfg.batch_size
     theta = state.net.flat_params()
     records = []
-    writer = _MetricsWriter(metrics_path, append=state.step > 0)
     n_train = len(ds.train_idx)
     per_epoch = _epoch_batches(n_train, bs, min_batch)[0]
     end = min(cfg.epochs * per_epoch, cfg.max_steps or math.inf)
     order = None
-
-    try:
+    fresh = state.step == 0 or not (metrics_path is not None and os.path.exists(metrics_path)
+                                    and os.path.getsize(metrics_path))
+    with (open(metrics_path, "w" if fresh else "a", newline="") if metrics_path is not None
+          else contextlib.nullcontext()) as fh:
+        out = fh and csv.writer(fh)
+        if out and fresh:
+            out.writerow(METRICS_HEADER)
+            fh.flush()
         while state.step < end:
             epoch, b = divmod(state.step, per_epoch)
             if order is None or b == 0:
@@ -361,6 +359,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
                 order = ds.train_idx[perm]
             batch_idx = order[b * bs:(b + 1) * bs]
             m = len(batch_idx)
+            predicted = state.predictor is not None
             m_c = control_batch_size(m, f) if predicted else m
             if cfg.budget is not None and state.stepping.price(m_c, m - m_c, m_c) > cfg.budget:
                 if state.step == 0:
@@ -370,9 +369,9 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
             state.stepping.charge(forward=m_c, cheap_forward=m - m_c, backward=m_c)
 
             if not predicted:
-                grad, batch_loss = _batch_true(state.net, ds, batch_idx)
+                grad, batch_loss, rows = _batch_true(state.net, ds, batch_idx)
             else:
-                grad, batch_loss = _batch_predicted(
+                grad, batch_loss, rows = _batch_predicted(
                     state.net, state.predictor, ds, batch_idx, m_c)
             if not (math.isfinite(batch_loss) and np.isfinite(grad).all()):
                 raise NumericError(
@@ -383,8 +382,10 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
             state.step += 1
 
             refit_flag, stats = 0, None
-            if learned and should_refit(cfg.refit, state.step):
-                refit_flag, stats = _refit(cfg, ds, state, state.predictor.kind)
+            if state.ring is not None:
+                state.ring.push(*rows)
+                if not predicted or should_refit(cfg.refit, state.step):
+                    refit_flag, stats = _refit(state)
 
             if cfg.eval_every and state.step % cfg.eval_every == 0:
                 val = _eval_val(state.net, ds)
@@ -398,16 +399,20 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
             rec = StepRecord(state.step, epoch, float(state.stepping.cost_units), batch_loss,
                              val, rho, kappa, phi, refit_flag)
             records.append(rec)
-            writer.write(rec)
-    finally:
-        writer.close()
-
+            if out:
+                out.writerow(rec.csv_row())
+                fh.flush()
     return RunResult(state, records)
 
 
-def _fresh_state(cfg: TrainConfig, net: Network) -> TrainState:
-    return TrainState(net=net, predictor=None, stepping=BudgetLedger(cfg.cost_model),
-                      warmup_ledger=BudgetLedger(cfg.cost_model))
+def _fresh_state(cfg: TrainConfig, net: Network, kind: str = "none") -> TrainState:
+    state = TrainState(net, kind, None, BudgetLedger(cfg.cost_model))
+    if kind == "perfect":
+        state.predictor = PerfectPredictor()
+    elif kind != "none":
+        state.ring = FitRing(np.zeros((cfg.refit.buffer_capacity,
+                                       sum(FitRing.widths(net.config)))))
+    return state
 
 
 def train_vanilla(cfg: TrainConfig, ds: Dataset, net: Network,
@@ -425,24 +430,18 @@ def _check_kind(kind) -> None:
 def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, kind: str,
                     metrics_path=None) -> RunResult:
     """Predicted-gradient training with a predictor of the named kind,
-    "feedback", "structured" or "perfect". "perfect" becomes a
-    PerfectPredictor; a learned kind is fitted on a warmup sample before
-    the first step, and needs a fit sample (``buffer_capacity``) of at
-    least D+1 rows (D the last hidden width).
-    """
-    state = _fresh_state(cfg, net)
+    "feedback", "structured" or "perfect". A learned kind's ring
+    (``buffer_capacity`` rows) must reach the usable rows its fit needs: C
+    for feedback and D+1 for structured (the output and last hidden widths)."""
     min_batch = _check_run(cfg, ds, net, predicted=True)
     _check_kind(kind)
-    need = net.config.last_hidden + 1
+    c = net.config
+    name, need = ("C", c.output_dim) if kind == "feedback" else ("D+1", c.last_hidden + 1)
     if kind != "perfect" and cfg.refit.buffer_capacity < need:
         raise ConfigError(
-            f"buffer capacity {cfg.refit.buffer_capacity} is below the D+1 = {need} "
-            f"rows a {kind} fit needs; it is the size of each fit sample")
-    if kind == "perfect":
-        state.predictor = PerfectPredictor()
-    else:
-        _refit(cfg, ds, state, kind)
-    return _train_loop(cfg, ds, state, min_batch, metrics_path)
+            f"buffer capacity {cfg.refit.buffer_capacity} is below the {name} = {need} "
+            f"rows a {kind} fit needs; it is the size of the ring of rows the fits read")
+    return _train_loop(cfg, ds, _fresh_state(cfg, net, kind), min_batch, metrics_path)
 
 
 @dataclass
@@ -458,7 +457,6 @@ class ComparisonReport:
     predicted_final_val: float
     vanilla_cost_units: float
     predicted_cost_units: float
-    predicted_warmup_cost_units: float
     # means over the refit steps of the end-of-period statistics that each
     # refit measures; NaN when the predicted run made no refit
     rho_hat_trunk_mean: float
@@ -510,26 +508,16 @@ def run_budgeted_comparison(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfi
         return vals[-1] if vals else float("nan")
 
     return ComparisonReport(
-        control_fraction=f,
-        budget=float(cfg.budget),
-        gamma_f=gamma(cfg.cost_model, f),
-        vanilla_steps=res_v.steps,
-        predicted_steps=res_p.steps,
-        vanilla_final_loss=res_v.final_loss,
-        predicted_final_loss=res_p.final_loss,
+        control_fraction=f, budget=float(cfg.budget), gamma_f=gamma(cfg.cost_model, f),
+        vanilla_steps=res_v.steps, predicted_steps=res_p.steps,
+        vanilla_final_loss=res_v.final_loss, predicted_final_loss=res_p.final_loss,
         vanilla_final_val=final_val(res_v.records),
         predicted_final_val=final_val(res_p.records),
         vanilla_cost_units=res_v.state.stepping.cost_units,
         predicted_cost_units=res_p.state.stepping.cost_units,
-        predicted_warmup_cost_units=res_p.state.warmup_ledger.cost_units,
-        rho_hat_trunk_mean=rho_trunk,
-        kappa_hat_mean=kappa,
-        phi_hat_mean=phi,
-        rho_star_measured=star,
-        break_even_verdict=verdict,
-        vanilla_records=res_v.records,
-        predicted_records=res_p.records,
-    )
+        rho_hat_trunk_mean=rho_trunk, kappa_hat_mean=kappa, phi_hat_mean=phi,
+        rho_star_measured=star, break_even_verdict=verdict,
+        vanilla_records=res_v.records, predicted_records=res_p.records)
 
 
 # --- run checkpointing -----------------------------------------------------
@@ -561,16 +549,17 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig, ds: Dataset) 
     """Save a run on ``ds`` as an npz archive; resuming from it reproduces an
     uninterrupted run bit-exactly (all random streams are derived
     statelessly from the seed and the step, and so are the epoch and the
-    batch in it). Format 3 holds what a resumed run reads, every entry
-    required:
+    batch in it). Format 4 holds what a resumed run reads:
 
-    * ``header``: UTF-8 JSON of ``format``, ``predictor_kind`` ("none" for
-      vanilla), ``cfg`` (``_run_identity``), ``net`` (the ``NetworkConfig``
-      as a dict) and ``data`` (``_data_digest``);
+    * ``header``: UTF-8 JSON of ``format``, ``predictor_kind`` (the run's
+      kind, "none" for vanilla), ``cfg`` (``_run_identity``), ``net`` (the
+      ``NetworkConfig`` as a dict) and ``data`` (``_data_digest``);
     * ``trunk_params``, ``head_weight`` and ``head_bias``;
-    * ``step``, and ``stepping_counts`` and ``warmup_counts``: each ledger's
-      forward, cheap forward and backward counts;
-    * ``pred_<field>`` for each field of the predictor's dataclass.
+    * ``step``, and ``stepping_counts``: the ledger's forward, cheap forward
+      and backward counts;
+    * for a learned kind, ``ring_<field>`` for each field of its ``FitRing``;
+    * ``pred_<field>`` for each field of the predictor's dataclass, where
+      there is a predictor: a learned one after its first fit.
 
     The file is written to ``<path>.tmp`` and then moved into place, so a
     failed write leaves any previous checkpoint at ``path`` as it was."""
@@ -582,14 +571,14 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig, ds: Dataset) 
         "head_bias": net.head_bias,
         "step": np.int64(state.step),
         "stepping_counts": np.asarray(astuple(state.stepping)[1:], dtype=np.int64),
-        "warmup_counts": np.asarray(astuple(state.warmup_ledger)[1:], dtype=np.int64),
     }
-    if pred is not None:
-        arrays.update((f"pred_{f.name}", getattr(pred, f.name)) for f in fields(pred))
+    for prefix, held in (("ring_", state.ring), ("pred_", pred)):
+        if held is not None:
+            arrays.update((prefix + f.name, getattr(held, f.name)) for f in fields(held))
 
     header = json.dumps({
         "format": RUN_CHECKPOINT_FORMAT,
-        "predictor_kind": "none" if pred is None else pred.kind,
+        "predictor_kind": state.kind,
         "cfg": _run_identity(cfg),
         "net": asdict(net.config),
         "data": _data_digest(ds),
@@ -613,7 +602,7 @@ def load_run_checkpoint(path, cfg: TrainConfig, ds: Dataset,
     """State of a run checkpointed on ``ds``, to go on with the network
     ``net_cfg``. The config must be the one it was written under, but for
     the run-length fields, so a run can be extended. An unreadable file, a
-    format, entry or shape other than format 3's, or another config or
+    format, entry or shape other than format 4's, or another config or
     network raises a ``ConfigError`` naming it; other data a ``DataError``."""
     try:
         with open(path, "rb") as fh:
@@ -646,28 +635,32 @@ def _run_state(z, path, cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfig) -
     if changed:
         raise ConfigError(f"checkpoint {path} holds another network: {changed}")
 
-    kind, pred = need(header, "predictor_kind"), None
+    def load(cls, prefix):
+        values = {}
+        for f in fields(cls):   # a 0-d array holds a scalar field, of the field's type
+            value = need(z, prefix + f.name)
+            values[f.name] = f.type(value) if value.ndim == 0 else value
+        return cls(**values)
+
+    kind = need(header, "predictor_kind")
     if kind != "none" and kind not in PREDICTORS:
         raise ConfigError(f"checkpoint holds an unknown predictor kind {kind!r}")
-    if kind != "none":
-        cls, values = PREDICTORS[kind], {}
-        for f in fields(cls):   # a 0-d array holds a scalar field, of the field's type
-            value = need(z, f"pred_{f.name}")
-            values[f.name] = f.type(value) if value.ndim == 0 else value
-        pred = cls(**values)
+    ring = load(FitRing, "ring_") if kind not in ("none", "perfect") else None
+    pred = load(PREDICTORS[kind], "pred_") \
+        if kind == "perfect" or (ring is not None and ring.fitted) else None
 
-    shapes = {"stepping_counts": (3,), "warmup_counts": (3,)}
+    shapes = {"stepping_counts": (3,)}
+    if ring is not None:
+        shapes["ring_rows"] = (cfg.refit.buffer_capacity, sum(FitRing.widths(c)))
     if pred is not None:
         shapes.update((f"pred_{k}", v) for k, v in pred.shapes(c).items())
     for k, shape in shapes.items():
         if need(z, k).shape != shape:
             raise ConfigError(f"checkpoint {path} has {k!r} of shape {z[k].shape}, not {shape}")
     return TrainState(
-        net=Network(c, need(z, "trunk_params"), need(z, "head_weight"), need(z, "head_bias")),
-        predictor=pred,
-        stepping=BudgetLedger(cfg.cost_model, *map(int, need(z, "stepping_counts"))),
-        warmup_ledger=BudgetLedger(cfg.cost_model, *map(int, need(z, "warmup_counts"))),
-        step=int(need(z, "step")))
+        Network(c, need(z, "trunk_params"), need(z, "head_weight"), need(z, "head_bias")),
+        kind, pred, BudgetLedger(cfg.cost_model, *map(int, need(z, "stepping_counts"))),
+        ring, int(need(z, "step")))
 
 
 def resume_run(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfig, checkpoint_path,
@@ -676,9 +669,7 @@ def resume_run(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfig, checkpoint
     same records the original run would have produced from that point. A
     given predictor ``kind``, "none" for vanilla, must be the checkpoint's."""
     state = load_run_checkpoint(checkpoint_path, cfg, ds, net_cfg)
-    held = "none" if state.predictor is None else state.predictor.kind
-    if kind not in (None, held):
-        raise ConfigError(f"checkpoint holds predictor kind {held!r}, not {kind!r}")
-    return _train_loop(cfg, ds, state,
-                       _check_run(cfg, ds, state.net, state.predictor is not None),
+    if kind not in (None, state.kind):
+        raise ConfigError(f"checkpoint holds predictor kind {state.kind!r}, not {kind!r}")
+    return _train_loop(cfg, ds, state, _check_run(cfg, ds, state.net, state.kind != "none"),
                        metrics_path)

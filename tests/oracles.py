@@ -21,6 +21,14 @@ def factored(a: np.ndarray) -> FactoredRows:
     return FactoredRows([(a, np.empty((len(a), 0)))])
 
 
+def factored_rows(blocks) -> np.ndarray:
+    """The rows of ``FactoredRows`` blocks formed one example at a time:
+    each block's outer product U_i V_i^T, raveled, then U_i."""
+    return np.array([np.concatenate([part for u, v in blocks
+                                     for part in (np.outer(u[i], v[i]).ravel(), u[i])])
+                     for i in range(len(blocks[0][0]))])
+
+
 def gradient_rows(trunk_grad: np.ndarray, llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """Flat-layout gradient rows from trunk gradient rows and the exact head
     gradient residual x [llh; 1]."""

@@ -128,12 +128,12 @@ def test_compare_writes_the_report(tmp_path, capsys):
         "control_fraction", "budget", "gamma_f", "vanilla_steps", "predicted_steps",
         "vanilla_final_loss", "predicted_final_loss", "vanilla_final_val",
         "predicted_final_val", "vanilla_cost_units", "predicted_cost_units",
-        "predicted_warmup_cost_units", "rho_hat_trunk_mean", "kappa_hat_mean",
-        "phi_hat_mean", "rho_star_measured", "break_even_verdict"}
-    # the fit samples are charged outside the budget; the printout shows them
+        "rho_hat_trunk_mean", "kappa_hat_mean", "phi_hat_mean", "rho_star_measured",
+        "break_even_verdict"}
+    # one ledger, the budget's, covers every pass; the printout has no other
     printed = dict(line.split(" ", 1) for line in out.splitlines())
-    assert float(printed["predicted_warmup_cost_units"]) \
-        == report["predicted_warmup_cost_units"] > 0
+    assert not any("warmup" in key or "total" in key for key in printed)
+    assert 0 < report["predicted_cost_units"] <= 1000
 
 
 def test_analyze_writes_the_default_grid(tmp_path, capsys):
@@ -197,7 +197,17 @@ def test_a_fit_buffer_below_d_plus_1_rows_exits_2(tmp_path, capsys):
                              "--predictor", "structured", "--buffer-capacity", "8",
                              "--max-steps", "2", "--outdir", str(tmp_path)])
     assert code == 2 and error_type(err) == "ConfigError"
-    assert "capacity 8 is below the D+1 = 17" in err
+    assert "capacity 8 is below the D+1 = 17" in err and "ring" in err
+
+
+def test_a_wide_feedback_run_needs_no_d_plus_1_rows(tmp_path, capsys):
+    # D+1 = 257 is above the ring's 256 rows, but a feedback fit needs only C = 3
+    code, err = run(capsys, ["train", "--task", "blobs", "--n", "3000", "--hidden", "256,256",
+                             "--predictor", "feedback", "--max-steps", "3",
+                             "--outdir", str(tmp_path)])
+    assert code == 0, err
+    with open(tmp_path / "metrics.csv", newline="") as fh:
+        assert [row["refit"] for row in csv.DictReader(fh)] == ["1", "0", "0"]
 
 
 BAD_ARGUMENTS = {"bad-choice": ("predictor", "structred"), "bad-number": ("batch_size", "abc"),
@@ -272,13 +282,13 @@ def test_train_runs_the_predictor_it_is_given(tmp_path, capsys):
     with np.load(tmp_path / "checkpoint.npz") as z:
         header = json.loads(bytes(z["header"]).decode("utf-8"))
     assert header["predictor_kind"] == "feedback"
-    # batches of 32 at f = 0.25: 8 control rows a forward and a backward,
-    # 24 predicted rows a cheap forward, not the 32 forwards and backwards
-    # of a vanilla step
+    # batches of 32 at f = 0.25: after a vanilla opening step, 32 forwards and
+    # backwards, 8 control rows a forward and a backward and 24 predicted rows
+    # a cheap forward
     printed = dict(line.split(" ", 1) for line in out.splitlines())
     cm = CostModel()
     assert float(printed["cost_units"]) == pytest.approx(
-        3 * (8 * cm.vanilla_per_example + 24 * cm.cheap_forward))
+        32 * cm.vanilla_per_example + 2 * (8 * cm.vanilla_per_example + 24 * cm.cheap_forward))
     written = dict(line.split(" = ") for line in
                    (tmp_path / "config.txt").read_text().splitlines())
     assert written["predictor"] == "feedback" and "algo" not in written
@@ -289,8 +299,9 @@ def test_train_runs_the_predictor_it_is_given(tmp_path, capsys):
 def test_train_stops_at_the_last_step_the_ledger_prices_within_the_budget(
         tmp_path, capsys, budget, steps, units):
     # batches of 32 at f = 0.25 cost 40.8 units a step: 8 steps are exactly
-    # 326.4 by the ledger, and 3 steps, 122.4, exceed 122.39999999999999
-    code = main(["train", "--task", "regression", "--n", "1000", "--predictor", "feedback",
+    # 326.4 by the ledger, and 3 steps, 122.4, exceed 122.39999999999999. The
+    # perfect predictor takes no opening steps, so every step costs that
+    code = main(["train", "--task", "regression", "--n", "1000", "--predictor", "perfect",
                  "--epochs", "5", "--budget", budget, "--outdir", str(tmp_path)])
     out, err = capsys.readouterr()
     assert code == 0, err
@@ -349,6 +360,7 @@ BAD_CHECKPOINTS = {
                            "'pred_n_fit'"),
     "format-1": (lambda ckpt: rewrite_checkpoint(ckpt, format=1), "format 1"),
     "format-2": (lambda ckpt: rewrite_checkpoint(ckpt, format=2), "format 2"),
+    "format-3": (lambda ckpt: rewrite_checkpoint(ckpt, format=3), "format 3"),
     # entries of a shape the network does not take
     "net-extra-key": (lambda ckpt: rewrite_checkpoint(ckpt, net=lambda net: {**net, "x": 1}),
                       "'net'"),

@@ -102,11 +102,13 @@ def test_fit_feedback_rejects_zero_residuals():
 
 
 def test_fit_feedback_needs_enough_samples():
-    # D+1 = 7 rows, whatever the output width
+    # C = 3 rows for its C x C solve, whatever the widths (D+1 = 7)
     ds, net = feedback_case("blobs")
-    *_, rows = feedback_sample(net, ds, np.arange(6))
-    with pytest.raises(InsufficientData, match="D\\+1 = 7"):
+    *_, rows = feedback_sample(net, ds, np.arange(2))
+    with pytest.raises(InsufficientData, match="C = 3 usable samples, got 2"):
         fit_feedback(rows)
+    *_, rows = feedback_sample(net, ds, np.arange(3))
+    assert fit_feedback(rows).n_fit == 3
 
 
 def test_fit_feedback_large_lambda_shrinks_to_zero():

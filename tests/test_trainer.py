@@ -24,7 +24,7 @@ from predgrad.trainer import (TrainConfig, load_run_checkpoint, resume_run,
                               run_budgeted_comparison, save_run_checkpoint, train_predicted,
                               train_vanilla)
 
-from oracles import alignment_stats, backward, factored
+from oracles import alignment_stats, backward, factored, factored_rows
 
 
 def regression(hidden=(8,), n=400):
@@ -81,17 +81,24 @@ def test_checkpoint_round_trip(tmp_path, kind):
     assert state.net.config == res.network.config
     assert np.array_equal(state.net.flat_params(), res.network.flat_params())
     assert state.stepping == res.state.stepping
-    assert state.warmup_ledger == res.state.warmup_ledger
+    assert state.kind == res.state.kind == kind
+    if kind == "perfect":
+        assert state.ring is None is res.state.ring
+    else:   # a vanilla opening step of 32 rows, then 8 control rows a step; refits at 3 and 6
+        assert state.ring.rows.tobytes() == res.state.ring.rows.tobytes()
+        ring = (state.ring.pushed, state.ring.fitted)
+        assert ring == (res.state.ring.pushed, res.state.ring.fitted) == (32 + 6 * 8, 32 + 5 * 8)
 
 
-# the format-3 layout; a field added to a predictor or to TrainConfig changes
-# it, and is a new format: RUN_CHECKPOINT_FORMAT and these change together
-RUN_ARRAYS = {"header", "trunk_params", "head_weight", "head_bias", "step", "stepping_counts",
-              "warmup_counts"}
+# the format-4 layout; a field added to a predictor, to the ring or to
+# TrainConfig changes it, and is a new format: RUN_CHECKPOINT_FORMAT and
+# these change together
+RUN_ARRAYS = {"header", "trunk_params", "head_weight", "head_bias", "step", "stepping_counts"}
+RING_ARRAYS = {"ring_rows", "ring_pushed", "ring_fitted"}
 PREDICTOR_ARRAYS = {"none": set(), "perfect": set(),
-                    "feedback": {"pred_b", "pred_n_fit", "pred_ridge_lambda"},
+                    "feedback": {"pred_b", "pred_n_fit", "pred_ridge_lambda"} | RING_ARRAYS,
                     "structured": {"pred_basis", "pred_head_q", "pred_maps", "pred_rank",
-                                   "pred_n_fit", "pred_ridge_lambda"}}
+                                   "pred_n_fit", "pred_ridge_lambda"} | RING_ARRAYS}
 
 
 @pytest.mark.parametrize("kind", sorted(PREDICTOR_ARRAYS))
@@ -105,9 +112,9 @@ def test_the_checkpoint_layout_is_pinned(tmp_path, kind):
     with np.load(path) as z:
         assert set(z.files) == RUN_ARRAYS | PREDICTOR_ARRAYS[kind]
         header = json.loads(bytes(z["header"]).decode("utf-8"))
-    assert trainer.RUN_CHECKPOINT_FORMAT == 3
+    assert trainer.RUN_CHECKPOINT_FORMAT == 4
     assert header == {
-        "format": 3, "predictor_kind": kind,
+        "format": 4, "predictor_kind": kind,
         "cfg": {"batch_size": 32, "control_fraction": 0.25, "learning_rate": 0.05,
                 "refit": {"period": 50, "buffer_capacity": 256},
                 "cost_model": {"backward": 2.0, "forward": 1.0, "cheap_forward": 0.7},
@@ -247,25 +254,35 @@ def test_resume_rejects_a_changed_config(tmp_path, name):
 
 
 def test_warmup_with_batch_smaller_than_width():
-    # batch 32 < D+1 = 65: the fit samples do not depend on the batch; the
-    # warmup and the refit at step 3 each draw the 256 rows of the capacity
+    # batch 32 < D+1 = 65: the opening takes vanilla steps, each charged a
+    # forward and a backward per row, until its three batches fill the ring
+    # with 96 rows; the first fit follows step 3, and steps 4 and 5 are
+    # predicted, 8 control rows each
     ds, ncfg = blobs(hidden=(64, 64), n=600)
-    cfg = TrainConfig(batch_size=32, max_steps=3, refit=RefitPolicy(period=3),
+    cfg = TrainConfig(batch_size=32, max_steps=5, refit=RefitPolicy(period=50),
                       seed=4, eval_every=0)
     res = train_predicted(cfg, ds, init_network(ncfg), "structured")
-    assert res.steps == 3
-    assert res.state.warmup_ledger.backward_count == 2 * 256
-    assert sum(r.refit for r in res.records) >= 1
+    assert res.steps == 5
+    assert [r.refit for r in res.records] == [0, 0, 1, 0, 0]
+    assert res.state.predictor.n_fit == 96
+    ledger = res.state.stepping
+    assert (ledger.forward_count, ledger.cheap_forward_count, ledger.backward_count) \
+        == (3 * 32 + 2 * 8, 2 * 24, 3 * 32 + 2 * 8)
+    assert res.state.ring.pushed == 3 * 32 + 2 * 8
 
 
-def test_fit_sample_is_the_capacity_or_the_whole_training_set():
-    ds, ncfg = regression()   # 320 training rows
-    for capacity, drawn in ((40, 40), (1000, 320)):
-        cfg = TrainConfig(batch_size=32, max_steps=2, refit=RefitPolicy(
-            buffer_capacity=capacity), seed=4, eval_every=0)
+def test_a_fit_reads_the_capacity_or_every_row_pushed():
+    # a vanilla opening step pushes 32 rows, then each step its 8 control
+    # rows: the refit after step 3 reads the last 40 of the 48 rows pushed,
+    # or all 48
+    ds, ncfg = regression()
+    for capacity, read in ((40, 40), (1000, 48)):
+        cfg = TrainConfig(batch_size=32, max_steps=3, refit=RefitPolicy(
+            period=3, buffer_capacity=capacity), seed=4, eval_every=0)
         res = train_predicted(cfg, ds, init_network(ncfg), "structured")
-        assert res.state.warmup_ledger.backward_count == drawn
-        assert res.state.predictor.n_fit <= drawn
+        assert [r.refit for r in res.records] == [1, 0, 1]
+        assert res.state.ring.pushed == 48
+        assert res.state.predictor.n_fit == read
 
 
 def test_predictor_argument_errors():
@@ -344,8 +361,8 @@ def test_skipped_refit_logs_a_warning_and_keeps_the_predictor(monkeypatch, caplo
         res = train_predicted(cfg, ds, init_network(ncfg), "structured")
     assert res.steps == 7
     assert res.state.predictor is fits[0]
-    assert [r.refit for r in res.records] == [0] * 7
-    # the samples were drawn, so the outgoing predictor was still measured
+    assert [r.refit for r in res.records] == [1] + [0] * 6
+    # the outgoing predictor was still measured on the rows since its fit
     assert [math.isfinite(r.rho_hat) for r in res.records] == [r.step % 3 == 0
                                                                 for r in res.records]
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
@@ -357,19 +374,23 @@ def test_skipped_refit_logs_a_warning_and_keeps_the_predictor(monkeypatch, caplo
 @pytest.mark.parametrize("cheap", [0.7, 3.0])
 def test_a_comparison_spends_its_budget_whatever_the_epochs(cheap):
     # 48 training rows at batch 64: every step is one short batch of 48 and
-    # an epoch, 2 control rows at f = 0.05. Each run stops only when its next
-    # step would exceed the budget, so within one step's cost of it.
+    # an epoch, 2 control rows at f = 0.05. The predicted run opens with one
+    # vanilla step, after which its feedback fit has the C = 1 row it needs.
+    # Each run stops only when its next step would exceed the budget, so
+    # within one step's cost of it.
     ds = gen_regression(60, 8, 0.05, 1)
     assert len(ds.train_idx) == 48
     cm = CostModel(cheap_forward=cheap)
     cfg = TrainConfig(batch_size=64, control_fraction=0.05, budget=10000.0, cost_model=cm)
     report = run_budgeted_comparison(cfg, ds, NetworkConfig(8, (4,), 1), "feedback")
-    step_cost = {"vanilla": 48 * cm.vanilla_per_example,
-                 "predicted": 2 * cm.vanilla_per_example + 46 * cheap}
-    for algo, cost in step_cost.items():
+    vanilla_step = 48 * cm.vanilla_per_example
+    step_cost = {"vanilla": (0, vanilla_step),
+                 "predicted": (1, 2 * cm.vanilla_per_example + 46 * cheap)}
+    for algo, (opening, cost) in step_cost.items():
         spent = getattr(report, f"{algo}_cost_units")
         assert cfg.budget - cost < spent <= cfg.budget, (algo, spent)
-        assert getattr(report, f"{algo}_steps") == round(spent / cost)
+        assert getattr(report, f"{algo}_steps") \
+            == opening + round((spent - opening * vanilla_step) / cost)
 
 
 @settings(max_examples=40)
@@ -484,7 +505,7 @@ def test_the_step_is_unbiased_with_the_sampling_variance_over_its_control_rows(
         gs.append(trainer._batch_predicted(net, pred, ds, batch[order], m_c)[0])
     gs = np.array(gs)
     assert len(gs) == 28
-    true, _ = trainer._batch_true(net, ds, batch)
+    true = trainer._batch_true(net, ds, batch)[0]
     assert np.linalg.norm(gs.mean(axis=0) - true) <= 1e-12 * np.linalg.norm(true)
     pt = net.config.trunk_size
     _, output, cache = forward(net, ds.features[batch])
@@ -496,29 +517,35 @@ def test_the_step_is_unbiased_with_the_sampling_variance_over_its_control_rows(
 
 
 def test_a_learned_step_takes_the_head_of_its_batch_as_control_rows(monkeypatch):
-    # the batches are vanilla's, and trunk_sum sees views of the first
-    # round(f m) rows of each
+    # the batches are vanilla's, and the predicted steps' trunk_rows see
+    # views of the first round(f m) rows of each; the ring holds copies
     ds, ncfg = regression()
-    cfg = TrainConfig(batch_size=16, max_steps=3, seed=4, eval_every=0)
+    cfg = TrainConfig(batch_size=16, max_steps=4, seed=4, eval_every=0)
     batches, control = [], []
-    batch_true, trunk_sum = trainer._batch_true, trainer.trunk_sum
+    batch_true, trunk_rows = trainer._batch_true, trainer.trunk_rows
 
     def seen_batch(net, ds, batch_idx):
         batches.append(batch_idx)
         return batch_true(net, ds, batch_idx)
 
-    def seen_control(net, cache, r):
+    def seen_rows(net, cache, r):
         control.append(cache)
-        return trunk_sum(net, cache, r)
+        return trunk_rows(net, cache, r)
 
     monkeypatch.setattr(trainer, "_batch_true", seen_batch)
-    monkeypatch.setattr(trainer, "trunk_sum", seen_control)
+    monkeypatch.setattr(trainer, "trunk_rows", seen_rows)
     train_vanilla(cfg, ds, init_network(ncfg))
-    train_predicted(cfg, ds, init_network(ncfg), "feedback")
-    assert len(batches) == len(control) == 3
-    for batch_idx, cache in zip(batches, control):
+    vanilla = batches.copy()
+    batches.clear()
+    control.clear()
+    res = train_predicted(cfg, ds, init_network(ncfg), "feedback")
+    # a vanilla opening step on the whole first batch, then 3 predicted steps
+    assert len(vanilla) == len(control) == 4 and len(batches) == 1
+    assert np.array_equal(batches[0], vanilla[0]) and len(control[0].x) == 16
+    for batch_idx, cache in zip(vanilla[1:], control[1:]):
         assert np.array_equal(cache.x, ds.features[batch_idx][:4])
         assert not any(a.flags.owndata for a in [cache.x, *cache.act])
+    assert res.state.ring.pushed == 16 + 3 * 4
 
 
 @pytest.mark.parametrize("kind", ["feedback", "structured"])
@@ -535,10 +562,11 @@ def test_alignment_statistics_come_from_the_refit_samples(kind):
             else all(map(math.isnan, stats)), rec
         if refit_step:
             assert rec.phi_hat == variance_inflation(8 / 32, rec.rho_hat, rec.kappa_hat)
-    # each fit sample is charged once, as a forward and a backward per row
-    ledger = res.state.warmup_ledger
-    assert ledger.backward_count == ledger.forward_count == 100 * (1 + 3)
-    assert ledger.cheap_forward_count == 0
+    # one ledger: a vanilla opening step of 32 rows, then 9 predicted steps,
+    # which paid for every row a fit read
+    ledger = res.state.stepping
+    assert (ledger.forward_count, ledger.cheap_forward_count, ledger.backward_count) \
+        == (32 + 9 * 8, 9 * 24, 32 + 9 * 8)
 
 
 def test_a_network_that_does_not_fit_the_data_is_refused_before_step_1(tmp_path):
@@ -557,22 +585,32 @@ def test_a_perfect_run_draws_no_fit_sample():
     cfg = TrainConfig(batch_size=32, max_steps=7, refit=RefitPolicy(period=3), seed=5,
                       eval_every=0)
     res = train_predicted(cfg, ds, init_network(ncfg), "perfect")
-    assert res.state.warmup_ledger.cost_units == 0
+    # no ring and no opening steps: 8 control and 24 predicted rows a step
+    assert res.state.ring is None
+    ledger = res.state.stepping
+    assert (ledger.forward_count, ledger.cheap_forward_count, ledger.backward_count) \
+        == (7 * 8, 7 * 24, 7 * 8)
     assert all(math.isnan(r.rho_hat) for r in res.records)
 
 
 def test_a_fit_buffer_below_d_plus_1_rows_is_a_config_error():
-    # D = 16: a fit needs 17 rows, which a capacity of 16 never holds
+    # D = 16, C = 3: a structured fit needs 17 rows, which a ring of 16 never
+    # holds, and a feedback fit C = 3, which a ring of 2 never holds
     cfg = TrainConfig(batch_size=32, max_steps=2, refit=RefitPolicy(buffer_capacity=16),
                       seed=1, eval_every=0)
-    for kind, (ds, ncfg) in (("structured", blobs(hidden=(16,))),
-                             ("feedback", regression(hidden=(16,)))):
-        with pytest.raises(ConfigError, match=r"capacity 16 is below the D\+1 = 17"):
-            train_predicted(cfg, ds, init_network(ncfg), kind)
-        enough = replace(cfg, refit=RefitPolicy(buffer_capacity=17))
+    ds, ncfg = blobs(hidden=(16,))
+    for kind, capacity, need in (("structured", 16, r"D\+1 = 17"), ("feedback", 2, "C = 3")):
+        short = replace(cfg, refit=RefitPolicy(buffer_capacity=capacity))
+        with pytest.raises(ConfigError, match=f"capacity {capacity} is below the {need} rows "
+                                              f"a {kind} fit needs; .* ring"):
+            train_predicted(short, ds, init_network(ncfg), kind)
+        enough = replace(cfg, refit=RefitPolicy(buffer_capacity=capacity + 1))
         assert train_predicted(enough, ds, init_network(ncfg), kind).steps == 2
+    # a feedback fit's C x C solve does not need D+1 rows
+    assert train_predicted(cfg, ds, init_network(ncfg), "feedback").state.predictor.n_fit == 16
     # the perfect predictor fits nothing
-    assert train_predicted(cfg, ds, init_network(ncfg), "perfect").steps == 2
+    short = replace(cfg, refit=RefitPolicy(buffer_capacity=2))
+    assert train_predicted(short, ds, init_network(ncfg), "perfect").steps == 2
 
 
 def wide_blobs_shape(hidden=(64, 64)):
@@ -594,7 +632,7 @@ def test_a_learned_step_has_vanillas_head_and_predicts_only_the_trunk(kind, make
                                                                       loss_kind, hidden):
     net, pred, ds, batch_idx, m_c, step = fitted_step(kind, make_data, loss_kind, hidden)
     pt = net.config.trunk_size
-    vanilla, _ = trainer._batch_true(net, ds, batch_idx)
+    vanilla = trainer._batch_true(net, ds, batch_idx)[0]
     assert step()[pt:].tobytes() == vanilla[pt:].tobytes()
     _, output, cache = forward(net, ds.features[batch_idx])
     _, r = loss_and_residual(output, ds.targets[batch_idx], loss_kind)
@@ -603,11 +641,13 @@ def test_a_learned_step_has_vanillas_head_and_predicts_only_the_trunk(kind, make
 
 
 def state_before_a_refit(make_data, kind):
-    """A run two steps in, its predictor fitted at step 2 on 256 rows."""
+    """A run 16 steps in at batch 64, its predictor fitted once, after its
+    opening steps, and its ring of 256 rows wrapped since."""
     ds, ncfg = make_data()
-    cfg = TrainConfig(batch_size=64, max_steps=2, refit=RefitPolicy(period=2), seed=3,
-                      eval_every=0)
-    return cfg, ds, train_predicted(cfg, ds, init_network(ncfg), kind).state
+    cfg = TrainConfig(batch_size=64, epochs=3, max_steps=16, seed=3, eval_every=0)
+    state = train_predicted(cfg, ds, init_network(ncfg), kind).state
+    assert state.ring.fitted <= 128 and state.ring.pushed > len(state.ring.rows) == 256
+    return ds, state
 
 
 @pytest.mark.parametrize("make_data, kind, loss_kind", [
@@ -618,17 +658,17 @@ def state_before_a_refit(make_data, kind):
 ])
 def test_factored_refit_matches_the_dense_row_refit(monkeypatch, make_data, kind, loss_kind,
                                                     predicted_rows):
-    # the same refit on formed rows: the fit's factorization and ridge solve
-    # take the trunk rows and the bilinear features as dense arrays, and the
-    # measurement is the centred statistics of backward's and the row
-    # references' trunk rows
-    cfg, ds, state = state_before_a_refit(make_data, kind)
+    # the same refit on the ring's rows formed one by one: the fit's
+    # factorization and ridge solve take the trunk rows and the bilinear
+    # features as dense arrays, and the measurement is the centred
+    # statistics of the formed trunk rows and the row references' rows
+    ds, state = state_before_a_refit(make_data, kind)
     dense_state = copy.deepcopy(state)
-    refit, stats = trainer._refit(cfg, ds, state, kind)
+    refit, stats = trainer._refit(state)
     net, pt = state.net, state.net.config.trunk_size
 
     def formed(a):
-        return a.dense() if isinstance(a, FactoredRows) else a
+        return factored_rows(a.blocks) if isinstance(a, FactoredRows) else a
 
     monkeypatch.setattr(predictor_module, "truncated_svd",
                         lambda a, rank: truncated_svd(factored(formed(a)), rank))
@@ -636,9 +676,9 @@ def test_factored_refit_matches_the_dense_row_refit(monkeypatch, make_data, kind
                         lambda a, b, lam: solve_ridge(formed(a), formed(b), lam))
     monkeypatch.setattr(trainer, "trunk_alignment",
                         lambda p, net, cache, r, trunk:
-                        alignment_stats(backward(net, cache, r)[:, :pt],
+                        alignment_stats(formed(trunk),
                                         predicted_rows(net, p, cache, r)[:, :pt]))
-    dense_refit, (dense_rho, dense_kappa) = trainer._refit(cfg, ds, dense_state, kind)
+    dense_refit, (dense_rho, dense_kappa) = trainer._refit(dense_state)
     assert refit == dense_refit == 1
     assert stats[1] == pytest.approx(dense_kappa, rel=1e-9)
     assert abs(stats[0] - dense_rho) <= 1e-9
@@ -654,12 +694,12 @@ def test_a_refit_forms_no_trunk_or_feature_rows():
     # array, 9.7 MB, and the bilinear features a (256, 4160) one. What the
     # refit holds beyond the predictor it returns stays below a quarter of
     # the first. The maps stay in the head's row space, q = C = 3 rows each.
-    cfg, ds, state = state_before_a_refit(wide_blobs_shape, "structured")
+    _, state = state_before_a_refit(wide_blobs_shape, "structured")
     rows_bytes = 256 * state.net.config.trunk_size * 8
     assert state.net.config.trunk_size == 4736
     tracemalloc.start()
     try:
-        trainer._refit(cfg, ds, state, "structured")
+        trainer._refit(state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -667,3 +707,121 @@ def test_a_refit_forms_no_trunk_or_feature_rows():
     assert pred.head_q.shape == (64, 3) and pred.maps.shape == (pred.rank, 3, 65)
     fitted = pred.basis.nbytes + pred.head_q.nbytes + pred.maps.nbytes
     assert peak - fitted < rows_bytes / 4
+
+
+def seen_predictors(monkeypatch):
+    """Patch the predicted step to record the bytes of each step's predictor."""
+    seen, step = [], trainer._batch_predicted
+
+    def recorded(net, pred, ds, batch_idx, m_c):
+        seen.append([np.asarray(getattr(pred, f.name)).tobytes() for f in fields(pred)])
+        return step(net, pred, ds, batch_idx, m_c)
+
+    monkeypatch.setattr(trainer, "_batch_predicted", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["feedback", "structured"])
+def test_a_steps_control_rows_do_not_reach_its_own_predictor(monkeypatch, kind):
+    # the predictor of step t + 1 = 7 was fitted on rows pushed before it:
+    # moving step 7's control rows leaves it unchanged, and changes the refit
+    # that follows step 7
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=32, max_steps=8, refit=RefitPolicy(period=7), seed=6,
+                      eval_every=0)
+    perm = trainer.substream(cfg.seed, "shuffle:0").permutation(len(ds.train_idx))
+    moved = replace(ds, features=ds.features.copy(), targets=ds.targets.copy())
+    control = ds.train_idx[perm][6 * 32:6 * 32 + 8]
+    moved.features[control] += 1.0
+    moved.targets[control] -= 1.0
+    seen, runs = seen_predictors(monkeypatch), []
+    for data in (ds, moved):
+        train_predicted(cfg, data, init_network(ncfg), kind)
+        runs.append(seen.copy())
+        seen.clear()
+    assert len(runs[0]) == 7   # step 1 is the opening step
+    assert runs[0][:6] == runs[1][:6]
+    assert runs[0][6] != runs[1][6]
+
+
+@pytest.mark.parametrize("capacity, measured", [
+    # the refits after steps 3 and 6 read the 16 and 24 control rows pushed
+    # since the fit before them; a ring of 20 holds only the last 20 of the 24
+    (1000, [(2, 0, 8), (3, 0, 8), (4, 0, 8), (5, 0, 8), (6, 0, 8)]),
+    (20, [(2, 0, 8), (3, 0, 8), (4, 4, 8), (5, 0, 8), (6, 0, 8)]),
+])
+def test_a_refit_measures_only_the_rows_pushed_since_the_outgoing_fit(monkeypatch, capacity,
+                                                                      measured):
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=32, max_steps=7, refit=RefitPolicy(
+        period=3, buffer_capacity=capacity), seed=5, eval_every=0)
+    align, rows = trainer.trunk_alignment, []
+
+    def seen(p, net, cache, r, trunk):
+        rows.append(cache.x.copy())
+        return align(p, net, cache, r, trunk)
+
+    monkeypatch.setattr(trainer, "trunk_alignment", seen)
+    res = train_predicted(cfg, ds, init_network(ncfg), "feedback")
+    perm = trainer.substream(cfg.seed, "shuffle:0").permutation(len(ds.train_idx))
+    order = ds.train_idx[perm]
+    expected = [ds.features[order[(t - 1) * 32:(t - 1) * 32 + 8][lo:hi]] for t, lo, hi in measured]
+    assert len(rows) == 2
+    assert np.array_equal(np.concatenate(rows), np.concatenate(expected))
+    assert [math.isfinite(r.rho_hat) for r in res.records] == [r.step in (3, 6)
+                                                                for r in res.records]
+
+
+@pytest.mark.parametrize("kind, at, pushed", [
+    # D+1 = 41 rows take three opening batches of 16; a checkpoint among them
+    ("structured", 2, 32),
+    # after the ring of 64 rows has wrapped: 4 control rows a predicted step
+    ("structured", 9, 48 + 6 * 4),
+    ("feedback", 14, 16 + 13 * 4),
+])
+def test_resume_is_bit_exact_from_the_opening_and_from_a_wrapped_ring(tmp_path, kind, at,
+                                                                      pushed):
+    ds, ncfg = regression(hidden=(40,))
+    long = TrainConfig(batch_size=16, epochs=5, max_steps=16, seed=2,
+                       refit=RefitPolicy(period=4, buffer_capacity=64))
+    short = replace(long, max_steps=at)
+    whole = train_predicted(long, ds, init_network(ncfg), kind)
+    part = train_predicted(short, ds, init_network(ncfg), kind)
+    path = tmp_path / "run.npz"
+    save_run_checkpoint(path, part, short, ds)
+    state = load_run_checkpoint(path, long, ds, ncfg)
+    assert state.kind == kind and (state.predictor is None) == (at == 2)
+    assert state.ring.pushed == pushed
+    rest = resume_run(long, ds, ncfg, path)
+    assert rows(part.records) + rows(rest.records) == rows(whole.records)
+    assert np.array_equal(rest.network.flat_params(), whole.network.flat_params())
+    assert sum(r.refit for r in rest.records) >= 1
+
+
+@pytest.mark.parametrize("kind, hidden", [("feedback", (8,)), ("structured", (8,)),
+                                          ("structured", (40,))])
+def test_one_budget_covers_every_pass_of_a_comparison(monkeypatch, kind, hidden):
+    # every row through the trainer's forward is charged a forward or a
+    # cheap forward: the opening steps, which fill the ring the fits read
+    # (three of them at D+1 = 41), and the predicted steps
+    ds, ncfg = regression(hidden=hidden)
+    cfg = TrainConfig(batch_size=16, budget=1500.0, refit=RefitPolicy(period=4), seed=3)
+    passed, runs = [], {}
+    forward, predicted = trainer.forward, trainer.train_predicted
+
+    def counted(net, x):
+        passed.append(len(x))
+        return forward(net, x)
+
+    def run(*args, **kwargs):
+        runs["first"] = len(passed)
+        runs["result"] = predicted(*args, **kwargs)
+        return runs["result"]
+
+    monkeypatch.setattr(trainer, "forward", counted)
+    monkeypatch.setattr(trainer, "train_predicted", run)
+    report = run_budgeted_comparison(cfg, ds, ncfg, kind)
+    ledger = runs["result"].state.stepping
+    assert sum(passed[runs["first"]:]) == ledger.forward_count + ledger.cheap_forward_count
+    assert ledger.cost_units == report.predicted_cost_units <= cfg.budget
+    assert sum(r.refit for r in report.predicted_records) >= 2
