@@ -51,7 +51,7 @@ def test_refit(benchmark, phase, kind, hidden, n, data):
                               refit=RefitPolicy(buffer_capacity=n), seed=5, eval_every=0)
     res = trainer.train_predicted(cfg, ds, init_network(ncfg), kind)
     net, ring = res.network, res.state.ring
-    cache, residuals, trunk = ring.read(net.config, slice(None))
+    cache, residuals, trunk = ring.read(ring.capacity)
     if phase == "measure":
         benchmark(trunk_alignment, res.state.predictor, net, cache, residuals, trunk)
     else:

@@ -32,14 +32,12 @@ phi_hat (phi at the step's m_c/m); other steps record NaN. It then fits on
 the whole ring, with the current head weight. A refit runs no pass of its
 own; one that fails keeps the old predictor and warns, naming the step.
 
-Cost accounting charges what the algorithm structure prescribes: a forward
-and a backward per control row, or per row of a vanilla step (a learned
-run's opening steps among them), and a cheap forward per predicted row,
-whatever a predictor costs. The budget check prices the ledger's counts
-with the step's charge added (``BudgetLedger.price``), so a step is taken
-exactly when the ``cost_units`` reported after it are within the budget.
-Every row a fit reads was charged by the step that pushed it, so the one
-ledger covers every pass of a run.
+The ledger charges a forward and a backward per control row, or per row of
+a vanilla step (a learned run's opening steps among them), and a cheap
+forward per predicted row, whatever a predictor costs. The budget check
+prices the counts with the step's charge added (``BudgetLedger.price``), so
+a step is taken exactly when the ``cost_units`` after it are within the
+budget. A fit reads only rows that steps paid for: one ledger covers a run.
 """
 
 import contextlib
@@ -138,7 +136,7 @@ class StepRecord:
                             # measured none
     kappa_hat: float
     phi_hat: float
-    refit: int
+    refit: int              # 1 where a fit, the first included, replaced the predictor
 
     def csv_row(self):
         return [repr(float(v)) if isinstance(v, float) else v for v in vars(self).values()]
@@ -157,11 +155,11 @@ def optimizer_step(theta: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
 
 @dataclass
 class FitRing:
-    """The last rows a learned run pushed, oldest overwritten first: row
-    pushed number i is rows[i % capacity], its columns [x | a_1 .. a_L | r |
-    dz_1 .. dz_L], the input, the trunk layers' activations, the residual
-    and the layers' pre-activation gradients."""
-    rows: np.ndarray        # (capacity, width)
+    """The last ``capacity`` rows a learned run pushed, as the pushes' blocks,
+    oldest first: (rows pushed up to its end, its columns x, a_1 .. a_L, r,
+    dz_1 .. dz_L: inputs, activations, residuals and pre-activation gradients)."""
+    capacity: int
+    blocks: list = field(default_factory=list)
     pushed: int = 0         # rows pushed so far
     fitted: int = 0         # rows pushed when the predictor was fitted; 0 before
 
@@ -170,19 +168,23 @@ class FitRing:
         return [c.input_dim, *c.hidden_widths, c.output_dim, *c.hidden_widths]
 
     def push(self, cache: ForwardCache, residuals, trunk: FactoredRows) -> None:
-        n, capacity = len(residuals), len(self.rows)
-        at = (self.pushed + np.arange(max(0, n - capacity), n)) % capacity
-        self.rows[at] = np.concatenate(
-            [cache.x, *cache.act, residuals, *(dz for dz, _ in trunk.blocks)],
-            axis=1)[-capacity:]
-        self.pushed += n
+        """Append the rows, copying all but dz, which may view a whole batch."""
+        self.pushed += len(residuals)
+        self.blocks.append((self.pushed, [a.copy() for a in (cache.x, *cache.act, residuals)]
+                            + [dz for dz, _ in trunk.blocks]))
+        while self.pushed - self.blocks[0][0] >= self.capacity:
+            self.blocks.pop(0)
 
-    def read(self, c: NetworkConfig, idx):
-        """The rows ``idx`` as (cache, residuals, trunk rows); the cache has
+    def columns(self, n: int) -> list:
+        """The columns of the last ``n`` rows pushed, oldest first."""
+        return [np.concatenate(column)[-n:] for column in zip(*(b for _, b in self.blocks))]
+
+    def read(self, n: int):
+        """The last ``n`` rows as (cache, residuals, trunk rows); the cache has
         version -1, as its rows come from several parameter states."""
-        layers = len(c.hidden_widths)
-        x, *act = np.split(self.rows[idx], np.cumsum(self.widths(c))[:-1], axis=1)
-        act, residuals, dz = act[:layers], act[layers], act[layers + 1:]
+        x, *columns = self.columns(n)
+        layers = len(columns) // 2
+        act, residuals, dz = columns[:layers], columns[layers], columns[layers + 1:]
         return (ForwardCache(-1, x, act), residuals,
                 FactoredRows(list(zip(dz, [x, *act[:-1]]))))
 
@@ -190,7 +192,7 @@ class FitRing:
 @dataclass
 class TrainState:
     net: Network
-    kind: str                       # "none" for vanilla, else the predictor kind
+    kind: str                       # the predictor kind, "none" for vanilla
     predictor: object | None        # None for vanilla and before a learned first fit
     stepping: BudgetLedger
     ring: FitRing | None = None     # a learned run's
@@ -262,12 +264,11 @@ def _refit(state: TrainState):
     predictor's (rho, kappa) on the rows pushed since its fit, or None). A
     failed first fit leaves the run in its opening steps; a failed refit
     keeps the old predictor and warns."""
-    ring, net, outgoing = state.ring, state.net, state.predictor
-    capacity, stats = len(ring.rows), None
-    held = np.arange(max(ring.fitted, ring.pushed - capacity), ring.pushed) % capacity
-    if outgoing is not None and len(held) >= 2:
-        stats = trunk_alignment(outgoing, net, *ring.read(net.config, held))
-    cache, residuals, trunk = ring.read(net.config, slice(0, min(ring.pushed, capacity)))
+    ring, net, outgoing, stats = state.ring, state.net, state.predictor, None
+    held = min(ring.pushed - ring.fitted, ring.capacity)
+    if outgoing is not None and held >= 2:
+        stats = trunk_alignment(outgoing, net, *ring.read(held))
+    cache, residuals, trunk = ring.read(min(ring.pushed, ring.capacity))
     # looked up in this module at call time, so wrapping predgrad.trainer.fit_* sees every fit
     fit = fit_feedback if state.kind == "feedback" else fit_structured
     try:
@@ -410,8 +411,7 @@ def _fresh_state(cfg: TrainConfig, net: Network, kind: str = "none") -> TrainSta
     if kind == "perfect":
         state.predictor = PerfectPredictor()
     elif kind != "none":
-        state.ring = FitRing(np.zeros((cfg.refit.buffer_capacity,
-                                       sum(FitRing.widths(net.config)))))
+        state.ring = FitRing(cfg.refit.buffer_capacity)
     return state
 
 
@@ -557,7 +557,9 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig, ds: Dataset) 
     * ``trunk_params``, ``head_weight`` and ``head_bias``;
     * ``step``, and ``stepping_counts``: the ledger's forward, cheap forward
       and backward counts;
-    * for a learned kind, ``ring_<field>`` for each field of its ``FitRing``;
+    * for a learned kind, its ``FitRing``: ``ring_rows``, the last rows
+      pushed, oldest first, their columns side by side, and ``ring_pushed``
+      and ``ring_fitted``;
     * ``pred_<field>`` for each field of the predictor's dataclass, where
       there is a predictor: a learned one after its first fit.
 
@@ -572,9 +574,12 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig, ds: Dataset) 
         "step": np.int64(state.step),
         "stepping_counts": np.asarray(astuple(state.stepping)[1:], dtype=np.int64),
     }
-    for prefix, held in (("ring_", state.ring), ("pred_", pred)):
-        if held is not None:
-            arrays.update((prefix + f.name, getattr(held, f.name)) for f in fields(held))
+    if state.ring is not None:
+        ring = state.ring
+        arrays.update(ring_rows=np.concatenate(ring.columns(ring.capacity), axis=1),
+                      ring_pushed=ring.pushed, ring_fitted=ring.fitted)
+    if pred is not None:
+        arrays.update((f"pred_{f.name}", getattr(pred, f.name)) for f in fields(pred))
 
     header = json.dumps({
         "format": RUN_CHECKPOINT_FORMAT,
@@ -635,23 +640,24 @@ def _run_state(z, path, cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfig) -
     if changed:
         raise ConfigError(f"checkpoint {path} holds another network: {changed}")
 
-    def load(cls, prefix):
-        values = {}
-        for f in fields(cls):   # a 0-d array holds a scalar field, of the field's type
-            value = need(z, prefix + f.name)
-            values[f.name] = f.type(value) if value.ndim == 0 else value
-        return cls(**values)
-
-    kind = need(header, "predictor_kind")
+    kind, ring, pred = need(header, "predictor_kind"), None, None
     if kind != "none" and kind not in PREDICTORS:
         raise ConfigError(f"checkpoint holds an unknown predictor kind {kind!r}")
-    ring = load(FitRing, "ring_") if kind not in ("none", "perfect") else None
-    pred = load(PREDICTORS[kind], "pred_") \
-        if kind == "perfect" or (ring is not None and ring.fitted) else None
+    widths = FitRing.widths(c)
+    if kind not in ("none", "perfect"):
+        pushed, rows = int(need(z, "ring_pushed")), need(z, "ring_rows")
+        ring = FitRing(cfg.refit.buffer_capacity, [(pushed, np.split(
+            rows, np.cumsum(widths)[:-1], axis=1))], pushed, int(need(z, "ring_fitted")))
+    if kind == "perfect" or (ring is not None and ring.fitted):
+        values = {}
+        for f in fields(PREDICTORS[kind]):   # a 0-d array holds a scalar field, of its type
+            value = need(z, f"pred_{f.name}")
+            values[f.name] = f.type(value) if value.ndim == 0 else value
+        pred = PREDICTORS[kind](**values)
 
     shapes = {"stepping_counts": (3,)}
     if ring is not None:
-        shapes["ring_rows"] = (cfg.refit.buffer_capacity, sum(FitRing.widths(c)))
+        shapes["ring_rows"] = (min(ring.pushed, ring.capacity), sum(widths))
     if pred is not None:
         shapes.update((f"pred_{k}", v) for k, v in pred.shapes(c).items())
     for k, shape in shapes.items():

@@ -85,7 +85,8 @@ def test_checkpoint_round_trip(tmp_path, kind):
     if kind == "perfect":
         assert state.ring is None is res.state.ring
     else:   # a vanilla opening step of 32 rows, then 8 control rows a step; refits at 3 and 6
-        assert state.ring.rows.tobytes() == res.state.ring.rows.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(state.ring.columns(80),
+                                                              res.state.ring.columns(80)))
         ring = (state.ring.pushed, state.ring.fitted)
         assert ring == (res.state.ring.pushed, res.state.ring.fitted) == (32 + 6 * 8, 32 + 5 * 8)
 
@@ -646,7 +647,7 @@ def state_before_a_refit(make_data, kind):
     ds, ncfg = make_data()
     cfg = TrainConfig(batch_size=64, epochs=3, max_steps=16, seed=3, eval_every=0)
     state = train_predicted(cfg, ds, init_network(ncfg), kind).state
-    assert state.ring.fitted <= 128 and state.ring.pushed > len(state.ring.rows) == 256
+    assert state.ring.fitted <= 128 and state.ring.pushed > state.ring.capacity == 256
     return ds, state
 
 
