@@ -1,8 +1,9 @@
 """Named random substreams.
 
 All randomness in the package flows from a single root seed. Each consumer
-(data generation, weight init, epoch shuffles, Monte Carlo simulation) derives its own independent stream from the root seed and
-a stream name, so adding draws to one consumer never perturbs another.
+(data generation, weight init, epoch shuffles, Monte Carlo simulation)
+derives its own independent stream from the root seed and a stream name, so
+adding draws to one consumer never perturbs another.
 Epoch and step indices are folded into the name, which makes every stream
 stateless and checkpoint/resume trivially bit-exact.
 """

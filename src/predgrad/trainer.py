@@ -180,8 +180,7 @@ class FitRing:
         return [np.concatenate(column)[-n:] for column in zip(*(b for _, b in self.blocks))]
 
     def read(self, n: int):
-        """The last ``n`` rows as (cache, residuals, trunk rows); the cache has
-        version -1, as its rows come from several parameter states."""
+        """The last ``n`` rows as (cache, residuals, trunk rows), the cache at version -1."""
         x, *columns = self.columns(n)
         layers = len(columns) // 2
         act, residuals, dz = columns[:layers], columns[layers], columns[layers + 1:]

@@ -773,6 +773,19 @@ def test_a_refit_measures_only_the_rows_pushed_since_the_outgoing_fit(monkeypatc
                                                                 for r in res.records]
 
 
+@pytest.mark.parametrize("kind", ["feedback", "structured"])
+def test_a_refit_after_one_new_row_measures_nothing_and_fits(kind):
+    # batches of 4 at f = 0.25 push one control row a step; a refit after
+    # every step has one row since the last fit, too few for (rho, kappa)
+    ds = gen_regression(100, 4, 0.05, 1)
+    cfg = TrainConfig(batch_size=4, max_steps=6, refit=RefitPolicy(period=1, buffer_capacity=8),
+                      eval_every=0)
+    res = train_predicted(cfg, ds, init_network(NetworkConfig(4, (3,), 1)), kind)
+    assert [r.refit for r in res.records] == [1] * 6
+    assert all(math.isnan(r.rho_hat) for r in res.records)
+    assert (res.state.ring.pushed, res.state.ring.fitted) == (4 + 5, 4 + 5)
+
+
 @pytest.mark.parametrize("kind, at, pushed", [
     # D+1 = 41 rows take three opening batches of 16; a checkpoint among them
     ("structured", 2, 32),
