@@ -163,10 +163,6 @@ class FitRing:
     pushed: int = 0         # rows pushed so far
     fitted: int = 0         # rows pushed when the predictor was fitted; 0 before
 
-    @staticmethod
-    def widths(c: NetworkConfig) -> list:
-        return [c.input_dim, *c.hidden_widths, c.output_dim, *c.hidden_widths]
-
     def push(self, cache: ForwardCache, residuals, trunk: FactoredRows) -> None:
         """Append the rows, copying all but dz, which may view a whole batch."""
         self.pushed += len(residuals)
@@ -639,29 +635,29 @@ def _run_state(z, path, cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfig) -
     if changed:
         raise ConfigError(f"checkpoint {path} holds another network: {changed}")
 
+    def shaped(key, shape):
+        if need(z, key).shape != shape:
+            raise ConfigError(f"checkpoint {path} has {key!r} of shape {z[key].shape}, not {shape}")
+        return z[key]
+
     kind, ring, pred = need(header, "predictor_kind"), None, None
     if kind != "none" and kind not in PREDICTORS:
         raise ConfigError(f"checkpoint holds an unknown predictor kind {kind!r}")
-    widths = FitRing.widths(c)
     if kind not in ("none", "perfect"):
-        pushed, rows = int(need(z, "ring_pushed")), need(z, "ring_rows")
-        ring = FitRing(cfg.refit.buffer_capacity, [(pushed, np.split(
-            rows, np.cumsum(widths)[:-1], axis=1))], pushed, int(need(z, "ring_fitted")))
+        widths = [c.input_dim, *c.hidden_widths, c.output_dim, *c.hidden_widths]  # FitRing's
+        capacity, pushed = cfg.refit.buffer_capacity, int(shaped("ring_pushed", ()))
+        rows = shaped("ring_rows", (min(pushed, capacity), sum(widths)))
+        ring = FitRing(capacity, [(pushed, np.split(rows, np.cumsum(widths)[:-1], axis=1))],
+                       pushed, int(shaped("ring_fitted", ())))
     if kind == "perfect" or (ring is not None and ring.fitted):
         values = {}
         for f in fields(PREDICTORS[kind]):   # a 0-d array holds a scalar field, of its type
             value = need(z, f"pred_{f.name}")
             values[f.name] = f.type(value) if value.ndim == 0 else value
         pred = PREDICTORS[kind](**values)
-
-    shapes = {"stepping_counts": (3,)}
-    if ring is not None:
-        shapes["ring_rows"] = (min(ring.pushed, ring.capacity), sum(widths))
-    if pred is not None:
-        shapes.update((f"pred_{k}", v) for k, v in pred.shapes(c).items())
-    for k, shape in shapes.items():
-        if need(z, k).shape != shape:
-            raise ConfigError(f"checkpoint {path} has {k!r} of shape {z[k].shape}, not {shape}")
+        for k, shape in pred.shapes(c).items():
+            shaped(f"pred_{k}", shape)
+    shaped("stepping_counts", (3,))
     return TrainState(
         Network(c, need(z, "trunk_params"), need(z, "head_weight"), need(z, "head_bias")),
         kind, pred, BudgetLedger(cfg.cost_model, *map(int, need(z, "stepping_counts"))),

@@ -371,6 +371,10 @@ BAD_CHECKPOINTS = {
         ckpt, arrays={"trunk_params": lambda theta: theta[:-3]}), "trunk_params has shape"),
     "short-feedback-map": (lambda ckpt: rewrite_checkpoint(
         ckpt, arrays={"pred_b": lambda b: b[:-1]}), "'pred_b'"),
+    "short-ring": (lambda ckpt: rewrite_checkpoint(
+        ckpt, arrays={"ring_rows": lambda rows: rows[:-1]}), "'ring_rows'"),
+    "ring-count-not-a-number": (lambda ckpt: rewrite_checkpoint(
+        ckpt, arrays={"ring_pushed": np.array([32, 8])}), "'ring_pushed'"),
 }
 
 
