@@ -15,7 +15,8 @@ BLOCK_BYTES = 512 * 1024  # a block of the long matrix stays in a core's L2 cach
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
+    if type(a) is not np.ndarray or a.dtype != np.float64:   # as np.asarray, without its call
+        a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
     return a

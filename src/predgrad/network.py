@@ -294,8 +294,9 @@ def trunk_rows(net: Network, cache: ForwardCache, residual: np.ndarray) -> Facto
     so that sums and products over the rows need not form them; one example
     is a batch of one."""
     residual = _checked_residual(net, cache, residual)
-    return FactoredRows([(dz.reshape(-1, dz.shape[-1]), a_prev.reshape(-1, a_prev.shape[-1]))
-                         for dz, a_prev in _trunk_walk(net, cache, residual)][::-1])
+    if residual.ndim == 1:
+        return trunk_rows(net, cache.rows(None), residual[None])
+    return FactoredRows(list(_trunk_walk(net, cache, residual))[::-1])
 
 
 def trunk_sum(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:
