@@ -2,9 +2,10 @@
 cases' sizes, at 64x2 with 256 ring rows, and on the narrow-regression
 workload's 8-16-1 regression net with 256 ring rows: the measurement of the
 outgoing predictor (``predictor.trunk_alignment``) and the fit itself (the
-trainer's call, ``fit_feedback`` or ``fit_structured`` on ``FitRows``), each
-on the rows of the trainer's ring (``FitRing``). A refit runs no pass of its
-own: the rows are the factors the steps pushed.
+trainer's call, ``fit_feedback`` or ``fit_structured``), both on one
+``FitRows`` read from the trainer's ring (``FitRing.read``), as a refit
+reads it. A refit runs no pass of its own: the rows are the factors the
+steps pushed.
 
 Run from the repository root, with one BLAS thread:
 
@@ -23,7 +24,7 @@ import pytest
 from predgrad import trainer
 from predgrad.data import gen_blobs, gen_regression
 from predgrad.network import NetworkConfig, init_network
-from predgrad.predictor import FitRows, RefitPolicy, trunk_alignment
+from predgrad.predictor import RefitPolicy, trunk_alignment
 
 # (hidden widths, ring rows, data): the step cases' sizes with one batch of
 # ring rows, and the wide-blobs and narrow-regression workloads' nets with
@@ -51,9 +52,8 @@ def test_refit(benchmark, phase, kind, hidden, n, data):
                               refit=RefitPolicy(buffer_capacity=n), seed=5, eval_every=0)
     res = trainer.train_predicted(cfg, ds, init_network(ncfg), kind)
     net, ring = res.network, res.state.ring
-    cache, residuals, trunk = ring.read(ring.capacity)
+    rows = ring.read(ring.capacity, net.head_weight)
     if phase == "measure":
-        benchmark(trunk_alignment, res.state.predictor, net, cache, residuals, trunk)
+        benchmark(trunk_alignment, res.state.predictor, net, rows)
     else:
-        fit = trainer.fit_feedback if kind == "feedback" else trainer.fit_structured
-        benchmark(fit, FitRows(cache.act[-1], residuals, net.head_weight, trunk))
+        benchmark(trainer.fit_feedback if kind == "feedback" else trainer.fit_structured, rows)

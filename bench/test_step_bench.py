@@ -1,7 +1,7 @@
 """Time one vanilla step (``_batch_true``) and one predicted step
 (``_batch_predicted``) at three net and batch sizes, and the three layers of
 a predicted step at the same sizes: the forward and loss on the batch,
-``backward_sum`` on the control rows' view of its cache, and
+``trunk_rows`` on the control rows' view of its cache, summed, and
 ``predict_sums`` on the batch and that view. Each case runs once per
 learned predictor kind, on the net of that kind's one-step run, so a kind's
 predicted step and layers compare with vanilla at the same parameters.
@@ -27,7 +27,7 @@ import pytest
 from predgrad import trainer
 from predgrad.data import gen_blobs
 from predgrad.estimator import control_batch_size
-from predgrad.network import NetworkConfig, backward_sum, init_network
+from predgrad.network import NetworkConfig, init_network, trunk_rows
 from predgrad.predictor import RefitPolicy
 
 SIZES = [((64, 64), 128), ((64, 64, 64, 64), 512), ((128, 128), 256)]
@@ -67,14 +67,14 @@ def test_step(benchmark, algo, kind, hidden, m):
 
 @pytest.mark.parametrize("hidden, m", SIZES, ids=SIZE_IDS)
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("layer", ["forward", "backward_sum", "predict_sums"])
+@pytest.mark.parametrize("layer", ["forward", "trunk_rows", "predict_sums"])
 def test_layer(benchmark, layer, kind, hidden, m):
     s = _step(kind, hidden, m)
     cache, _, residuals = trainer._pass(s.net, s.ds, s.batch_idx)
     cache_c, r_c = cache.rows(slice(0, s.m_c)), residuals[:s.m_c]
     if layer == "forward":
         benchmark(trainer._pass, s.net, s.ds, s.batch_idx)
-    elif layer == "backward_sum":
-        benchmark(backward_sum, s.net, cache_c, r_c)
+    elif layer == "trunk_rows":   # summed, as the predicted step sums the control rows
+        benchmark(lambda: trunk_rows(s.net, cache_c, r_c).sum())
     else:
         benchmark(s.predictor.predict_sums, s.net, [(cache, residuals), (cache_c, r_c)])

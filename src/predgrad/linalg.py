@@ -5,6 +5,7 @@ A matrix whose rows are sums of outer products of short factors, as
 per-example gradients of dense layers are, is held as ``FactoredRows``,
 the only form ``truncated_svd`` takes; it uses the factors wherever it would
 multiply by the rows. A dense n x p A is ``FactoredRows([(A, np.empty((n, 0)))])``.
+``solve_ridge`` takes a positive penalty only, and ``truncated_svd`` a rank rule.
 """
 
 import numpy as np
@@ -169,27 +170,22 @@ def few_column_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve_ridge(a, b, lam: float) -> np.ndarray:
     """Solve min_X ||A X - B||_F^2 + lam ||X||_F^2 through the smaller Gram matrix.
 
-    A is n x p, B is n x q; the result is p x q. With p <= n this solves
-    (A^T A + lam I) X = A^T B, else the kernel form X = A^T (A A^T + lam I)^-1 B.
-    A Cholesky factorization only checks that the k x k system is positive
-    definite; np.linalg.solve solves it. If the check fails with lam > 0, a
-    jitter of 1e-12 * trace(Gram)/k is added once and the check retried. With
-    lam == 0, a failed check or p > n means the minimiser is not unique, and
-    SingularSystem is raised.
+    A is n x p, B is n x q, lam > 0; the result is p x q. With p <= n this
+    solves (A^T A + lam I) X = A^T B, else the kernel form
+    X = A^T (A A^T + lam I)^-1 B. A Cholesky factorization only checks that
+    the k x k system is positive definite; np.linalg.solve solves it. If the
+    check fails, a jitter of 1e-12 * trace(Gram)/k is added once and the
+    check retried; SingularSystem is raised if that fails too.
     """
     a, b = _as_matrix(a, "A"), _as_matrix(b, "B")
     if a.shape[0] != b.shape[0]:
         raise DimensionError(f"A has {a.shape[0]} rows but B has {b.shape[0]}")
     if a.shape[0] < 1:
         raise DimensionError("A must have at least one row")
-    if lam < 0:
-        raise DimensionError(f"ridge penalty must be nonnegative, got {lam}")
+    if not lam > 0:
+        raise DimensionError(f"ridge penalty must be positive, got {lam}")
 
-    n, p = a.shape
-    wide = p > n
-    if wide and lam == 0:
-        raise SingularSystem(f"A has {p} columns, {n} rows and no ridge penalty")
-    if wide:
+    if a.shape[1] > a.shape[0]:
         return a.T @ _solve_system(a @ a.T, b, lam)
     return _solve_system(a.T @ a, a.T @ b, lam)
 
@@ -202,9 +198,7 @@ def _solve_system(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
     try:
         np.linalg.cholesky(system)
     except np.linalg.LinAlgError:
-        if lam == 0:
-            raise SingularSystem("A^T A is singular and no ridge penalty was given") from None
-        # conditioning rescue for tiny but nonzero penalties
+        # conditioning rescue for tiny penalties
         jitter = 1e-12 * np.trace(gram) / k
         system = system + jitter * np.eye(k)
         try:
@@ -217,9 +211,8 @@ def _solve_system(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
 def truncated_svd(a: FactoredRows, rank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best rank-r factorization of the rows A: returns (U, s, Vt) with U n x r.
 
-    ``rank`` is r, or a function that picks r from all min(n, p) singular
-    values in descending order; either way only the r kept singular
-    vectors are formed.
+    ``rank`` is a function that picks r from all min(n, p) singular values
+    in descending order; only the r kept singular vectors are formed.
 
     U @ diag(s) @ Vt is the closest rank-r matrix to A in Frobenius norm,
     and singular values come back in descending order. The factorization
@@ -243,7 +236,7 @@ def truncated_svd(a: FactoredRows, rank) -> tuple[np.ndarray, np.ndarray, np.nda
         a = a.dense()
     eigvals, vecs = np.linalg.eigh(a.T @ a if tall else a.gram())
     singulars = np.sqrt(np.maximum(eigvals[::-1], 0.0))
-    r = rank(singulars) if callable(rank) else rank
+    r = rank(singulars)
     if not 1 <= r <= min(n, p):
         raise DimensionError(f"rank {r} out of range for a {n}x{p} matrix")
     s = singulars[:r]

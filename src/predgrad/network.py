@@ -6,29 +6,26 @@ float64 vector. The pass procedures are:
 
 * ``forward`` - full pass that also returns a cache for backprop,
 * ``cheap_forward`` - the same pass without the cache,
-* ``trunk_sum`` - the trunk part of the exact gradient summed over a batch,
-  one matrix product per trunk layer,
-* ``backward_sum`` - ``gradient_sum`` of ``trunk_sum`` and ``head_sum``, the
-  closed-form sum of the head part residual x [llh; 1].
+* ``trunk_rows`` - the trunk part of a batch's exact gradient rows, as the
+  per-layer factors they are outer products of (``linalg.FactoredRows``);
+  their ``sum``, one matrix product per trunk layer, is the trunk part of
+  the gradient sum, so one walk of the layers gives a caller both,
+* ``head_sum`` - the closed-form sum of the head part residual x [llh; 1].
 
 No pass forms a gradient row by row (the tests form the rows, as the
 reference these sums are checked against), and only ``gradient_sum`` lays
 out a flat gradient.
 
-They take ``loss_and_residual``'s residual, the loss's exact gradient in
-the output: f(x) - y for squared error, p - onehot(y) for cross-entropy.
-
-``trunk_rows`` gives the trunk part of the exact per-example gradient rows
-of a batch unformed, as the per-layer factors they are outer products of
-(``predgrad.linalg.FactoredRows``); ``trunk_sum`` is their sum, so one walk
-of the layers gives a caller both.
+The backward passes take ``loss_and_residual``'s residual, the loss's exact
+gradient in the output: f(x) - y for squared error, p - onehot(y) for
+cross-entropy.
 
 ``ForwardCache.rows`` takes some rows of a batch's cache, so a backward
 pass on those rows reuses the batch's forward instead of repeating it.
 
 The passes and ``loss_and_residual`` are rank-polymorphic: they take one
 example, or a batch of them along a leading axis, and a single example
-comes back without that axis (the sums return one sum either way). A
+comes back without that axis (``trunk_rows`` keeps it, a batch of one). A
 batch goes through each layer as one matrix product, so a row's last bits
 may depend on the other rows of its call. The same call on the same rows
 gives the same bits (at a fixed BLAS thread count), and ``cheap_forward``
@@ -298,14 +295,3 @@ def trunk_rows(net: Network, cache: ForwardCache, residual: np.ndarray) -> Facto
         return trunk_rows(net, cache.rows(None), residual[None])
     return FactoredRows(list(_trunk_walk(net, cache, residual))[::-1])
 
-
-def trunk_sum(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:
-    """The sum of the trunk part of the exact gradient rows, ``trunk_rows``
-    summed (``FactoredRows.sum``): one product dz^T a_prev per trunk layer."""
-    return trunk_rows(net, cache, residual).sum()
-
-
-def backward_sum(net: Network, cache: ForwardCache, residual: np.ndarray) -> np.ndarray:
-    """The sum of the exact gradient rows, in the flat layout."""
-    residual = _checked_residual(net, cache, residual)
-    return gradient_sum(trunk_sum(net, cache, residual), head_sum(cache.act[-1], residual))

@@ -18,38 +18,40 @@ any output width, through the residual alone:
   at the fit, q = min(C, D), and Y_k q x (D+1). The coefficient of
   direction k is r^T (W_a Q) Y_k [a(x); 1], which reads q/D of S_k.
 
-Both are fit by ridge least squares on ``FitRows`` (activation, residual and
-true trunk gradients, one row per example the fit reads, and the head
-weight W_a; the trunk gradients come as ``network.trunk_rows``' layer
-factors, pre-activation gradients Dz and inputs A_prev). The ridge lambda
-always follows from the rows, 1e-6 times the mean squared regressor norm,
-unless a caller passes the fit a ``lam``; training never does. The feedback fit
-regresses all layers' Dz on the residuals in one C x C solve. The
-structured fit takes its basis, where the trunk gradients have more columns
-than rows, from their Gram matrix, the sum over trunk layers of
-(Dz Dz^T) o (A~ A~^T), A~ = [A_prev 1]: the trunk's empirical tangent
-kernel. Its features h x [a; 1], h = W_a^T r, lie in range(W_a^T) x
-R^(D+1), and it ridge-fits the maps Y_k on their coordinates there, from a
-thin QR of W_a^T. ``trunk_alignment`` measures a learned predictor on some
-rows from the moments of the true and the predicted trunk rows, formed
-from their factors. A third, diagnostic predictor returns the exact
-trunk gradient.
+``FitRows`` are the rows a run keeps of its true gradients: last hidden
+activations, residuals and true trunk gradients, one row per example, and
+the head weight W_a; the trunk gradients come as ``network.trunk_rows``'
+layer factors, pre-activation gradients Dz and inputs A_prev. Both fits
+read them, by ridge least squares at a lambda that follows from the rows,
+1e-6 times the mean squared regressor norm, and at a rank that follows
+from the singular values (``choose_rank``). The feedback fit regresses all
+layers' Dz on the residuals in one C x C solve. The structured fit takes
+its basis, where the trunk gradients have more columns than rows, from
+their Gram matrix, the sum over trunk layers of (Dz Dz^T) o (A~ A~^T),
+A~ = [A_prev 1]: the trunk's empirical tangent kernel. Its features
+h x [a; 1], h = W_a^T r, lie in range(W_a^T) x R^(D+1), and it ridge-fits
+the maps Y_k on their coordinates there, from a thin QR of W_a^T.
+``trunk_alignment`` measures a learned predictor on ``FitRows`` it has not
+seen, from the moments of their true and predicted trunk rows, formed from
+their factors. A third, diagnostic predictor returns the exact trunk
+gradient.
 
 Every predictor has a ``kind`` name, ``predict_sums(net, parts)`` taking a
-list of ``(cache, residuals[, head_sum])`` parts and returning, for each, the sum
-of its rows' predicted trunk gradients (length P_T) without forming them;
-the learned ones also have ``trunk_moments`` for ``trunk_alignment``.
-Each is a dataclass, whose fields a run checkpoint stores, checked on load
-against ``shapes(ncfg)``, the array fields' shapes on a net. ``PREDICTORS``
-maps each kind to its class. ``FeedbackPredictor.trunk_rows`` gives the
-feedback predictor's rows as factors, which formed are its row reference;
-the structured one's, the maps Y_k applied to the formed features
-((W_a Q)^T r) x [a; 1], is kept with the tests. A learned ``predict_sums``
-sums each part's rows first, through the summed head gradients
-``network.head_sum`` of its layer inputs (feedback) or last hidden
-activations (structured, which stacks the parts' (W_a Q)^T R^T [A 1] as
-columns and reads U and Y once per call, through ``few_column_product``,
-and reads a part's ``head_sum`` where the caller gives it).
+list of ``(cache, residuals[, head_sum])`` parts and returning, for each,
+the sum of its rows' predicted trunk gradients (length P_T) without forming
+them; the learned ones also have ``trunk_moments(net, rows)`` for
+``trunk_alignment``. Each is a dataclass, whose fields a run checkpoint
+stores, checked on load against ``shapes(ncfg)``, the array fields' shapes
+on a net. ``PREDICTORS`` maps each kind to its class.
+``FeedbackPredictor.trunk_rows(net, rows)`` gives the feedback predictor's
+rows as factors, which formed are its row reference; the structured one's,
+the maps Y_k applied to the formed features ((W_a Q)^T r) x [a; 1], is kept
+with the tests. A learned ``predict_sums`` sums each part's rows first,
+through the summed head gradients ``network.head_sum`` of its layer inputs
+(feedback) or last hidden activations (structured, which stacks the parts'
+(W_a Q)^T R^T [A 1] as columns and reads U and Y once per call, through
+``few_column_product``, and reads a part's ``head_sum`` where the caller
+gives it).
 """
 
 from dataclasses import dataclass
@@ -61,25 +63,32 @@ import numpy as np
 from .errors import ConfigError, DimensionError, InsufficientData
 from .estimator import moment_stats
 from .linalg import FactoredRows, few_column_product, solve_ridge, truncated_svd
-from .network import gradient_sum, head_sum, trunk_sum
+from .network import gradient_sum, head_sum, trunk_rows
 
 RESIDUAL_FLOOR = 1e-8   # rows with smaller residuals carry no fit signal
-ENERGY_TARGET = 0.99    # default rank rule: 99% of squared singular mass
+ENERGY_TARGET = 0.99    # rank rule: 99% of squared singular mass
 
 
 class FitRows(NamedTuple):
-    """Fit data: one row per example the fit reads, and the head weight."""
+    """True-gradient rows, one per example, and the head weight: what a step
+    gives its run's ring, and what the ring gives a fit and a measurement.
+    The first factors of ``trunk_grad``'s blocks are the layers' Dz, the
+    second their inputs, x first."""
     llh: np.ndarray             # (n, D)
     residual: np.ndarray        # (n, C)
     head_weight: np.ndarray     # (C, D) W_a
     trunk_grad: FactoredRows    # (n, P_T) true trunk gradients, as network.trunk_rows
 
+    def rows(self, idx) -> "FitRows":
+        """The rows ``idx`` (a slice, an index array or a boolean mask)."""
+        return FitRows(self.llh[idx], self.residual[idx], self.head_weight,
+                       self.trunk_grad[idx])
+
 
 @dataclass(frozen=True)
 class RefitPolicy:
     """When a learned predictor is refitted and on how many rows. Its ridge
-    lambda is not a policy: every fit takes the data rule, 1e-6 times the
-    mean squared regressor norm of its rows."""
+    lambda and rank are not policies: every fit takes them from its rows."""
     period: int = 50
     buffer_capacity: int = 256          # rows in the ring of recent rows each fit reads
 
@@ -98,31 +107,34 @@ class FeedbackPredictor:
 
     kind = "feedback"
 
-    def _layers(self, net, cache):
-        """(B_l, a_{l-1}) for each trunk layer, first layer first."""
+    def _layers(self, net, inputs):
+        """(B_l, a_{l-1}) for each trunk layer, first layer first, from its inputs."""
         widths = net.config.hidden_widths
         if self.b.shape != (sum(widths), net.config.output_dim):
             raise DimensionError(f"feedback of shape {self.b.shape} for a net of widths {widths}")
-        return list(zip(np.split(self.b, np.cumsum(widths)[:-1]), [cache.x, *cache.act[:-1]]))
+        return list(zip(np.split(self.b, np.cumsum(widths)[:-1]), inputs))
 
     def shapes(self, ncfg) -> dict:
         return {"b": (sum(ncfg.hidden_widths), ncfg.output_dim)}
 
-    def predict_sums(self, net, parts) -> list:
+    def _sum(self, net, inputs, r):
         # layer l's sum B_l [R^T A | R^T 1], A its inputs, is laid out as a head sum
-        return [np.concatenate([gradient_sum(np.empty(0), b @ head_sum(a_prev, r))
-                                for b, a_prev in self._layers(net, cache)])
-                for cache, r, *_ in parts]
+        return np.concatenate([gradient_sum(np.empty(0), b @ head_sum(a_prev, r))
+                               for b, a_prev in self._layers(net, inputs)])
 
-    def trunk_rows(self, net, cache, residuals) -> FactoredRows:
-        """The predicted trunk rows of a batch, as the factors (R B_l^T, A_prev)
+    def predict_sums(self, net, parts) -> list:
+        return [self._sum(net, [cache.x, *cache.act[:-1]], r) for cache, r, *_ in parts]
+
+    def trunk_rows(self, net, rows: FitRows) -> FactoredRows:
+        """The predicted trunk rows on ``rows``, as the factors (R B_l^T, A_prev)
         of ``network.trunk_rows``' layout; formed, they are the row reference."""
-        return FactoredRows([(residuals @ b.T, a_prev) for b, a_prev in self._layers(net, cache)])
+        return FactoredRows([(rows.residual @ b.T, a_prev) for b, a_prev
+                             in self._layers(net, [v for _, v in rows.trunk_grad.blocks])])
 
-    def trunk_moments(self, net, cache, residuals, trunk: FactoredRows):
-        h = self.trunk_rows(net, cache, residuals)
-        return (h.row_dots(h).sum(), trunk.row_dots(h).sum(),
-                self.predict_sums(net, [(cache, residuals)])[0])
+    def trunk_moments(self, net, rows: FitRows):
+        h = self.trunk_rows(net, rows)
+        return (h.row_dots(h).sum(), rows.trunk_grad.row_dots(h).sum(),
+                self._sum(net, [v for _, v in rows.trunk_grad.blocks], rows.residual))
 
 
 @dataclass
@@ -152,14 +164,15 @@ class StructuredPredictor:
         llh, residuals = _structured_inputs(self, cache.act[-1], residuals, w)
         return head_sum(llh, residuals) if head is None else head
 
-    def trunk_moments(self, net, cache, residuals, trunk: FactoredRows):
+    def trunk_moments(self, net, rows: FitRows):
         # the predicted rows are C U^T, c_ik = r_i^T (W_a Q Y_k) [a_i; 1]: sum
         # ||h||^2 is sum c^T (U^T U) c and sum <g, h> is sum (G U) o C
-        llh, residual = _structured_inputs(self, cache.act[-1], residuals, net.head_weight)
+        llh, residual = _structured_inputs(self, rows.llh, rows.residual, net.head_weight)
         maps = np.matmul(net.head_weight @ self.head_q, self.maps)  # (r, C, D+1)
         coeffs, basis = _bilinear(residual, llh) @ maps.reshape(len(maps), -1).T, self.basis
         return (np.einsum("ik,ik->", coeffs @ (basis.T @ basis), coeffs),
-                np.einsum("ik,ik->", trunk.dot(basis), coeffs), basis @ coeffs.sum(axis=0))
+                np.einsum("ik,ik->", rows.trunk_grad.dot(basis), coeffs),
+                basis @ coeffs.sum(axis=0))
 
 
 @dataclass
@@ -168,9 +181,9 @@ class PerfectPredictor:
 
     Used to exercise the algebraic identity G = mean gradient when
     predictions are perfect; cost accounting still charges the predicted
-    algorithm's pass structure. Its sum for each part is ``trunk_sum`` on
-    the given cache, the very call that forms a true trunk sum on those
-    rows.
+    algorithm's pass structure. Its sum for each part is ``trunk_rows``
+    summed on the given cache, the very call that forms a true trunk sum on
+    those rows.
     """
 
     kind = "perfect"
@@ -179,7 +192,7 @@ class PerfectPredictor:
         return {}
 
     def predict_sums(self, net, parts) -> list:
-        return [trunk_sum(net, cache, r) for cache, r, *_ in parts]
+        return [trunk_rows(net, cache, r).sum() for cache, r, *_ in parts]
 
 
 PREDICTORS = {p.kind: p for p in (FeedbackPredictor, StructuredPredictor, PerfectPredictor)}
@@ -192,15 +205,15 @@ def should_refit(policy: RefitPolicy, step: int) -> bool:
     return step > 0 and step % policy.period == 0
 
 
-def choose_rank(singulars: np.ndarray, cap: int, energy: float = ENERGY_TARGET) -> int:
-    """Smallest rank capturing the target fraction of squared singular mass,
-    capped (the cap is the activation width D by default)."""
+def choose_rank(singulars: np.ndarray, cap: int) -> int:
+    """Smallest rank capturing ENERGY_TARGET of the squared singular mass,
+    capped (the structured fit's cap is the activation width D)."""
     sq = np.asarray(singulars, dtype=np.float64) ** 2
     total = sq.sum()
     if total <= 0:
         return 1
     frac = np.cumsum(sq) / total
-    r = int(np.searchsorted(frac, energy) + 1)
+    r = int(np.searchsorted(frac, ENERGY_TARGET) + 1)
     return max(1, min(r, cap, len(sq)))
 
 
@@ -219,15 +232,14 @@ def _default_lambda(sq_norms: np.ndarray) -> float:
     return 1e-6 * float(np.mean(sq_norms))
 
 
-def trunk_alignment(p, net, cache, residuals, trunk: FactoredRows) -> tuple[float, float]:
+def trunk_alignment(p, net, rows: FitRows) -> tuple[float, float]:
     """The trunk-only alignment (rho, kappa) of a learned predictor ``p`` on
-    a pass, against the true trunk rows ``trunk`` (``network.trunk_rows`` of
-    that pass), from the moments (``estimator.moment_stats``): sum ||g||^2
-    and the row sum G^T 1 from ``trunk``, and sum ||h||^2, sum <g, h> and
-    the predicted rows' sum from ``p.trunk_moments``. No row of either side
-    is formed."""
-    n = trunk.shape[0]
-    hh, gh, h_sum = p.trunk_moments(net, cache, residuals, trunk)
+    ``rows``, against their true trunk rows, from the moments
+    (``estimator.moment_stats``): sum ||g||^2 and the row sum G^T 1 from
+    ``rows.trunk_grad``, and sum ||h||^2, sum <g, h> and the predicted rows'
+    sum from ``p.trunk_moments``. No row of either side is formed."""
+    trunk, n = rows.trunk_grad, len(rows.llh)
+    hh, gh, h_sum = p.trunk_moments(net, rows)
     return moment_stats(n, trunk.row_dots(trunk).sum(), hh, gh,
                         trunk.t_dot(np.ones((n, 1)))[:, 0], h_sum)
 
@@ -240,47 +252,38 @@ def _usable(rows: FitRows, name: str, need: int) -> FitRows:
     n = int(keep.sum())
     if n < need:
         raise InsufficientData(f"fit needs at least {name} = {need} usable samples, got {n}")
-    return rows if n == len(keep) else FitRows(
-        rows.llh[keep], rows.residual[keep], rows.head_weight, rows.trunk_grad[keep])
+    return rows if n == len(keep) else rows.rows(keep)
 
 
-def fit_feedback(rows: FitRows, lam: float | None = None) -> FeedbackPredictor:
+def fit_feedback(rows: FitRows) -> FeedbackPredictor:
     """Ridge fit of the feedback matrices: all trunk layers' pre-activation
     gradients, the first factors of ``rows.trunk_grad``'s blocks, regressed
     on the residuals in one solve, a C x C system whatever the widths, from
     at least C usable rows."""
     rows = _usable(rows, "C", rows.residual.shape[1])
-    if lam is None:
-        lam = _default_lambda(np.einsum("ij,ij->i", rows.residual, rows.residual))
+    lam = _default_lambda(np.einsum("ij,ij->i", rows.residual, rows.residual))
     dz = np.concatenate([u for u, _ in rows.trunk_grad.blocks], axis=1)
     b = solve_ridge(rows.residual, dz, lam)  # (C, sum d_l)
     return FeedbackPredictor(b=np.ascontiguousarray(b.T), n_fit=len(dz), ridge_lambda=float(lam))
 
 
-def fit_structured(rows: FitRows, r: int | None = None,
-                   lam: float | None = None) -> StructuredPredictor:
+def fit_structured(rows: FitRows) -> StructuredPredictor:
     """Fit the basis + bilinear-coefficient predictor.
 
     The basis is the top-r left singular subspace of the trunk gradients
     (``truncated_svd``, which reads ``FactoredRows`` unformed where they are
-    wide); with r = None the rank is chosen by the 99% squared-singular-mass
-    rule, capped at D. The coefficient targets U^T g, read off the same
-    factorization (G = V S U^T gives G U_r = V_r S_r), are regressed on the
-    bilinear features h x [llh; 1] in one ridge solve for all r outputs, in
-    the head's row space: with W_a^T = Q T (thin QR, q = min(C, D) columns),
-    h = Q T r, so the rows (T r) x [llh; 1] have the features' inner
-    products, and their ridge solution Y (q(D+1) x r), at the same lambda,
-    gives the maps S_k = Q Y_k, which the predictor keeps factored as Q and Y.
-    It needs at least D+1 usable rows.
+    wide), r by ``choose_rank``, capped at D. The coefficient targets U^T g,
+    read off the same factorization (G = V S U^T gives G U_r = V_r S_r), are
+    regressed on the bilinear features h x [llh; 1] in one ridge solve for
+    all r outputs, in the head's row space: with W_a^T = Q T (thin QR,
+    q = min(C, D) columns), h = Q T r, so the rows (T r) x [llh; 1] have the
+    features' inner products, and their ridge solution Y (q(D+1) x r), at
+    the same lambda, gives the maps S_k = Q Y_k, which the predictor keeps
+    factored as Q and Y. It needs at least D+1 usable rows.
     """
     rows = _usable(rows, "D+1", rows.llh.shape[1] + 1)
-    (n, d), p_t = rows.llh.shape, rows.trunk_grad.shape[1]
-    if r is not None and r > min(n, p_t):
-        raise DimensionError(
-            f"rank {r} exceeds min(samples, trunk size) = {min(n, p_t)}")
-
-    v, sing, ut = truncated_svd(rows.trunk_grad,
-                                partial(choose_rank, cap=d) if r is None else r)
+    n, d = rows.llh.shape
+    v, sing, ut = truncated_svd(rows.trunk_grad, partial(choose_rank, cap=d))
     r = len(sing)
     # contiguous, as a checkpoint restores it, so a resumed run's products
     # give the same bits
@@ -289,10 +292,9 @@ def fit_structured(rows: FitRows, r: int | None = None,
 
     q, t = np.linalg.qr(rows.head_weight.T)
     feats = _bilinear(rows.residual @ t.T, rows.llh)
-    if lam is None:
-        lam = _default_lambda(np.einsum("ij,ij->i", feats, feats))
-        if lam <= 0:
-            raise InsufficientData("all bilinear features vanish; nothing to fit")
+    lam = _default_lambda(np.einsum("ij,ij->i", feats, feats))
+    if lam <= 0:
+        raise InsufficientData("all bilinear features vanish; nothing to fit")
     weights = solve_ridge(feats, coef_targets, lam)  # (q(D+1), r)
     maps = np.ascontiguousarray(weights.T).reshape(r, -1, d + 1)
     return StructuredPredictor(basis=basis, head_q=np.ascontiguousarray(q), maps=maps,

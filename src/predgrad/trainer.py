@@ -10,27 +10,29 @@ batch, with its ``head_sum``, and the control rows' view of its cache
 (``ForwardCache.rows``); and ``trunk_rows`` on that view, summed. The trunk
 part is their control-variate combination ``predgrad.estimator.combine``,
 the head part that ``head_sum``, vanilla's exact head. No gradient is formed
-row by row. For a perfect predictor each predicted sum is ``trunk_sum``,
-the sum of ``trunk_rows``, so the correction is exactly zero and the step is
-vanilla's bit for bit. The update is plain SGD, theta - lr G: the control
-variate makes G unbiased whatever the step rule. A non-finite batch loss or
-gradient stops the run with a ``NumericError`` naming the step, and a
-network that does not fit the data is refused before step 1.
+row by row. For a perfect predictor each predicted sum is ``trunk_rows``
+summed, so the correction is exactly zero and the step is vanilla's bit for
+bit. The update is plain SGD, theta - lr G: the control variate makes G
+unbiased whatever the step rule. A non-finite batch loss or gradient stops
+the run with a ``NumericError`` naming the step, and a network that does
+not fit the data is refused before step 1.
 
 A learned predictor is fitted on rows the run has already paid for, held in
-a ring (``FitRing``) of the last ``RefitPolicy.buffer_capacity`` of them:
-each row's input, activations, residual and per-layer pre-activation
-gradients, the factors of its trunk gradient (``network.trunk_rows``). Each
-step pushes its control rows, whose factors its trunk sum walks anyway.
+a ring (``FitRing``) of the last ``RefitPolicy.buffer_capacity`` of them.
+Each step hands the ring its control rows as ``predictor.FitRows``: each
+row's layer inputs, last hidden activations, residual and per-layer
+pre-activation gradients, the factors of its trunk gradient
+(``network.trunk_rows``), which its trunk sum walks anyway.
 Until the ring holds enough usable rows for a fit of the kind, the run
 takes vanilla steps and pushes their whole batches; the first fit follows
 the step after which it succeeds. A refit follows every refit period-th
-step. It first measures the outgoing predictor on the ring rows pushed
-since its own fit, which it has not seen: its trunk-only alignment
-(``predictor.trunk_alignment``) gives the step's rho_hat, kappa_hat and
-phi_hat (phi at the step's m_c/m); other steps record NaN. It then fits on
-the whole ring, with the current head weight. A refit runs no pass of its
-own; one that fails keeps the old predictor and warns, naming the step.
+step. It reads the whole ring once, as ``FitRows`` with the current head
+weight. It first measures the outgoing predictor on the last of those rows,
+the ones pushed since its own fit, which it has not seen: its trunk-only
+alignment (``predictor.trunk_alignment``) gives the step's rho_hat,
+kappa_hat and phi_hat (phi at the step's m_c/m); other steps record NaN. It
+then fits on all of them. A refit runs no pass of its own; one that fails
+keeps the old predictor and warns, naming the step.
 
 The ledger charges a forward and a backward per control row, or per row of
 a vanilla step (a learned run's opening steps among them), and a cheap
@@ -58,8 +60,8 @@ from .errors import (BudgetError, ConfigError, DataError, DimensionError,
                      InsufficientData, NumericError)
 from .estimator import combine, control_batch_size, variance_inflation
 from .linalg import FactoredRows
-from .network import (ForwardCache, Network, NetworkConfig, cheap_forward, forward,
-                      gradient_sum, head_sum, init_network, loss_and_residual, trunk_rows)
+from .network import (Network, NetworkConfig, cheap_forward, forward, gradient_sum, head_sum,
+                      init_network, loss_and_residual, trunk_rows)
 from .predictor import (PREDICTORS, FitRows, PerfectPredictor, RefitPolicy, fit_feedback,
                         fit_structured, should_refit, trunk_alignment)
 from .rng import substream
@@ -157,17 +159,19 @@ def optimizer_step(theta: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
 class FitRing:
     """The last ``capacity`` rows a learned run pushed, as the pushes' blocks,
     oldest first: (rows pushed up to its end, its columns x, a_1 .. a_L, r,
-    dz_1 .. dz_L: inputs, activations, residuals and pre-activation gradients)."""
+    dz_1 .. dz_L: layer inputs, last hidden activations, residuals and
+    pre-activation gradients)."""
     capacity: int
     blocks: list = field(default_factory=list)
     pushed: int = 0         # rows pushed so far
     fitted: int = 0         # rows pushed when the predictor was fitted; 0 before
 
-    def push(self, cache: ForwardCache, residuals, trunk: FactoredRows) -> None:
+    def push(self, rows: FitRows) -> None:
         """Append the rows, copying all but dz, which may view a whole batch."""
-        self.pushed += len(residuals)
-        self.blocks.append((self.pushed, [a.copy() for a in (cache.x, *cache.act, residuals)]
-                            + [dz for dz, _ in trunk.blocks]))
+        blocks = rows.trunk_grad.blocks
+        self.pushed += len(rows.residual)
+        self.blocks.append((self.pushed, [a.copy() for a in [v for _, v in blocks] + [
+            rows.llh, rows.residual]] + [dz for dz, _ in blocks]))
         while self.pushed - self.blocks[0][0] >= self.capacity:
             self.blocks.pop(0)
 
@@ -175,13 +179,12 @@ class FitRing:
         """The columns of the last ``n`` rows pushed, oldest first."""
         return [np.concatenate(column)[-n:] for column in zip(*(b for _, b in self.blocks))]
 
-    def read(self, n: int):
-        """The last ``n`` rows as (cache, residuals, trunk rows), the cache at version -1."""
-        x, *columns = self.columns(n)
-        layers = len(columns) // 2
-        act, residuals, dz = columns[:layers], columns[layers], columns[layers + 1:]
-        return (ForwardCache(-1, x, act), residuals,
-                FactoredRows(list(zip(dz, [x, *act[:-1]]))))
+    def read(self, n: int, head_weight) -> FitRows:
+        """The last ``n`` rows pushed, with the head weight ``head_weight``."""
+        columns = self.columns(n)
+        layers = len(columns) // 2 - 1
+        return FitRows(*columns[layers:layers + 2], head_weight,
+                       FactoredRows(list(zip(columns[layers + 2:], columns[:layers]))))
 
 
 @dataclass
@@ -221,19 +224,19 @@ def _pass(net, ds, idx):
 
 
 def _batch_true(net, ds, batch_idx):
-    """Mean true gradient and mean loss over a batch, and its rows as a ring
-    takes them: (cache, residuals, trunk rows)."""
+    """Mean true gradient and mean loss over a batch, and its ``FitRows``."""
     m = len(batch_idx)
     cache, losses, residuals = _pass(net, ds, batch_idx)
     trunk = trunk_rows(net, cache, residuals)
     grad = gradient_sum(trunk.sum(), head_sum(cache.act[-1], residuals)) / m
-    return grad, float(losses.sum() / m), (cache, residuals, trunk)
+    return (grad, float(losses.sum() / m),
+            FitRows(cache.act[-1], residuals, net.head_weight, trunk))
 
 
 def _batch_predicted(net, predictor, ds, batch_idx, m_c):
     """Debiased combined gradient, with vanilla's exact head part, and mean
     loss over a mini-batch whose first ``m_c`` rows are its control rows,
-    and the control rows as a ring takes them: (cache, residuals, trunk rows)."""
+    and the control rows' ``FitRows``."""
     m = len(batch_idx)
     cache, losses, residuals = _pass(net, ds, batch_idx)
     cache_c, r_c = cache.rows(slice(0, m_c)), residuals[:m_c]
@@ -242,7 +245,8 @@ def _batch_predicted(net, predictor, ds, batch_idx, m_c):
         net, [(cache, residuals, head), (cache_c, r_c)])
     trunk_c = trunk_rows(net, cache_c, r_c)
     trunk = combine(predicted, trunk_c.sum(), predicted_c, m_c, m)
-    return gradient_sum(trunk, head / m), float(losses.sum() / m), (cache_c, r_c, trunk_c)
+    return (gradient_sum(trunk, head / m), float(losses.sum() / m),
+            FitRows(cache_c.act[-1], r_c, net.head_weight, trunk_c))
 
 
 def _eval_val(net, ds) -> float:
@@ -259,15 +263,15 @@ def _refit(state: TrainState):
     predictor's (rho, kappa) on the rows pushed since its fit, or None). A
     failed first fit leaves the run in its opening steps; a failed refit
     keeps the old predictor and warns."""
-    ring, net, outgoing, stats = state.ring, state.net, state.predictor, None
+    ring, outgoing, stats = state.ring, state.predictor, None
+    rows = ring.read(min(ring.pushed, ring.capacity), state.net.head_weight)
     held = min(ring.pushed - ring.fitted, ring.capacity)
     if outgoing is not None and held >= 2:
-        stats = trunk_alignment(outgoing, net, *ring.read(held))
-    cache, residuals, trunk = ring.read(min(ring.pushed, ring.capacity))
+        stats = trunk_alignment(outgoing, state.net, rows.rows(slice(-held, None)))
     # looked up in this module at call time, so wrapping predgrad.trainer.fit_* sees every fit
     fit = fit_feedback if state.kind == "feedback" else fit_structured
     try:
-        state.predictor = fit(FitRows(cache.act[-1], residuals, net.head_weight, trunk))
+        state.predictor = fit(rows)
     except InsufficientData as e:
         if outgoing is not None:
             log.warning("refit skipped at step %d, keeping the old predictor: %s",
@@ -379,7 +383,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
 
             refit_flag, stats = 0, None
             if state.ring is not None:
-                state.ring.push(*rows)
+                state.ring.push(rows)
                 if not predicted or should_refit(cfg.refit, state.step):
                     refit_flag, stats = _refit(state)
 
@@ -621,6 +625,9 @@ def _run_state(z, path, cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfig) -
     if need(header, "format") != RUN_CHECKPOINT_FORMAT:
         raise ConfigError(f"checkpoint {path} is in format {header['format']!r}; "
                           f"this version reads format {RUN_CHECKPOINT_FORMAT} only")
+    for key, kind in (("cfg", dict), ("net", dict), ("predictor_kind", str)):
+        if not isinstance(need(header, key), kind):
+            raise ConfigError(f"checkpoint {path} has a malformed {key!r}")
     changed = _differing(need(header, "cfg"), _run_identity(cfg))
     if changed:
         raise ConfigError(f"checkpoint was written under a different config: {changed}")
@@ -635,20 +642,24 @@ def _run_state(z, path, cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfig) -
     if changed:
         raise ConfigError(f"checkpoint {path} holds another network: {changed}")
 
-    def shaped(key, shape):
-        if need(z, key).shape != shape:
-            raise ConfigError(f"checkpoint {path} has {key!r} of shape {z[key].shape}, not {shape}")
-        return z[key]
+    def shaped(key, shape, top=None):   # given a top, an entry of counts in [0, top]
+        value = need(z, key)
+        if value.shape != shape:
+            raise ConfigError(f"checkpoint {path} has {key!r} of shape {value.shape}, not {shape}")
+        if top is not None and not (value.dtype.kind in "iu"
+                                    and 0 <= value.min() <= value.max() <= top):
+            raise ConfigError(f"checkpoint {path} has {key!r} outside [0, {top}]: {value}")
+        return value
 
     kind, ring, pred = need(header, "predictor_kind"), None, None
     if kind != "none" and kind not in PREDICTORS:
         raise ConfigError(f"checkpoint holds an unknown predictor kind {kind!r}")
     if kind not in ("none", "perfect"):
         widths = [c.input_dim, *c.hidden_widths, c.output_dim, *c.hidden_widths]  # FitRing's
-        capacity, pushed = cfg.refit.buffer_capacity, int(shaped("ring_pushed", ()))
+        capacity, pushed = cfg.refit.buffer_capacity, int(shaped("ring_pushed", (), math.inf))
         rows = shaped("ring_rows", (min(pushed, capacity), sum(widths)))
         ring = FitRing(capacity, [(pushed, np.split(rows, np.cumsum(widths)[:-1], axis=1))],
-                       pushed, int(shaped("ring_fitted", ())))
+                       pushed, int(shaped("ring_fitted", (), pushed)))
     if kind == "perfect" or (ring is not None and ring.fitted):
         values = {}
         for f in fields(PREDICTORS[kind]):   # a 0-d array holds a scalar field, of its type
@@ -657,11 +668,11 @@ def _run_state(z, path, cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfig) -
         pred = PREDICTORS[kind](**values)
         for k, shape in pred.shapes(c).items():
             shaped(f"pred_{k}", shape)
-    shaped("stepping_counts", (3,))
+    counts = shaped("stepping_counts", (3,), math.inf)
     return TrainState(
         Network(c, need(z, "trunk_params"), need(z, "head_weight"), need(z, "head_bias")),
-        kind, pred, BudgetLedger(cfg.cost_model, *map(int, need(z, "stepping_counts"))),
-        ring, int(need(z, "step")))
+        kind, pred, BudgetLedger(cfg.cost_model, *map(int, counts)), ring,
+        int(shaped("step", (), math.inf)))
 
 
 def resume_run(cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfig, checkpoint_path,

@@ -1,24 +1,31 @@
 """Formed-row references that the tests check predgrad's sum paths against.
 
-Training needs only sums over rows: ``network.backward_sum``,
-``network.trunk_sum`` and a predictor's ``predict_sums``, and the alignment
+Training needs only sums over rows: ``network.trunk_rows`` summed,
+``network.head_sum`` and a predictor's ``predict_sums``, and the alignment
 statistics come from raw moments (``estimator.moment_stats``). These
 functions form the rows themselves, one flat gradient per example, so a
-test can sum them, or take their centred moments, and compare.
+test can sum them, or take their centred moments, and compare;
+``pass_rows`` gives a pass's rows as the ``FitRows`` a step hands its ring.
 """
 
 import numpy as np
 
 from predgrad.errors import DimensionError, InsufficientData
 from predgrad.linalg import FactoredRows
-from predgrad.network import _checked_residual, _trunk_walk
-from predgrad.predictor import _bilinear, _structured_inputs
+from predgrad.network import _checked_residual, _trunk_walk, trunk_rows
+from predgrad.predictor import FitRows, _bilinear, _structured_inputs
 
 
 def factored(a: np.ndarray) -> FactoredRows:
     """A dense (n, p) matrix as ``FactoredRows``: one block whose second
     factor has no columns, so that its rows are A's exactly."""
     return FactoredRows([(a, np.empty((len(a), 0)))])
+
+
+def pass_rows(net, cache, residuals) -> FitRows:
+    """The ``FitRows`` of a pass: its last hidden activations, residuals and
+    true trunk rows, with the net's head weight."""
+    return FitRows(cache.act[-1], residuals, net.head_weight, trunk_rows(net, cache, residuals))
 
 
 def factored_rows(blocks) -> np.ndarray:

@@ -34,7 +34,7 @@ def test_step_bench_runs(algo):
         step_bench.test_step(benchmark, algo, kind, HIDDEN, M)
 
 
-@pytest.mark.parametrize("layer", ["forward", "backward_sum", "predict_sums"])
+@pytest.mark.parametrize("layer", ["forward", "trunk_rows", "predict_sums"])
 def test_step_layer_bench_runs(layer):
     for kind in step_bench.KINDS:
         step_bench.test_layer(benchmark, layer, kind, HIDDEN, M)

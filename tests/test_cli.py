@@ -375,6 +375,28 @@ BAD_CHECKPOINTS = {
         ckpt, arrays={"ring_rows": lambda rows: rows[:-1]}), "'ring_rows'"),
     "ring-count-not-a-number": (lambda ckpt: rewrite_checkpoint(
         ckpt, arrays={"ring_pushed": np.array([32, 8])}), "'ring_pushed'"),
+    "step-not-a-number": (lambda ckpt: rewrite_checkpoint(
+        ckpt, arrays={"step": np.array([2, 2])}), "'step'"),
+    "step-a-string": (lambda ckpt: rewrite_checkpoint(ckpt, arrays={"step": np.array("2")}),
+                      "'step'"),
+    "step-a-fraction": (lambda ckpt: rewrite_checkpoint(ckpt, arrays={"step": np.float64(2.5)}),
+                        "'step'"),
+    # header entries of another JSON type
+    "cfg-a-list": (lambda ckpt: rewrite_checkpoint(ckpt, cfg=lambda cfg: list(cfg)), "'cfg'"),
+    "net-a-list": (lambda ckpt: rewrite_checkpoint(ckpt, net=lambda net: list(net)), "'net'"),
+    "kind-a-list": (lambda ckpt: rewrite_checkpoint(ckpt, predictor_kind=["feedback"]),
+                    "'predictor_kind'"),
+    # counters out of their range
+    "negative-step": (lambda ckpt: rewrite_checkpoint(ckpt, arrays={"step": np.int64(-4)}),
+                      "'step'"),
+    "negative-stepping-counts": (lambda ckpt: rewrite_checkpoint(
+        ckpt, arrays={"stepping_counts": np.full(3, -1)}), "'stepping_counts'"),
+    "negative-ring-pushed": (lambda ckpt: rewrite_checkpoint(
+        ckpt, arrays={"ring_pushed": np.int64(-1)}), "'ring_pushed'"),
+    "negative-ring-fitted": (lambda ckpt: rewrite_checkpoint(
+        ckpt, arrays={"ring_fitted": np.int64(-5)}), "'ring_fitted'"),
+    "ring-fitted-beyond-pushed": (lambda ckpt: rewrite_checkpoint(
+        ckpt, arrays={"ring_fitted": np.int64(10 ** 6)}), "'ring_fitted'"),
 }
 
 

@@ -12,8 +12,13 @@ from predgrad.rng import substream
 from oracles import backward, factored
 
 
+def keep(r):
+    """The rank rule that keeps r singular values, whatever they are."""
+    return lambda singulars: r
+
+
 def test_solve_ridge_identity_system():
-    x = solve_ridge(np.eye(2), np.array([[1.0], [2.0]]), 0.0)
+    x = solve_ridge(np.eye(2), np.array([[1.0], [2.0]]), 1e-300)
     assert np.allclose(x, [[1.0], [2.0]], atol=1e-14)
 
 
@@ -23,18 +28,18 @@ def test_solve_ridge_infinite_shrinkage():
 
 
 def test_solve_ridge_recovers_planted_solution():
-    # B constructed from a known X*, lambda = 0: exact recovery
+    # B constructed from a known X*, lambda = 1e-300: exact recovery
     rng = substream(0, "ridge")
     a = rng.standard_normal((20, 3))
     x_true = rng.standard_normal((3, 2))
-    x = solve_ridge(a, a @ x_true, 0.0)
+    x = solve_ridge(a, a @ x_true, 1e-300)
     assert np.linalg.norm(x - x_true) / np.linalg.norm(x_true) <= 1e-8
 
 
 def test_solve_ridge_satisfies_normal_equations():
     rng = substream(1, "ridge")
     # tall shapes solve through A^T A, wide ones (p > n) through A A^T
-    cases = [((15, 4), lam) for lam in (0.0, 1e-3, 1.0)]
+    cases = [((15, 4), lam) for lam in (1e-3, 1.0)]
     cases += [((6, 40), 1e-3), ((6, 40), 1.0), ((1, 3), 0.5), ((20, 21), 1e-2)]
     for (n, p), lam in cases:
         a = rng.standard_normal((n, p))
@@ -44,15 +49,6 @@ def test_solve_ridge_satisfies_normal_equations():
         atb = a.T @ b
         resid = (a.T @ a + lam * np.eye(p)) @ x - atb
         assert np.linalg.norm(resid) <= 1e-8 * (1.0 + np.linalg.norm(atb))
-
-
-def test_solve_ridge_singular_without_penalty():
-    a = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # duplicated column
-    with pytest.raises(SingularSystem):
-        solve_ridge(a, np.ones((3, 1)), 0.0)
-    # more columns than rows: A A^T = I is regular, but the minimiser is not unique
-    with pytest.raises(SingularSystem):
-        solve_ridge(np.eye(2, 3), np.ones((2, 1)), 0.0)
 
 
 @pytest.mark.parametrize("a", [
@@ -86,15 +82,30 @@ def test_a_singular_system_at_a_tiny_penalty_takes_the_jitter_rescue(monkeypatch
     assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(atb)
 
 
+def test_a_system_the_jitter_does_not_rescue_raises_singular_system(monkeypatch):
+    checks = []
+
+    def failing(m):
+        checks.append(m)
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(linalg.np.linalg, "cholesky", failing)
+    with pytest.raises(SingularSystem, match="not positive definite"):
+        solve_ridge(np.eye(3), np.ones((3, 1)), 1e-3)
+    assert len(checks) == 2
+
+
 def test_solve_ridge_dimension_mismatch():
     with pytest.raises(DimensionError):
-        solve_ridge(np.eye(2), np.ones((3, 1)), 0.0)
-    with pytest.raises(DimensionError):
-        solve_ridge(np.eye(2), np.ones((2, 1)), -1.0)
+        solve_ridge(np.eye(2), np.ones((3, 1)), 1.0)
+    # the penalty must be positive: there is no unpenalized mode
+    for lam in (-1.0, 0.0):
+        with pytest.raises(DimensionError, match="must be positive"):
+            solve_ridge(np.eye(2), np.ones((2, 1)), lam)
 
 
 def test_truncated_svd_diagonal():
-    _, s, _ = truncated_svd(factored(np.diag([3.0, 2.0, 1.0])), 2)
+    _, s, _ = truncated_svd(factored(np.diag([3.0, 2.0, 1.0])), keep(2))
     assert np.allclose(s, [3.0, 2.0], atol=1e-12)
 
 
@@ -102,14 +113,14 @@ def test_truncated_svd_rank_one_exact():
     u = np.array([1.0, 2.0, -1.0])
     v = np.array([0.5, -1.0])
     a = np.outer(u, v)
-    uu, s, vt = truncated_svd(factored(a), 1)
+    uu, s, vt = truncated_svd(factored(a), keep(1))
     assert np.linalg.norm(uu @ np.diag(s) @ vt - a) <= 1e-12
 
 
 def test_truncated_svd_full_rank_reconstruction():
     rng = substream(2, "svd")
     a = rng.standard_normal((50, 10))
-    u, s, vt = truncated_svd(factored(a), 10)
+    u, s, vt = truncated_svd(factored(a), keep(10))
     rel = np.linalg.norm(u @ np.diag(s) @ vt - a) / np.linalg.norm(a)
     assert rel <= 1e-8
 
@@ -118,7 +129,7 @@ def test_truncated_svd_orthonormal_columns():
     rng = substream(3, "svd")
     for n, p, r in ((12, 7, 3), (6, 9, 5), (20, 20, 10)):
         a = rng.standard_normal((n, p))
-        u, _, _ = truncated_svd(factored(a), r)
+        u, _, _ = truncated_svd(factored(a), keep(r))
         assert np.max(np.abs(u.T @ u - np.eye(r))) <= 1e-10
     # a graded spectrum, 1 down to 1e-8, tall and wide, so that U and V each
     # come from the Gram matrix once: the top 16 values span 1 to 8e-4
@@ -126,7 +137,7 @@ def test_truncated_svd_orthonormal_columns():
     q1, _ = np.linalg.qr(rng.standard_normal((300, 40)))
     q2, _ = np.linalg.qr(rng.standard_normal((40, 40)))
     for a in (q1 * spectrum @ q2.T, (q1 * spectrum @ q2.T).T):
-        u, s, vt = truncated_svd(factored(a), 16)
+        u, s, vt = truncated_svd(factored(a), keep(16))
         assert np.max(np.abs(u.T @ u - np.eye(16))) <= 1e-10
         assert np.max(np.abs(vt @ vt.T - np.eye(16))) <= 1e-10
         assert np.max(np.abs(s / spectrum[:16] - 1.0)) <= 1e-10
@@ -134,9 +145,9 @@ def test_truncated_svd_orthonormal_columns():
 
 def test_truncated_svd_rank_out_of_range():
     with pytest.raises(DimensionError):
-        truncated_svd(factored(np.eye(3)), 0)
+        truncated_svd(factored(np.eye(3)), keep(0))
     with pytest.raises(DimensionError):
-        truncated_svd(factored(np.eye(3)), 4)
+        truncated_svd(factored(np.eye(3)), keep(4))
 
 
 @pytest.mark.parametrize("shape, cols", [
@@ -230,8 +241,8 @@ def test_truncated_svd_takes_factored_rows(n):
     rows = FactoredRows([(rng.standard_normal((n, 3)), rng.standard_normal((n, 4))),
                          (rng.standard_normal((n, 5)), rng.standard_normal((n, 2)))])
     dense = rows.dense()
-    u, s, vt = truncated_svd(rows, 3)
-    ud, sd, vtd = truncated_svd(factored(dense), 3)
+    u, s, vt = truncated_svd(rows, keep(3))
+    ud, sd, vtd = truncated_svd(factored(dense), keep(3))
     assert rel_err(s, sd) <= 1e-10
     assert rel_err((u * s) @ vt, (ud * sd) @ vtd) <= 1e-8
 

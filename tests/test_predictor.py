@@ -4,31 +4,41 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from predgrad import linalg
+from predgrad import linalg, predictor
 from predgrad.data import gen_blobs, gen_regression
 from predgrad.errors import DimensionError, InsufficientData
-from predgrad.network import (NetworkConfig, backward_sum, forward, init_network,
-                              loss_and_residual, trunk_rows)
+from predgrad.network import (NetworkConfig, forward, init_network, loss_and_residual,
+                              trunk_rows)
 from predgrad.predictor import (RESIDUAL_FLOOR, FeedbackPredictor, FitRows, PerfectPredictor,
                                 RefitPolicy, StructuredPredictor, choose_rank, fit_feedback,
                                 fit_structured, should_refit, trunk_alignment)
 from predgrad.rng import substream
 
-from oracles import alignment_stats, backward, factored, gradient_rows, predict_structured
+from oracles import (alignment_stats, backward, factored, gradient_rows, pass_rows,
+                     predict_structured)
 
 
 def cosine(u, v):
     return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
+@pytest.fixture
+def fix(monkeypatch):
+    """Fix the rank or the ridge lambda of the fits that follow, in place of
+    the rules that no program overrides: ``fix(r=2, lam=1e-10)``."""
+    def fixed(r=None, lam=None):
+        if r is not None:
+            monkeypatch.setattr(predictor, "choose_rank", lambda singulars, cap: r)
+        if lam is not None:
+            monkeypatch.setattr(predictor, "_default_lambda", lambda sq_norms: lam)
+    return fixed
+
+
 def feedback_sample(net, ds, idx):
-    """A pass on the examples idx: (cache, residuals, trunk rows as factors,
-    their FitRows)."""
+    """A pass on the examples idx: (cache, residuals, its FitRows)."""
     _, output, cache = forward(net, ds.features[idx])
     _, residuals = loss_and_residual(output, ds.targets[idx], ds.loss_kind)
-    trunk = trunk_rows(net, cache, residuals)
-    return (cache, residuals, trunk,
-            FitRows(cache.act[-1], residuals, net.head_weight, trunk))
+    return cache, residuals, pass_rows(net, cache, residuals)
 
 
 def feedback_case(data, hidden=(5, 6), activation="tanh", n=200):
@@ -42,15 +52,15 @@ def feedback_case(data, hidden=(5, 6), activation="tanh", n=200):
 
 
 @pytest.mark.parametrize("data", ["regression", "blobs"])
-def test_feedback_predictor_exact_on_identity_nets(data):
+def test_feedback_predictor_exact_on_identity_nets(fix, data):
     # with identity activations each layer's pre-activation gradient is a
     # fixed linear map of the residual, which the fit recovers; a tiny ridge
     # keeps the blobs system, whose residuals sum to 0, positive definite
     ds, net = feedback_case(data, activation="identity")
     *_, rows = feedback_sample(net, ds, np.arange(100))
-    pred = fit_feedback(rows, lam=1e-12)
-    cache, residuals, trunk, _ = feedback_sample(net, ds, np.arange(100, 200))
-    rho, kappa = trunk_alignment(pred, net, cache, residuals, trunk)
+    fix(lam=1e-12)
+    pred = fit_feedback(rows)
+    rho, kappa = trunk_alignment(pred, net, feedback_sample(net, ds, np.arange(100, 200))[2])
     assert rho >= 1 - 1e-9
     assert abs(kappa - 1) <= 1e-9
 
@@ -60,15 +70,15 @@ def test_feedback_predictor_exact_on_identity_nets(data):
 @pytest.mark.parametrize("data", ["regression", "blobs"])
 def test_feedback_sums_and_statistics_match_its_formed_rows(data, activation, hidden):
     ds, net = feedback_case(data, hidden, activation)
-    pred = fit_feedback(feedback_sample(net, ds, np.arange(100))[3])
-    cache, residuals, trunk, _ = feedback_sample(net, ds, np.arange(100, 200))
-    formed = pred.trunk_rows(net, cache, residuals).dense()
-    assert formed.shape == trunk.shape
+    pred = fit_feedback(feedback_sample(net, ds, np.arange(100))[2])
+    cache, residuals, rows = feedback_sample(net, ds, np.arange(100, 200))
+    formed = pred.trunk_rows(net, rows).dense()
+    assert formed.shape == rows.trunk_grad.shape
     (summed,) = pred.predict_sums(net, [(cache, residuals)])
     total = formed.sum(axis=0)
     assert np.linalg.norm(summed - total) <= 1e-12 * np.linalg.norm(total)
-    rho, kappa = trunk_alignment(pred, net, cache, residuals, trunk)
-    ref_rho, ref_kappa = alignment_stats(trunk.dense(), formed)
+    rho, kappa = trunk_alignment(pred, net, rows)
+    ref_rho, ref_kappa = alignment_stats(rows.trunk_grad.dense(), formed)
     assert kappa == pytest.approx(ref_kappa, rel=1e-12)
     assert abs(rho - ref_rho) <= 1e-12
 
@@ -111,23 +121,25 @@ def test_fit_feedback_needs_enough_samples():
     assert fit_feedback(rows).n_fit == 3
 
 
-def test_fit_feedback_large_lambda_shrinks_to_zero():
+def test_fit_feedback_large_lambda_shrinks_to_zero(fix):
     ds, net = feedback_case("blobs")
-    cache, residuals, _, rows = feedback_sample(net, ds, np.arange(30))
-    pred = fit_feedback(rows, lam=1e12)
+    *_, rows = feedback_sample(net, ds, np.arange(30))
+    fix(lam=1e12)
+    pred = fit_feedback(rows)
+    assert pred.ridge_lambda == 1e12
     assert np.max(np.abs(pred.b)) <= 1e-8
-    assert np.max(np.abs(pred.trunk_rows(net, cache, residuals).dense())) <= 1e-6
+    assert np.max(np.abs(pred.trunk_rows(net, rows).dense())) <= 1e-6
 
 
 def test_feedback_zero_residual_and_zero_map(predicted_rows):
     ds, net = feedback_case("regression")
-    cache, residuals, _, rows = feedback_sample(net, ds, np.arange(30))
+    cache, residuals, rows = feedback_sample(net, ds, np.arange(30))
     pred = fit_feedback(rows)
-    est = predicted_rows(net, pred, cache, np.zeros_like(residuals))
+    est = predicted_rows(net, pred, pass_rows(net, cache, np.zeros_like(residuals)))
     assert np.array_equal(est, np.zeros((30, net.config.n_params)))
 
     zero = FeedbackPredictor(b=np.zeros_like(pred.b))
-    est = predicted_rows(net, zero, cache, residuals)
+    est = predicted_rows(net, zero, pass_rows(net, cache, residuals))
     pt = net.config.trunk_size
     assert np.array_equal(est[:, :pt], np.zeros((30, pt)))
     assert np.array_equal(est[:, pt:], backward(net, cache, residuals)[:, pt:])
@@ -143,11 +155,12 @@ def planted_structured(rng, n, p_t=30, d=5, c=3, r=2):
     return FitRows(llh, residual, head_w, factored(coeff @ basis.T)), head_w
 
 
-def test_structured_predictor_recovers_planted_model():
+def test_structured_predictor_recovers_planted_model(fix):
     rng = substream(25, "plant")
     rows, head_w = planted_structured(rng, 150)
-    pred = fit_structured(FitRows(rows.llh[:120], rows.residual[:120], head_w,
-                                  rows.trunk_grad[:120]), r=2, lam=1e-10)
+    fix(r=2, lam=1e-10)
+    pred = fit_structured(rows.rows(slice(0, 120)))
+    assert (pred.rank, pred.ridge_lambda) == (2, 1e-10)
     for llh, residual, trunk_grad in zip(rows.llh[120:], rows.residual[120:],
                                          rows.trunk_grad.dense()[120:]):  # held out
         est = predict_structured(pred, llh, residual, head_w)
@@ -214,7 +227,7 @@ def test_factored_maps_predict_as_the_formed_maps(data, hidden):
     # the formed maps S_k = Q Y_k with Q = I_D are the same predictor with
     # q = D, at any later head weight
     ds, net = feedback_case(data, hidden)
-    pred = fit_structured(feedback_sample(net, ds, np.arange(100))[3])
+    pred = fit_structured(feedback_sample(net, ds, np.arange(100))[2])
     (c, d), rank = net.head_weight.shape, pred.rank
     assert pred.head_q.shape == (d, min(c, d))
     assert pred.maps.shape == (rank, min(c, d), d + 1)
@@ -225,11 +238,11 @@ def test_factored_maps_predict_as_the_formed_maps(data, hidden):
     pt, head = net.config.trunk_size, net.config.head_size
     theta[pt:] += 0.1 * substream(35, "moved-head").standard_normal(head)
     net.set_flat_params(theta)
-    cache, residuals, trunk, _ = feedback_sample(net, ds, np.arange(100, 200))
+    cache, residuals, rows = feedback_sample(net, ds, np.arange(100, 200))
     parts = [(cache, residuals), (cache.rows([3, 7]), residuals[[3, 7]])]
-    got = [*pred.predict_sums(net, parts), *pred.trunk_moments(net, cache, residuals, trunk),
+    got = [*pred.predict_sums(net, parts), *pred.trunk_moments(net, rows),
            predict_structured(pred, cache.act[-1], residuals, net.head_weight)]
-    ref = [*formed.predict_sums(net, parts), *formed.trunk_moments(net, cache, residuals, trunk),
+    ref = [*formed.predict_sums(net, parts), *formed.trunk_moments(net, rows),
            predict_structured(formed, cache.act[-1], residuals, net.head_weight)]
     for g, r in zip(got, ref, strict=True):
         assert np.linalg.norm(g - r) <= 1e-12 * np.linalg.norm(r)
@@ -252,7 +265,7 @@ def test_structured_fit_memory_stays_within_the_kernel_size():
     assert peak < 32e6
 
 
-def test_structured_rank_one_parallel_gradients():
+def test_structured_rank_one_parallel_gradients(fix):
     rng = substream(27, "rank1")
     direction = rng.standard_normal(20)
     direction /= np.linalg.norm(direction)
@@ -261,31 +274,36 @@ def test_structured_rank_one_parallel_gradients():
     residuals = rng.standard_normal((12, 2))
     scales = rng.uniform(0.5, 2.0, size=(12, 1))
     rows = FitRows(llh, residuals, head_w, factored(scales * direction))
-    pred = fit_structured(rows, r=1)
+    fix(r=1)
+    pred = fit_structured(rows)
     assert abs(cosine(pred.basis[:, 0], direction)) >= 1.0 - 1e-10
     g = rows.trunk_grad.dense()[0]
     assert abs(cosine(pred.basis @ (pred.basis.T @ g), g)) >= 1.0 - 1e-10
 
 
-def test_structured_large_lambda_kills_maps():
+def test_structured_large_lambda_kills_maps(fix):
     rng = substream(28, "slam")
     rows, _ = planted_structured(rng, 60)
-    pred = fit_structured(rows, r=2, lam=1e14)
+    fix(r=2, lam=1e14)
+    pred = fit_structured(rows)
+    assert (pred.rank, pred.ridge_lambda) == (2, 1e14)
     assert np.max(np.abs(pred.maps)) <= 1e-8
 
 
-def test_predict_structured_zero_residual():
+def test_predict_structured_zero_residual(fix):
     rng = substream(29, "pz2")
     rows, head_w = planted_structured(rng, 60)
-    pred = fit_structured(rows, r=2)
+    fix(r=2)
+    pred = fit_structured(rows)
     est = predict_structured(pred, rng.standard_normal(5), np.zeros(3), head_w)
     assert np.array_equal(est, np.zeros_like(est))
 
 
-def test_predict_structured_linear_and_scale_equivariant():
+def test_predict_structured_linear_and_scale_equivariant(fix):
     rng = substream(30, "lin2")
     rows, head_w = planted_structured(rng, 60)
-    pred = fit_structured(rows, r=2)
+    fix(r=2)
+    pred = fit_structured(rows)
     llh = rng.standard_normal(5)
     r1 = rng.standard_normal(3)
     r2 = rng.standard_normal(3)
@@ -298,10 +316,11 @@ def test_predict_structured_linear_and_scale_equivariant():
     assert np.allclose(ea, alpha * e1, atol=1e-10)
 
 
-def test_classification_residual_uses_same_path():
+def test_classification_residual_uses_same_path(fix):
     rng = substream(31, "cls")
     rows, head_w = planted_structured(rng, 60)
-    pred = fit_structured(rows, r=2)
+    fix(r=2)
+    pred = fit_structured(rows)
     llh = rng.standard_normal(5)
     _, residual = loss_and_residual(rng.standard_normal(3), 1, "cross_entropy")
     as_regression = residual.copy()
@@ -327,14 +346,16 @@ def test_predicted_head_gradient_always_exact():
         assert np.max(np.abs(est[pt:] - true_head)) <= 1e-12
 
 
-def test_fit_structured_sample_and_rank_requirements():
+def test_fit_structured_sample_and_rank_requirements(fix):
     rng = substream(33, "req")
     rows, _ = planted_structured(rng, 4)
+    fix(r=2)
     with pytest.raises(InsufficientData):
-        fit_structured(rows, r=2)  # needs at least D+1 = 6
+        fit_structured(rows)  # needs at least D+1 = 6
     rows, _ = planted_structured(rng, 10)
+    fix(r=50)
     with pytest.raises(DimensionError):
-        fit_structured(rows, r=50)
+        fit_structured(rows)
 
 
 def test_should_refit_schedule():
@@ -377,7 +398,8 @@ def batch_predictors(n=40):
 
 def single_prediction(net, pred, x, llh, residual):
     if pred.kind == "feedback":
-        trunk = pred.trunk_rows(net, forward(net, x[None])[2], residual[None]).dense()[0]
+        rows = pass_rows(net, forward(net, x[None])[2], residual[None])
+        trunk = pred.trunk_rows(net, rows).dense()[0]
         return gradient_rows(trunk, llh, residual)
     if pred.kind == "structured":
         return predict_structured(pred, llh, residual, net.head_weight)
@@ -387,7 +409,7 @@ def single_prediction(net, pred, x, llh, residual):
 def test_prediction_rows_equal_single_example_calls(predicted_rows):
     for net, pred, xs, cache, residuals in batch_predictors():
         llh, pt = cache.act[-1], net.config.trunk_size
-        rows = predicted_rows(net, pred, cache, residuals)
+        rows = predicted_rows(net, pred, pass_rows(net, cache, residuals))
         assert rows.shape == (len(llh), net.config.n_params)
         for i in range(len(llh)):
             one = single_prediction(net, pred, xs[i], llh[i], residuals[i])
@@ -413,8 +435,8 @@ def test_predict_sums_equal_each_parts_summed_rows(monkeypatch, block_bytes, pre
             sums = pred.predict_sums(net, parts[:k])
             assert len(sums) == k
             for summed, (c, r) in zip(sums, parts):
-                total = predicted_rows(net, pred, c, r).sum(axis=0)[:pt]
+                total = predicted_rows(net, pred, pass_rows(net, c, r)).sum(axis=0)[:pt]
                 assert summed.shape == (pt,)
                 assert np.linalg.norm(summed - total) <= 1e-12 * np.linalg.norm(total)
                 if pred.kind == "perfect":
-                    assert np.array_equal(summed, backward_sum(net, c, r)[:pt])
+                    assert np.array_equal(summed, trunk_rows(net, c, r).sum())

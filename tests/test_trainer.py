@@ -24,7 +24,7 @@ from predgrad.trainer import (TrainConfig, load_run_checkpoint, resume_run,
                               run_budgeted_comparison, save_run_checkpoint, train_predicted,
                               train_vanilla)
 
-from oracles import alignment_stats, backward, factored, factored_rows
+from oracles import alignment_stats, backward, factored, factored_rows, pass_rows
 
 
 def regression(hidden=(8,), n=400):
@@ -450,8 +450,8 @@ def test_learned_step_from_sums_matches_the_summed_rows(monkeypatch, kind, make_
     from_sums = step()
     monkeypatch.setattr(PREDICTORS[kind], "predict_sums",
                         lambda self, net, parts:
-                        [predicted_rows(net, self, cache, r).sum(axis=0)[:net.config.trunk_size]
-                         for cache, r, *_ in parts])
+                        [predicted_rows(net, self, pass_rows(net, cache, r)).sum(axis=0)[
+                            :net.config.trunk_size] for cache, r, *_ in parts])
     from_rows = step()
     assert np.linalg.norm(from_sums - from_rows) <= 1e-12 * np.linalg.norm(from_rows)
 
@@ -483,9 +483,9 @@ def test_lean_step_matches_the_row_path(kind, make_data, loss_kind, predicted_ro
     _, r = loss_and_residual(output, ds.targets[batch_idx], loss_kind)
     _, output_c, cache_c = forward(net, ds.features[ctrl])
     _, r_c = loss_and_residual(output_c, ds.targets[ctrl], loss_kind)
-    from_rows = combine(predicted_rows(net, pred, cache, r).sum(axis=0),
+    from_rows = combine(predicted_rows(net, pred, pass_rows(net, cache, r)).sum(axis=0),
                         backward(net, cache_c, r_c).sum(axis=0),
-                        predicted_rows(net, pred, cache_c, r_c).sum(axis=0),
+                        predicted_rows(net, pred, pass_rows(net, cache_c, r_c)).sum(axis=0),
                         m_c, len(batch_idx))
     lean = step()
     assert np.linalg.norm(lean - from_rows) <= 1e-12 * np.linalg.norm(from_rows)
@@ -511,7 +511,7 @@ def test_the_step_is_unbiased_with_the_sampling_variance_over_its_control_rows(
     pt = net.config.trunk_size
     _, output, cache = forward(net, ds.features[batch])
     _, r = loss_and_residual(output, ds.targets[batch], loss_kind)
-    d = (backward(net, cache, r) - predicted_rows(net, pred, cache, r))[:, :pt]
+    d = (backward(net, cache, r) - predicted_rows(net, pred, pass_rows(net, cache, r)))[:, :pt]
     s2 = ((d - d.mean(axis=0)) ** 2).sum() / (m - 1)
     variance = ((gs - gs.mean(axis=0)) ** 2).sum() / len(gs)
     assert variance == pytest.approx((1 - m_c / m) * s2 / m_c, rel=1e-9)
@@ -676,17 +676,18 @@ def test_factored_refit_matches_the_dense_row_refit(monkeypatch, make_data, kind
     monkeypatch.setattr(predictor_module, "solve_ridge",
                         lambda a, b, lam: solve_ridge(formed(a), formed(b), lam))
     monkeypatch.setattr(trainer, "trunk_alignment",
-                        lambda p, net, cache, r, trunk:
-                        alignment_stats(formed(trunk),
-                                        predicted_rows(net, p, cache, r)[:, :pt]))
+                        lambda p, net, rows:
+                        alignment_stats(formed(rows.trunk_grad),
+                                        predicted_rows(net, p, rows)[:, :pt]))
     dense_refit, (dense_rho, dense_kappa) = trainer._refit(dense_state)
     assert refit == dense_refit == 1
     assert stats[1] == pytest.approx(dense_kappa, rel=1e-9)
     assert abs(stats[0] - dense_rho) <= 1e-9
     _, output, cache = forward(net, ds.features[ds.val_idx])
     _, r = loss_and_residual(output, ds.targets[ds.val_idx], loss_kind)
-    got = predicted_rows(net, state.predictor, cache, r)
-    ref = predicted_rows(net, dense_state.predictor, cache, r)
+    rows = pass_rows(net, cache, r)
+    got = predicted_rows(net, state.predictor, rows)
+    ref = predicted_rows(net, dense_state.predictor, rows)
     assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
@@ -756,21 +757,37 @@ def test_a_refit_measures_only_the_rows_pushed_since_the_outgoing_fit(monkeypatc
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, max_steps=7, refit=RefitPolicy(
         period=3, buffer_capacity=capacity), seed=5, eval_every=0)
-    align, rows = trainer.trunk_alignment, []
+    align, inputs = trainer.trunk_alignment, []
 
-    def seen(p, net, cache, r, trunk):
-        rows.append(cache.x.copy())
-        return align(p, net, cache, r, trunk)
+    def seen(p, net, rows):
+        inputs.append(rows.trunk_grad.blocks[0][1].copy())   # the first layer's: x
+        return align(p, net, rows)
 
     monkeypatch.setattr(trainer, "trunk_alignment", seen)
     res = train_predicted(cfg, ds, init_network(ncfg), "feedback")
     perm = trainer.substream(cfg.seed, "shuffle:0").permutation(len(ds.train_idx))
     order = ds.train_idx[perm]
     expected = [ds.features[order[(t - 1) * 32:(t - 1) * 32 + 8][lo:hi]] for t, lo, hi in measured]
-    assert len(rows) == 2
-    assert np.array_equal(np.concatenate(rows), np.concatenate(expected))
+    assert len(inputs) == 2
+    assert np.array_equal(np.concatenate(inputs), np.concatenate(expected))
     assert [math.isfinite(r.rho_hat) for r in res.records] == [r.step in (3, 6)
                                                                 for r in res.records]
+
+
+@pytest.mark.parametrize("kind", ["feedback", "structured"])
+def test_a_refit_reads_its_ring_once_to_measure_and_to_fit(monkeypatch, kind):
+    # the measured rows are the last of the rows the fit reads
+    _, state = state_before_a_refit(narrow_regression_shape, kind)
+    read, reads = trainer.FitRing.read, []
+
+    def counted(ring, n, head_weight):
+        reads.append(n)
+        return read(ring, n, head_weight)
+
+    monkeypatch.setattr(trainer.FitRing, "read", counted)
+    refit, stats = trainer._refit(state)
+    assert refit == 1 and stats is not None
+    assert reads == [256]
 
 
 @pytest.mark.parametrize("kind", ["feedback", "structured"])
