@@ -1,8 +1,8 @@
-"""Time one vanilla step (``_batch_true``) and one predicted step
-(``_batch_predicted``) at three net and batch sizes, and the three layers of
-a predicted step at the same sizes: the forward and loss on the batch,
-``trunk_rows`` on the control rows' view of its cache, summed, and
-``predict_sums`` on the batch and that view. Each case runs once per
+"""Time one vanilla step (``_step`` without a predictor, every row a control
+row) and one predicted step (``_step`` with one) at three net and batch
+sizes, and the three layers of a predicted step at the same sizes: the
+forward and loss on the batch, ``trunk_rows`` on the control rows' view of
+its cache, summed, and ``predict_sums`` on the batch and that view. Each case runs once per
 learned predictor kind, on the net of that kind's one-step run, so a kind's
 predicted step and layers compare with vanilla at the same parameters.
 
@@ -60,9 +60,9 @@ def _step(kind, hidden, m) -> Step:
 def test_step(benchmark, algo, kind, hidden, m):
     s = _step(kind, hidden, m)
     if algo == "vanilla":
-        benchmark(trainer._batch_true, s.net, s.ds, s.batch_idx)
+        benchmark(trainer._step, s.net, None, s.ds, s.batch_idx, len(s.batch_idx))
     else:
-        benchmark(trainer._batch_predicted, s.net, s.predictor, s.ds, s.batch_idx, s.m_c)
+        benchmark(trainer._step, s.net, s.predictor, s.ds, s.batch_idx, s.m_c)
 
 
 @pytest.mark.parametrize("hidden, m", SIZES, ids=SIZE_IDS)

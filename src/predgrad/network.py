@@ -23,13 +23,14 @@ cross-entropy.
 ``ForwardCache.rows`` takes some rows of a batch's cache, so a backward
 pass on those rows reuses the batch's forward instead of repeating it.
 
-The passes and ``loss_and_residual`` are rank-polymorphic: they take one
-example, or a batch of them along a leading axis, and a single example
-comes back without that axis (``trunk_rows`` keeps it, a batch of one). A
-batch goes through each layer as one matrix product, so a row's last bits
-may depend on the other rows of its call. The same call on the same rows
-gives the same bits (at a fixed BLAS thread count), and ``cheap_forward``
-gives exactly those of ``forward``.
+``forward``, ``cheap_forward`` and ``loss_and_residual`` are
+rank-polymorphic: they take one example, or a batch of them along a leading
+axis, and a single example comes back without that axis. ``trunk_rows`` and
+``head_sum`` take batches only; one example is a batch of one. A batch goes
+through each layer as one matrix product, so a row's last bits may depend
+on the other rows of its call. The same call on the same rows gives the
+same bits (at a fixed BLAS thread count), and ``cheap_forward`` gives
+exactly those of ``forward``.
 
 Flat parameter layout (used by checkpoints, by gradients and by the
 trainer's flattened updates): for each trunk layer in order, the weight
@@ -186,7 +187,6 @@ def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
 def head_sum(llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """[R^T A | R^T 1], R and A the rows of residual and llh: the summed head
     gradient, one row per output, without a ones column on every row."""
-    residual, llh = residual.reshape(-1, residual.shape[-1]), llh.reshape(-1, llh.shape[-1])
     return np.concatenate([residual.T @ llh, residual.sum(axis=0)[:, None]], axis=1)
 
 
@@ -288,10 +288,7 @@ def _trunk_walk(net: Network, cache: ForwardCache, residual: np.ndarray):
 def trunk_rows(net: Network, cache: ForwardCache, residual: np.ndarray) -> FactoredRows:
     """The trunk part of the exact gradient rows of a batch, held as its factors:
     each layer's pre-activation gradients and inputs, as ``FactoredRows``,
-    so that sums and products over the rows need not form them; one example
-    is a batch of one."""
+    so that sums and products over the rows need not form them."""
     residual = _checked_residual(net, cache, residual)
-    if residual.ndim == 1:
-        return trunk_rows(net, cache.rows(None), residual[None])
     return FactoredRows(list(_trunk_walk(net, cache, residual))[::-1])
 

@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InsufficientData
+from .errors import ConfigError, InsufficientData
 from .estimator import moment_stats
 from .linalg import FactoredRows, few_column_product, solve_ridge, truncated_svd
 from .network import gradient_sum, head_sum, trunk_rows
@@ -109,10 +109,7 @@ class FeedbackPredictor:
 
     def _layers(self, net, inputs):
         """(B_l, a_{l-1}) for each trunk layer, first layer first, from its inputs."""
-        widths = net.config.hidden_widths
-        if self.b.shape != (sum(widths), net.config.output_dim):
-            raise DimensionError(f"feedback of shape {self.b.shape} for a net of widths {widths}")
-        return list(zip(np.split(self.b, np.cumsum(widths)[:-1]), inputs))
+        return list(zip(np.split(self.b, np.cumsum(net.config.hidden_widths)[:-1]), inputs))
 
     def shapes(self, ncfg) -> dict:
         return {"b": (sum(ncfg.hidden_widths), ncfg.output_dim)}
@@ -154,22 +151,17 @@ class StructuredPredictor:
 
     def predict_sums(self, net, parts) -> list:
         # (W_a Q)^T [R^T A | R^T 1] is Q^T H^T [A 1], H = R W_a, without forming H
-        w, wq = net.head_weight, net.head_weight @ self.head_q
-        features = np.stack([(wq.T @ self._head_sum(w, *part)).ravel() for part in parts],
-                            axis=1)
+        wq = net.head_weight @ self.head_q
+        heads = [head[0] if head else head_sum(cache.act[-1], r) for cache, r, *head in parts]
+        features = np.stack([(wq.T @ head).ravel() for head in heads], axis=1)
         coeffs = few_column_product(self.maps.reshape(len(self.maps), -1), features)
         return list(few_column_product(self.basis, coeffs).T)
-
-    def _head_sum(self, w, cache, residuals, head=None):
-        llh, residuals = _structured_inputs(self, cache.act[-1], residuals, w)
-        return head_sum(llh, residuals) if head is None else head
 
     def trunk_moments(self, net, rows: FitRows):
         # the predicted rows are C U^T, c_ik = r_i^T (W_a Q Y_k) [a_i; 1]: sum
         # ||h||^2 is sum c^T (U^T U) c and sum <g, h> is sum (G U) o C
-        llh, residual = _structured_inputs(self, rows.llh, rows.residual, net.head_weight)
-        maps = np.matmul(net.head_weight @ self.head_q, self.maps)  # (r, C, D+1)
-        coeffs, basis = _bilinear(residual, llh) @ maps.reshape(len(maps), -1).T, self.basis
+        basis, maps = self.basis, np.matmul(net.head_weight @ self.head_q, self.maps)
+        coeffs = _bilinear(rows.residual, rows.llh) @ maps.reshape(len(maps), -1).T
         return (np.einsum("ik,ik->", coeffs @ (basis.T @ basis), coeffs),
                 np.einsum("ik,ik->", rows.trunk_grad.dot(basis), coeffs),
                 basis @ coeffs.sum(axis=0))
@@ -244,10 +236,18 @@ def trunk_alignment(p, net, rows: FitRows) -> tuple[float, float]:
                         trunk.t_dot(np.ones((n, 1)))[:, 0], h_sum)
 
 
-def _usable(rows: FitRows, name: str, need: int) -> FitRows:
-    """The rows whose residual exceeds RESIDUAL_FLOOR, of which a fit needs at
-    least ``need`` (named ``name``); both sides of the fit share the
+def fit_minimum(kind: str, c: int, d: int) -> tuple[str, int]:
+    """(name, count): the usable rows a fit of the learned ``kind`` needs on
+    a net of output width C = ``c`` and last hidden width D = ``d``: C for
+    feedback's C x C solve, D+1 for structured's basis and maps."""
+    return ("C", c) if kind == "feedback" else ("D+1", d + 1)
+
+
+def _usable(rows: FitRows, kind: str) -> FitRows:
+    """The rows whose residual exceeds RESIDUAL_FLOOR, of which a fit of
+    ``kind`` needs at least ``fit_minimum``; both sides of the fit share the
     residual factor, so the other rows carry no signal."""
+    name, need = fit_minimum(kind, rows.residual.shape[1], rows.llh.shape[1])
     keep = np.max(np.abs(rows.residual), axis=1) > RESIDUAL_FLOOR
     n = int(keep.sum())
     if n < need:
@@ -260,7 +260,7 @@ def fit_feedback(rows: FitRows) -> FeedbackPredictor:
     gradients, the first factors of ``rows.trunk_grad``'s blocks, regressed
     on the residuals in one solve, a C x C system whatever the widths, from
     at least C usable rows."""
-    rows = _usable(rows, "C", rows.residual.shape[1])
+    rows = _usable(rows, "feedback")
     lam = _default_lambda(np.einsum("ij,ij->i", rows.residual, rows.residual))
     dz = np.concatenate([u for u, _ in rows.trunk_grad.blocks], axis=1)
     b = solve_ridge(rows.residual, dz, lam)  # (C, sum d_l)
@@ -281,7 +281,7 @@ def fit_structured(rows: FitRows) -> StructuredPredictor:
     the same lambda, gives the maps S_k = Q Y_k, which the predictor keeps
     factored as Q and Y. It needs at least D+1 usable rows.
     """
-    rows = _usable(rows, "D+1", rows.llh.shape[1] + 1)
+    rows = _usable(rows, "structured")
     n, d = rows.llh.shape
     v, sing, ut = truncated_svd(rows.trunk_grad, partial(choose_rank, cap=d))
     r = len(sing)
@@ -299,18 +299,3 @@ def fit_structured(rows: FitRows) -> StructuredPredictor:
     maps = np.ascontiguousarray(weights.T).reshape(r, -1, d + 1)
     return StructuredPredictor(basis=basis, head_q=np.ascontiguousarray(q), maps=maps,
                                rank=int(r), n_fit=n, ridge_lambda=float(lam))
-
-
-def _structured_inputs(p: StructuredPredictor, llh, residual, head_weight):
-    llh = np.asarray(llh, dtype=np.float64)
-    residual = np.asarray(residual, dtype=np.float64)
-    d = llh.shape[-1]
-    if head_weight.shape != (residual.shape[-1], d) \
-            or residual.shape[:-1] != llh.shape[:-1]:
-        raise DimensionError(
-            f"head weight {head_weight.shape} incompatible with residuals "
-            f"{residual.shape} and activations {llh.shape}")
-    if p.head_q.shape != (d, p.maps.shape[1]) or p.maps.shape[2] != d + 1:
-        raise DimensionError(
-            f"predictor was fit for activation dim {p.head_q.shape[0]}, got {d}")
-    return llh, residual

@@ -5,17 +5,21 @@ the same short final batch, so runs with equal seeds see identical batch
 schedules regardless of algorithm. A predicted step's control rows are the
 first m_c = round(f m) of its batch, a slice of a uniform permutation: a
 uniform random subset, independent of the predictor fitted before the step.
-A step makes one ``forward`` on the batch; one ``predict_sums`` call on the
-batch, with its ``head_sum``, and the control rows' view of its cache
-(``ForwardCache.rows``); and ``trunk_rows`` on that view, summed. The trunk
-part is their control-variate combination ``predgrad.estimator.combine``,
-the head part that ``head_sum``, vanilla's exact head. No gradient is formed
-row by row. For a perfect predictor each predicted sum is ``trunk_rows``
-summed, so the correction is exactly zero and the step is vanilla's bit for
-bit. The update is plain SGD, theta - lr G: the control variate makes G
-unbiased whatever the step rule. A non-finite batch loss or gradient stops
-the run with a ``NumericError`` naming the step, and a network that does
-not fit the data is refused before step 1.
+Both loops take the same step (``_step``). It makes one ``forward`` on the
+batch, forms the batch's ``head_sum``, the exact head part, and walks the
+control rows' view of its cache (``ForwardCache.rows``) with ``trunk_rows``,
+summed. A step without a predictor takes every row as a control row, so
+that sum is the exact trunk part. With one, a ``predict_sums`` call on the
+batch, with its head sum, and on the control rows gives the predicted sums,
+and the trunk part is their control-variate combination
+``predgrad.estimator.combine``. No gradient is formed row by row. For a
+perfect predictor each predicted sum is ``trunk_rows`` summed, so the
+correction is exactly zero and the step is vanilla's bit for bit. The
+update is plain SGD, theta - lr G: the control variate makes G unbiased
+whatever the step rule. A non-finite batch loss or gradient stops the run
+with a ``NumericError`` naming the step, and a network that does not fit
+the data is refused before step 1. Validation is a step's pass
+(``_pass``, one ``forward`` and the loss) on the validation rows.
 
 A learned predictor is fitted on rows the run has already paid for, held in
 a ring (``FitRing``) of the last ``RefitPolicy.buffer_capacity`` of them.
@@ -34,9 +38,10 @@ kappa_hat and phi_hat (phi at the step's m_c/m); other steps record NaN. It
 then fits on all of them. A refit runs no pass of its own; one that fails
 keeps the old predictor and warns, naming the step.
 
-The ledger charges a forward and a backward per control row, or per row of
-a vanilla step (a learned run's opening steps among them), and a cheap
-forward per predicted row, whatever a predictor costs. The budget check
+The ledger counts two kinds of row: exact rows, the control rows or every
+row of a step without a predictor (a learned run's opening steps among
+them), each charged a forward and a backward; and predicted rows, each
+charged a cheap forward, whatever a predictor costs. The budget check
 prices the counts with the step's charge added (``BudgetLedger.price``), so
 a step is taken exactly when the ``cost_units`` after it are within the
 budget. A fit reads only rows that steps paid for: one ledger covers a run.
@@ -60,13 +65,13 @@ from .errors import (BudgetError, ConfigError, DataError, DimensionError,
                      InsufficientData, NumericError)
 from .estimator import combine, control_batch_size, variance_inflation
 from .linalg import FactoredRows
-from .network import (Network, NetworkConfig, cheap_forward, forward, gradient_sum, head_sum,
-                      init_network, loss_and_residual, trunk_rows)
+from .network import (Network, NetworkConfig, forward, gradient_sum, head_sum, init_network,
+                      loss_and_residual, trunk_rows)
 from .predictor import (PREDICTORS, FitRows, PerfectPredictor, RefitPolicy, fit_feedback,
-                        fit_structured, should_refit, trunk_alignment)
+                        fit_minimum, fit_structured, should_refit, trunk_alignment)
 from .rng import substream
 
-RUN_CHECKPOINT_FORMAT = 4
+RUN_CHECKPOINT_FORMAT = 5
 
 log = logging.getLogger(__name__)
 
@@ -104,22 +109,21 @@ class TrainConfig:
 
 @dataclass
 class BudgetLedger:
+    """The rows a run has paid for: exact rows, a forward and a backward
+    each, and predicted rows, a cheap forward each."""
     cost_model: CostModel
-    forward_count: int = 0
-    cheap_forward_count: int = 0
-    backward_count: int = 0
+    exact_rows: int = 0
+    predicted_rows: int = 0
 
-    def charge(self, forward: int = 0, cheap_forward: int = 0, backward: int = 0):
-        self.forward_count += forward
-        self.cheap_forward_count += cheap_forward
-        self.backward_count += backward
+    def charge(self, exact: int, predicted: int):
+        self.exact_rows += exact
+        self.predicted_rows += predicted
 
-    def price(self, forward: int = 0, cheap_forward: int = 0, backward: int = 0) -> float:
+    def price(self, exact: int = 0, predicted: int = 0) -> float:
         """Cost units of the counts with a prospective charge added."""
         cm = self.cost_model
-        return ((self.forward_count + forward) * cm.forward
-                + (self.cheap_forward_count + cheap_forward) * cm.cheap_forward
-                + (self.backward_count + backward) * cm.backward)
+        e, p = self.exact_rows + exact, self.predicted_rows + predicted
+        return e * cm.forward + p * cm.cheap_forward + e * cm.backward
 
     @property
     def cost_units(self) -> float:
@@ -223,38 +227,31 @@ def _pass(net, ds, idx):
     return cache, losses, residuals
 
 
-def _batch_true(net, ds, batch_idx):
-    """Mean true gradient and mean loss over a batch, and its ``FitRows``."""
-    m = len(batch_idx)
-    cache, losses, residuals = _pass(net, ds, batch_idx)
-    trunk = trunk_rows(net, cache, residuals)
-    grad = gradient_sum(trunk.sum(), head_sum(cache.act[-1], residuals)) / m
-    return (grad, float(losses.sum() / m),
-            FitRows(cache.act[-1], residuals, net.head_weight, trunk))
-
-
-def _batch_predicted(net, predictor, ds, batch_idx, m_c):
-    """Debiased combined gradient, with vanilla's exact head part, and mean
-    loss over a mini-batch whose first ``m_c`` rows are its control rows,
-    and the control rows' ``FitRows``."""
+def _step(net, predictor, ds, batch_idx, m_c):
+    """Mean gradient and mean loss over a batch whose first ``m_c`` rows are
+    its control rows, and the control rows' ``FitRows``. Without a predictor
+    every row is a control row, m_c = m, and the gradient is the batch's
+    exact one; with one, its trunk part is the control-variate combination
+    and its head part the batch's exact head."""
     m = len(batch_idx)
     cache, losses, residuals = _pass(net, ds, batch_idx)
     cache_c, r_c = cache.rows(slice(0, m_c)), residuals[:m_c]
     head = head_sum(cache.act[-1], residuals)
-    predicted, predicted_c = predictor.predict_sums(
-        net, [(cache, residuals, head), (cache_c, r_c)])
     trunk_c = trunk_rows(net, cache_c, r_c)
-    trunk = combine(predicted, trunk_c.sum(), predicted_c, m_c, m)
-    return (gradient_sum(trunk, head / m), float(losses.sum() / m),
+    if predictor is None:
+        grad = gradient_sum(trunk_c.sum(), head) / m
+    else:
+        predicted, predicted_c = predictor.predict_sums(
+            net, [(cache, residuals, head), (cache_c, r_c)])
+        grad = gradient_sum(combine(predicted, trunk_c.sum(), predicted_c, m_c, m), head / m)
+    return (grad, float(losses.sum() / m),
             FitRows(cache_c.act[-1], r_c, net.head_weight, trunk_c))
 
 
 def _eval_val(net, ds) -> float:
     if len(ds.val_idx) == 0:
         return float("nan")
-    _, output = cheap_forward(net, ds.features[ds.val_idx])
-    losses, _ = loss_and_residual(output, ds.targets[ds.val_idx], ds.loss_kind)
-    return float(losses.mean())
+    return float(_pass(net, ds, ds.val_idx)[1].mean())
 
 
 def _refit(state: TrainState):
@@ -361,18 +358,14 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
             m = len(batch_idx)
             predicted = state.predictor is not None
             m_c = control_batch_size(m, f) if predicted else m
-            if cfg.budget is not None and state.stepping.price(m_c, m - m_c, m_c) > cfg.budget:
+            if cfg.budget is not None and state.stepping.price(m_c, m - m_c) > cfg.budget:
                 if state.step == 0:
                     raise BudgetError(f"budget {cfg.budget} is smaller than one batch ("
-                                      f"{state.stepping.price(m_c, m - m_c, m_c)} cost units)")
+                                      f"{state.stepping.price(m_c, m - m_c)} cost units)")
                 break
-            state.stepping.charge(forward=m_c, cheap_forward=m - m_c, backward=m_c)
+            state.stepping.charge(m_c, m - m_c)
 
-            if not predicted:
-                grad, batch_loss, rows = _batch_true(state.net, ds, batch_idx)
-            else:
-                grad, batch_loss, rows = _batch_predicted(
-                    state.net, state.predictor, ds, batch_idx, m_c)
+            grad, batch_loss, rows = _step(state.net, state.predictor, ds, batch_idx, m_c)
             if not (math.isfinite(batch_loss) and np.isfinite(grad).all()):
                 raise NumericError(
                     f"non-finite loss or gradient at step {state.step + 1}")
@@ -434,12 +427,12 @@ def train_predicted(cfg: TrainConfig, ds: Dataset, net: Network, kind: str,
     for feedback and D+1 for structured (the output and last hidden widths)."""
     min_batch = _check_run(cfg, ds, net, predicted=True)
     _check_kind(kind)
-    c = net.config
-    name, need = ("C", c.output_dim) if kind == "feedback" else ("D+1", c.last_hidden + 1)
-    if kind != "perfect" and cfg.refit.buffer_capacity < need:
-        raise ConfigError(
-            f"buffer capacity {cfg.refit.buffer_capacity} is below the {name} = {need} "
-            f"rows a {kind} fit needs; it is the size of the ring of rows the fits read")
+    if kind != "perfect":
+        name, need = fit_minimum(kind, net.config.output_dim, net.config.last_hidden)
+        if cfg.refit.buffer_capacity < need:
+            raise ConfigError(
+                f"buffer capacity {cfg.refit.buffer_capacity} is below the {name} = {need} "
+                f"rows a {kind} fit needs; it is the size of the ring of rows the fits read")
     return _train_loop(cfg, ds, _fresh_state(cfg, net, kind), min_batch, metrics_path)
 
 
@@ -548,14 +541,14 @@ def save_run_checkpoint(path, result: RunResult, cfg: TrainConfig, ds: Dataset) 
     """Save a run on ``ds`` as an npz archive; resuming from it reproduces an
     uninterrupted run bit-exactly (all random streams are derived
     statelessly from the seed and the step, and so are the epoch and the
-    batch in it). Format 4 holds what a resumed run reads:
+    batch in it). Format 5 holds what a resumed run reads:
 
     * ``header``: UTF-8 JSON of ``format``, ``predictor_kind`` (the run's
       kind, "none" for vanilla), ``cfg`` (``_run_identity``), ``net`` (the
       ``NetworkConfig`` as a dict) and ``data`` (``_data_digest``);
     * ``trunk_params``, ``head_weight`` and ``head_bias``;
-    * ``step``, and ``stepping_counts``: the ledger's forward, cheap forward
-      and backward counts;
+    * ``step``, and ``stepping_counts``: the ledger's exact rows, then its
+      predicted rows;
     * for a learned kind, its ``FitRing``: ``ring_rows``, the last rows
       pushed, oldest first, their columns side by side, and ``ring_pushed``
       and ``ring_fitted``;
@@ -606,7 +599,7 @@ def load_run_checkpoint(path, cfg: TrainConfig, ds: Dataset,
     """State of a run checkpointed on ``ds``, to go on with the network
     ``net_cfg``. The config must be the one it was written under, but for
     the run-length fields, so a run can be extended. An unreadable file, a
-    format, entry or shape other than format 4's, or another config or
+    format, entry or shape other than format 5's, or another config or
     network raises a ``ConfigError`` naming it; other data a ``DataError``."""
     try:
         with open(path, "rb") as fh:
@@ -622,6 +615,8 @@ def _run_state(z, path, cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfig) -
         return store[key]
 
     header = json.loads(bytes(need(z, "header")).decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ConfigError(f"checkpoint {path} has a malformed 'header'")
     if need(header, "format") != RUN_CHECKPOINT_FORMAT:
         raise ConfigError(f"checkpoint {path} is in format {header['format']!r}; "
                           f"this version reads format {RUN_CHECKPOINT_FORMAT} only")
@@ -668,7 +663,7 @@ def _run_state(z, path, cfg: TrainConfig, ds: Dataset, net_cfg: NetworkConfig) -
         pred = PREDICTORS[kind](**values)
         for k, shape in pred.shapes(c).items():
             shaped(f"pred_{k}", shape)
-    counts = shaped("stepping_counts", (3,), math.inf)
+    counts = shaped("stepping_counts", (2,), math.inf)
     return TrainState(
         Network(c, need(z, "trunk_params"), need(z, "head_weight"), need(z, "head_bias")),
         kind, pred, BudgetLedger(cfg.cost_model, *map(int, counts)), ring,

@@ -13,7 +13,7 @@ import numpy as np
 from predgrad.errors import DimensionError, InsufficientData
 from predgrad.linalg import FactoredRows
 from predgrad.network import _checked_residual, _trunk_walk, trunk_rows
-from predgrad.predictor import FitRows, _bilinear, _structured_inputs
+from predgrad.predictor import FitRows, _bilinear
 
 
 def factored(a: np.ndarray) -> FactoredRows:
@@ -66,9 +66,10 @@ def predict_structured(p, llh, residual, head_weight: np.ndarray) -> np.ndarray:
     """Predicted flat gradient rows from the structured predictor.
 
     Exact head part; trunk part U c with c_k = r^T (W_a Q) Y_k [llh; 1], the
-    maps S_k = Q Y_k in factored form. Works for any residual.
+    maps S_k = Q Y_k in factored form. Works for any residual, of one
+    example or of a batch.
     """
-    llh, residual = _structured_inputs(p, llh, residual, head_weight)
+    llh, residual = np.asarray(llh, dtype=np.float64), np.asarray(residual, dtype=np.float64)
     maps = p.maps.reshape(len(p.maps), -1)
     coeffs = _bilinear(residual @ head_weight @ p.head_q, llh) @ maps.T
     return gradient_rows(coeffs @ p.basis.T, llh, residual)

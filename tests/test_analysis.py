@@ -50,8 +50,8 @@ COST_MODELS = st.builds(lambda b, fw, share: CostModel(b, fw, share * (b + fw)),
 def test_gamma_is_the_ledgers_ratio_of_predicted_to_vanilla_charges(cm, m, data):
     m_c = data.draw(st.integers(1, m))
     predicted, vanilla = BudgetLedger(cm), BudgetLedger(cm)
-    predicted.charge(forward=m_c, backward=m_c, cheap_forward=m - m_c)  # as a step charges
-    vanilla.charge(forward=m, backward=m)
+    predicted.charge(m_c, m - m_c)  # as a step charges
+    vanilla.charge(m, 0)
     assert gamma(cm, m_c / m) == pytest.approx(predicted.cost_units / vanilla.cost_units,
                                                rel=1e-12)
 

@@ -335,6 +335,14 @@ def rewrite_checkpoint(path, drop=(), arrays=None, **header):
     np.savez(path, **kept)
 
 
+def rewrite_header(path, text):
+    """Rewrite the checkpoint at ``path`` with the header bytes ``text``."""
+    with np.load(path) as z:
+        kept = dict(z)
+    kept["header"] = np.frombuffer(text.encode(), dtype=np.uint8)
+    np.savez(path, **kept)
+
+
 def test_the_retired_scalar_predictor_exits_2(tmp_path, capsys):
     # older versions had a scalar predictor; its checkpoints and flag are refused
     code, err = run(capsys, TRAIN + ["--predictor", "structured", "--max-steps", "2",
@@ -361,10 +369,15 @@ BAD_CHECKPOINTS = {
     "format-1": (lambda ckpt: rewrite_checkpoint(ckpt, format=1), "format 1"),
     "format-2": (lambda ckpt: rewrite_checkpoint(ckpt, format=2), "format 2"),
     "format-3": (lambda ckpt: rewrite_checkpoint(ckpt, format=3), "format 3"),
+    "format-4": (lambda ckpt: rewrite_checkpoint(ckpt, format=4), "format 4"),
+    # a header that is JSON, but not an object
+    "header-not-an-object-number": (lambda ckpt: rewrite_header(ckpt, "5"), "'header'"),
+    "header-not-an-object-null": (lambda ckpt: rewrite_header(ckpt, "null"), "'header'"),
     # entries of a shape the network does not take
     "net-extra-key": (lambda ckpt: rewrite_checkpoint(ckpt, net=lambda net: {**net, "x": 1}),
                       "'net'"),
-    "four-stepping-counts": (lambda ckpt: rewrite_checkpoint(
+    # the three counts of the format-4 ledger
+    "three-stepping-counts": (lambda ckpt: rewrite_checkpoint(
         ckpt, arrays={"stepping_counts": lambda counts: np.append(counts, 0)}),
         "'stepping_counts'"),
     "short-trunk-params": (lambda ckpt: rewrite_checkpoint(
@@ -390,7 +403,7 @@ BAD_CHECKPOINTS = {
     "negative-step": (lambda ckpt: rewrite_checkpoint(ckpt, arrays={"step": np.int64(-4)}),
                       "'step'"),
     "negative-stepping-counts": (lambda ckpt: rewrite_checkpoint(
-        ckpt, arrays={"stepping_counts": np.full(3, -1)}), "'stepping_counts'"),
+        ckpt, arrays={"stepping_counts": np.full(2, -1)}), "'stepping_counts'"),
     "negative-ring-pushed": (lambda ckpt: rewrite_checkpoint(
         ckpt, arrays={"ring_pushed": np.int64(-1)}), "'ring_pushed'"),
     "negative-ring-fitted": (lambda ckpt: rewrite_checkpoint(

@@ -222,11 +222,11 @@ def test_backward_matches_finite_differences():
 
 def test_backward_rejects_stale_cache():
     net = init_network(small_cfg())
-    _, _, cache = forward(net, np.ones(4))
+    _, _, cache = forward(net, np.ones((1, 4)))
     net.set_flat_params(net.flat_params() * 1.01)
     for back in CACHE_PASSES:
         with pytest.raises(StaleCache):
-            back(net, cache, np.zeros(3))
+            back(net, cache, np.zeros((1, 3)))
 
 
 # the formed-row reference checks its inputs as the src passes do
@@ -312,7 +312,7 @@ def test_backward_sum_equals_the_summed_rows(activation, kind, hidden):
     part_sum = backward_sum(net, cache.rows(idx), residuals[idx])
     assert np.linalg.norm(part_sum - part) <= 1e-12 * np.linalg.norm(part)
     # a single example is a batch of one
-    _, output, cache = forward(net, xs[0])
-    _, residual = loss_and_residual(output, ys[0], kind)
-    one = backward(net, cache, residual)
+    _, output, cache = forward(net, xs[:1])
+    _, residual = loss_and_residual(output, ys[:1], kind)
+    one = backward(net, cache, residual)[0]
     assert np.linalg.norm(backward_sum(net, cache, residual) - one) <= 1e-12 * np.linalg.norm(one)

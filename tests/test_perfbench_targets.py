@@ -3,12 +3,13 @@ attribute names; a renamed function would leave its figures at 0."""
 
 from perfbench.workloads import trace_targets
 
-# row references that no command runs any more, and the per-step split that
-# the head of the shuffled batch replaced; the benchmark skips an attribute a
-# module lacks, so their figures read 0 calls
+# row references that no command runs any more, the per-step split that the
+# head of the shuffled batch replaced, and the cacheless pass that validation
+# no longer calls; the benchmark skips an attribute a module lacks, so their
+# figures read 0 calls
 DELETED = (("predgrad.trainer", "backward"), ("predgrad.trainer", "alignment_stats"),
            ("predgrad.predictor", "predict_structured"),
-           ("predgrad.trainer", "split_minibatch"))
+           ("predgrad.trainer", "split_minibatch"), ("predgrad.trainer", "cheap_forward"))
 
 
 def test_every_traced_function_exists():

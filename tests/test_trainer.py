@@ -91,7 +91,7 @@ def test_checkpoint_round_trip(tmp_path, kind):
         assert ring == (res.state.ring.pushed, res.state.ring.fitted) == (32 + 6 * 8, 32 + 5 * 8)
 
 
-# the format-4 layout; a field added to a predictor, to the ring or to
+# the format-5 layout; a field added to a predictor, to the ring or to
 # TrainConfig changes it, and is a new format: RUN_CHECKPOINT_FORMAT and
 # these change together
 RUN_ARRAYS = {"header", "trunk_params", "head_weight", "head_bias", "step", "stepping_counts"}
@@ -113,9 +113,9 @@ def test_the_checkpoint_layout_is_pinned(tmp_path, kind):
     with np.load(path) as z:
         assert set(z.files) == RUN_ARRAYS | PREDICTOR_ARRAYS[kind]
         header = json.loads(bytes(z["header"]).decode("utf-8"))
-    assert trainer.RUN_CHECKPOINT_FORMAT == 4
+    assert trainer.RUN_CHECKPOINT_FORMAT == 5
     assert header == {
-        "format": 4, "predictor_kind": kind,
+        "format": 5, "predictor_kind": kind,
         "cfg": {"batch_size": 32, "control_fraction": 0.25, "learning_rate": 0.05,
                 "refit": {"period": 50, "buffer_capacity": 256},
                 "cost_model": {"backward": 2.0, "forward": 1.0, "cheap_forward": 0.7},
@@ -255,10 +255,10 @@ def test_resume_rejects_a_changed_config(tmp_path, name):
 
 
 def test_warmup_with_batch_smaller_than_width():
-    # batch 32 < D+1 = 65: the opening takes vanilla steps, each charged a
-    # forward and a backward per row, until its three batches fill the ring
-    # with 96 rows; the first fit follows step 3, and steps 4 and 5 are
-    # predicted, 8 control rows each
+    # batch 32 < D+1 = 65: the opening takes vanilla steps, every row an
+    # exact row, until its three batches fill the ring with 96 rows; the
+    # first fit follows step 3, and steps 4 and 5 are predicted, 8 control
+    # rows and 24 predicted rows each
     ds, ncfg = blobs(hidden=(64, 64), n=600)
     cfg = TrainConfig(batch_size=32, max_steps=5, refit=RefitPolicy(period=50),
                       seed=4, eval_every=0)
@@ -267,8 +267,7 @@ def test_warmup_with_batch_smaller_than_width():
     assert [r.refit for r in res.records] == [0, 0, 1, 0, 0]
     assert res.state.predictor.n_fit == 96
     ledger = res.state.stepping
-    assert (ledger.forward_count, ledger.cheap_forward_count, ledger.backward_count) \
-        == (3 * 32 + 2 * 8, 2 * 24, 3 * 32 + 2 * 8)
+    assert (ledger.exact_rows, ledger.predicted_rows) == (3 * 32 + 2 * 8, 2 * 24)
     assert res.state.ring.pushed == 3 * 32 + 2 * 8
 
 
@@ -437,8 +436,7 @@ def fitted_step(kind, make_data, loss_kind, hidden=(24, 16)):
     m_c = 16
 
     def step():
-        return trainer._batch_predicted(res.network, res.state.predictor, ds, batch_idx,
-                                        m_c)[0]
+        return trainer._step(res.network, res.state.predictor, ds, batch_idx, m_c)[0]
 
     return res.network, res.state.predictor, ds, batch_idx, m_c, step
 
@@ -503,10 +501,10 @@ def test_the_step_is_unbiased_with_the_sampling_variance_over_its_control_rows(
     gs = []
     for ctrl in itertools.combinations(range(m), m_c):
         order = list(ctrl) + [i for i in range(m) if i not in ctrl]
-        gs.append(trainer._batch_predicted(net, pred, ds, batch[order], m_c)[0])
+        gs.append(trainer._step(net, pred, ds, batch[order], m_c)[0])
     gs = np.array(gs)
     assert len(gs) == 28
-    true = trainer._batch_true(net, ds, batch)[0]
+    true = trainer._step(net, None, ds, batch, m)[0]
     assert np.linalg.norm(gs.mean(axis=0) - true) <= 1e-12 * np.linalg.norm(true)
     pt = net.config.trunk_size
     _, output, cache = forward(net, ds.features[batch])
@@ -518,34 +516,36 @@ def test_the_step_is_unbiased_with_the_sampling_variance_over_its_control_rows(
 
 
 def test_a_learned_step_takes_the_head_of_its_batch_as_control_rows(monkeypatch):
-    # the batches are vanilla's, and the predicted steps' trunk_rows see
-    # views of the first round(f m) rows of each; the ring holds copies
+    # the batches are vanilla's, and every step's trunk_rows sees a view of
+    # the batch's first m_c rows: all of them without a predictor, round(f m)
+    # with one; the ring holds copies
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=16, max_steps=4, seed=4, eval_every=0)
-    batches, control = [], []
-    batch_true, trunk_rows = trainer._batch_true, trainer.trunk_rows
+    steps, control = [], []
+    step, trunk_rows = trainer._step, trainer.trunk_rows
 
-    def seen_batch(net, ds, batch_idx):
-        batches.append(batch_idx)
-        return batch_true(net, ds, batch_idx)
+    def seen_step(net, pred, ds, batch_idx, m_c):
+        steps.append((batch_idx, pred is None, m_c))
+        return step(net, pred, ds, batch_idx, m_c)
 
     def seen_rows(net, cache, r):
         control.append(cache)
         return trunk_rows(net, cache, r)
 
-    monkeypatch.setattr(trainer, "_batch_true", seen_batch)
+    monkeypatch.setattr(trainer, "_step", seen_step)
     monkeypatch.setattr(trainer, "trunk_rows", seen_rows)
     train_vanilla(cfg, ds, init_network(ncfg))
-    vanilla = batches.copy()
-    batches.clear()
-    control.clear()
+    vanilla = steps.copy()
+    assert [(none, m_c) for _, none, m_c in vanilla] == [(True, 16)] * 4
+    steps.clear()
     res = train_predicted(cfg, ds, init_network(ncfg), "feedback")
     # a vanilla opening step on the whole first batch, then 3 predicted steps
-    assert len(vanilla) == len(control) == 4 and len(batches) == 1
-    assert np.array_equal(batches[0], vanilla[0]) and len(control[0].x) == 16
-    for batch_idx, cache in zip(vanilla[1:], control[1:]):
+    assert [(none, m_c) for _, none, m_c in steps] == [(True, 16)] + [(False, 4)] * 3
+    assert all(np.array_equal(ours[0], theirs[0]) for ours, theirs in zip(steps, vanilla))
+    assert len(control) == 8 and all(len(cache.x) == 16 for cache in control[:5])
+    for (batch_idx, *_), cache in zip(vanilla[1:], control[5:]):
         assert np.array_equal(cache.x, ds.features[batch_idx][:4])
-        assert not any(a.flags.owndata for a in [cache.x, *cache.act])
+    assert not any(a.flags.owndata for cache in control for a in [cache.x, *cache.act])
     assert res.state.ring.pushed == 16 + 3 * 4
 
 
@@ -566,8 +566,7 @@ def test_alignment_statistics_come_from_the_refit_samples(kind):
     # one ledger: a vanilla opening step of 32 rows, then 9 predicted steps,
     # which paid for every row a fit read
     ledger = res.state.stepping
-    assert (ledger.forward_count, ledger.cheap_forward_count, ledger.backward_count) \
-        == (32 + 9 * 8, 9 * 24, 32 + 9 * 8)
+    assert (ledger.exact_rows, ledger.predicted_rows) == (32 + 9 * 8, 9 * 24)
 
 
 def test_a_network_that_does_not_fit_the_data_is_refused_before_step_1(tmp_path):
@@ -589,8 +588,7 @@ def test_a_perfect_run_draws_no_fit_sample():
     # no ring and no opening steps: 8 control and 24 predicted rows a step
     assert res.state.ring is None
     ledger = res.state.stepping
-    assert (ledger.forward_count, ledger.cheap_forward_count, ledger.backward_count) \
-        == (7 * 8, 7 * 24, 7 * 8)
+    assert (ledger.exact_rows, ledger.predicted_rows) == (7 * 8, 7 * 24)
     assert all(math.isnan(r.rho_hat) for r in res.records)
 
 
@@ -633,7 +631,7 @@ def test_a_learned_step_has_vanillas_head_and_predicts_only_the_trunk(kind, make
                                                                       loss_kind, hidden):
     net, pred, ds, batch_idx, m_c, step = fitted_step(kind, make_data, loss_kind, hidden)
     pt = net.config.trunk_size
-    vanilla = trainer._batch_true(net, ds, batch_idx)[0]
+    vanilla = trainer._step(net, None, ds, batch_idx, len(batch_idx))[0]
     assert step()[pt:].tobytes() == vanilla[pt:].tobytes()
     _, output, cache = forward(net, ds.features[batch_idx])
     _, r = loss_and_residual(output, ds.targets[batch_idx], loss_kind)
@@ -712,14 +710,15 @@ def test_a_refit_forms_no_trunk_or_feature_rows():
 
 
 def seen_predictors(monkeypatch):
-    """Patch the predicted step to record the bytes of each step's predictor."""
-    seen, step = [], trainer._batch_predicted
+    """Patch the step to record the bytes of each predicted step's predictor."""
+    seen, step = [], trainer._step
 
     def recorded(net, pred, ds, batch_idx, m_c):
-        seen.append([np.asarray(getattr(pred, f.name)).tobytes() for f in fields(pred)])
+        if pred is not None:
+            seen.append([np.asarray(getattr(pred, f.name)).tobytes() for f in fields(pred)])
         return step(net, pred, ds, batch_idx, m_c)
 
-    monkeypatch.setattr(trainer, "_batch_predicted", recorded)
+    monkeypatch.setattr(trainer, "_step", recorded)
     return seen
 
 
@@ -832,9 +831,10 @@ def test_resume_is_bit_exact_from_the_opening_and_from_a_wrapped_ring(tmp_path, 
 @pytest.mark.parametrize("kind, hidden", [("feedback", (8,)), ("structured", (8,)),
                                           ("structured", (40,))])
 def test_one_budget_covers_every_pass_of_a_comparison(monkeypatch, kind, hidden):
-    # every row through the trainer's forward is charged a forward or a
-    # cheap forward: the opening steps, which fill the ring the fits read
-    # (three of them at D+1 = 41), and the predicted steps
+    # every row through the trainer's forward is charged as an exact or a
+    # predicted row: the opening steps, which fill the ring the fits read
+    # (three of them at D+1 = 41), and the predicted steps; validation, one
+    # pass on the validation rows after each step, is charged nothing
     ds, ncfg = regression(hidden=hidden)
     cfg = TrainConfig(batch_size=16, budget=1500.0, refit=RefitPolicy(period=4), seed=3)
     passed, runs = [], {}
@@ -853,6 +853,7 @@ def test_one_budget_covers_every_pass_of_a_comparison(monkeypatch, kind, hidden)
     monkeypatch.setattr(trainer, "train_predicted", run)
     report = run_budgeted_comparison(cfg, ds, ncfg, kind)
     ledger = runs["result"].state.stepping
-    assert sum(passed[runs["first"]:]) == ledger.forward_count + ledger.cheap_forward_count
+    validated = runs["result"].steps * len(ds.val_idx)
+    assert sum(passed[runs["first"]:]) == ledger.exact_rows + ledger.predicted_rows + validated
     assert ledger.cost_units == report.predicted_cost_units <= cfg.budget
     assert sum(r.refit for r in report.predicted_records) >= 2
