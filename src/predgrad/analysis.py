@@ -18,6 +18,8 @@ simulate_estimator is the Monte Carlo verifier for unbiasedness and the
 exact variance formula; sweep tabulates phi, gamma, Q and break-even.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,6 +27,7 @@ import numpy as np
 
 from .errors import DomainError, MomentError
 from .estimator import combine, control_batch_size, v2_exact, variance_inflation
+from .linalg import BLOCK_BYTES
 from .rng import substream
 
 @dataclass(frozen=True)
@@ -129,21 +132,35 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
     """Monte Carlo check of ``combine`` against the exact variance ``v2_exact``.
 
     Per-example gradient pairs are Gaussian with the requested second
-    moments, constructed as v = (tau / sigma_g^2) u + w with w independent of
-    variance sigma_h^2 - tau^2 / sigma_g^2, where u = su z and w = sw z' for
-    standard normal z, z'. ``combine`` needs only the sums of g and h over
-    the control block (m_c examples) and of h over the prediction block
-    (m_p): it takes the sum of h over both blocks and the two control sums.
-    So each trial draws the four block sums of z and z' directly: the sum
-    of k draws of N(0, I) is N(0, k I). The pairs have mean zero, which
-    loses nothing: means mu of g and mu_h of h would enter G - mu,
-    ``combine`` being linear, only as combine(m mu_h, m_c mu, m_c mu_h,
-    m_c, m) - mu, which is zero up to rounding whatever mu_h. Returned are
-    ||mean(G) - mu||, the empirical E||G - mu||^2 and the closed-form
-    prediction.
+    moments, constructed as g = u and h = coef u + w, coef = tau /
+    sigma_g^2, with w independent of variance sigma_h^2 - tau^2 / sigma_g^2,
+    where u = su z and w = sw z' for standard normal z, z'. ``combine``
+    reads three sums: of g and of h over the control block (m_c examples),
+    and of h over both blocks. So each trial draws three block sums
+    directly, the sum of k draws of N(0, I) being N(0, k I): the control
+    sums of u and of w, which make the control sums of g and h, and the
+    prediction block's sum of h (m_p examples). That last sum, coef su
+    sqrt(m_p) z + sw sqrt(m_p) z', is a sum of two independent normals, so
+    one normal of standard deviation sqrt((coef su)^2 + sw^2) sqrt(m_p) has
+    exactly its law; nothing else reads the prediction block's u. The pairs
+    have mean zero, which loses nothing: means mu of g and mu_h of h would
+    enter G - mu, ``combine`` being linear, only as combine(m mu_h, m_c mu,
+    m_c mu_h, m_c, m) - mu, which is zero up to rounding whatever mu_h.
+    Returned are ||mean(G) - mu||, the empirical E||G - mu||^2 and the
+    closed-form prediction.
+
+    Trials run in chunks whose three drawn blocks fit ``BLOCK_BYTES``, so a
+    chunk stays in a core's L2 cache and memory is bounded for any trial
+    count; the blocks are scaled in place into the sums ``combine`` takes.
     """
     if sigma_g <= 0 or sigma_h < 0:
         raise MomentError(f"need sigma_g > 0 and sigma_h >= 0, got {sigma_g}, {sigma_h}")
+    # squares formed with *, as a float's ** raises OverflowError; a normal
+    # sigma_g^2 keeps the predicted variance sigma_g^2 phi / m, phi >= 1, above 0
+    gg, hh = sigma_g * sigma_g, sigma_h * sigma_h
+    if not (math.isfinite(tau) and math.isfinite(hh) and sys.float_info.min <= gg < math.inf):
+        raise MomentError(f"need finite moments with finite squares, sigma_g^2 a normal "
+                          f"float, got sigma_g {sigma_g}, sigma_h {sigma_h}, tau {tau}")
     if abs(tau) > sigma_g * sigma_h:
         raise MomentError(
             f"|tau| = {abs(tau)} violates the Cauchy-Schwarz bound {sigma_g * sigma_h}")
@@ -160,24 +177,27 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
     m_p = m - m_c
 
     su = sigma_g / np.sqrt(dim)
-    coef = tau / sigma_g ** 2
-    sw = np.sqrt(max(0.0, sigma_h ** 2 - tau ** 2 / sigma_g ** 2)) / np.sqrt(dim)
-    # standard deviations of the block sums of u and w
+    coef = tau / gg
+    sw = np.sqrt(max(0.0, hh - coef * tau)) / np.sqrt(dim)
+    # standard deviations of the block sums of u and w, and of h on the
+    # prediction block
     su_c, sw_c = su * np.sqrt(m_c), sw * np.sqrt(m_c)
-    su_p, sw_p = su * np.sqrt(m_p), sw * np.sqrt(m_p)
+    sh_p = np.sqrt((coef * su) ** 2 + sw ** 2) * np.sqrt(m_p)
 
     rng = substream(seed, "simulation")
-    chunk = max(1, 500_000 // dim)  # trials per draw; bounds memory for any count
+    chunk = max(1, BLOCK_BYTES // (3 * 8 * dim))  # trials whose three blocks fit the cache
     sum_err = np.zeros(dim)
     sum_sq = 0.0
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        zg_c, zw_c, zg_p, zw_p = rng.standard_normal((4, n, dim))
-        g_c = su_c * zg_c
-        h_c = coef * g_c + sw_c * zw_c
-        h_p = coef * su_p * zg_p + sw_p * zw_p
-        err = combine(h_c + h_p, g_c, h_c, m_c, m)
+        g_c, h_c, s_pred = rng.standard_normal((3, n, dim))
+        g_c *= su_c
+        h_c *= sw_c
+        h_c += coef * g_c
+        s_pred *= sh_p
+        s_pred += h_c   # the prediction block's sum of h, plus the control block's
+        err = combine(s_pred, g_c, h_c, m_c, m)
         sum_err += err.sum(axis=0)
         sum_sq += float(np.einsum("ij,ij->", err, err))
         done += n

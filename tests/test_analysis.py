@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from predgrad import analysis
 from predgrad.analysis import (CostModel, break_even_satisfied, gamma, q_objective, rho_star,
                                rho_switch, simulate_estimator)
-from predgrad.errors import DomainError
-from predgrad.estimator import control_batch_size, v2_exact
+from predgrad.errors import DomainError, MomentError
+from predgrad.estimator import combine, control_batch_size, v2_exact
 from predgrad.trainer import BudgetLedger
 
 TRIALS = 4000
@@ -38,6 +39,79 @@ def test_simulate_is_deterministic_per_seed():
     args = (1.0, 1.0, 0.8, 8, 0.25, 100, 500)
     assert simulate_estimator(*args, seed=3) == simulate_estimator(*args, seed=3)
     assert simulate_estimator(*args, seed=3) != simulate_estimator(*args, seed=4)
+
+
+LAW_TRIALS = 20000   # at DIM, five chunks of trials and a shorter last one
+
+
+@pytest.mark.parametrize("f,m,rho,kappa", [
+    (0.25, 100, 0.8, 1.0),
+    (0.5, 10, -0.4, 2.0),
+    (0.25, 100, 0.0, 0.0),   # h is exactly 0
+])
+def test_every_trial_goes_through_combine_with_block_sums_of_the_stated_law(
+        monkeypatch, f, m, rho, kappa):
+    calls = []
+
+    def recording(s_pred, s_ctrl_true, s_ctrl_pred, m_c, m):
+        calls.append((s_pred.copy(), s_ctrl_true.copy(), s_ctrl_pred.copy(), m_c, m))
+        return combine(s_pred, s_ctrl_true, s_ctrl_pred, m_c, m)
+
+    monkeypatch.setattr(analysis, "combine", recording)
+    sigma_g = 1.5
+    sigma_h = kappa * sigma_g
+    tau = rho * sigma_g * sigma_h
+    simulate_estimator(sigma_g, sigma_h, tau, DIM, f, m, LAW_TRIALS, seed=11)
+    m_c = control_batch_size(m, f)
+    m_p = m - m_c
+    sizes = [len(s_pred) for s_pred, *_ in calls]
+    assert sum(sizes) == LAW_TRIALS and len(sizes) > 2 and sizes[-1] < sizes[0]
+    assert {tuple(call[3:]) for call in calls} == {(m_c, m)}
+    s_pred, g_c, h_c = (np.concatenate([call[i] for call in calls]).ravel() for i in range(3))
+    h_p = s_pred - h_c   # the prediction block's sum of h
+    if kappa == 0.0:
+        assert not h_c.any() and not s_pred.any()
+
+    def check(x, y, cov, var_x, var_y):
+        # E[xy] of zero-mean normals, estimated with variance (var_x var_y + cov^2) / n
+        se = math.sqrt((var_x * var_y + cov * cov) / len(x))
+        assert abs(np.mean(x * y) - cov) <= 5.0 * se
+
+    # per coordinate: each block sum adds its block's per-example moments
+    var_g, var_h, cov_gh = m_c * sigma_g ** 2 / DIM, m_c * sigma_h ** 2 / DIM, m_c * tau / DIM
+    var_p = m_p * sigma_h ** 2 / DIM
+    check(g_c, g_c, var_g, var_g, var_g)
+    check(h_c, h_c, var_h, var_h, var_h)
+    check(g_c, h_c, cov_gh, var_g, var_h)
+    check(h_p, h_p, var_p, var_p, var_p)
+    check(h_p, g_c, 0.0, var_p, var_g)
+    check(h_p, h_c, 0.0, var_p, var_h)
+
+
+@pytest.mark.parametrize("sigma_g, sigma_h, tau", [
+    (math.nan, 1.0, 0.5),
+    (1.0, math.nan, 0.5),
+    (1.0, 1.0, math.nan),
+    (math.inf, math.inf, 1.0),
+    (1.0, 1.0, math.inf),
+    (1e200, 1e200, 1.0),     # sigma_g^2 and sigma_h^2 overflow
+    (1.0, 1e200, 1.0),       # sigma_h^2 overflows
+    (1e-200, 0.0, 0.0),      # sigma_g^2 underflows to 0
+    (1e-160, 1e-160, 0.0),   # sigma_g^2 is subnormal
+], ids=["sigma_g-nan", "sigma_h-nan", "tau-nan", "sigma-inf", "tau-inf", "squares-overflow",
+        "sigma_h-square-overflows", "sigma_g-square-underflows", "sigma_g-square-subnormal"])
+def test_simulate_refuses_moments_that_are_not_finite(sigma_g, sigma_h, tau):
+    with pytest.raises(MomentError, match="finite"):
+        simulate_estimator(sigma_g, sigma_h, tau, DIM, 0.25, 100, 10, seed=0)
+
+
+def test_simulate_at_large_moments_is_the_unit_simulation_scaled():
+    # tau^2 overflows at these moments; tau^2 / sigma_g^2 does not
+    unit = simulate_estimator(1.0, 1.0, 0.8, DIM, 0.25, 100, 500, seed=3)
+    big = simulate_estimator(1e100, 1e100, 0.8e200, DIM, 0.25, 100, 500, seed=3)
+    assert big.emp_var / big.predicted_var == pytest.approx(unit.emp_var / unit.predicted_var,
+                                                            rel=1e-12)
+    assert big.mean_err / 1e100 == pytest.approx(unit.mean_err, rel=1e-12)
 
 
 # pass costs of any size, the cheap forward a share of forward + backward

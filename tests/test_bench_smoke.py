@@ -22,6 +22,7 @@ def _load(name):
 
 
 step_bench, refit_bench = _load("test_step_bench"), _load("test_refit_bench")
+simulate_bench = _load("test_simulate_bench")
 
 
 def benchmark(fn, *args, **kwargs):
@@ -45,6 +46,10 @@ def test_refit_bench_runs(phase):
     for kind in refit_bench.KINDS:
         for data in sorted({data for *_, data in refit_bench.CASES}):
             refit_bench.test_refit(benchmark, phase, kind, HIDDEN, M, data)
+
+
+def test_simulate_bench_runs():
+    simulate_bench.test_simulate(benchmark, 10)
 
 
 def test_trajectory_digests_runs(capsys):

@@ -488,6 +488,13 @@ OUT_OF_RANGE = {
     "analyze-negative-kappa": ["analyze", "--kappa", "-1", "--f", "0.5"],
     "analyze-rho-above-1": ["analyze", "--rho", "1.5", "--f", "0.5"],
     "simulate-rho-above-1": ["simulate", "--rho", "1.5"],
+    "simulate-sigma-g-nan": ["simulate", "--sigma-g", "nan"],
+    "simulate-rho-nan": ["simulate", "--rho", "nan"],
+    "simulate-kappa-nan": ["simulate", "--kappa", "nan"],
+    "simulate-sigma-g-inf": ["simulate", "--sigma-g", "inf"],
+    "simulate-sigma-g-1e200": ["simulate", "--sigma-g", "1e200"],   # tau and sigma_g^2 overflow
+    "simulate-sigma-g-1e300": ["simulate", "--sigma-g", "1e300"],   # sigma_g^2 overflows
+    "simulate-sigma-g-1e-200": ["simulate", "--sigma-g", "1e-200"],  # sigma_g^2 underflows
     "simulate-m-1": ["simulate", "--m", "1"],
     "simulate-dim-0": ["simulate", "--dim", "0"],
     "train-negative-cost": ["train", "--task", "regression", "--cost-backward", "-1"],

@@ -416,6 +416,14 @@ def test_a_budget_of_the_ledger_after_k_steps_takes_exactly_k_steps(cm, algo, f,
     assert res.state.stepping.cost_units == budget
 
 
+def test_the_ledger_prices_forward_then_cheap_forward_then_backward():
+    # the two orders of the terms round apart at these costs: forward,
+    # backward, then cheap forward would give 0.9
+    ledger = trainer.BudgetLedger(CostModel(backward=0.2, forward=0.1, cheap_forward=0.3))
+    ledger.charge(1, 2)
+    assert ledger.cost_units == 0.8999999999999999
+
+
 LEARNED_STEPS = pytest.mark.parametrize("kind, make_data, loss_kind", [
     ("feedback", regression, "squared_scalar"),
     ("feedback", blobs, "cross_entropy"),
