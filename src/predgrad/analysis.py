@@ -147,7 +147,8 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
     enter G - mu, ``combine`` being linear, only as combine(m mu_h, m_c mu,
     m_c mu_h, m_c, m) - mu, which is zero up to rounding whatever mu_h.
     Returned are ||mean(G) - mu||, the empirical E||G - mu||^2 and the
-    closed-form prediction.
+    closed-form prediction. Moments whose prediction, or whose trials' sum
+    of squared errors, is not finite in float64 raise a ``MomentError``.
 
     Trials run in chunks whose three drawn blocks fit ``BLOCK_BYTES``, so a
     chunk stays in a core's L2 cache and memory is bounded for any trial
@@ -175,6 +176,10 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
     if m_c >= m:
         raise DomainError(f"f = {f} leaves no prediction micro-batch for m = {m}")
     m_p = m - m_c
+    predicted_var = v2_exact(sigma_g, sigma_h, tau, m_c / m, m)
+    if not math.isfinite(predicted_var):
+        raise MomentError(f"the predicted variance {predicted_var} at sigma_g {sigma_g}, "
+                          f"sigma_h {sigma_h}, tau {tau} is not finite")
 
     su = sigma_g / np.sqrt(dim)
     coef = tau / gg
@@ -202,9 +207,11 @@ def simulate_estimator(sigma_g: float, sigma_h: float, tau: float, dim: int,
         sum_sq += float(np.einsum("ij,ij->", err, err))
         done += n
 
+    if not math.isfinite(sum_sq):
+        raise MomentError(f"the sum of squared errors of {trials} trials at sigma_g "
+                          f"{sigma_g} is not finite")
     mean_err = float(np.linalg.norm(sum_err / trials))
-    emp_var = sum_sq / trials
-    return SimulationResult(mean_err, emp_var, v2_exact(sigma_g, sigma_h, tau, m_c / m, m))
+    return SimulationResult(mean_err, sum_sq / trials, predicted_var)
 
 
 def sweep(cm: CostModel, f_values, rho_values, kappa_values) -> list:

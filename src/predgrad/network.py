@@ -32,11 +32,18 @@ on the other rows of its call. The same call on the same rows gives the
 same bits (at a fixed BLAS thread count), and ``cheap_forward`` gives
 exactly those of ``forward``.
 
-Flat parameter layout (used by checkpoints, by gradients and by the
-trainer's flattened updates): for each trunk layer in order, the weight
-matrix row-major then its bias; then the head weight row-major; then the
-head bias. The augmented activation convention is ``[a(x); 1]`` with the
-bias coordinate last.
+The passes compute in place where that gives the same bits as the plain
+expressions: a layer forms its pre-activation ``a @ W.T`` as a new array,
+adds the bias to it and applies the activation in it (the head the same,
+without an activation), so the input is never written and each layer's
+activations are their own array; the walk back forms a layer's
+pre-activation gradient in at most one new array (``_dz``).
+
+Flat parameter layout (the ``Network``'s buffer, used by checkpoints, by
+gradients and by the trainer's updates in place): for each trunk layer in
+order, the weight matrix row-major then its bias; then the head weight
+row-major; then the head bias. The augmented activation convention is
+``[a(x); 1]`` with the bias coordinate last.
 """
 
 from dataclasses import dataclass
@@ -91,51 +98,53 @@ class NetworkConfig:
 
 
 class Network:
-    """Parameter container. Mutation goes through ``set_flat_params``, which
-    bumps the version counter used for cache staleness checks."""
+    """Parameter container: one flat float64 buffer, ``params``, in the flat
+    layout. ``trunk_params``, ``head_weight``, ``head_bias`` and the
+    ``trunk_layers()`` pairs are read-only views into it, made once, so a
+    pass reads the parameters without copying them.
+
+    A network made from arrays copies them into its buffer: changing those
+    arrays later leaves it as it was, and its updates do not reach them.
+    ``flat_params`` returns a copy. An update writes the buffer in place
+    (the trainer's ``optimizer_step``) and then bumps ``version``, which
+    makes the caches of earlier passes stale. A view stays valid across an
+    update and then shows the updated values, so anyone may hold one; who
+    needs the values from before an update keeps a ``flat_params`` copy."""
 
     def __init__(self, config: NetworkConfig, trunk_params: np.ndarray,
                  head_weight: np.ndarray, head_bias: np.ndarray, version: int = 0):
         self.config = config
-        self.trunk_params = np.ascontiguousarray(trunk_params, dtype=np.float64)
-        self.head_weight = np.ascontiguousarray(head_weight, dtype=np.float64)
-        self.head_bias = np.ascontiguousarray(head_bias, dtype=np.float64)
         self.version = version
-        for name, shape in (("trunk_params", (config.trunk_size,)),
-                            ("head_weight", (config.output_dim, config.last_hidden)),
-                            ("head_bias", (config.output_dim,))):
-            if getattr(self, name).shape != shape:
-                raise DimensionError(f"{name} has shape {getattr(self, name).shape}, not {shape}")
+        self.params = np.empty(config.n_params)
+        pt, c, d = config.trunk_size, config.output_dim, config.last_hidden
+        views = (self.params[:pt], self.params[pt:pt + c * d].reshape(c, d),
+                 self.params[pt + c * d:])
+        for name, value, view in zip(("trunk_params", "head_weight", "head_bias"),
+                                     (trunk_params, head_weight, head_bias), views):
+            value = np.asarray(value, dtype=np.float64)
+            if value.shape != view.shape:
+                raise DimensionError(f"{name} has shape {value.shape}, not {view.shape}")
+            view[...] = value
+            view.flags.writeable = False
+        self.trunk_params, self.head_weight, self.head_bias = views
+        layers, off = [], 0
+        for out_w, in_w in config.trunk_layer_shapes():
+            w = self.trunk_params[off:off + out_w * in_w].reshape(out_w, in_w)
+            off += out_w * in_w
+            layers.append((w, self.trunk_params[off:off + out_w]))
+            off += out_w
+        self._layers = tuple(layers)
 
     def trunk_layers(self):
         """Views (W_k, b_k) into the flat trunk vector, in layer order."""
-        layers = []
-        off = 0
-        for out_w, in_w in self.config.trunk_layer_shapes():
-            w = self.trunk_params[off:off + out_w * in_w].reshape(out_w, in_w)
-            off += out_w * in_w
-            b = self.trunk_params[off:off + out_w]
-            off += out_w
-            layers.append((w, b))
-        return layers
+        return self._layers
 
     def flat_params(self) -> np.ndarray:
-        return np.concatenate([self.trunk_params, self.head_weight.ravel(), self.head_bias])
-
-    def set_flat_params(self, theta: np.ndarray) -> None:
-        theta = np.asarray(theta, dtype=np.float64)
-        cfg = self.config
-        if theta.shape != (cfg.n_params,):
-            raise DimensionError(f"expected {cfg.n_params} parameters, got {theta.shape}")
-        pt, c, d = cfg.trunk_size, cfg.output_dim, cfg.last_hidden
-        self.trunk_params = np.ascontiguousarray(theta[:pt])
-        self.head_weight = np.ascontiguousarray(theta[pt:pt + c * d].reshape(c, d))
-        self.head_bias = np.ascontiguousarray(theta[pt + c * d:])
-        self.version += 1
+        return self.params.copy()
 
     def copy(self) -> "Network":
-        return Network(self.config, self.trunk_params.copy(), self.head_weight.copy(),
-                       self.head_bias.copy(), self.version)
+        return Network(self.config, self.trunk_params, self.head_weight, self.head_bias,
+                       self.version)
 
 
 @dataclass
@@ -167,21 +176,27 @@ def init_network(cfg: NetworkConfig) -> Network:
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of the pre-activation z, computed in z's memory."""
     if kind == "tanh":
-        return np.tanh(z)
-    if kind == "relu":
-        return np.maximum(z, 0.0)
+        np.tanh(z, out=z)
+    elif kind == "relu":
+        np.maximum(z, 0.0, out=z)
     return z
 
 
-def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
-    """The activation's derivative at the pre-activation z, from a = act(z):
-    relu's max(z, 0) is positive exactly where z is, NaN included."""
+def _dz(delta: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+    """delta times the activation's derivative at the pre-activation z, from
+    a = act(z), for a ``delta`` the caller gives up: tanh's 1 - a^2 is formed
+    in one new array, relu's 0/1 mask multiplies ``delta`` in place (max(z, 0)
+    is positive exactly where z is, NaN included, and a product keeps -0.0
+    and NaN as they are), and identity returns ``delta``."""
     if kind == "tanh":
-        return 1.0 - a * a
+        dz = a * a
+        np.subtract(1.0, dz, out=dz)
+        return np.multiply(delta, dz, out=dz)
     if kind == "relu":
-        return (a > 0).astype(np.float64)
-    return np.ones_like(a)
+        return np.multiply(delta, a > 0, out=delta)
+    return delta
 
 
 def head_sum(llh: np.ndarray, residual: np.ndarray) -> np.ndarray:
@@ -206,9 +221,12 @@ def forward(net: Network, x: np.ndarray):
     act = []
     a = x
     for w, b in net.trunk_layers():
-        a = _act(a @ w.T + b, kind)
+        z = a @ w.T
+        z += b
+        a = _act(z, kind)
         act.append(a)
-    output = a @ net.head_weight.T + net.head_bias
+    output = a @ net.head_weight.T
+    output += net.head_bias
     return a, output, ForwardCache(net.version, x, act)
 
 
@@ -279,7 +297,7 @@ def _trunk_walk(net: Network, cache: ForwardCache, residual: np.ndarray):
     delta = residual @ net.head_weight
     layers = net.trunk_layers()
     for k in range(len(layers) - 1, -1, -1):
-        dz = delta * _act_deriv(cache.act[k], kind)
+        dz = _dz(delta, cache.act[k], kind)
         yield dz, (cache.act[k - 1] if k > 0 else cache.x)
         if k > 0:
             delta = dz @ layers[k][0]

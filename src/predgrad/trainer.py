@@ -16,10 +16,26 @@ and the trunk part is their control-variate combination
 perfect predictor each predicted sum is ``trunk_rows`` summed, so the
 correction is exactly zero and the step is vanilla's bit for bit. The
 update is plain SGD, theta - lr G: the control variate makes G unbiased
-whatever the step rule. A non-finite batch loss or gradient stops the run
-with a ``NumericError`` naming the step, and a network that does not fit
-the data is refused before step 1. Validation is a step's pass
-(``_pass``, one ``forward`` and the loss) on the validation rows.
+whatever the step rule. ``optimizer_step``, called through this module once
+a step, writes it into the network's parameter buffer (``Network.params``),
+and the loop then bumps the network's version. So every view of the
+parameters shows the new values after the update, the head weight in a
+step's ``FitRows`` among them; the ring does not keep it, and a refit reads
+the head weight as it runs. A non-finite batch loss or gradient stops the
+run with a ``NumericError`` naming the step, before the update, and a
+network that does not fit the data is refused before step 1. Validation is
+a step's pass (``_pass``, one ``forward`` and the loss) on the validation
+rows. What does not change within a run is worked out once before its first
+step: the validation rows and their targets, gathered, and the control rows
+of each batch size.
+
+Each step's record goes to the metrics file as a CSV row. The file is not
+flushed after each row: rows reach the disk as its buffer fills, and all of
+them when the file is closed as the run ends or raises. A process killed
+outright (SIGKILL, a power cut) leaves the rows of the buffer's last write,
+the last one perhaps cut short. No checkpoint holds its steps, as one is
+saved after a run, and a run resumed from an earlier checkpoint appends
+after whatever rows the file holds.
 
 A learned predictor is fitted on rows the run has already paid for, held in
 a ring (``FitRing``) of the last ``RefitPolicy.buffer_capacity`` of them.
@@ -152,11 +168,11 @@ METRICS_HEADER = [f.name for f in fields(StepRecord)]
 
 
 def optimizer_step(theta: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
-    """One SGD update, theta - lr g."""
+    """One SGD update, theta - lr g, written into ``theta``; returns it."""
     if theta.shape != g.shape:
         raise DimensionError(f"parameter/gradient shape mismatch "
                              f"{theta.shape} vs {g.shape}")
-    return theta - lr * g
+    return np.subtract(theta, lr * g, out=theta)
 
 
 @dataclass
@@ -219,11 +235,11 @@ class RunResult:
         return self.records[-1].loss if self.records else float("nan")
 
 
-def _pass(net, ds, idx):
-    """Forward on the examples idx: returns (cache, losses, residuals), all
-    in the order of idx."""
-    _, output, cache = forward(net, ds.features[idx])
-    losses, residuals = loss_and_residual(output, ds.targets[idx], ds.loss_kind)
+def _pass(net, x, y, loss_kind):
+    """Forward on the rows x with targets y: returns (cache, losses,
+    residuals), all in the order of the rows."""
+    _, output, cache = forward(net, x)
+    losses, residuals = loss_and_residual(output, y, loss_kind)
     return cache, losses, residuals
 
 
@@ -234,7 +250,8 @@ def _step(net, predictor, ds, batch_idx, m_c):
     exact one; with one, its trunk part is the control-variate combination
     and its head part the batch's exact head."""
     m = len(batch_idx)
-    cache, losses, residuals = _pass(net, ds, batch_idx)
+    cache, losses, residuals = _pass(net, ds.features[batch_idx], ds.targets[batch_idx],
+                                     ds.loss_kind)
     cache_c, r_c = cache.rows(slice(0, m_c)), residuals[:m_c]
     head = head_sum(cache.act[-1], residuals)
     trunk_c = trunk_rows(net, cache_c, r_c)
@@ -248,10 +265,11 @@ def _step(net, predictor, ds, batch_idx, m_c):
             FitRows(cache_c.act[-1], r_c, net.head_weight, trunk_c))
 
 
-def _eval_val(net, ds) -> float:
-    if len(ds.val_idx) == 0:
+def _eval_val(net, x, y, loss_kind) -> float:
+    """Mean loss on the validation rows x, targets y; NaN without rows."""
+    if len(x) == 0:
         return float("nan")
-    return float(_pass(net, ds, ds.val_idx)[1].mean())
+    return float(_pass(net, x, y, loss_kind)[1].sum() / len(x))   # mean()'s bits, sooner
 
 
 def _refit(state: TrainState):
@@ -334,11 +352,13 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
     ``_check_run`` returned for it. Step t is batch t % k of epoch t // k,
     k batches an epoch (``_epoch_batches``). Each step's record goes to
     ``metrics_path``: a fresh file, or on resuming, after the rows there."""
-    f, bs = cfg.control_fraction, cfg.batch_size
-    theta = state.net.flat_params()
+    f, bs, net = cfg.control_fraction, cfg.batch_size, state.net
     records = []
     n_train = len(ds.train_idx)
-    per_epoch = _epoch_batches(n_train, bs, min_batch)[0]
+    per_epoch, sizes = _epoch_batches(n_train, bs, min_batch)
+    # per-run set-up: the control rows of each batch size, and the validation rows
+    m_cs = {m: control_batch_size(m, f) for m in sizes} if state.kind != "none" else {}
+    val_x, val_y = ds.features[ds.val_idx], ds.targets[ds.val_idx]
     end = min(cfg.epochs * per_epoch, cfg.max_steps or math.inf)
     order = None
     fresh = state.step == 0 or not (metrics_path is not None and os.path.exists(metrics_path)
@@ -348,7 +368,6 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
         out = fh and csv.writer(fh)
         if out and fresh:
             out.writerow(METRICS_HEADER)
-            fh.flush()
         while state.step < end:
             epoch, b = divmod(state.step, per_epoch)
             if order is None or b == 0:
@@ -357,7 +376,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
             batch_idx = order[b * bs:(b + 1) * bs]
             m = len(batch_idx)
             predicted = state.predictor is not None
-            m_c = control_batch_size(m, f) if predicted else m
+            m_c = m_cs[m] if predicted else m
             if cfg.budget is not None and state.stepping.price(m_c, m - m_c) > cfg.budget:
                 if state.step == 0:
                     raise BudgetError(f"budget {cfg.budget} is smaller than one batch ("
@@ -365,13 +384,13 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
                 break
             state.stepping.charge(m_c, m - m_c)
 
-            grad, batch_loss, rows = _step(state.net, state.predictor, ds, batch_idx, m_c)
+            grad, batch_loss, rows = _step(net, state.predictor, ds, batch_idx, m_c)
             if not (math.isfinite(batch_loss) and np.isfinite(grad).all()):
                 raise NumericError(
                     f"non-finite loss or gradient at step {state.step + 1}")
 
-            theta = optimizer_step(theta, grad, cfg.learning_rate)
-            state.net.set_flat_params(theta)
+            optimizer_step(net.params, grad, cfg.learning_rate)
+            net.version += 1
             state.step += 1
 
             refit_flag, stats = 0, None
@@ -381,7 +400,7 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
                     refit_flag, stats = _refit(state)
 
             if cfg.eval_every and state.step % cfg.eval_every == 0:
-                val = _eval_val(state.net, ds)
+                val = _eval_val(net, val_x, val_y, ds.loss_kind)
             else:
                 val = float("nan")
 
@@ -394,7 +413,6 @@ def _train_loop(cfg: TrainConfig, ds: Dataset, state: TrainState, min_batch: int
             records.append(rec)
             if out:
                 out.writerow(rec.csv_row())
-                fh.flush()
     return RunResult(state, records)
 
 

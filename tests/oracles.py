@@ -5,7 +5,8 @@ Training needs only sums over rows: ``network.trunk_rows`` summed,
 statistics come from raw moments (``estimator.moment_stats``). These
 functions form the rows themselves, one flat gradient per example, so a
 test can sum them, or take their centred moments, and compare;
-``pass_rows`` gives a pass's rows as the ``FitRows`` a step hands its ring.
+``pass_rows`` gives a pass's rows as the ``FitRows`` a step hands its ring,
+and ``set_params`` writes a network's parameters as an update does.
 """
 
 import numpy as np
@@ -14,6 +15,13 @@ from predgrad.errors import DimensionError, InsufficientData
 from predgrad.linalg import FactoredRows
 from predgrad.network import _checked_residual, _trunk_walk, trunk_rows
 from predgrad.predictor import FitRows, _bilinear
+
+
+def set_params(net, theta) -> None:
+    """Write theta into the network's parameter buffer as a step's update
+    does: in place, then a version bump."""
+    net.params[...] = theta
+    net.version += 1
 
 
 def factored(a: np.ndarray) -> FactoredRows:

@@ -105,6 +105,16 @@ def test_simulate_refuses_moments_that_are_not_finite(sigma_g, sigma_h, tau):
         simulate_estimator(sigma_g, sigma_h, tau, DIM, 0.25, 100, 10, seed=0)
 
 
+@pytest.mark.parametrize("sigma_g, trials", [(1e154, 10), (9e153, 1000)],
+                         ids=["predicted-variance-overflows", "sum-of-squares-overflows"])
+def test_simulate_refuses_moments_whose_variance_overflows(sigma_g, trials):
+    # sigma_g^2 = 1e308 is finite, sigma_g^2 phi / m is not; at 9e153 it is,
+    # and the sum of 1000 trials' squared errors is not
+    with pytest.raises(MomentError, match="not finite"):
+        simulate_estimator(sigma_g, sigma_g, 0.8 * sigma_g * sigma_g, DIM, 0.25, 100, trials,
+                           seed=0)
+
+
 def test_simulate_at_large_moments_is_the_unit_simulation_scaled():
     # tau^2 overflows at these moments; tau^2 / sigma_g^2 does not
     unit = simulate_estimator(1.0, 1.0, 0.8, DIM, 0.25, 100, 500, seed=3)

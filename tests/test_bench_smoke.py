@@ -41,6 +41,10 @@ def test_step_layer_bench_runs(layer):
         step_bench.test_layer(benchmark, layer, kind, HIDDEN, M)
 
 
+def test_validation_bench_runs():
+    step_bench.test_validation(benchmark, HIDDEN, M)
+
+
 @pytest.mark.parametrize("phase", ["measure", "fit"])
 def test_refit_bench_runs(phase):
     for kind in refit_bench.KINDS:

@@ -495,6 +495,8 @@ OUT_OF_RANGE = {
     "simulate-sigma-g-1e200": ["simulate", "--sigma-g", "1e200"],   # tau and sigma_g^2 overflow
     "simulate-sigma-g-1e300": ["simulate", "--sigma-g", "1e300"],   # sigma_g^2 overflows
     "simulate-sigma-g-1e-200": ["simulate", "--sigma-g", "1e-200"],  # sigma_g^2 underflows
+    # sigma_g^2 is finite, the predicted variance sigma_g^2 phi / m overflows
+    "simulate-sigma-g-1e154": ["simulate", "--sigma-g", "1e154", "--trials", "100"],
     "simulate-m-1": ["simulate", "--m", "1"],
     "simulate-dim-0": ["simulate", "--dim", "0"],
     "train-negative-cost": ["train", "--task", "regression", "--cost-backward", "-1"],

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from predgrad.errors import (ConfigError, DimensionError, LabelError, StaleCache)
-from predgrad.network import (ACTIVATIONS, NetworkConfig, cheap_forward, forward,
-                              gradient_sum, head_sum, init_network, loss_and_residual,
+from predgrad.network import (ACTIVATIONS, Network, NetworkConfig, _act, _dz, cheap_forward,
+                              forward, gradient_sum, head_sum, init_network, loss_and_residual,
                               trunk_rows)
+from predgrad.trainer import optimizer_step
 from predgrad.rng import substream
 
-from oracles import backward
+from oracles import backward, set_params
 
 LOSS_KINDS = ("squared_scalar", "squared_vector", "cross_entropy")
 # the src entry points that take a forward cache and a residual
@@ -78,7 +79,7 @@ def test_config_validation():
 
 def test_zero_parameters_give_bias_output():
     net = init_network(small_cfg())
-    net.set_flat_params(np.zeros(net.config.n_params))
+    set_params(net, np.zeros(net.config.n_params))
     llh, output, _ = forward(net, np.array([1.0, -2.0, 0.5, 3.0]))
     assert np.array_equal(llh, np.zeros(8))
     assert np.array_equal(output, net.head_bias)
@@ -125,7 +126,7 @@ def test_cheap_forward_matches_forward_bitwise():
 
 def test_cheap_forward_zero_everything():
     net = init_network(small_cfg())
-    net.set_flat_params(np.zeros(net.config.n_params))
+    set_params(net, np.zeros(net.config.n_params))
     _, output = cheap_forward(net, np.zeros(4))
     assert np.array_equal(output, net.head_bias)
 
@@ -187,7 +188,7 @@ def finite_difference_gradient(net, x, y, kind, step=1e-5):
         for sign, slot in ((1.0, 0), (-1.0, 1)):
             theta = theta0.copy()
             theta[i] += sign * step
-            probe.set_flat_params(theta)
+            set_params(probe, theta)
             _, output, _ = forward(probe, x)
             loss = loss_and_residual(output, y, kind)[0]
             if slot == 0:
@@ -223,7 +224,7 @@ def test_backward_matches_finite_differences():
 def test_backward_rejects_stale_cache():
     net = init_network(small_cfg())
     _, _, cache = forward(net, np.ones((1, 4)))
-    net.set_flat_params(net.flat_params() * 1.01)
+    set_params(net, net.flat_params() * 1.01)
     for back in CACHE_PASSES:
         with pytest.raises(StaleCache):
             back(net, cache, np.zeros((1, 3)))
@@ -238,18 +239,17 @@ def test_backward_and_its_sum_reject_stale_caches_and_wrong_residuals(back):
         back(net, cache, np.zeros((5, 2)))
     with pytest.raises(DimensionError):
         back(net, cache, np.zeros((4, 3)))
-    net.set_flat_params(net.flat_params() * 1.01)
+    set_params(net, net.flat_params() * 1.01)
     with pytest.raises(StaleCache):
         back(net, cache, np.zeros((5, 3)))
 
 
 def test_flat_params_round_trip():
+    # a checkpoint saves the three views and loads them into a new network
     net = init_network(small_cfg(seed=9))
-    theta = net.flat_params()
-    other = init_network(small_cfg(seed=1))
-    other.set_flat_params(theta)
-    assert np.array_equal(other.flat_params(), theta)
-    assert other.version == 1
+    other = Network(net.config, net.trunk_params, net.head_weight, net.head_bias, net.version)
+    assert np.array_equal(other.flat_params(), net.flat_params())
+    assert other.version == net.version
 
 
 # A batch goes through each layer as one matrix product, so a row's last
@@ -316,3 +316,130 @@ def test_backward_sum_equals_the_summed_rows(activation, kind, hidden):
     _, residual = loss_and_residual(output, ys[:1], kind)
     one = backward(net, cache, residual)[0]
     assert np.linalg.norm(backward_sum(net, cache, residual) - one) <= 1e-12 * np.linalg.norm(one)
+
+
+# --- the parameter buffer ---------------------------------------------------
+
+def assert_views_are_the_buffer(net):
+    """trunk_layers(), trunk_params, head_weight and head_bias equal their
+    slices of flat_params() in the flat layout."""
+    theta = net.flat_params()
+    pt, (c, d) = net.config.trunk_size, net.head_weight.shape
+    assert np.array_equal(net.trunk_params, theta[:pt])
+    assert np.array_equal(net.head_weight, theta[pt:pt + c * d].reshape(c, d))
+    assert np.array_equal(net.head_bias, theta[pt + c * d:])
+    off = 0
+    for w, b in net.trunk_layers():
+        for v in (w, b):
+            assert np.array_equal(v.ravel(), theta[off:off + v.size])
+            off += v.size
+    assert off == pt
+
+
+def test_parameter_views_follow_the_buffer_across_updates():
+    net = init_network(NetworkConfig(4, (6, 5), 3, seed=2))
+    held = [net.head_weight, net.head_bias, *net.trunk_layers()[1]]
+    before = [v.copy() for v in held]
+    assert_views_are_the_buffer(net)
+    set_params(net, 2.0 * net.flat_params())
+    assert_views_are_the_buffer(net)
+    assert optimizer_step(net.params, np.ones(net.params.shape), 0.5) is net.params
+    assert_views_are_the_buffer(net)
+    # a view held across the updates shows the updated values
+    for view, old in zip(held, before, strict=True):
+        assert np.array_equal(view, 2.0 * old - 0.5)
+    # the views are read-only: only an update writes the parameters
+    for view in held:
+        with pytest.raises(ValueError):
+            view[...] = 0.0
+
+
+def test_changing_flat_params_leaves_the_network_as_it_was():
+    net = init_network(small_cfg(seed=4))
+    theta = net.flat_params()
+    kept = theta.copy()
+    theta += 1.0
+    assert np.array_equal(net.flat_params(), kept) and net.version == 0
+
+
+def test_a_network_copies_the_arrays_it_is_made_from():
+    # the rule: a Network copies the caller's arrays into its own buffer, so
+    # neither the caller's later writes nor the network's updates reach the other
+    cfg = small_cfg(seed=6)
+    made = [np.array(a) for a in (init_network(cfg).trunk_params, init_network(cfg).head_weight,
+                                  init_network(cfg).head_bias)]
+    given = [a.copy() for a in made]
+    net = Network(cfg, *made)
+    assert not any(np.shares_memory(net.params, a) for a in made)
+    for a in made:
+        a += 1.0
+    assert np.array_equal(net.flat_params(), init_network(cfg).flat_params())
+    set_params(net, np.zeros(len(net.params)))
+    optimizer_step(net.params, np.ones(len(net.params)), 1.0)
+    for a, g in zip(made, given, strict=True):
+        assert np.array_equal(a, g + 1.0)
+    assert np.array_equal(net.flat_params(), -np.ones(len(net.params)))
+
+
+# --- the in-place passes ----------------------------------------------------
+
+PLAIN_ACT = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0), "identity": lambda z: z}
+PLAIN_DERIV = {"tanh": lambda a: 1.0 - a * a, "relu": lambda a: (a > 0).astype(np.float64),
+               "identity": np.ones_like}
+
+
+def same_bits(got, want) -> bool:
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def plain_passes(net, x, residual):
+    """The forward and the walk back as plain expressions, each step a new
+    array: (per-layer activations, output, per-layer pre-activation gradients)."""
+    kind, layers = net.config.activation, net.trunk_layers()
+    act, a = [], x
+    for w, b in layers:
+        a = PLAIN_ACT[kind](a @ w.T + b)
+        act.append(a)
+    output = a @ net.head_weight.T + net.head_bias
+    dzs, delta = [], residual @ net.head_weight
+    for k in range(len(layers) - 1, -1, -1):
+        dzs.append(delta * PLAIN_DERIV[kind](act[k]))
+        delta = dzs[-1] @ layers[k][0]
+    return act, output, dzs[::-1]
+
+
+AWKWARD = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1.5, -1.5, 1e-310, -1e-310, 40.0])
+
+
+@pytest.mark.parametrize("kind", ACTIVATIONS)
+def test_the_in_place_layer_arithmetic_is_the_plain_expressions(kind):
+    # NaN, -0.0, infinities and subnormals in the pre-activation, the
+    # activation and the incoming gradient, in every pairing
+    z, a = np.meshgrid(AWKWARD, AWKWARD)
+    delta = np.repeat(AWKWARD, len(AWKWARD)).reshape(z.shape).T.copy()
+    with np.errstate(all="ignore"):   # inf * 0 and inf - inf make NaNs on both sides
+        assert same_bits(_act(z.copy(), kind), PLAIN_ACT[kind](z))
+        assert same_bits(_dz(delta.copy(), a, kind), delta * PLAIN_DERIV[kind](a))
+
+
+@pytest.mark.parametrize("kind", ACTIVATIONS)
+def test_forward_and_trunk_rows_give_the_bits_of_the_plain_passes(kind):
+    net = init_network(NetworkConfig(5, (7, 6, 4), 3, activation=kind, seed=8))
+    rng = substream(44, kind)
+    x = rng.standard_normal((11, 5))
+    x[3, 1], x[5] = np.nan, -0.0      # a NaN row, and a row of -0.0 inputs
+    residual = rng.standard_normal((11, 3))
+    residual[7, 0], residual[8] = np.nan, -0.0
+    kept = x.copy()
+    llh, output, cache = forward(net, x)
+    assert same_bits(x, kept)    # the input is never written
+    act, out, dzs = plain_passes(net, x, residual)
+    assert all(same_bits(g, w) for g, w in zip(cache.act, act, strict=True))
+    assert same_bits(output, out) and llh is cache.act[-1]
+    blocks = trunk_rows(net, cache, residual).blocks
+    assert all(same_bits(dz, want) and prev is inp
+               for (dz, prev), want, inp in zip(blocks, dzs, [cache.x, *cache.act[:-1]],
+                                                 strict=True))
+    # each layer's activations, and the output, are their own arrays
+    arrays = [x, *cache.act, output, net.params]
+    assert not any(np.shares_memory(p, q) for i, p in enumerate(arrays) for q in arrays[i + 1:])

@@ -15,7 +15,7 @@ from predgrad.predictor import (RESIDUAL_FLOOR, FeedbackPredictor, FitRows, Perf
 from predgrad.rng import substream
 
 from oracles import (alignment_stats, backward, factored, gradient_rows, pass_rows,
-                     predict_structured)
+                     predict_structured, set_params)
 
 
 def cosine(u, v):
@@ -237,7 +237,7 @@ def test_factored_maps_predict_as_the_formed_maps(data, hidden):
     theta = net.flat_params()
     pt, head = net.config.trunk_size, net.config.head_size
     theta[pt:] += 0.1 * substream(35, "moved-head").standard_normal(head)
-    net.set_flat_params(theta)
+    set_params(net, theta)
     cache, residuals, rows = feedback_sample(net, ds, np.arange(100, 200))
     parts = [(cache, residuals), (cache.rows([3, 7]), residuals[[3, 7]])]
     got = [*pred.predict_sums(net, parts), *pred.trunk_moments(net, rows),

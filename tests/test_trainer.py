@@ -1,4 +1,5 @@
 import copy
+import csv
 import itertools
 import json
 import logging
@@ -15,7 +16,7 @@ from predgrad import predictor as predictor_module
 from predgrad import trainer
 from predgrad.analysis import CostModel
 from predgrad.data import gen_blobs, gen_regression
-from predgrad.errors import ConfigError, DataError, InsufficientData, NumericError
+from predgrad.errors import ConfigError, DataError, InsufficientData, NumericError, StaleCache
 from predgrad.estimator import combine, variance_inflation
 from predgrad.linalg import FactoredRows, solve_ridge, truncated_svd
 from predgrad.network import NetworkConfig, forward, init_network, loss_and_residual
@@ -295,23 +296,28 @@ def test_predictor_argument_errors():
 
 
 @pytest.mark.parametrize("algo", ["vanilla", "structured", "feedback"])
-def test_divergence_stops_the_run_at_the_first_non_finite_step(algo):
+def test_divergence_stops_the_run_at_the_first_non_finite_step(tmp_path, algo):
     ds, ncfg = regression()
     cfg = TrainConfig(batch_size=32, epochs=10, max_steps=50, learning_rate=1e4, seed=0,
                       eval_every=0)
+    path = tmp_path / "metrics.csv"
 
-    def run(cfg):
+    def run(cfg, metrics_path=None):
         if algo == "vanilla":
-            return train_vanilla(cfg, ds, init_network(ncfg))
-        return train_predicted(cfg, ds, init_network(ncfg), algo)
+            return train_vanilla(cfg, ds, init_network(ncfg), metrics_path)
+        return train_predicted(cfg, ds, init_network(ncfg), algo, metrics_path)
 
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError, match=r"at step \d+") as err:
-            run(cfg)
+            run(cfg, path)
         step = int(re.search(r"at step (\d+)", str(err.value)).group(1))
         before = run(replace(cfg, max_steps=step - 1))
     assert before.steps == step - 1 > 0
     assert all(math.isfinite(r.loss) for r in before.records)
+    # the run that raised wrote out every row it recorded as its file closed
+    with open(path, newline="") as fh:
+        written = list(csv.reader(fh))
+    assert written == [trainer.METRICS_HEADER] + [list(map(str, r)) for r in rows(before.records)]
 
 
 def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
@@ -865,3 +871,34 @@ def test_one_budget_covers_every_pass_of_a_comparison(monkeypatch, kind, hidden)
     assert sum(passed[runs["first"]:]) == ledger.exact_rows + ledger.predicted_rows + validated
     assert ledger.cost_units == report.predicted_cost_units <= cfg.budget
     assert sum(r.refit for r in report.predicted_records) >= 2
+
+
+def test_a_compare_calls_the_modules_optimizer_step_once_per_step(monkeypatch):
+    # perfbench times a step as the gap between two optimizer_step calls,
+    # wrapped at predgrad.trainer.optimizer_step: so each step calls it there,
+    # once, on its run's parameter buffer
+    ds, ncfg = regression()
+    cfg = TrainConfig(batch_size=32, budget=2000.0, refit=RefitPolicy(period=4), seed=3)
+    buffers, step = [], trainer.optimizer_step
+
+    def counted(theta, g, lr):
+        buffers.append(theta)
+        return step(theta, g, lr)
+
+    monkeypatch.setattr(trainer, "optimizer_step", counted)
+    report = run_budgeted_comparison(cfg, ds, ncfg, "structured")
+    runs = [list(group) for _, group in itertools.groupby(buffers, key=id)]
+    assert [len(r) for r in runs] == [report.vanilla_steps, report.predicted_steps]
+    assert report.vanilla_steps > 0 and report.predicted_steps > 0
+
+
+def test_a_cache_from_before_a_step_is_stale():
+    ds, ncfg = regression()
+    net = init_network(ncfg)
+    _, output, cache = forward(net, ds.features[:4])
+    residual = loss_and_residual(output, ds.targets[:4], ds.loss_kind)[1]
+    trainer.trunk_rows(net, cache, residual)
+    res = train_vanilla(TrainConfig(batch_size=32, max_steps=1, eval_every=0), ds, net)
+    assert res.network is net and net.version == 1
+    with pytest.raises(StaleCache):
+        trainer.trunk_rows(net, cache, residual)
