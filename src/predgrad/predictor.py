@@ -153,7 +153,7 @@ class StructuredPredictor:
         # (W_a Q)^T [R^T A | R^T 1] is Q^T H^T [A 1], H = R W_a, without forming H
         wq = net.head_weight @ self.head_q
         heads = [head[0] if head else head_sum(cache.act[-1], r) for cache, r, *head in parts]
-        features = np.stack([(wq.T @ head).ravel() for head in heads], axis=1)
+        features = np.concatenate([(wq.T @ head).reshape(-1, 1) for head in heads], axis=1)
         coeffs = few_column_product(self.maps.reshape(len(self.maps), -1), features)
         return list(few_column_product(self.basis, coeffs).T)
 

@@ -32,10 +32,10 @@ of each batch size.
 Each step's record goes to the metrics file as a CSV row. The file is not
 flushed after each row: rows reach the disk as its buffer fills, and all of
 them when the file is closed as the run ends or raises. A process killed
-outright (SIGKILL, a power cut) leaves the rows of the buffer's last write,
-the last one perhaps cut short. No checkpoint holds its steps, as one is
-saved after a run, and a run resumed from an earlier checkpoint appends
-after whatever rows the file holds.
+outright (SIGKILL, a power cut) leaves the rows of the buffers written out
+so far, the last row perhaps cut short. A checkpoint is saved only after a run,
+so none holds a killed run's steps, and a run resumed from an earlier
+checkpoint appends after whatever rows the file holds.
 
 A learned predictor is fitted on rows the run has already paid for, held in
 a ring (``FitRing``) of the last ``RefitPolicy.buffer_capacity`` of them.

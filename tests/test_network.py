@@ -365,15 +365,14 @@ def test_changing_flat_params_leaves_the_network_as_it_was():
 def test_a_network_copies_the_arrays_it_is_made_from():
     # the rule: a Network copies the caller's arrays into its own buffer, so
     # neither the caller's later writes nor the network's updates reach the other
-    cfg = small_cfg(seed=6)
-    made = [np.array(a) for a in (init_network(cfg).trunk_params, init_network(cfg).head_weight,
-                                  init_network(cfg).head_bias)]
+    source = init_network(small_cfg(seed=6))
+    made = [np.array(a) for a in (source.trunk_params, source.head_weight, source.head_bias)]
     given = [a.copy() for a in made]
-    net = Network(cfg, *made)
+    net = Network(source.config, *made)
     assert not any(np.shares_memory(net.params, a) for a in made)
     for a in made:
         a += 1.0
-    assert np.array_equal(net.flat_params(), init_network(cfg).flat_params())
+    assert np.array_equal(net.flat_params(), source.flat_params())
     set_params(net, np.zeros(len(net.params)))
     optimizer_step(net.params, np.ones(len(net.params)), 1.0)
     for a, g in zip(made, given, strict=True):
