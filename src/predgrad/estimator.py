@@ -40,8 +40,17 @@ def combine(s_pred, s_ctrl_true, s_ctrl_pred, m_c: int, m: int):
     the mean prediction plus its mean error on the control rows, unbiased
     for the mean gradient whatever the predictions. Equal control sums make
     the correction exactly zero and G = s_pred / m to the bit.
+
+    The three sums share one shape and are left unchanged. The result is
+    evaluated as (s_ctrl_true - s_ctrl_pred) / m_c + s_pred / m, the
+    difference divided in place and s_pred / m added into it: a call
+    allocates two arrays, and as addition commutes exactly the bits are
+    those of s_pred / m + (s_ctrl_true - s_ctrl_pred) / m_c.
     """
-    return s_pred / m + (s_ctrl_true - s_ctrl_pred) / m_c
+    out = s_ctrl_true - s_ctrl_pred
+    out /= m_c
+    out += s_pred / m
+    return out
 
 
 def moment_stats(n: int, gg: float, hh: float, gh: float, g_sum, h_sum) -> tuple[float, float]:

@@ -243,8 +243,9 @@ def loss_and_residual(output: np.ndarray, y, kind: str):
 
     squared_scalar / squared_vector: loss = 0.5 ||f(x) - y||^2, residual
     f(x) - y; a scalar target may leave out its length-1 axis.
-    cross_entropy: y holds class indices; loss -log p_y of the softmax
-    probabilities p, and the residual p - onehot(y), the exact logit
+    cross_entropy: y holds integer class indices; loss -log p_y of the
+    softmax probabilities p, read at the label, so it stays finite when
+    another logit is -inf, and the residual p - onehot(y), the exact logit
     gradient.
     """
     output = np.asarray(output, dtype=np.float64)
@@ -266,6 +267,8 @@ def loss_and_residual(output: np.ndarray, y, kind: str):
         if labels.shape != output.shape[:-1]:
             raise DimensionError(
                 f"labels of shape {labels.shape} for outputs of shape {output.shape}")
+        if labels.dtype.kind not in "iu":   # the loss indexes by the labels
+            raise LabelError(f"class labels must be integers, got dtype {labels.dtype}")
         bad = labels[(labels < 0) | (labels >= c)]
         if bad.size:
             raise LabelError(f"class index {bad.flat[0]} out of range for {c} classes")
@@ -273,7 +276,9 @@ def loss_and_residual(output: np.ndarray, y, kind: str):
         logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         p = np.exp(logp)
         target = np.where(labels[..., None] == np.arange(c), 1.0, 0.0)
-        return -np.einsum("...i,...i->...", target, logp), p - target
+        rows = logp.reshape(-1, c)
+        loss = -rows[np.arange(len(rows)), labels.ravel()].reshape(labels.shape)
+        return loss, p - target
     raise ConfigError(f"unknown loss kind {kind!r}")
 
 

@@ -41,6 +41,22 @@ def test_simulate_is_deterministic_per_seed():
     assert simulate_estimator(*args, seed=3) != simulate_estimator(*args, seed=4)
 
 
+@pytest.mark.parametrize("args, want", [
+    ((1, 1, 0.8, 8, 0.25, 100, 5000, 3),   # two chunks, the second short
+     (0.0019504755061897994, 0.022148578784556797, 0.021999999999999992)),
+    ((1, 1, 0.8, 8, 0.25, 100, 100000, 0),
+     (0.00043824300485117496, 0.02197545962107068, 0.021999999999999992)),
+    ((1.5, 1.2, -0.5, 6, 0.25, 100, 20001, 11),   # five chunks and a short sixth
+     (0.0032068383830128363, 0.161514588907748, 0.1632)),
+    ((1, 0.5, 0.3, 1, 0.5, 10, 3, 5),   # below one chunk
+     (0.29721323888746837, 0.27655714174518836, 0.16499999999999998)),
+    ((1, 0.5, 0.3, 1, 0.5, 10, 20001, 5),   # dim 1 sums its chunk's column pairwise
+     (0.000959491647037966, 0.1665442239459307, 0.16499999999999998)),
+], ids=["perfbench", "cli-default", "short-last-chunk", "below-one-chunk", "dim-1"])
+def test_simulate_keeps_its_recorded_outputs_to_the_bit(args, want):
+    assert simulate_estimator(*args) == want
+
+
 LAW_TRIALS = 20000   # at DIM, five chunks of trials and a shorter last one
 
 

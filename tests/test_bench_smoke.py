@@ -29,6 +29,9 @@ def benchmark(fn, *args, **kwargs):
     return fn(*args, **kwargs)
 
 
+benchmark.extra_info = {}   # as pytest-benchmark's fixture has
+
+
 @pytest.mark.parametrize("algo", ["vanilla", "predicted"])
 def test_step_bench_runs(algo):
     for kind in step_bench.KINDS:
@@ -54,6 +57,7 @@ def test_refit_bench_runs(phase):
 
 def test_simulate_bench_runs():
     simulate_bench.test_simulate(benchmark, 10)
+    assert benchmark.extra_info["minor_faults_per_call"] >= 0
 
 
 def test_trajectory_digests_runs(capsys):

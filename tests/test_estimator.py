@@ -108,25 +108,49 @@ def test_moment_stats_degenerate_and_argument_cases():
         moment_stats(1, 1.0, 1.0, 1.0, np.ones(3), np.ones(3))
 
 
+# the sums combine takes: Python floats, a trunk-length vector (8-64-64-3)
+# and a block of Monte Carlo trials
+COMBINE_SHAPES = [(), (4736,), (2730, 8)]
+
+
+def draw_sums(rng, shape, k):
+    sums = rng.standard_normal((k, *shape)) * 10.0 ** rng.integers(-3, 4, size=(k, *shape))
+    return [float(s) for s in sums] if shape == () else list(sums)
+
+
+def checked_combine(s_pred, s_ctrl_true, s_ctrl_pred, m_c, m):
+    """combine's result, checked against the bits of the plain expression
+    and for leaving its three sums as they were."""
+    before = [np.copy(s) for s in (s_pred, s_ctrl_true, s_ctrl_pred)]
+    got = combine(s_pred, s_ctrl_true, s_ctrl_pred, m_c, m)
+    want = s_pred / m + (s_ctrl_true - s_ctrl_pred) / m_c
+    assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert all(np.array_equal(b, s) for b, s in zip(before, (s_pred, s_ctrl_true, s_ctrl_pred)))
+    return got
+
+
 def test_combine_of_equal_control_sums_is_the_mean_prediction_to_the_bit():
     rng = substream(53, "combine-equal")
-    for m, m_c in ((2, 1), (16, 4), (30, 8), (128, 32)):
-        s_pred, t = rng.standard_normal((2, 50)) * 10.0 ** rng.integers(-3, 4, size=(2, 50))
-        assert np.array_equal(combine(s_pred, t, t, m_c, m), s_pred / m)
+    for shape in [(50,), *COMBINE_SHAPES]:
+        for m, m_c in ((2, 1), (16, 4), (30, 8), (128, 32)):
+            s_pred, t = draw_sums(rng, shape, 2)
+            assert np.array_equal(checked_combine(s_pred, t, t, m_c, m), s_pred / m)
 
 
 def test_combine_is_the_split_form_of_the_estimator():
     # G = g_c + (1 - f)(h_p - h_c), with f = m_c / m and block means
     rng = substream(54, "combine-split")
-    for _ in range(200):
+    for shape in [(20,)] * 200 + COMBINE_SHAPES * 20:
         m = int(rng.integers(2, 300))
         m_c = int(rng.integers(1, m))
         m_p, f = m - m_c, m_c / m
-        g_c, h_c, h_p = rng.standard_normal((3, 20)) * 10.0 ** rng.integers(-3, 4)
+        g_c, h_c, h_p = rng.standard_normal((3, *shape)) * 10.0 ** rng.integers(-3, 4)
         g_c += rng.standard_normal()
+        if shape == ():
+            g_c, h_c, h_p = float(g_c), float(h_c), float(h_p)
         expected = g_c / m_c + (1 - f) * (h_p / m_p - h_c / m_c)
         scale = np.max(np.abs([g_c / m_c, h_c / m_c, h_p / m_p]))
-        got = combine(h_c + h_p, g_c, h_c, m_c, m)
+        got = checked_combine(h_c + h_p, g_c, h_c, m_c, m)
         assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 

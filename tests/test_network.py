@@ -153,6 +153,31 @@ def test_cross_entropy_residual_sums_to_zero():
         assert abs(residual.sum()) <= 1e-12
 
 
+def test_cross_entropy_loss_is_finite_beside_a_minus_infinite_logit():
+    # p of the -inf logit is 0, and -log p_y = log(1 + e) stays finite
+    want = np.log1p(np.e)
+    loss, residual = loss_and_residual(np.array([[0.0, -np.inf, 1.0]]), [0], "cross_entropy")
+    assert loss.shape == (1,) and loss[0] == pytest.approx(want, rel=1e-15)
+    assert np.all(np.isfinite(residual)) and residual[0, 1] == 0.0
+    loss, residual = loss_and_residual(np.array([0.0, -np.inf, 1.0]), 0, "cross_entropy")
+    assert np.ndim(loss) == 0 and loss == pytest.approx(want, rel=1e-15)
+    assert residual.shape == (3,) and np.all(np.isfinite(residual))
+
+
+@pytest.mark.parametrize("shape", [(7,), (128, 3), (5, 4, 6)], ids=["one", "batch", "stack"])
+def test_cross_entropy_loss_keeps_the_bits_of_the_one_hot_contraction(shape):
+    rng = substream(12, "ce-bits")
+    for scale in (1e-3, 1.0, 30.0, 700.0):
+        output = rng.standard_normal(shape) * scale
+        labels = rng.integers(shape[-1], size=shape[:-1])
+        shifted = output - output.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        target = np.where(labels[..., None] == np.arange(shape[-1]), 1.0, 0.0)
+        loss, residual = loss_and_residual(output, labels, "cross_entropy")
+        assert same_bits(np.asarray(loss), np.asarray(-np.einsum("...i,...i->...", target, logp)))
+        assert same_bits(residual, np.exp(logp) - target)
+
+
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(LabelError):
         loss_and_residual(np.zeros(3), 3, "cross_entropy")
@@ -160,6 +185,15 @@ def test_cross_entropy_label_out_of_range():
         loss_and_residual(np.zeros(3), -1, "cross_entropy")
     with pytest.raises(LabelError):  # every label of a batch is checked
         loss_and_residual(np.zeros((4, 3)), np.array([0, 2, 3, 1]), "cross_entropy")
+    with pytest.raises(LabelError):
+        loss_and_residual(np.zeros((4, 3)), np.array([0, -1, 2, 1]), "cross_entropy")
+
+
+@pytest.mark.parametrize("labels", [[0.5], [1.0], [np.nan], [True]],
+                         ids=["fraction", "integral-float", "nan", "bool"])
+def test_cross_entropy_refuses_labels_that_are_not_integers(labels):
+    with pytest.raises(LabelError, match="integers"):
+        loss_and_residual(np.zeros((1, 3)), np.array(labels), "cross_entropy")
 
 
 def test_backward_zero_residual():
